@@ -54,19 +54,7 @@ pub fn write_artifacts_to(dir: &Path, result: &ExperimentResult) -> io::Result<P
 pub fn result_to_pretty_json(result: &ExperimentResult) -> String {
     fn push_str_lit(out: &mut String, s: &str) {
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => out.push(c),
-            }
-        }
+        telemetry::json::escape_into(out, s);
         out.push('"');
     }
     fn push_str_array(out: &mut String, items: &[String], indent: &str) {
@@ -387,17 +375,55 @@ pub fn write_explore_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use telemetry::json::{self, Json};
 
     #[test]
     fn artifacts_round_trip() {
+        // A scratch directory, not `results/`, which
+        // `committed_json_artifacts_parse` reads concurrently.
+        let dir = std::env::temp_dir().join(format!("bench_artifacts_{}", std::process::id()));
         let mut r = ExperimentResult::new("zz_test_artifact", "test", &["a"]);
         r.push_row(["1"]);
-        let path = write_artifacts(&r).unwrap();
+        let path = write_artifacts_to(&dir, &r).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.contains("zz_test_artifact"));
-        // Clean up the throwaway files.
-        for ext in ["txt", "csv", "json"] {
-            let _ = fs::remove_file(results_dir().join(format!("zz_test_artifact.{ext}")));
+        let json_text = fs::read_to_string(dir.join("zz_test_artifact.json")).unwrap();
+        let doc = json::parse(&json_text).expect("valid JSON");
+        assert_eq!(
+            doc.get("id").and_then(Json::as_str),
+            Some("zz_test_artifact")
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every committed `results/*.json` parses, and each experiment
+    /// artifact (one with `columns`) names itself and has rows exactly
+    /// as wide as its columns.
+    #[test]
+    fn committed_json_artifacts_parse() {
+        let mut experiments = std::collections::BTreeSet::new();
+        for entry in fs::read_dir(results_dir()).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
+            let name = path.display();
+            let doc = json::parse(&fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let Some(columns) = doc.get("columns").and_then(Json::as_arr) else {
+                continue;
+            };
+            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap();
+            assert_eq!(doc.get("id").and_then(Json::as_str), Some(stem), "{name}");
+            let rows = doc.get("rows").and_then(Json::as_arr).expect("rows array");
+            for (i, row) in rows.iter().enumerate() {
+                let width = row.as_arr().map(<[Json]>::len);
+                assert_eq!(width, Some(columns.len()), "{name} row {i}");
+            }
+            experiments.insert(stem.to_string());
+        }
+        for e in sudc::experiments::all() {
+            assert!(experiments.contains(e.id), "results/{}.json missing", e.id);
         }
     }
 

@@ -18,9 +18,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use telemetry::json::{JsonArray, JsonObject};
+use telemetry::json::{self, Json, JsonArray, JsonObject};
 
-use crate::jsonv::{self, Json};
 use crate::Diagnostic;
 
 /// Grandfathered violations, keyed `"<file>:<rule>"`, each a multiset
@@ -123,7 +122,7 @@ impl Baseline {
     ///
     /// Returns a message for malformed JSON or a structure mismatch.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let root = jsonv::parse(text)?;
+        let root = json::parse(text)?;
         if root.get("version").and_then(Json::as_u64) != Some(1) {
             return Err("unsupported baseline version".to_string());
         }
@@ -214,6 +213,12 @@ mod tests {
     }
 
     const DIRTY: &str = "fn f(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n";
+
+    #[test]
+    fn deeply_nested_baseline_is_an_error() {
+        let err = Baseline::parse(&"[".repeat(1_000_000)).expect_err("must not parse");
+        assert!(err.contains("nesting"), "{err}");
+    }
 
     #[test]
     fn baseline_round_trips_through_json() {

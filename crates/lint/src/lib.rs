@@ -39,7 +39,6 @@ use std::path::{Path, PathBuf};
 
 pub mod baseline;
 pub mod callgraph;
-pub mod jsonv;
 pub mod lexer;
 pub mod parse;
 pub mod report;

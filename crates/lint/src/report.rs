@@ -166,6 +166,7 @@ fn diag_json(d: &Diagnostic) -> String {
 mod tests {
     use super::*;
     use crate::{lint_source, ratchet, Baseline};
+    use telemetry::json::{self, Json};
 
     fn sample() -> (LintRun, Ratchet) {
         let diags = lint_source(
@@ -209,25 +210,13 @@ mod tests {
     #[test]
     fn json_report_parses_and_carries_the_verdict() {
         let (run, outcome) = sample();
-        let doc = crate::jsonv::parse(&render_json(&run, &outcome)).expect("valid json");
-        assert_eq!(doc.get("pass"), Some(&crate::jsonv::Json::Bool(false)));
-        assert_eq!(
-            doc.get("findings").and_then(crate::jsonv::Json::as_u64),
-            Some(1)
-        );
-        let new = doc
-            .get("new")
-            .and_then(crate::jsonv::Json::as_arr)
-            .expect("array");
+        let doc = json::parse(&render_json(&run, &outcome)).expect("valid json");
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
+        assert_eq!(doc.get("findings").and_then(Json::as_u64), Some(1));
+        let new = doc.get("new").and_then(Json::as_arr).expect("array");
         assert_eq!(new.len(), 1);
-        assert_eq!(
-            new[0].get("rule").and_then(crate::jsonv::Json::as_str),
-            Some("float-eq")
-        );
-        let rules = doc
-            .get("rules")
-            .and_then(crate::jsonv::Json::as_arr)
-            .expect("rules");
+        assert_eq!(new[0].get("rule").and_then(Json::as_str), Some("float-eq"));
+        let rules = doc.get("rules").and_then(Json::as_arr).expect("rules");
         assert_eq!(rules.len(), RULES.len());
     }
 
@@ -246,34 +235,24 @@ mod tests {
         let outcome = ratchet(&Baseline::default(), &run.diagnostics);
         let a = render_audit(&run, &outcome, &analysis);
         assert_eq!(a, render_audit(&run, &outcome, &analysis));
-        let doc = crate::jsonv::parse(&a).expect("valid json");
+        let doc = json::parse(&a).expect("valid json");
+        assert_eq!(doc.get("audit").and_then(Json::as_str), Some("determinism"));
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("functions").and_then(Json::as_u64), Some(2));
         assert_eq!(
-            doc.get("audit").and_then(crate::jsonv::Json::as_str),
-            Some("determinism")
-        );
-        assert_eq!(doc.get("pass"), Some(&crate::jsonv::Json::Bool(true)));
-        assert_eq!(
-            doc.get("functions").and_then(crate::jsonv::Json::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            doc.get("reachable_fns")
-                .and_then(crate::jsonv::Json::as_u64),
+            doc.get("reachable_fns").and_then(Json::as_u64),
             Some(2),
             "step reaches helper, both count"
         );
         let sources = doc.get("sources").expect("sources object");
         for family in ["wall-clock", "unseeded-rng", "hash-iteration", "thread-id"] {
             assert_eq!(
-                sources.get(family).and_then(crate::jsonv::Json::as_u64),
+                sources.get(family).and_then(Json::as_u64),
                 Some(0),
                 "clean fixture has zero {family} sites"
             );
         }
-        let roots = doc
-            .get("roots")
-            .and_then(crate::jsonv::Json::as_arr)
-            .expect("roots");
+        let roots = doc.get("roots").and_then(Json::as_arr).expect("roots");
         assert_eq!(roots.len(), crate::DETERMINISM_ROOTS.len());
     }
 }

@@ -137,6 +137,7 @@ impl RunManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn manifest_records_seed_experiments_and_duration() {
@@ -208,8 +209,13 @@ mod tests {
         m.finish();
         let path = m.write_to(&dir).unwrap();
         assert!(path.ends_with("smoke_manifest.json"));
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.trim_end().starts_with('{') && text.trim_end().ends_with('}'));
+        let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid JSON");
+        assert_eq!(doc.get("tool").and_then(Json::as_str), Some("smoke"));
+        assert_eq!(doc.get("seed").and_then(Json::as_u64), Some(7));
+        assert_eq!(
+            doc.get("run_id").and_then(Json::as_str),
+            Some(m.run_id.as_str())
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

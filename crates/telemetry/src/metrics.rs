@@ -373,6 +373,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn counters_accumulate() {
@@ -579,11 +580,15 @@ mod tests {
         m.inc("b.counter", 1);
         m.gauge("a.gauge", 2.5);
         let json = m.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
         let a = json.find("a.gauge").unwrap();
         let b = json.find("b.counter").unwrap();
         assert!(a < b, "BTreeMap keeps metric names sorted: {json}");
-        assert!(json.contains(r#""kind":"gauge","value":2.5"#));
-        assert!(json.contains(r#""kind":"counter","count":1"#));
+        let doc = json::parse(&json).expect("valid JSON");
+        let gauge = doc.get("a.gauge").expect("gauge entry");
+        assert_eq!(gauge.get("kind").and_then(Json::as_str), Some("gauge"));
+        assert_eq!(gauge.get("value").and_then(Json::as_f64), Some(2.5));
+        let counter = doc.get("b.counter").expect("counter entry");
+        assert_eq!(counter.get("kind").and_then(Json::as_str), Some("counter"));
+        assert_eq!(counter.get("count").and_then(Json::as_u64), Some(1));
     }
 }

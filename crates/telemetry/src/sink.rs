@@ -136,6 +136,7 @@ impl Sink for MemorySink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::EventKind;
 
     fn event(name: &str, level: Level) -> Event {
@@ -178,10 +179,12 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        for line in &lines {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            assert!(line.contains("\"ts_ms\":123"));
-            assert!(line.contains("\"fields\":{\"k\":1}"));
+        for (line, name) in lines.iter().zip(["one", "two"]) {
+            let doc = crate::json::parse(line).expect("each line is one JSON document");
+            assert_eq!(doc.get("ts_ms").and_then(Json::as_u64), Some(123));
+            assert_eq!(doc.get("name").and_then(Json::as_str), Some(name));
+            let k = doc.get("fields").and_then(|f| f.get("k"));
+            assert_eq!(k.and_then(Json::as_u64), Some(1));
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -43,6 +43,7 @@ use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::json::{self, Json};
 use crate::{Event, EventKind, Level, Sink, Value};
 
 /// Name prefix of trace events in the shared JSONL schema
@@ -410,54 +411,30 @@ impl TraceEvent {
         })
     }
 
-    /// Parses one JSONL line produced by [`to_event`](Self::to_event)
-    /// + `Event::to_json`. Returns `None` for lines that are not trace
-    /// events (other telemetry sharing the sink is skipped, not an
-    /// error). The trace schema is flat — no nested objects or commas
-    /// inside field values — so a hand-rolled scan is exact.
+    /// Parses one JSONL line that [`to_event`](Self::to_event) and
+    /// `Event::to_json` produced. Returns `None` for lines that are not
+    /// trace events (other telemetry sharing the sink is skipped, not
+    /// an error) and for malformed ones.
     pub fn parse_line(line: &str) -> Option<TraceEvent> {
-        let name = str_value_after(line, "\"name\":\"")?;
-        let kind = TraceKind::from_name(name.strip_prefix(EVENT_PREFIX)?)?;
-        let body = {
-            let pat = "\"fields\":{";
-            let start = line.find(pat)? + pat.len();
-            let rest = &line[start..];
-            &rest[..rest.find('}')?]
-        };
-        let mut ev = TraceEvent::at(0.0, kind);
-        let mut saw_seq = false;
-        for pair in body.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, raw) = pair.split_once(':')?;
-            let key = key.trim().trim_matches('"');
-            match key {
-                "seq" => {
-                    ev.seq = raw.parse().ok()?;
-                    saw_seq = true;
-                }
-                "t_s" => ev.t_s = raw.parse().ok()?,
-                "frame" => ev.frame = Some(raw.parse().ok()?),
-                "unit" => ev.unit = Some(raw.parse().ok()?),
-                "parent" => ev.parent = Some(raw.parse().ok()?),
-                "value" => ev.value = raw.parse().ok(),
-                "cause" => ev.cause = TraceCause::from_name(raw.trim_matches('"')),
-                _ => {}
-            }
-        }
-        saw_seq.then_some(ev)
+        let root = json::parse(line).ok()?;
+        let kind = TraceKind::from_name(root.get("name")?.as_str()?.strip_prefix(EVENT_PREFIX)?)?;
+        let fields = root.get("fields")?;
+        // An absent id is `None`; a present one must be a u64.
+        let id = |key: &str| fields.get(key).map_or(Some(None), |v| v.as_u64().map(Some));
+        Some(TraceEvent {
+            seq: fields.get("seq")?.as_u64()?,
+            t_s: fields.get("t_s").map_or(Some(0.0), Json::as_f64)?,
+            kind,
+            frame: id("frame")?,
+            unit: id("unit")?,
+            cause: fields
+                .get("cause")
+                .and_then(Json::as_str)
+                .and_then(TraceCause::from_name),
+            parent: id("parent")?,
+            value: fields.get("value").and_then(Json::as_f64),
+        })
     }
-}
-
-/// Finds the string value following `pat` (up to the closing quote).
-/// Trace names and causes are identifier-safe, so no unescaping is
-/// needed.
-fn str_value_after<'a>(line: &'a str, pat: &str) -> Option<&'a str> {
-    let start = line.find(pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
 }
 
 /// The packed, in-flight form of a trace event — what producers build
@@ -1022,6 +999,21 @@ mod tests {
         assert_eq!(TraceEvent::parse_line(other), None);
         assert_eq!(TraceEvent::parse_line("not json at all"), None);
         assert_eq!(TraceEvent::parse_line(""), None);
+        let mut ev = full_event();
+        ev.seq = 3;
+        let line = ev.to_event().to_json();
+        let bad_frame = line.replace("\"frame\":42", "\"frame\":-42");
+        assert_eq!(TraceEvent::parse_line(&bad_frame), None);
+        assert_eq!(TraceEvent::parse_line(&line[..line.len() - 1]), None);
+    }
+
+    #[test]
+    fn log_parse_skips_a_deeply_nested_line() {
+        let mut ev = full_event();
+        ev.seq = 1;
+        let line = ev.to_event().to_json();
+        let text = format!("{line}\n{}\n{line}\n", "[".repeat(1_000_000));
+        assert_eq!(TraceLog::parse(&text).len(), 2);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 # Runs the full workspace build + test suite, checks formatting, runs
 # the determinism gate (two same-seed `repro sim` runs of every topology
 # shape — ring, klist:4, geo, split:4 — must produce byte-identical
-# fault reports AND byte-identical flight-recorder traces, with the same
+# fault reports AND byte-identical flight-recorder traces that
+# `repro trace` reads back into identical analyses, with the same
 # bar for `repro sim --serve` SLO reports), runs the thread-count
 # identity gate (1-worker vs 4-worker `repro sim --threads` runs of
 # every matrix cell — fault-free, faulted, and serve — must byte-diff
@@ -66,6 +67,17 @@ if [ -x target/release/repro ]; then
             # so it must byte-diff clean too.
             if ! diff -q "$da/trace.jsonl" "$db/trace.jsonl" >/dev/null; then
                 echo "FAIL: same-seed flight-recorder traces differ ($topo)"
+                cell_ok=0
+            fi
+            # Both logs must also read back: `repro trace` exits 0 on
+            # each and prints the same analysis, bar the path line.
+            if ! ta="$(./target/release/repro trace "$da/trace.jsonl")" ||
+                ! tb="$(./target/release/repro trace "$db/trace.jsonl")"; then
+                echo "FAIL: repro trace cannot analyze the $topo flight logs"
+                cell_ok=0
+            elif [ "$(grep -v '^flight log ' <<<"$ta")" != \
+                "$(grep -v '^flight log ' <<<"$tb")" ]; then
+                echo "FAIL: repro trace analyses of same-seed logs differ ($topo)"
                 cell_ok=0
             fi
         else

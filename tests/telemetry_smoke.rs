@@ -8,6 +8,7 @@
 use std::fs;
 use std::sync::Arc;
 
+use telemetry::json::{self, Json};
 use telemetry::{Level, RunManifest};
 
 #[test]
@@ -53,10 +54,22 @@ fn experiment_run_emits_spans_and_a_complete_manifest() {
     // Every JSONL line is a self-contained JSON object.
     let log = fs::read_to_string(&jsonl_path).unwrap();
     assert_eq!(log.lines().count(), events.len());
+    let mut names = Vec::new();
     for line in log.lines() {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains(r#""kind":"#));
+        let doc = json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert!(doc.get("kind").and_then(Json::as_str).is_some(), "{line}");
+        assert!(matches!(doc.get("fields"), Some(Json::Obj(_))), "{line}");
+        names.push(
+            doc.get("name")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_string(),
+        );
     }
+    let mut expected: Vec<String> = events.iter().map(|e| e.name.clone()).collect();
+    names.sort();
+    expected.sort();
+    assert_eq!(names, expected, "the log holds the dispatched events");
 
     // The manifest carries the seed, the experiment id, and a real
     // duration.
