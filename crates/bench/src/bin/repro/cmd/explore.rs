@@ -1,7 +1,9 @@
 //! `repro explore [sweep...]` — run named design-space sweeps through
-//! the explore engine, write grid + Pareto-frontier artifacts, and
-//! record throughput/cache statistics in `BENCH_explore.json`.
+//! the explore engine and write grid + Pareto-frontier artifacts (plus
+//! `BENCH_serve.json` for the serve capacity frontier). Executor
+//! statistics go to one `explore.stats` event per sweep on stderr.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use telemetry::RunManifest;
@@ -35,78 +37,27 @@ fn print_sweep_list() {
     }
 }
 
-/// Runs the seq-vs-parallel throughput benchmark, printing per-space
-/// rows and flagging any sequential/parallel divergence via `failed`.
-fn run_bench(
-    cli: &Cli,
-    metrics: &telemetry::Metrics,
-    failed: &mut bool,
-) -> Vec<bench::ExploreBenchRow> {
-    let rows = bench::explore_bench(cli.threads.unwrap_or(4).max(2), 3);
-    for row in &rows {
-        metrics.observe("explore.bench.speedup", row.speedup);
-        if !cli.quiet {
-            println!(
-                "bench {}: {} points, seq {:.1} ms, {} threads {:.1} ms, \
-                 {:.2}x on {} core(s), identical={}",
-                row.space,
-                row.points,
-                row.seq_ms,
-                row.threads,
-                row.par_ms,
-                row.speedup,
-                row.cores,
-                row.identical
-            );
-        }
-        if !row.identical {
-            eprintln!(
-                "error: parallel sweep of {} diverged from sequential",
-                row.space
-            );
-            *failed = true;
-        }
-    }
-    rows
-}
-
-/// Folds one finished sweep into the run's metrics and report rows and
-/// writes its grid + frontier artifacts.
-fn record_sweep(
-    cli: &Cli,
-    name: &str,
-    run: &sudc::sweeps::SweepRun,
-    metrics: &telemetry::Metrics,
-    reports: &mut Vec<bench::SweepReportRow>,
-    failed: &mut bool,
-) {
-    metrics.inc("explore.points", run.stats.points as u64);
-    metrics.inc("explore.evaluated", run.stats.evaluated as u64);
-    metrics.inc("explore.cache_hits", run.stats.cache_hits as u64);
-    metrics.inc("explore.steals", run.stats.steals as u64);
-    let det = super::deterministic(cli);
-    if !det {
-        metrics.observe("explore.points_per_sec", run.stats.points_per_sec());
-    }
+/// Reports one finished sweep's executor statistics and writes its
+/// grid + frontier artifacts into `out_dir`.
+fn record_sweep(cli: &Cli, run: &sudc::sweeps::SweepRun, out_dir: &Path, failed: &mut bool) {
+    let stats = &run.stats;
+    telemetry::info(
+        "explore.stats",
+        vec![
+            ("name".to_string(), run.name.into()),
+            ("points".to_string(), stats.points.into()),
+            ("evaluated".to_string(), stats.evaluated.into()),
+            ("cache_hits".to_string(), stats.cache_hits.into()),
+            ("steals".to_string(), stats.steals.into()),
+            ("threads".to_string(), stats.threads.into()),
+            ("points_per_sec".to_string(), stats.points_per_sec().into()),
+        ],
+    );
     if !cli.quiet {
         println!("{}", run.frontier.to_text_table());
     }
-    let mut row = bench::SweepReportRow::from_stats(
-        name,
-        &run.stats,
-        run.frontier.rows.len(),
-        run.cache_written.is_some(),
-    );
-    if det {
-        // Deterministic mode: the wall-derived fields are the only
-        // nondeterministic ones in the sweep report.
-        row.wall_ms = 0.0;
-        row.points_per_sec = 0.0;
-    }
-    reports.push(row);
-    let results_dir = bench::results_dir();
     for result in [&run.grid, &run.frontier] {
-        if !super::emit_artifacts(&results_dir, result, cli.quiet) {
+        if !super::emit_artifacts(out_dir, result, cli.quiet) {
             *failed = true;
         }
     }
@@ -115,47 +66,21 @@ fn record_sweep(
     }
 }
 
-/// Folds a sweep's headline gauges (today: the serve capacity
-/// frontier) into the explore metrics and returns a standalone copy
-/// destined for `BENCH_serve.json`.
-fn sweep_gauges(
-    run: &sudc::sweeps::SweepRun,
-    metrics: &telemetry::Metrics,
-) -> Option<telemetry::Metrics> {
-    if run.metrics.is_empty() {
-        return None;
-    }
-    let m = telemetry::Metrics::new();
-    for &(key, value) in &run.metrics {
-        m.gauge(key, value);
-        metrics.gauge(key, value);
-    }
-    Some(m)
-}
-
-/// Writes the explore run manifest into the results directory.
-fn write_manifest(manifest: &RunManifest, results_dir: &std::path::Path, failed: &mut bool) {
-    match manifest.write_to(results_dir) {
-        Ok(path) => telemetry::info(
-            "explore.manifest",
-            vec![("path".to_string(), path.display().to_string().into())],
-        ),
-        Err(e) => {
-            eprintln!("error writing run manifest: {e}");
-            *failed = true;
-        }
-    }
-}
-
-/// Writes the serve capacity-frontier gauges to `BENCH_serve.json`.
+/// Writes a sweep's headline gauges (today: the serve capacity
+/// frontier) to `BENCH_serve.json` in `out_dir`.
 fn write_serve_bench(
     cli: &Cli,
-    path: &std::path::Path,
+    gauges: &[(&str, f64)],
     manifest: &RunManifest,
-    metrics: &telemetry::Metrics,
+    out_dir: &Path,
     failed: &mut bool,
 ) {
-    if let Err(e) = bench::write_bench_json(path, manifest, &[], metrics) {
+    let metrics = telemetry::Metrics::new();
+    for &(key, value) in gauges {
+        metrics.gauge(key, value);
+    }
+    let path = out_dir.join("BENCH_serve.json");
+    if let Err(e) = bench::write_bench_json(&path, manifest, &metrics) {
         eprintln!("error writing {}: {e}", path.display());
         *failed = true;
     } else if !cli.quiet {
@@ -186,6 +111,10 @@ pub fn exec(cli: &Cli) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    if let Err(e) = super::install_telemetry(cli) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
 
     let threads = cli.threads.unwrap_or(4);
     let opts = if threads <= 1 {
@@ -193,27 +122,25 @@ pub fn exec(cli: &Cli) -> ExitCode {
     } else {
         explore::ExecOptions::threads(threads)
     };
-    let results_dir = bench::results_dir();
-    let cache_dir = (!cli.no_cache).then(|| results_dir.join("cache"));
+    let out_dir = cli.out_dir.clone().unwrap_or_else(bench::results_dir);
+    // The memo store stays under results/ whatever --out-dir says.
+    let cache_dir = (!cli.no_cache).then(|| bench::results_dir().join("cache"));
 
     let mut manifest = RunManifest::new("explore", sudc::sim::PAPER_SEED);
     manifest.param("threads", threads as u64);
     manifest.param("cached", !cli.no_cache);
     manifest.param("sweep_count", names.len() as u64);
-    let metrics = telemetry::Metrics::new();
-    let mut reports: Vec<bench::SweepReportRow> = Vec::new();
+    // Headline gauges from the sweeps that surface them (today: the
+    // serve capacity frontier), written once the manifest is complete.
+    let mut gauges = Vec::new();
     let mut failed = false;
-    // Headline gauges from sweeps that surface them (today: the serve
-    // capacity frontier), written to their own BENCH_serve.json below.
-    let mut serve_metrics: Option<telemetry::Metrics> = None;
-
     for name in &names {
         match sudc::sweeps::run(name, &cli.axes, &opts, cache_dir.as_deref()) {
             Ok(run) => {
                 manifest.record_experiment(&run.grid.id);
-                record_sweep(cli, name, &run, &metrics, &mut reports, &mut failed);
-                if let Some(m) = sweep_gauges(&run, &metrics) {
-                    serve_metrics = Some(m);
+                record_sweep(cli, &run, &out_dir, &mut failed);
+                if !run.metrics.is_empty() {
+                    gauges = run.metrics;
                 }
             }
             Err(e) => {
@@ -223,50 +150,24 @@ pub fn exec(cli: &Cli) -> ExitCode {
         }
     }
 
-    // Throughput benchmark: sequential vs parallel on dense versions of
-    // the Fig. 13 and Fig. 11 spaces. Runs in the default all-sweeps
-    // mode or on request; skipped when specific sweeps were named and
-    // in deterministic mode (its rows are pure wall time).
-    let bench_rows = if !super::deterministic(cli) && (cli.bench || cli.ids.len() == 1) {
-        run_bench(cli, &metrics, &mut failed)
-    } else {
-        Vec::new()
-    };
-
-    manifest.finish();
-    if super::deterministic(cli) {
-        manifest.strip_timings();
+    match manifest.write_to(&out_dir) {
+        Ok(path) => telemetry::info(
+            "explore.manifest",
+            vec![("path".to_string(), path.display().to_string().into())],
+        ),
+        Err(e) => {
+            eprintln!("error writing run manifest: {e}");
+            failed = true;
+        }
     }
-    write_manifest(&manifest, &results_dir, &mut failed);
-
-    let report_path = cli
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| results_dir.join("BENCH_explore.json"));
-    if let Err(e) =
-        bench::write_explore_json(&report_path, &manifest, &reports, &bench_rows, &metrics)
-    {
-        eprintln!("error writing {}: {e}", report_path.display());
-        failed = true;
-    } else if !cli.quiet {
-        println!("wrote {}", report_path.display());
-    }
-
-    if let Some(m) = &serve_metrics {
-        write_serve_bench(
-            cli,
-            &results_dir.join("BENCH_serve.json"),
-            &manifest,
-            m,
-            &mut failed,
-        );
+    if !gauges.is_empty() {
+        write_serve_bench(cli, &gauges, &manifest, &out_dir, &mut failed);
     }
 
     telemetry::info(
         "explore.done",
         vec![
-            ("sweeps".to_string(), (reports.len() as u64).into()),
-            ("duration_s".to_string(), manifest.duration_s().into()),
+            ("sweeps".to_string(), manifest.experiments.len().into()),
             ("failed".to_string(), failed.into()),
         ],
     );

@@ -6,19 +6,15 @@
 //! from the committed baseline may grandfather its offenders once, so
 //! new rules can land ratcheted).
 //!
-//! The scan runs as an explicit pipeline — load, lexical pass, semantic
-//! analysis (symbols → call graph → taint reachability), semantic pass
-//! — with per-phase wall times in `BENCH_lint.json` (zeroed under
-//! `--no-timings`). `--audit determinism` additionally writes the
-//! committed `results/lint_audit.json` artifact, which carries no
-//! wall-clock fields and is byte-identical across runs.
+//! `--audit determinism` additionally writes the committed
+//! `results/lint_audit.json` artifact, which is byte-identical across
+//! runs.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sudc_lint::{ratchet, report, rule_by_id, Analysis, Baseline, LintRun};
-use telemetry::RunManifest;
+use sudc_lint::{ratchet, report, rule_by_id, Baseline};
 
 use crate::Cli;
 
@@ -108,62 +104,6 @@ fn handle_operands(cli: &Cli) -> Option<ExitCode> {
     None
 }
 
-/// Wall time of each scan phase, milliseconds. All zero under
-/// `--no-timings` so metric artifacts stay byte-comparable.
-struct PhaseTimes {
-    load_ms: u64,
-    lexical_ms: u64,
-    semantic_ms: u64,
-    /// Semantic throughput over analyze + semantic pass, per second.
-    files_per_sec: u64,
-    lines_per_sec: u64,
-}
-
-/// Runs the scan as an explicit pipeline so each phase can be timed:
-/// load + lex, lexical rules, semantic analysis + rules, canonical
-/// sort. Returns the merged run, the analysis (for `--audit`), and the
-/// phase wall times.
-fn scan<'a>(
-    ws: &'a sudc_lint::Workspace,
-    only: Option<&'static str>,
-    timed: bool,
-) -> (LintRun, Analysis<'a>, PhaseTimes) {
-    // lint:allow(wall-clock-in-model) harness phase timing, not model time
-    let t_lex = std::time::Instant::now();
-    let mut diagnostics = sudc_lint::lexical_pass(ws, only);
-    let lexical = t_lex.elapsed();
-    // lint:allow(wall-clock-in-model) harness phase timing, not model time
-    let t_sem = std::time::Instant::now();
-    let analysis = sudc_lint::analyze(&ws.files);
-    diagnostics.extend(sudc_lint::semantic_pass(&analysis, only));
-    let semantic = t_sem.elapsed();
-    sudc_lint::sort_diagnostics(&mut diagnostics);
-    let run = LintRun {
-        files: ws.files.len(),
-        lines: ws.lines,
-        diagnostics,
-    };
-    let throughput = |count: u64| {
-        if timed && semantic.as_secs_f64() > 0.0 {
-            (count as f64 / semantic.as_secs_f64()) as u64
-        } else {
-            0
-        }
-    };
-    let times = PhaseTimes {
-        load_ms: 0,
-        lexical_ms: if timed { lexical.as_millis() as u64 } else { 0 },
-        semantic_ms: if timed {
-            semantic.as_millis() as u64
-        } else {
-            0
-        },
-        files_per_sec: throughput(run.files as u64),
-        lines_per_sec: throughput(run.lines),
-    };
-    (run, analysis, times)
-}
-
 /// Validates the flag combination: `--rule` must name a known rule,
 /// `--update-baseline` and `--audit` cover all rules (no `--rule`), and
 /// the only audit is `determinism`. Returns the `--rule` restriction.
@@ -194,23 +134,6 @@ fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, ExitCode> {
         return Err(ExitCode::FAILURE);
     }
     Ok(only)
-}
-
-/// Records scan counters and per-phase wall times into the metrics set.
-/// `tokens` (lexed, comments included) is the deterministic work count
-/// behind the phase timings.
-fn record_metrics(metrics: &telemetry::Metrics, run: &LintRun, tokens: u64, times: &PhaseTimes) {
-    metrics.inc("lint.files", run.files as u64);
-    metrics.inc("lint.lines", run.lines);
-    metrics.inc("lint.tokens", tokens);
-    metrics.inc("lint.load_ms", times.load_ms);
-    metrics.inc("lint.lexical_ms", times.lexical_ms);
-    metrics.inc("lint.semantic_ms", times.semantic_ms);
-    metrics.inc("lint.semantic_files_per_sec", times.files_per_sec);
-    metrics.inc("lint.semantic_lines_per_sec", times.lines_per_sec);
-    for (id, n) in run.counts_by_rule() {
-        metrics.inc(&format!("lint.rule.{id}"), n as u64);
-    }
 }
 
 /// `--audit`: writes the committed audit artifact (default
@@ -255,9 +178,6 @@ pub fn exec(cli: &Cli) -> ExitCode {
         .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
     let baseline_path = results_dir.join("lint_baseline.json");
 
-    let timed = !super::deterministic(cli);
-    // lint:allow(wall-clock-in-model) harness phase timing, not model time
-    let t_load = std::time::Instant::now();
     let ws = match sudc_lint::Workspace::load(&root) {
         Ok(ws) => ws,
         Err(e) => {
@@ -265,20 +185,7 @@ pub fn exec(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let load = t_load.elapsed();
-    let (run, analysis, mut times) = scan(&ws, only, timed);
-    if timed {
-        times.load_ms = load.as_millis() as u64;
-    }
-
-    let mut manifest = RunManifest::new("lint", 0);
-    manifest.param("rule", only.unwrap_or("all"));
-    manifest.param("format", format);
-    manifest.param("update_baseline", cli.update_baseline);
-    manifest.param("audit", cli.audit.as_deref().unwrap_or("none"));
-    manifest.param("files", run.files as u64);
-    let metrics = telemetry::Metrics::new();
-    record_metrics(&metrics, &run, ws.tokens(), &times);
+    let (run, analysis) = ws.scan(only);
 
     let committed = match Baseline::load(&baseline_path) {
         Ok(b) => b,
@@ -299,32 +206,16 @@ pub fn exec(cli: &Cli) -> ExitCode {
         None => committed,
     };
     let outcome = ratchet(&baseline, &run.diagnostics);
-    metrics.inc("lint.new", outcome.new.len() as u64);
-    metrics.inc("lint.grandfathered", outcome.grandfathered as u64);
-    metrics.inc("lint.fixed", outcome.fixed);
 
     match format {
         "json" => print!("{}", report::render_json(&run, &outcome)),
         _ => print!("{}", report::render_text(&run, &outcome, cli.verbose)),
     }
 
-    manifest.record_experiment("lint");
-    manifest.finish();
     let mut failed = !outcome.new.is_empty();
-
     if cli.audit.is_some() {
         let doc = report::render_audit(&run, &outcome, &analysis);
         failed |= !write_audit(cli, &doc, &results_dir, format);
-    }
-    let metrics_path = cli
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| results_dir.join("BENCH_lint.json"));
-    if let Err(e) = bench::write_bench_json(&metrics_path, &manifest, &[], &metrics) {
-        eprintln!("error writing {}: {e}", metrics_path.display());
-        failed = true;
-    } else if !cli.quiet && format != "json" {
-        println!("wrote {}", metrics_path.display());
     }
 
     telemetry::info(

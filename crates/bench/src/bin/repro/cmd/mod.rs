@@ -172,13 +172,6 @@ pub fn install_telemetry(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether artifacts must omit wall-clock timing fields — `--no-timings`
-/// or `REPRO_DETERMINISTIC=1` — so two same-seed full runs byte-diff
-/// identical, not merely "identical modulo timings".
-pub fn deterministic(cli: &Cli) -> bool {
-    cli.no_timings || std::env::var("REPRO_DETERMINISTIC").is_ok_and(|v| v == "1")
-}
-
 /// Writes one result's txt/csv/json artifact triplet into `dir`,
 /// printing the path (unless `quiet`) and the error on failure.
 /// Returns `false` when the write failed, so callers can fold it into

@@ -1,9 +1,7 @@
 //! `repro <id>... | all` — run experiments and write their artifacts.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
-use bench::ExperimentTiming;
 use sudc::experiments;
 use telemetry::RunManifest;
 
@@ -33,32 +31,12 @@ pub fn exec(cli: &Cli) -> ExitCode {
     manifest.param("trace", cli.trace);
     manifest.param("quiet", cli.quiet);
     manifest.param("experiment_count", ids.len() as u64);
-    let metrics = telemetry::Metrics::new();
-    let mut timings: Vec<ExperimentTiming> = Vec::new();
-    let det = super::deterministic(cli);
 
     let mut failed = false;
     for id in &ids {
-        // lint:allow(wall-clock-in-model) harness wall-time report, not model time
-        let started = Instant::now();
         match experiments::run(id) {
             Some(result) => {
-                // Deterministic mode zeroes the only nondeterministic
-                // artifact field so double runs byte-diff clean.
-                let wall_ms = if det {
-                    0.0
-                } else {
-                    started.elapsed().as_secs_f64() * 1e3
-                };
                 manifest.record_experiment(id);
-                metrics.inc("experiments.completed", 1);
-                metrics.observe("experiment.wall_ms", wall_ms);
-                timings.push(ExperimentTiming {
-                    id: id.clone(),
-                    wall_ms,
-                    rows: result.rows.len(),
-                    notes: result.notes.len(),
-                });
                 if !cli.quiet {
                     println!("{}", result.to_text_table());
                 }
@@ -71,15 +49,10 @@ pub fn exec(cli: &Cli) -> ExitCode {
                 }
             }
             None => {
-                metrics.inc("experiments.unknown", 1);
                 eprintln!("unknown experiment id: {id} (try `repro list`)");
                 failed = true;
             }
         }
-    }
-    manifest.finish();
-    if det {
-        manifest.strip_timings();
     }
 
     match manifest.write_to(&results_dir) {
@@ -93,22 +66,10 @@ pub fn exec(cli: &Cli) -> ExitCode {
         }
     }
 
-    let metrics_path = cli
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| results_dir.join("BENCH_repro.json"));
-    if let Err(e) = bench::write_bench_json(&metrics_path, &manifest, &timings, &metrics) {
-        eprintln!("error writing {}: {e}", metrics_path.display());
-        failed = true;
-    } else if !cli.quiet {
-        println!("wrote {}", metrics_path.display());
-    }
-
     telemetry::info(
         "repro.done",
         vec![
-            ("experiments".to_string(), (timings.len() as u64).into()),
-            ("duration_s".to_string(), manifest.duration_s().into()),
+            ("experiments".to_string(), manifest.experiments.len().into()),
             ("failed".to_string(), failed.into()),
         ],
     );

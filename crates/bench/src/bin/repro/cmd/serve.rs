@@ -1,12 +1,10 @@
 //! `repro sim --serve <scenario>` — run the multi-tenant user-traffic
 //! serving layer on the paper-reference constellation and write a
 //! per-tenant SLO report (`results/serve_<scenario>[_<topology>].{txt,
-//! csv,json}`) plus serving metrics (`serve.requests_per_sec`,
-//! `serve.batch_efficiency`, `serve.shed_rate`) in
-//! `BENCH_sim_serve.json`. The scenario's own fault model applies
-//! unless `--faults` overrides it; `--record` streams the request
-//! lifecycle (arrived/admitted/rejected/batched/completed/violated)
-//! into a JSONL flight log for `repro trace`.
+//! csv,json}`) and its run manifest. The scenario's own fault model
+//! applies unless `--faults` overrides it; `--record` streams the
+//! request lifecycle (arrived/admitted/rejected/batched/completed/
+//! violated) into a JSONL flight log for `repro trace`.
 
 use std::process::ExitCode;
 
@@ -111,9 +109,8 @@ pub fn exec(cli: &Cli) -> ExitCode {
     }
 }
 
-/// Writes the run manifest, the per-tenant SLO artifact, and the
-/// serving metrics (`BENCH_sim_serve.json`); returns false if any
-/// write failed.
+/// Writes the run manifest and the per-tenant SLO artifact; returns
+/// false if any write failed.
 fn emit_outputs(
     cli: &Cli,
     params: &SimParams,
@@ -131,58 +128,18 @@ fn emit_outputs(
     if params.policy != sudc::sim::PolicyKind::Static {
         manifest.param("policy", params.policy.as_str());
     }
-    let metrics = serve_metrics(serve);
     let result = serve_result(scenario, params, report, serve);
-
     manifest.record_experiment(&result.id);
-    manifest.finish();
-    if super::deterministic(cli) {
-        manifest.strip_timings();
-    }
 
-    let mut ok = true;
     if !cli.quiet {
         println!("{}", result.to_text_table());
     }
-    if !super::emit_artifacts(&params.out_dir, &result, cli.quiet) {
-        ok = false;
-    }
+    let mut ok = super::emit_artifacts(&params.out_dir, &result, cli.quiet);
     if let Err(e) = manifest.write_to(&params.out_dir) {
         eprintln!("error writing run manifest: {e}");
         ok = false;
     }
-    // `BENCH_serve.json` proper is owned by the capacity-frontier sweep
-    // (`repro explore serve`); the single-scenario metrics live next to
-    // the fault ones.
-    let metrics_path = cli
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| params.out_dir.join("BENCH_sim_serve.json"));
-    if let Err(e) = ::bench::write_bench_json(&metrics_path, &manifest, &[], &metrics) {
-        eprintln!("error writing {}: {e}", metrics_path.display());
-        ok = false;
-    } else if !cli.quiet {
-        println!("wrote {}", metrics_path.display());
-    }
     ok
-}
-
-/// Serving gauges and counters for `BENCH_sim_serve.json`.
-fn serve_metrics(serve: &ServeReport) -> telemetry::Metrics {
-    let metrics = telemetry::Metrics::new();
-    metrics.gauge("serve.requests_per_sec", serve.requests_per_sec);
-    metrics.gauge("serve.batch_efficiency", serve.batch_efficiency);
-    metrics.gauge("serve.shed_rate", serve.shed_rate);
-    metrics.gauge("serve.mean_batch", serve.mean_batch);
-    metrics.inc("serve.offered", serve.offered());
-    metrics.inc("serve.completed", serve.completed());
-    metrics.inc("serve.batches", serve.batches);
-    metrics.inc("serve.retries", serve.retries);
-    for t in &serve.tenants {
-        metrics.gauge(&format!("serve.{}.p99_ms", t.name), t.p99_ms);
-        metrics.gauge(&format!("serve.{}.attainment", t.name), t.slo_attainment);
-    }
-    metrics
 }
 
 /// The artifact's trailing `(all)` row: tenant counters summed, the

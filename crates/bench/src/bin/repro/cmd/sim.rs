@@ -2,11 +2,10 @@
 //! <path>]` — run the constellation simulator under a named fault
 //! scenario next to its fault-free baseline (same config, same seed)
 //! and write an availability/goodput comparison artifact
-//! (`results/faults_<scenario>[_<topology>].{txt,csv,json}`) plus fault
-//! metrics (`faults.*`, `sim.reroutes`, `sim.availability`) in
-//! `BENCH_sim_faults.json`. With `--record`, the faulted run also
-//! streams a sim-time-stamped JSONL flight log (analyze with `repro
-//! trace`); recording never perturbs the simulation.
+//! (`results/faults_<scenario>[_<topology>].{txt,csv,json}`) and its
+//! run manifest. With `--record`, the faulted run also streams a
+//! sim-time-stamped JSONL flight log (analyze with `repro trace`);
+//! recording never perturbs the simulation.
 
 use std::process::ExitCode;
 
@@ -41,36 +40,21 @@ fn handle_operands(cli: &Cli) -> Option<ExitCode> {
     None
 }
 
-/// Writes the comparison artifact, run manifest, and fault metrics;
-/// returns `true` when every write succeeded.
+/// Writes the comparison artifact and the run manifest; returns `true`
+/// when every write succeeded.
 fn emit_outputs(
     cli: &Cli,
     params: &SimParams,
     manifest: &RunManifest,
     result: &sudc::experiments::ExperimentResult,
-    metrics: &telemetry::Metrics,
 ) -> bool {
-    let out_dir = params.out_dir.clone();
-    let mut ok = true;
     if !cli.quiet {
         println!("{}", result.to_text_table());
     }
-    if !super::emit_artifacts(&out_dir, result, cli.quiet) {
-        ok = false;
-    }
-    if let Err(e) = manifest.write_to(&out_dir) {
+    let mut ok = super::emit_artifacts(&params.out_dir, result, cli.quiet);
+    if let Err(e) = manifest.write_to(&params.out_dir) {
         eprintln!("error writing run manifest: {e}");
         ok = false;
-    }
-    let metrics_path = cli
-        .metrics_out
-        .clone()
-        .unwrap_or_else(|| out_dir.join("BENCH_sim_faults.json"));
-    if let Err(e) = bench::write_bench_json(&metrics_path, manifest, &[], metrics) {
-        eprintln!("error writing {}: {e}", metrics_path.display());
-        ok = false;
-    } else if !cli.quiet {
-        println!("wrote {}", metrics_path.display());
     }
     ok
 }
@@ -157,16 +141,9 @@ pub fn exec(cli: &Cli) -> ExitCode {
     if params.policy != sudc::sim::PolicyKind::Static {
         manifest.param("policy", params.policy.as_str());
     }
-    let metrics = fault_metrics(&baseline, &faulted);
-
     let result = comparison_result(&scenario, &params, &baseline, &faulted);
-
     manifest.record_experiment(&result.id);
-    manifest.finish();
-    if super::deterministic(cli) {
-        manifest.strip_timings();
-    }
-    let failed = !emit_outputs(cli, &params, &manifest, &result, &metrics);
+    let failed = !emit_outputs(cli, &params, &manifest, &result);
 
     telemetry::info(
         "sim.done",
@@ -188,26 +165,6 @@ pub fn exec(cli: &Cli) -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Fault counters and availability/goodput gauges for
-/// `BENCH_sim_faults.json` (or the `--metrics-out` path).
-fn fault_metrics(
-    baseline: &sudc::sim::SimReport,
-    faulted: &sudc::sim::SimReport,
-) -> telemetry::Metrics {
-    let metrics = telemetry::Metrics::new();
-    metrics.inc("faults.link_outages", faulted.faults.link_outages);
-    metrics.inc("faults.cluster_outages", faulted.faults.cluster_outages);
-    metrics.inc("faults.retries", faulted.faults.retries);
-    metrics.inc("sim.reroutes", faulted.faults.reroutes);
-    metrics.inc("faults.frames_corrupted", faulted.faults.frames_corrupted);
-    metrics.inc("faults.frames_shed", faulted.faults.frames_shed);
-    metrics.inc("faults.undeliverable", faulted.faults.undeliverable);
-    metrics.gauge("sim.availability", faulted.faults.availability);
-    metrics.gauge("sim.goodput", faulted.goodput);
-    metrics.gauge("sim.goodput_baseline", baseline.goodput);
-    metrics
 }
 
 /// Builds the baseline-vs-faulted comparison artifact

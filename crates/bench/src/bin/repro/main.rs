@@ -8,13 +8,15 @@
 //! flags:
 //!   --trace                      # debug-level telemetry on stderr
 //!   --quiet                      # suppress tables; warnings only
-//!   --metrics-out <path>         # machine-readable report (default results/BENCH_repro.json)
 //!   --jsonl <path>               # structured event log (JSON lines)
+//!   --out-dir <path>             # artifact directory (default results/)
 //! ```
 //!
-//! Every run writes `results/repro_manifest.json` (seed, build, the
-//! experiment list, and timings) and a machine-readable
-//! `BENCH_repro.json` with per-experiment wall times.
+//! `repro` writes results only: every artifact and every
+//! `<tool>_manifest.json` (seed, build, flags, the experiment list) is a
+//! pure function of code, seed and flags, so two same-seed runs
+//! byte-diff clean. Timing lives in the `experiment` spans of
+//! `--trace`/`--jsonl` and in perfbench.
 //!
 //! Each subcommand lives in its own module under [`cmd`]: `run`
 //! (experiments), `explore` (design-space sweeps), `sim` (fault-scenario
@@ -34,7 +36,6 @@ pub struct Cli {
     pub ids: Vec<String>,
     pub trace: bool,
     pub quiet: bool,
-    pub metrics_out: Option<PathBuf>,
     pub jsonl: Option<PathBuf>,
     pub axes: Vec<(String, Vec<f64>)>,
     /// `--threads <n>`: `None` means the flag was absent — explore
@@ -45,7 +46,6 @@ pub struct Cli {
     /// thread count.
     pub threads: Option<usize>,
     pub no_cache: bool,
-    pub bench: bool,
     pub faults: Option<String>,
     pub serve: Option<String>,
     pub topology: Option<String>,
@@ -68,7 +68,6 @@ pub struct Cli {
     pub verbose: bool,
     pub record: Option<PathBuf>,
     pub cadence: Option<f64>,
-    pub no_timings: bool,
 }
 
 /// Parses an `--axis name=SPEC` argument. SPEC is a comma list
@@ -131,12 +130,10 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         ids: Vec::new(),
         trace: false,
         quiet: false,
-        metrics_out: None,
         jsonl: None,
         axes: Vec::new(),
         threads: None,
         no_cache: false,
-        bench: false,
         faults: None,
         serve: None,
         topology: None,
@@ -152,17 +149,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         verbose: false,
         record: None,
         cadence: None,
-        no_timings: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => cli.trace = true,
             "--quiet" => cli.quiet = true,
-            "--metrics-out" => {
-                let path = it.next().ok_or("--metrics-out requires a path")?;
-                cli.metrics_out = Some(PathBuf::from(path));
-            }
             "--jsonl" => {
                 let path = it.next().ok_or("--jsonl requires a path")?;
                 cli.jsonl = Some(PathBuf::from(path));
@@ -181,7 +173,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 );
             }
             "--no-cache" => cli.no_cache = true,
-            "--bench" => cli.bench = true,
             "--faults" => {
                 let name = it.next().ok_or("--faults requires a scenario name")?;
                 cli.faults = Some(name.clone());
@@ -263,7 +254,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                         .ok_or_else(|| format!("--cadence wants positive seconds, got '{n}'"))?,
                 );
             }
-            "--no-timings" => cli.no_timings = true,
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag {flag} (try `repro help`)"));
             }
@@ -318,8 +308,7 @@ usage:
   repro <id> [<id>...]       run specific experiments
   repro all                  run everything
   repro explore [sweep...]   run design-space sweeps through the
-                             explore engine (default: all sweeps
-                             plus a throughput benchmark)
+                             explore engine (default: all sweeps)
   repro explore list         list sweeps and their axes
   repro sim                  run the constellation simulator under
                              a fault scenario next to its fault-free
@@ -348,20 +337,18 @@ usage:
 flags:
   --trace                    debug-level telemetry on stderr
   --quiet                    suppress tables; warnings only
-  --metrics-out <path>       machine-readable report
-                             (default results/BENCH_repro.json,
-                             or BENCH_explore.json for explore)
   --jsonl <path>             structured event log (JSON lines)
-  --no-timings               zero every wall-clock field in
-                             artifacts so same-seed runs byte-diff
-                             clean (also: REPRO_DETERMINISTIC=1)
+  --out-dir <path>           artifact directory (default results/;
+                             honoured by every command that writes
+                             artifacts)
 
 explore flags:
   --axis name=VALUES         override one axis (one sweep only);
                              VALUES is 2,4,8 or 1..8 or 0:0.9:0.1
   --threads <n>              worker threads (default 4; 1 = sequential)
   --no-cache                 skip the results/cache/ memo store
-  --bench                    force the seq-vs-parallel benchmark
+                             (which stays under results/ whatever
+                             --out-dir says)
 
 sim flags:
   --faults <scenario>        fault scenario (default none;
@@ -383,7 +370,6 @@ sim flags:
   --seed <n>                 RNG seed (default the paper seed)
   --minutes <m>              simulated minutes (default 2)
   --clusters <c>             SµDC count (default 4)
-  --out-dir <path>           artifact directory (default results/)
   --record <path>            write a JSONL flight log of the faulted
                              run (sim-time-stamped trace events;
                              analyze with `repro trace`)
@@ -407,10 +393,9 @@ lint flags:
                              (determinism -> lint_audit.json in
                              --out-dir, default results/)
 
-artifacts are written to results/<id>.txt, .csv, and .json
-(`repro <id>... | all` honour --out-dir too); every run also
-writes a results/*_manifest.json and the machine-readable
-wall-time report"
+artifacts are written to results/<id>.txt, .csv, and .json,
+next to a <tool>_manifest.json of what ran; the same seed
+and flags give the same bytes (no file records wall time)"
 }
 
 #[cfg(test)]

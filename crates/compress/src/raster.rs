@@ -65,11 +65,6 @@ impl Raster {
         &self.data
     }
 
-    /// Mutable raw sample data.
-    pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Consumes the raster, returning its sample buffer.
     pub fn into_data(self) -> Vec<u8> {
         self.data

@@ -29,12 +29,6 @@ pub fn power_needed(
     Some(m.power_for_pixel_rate(pixel_rate))
 }
 
-/// Pixel rate a satellite can process within a power budget at a device's
-/// efficiency for an application.
-pub fn pixel_rate_within(app: Application, device: Device, budget: Power) -> Option<f64> {
-    Some(measurement(app, device)?.pixel_rate_for_power(budget))
-}
-
 /// Whether an application fits a satellite class's maximum power at the
 /// given resolution and discard rate (Table 7 logic, Xavier efficiency).
 pub fn class_supports(

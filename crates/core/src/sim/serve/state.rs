@@ -10,7 +10,7 @@ use workloads::batch::BatchProfile;
 
 use crate::sim::serve::admission::TokenBucket;
 use crate::sim::serve::batcher::Batcher;
-use crate::sim::serve::config::{LoadModel, ServeConfig, TenantSpec};
+use crate::sim::serve::config::{ServeConfig, TenantSpec};
 use crate::sim::serve::report::{ServeReport, TenantReport};
 
 /// Slot marker for open-loop requests (no bounded-concurrency slot to
@@ -167,11 +167,6 @@ impl ServeState {
     pub fn service_seconds(&self, tenant: usize, batch_len: usize) -> f64 {
         let pixels = batch_len as f64 * self.tenants[tenant].spec.request_pixels;
         pixels / self.profile.throughput(batch_len as u32)
-    }
-
-    /// Whether `tenant` runs an open-loop (Poisson) generator.
-    pub fn is_open_loop(&self, tenant: usize) -> bool {
-        matches!(self.tenants[tenant].spec.load, LoadModel::Open { .. })
     }
 
     /// Folds the run into the embedded report.

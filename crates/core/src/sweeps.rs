@@ -293,18 +293,6 @@ fn open_cache(cache_dir: Option<&Path>, sweep: &str, version: &str) -> Cache {
     }
 }
 
-fn stats_note(stats: &SweepStats) -> String {
-    format!(
-        "engine: {} points, {} evaluated, {} cache hits, {} steals, {} threads, {:.1} points/s",
-        stats.points,
-        stats.evaluated,
-        stats.cache_hits,
-        stats.steals,
-        stats.threads,
-        stats.points_per_sec()
-    )
-}
-
 fn frontier_note(objectives: &[String], constraints: &[String]) -> String {
     if constraints.is_empty() {
         format!("Pareto-nondominated under: {}", objectives.join(", "))
@@ -334,7 +322,6 @@ fn artifacts<R>(
     for r in rows {
         grid.push_row(row_cells(r));
     }
-    grid.note(stats_note(&stats));
 
     let front = explore::pareto_indices(rows, objectives, constraints);
     let mut frontier = ExperimentResult::new(

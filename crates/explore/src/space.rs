@@ -211,37 +211,6 @@ impl<A: AxisItem, B: AxisItem, C: AxisItem> Space<(A, B, C)> {
     }
 }
 
-impl<A: AxisItem, B: AxisItem, C: AxisItem, D: AxisItem> Space<(A, B, C, D)> {
-    /// Cartesian product of four axes, row-major.
-    pub fn grid4(name: impl Into<String>, a: Axis<A>, b: Axis<B>, c: Axis<C>, d: Axis<D>) -> Self {
-        let name = name.into();
-        let mut ids = Vec::new();
-        let mut points = Vec::new();
-        for va in a.values() {
-            for vb in b.values() {
-                for vc in c.values() {
-                    for vd in d.values() {
-                        let canon = format!(
-                            "{}={};{}={};{}={};{}={}",
-                            a.name(),
-                            va.canon(),
-                            b.name(),
-                            vb.canon(),
-                            c.name(),
-                            vc.canon(),
-                            d.name(),
-                            vd.canon()
-                        );
-                        ids.push(id_for(&name, &canon, points.len() as u64));
-                        points.push((va.clone(), vb.clone(), vc.clone(), vd.clone()));
-                    }
-                }
-            }
-        }
-        Self { name, ids, points }
-    }
-}
-
 impl<A: AxisItem, B: AxisItem, C: AxisItem, D: AxisItem, E: AxisItem> Space<(A, B, C, D, E)> {
     /// Cartesian product of five axes, row-major.
     pub fn grid5(

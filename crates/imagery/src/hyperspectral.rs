@@ -31,11 +31,6 @@ impl HyperspectralScene {
         Self { seed, bands }
     }
 
-    /// Number of spectral bands.
-    pub fn bands(&self) -> usize {
-        self.bands
-    }
-
     /// Renders a `width × height` cube as a channel-interleaved raster.
     ///
     /// The scene is a patchwork of a few surface materials (via a

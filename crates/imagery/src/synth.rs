@@ -55,11 +55,6 @@ impl SceneKind {
             _ => 3,
         }
     }
-
-    /// Whether this is a radar (SAR) product.
-    pub fn is_sar(self) -> bool {
-        matches!(self, Self::SarOcean | Self::SarLand)
-    }
 }
 
 impl std::fmt::Display for SceneKind {

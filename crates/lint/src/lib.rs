@@ -207,6 +207,23 @@ impl Workspace {
     pub fn tokens(&self) -> u64 {
         self.files.iter().map(|f| f.tokens.len() as u64).sum()
     }
+
+    /// Runs both passes — the lexical rules, then the semantic analysis
+    /// (symbols → call graph → taint reachability) and its rules — and
+    /// sorts the findings. Returns the analysis too, for the audit.
+    pub fn scan(&self, only: Option<&str>) -> (LintRun, Analysis<'_>) {
+        let analysis = taint::analyze(&self.files);
+        let mut diagnostics = lexical_pass(self, only);
+        diagnostics.extend(semantic_pass(&analysis, only));
+        sort_diagnostics(&mut diagnostics);
+        let run = LintRun {
+            files: self.files.len(),
+            lines: self.lines,
+            tokens: self.tokens(),
+            diagnostics,
+        };
+        (run, analysis)
+    }
 }
 
 /// Rejects a source of `len` bytes that token offsets (`u32`) cannot
@@ -258,11 +275,8 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
 /// harness for semantic rules, where reachability spans files.
 pub fn lint_files(sources: &[(&str, &str)], only: Option<&str>) -> Vec<Diagnostic> {
     let ws = Workspace::from_sources(sources);
-    let analysis = taint::analyze(&ws.files);
-    let mut diags = lexical_pass(&ws, only);
-    diags.extend(semantic_pass(&analysis, only));
-    sort_diagnostics(&mut diags);
-    diags
+    let (run, _) = ws.scan(only);
+    run.diagnostics
 }
 
 /// A completed workspace scan.
@@ -272,6 +286,8 @@ pub struct LintRun {
     pub files: usize,
     /// Total source lines scanned.
     pub lines: u64,
+    /// Tokens lexed, comments included.
+    pub tokens: u64,
     /// All diagnostics, sorted by (file, line, col, rule).
     pub diagnostics: Vec<Diagnostic>,
 }
@@ -358,18 +374,10 @@ fn collect_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
 pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<LintRun, String> {
     let mut span = telemetry::span!("lint.scan");
     let ws = Workspace::load(root)?;
-    let analysis = taint::analyze(&ws.files);
-    let mut diagnostics = lexical_pass(&ws, only);
-    diagnostics.extend(semantic_pass(&analysis, only));
-    sort_diagnostics(&mut diagnostics);
-    let run = LintRun {
-        files: ws.files.len(),
-        lines: ws.lines,
-        diagnostics,
-    };
+    let (run, _) = ws.scan(only);
     span.record("files", run.files as u64);
     span.record("lines", run.lines);
-    span.record("tokens", ws.tokens());
+    span.record("tokens", run.tokens);
     span.record("findings", run.diagnostics.len() as u64);
     span.exit();
     Ok(run)
@@ -482,6 +490,7 @@ mod tests {
         let run = LintRun {
             files: 1,
             lines: 1,
+            tokens: 0,
             diagnostics: lint_source(
                 "crates/core/src/m.rs",
                 "fn f(x: f64) -> bool { x == 0.5 }\n",

@@ -43,9 +43,10 @@ pub fn render_text(run: &LintRun, outcome: &Ratchet, verbose: bool) -> String {
         out.push_str(&format!("  {id:<28} {n}\n"));
     }
     out.push_str(&format!(
-        "\nscanned {} files, {} lines: {} finding(s) — {} new, {} grandfathered, {} fixed vs baseline\n",
+        "\nscanned {} files, {} lines, {} tokens: {} finding(s) — {} new, {} grandfathered, {} fixed vs baseline\n",
         run.files,
         run.lines,
+        run.tokens,
         run.diagnostics.len(),
         outcome.new.len(),
         outcome.grandfathered,
@@ -177,6 +178,7 @@ mod tests {
         let run = LintRun {
             files: 1,
             lines: 1,
+            tokens: 0,
             diagnostics: diags,
         };
         let outcome = ratchet(&Baseline::default(), &run.diagnostics);
@@ -230,6 +232,7 @@ mod tests {
         let run = LintRun {
             files: ws.files.len(),
             lines: ws.lines,
+            tokens: ws.tokens(),
             diagnostics: Vec::new(),
         };
         let outcome = ratchet(&Baseline::default(), &run.diagnostics);

@@ -8,7 +8,7 @@
 use units::constants::{EARTH_MU_M3_PER_S2, EARTH_RADIUS_M, GEO_RADIUS_M};
 use units::{Angle, Length, Time, Velocity};
 
-use crate::kepler::{KeplerError, OrbitalElements};
+use crate::kepler::KeplerError;
 
 /// A circular Earth orbit characterised by its radius (and optionally an
 /// inclination when converted to full elements).
@@ -127,28 +127,12 @@ impl CircularOrbit {
         Angle::from_radians(2.0 * ratio.acos())
     }
 
-    /// Half-angle of the Earth disc as seen from this orbit
-    /// (`asin(R_e / r)`).
-    pub fn earth_angular_radius(&self) -> Angle {
-        Angle::from_radians((EARTH_RADIUS_M / self.radius.as_m()).asin())
-    }
-
     /// Fraction of the orbit during which a satellite sees a given ground
     /// point at ≥ 0° elevation (overhead pass through zenith). Upper bound
     /// for pass duration; see [`crate::visibility`] for elevation masks.
     pub fn max_pass_fraction(&self) -> f64 {
         let lambda = (EARTH_RADIUS_M / self.radius.as_m()).acos();
         lambda / std::f64::consts::PI
-    }
-
-    /// Converts to full orbital elements with the given inclination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`KeplerError`] from element validation (cannot fail for
-    /// a valid `CircularOrbit`).
-    pub fn to_elements(&self, inclination: Angle) -> Result<OrbitalElements, KeplerError> {
-        OrbitalElements::circular(self.radius, inclination)
     }
 }
 

@@ -7,7 +7,7 @@
 //! closed-form eclipse fractions for circular orbits.
 
 use units::constants::EARTH_RADIUS_M;
-use units::{Angle, Time};
+use units::Angle;
 
 #[cfg(test)]
 use units::Length;
@@ -71,11 +71,6 @@ pub fn eclipse_fraction(orbit: CircularOrbit, beta: Angle) -> f64 {
     }
     let phi = (horizon / cos_beta).clamp(-1.0, 1.0).acos();
     phi / std::f64::consts::PI
-}
-
-/// Eclipse duration per orbit for a circular orbit at a given beta angle.
-pub fn eclipse_duration(orbit: CircularOrbit, beta: Angle) -> Time {
-    orbit.period() * eclipse_fraction(orbit, beta)
 }
 
 /// Summary of a year of eclipse exposure for a circular orbit.

@@ -76,11 +76,6 @@ impl J2Propagator {
         &self.epoch_elements
     }
 
-    /// The secular rates being applied.
-    pub fn rates(&self) -> J2Rates {
-        self.rates
-    }
-
     /// Elements drifted to time `dt` after epoch.
     ///
     /// # Errors

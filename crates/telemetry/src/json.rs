@@ -103,13 +103,6 @@ impl JsonObject {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn field_i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.key(key);
-        let _ = write!(self.buf, "{value}");
-        self
-    }
-
     /// Adds a float field (`null` when non-finite).
     pub fn field_f64(&mut self, key: &str, value: f64) -> &mut Self {
         self.key(key);
@@ -121,13 +114,6 @@ impl JsonObject {
     pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
         self.key(key);
         self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Adds a `null` field.
-    pub fn field_null(&mut self, key: &str) -> &mut Self {
-        self.key(key);
-        self.buf.push_str("null");
         self
     }
 
@@ -465,11 +451,10 @@ mod tests {
         o.field_str("name", "fig8")
             .field_u64("rows", 160)
             .field_f64("wall_ms", 1.25)
-            .field_bool("ok", true)
-            .field_null("err");
+            .field_bool("ok", true);
         assert_eq!(
             o.finish(),
-            r#"{"name":"fig8","rows":160,"wall_ms":1.25,"ok":true,"err":null}"#
+            r#"{"name":"fig8","rows":160,"wall_ms":1.25,"ok":true}"#
         );
     }
 

@@ -4,8 +4,9 @@
 //! cells. It is intentionally simple: counters are exact, gauges hold
 //! the last value, and histograms bucket samples by power of two (exact
 //! count/sum/min/max, approximate quantiles). `simkit::stats` collectors
-//! export into a registry via their `export` methods, and the `repro`
-//! harness serialises a registry into `results/BENCH_repro.json`.
+//! export into a registry via their `export` methods; perfbench reports
+//! its per-layer metrics through one, and `repro explore serve` writes
+//! one into `results/BENCH_serve.json`.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;

@@ -193,14 +193,6 @@ impl TraceKind {
                 | TraceKind::ReqRejected
         )
     }
-
-    /// Whether this kind is a timeline snapshot (no frame attached).
-    pub fn is_snapshot(self) -> bool {
-        matches!(
-            self,
-            TraceKind::SnapshotNet | TraceKind::SnapshotLinks | TraceKind::SnapshotCluster
-        )
-    }
 }
 
 /// Machine-readable reason attached to retries, reroutes, and losses.
@@ -824,14 +816,6 @@ impl TraceLog {
             }
         }
         out
-    }
-
-    /// One frame's events in `seq` order.
-    pub fn lifecycle(&self, frame: u64) -> Vec<&TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.frame == Some(frame))
-            .collect()
     }
 
     /// The frame's terminal event, if it reached one.

@@ -4,7 +4,7 @@
 //! paper's models require. Each constant notes where it enters the
 //! reproduction.
 
-use crate::{Angle, Area, Length, Time, Velocity};
+use crate::{Length, Time, Velocity};
 
 /// Speed of light in vacuum, m/s (link budgets, ISL latency).
 pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
@@ -54,19 +54,9 @@ pub fn geo_radius() -> Length {
     Length::from_m(GEO_RADIUS_M)
 }
 
-/// Returns Earth's surface area as a typed [`Area`].
-pub fn earth_surface_area() -> Area {
-    Area::from_m2(EARTH_SURFACE_AREA_M2)
-}
-
 /// Returns one sidereal day as a typed [`Time`].
 pub fn sidereal_day() -> Time {
     Time::from_secs(SIDEREAL_DAY_S)
-}
-
-/// Earth's rotation as a typed angular rate (angle per sidereal day).
-pub fn earth_rotation_rate() -> (Angle, Time) {
-    (Angle::FULL_TURN, sidereal_day())
 }
 
 /// Circular orbital velocity at a given orbital *radius* (from Earth's

@@ -67,12 +67,6 @@ impl DataSize {
     pub fn as_gigabytes(self) -> f64 {
         self.as_base() / 8e9
     }
-
-    /// Size in decimal terabytes.
-    #[inline]
-    pub fn as_terabytes(self) -> f64 {
-        self.as_base() / 8e12
-    }
 }
 
 impl std::fmt::Display for DataSize {

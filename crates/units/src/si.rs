@@ -290,12 +290,6 @@ impl Energy {
         Self::from_base(j)
     }
 
-    /// Creates energy from watt-hours.
-    #[inline]
-    pub const fn from_watt_hours(wh: f64) -> Self {
-        Self::from_base(wh * 3600.0)
-    }
-
     /// Energy in joules.
     #[inline]
     pub const fn as_joules(self) -> f64 {
@@ -343,12 +337,6 @@ impl Frequency {
     #[inline]
     pub const fn as_hz(self) -> f64 {
         self.as_base()
-    }
-
-    /// Frequency in gigahertz.
-    #[inline]
-    pub fn as_ghz(self) -> f64 {
-        self.as_base() / 1e9
     }
 
     /// Wavelength of an electromagnetic wave at this frequency.

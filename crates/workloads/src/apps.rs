@@ -204,16 +204,6 @@ impl Application {
         !matches!(self.kernel(), KernelKind::CustomDsp | KernelKind::KMeans)
     }
 
-    /// Whether the application has tight latency requirements (Sec. 9:
-    /// TM, APP, AD, CM, LSC, FQE do *not*; emergency/segmentation-class
-    /// apps do).
-    pub fn latency_sensitive(self) -> bool {
-        matches!(
-            self,
-            Self::UrbanEmergency | Self::FloodDetection | Self::PanopticSegmentation
-        )
-    }
-
     /// Example users/providers (Table 5 last column, abridged).
     pub fn users(self) -> &'static str {
         match self {

@@ -14,8 +14,9 @@
 # clean), runs the policy gate (`--policy static` must byte-match the
 # default engine's fault and serve artifacts, and reactive/predictive
 # runs must double-run byte-identically across the topology matrix),
-# checks the committed BENCH_serve.json capacity-frontier artifact
-# (schema plus wall-clock coherence), runs the static-analysis
+# checks the committed serve capacity frontier (`repro explore serve`
+# into a scratch directory must reproduce explore_serve*.{txt,csv,json}
+# and BENCH_serve.json byte for byte), runs the static-analysis
 # gate (`repro lint --audit determinism` must be ratchet-clean against
 # results/lint_baseline.json, byte-identical across two runs, and
 # match the committed results/lint_audit.json). It also regenerates every
@@ -135,8 +136,8 @@ if [ -x target/release/repro ]; then
     # The sharded parallel event loop must be byte-identical at every
     # worker count: a 1-worker and a 4-worker run of each matrix cell,
     # fault-free and faulted and serving, must produce byte-identical
-    # output directories (REPRO_DETERMINISTIC strips the wall-clock
-    # manifest fields, so whole directories diff clean).
+    # output directories (manifests carry no wall clock, so whole
+    # directories diff clean).
     echo "== thread-count identity gate (1 vs 4 workers) =="
     threads_ok=1
     for cell in $matrix; do
@@ -148,7 +149,7 @@ if [ -x target/release/repro ]; then
             cell_ok=1
             for pair in "1:$d1" "4:$d4"; do
                 # shellcheck disable=SC2086 # $variant is a flag list
-                if ! REPRO_DETERMINISTIC=1 ./target/release/repro --quiet sim \
+                if ! ./target/release/repro --quiet sim \
                     $variant --topology "$topo" --threads "${pair%%:*}" \
                     --out-dir "${pair#*:}" >/dev/null; then
                     cell_ok=0
@@ -262,7 +263,7 @@ if [ -x target/release/repro ]; then
     # `repro all` must reproduce every <id>.{txt,csv,json} byte for byte.
     art="$(mktemp -d)"
     art_ok=1
-    if ./target/release/repro --quiet --no-timings --out-dir "$art" all >/dev/null; then
+    if ./target/release/repro --quiet --out-dir "$art" all >/dev/null; then
         ids="$(./target/release/repro list | awk 'NR > 1 { print $1 }')"
         checked=0
         for id in $ids; do
@@ -301,46 +302,39 @@ if [ -f results/BENCH_serve.json ]; then
             serve_bench_ok=0
         fi
     done
-    if [ "$serve_bench_ok" -eq 1 ]; then
-        echo "ok: BENCH_serve.json present with the capacity-frontier schema"
-        # Refresh the committed frontier from the current code; the
-        # sweep is seeded and REPRO_DETERMINISTIC strips wall clocks, so
-        # an unchanged serving layer rewrites the same bytes.
-        if [ -x target/release/repro ]; then
-            if ! REPRO_DETERMINISTIC=1 ./target/release/repro --quiet \
-                explore serve >/dev/null; then
-                echo "FAIL: repro explore serve did not run cleanly"
-                failed=1
+    # The sweep is seeded and its artifacts carry no wall clock, so a
+    # fresh run must reproduce the committed frontier byte for byte.
+    if [ -x target/release/repro ]; then
+        sv="$(mktemp -d)"
+        if ./target/release/repro --quiet explore serve --out-dir "$sv" >/dev/null; then
+            for f in explore_serve explore_serve_frontier; do
+                for ext in txt csv json; do
+                    if ! cmp -s "$sv/$f.$ext" "results/$f.$ext"; then
+                        echo "FAIL: repro explore serve does not reproduce results/$f.$ext"
+                        serve_bench_ok=0
+                    fi
+                done
+            done
+            if ! cmp -s "$sv/BENCH_serve.json" results/BENCH_serve.json; then
+                echo "FAIL: repro explore serve does not reproduce results/BENCH_serve.json"
+                serve_bench_ok=0
             fi
+        else
+            echo "FAIL: repro explore serve did not run cleanly"
+            serve_bench_ok=0
         fi
+        rm -rf "$sv"
+    else
+        echo "warn: target/release/repro not built; skipping the serve rerun"
+    fi
+    if [ "$serve_bench_ok" -eq 1 ]; then
+        echo "ok: repro explore serve reproduces the committed capacity frontier byte for byte"
     else
         failed=1
     fi
 else
     echo "FAIL: results/BENCH_serve.json missing (run ./target/release/repro explore serve)"
     failed=1
-fi
-
-echo "== bench-manifest coherence gate =="
-# Committed bench artifacts are refreshed under REPRO_DETERMINISTIC, so
-# their manifests must strip every wall-clock field the same way: all
-# three zeroed. (An artifact with started == finished next to a nonzero
-# duration is self-contradictory.)
-if command -v jq >/dev/null 2>&1; then
-    for f in results/BENCH_serve.json; do
-        if [ -f "$f" ]; then
-            if jq -e '.manifest
-                | .started_unix_ms == 0 and .finished_unix_ms == 0 and .duration_s == 0' \
-                "$f" >/dev/null; then
-                echo "ok: $f wall-clock fields are stripped coherently"
-            else
-                echo "FAIL: $f manifest timings are incoherent (expect all three zeroed)"
-                failed=1
-            fi
-        fi
-    done
-else
-    echo "warn: jq not installed; skipping coherence checks"
 fi
 
 echo "== static-analysis gate (repro lint --audit determinism) =="
@@ -354,7 +348,7 @@ if [ -x target/release/repro ]; then
     lb="$(mktemp -d)"
     lint_ok=1
     for auditDir in "$la" "$lb"; do
-        if ! REPRO_DETERMINISTIC=1 ./target/release/repro --quiet lint \
+        if ! ./target/release/repro --quiet lint \
             --audit determinism --out-dir "$auditDir" >/dev/null; then
             echo "FAIL: repro lint --audit determinism found new violations"
             lint_ok=0
