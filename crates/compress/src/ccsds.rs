@@ -25,18 +25,15 @@ impl CcsdsLike {
 
     /// Predict-and-map a sample stream per channel: residual against the
     /// previous sample of the same channel (unit-delay predictor).
-    fn residuals(data: &[u8], channels: usize) -> Vec<u64> {
+    fn residuals(data: &[u8], channels: usize) -> impl Iterator<Item = u64> + '_ {
         let mut prev = vec![0i64; channels];
-        data.iter()
-            .enumerate()
-            .map(|(i, &b)| {
-                let c = i % channels;
-                let v = i64::from(b);
-                let r = v - prev[c];
-                prev[c] = v;
-                rice::zigzag(r)
-            })
-            .collect()
+        data.iter().enumerate().map(move |(i, &b)| {
+            let c = i % channels;
+            let v = i64::from(b);
+            let r = v - prev[c];
+            prev[c] = v;
+            rice::zigzag(r)
+        })
     }
 
     fn unresiduals(mapped: &[u64], channels: usize) -> Result<Vec<u8>, CodecError> {
@@ -60,8 +57,9 @@ impl CcsdsLike {
         let mut w = BitWriter::new();
         w.write_bits(data.len() as u64, 32);
         w.write_bits(channels as u64, 8);
-        let mapped = Self::residuals(data, channels.max(1));
-        rice::encode_blocks(&mapped, BLOCK, &mut w);
+        // Mapped as they are coded: the residuals of a whole image as
+        // `u64`s would be eight times its size.
+        rice::encode_blocks(Self::residuals(data, channels.max(1)), BLOCK, &mut w);
         w.into_bytes()
     }
 

@@ -282,7 +282,7 @@ fn subband_scan(w: usize, h: usize, levels: u8) -> Vec<Band> {
 fn encode_subband(values: &[u64], w: &mut BitWriter) {
     // Candidate 1: Rice.
     let mut rice_w = BitWriter::new();
-    rice::encode_blocks(values, BLOCK, &mut rice_w);
+    rice::encode_blocks(values.iter().copied(), BLOCK, &mut rice_w);
     let rice_bytes = rice_w.into_bytes();
 
     // Candidate 2: varint + mini-deflate. Rice wins ties, and no deflate
@@ -359,10 +359,85 @@ fn decode_subband(count: usize, r: &mut BitReader<'_>) -> Result<Vec<u64>, Codec
     }
 }
 
+/// Dyadic levels of the transform every configuration writes.
+const LEVELS: u8 = 4;
+
+/// One channel of `img` as an `i32` plane, lifted in place.
+fn lift_plane(img: &Raster, channel: usize) -> Vec<i32> {
+    let (width, height) = (img.width(), img.height());
+    let mut plane: Vec<i32> = (0..width * height)
+        .map(|i| i32::from(img.data()[i * img.channels() + channel]))
+        .collect();
+    fwd_2d(&mut plane, width, width, height, LEVELS);
+    plane
+}
+
+/// Quantises a lifted `width × height` plane by `quant_shift` and codes
+/// it subband by subband.
+fn encode_plane(plane: &[i32], width: usize, height: usize, quant_shift: u8, w: &mut BitWriter) {
+    let mut mapped = Vec::new();
+    for band in subband_scan(width, height, LEVELS) {
+        mapped.clear();
+        for row in band.rows(width) {
+            mapped.extend(
+                plane[row]
+                    .iter()
+                    .map(|&c| rice::zigzag(i64::from(c >> quant_shift))),
+            );
+        }
+        encode_subband(&mapped, w);
+    }
+}
+
+/// Starts a stream with its header: geometry, levels and quantisation
+/// shift.
+fn header(width: usize, height: usize, channels: usize, quant_shift: u8) -> BitWriter {
+    let mut w = BitWriter::new();
+    w.write_bits(width as u64, 32);
+    w.write_bits(height as u64, 32);
+    w.write_bits(channels as u64, 8);
+    w.write_bits(u64::from(LEVELS), 8);
+    w.write_bits(u64::from(quant_shift), 8);
+    w
+}
+
+/// Decodes one `width × height` plane coded over `levels` levels with
+/// `quant_shift`, scattering each subband straight into the plane.
+/// Nothing is sized from the header's geometry until the first
+/// subband's coefficients are in hand, and that subband holds at least
+/// a sixth of the plane: a corrupt header declaring a huge plane fails
+/// on the input it lacks instead of allocating.
+fn decompress_plane(
+    width: usize,
+    height: usize,
+    levels: u8,
+    quant_shift: u8,
+    r: &mut BitReader<'_>,
+) -> Result<Vec<i32>, CodecError> {
+    let mut plane: Vec<i32> = Vec::new();
+    for band in subband_scan(width, height, levels) {
+        let mapped = decode_subband(band.len(), r)?;
+        if plane.is_empty() {
+            plane = vec![0i32; width * height];
+        }
+        let mut values = mapped.iter();
+        for row in band.rows(width) {
+            for (dst, &m) in plane[row].iter_mut().zip(values.by_ref()) {
+                let v = rice::unzigzag(m);
+                if v.abs() > i64::from(i32::MAX >> (quant_shift + 1)) {
+                    return Err(CodecError::new("DWT coefficient out of range"));
+                }
+                *dst = (v as i32) << quant_shift;
+            }
+        }
+    }
+    inv_2d(&mut plane, width, width, height, levels);
+    Ok(plane)
+}
+
 /// The DWT codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DwtCodec {
-    levels: u8,
     /// Right-shift applied to coefficients before coding (0 = lossless).
     quant_shift: u8,
 }
@@ -370,10 +445,7 @@ pub struct DwtCodec {
 impl DwtCodec {
     /// Lossless configuration (integer 5/3, no quantisation), 4 levels.
     pub fn lossless() -> Self {
-        Self {
-            levels: 4,
-            quant_shift: 0,
-        }
+        Self { quant_shift: 0 }
     }
 
     /// Lossy configuration: coefficients are right-shifted by
@@ -384,10 +456,7 @@ impl DwtCodec {
     /// Panics if `quant_shift > 7`.
     pub fn lossy(quant_shift: u8) -> Self {
         assert!(quant_shift <= 7, "quantisation shift too aggressive");
-        Self {
-            levels: 4,
-            quant_shift,
-        }
+        Self { quant_shift }
     }
 
     /// Whether this configuration reconstructs exactly.
@@ -395,58 +464,49 @@ impl DwtCodec {
         self.quant_shift == 0
     }
 
-    fn compress_plane(&self, img: &Raster, channel: usize, w: &mut BitWriter) {
-        let (width, height) = (img.width(), img.height());
-        let mut plane: Vec<i32> = (0..width * height)
-            .map(|i| i32::from(img.data()[i * img.channels() + channel]))
-            .collect();
-        fwd_2d(&mut plane, width, width, height, self.levels);
-        let mut mapped = Vec::new();
-        for band in subband_scan(width, height, self.levels) {
-            mapped.clear();
-            for row in band.rows(width) {
-                mapped.extend(
-                    plane[row]
-                        .iter()
-                        .map(|&c| rice::zigzag(i64::from(c >> self.quant_shift))),
-                );
-            }
-            encode_subband(&mapped, w);
+    /// Runs the forward transform on every channel of `image` once. The
+    /// transform does not depend on the quantisation, which only
+    /// right-shifts its coefficients, so one [`Lifted`] encodes at every
+    /// shift.
+    pub fn lift(image: &Raster) -> Lifted {
+        Lifted {
+            width: image.width(),
+            height: image.height(),
+            planes: (0..image.channels())
+                .map(|c| lift_plane(image, c))
+                .collect(),
         }
     }
+}
 
-    /// Decodes one plane. Nothing is sized from the header's geometry
-    /// until the coefficients are in hand: a corrupt header declaring a
-    /// huge plane fails on the input it lacks instead of allocating.
-    fn decompress_plane(
-        &self,
-        width: usize,
-        height: usize,
-        r: &mut BitReader<'_>,
-    ) -> Result<Vec<i32>, CodecError> {
-        let bands = subband_scan(width, height, self.levels);
-        let mut coeffs: Vec<i32> = Vec::new();
-        for band in &bands {
-            let mapped = decode_subband(band.len(), r)?;
-            for &m in &mapped {
-                let v = rice::unzigzag(m);
-                if v.abs() > i64::from(i32::MAX >> (self.quant_shift + 1)) {
-                    return Err(CodecError::new("DWT coefficient out of range"));
-                }
-                coeffs.push((v as i32) << self.quant_shift);
-            }
+/// An image after the forward 5/3 transform, one plane per channel (see
+/// [`DwtCodec::lift`]).
+#[derive(Debug)]
+pub struct Lifted {
+    width: usize,
+    height: usize,
+    planes: Vec<Vec<i32>>,
+}
+
+impl Lifted {
+    /// The stream `DwtCodec::lossy(quant_shift).compress_raster` writes
+    /// for the lifted image, byte for byte.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `quant_shift > 7`.
+    pub fn encode(&self, quant_shift: u8) -> Vec<u8> {
+        let codec = DwtCodec::lossy(quant_shift);
+        let mut w = header(
+            self.width,
+            self.height,
+            self.planes.len(),
+            codec.quant_shift,
+        );
+        for plane in &self.planes {
+            encode_plane(plane, self.width, self.height, codec.quant_shift, &mut w);
         }
-        let mut plane = vec![0i32; width * height];
-        let mut scanned = coeffs.iter();
-        for band in &bands {
-            for row in band.rows(width) {
-                for (dst, &c) in plane[row].iter_mut().zip(scanned.by_ref()) {
-                    *dst = c;
-                }
-            }
-        }
-        inv_2d(&mut plane, width, width, height, self.levels);
-        Ok(plane)
+        w.into_bytes()
     }
 }
 
@@ -456,14 +516,13 @@ impl RasterCodec for DwtCodec {
     }
 
     fn compress_raster(&self, image: &Raster) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_bits(image.width() as u64, 32);
-        w.write_bits(image.height() as u64, 32);
-        w.write_bits(image.channels() as u64, 8);
-        w.write_bits(u64::from(self.levels), 8);
-        w.write_bits(u64::from(self.quant_shift), 8);
+        // One plane lifted at a time: the same coding as
+        // `Lifted::encode`, without holding every channel's transform.
+        let (width, height) = (image.width(), image.height());
+        let mut w = header(width, height, image.channels(), self.quant_shift);
         for c in 0..image.channels() {
-            self.compress_plane(image, c, &mut w);
+            let plane = lift_plane(image, c);
+            encode_plane(&plane, width, height, self.quant_shift, &mut w);
         }
         w.into_bytes()
     }
@@ -484,14 +543,10 @@ impl RasterCodec for DwtCodec {
         if cw != width || ch != height || cc != channels {
             return Err(CodecError::new("DWT geometry mismatch"));
         }
-        let cfg = Self {
-            levels,
-            quant_shift: quant,
-        };
         // Sized once the first plane has decoded (see `decompress_plane`).
         let mut out = Vec::new();
         for c in 0..channels {
-            let plane = cfg.decompress_plane(width, height, &mut r)?;
+            let plane = decompress_plane(width, height, levels, quant, &mut r)?;
             if c == 0 {
                 out = vec![0u8; width * height * channels];
             }
@@ -708,6 +763,25 @@ mod tests {
         assert!(DwtCodec::lossless()
             .decompress_raster(&raster, 46_340, 46_340, 3)
             .is_err());
+    }
+
+    #[test]
+    fn lifted_encodes_match_the_codec_at_every_shift() {
+        prop::check("lifted_encodes_match_the_codec_at_every_shift", 24, |g| {
+            let w = g.draw(1usize..41);
+            let h = g.draw(1usize..41);
+            let c = g.draw(1usize..5);
+            let data: Vec<u8> = (0..w * h * c).map(|_| g.draw(any::<u8>())).collect();
+            let img = Raster::new(w, h, c, data);
+            let lifted = DwtCodec::lift(&img);
+            for shift in 0..=7 {
+                assert_eq!(
+                    lifted.encode(shift),
+                    DwtCodec::lossy(shift).compress_raster(&img),
+                    "{w}x{h}x{c} shift {shift}"
+                );
+            }
+        });
     }
 
     #[test]

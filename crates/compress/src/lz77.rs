@@ -32,6 +32,9 @@ const CHAIN_LIMIT: usize = 64;
 /// written since then is newer, so no live link is ever overwritten.
 const WINDOW: usize = MAX_DISTANCE;
 const NONE: usize = usize::MAX;
+/// An empty head-table slot. Heads hold positions as `u32`, half the
+/// table a `usize` takes, so an input must be shorter than this.
+const EMPTY: u32 = u32::MAX;
 
 /// The 3-byte hash of the position whose bytes, little-endian from the
 /// low end, are `word` (at least 3 of them real).
@@ -118,10 +121,11 @@ fn load_u64(bytes: &[u8]) -> u64 {
 /// exactly where the hash-chain walk would.
 struct Matcher<'a> {
     data: &'a [u8],
-    /// `head[h]`: most recent position inserted with 3-byte hash `h`.
-    head: Vec<usize>,
+    /// `head[h]`: most recent position inserted with 3-byte hash `h`,
+    /// or `EMPTY`.
+    head: Vec<u32>,
     /// Heads of the chains over `PREFIX_WIDTHS`-byte hashes, as `head`.
-    prefix_heads: [Vec<usize>; 2],
+    prefix_heads: [Vec<u32>; 2],
     prefix_shift: u32,
     /// `links[p % WINDOW]`: position `p`'s links, in one ring so a walk
     /// step touches one cache line.
@@ -149,13 +153,18 @@ struct Links {
 
 impl<'a> Matcher<'a> {
     fn new(data: &'a [u8]) -> Self {
+        assert!(
+            data.len() < EMPTY as usize,
+            "LZ77 input of {} bytes exceeds u32 positions",
+            data.len()
+        );
         // The prefix chains only skip candidates, so their table size is
         // free to follow the input.
         let slots = data.len().next_power_of_two().clamp(256, HASH_SIZE);
         Self {
             data,
-            head: vec![NONE; HASH_SIZE],
-            prefix_heads: [vec![NONE; slots], vec![NONE; slots]],
+            head: vec![EMPTY; HASH_SIZE],
+            prefix_heads: [vec![EMPTY; slots], vec![EMPTY; slots]],
             prefix_shift: 64 - slots.trailing_zeros(),
             links: vec![Links::default(); WINDOW.min(data.len())],
         }
@@ -170,9 +179,21 @@ impl<'a> Matcher<'a> {
         (prefix.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.prefix_shift) as usize
     }
 
-    /// The link from `i` back to `prev`, 0 if there is none in range.
+    /// A head-table entry as a position, `NONE` for an empty slot.
     #[inline]
-    fn link(i: usize, prev: usize) -> u16 {
+    fn entry(head: u32) -> usize {
+        if head == EMPTY {
+            NONE
+        } else {
+            head as usize
+        }
+    }
+
+    /// The link from `i` back to head entry `prev`, 0 if there is none in
+    /// range.
+    #[inline]
+    fn link(i: usize, prev: u32) -> u16 {
+        let prev = Self::entry(prev);
         if prev == NONE || i - prev > MAX_DISTANCE {
             0
         } else {
@@ -193,13 +214,14 @@ impl<'a> Matcher<'a> {
                 .ord
                 .wrapping_add(1),
         };
-        self.head[h] = i;
+        // `new` bounds the input below `EMPTY`.
+        self.head[h] = i as u32;
         let mut prefix_back = [0u16; 2];
         for (level, &width) in PREFIX_WIDTHS.iter().enumerate() {
             if i + width <= self.data.len() {
                 let h = self.prefix_hash(word, level);
                 prefix_back[level] = Self::link(i, self.prefix_heads[level][h]);
-                self.prefix_heads[level][h] = i;
+                self.prefix_heads[level][h] = i as u32;
             }
         }
         self.links[i % WINDOW] = Links {
@@ -238,7 +260,7 @@ impl<'a> Matcher<'a> {
         }
         let max_len = (data.len() - i).min(MAX_MATCH);
         let word = word_at(data, i);
-        let head = self.head[hash(word)];
+        let head = Self::entry(self.head[hash(word)]);
         if head == NONE || i - head > MAX_DISTANCE {
             return None;
         }
@@ -282,7 +304,7 @@ impl<'a> Matcher<'a> {
             if best.0 >= until {
                 continue;
             }
-            let mut cand = self.prefix_heads[level][self.prefix_hash(word, level)];
+            let mut cand = Self::entry(self.prefix_heads[level][self.prefix_hash(word, level)]);
             done = true;
             while cand != NONE && i - cand <= MAX_DISTANCE {
                 let links = self.links[cand % WINDOW];
@@ -309,6 +331,11 @@ impl<'a> Matcher<'a> {
 
 /// Tokenises `data` with greedy hash-chain matching (lazy matching of one
 /// byte, as zlib's fast levels do).
+///
+/// # Panics
+///
+/// Panics if `data` is 4 GiB or longer: the match finder keeps positions
+/// as `u32`.
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
     let mut tokens = Vec::with_capacity(data.len() / 2);
     if data.len() < MIN_MATCH {

@@ -6,7 +6,8 @@
 //! short of the required ECRs. These metrics let the DWT codec's
 //! quantised mode quantify exactly that trade.
 
-use crate::{CodecError, Raster};
+use crate::dwt::{DwtCodec, Lifted};
+use crate::{CodecError, Raster, RasterCodec};
 
 /// Mean squared error between two rasters of identical geometry.
 ///
@@ -73,7 +74,8 @@ pub struct RateDistortion {
 }
 
 /// Measures the rate–distortion point of the quantised DWT codec at a
-/// given shift on an image.
+/// given shift on an image, and emits it as a `compress.rate_distortion`
+/// debug event.
 ///
 /// # Errors
 ///
@@ -81,18 +83,39 @@ pub struct RateDistortion {
 /// output (an internal invariant violation, surfaced as an error so
 /// library callers can report it with context).
 pub fn dwt_rate_distortion(image: &Raster, quant_shift: u8) -> Result<RateDistortion, CodecError> {
-    use crate::dwt::DwtCodec;
-    use crate::RasterCodec;
-    let codec = DwtCodec::lossy(quant_shift);
-    let packed = codec.compress_raster(image);
-    let back = codec
+    let rd = rate_distortion(image, &DwtCodec::lift(image), quant_shift)?;
+    log_rate_distortion(quant_shift, &rd);
+    Ok(rd)
+}
+
+/// The rate–distortion point of `lifted`, the [`DwtCodec::lift`] of
+/// `image`, quantised at `quant_shift`: encoded, then decoded, with the
+/// decode measured against `image`. Emits nothing, so callers that
+/// measure points on several threads can log them in their own order
+/// with [`log_rate_distortion`].
+///
+/// # Errors
+///
+/// As [`dwt_rate_distortion`].
+pub fn rate_distortion(
+    image: &Raster,
+    lifted: &Lifted,
+    quant_shift: u8,
+) -> Result<RateDistortion, CodecError> {
+    let packed = lifted.encode(quant_shift);
+    let back = DwtCodec::lossy(quant_shift)
         .decompress_raster(&packed, image.width(), image.height(), image.channels())
         .map_err(|e| CodecError::new(format!("DWT self-decode failed: {e}")))?;
-    let rd = RateDistortion {
+    Ok(RateDistortion {
         ratio: image.data().len() as f64 / packed.len() as f64,
         psnr_db: psnr(image, &back)?,
         max_error: max_abs_error(image, &back)?,
-    };
+    })
+}
+
+/// Emits `rd`, measured at `quant_shift`, as a `compress.rate_distortion`
+/// debug event.
+pub fn log_rate_distortion(quant_shift: u8, rd: &RateDistortion) {
     if telemetry::level_enabled(telemetry::Level::Debug) {
         telemetry::debug(
             "compress.rate_distortion",
@@ -104,7 +127,6 @@ pub fn dwt_rate_distortion(image: &Raster, quant_shift: u8) -> Result<RateDistor
             ],
         );
     }
-    Ok(rd)
 }
 
 #[cfg(test)]

@@ -115,17 +115,26 @@ pub fn unzigzag(v: u64) -> i64 {
 /// Block-adaptive Rice coding: splits `values` into blocks of
 /// `block_size`, picks the best `k` per block, and writes a 5-bit `k`
 /// header per block. This is the CCSDS-121 adaptive-entropy-coder shape
-/// (without the zero-block and second-extension options).
+/// (without the zero-block and second-extension options). Values are
+/// drawn one block at a time, so a caller can map them on the fly
+/// instead of buffering them all.
 ///
 /// # Panics
 ///
 /// Panics if `block_size == 0`.
-pub fn encode_blocks(values: &[u64], block_size: usize, w: &mut BitWriter) {
+pub fn encode_blocks(values: impl IntoIterator<Item = u64>, block_size: usize, w: &mut BitWriter) {
     assert!(block_size > 0, "block size must be positive");
-    for block in values.chunks(block_size) {
-        let k = best_k(block);
+    let mut values = values.into_iter();
+    let mut block = Vec::with_capacity(block_size);
+    loop {
+        block.clear();
+        block.extend(values.by_ref().take(block_size));
+        if block.is_empty() {
+            return;
+        }
+        let k = best_k(&block);
         w.write_bits(u64::from(k), 5);
-        for &v in block {
+        for &v in &block {
             encode(v, k, w);
         }
     }
@@ -216,7 +225,7 @@ mod tests {
         values.extend((0u64..256).map(|i| 500 + i % 50));
 
         let mut adaptive = BitWriter::new();
-        encode_blocks(&values, 64, &mut adaptive);
+        encode_blocks(values.iter().copied(), 64, &mut adaptive);
         let adaptive_bits = adaptive.bit_len();
 
         let global_k = best_k(&values);
@@ -231,7 +240,7 @@ mod tests {
     fn blocks_round_trip_including_ragged_tail() {
         let values: Vec<u64> = (0..1000u64).map(|i| (i * 37) % 257).collect();
         let mut w = BitWriter::new();
-        encode_blocks(&values, 64, &mut w);
+        encode_blocks(values.iter().copied(), 64, &mut w);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         let back = decode_blocks(values.len(), 64, &mut r).unwrap();
@@ -245,7 +254,7 @@ mod tests {
             let block = g.draw(1usize..128);
 
             let mut w = BitWriter::new();
-            encode_blocks(&values, block, &mut w);
+            encode_blocks(values.iter().copied(), block, &mut w);
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);
             let back = decode_blocks(values.len(), block, &mut r).unwrap();

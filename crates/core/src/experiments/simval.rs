@@ -6,12 +6,13 @@
 //! simulator then plays the configuration out and reports whether
 //! backlog stayed bounded. Agreement across the grid is the validation.
 
+use explore::ExecOptions;
 use units::fmt_si::trim_float;
 use units::{DataRate, Length, Time};
 use workloads::{Application, Device};
 
 use super::ExperimentResult;
-use crate::sim::{run, DiscardPolicy, SimConfig};
+use crate::sim::{run, DiscardPolicy, SimConfig, SimReport};
 use crate::sizing::SudcSpec;
 
 /// One validation case.
@@ -94,8 +95,24 @@ fn model_predicts_stable(c: &Case) -> bool {
         .is_some_and(|capacity| demand <= capacity)
 }
 
+/// Plays a case out in the discrete-event simulator.
+fn simulate(c: &Case) -> SimReport {
+    let mut cfg = SimConfig::paper_reference(c.app, c.resolution, c.discard);
+    cfg.isl_capacity = c.isl;
+    cfg.clusters = c.clusters;
+    cfg.discard = DiscardPolicy::Uniform(c.discard);
+    cfg.duration = Time::from_minutes(2.0);
+    run(&cfg)
+}
+
 /// Runs the cross-validation grid.
 pub fn simval() -> ExperimentResult {
+    simval_on(&ExecOptions::auto())
+}
+
+/// [`simval`] with the cases simulated side by side on `opts`' threads;
+/// rows follow in case order.
+fn simval_on(opts: &ExecOptions) -> ExperimentResult {
     let mut r = ExperimentResult::new(
         "simval",
         "Closed-form model vs discrete-event simulation (cross-validation)",
@@ -114,14 +131,9 @@ pub fn simval() -> ExperimentResult {
     let mut agreements = 0usize;
     let all = cases();
     let total = all.len();
-    for c in all {
-        let predicted = model_predicts_stable(&c);
-        let mut cfg = SimConfig::paper_reference(c.app, c.resolution, c.discard);
-        cfg.isl_capacity = c.isl;
-        cfg.clusters = c.clusters;
-        cfg.discard = DiscardPolicy::Uniform(c.discard);
-        cfg.duration = Time::from_minutes(2.0);
-        let report = run(&cfg);
+    let reports = explore::map(&all, opts, simulate);
+    for (c, report) in all.iter().zip(reports) {
+        let predicted = model_predicts_stable(c);
         let agree = predicted == report.stable;
         if agree {
             agreements += 1;
@@ -150,6 +162,17 @@ pub fn simval() -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn output_is_identical_at_any_thread_count() {
+        // The pretty JSON artifact is a function of the result's fields,
+        // so equal results write equal JSON as well.
+        let seq = simval_on(&ExecOptions::sequential());
+        let par = simval_on(&ExecOptions::threads(4));
+        assert_eq!(par.to_text_table(), seq.to_text_table());
+        assert_eq!(par.to_csv(), seq.to_csv());
+        assert_eq!(par, seq);
+    }
 
     #[test]
     fn model_and_simulation_agree_on_every_case() {

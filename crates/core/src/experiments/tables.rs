@@ -106,23 +106,20 @@ pub fn table4() -> ExperimentResult {
         &cols,
     );
 
-    // Each scene is rendered once and shared by all six codecs.
+    // Each scene is rendered once, run through all six codecs and
+    // dropped, so one scene is live at a time. Every codec's ratios are
+    // summed in seed order, as a per-codec pass over the scenes would.
     let ratios = |kind: SceneKind, seeds: &[u64], size: usize| -> Vec<f64> {
-        let scenes: Vec<_> = seeds
-            .iter()
-            .map(|&s| Scene::new(kind, s).render(size, size))
-            .collect();
-        CodecKind::ALL
-            .iter()
-            .map(|ck| {
-                let codec = ck.raster_codec();
-                let mean: f64 = scenes
-                    .iter()
-                    .map(|img| codec.raster_ratio(img))
-                    .sum::<f64>()
-                    / seeds.len() as f64;
-                mean
-            })
+        let codecs: Vec<_> = CodecKind::ALL.iter().map(|ck| ck.raster_codec()).collect();
+        let mut sums = vec![0.0f64; codecs.len()];
+        for &seed in seeds {
+            let img = Scene::new(kind, seed).render(size, size);
+            for (sum, codec) in sums.iter_mut().zip(&codecs) {
+                *sum += codec.raster_ratio(&img);
+            }
+        }
+        sums.into_iter()
+            .map(|sum| sum / seeds.len() as f64)
             .collect()
     };
 

@@ -1,10 +1,11 @@
-//! The deterministic parallel sweep executor.
+//! The deterministic parallel executor behind [`map`] and the sweeps.
 //!
-//! Threads self-schedule chunks of the point index range from a shared
+//! Threads self-schedule chunks of the item index range from a shared
 //! atomic cursor (central work stealing: a fast thread keeps grabbing
-//! chunks a static partition would have given to a slow one). Each
-//! result is written back at its point's position, so the merged output
-//! is byte-identical to a sequential run for any thread count.
+//! chunks a static partition would have given to a slow one). The
+//! calling thread is one of them. Each chunk's results are put back at
+//! the chunk's position, so the merged output is byte-identical to a
+//! sequential run for any thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -15,9 +16,10 @@ use crate::space::Space;
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Worker threads; `1` runs inline on the caller.
+    /// Worker threads, the caller included; `1` runs inline on the
+    /// caller.
     pub threads: usize,
-    /// Points per scheduling chunk; `0` picks `len / (threads × 8)`,
+    /// Items per scheduling chunk; `0` picks `len / (threads × 8)`,
     /// clamped to at least 1 (8 chunks per thread keeps the tail
     /// balanced without contending on the cursor).
     pub chunk: usize,
@@ -114,9 +116,7 @@ where
     let mut span = telemetry::span!("explore.sweep", space = space.name(), points = space.len());
     // lint:allow(wall-clock-in-model) throughput stats time the harness, not the model
     let started = Instant::now();
-    let indices: Vec<usize> = (0..space.len()).collect();
-    let (pairs, steals) = run_indices(&indices, opts, |i| eval(space.point(i)));
-    let results = merge(space.len(), pairs);
+    let (results, steals) = run(space.points(), opts, eval);
     let stats = SweepStats {
         points: space.len(),
         evaluated: space.len(),
@@ -157,9 +157,9 @@ where
         slots.push(hit);
     }
     let cache_hits = space.len() - misses.len();
-    let (pairs, steals) = run_indices(&misses, opts, |i| eval(space.point(i)));
-    let evaluated = pairs.len();
-    for (i, result) in pairs {
+    let (fresh, steals) = run(&misses, opts, |&i| eval(space.point(i)));
+    let evaluated = fresh.len();
+    for (&i, result) in misses.iter().zip(fresh) {
         cache.put(space.id(i), &result);
         slots[i] = Some(result);
     }
@@ -189,76 +189,77 @@ fn record_span(span: &mut telemetry::Span, stats: &SweepStats) {
     span.record("points_per_sec", stats.points_per_sec());
 }
 
-/// Evaluates `eval` at each index in `indices`, returning `(index,
-/// result)` pairs (unordered) and the steal count.
-fn run_indices<R, F>(indices: &[usize], opts: &ExecOptions, eval: F) -> (Vec<(usize, R)>, usize)
+/// Evaluates `f` on every item, in parallel when `opts.threads > 1`,
+/// and returns the results in item order, whatever the thread count or
+/// scheduling. The calling thread works as one of the `opts.threads`,
+/// so one item, or one thread, runs inline. A panic in `f` is re-raised
+/// on the caller with its own payload once every thread has stopped.
+pub fn map<T, R, F>(items: &[T], opts: &ExecOptions, f: F) -> Vec<R>
 where
+    T: Sync,
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
-    let n = indices.len();
+    run(items, opts, f).0
+}
+
+/// [`map`], plus the steal count.
+fn run<T, R, F>(items: &[T], opts: &ExecOptions, f: F) -> (Vec<R>, usize)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let n = items.len();
     let threads = opts.threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (indices.iter().map(|&i| (i, eval(i))).collect(), 0);
+    if threads <= 1 {
+        return (items.iter().map(f).collect(), 0);
     }
 
     let chunk = opts.chunk_for(n);
     let total_chunks = n.div_ceil(chunk);
     let fair_share = total_chunks.div_ceil(threads);
     let cursor = AtomicUsize::new(0);
-    let eval = &eval;
+    // One worker's share: the chunks it claimed, as (start, results).
+    let work = || {
+        let mut chunks: Vec<(usize, Vec<R>)> = Vec::new();
+        loop {
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= n {
+                break;
+            }
+            chunks.push((
+                start,
+                items[start..(start + chunk).min(n)]
+                    .iter()
+                    .map(&f)
+                    .collect(),
+            ));
+        }
+        chunks
+    };
 
-    let per_thread: Vec<(Vec<(usize, R)>, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut acc: Vec<(usize, R)> = Vec::new();
-                    let mut claimed = 0usize;
-                    loop {
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        claimed += 1;
-                        for &i in &indices[start..(start + chunk).min(n)] {
-                            acc.push((i, eval(i)));
-                        }
-                    }
-                    (acc, claimed)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // Re-raise the worker's own panic payload instead of
-                // minting a new one here.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+    let per_thread: Vec<Vec<(usize, Vec<R>)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        let mut per_thread = vec![work()];
+        per_thread.extend(handles.into_iter().map(|h| match h.join() {
+            Ok(v) => v,
+            // Re-raise the worker's own panic payload instead of
+            // minting a new one here.
+            Err(payload) => std::panic::resume_unwind(payload),
+        }));
+        per_thread
     });
 
     let steals = per_thread
         .iter()
-        .map(|(_, claimed)| claimed.saturating_sub(fair_share))
+        .map(|chunks| chunks.len().saturating_sub(fair_share))
         .sum();
-    let mut pairs = Vec::with_capacity(n);
-    for (acc, _) in per_thread {
-        pairs.extend(acc);
-    }
-    (pairs, steals)
-}
-
-fn merge<R>(len: usize, pairs: Vec<(usize, R)>) -> Vec<R> {
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(len).collect();
-    for (i, r) in pairs {
-        debug_assert!(slots[i].is_none(), "duplicate result for point {i}");
-        slots[i] = Some(r);
-    }
-    let merged: Vec<R> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(merged.len(), len, "every point evaluated exactly once");
-    merged
+    let mut chunks: Vec<(usize, Vec<R>)> = per_thread.into_iter().flatten().collect();
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    let results: Vec<R> = chunks.into_iter().flat_map(|(_, rs)| rs).collect();
+    debug_assert_eq!(results.len(), n, "every item evaluated exactly once");
+    (results, steals)
 }
 
 #[cfg(test)]
@@ -352,6 +353,84 @@ mod tests {
             "expected dynamic rebalancing, stats: {:?}",
             out.stats
         );
+    }
+
+    #[test]
+    fn map_keeps_item_order_at_any_thread_count() {
+        let items: Vec<u64> = (0..50).collect();
+        let want: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+        for threads in [1, 2, 3, 8] {
+            for chunk in [0, 1, 7] {
+                let opts = ExecOptions { threads, chunk };
+                assert_eq!(
+                    map(&items, &opts, |&x| x * x + 1),
+                    want,
+                    "threads={threads} chunk={chunk}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_of_nothing_is_empty() {
+        let none: [u64; 0] = [];
+        assert!(map(&none, &ExecOptions::threads(4), |&x| x).is_empty());
+    }
+
+    #[test]
+    fn map_runs_a_single_item_on_the_caller() {
+        let caller = std::thread::current().id();
+        let ran_on = map(&[1u8], &ExecOptions::threads(8), |_| {
+            std::thread::current().id()
+        });
+        assert_eq!(ran_on, vec![caller]);
+    }
+
+    #[test]
+    fn map_counts_the_caller_among_its_threads() {
+        // Both items must be in flight at once to pass the barrier, so
+        // with two threads each runs one: one of them is the caller.
+        let caller = std::thread::current().id();
+        let barrier = std::sync::Barrier::new(2);
+        let opts = ExecOptions {
+            threads: 2,
+            chunk: 1,
+        };
+        let ran_on = map(&[0u8, 1], &opts, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert!(ran_on.contains(&caller), "{ran_on:?} vs caller {caller:?}");
+        assert_ne!(ran_on[0], ran_on[1]);
+    }
+
+    #[test]
+    fn map_reraises_a_workers_own_panic_payload() {
+        use std::sync::atomic::AtomicBool;
+        #[derive(Debug, PartialEq)]
+        struct Boom(u32);
+        // The caller holds its item until the spawned worker has taken
+        // the other one, so the panic is the worker's.
+        let caller = std::thread::current().id();
+        let worker_started = AtomicBool::new(false);
+        let opts = ExecOptions {
+            threads: 2,
+            chunk: 1,
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            map(&[0u8, 1], &opts, |_| {
+                if std::thread::current().id() == caller {
+                    while !worker_started.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    worker_started.store(true, Ordering::SeqCst);
+                    std::panic::panic_any(Boom(7));
+                }
+            })
+        }));
+        let payload = caught.expect_err("the worker's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<Boom>(), Some(&Boom(7)));
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //!   Every point carries a stable [`PointId`] derived from the canonical
 //!   textual form of its coordinates, independent of enumeration order
 //!   or thread count.
-//! * **Deterministic parallel execution** ([`sweep`], [`ExecOptions`]) —
-//!   a `std::thread` executor that self-schedules chunks from a shared
-//!   cursor (central work-stealing). The merged output is written back
-//!   in space order, so it is byte-identical to a sequential run for
-//!   any thread count.
+//! * **Deterministic parallel execution** ([`sweep`], [`map`],
+//!   [`ExecOptions`]) — a `std::thread` executor that self-schedules
+//!   chunks from a shared cursor (central work-stealing), with the
+//!   calling thread as one of its workers. The merged output is written
+//!   back in space (or item) order, so it is byte-identical to a
+//!   sequential run for any thread count. [`map`] is the bare executor
+//!   over a slice, for independent work that is not a design space.
 //! * **Memoization** ([`Cache`], [`Cacheable`], [`sweep_cached`]) — a
 //!   content-addressed result cache keyed by an FNV-1a hash of the
 //!   canonicalised parameter bytes plus an evaluator version tag,
@@ -49,7 +51,7 @@ mod space;
 
 pub use cache::{Cache, Cacheable};
 pub use codec::{Dec, Enc};
-pub use exec::{sweep, sweep_cached, ExecOptions, SweepOutcome, SweepStats};
+pub use exec::{map, sweep, sweep_cached, ExecOptions, SweepOutcome, SweepStats};
 pub use pareto::{pareto_indices, top_k_indices, Constraint, Direction, Objective};
 pub use space::{Axis, AxisItem, PointId, Space};
 
