@@ -87,8 +87,9 @@ pub fn exec(cli: &Cli) -> ExitCode {
 
     let mut cfg = params.reference_config();
 
-    // Without --threads, runs take the legacy sequential loop; with it,
-    // the sharded parallel engine (byte-identical at every count).
+    // Without --threads, runs take the sequential loop; with it,
+    // try_run_threads, which shards where no event can cross shards
+    // (byte-identical at every count).
     let runner = |cfg: &sudc::sim::SimConfig| match cli.threads {
         Some(n) => try_run_threads(cfg, n),
         None => try_run(cfg),

@@ -24,8 +24,7 @@ use crate::sim::faults::FaultSummary;
 use crate::sim::model::{ConfigError, DiscardPolicy, SimConfig, SimReport};
 use crate::sim::policy::{
     AdmissionDecision, AdmissionObs, BatchDecision, BatchObs, LinkObs, MigrationDecision,
-    MigrationObs, Policy, RerouteDecision, RerouteObs, RerouteSite, RetryDecision, ShedDecision,
-    ShedObs,
+    MigrationObs, Policy, RetryDecision, ShedDecision, ShedObs,
 };
 use crate::sim::serve::{
     admit as serve_admit, admit_scaled as serve_admit_scaled, Admission, LoadModel, Request,
@@ -41,8 +40,10 @@ use crate::sim::transport::Transport;
 /// riding along in every queued event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) struct FrameInFlight {
-    /// Frame id for the flight recorder (the value of the engine's
-    /// `generated` counter when the frame was imaged; ids start at 1).
+    /// Frame id for the flight recorder and the discard stream:
+    /// `k·n + sat + 1` for satellite `sat`'s `k`-th frame of `n`, which
+    /// is the frame's rank among all imaging events (see
+    /// [`on_generate`]); ids start at 1.
     id: u64,
     created: Time,
     /// ISL hops taken so far (bounds rerouted frames).
@@ -60,11 +61,11 @@ pub(super) struct FrameInFlight {
 }
 
 /// Simulation events. `pub(super)` so the sharded runner in
-/// [`super::parallel`] can seed and exchange them.
+/// [`super::parallel`] can seed them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum Ev {
-    /// Satellite `sat` images a frame.
-    Generate { sat: usize },
+    /// Satellite `sat` images its `k`-th frame (from 0).
+    Generate { sat: usize, k: u64 },
     /// A frame finishes crossing the ISL out of `from` and arrives at the
     /// next node toward the SµDC.
     Hop { frame: FrameInFlight, from: usize },
@@ -113,23 +114,6 @@ pub(super) enum Ev {
     },
 }
 
-/// One event-loop shard's identity in a sharded parallel run (see
-/// [`super::parallel`]): each shard owns one service unit's satellites
-/// and exchanges the only cross-shard traffic — reverse-routed frame
-/// hops — through its outbox at conservative lookahead-window barriers.
-pub(super) struct ShardCtx {
-    /// This shard's index == the service unit it owns.
-    index: usize,
-    /// Total satellite count across all shards (the frame-id stride).
-    n_total: u64,
-    /// Per-satellite generate ordinals (indexed by global satellite
-    /// id); only this shard's satellites are ever touched.
-    gen_ordinal: Vec<u64>,
-    /// Events destined for other shards: `(shard, fire time, event)`,
-    /// drained by the runner at each window barrier.
-    outbox: Vec<(usize, Time, Ev)>,
-}
-
 /// Per-run mutable state: the three layers plus the engine's own frame
 /// bookkeeping.
 pub(super) struct State {
@@ -159,16 +143,11 @@ pub(super) struct State {
     /// schedule no serve events and draw no serve RNG streams — keeping
     /// them byte-identical to the serve-unaware engine.
     serve: Option<ServeState>,
-    /// Shard identity in a sharded parallel run; `None` in the
-    /// sequential engine, which keeps every sharded branch dead.
-    shard: Option<ShardCtx>,
     /// The run's control-plane controller. Every decision site asks it
     /// with plain-value telemetry; the engine alone executes decisions
-    /// (and performs every RNG draw). Each shard builds its own
-    /// instance, so adaptive state is shard-local by construction.
+    /// (and performs every RNG draw).
     policy: Box<dyn Policy>,
-    /// Flight recorder; `None` keeps every trace site a dead branch
-    /// (same zero-cost-when-off discipline as `SchedulerCounters`).
+    /// Flight recorder; `None` keeps every trace site a dead branch.
     recorder: Option<Arc<Recorder>>,
     /// Locally buffered trace events: the engine numbers events itself
     /// and hands whole batches to the recorder, paying one lock (and,
@@ -228,7 +207,6 @@ impl State {
             frames_shed: 0,
             frames_corrupted: 0,
             serve,
-            shard: None,
             policy: cfg.policy.build(cfg),
             tbuf: Vec::with_capacity(recorder.as_ref().map_or(0, |r| r.batch_hint())),
             tbatch: recorder.as_ref().map_or(usize::MAX, |r| r.batch_hint()),
@@ -237,55 +215,21 @@ impl State {
         }
     }
 
-    /// Builds the state for shard `index` of a sharded parallel run:
-    /// identical to [`State::new`] (every shard holds the full layer
-    /// state so per-index reads need no translation) plus the shard
-    /// identity that switches frame-id assignment to the analytic form
-    /// and routes cross-shard hops through the outbox.
-    pub(super) fn new_sharded(cfg: &SimConfig, index: usize, pixel_capacity: f64) -> Self {
-        let mut st = State::new(cfg, None, pixel_capacity);
-        st.shard = Some(ShardCtx {
-            index,
-            n_total: cfg.plane.satellite_count() as u64,
-            gen_ordinal: vec![0; cfg.plane.satellite_count()],
-            outbox: Vec::new(),
-        });
-        st
-    }
-
-    /// Minimum time one of this run's frames spends crossing a hop —
-    /// the conservative lookahead bound the sharded parallel runner
-    /// windows on.
-    pub(super) fn lookahead_floor_s(&self) -> f64 {
-        self.transport.min_latency_s(self.frame_bits)
-    }
-
-    /// Drains the shard's cross-shard outbox (empty vec when sequential).
-    pub(super) fn take_outbox(&mut self) -> Vec<(usize, Time, Ev)> {
-        match self.shard.as_mut() {
-            Some(ctx) => std::mem::take(&mut ctx.outbox),
-            None => Vec::new(),
-        }
-    }
-
-    /// Folds co-shard `other` into `self` after a sharded run finishes:
-    /// integer counters add, the latency tallies merge with the
-    /// parallel Welford combine, and the per-index transport/service
-    /// state `other` owned moves over — so the merged state folds its
-    /// report exactly like a sequential run over the same indices.
-    /// Shards must be absorbed in ascending index order (the report's
-    /// f64 accumulation order is part of the byte-identity contract).
-    pub(super) fn absorb_shard(&mut self, other: &mut State) {
-        let Some(idx) = other.shard.as_ref().map(|c| c.index) else {
-            // lint:allow(panic-reachable-from-event-loop) statically unreachable: run_sharded absorbs only new_sharded states
-            unreachable!("absorb_shard is only called on sharded states");
-        };
+    /// Folds the finished shard `other`, which ran service unit
+    /// `unit`'s satellites, into `self`: integer counters add, the
+    /// latency tallies merge with the parallel Welford combine, and the
+    /// per-index transport/service state `other` owned moves over — so
+    /// the merged state folds its report exactly like a sequential run
+    /// over the same indices. Shards must be absorbed in ascending unit
+    /// order (the report's f64 accumulation order is part of the
+    /// thread-count identity contract).
+    pub(super) fn absorb_shard(&mut self, mut other: State, unit: usize) {
         for s in 0..self.cfg.plane.satellite_count() {
-            if self.topo.home_cluster(s) == idx {
+            if self.topo.home_cluster(s) == unit {
                 self.transport.adopt(&mut other.transport, s);
             }
         }
-        self.service.adopt(&mut other.service, idx);
+        self.service.adopt(&mut other.service, unit);
         self.queued_bits += other.queued_bits;
         self.generated += other.generated;
         self.kept += other.kept;
@@ -355,6 +299,25 @@ impl State {
     }
 }
 
+/// The reroute rule for a frame that cannot proceed forward: `true`
+/// sends it onto the reverse ring, `false` drops it. A frame whose
+/// retries ran out reverses unless it already walks the reverse ring;
+/// one that found its home SµDC down (`cluster_down`) reverses only
+/// while faults are active. Both need a topology with a reverse ring.
+fn reroutes(
+    cluster_down: bool,
+    reversed: bool,
+    supports_reverse: bool,
+    faults_active: bool,
+) -> bool {
+    let wanted = if cluster_down {
+        faults_active
+    } else {
+        !reversed
+    };
+    supports_reverse && wanted
+}
+
 /// Routes a frame out of `sat`, honouring link outages: an up link
 /// transmits; a down link retries with exponential backoff, then falls
 /// back to reverse-direction routing, and a frame whose both directions
@@ -400,45 +363,38 @@ fn dispatch(
                     );
                 }
                 RetryDecision::Escalate => {
-                    let obs = RerouteObs {
-                        unit: sat,
-                        now_s: now.as_secs(),
-                        site: RerouteSite::RetriesExhausted,
-                        reversed: frame.reversed,
-                        supports_reverse: st.topo.supports_reverse(),
-                        reverse_up: st.topo.reverse_direction_up(sat),
-                        faults_active: st.cfg.faults.active(),
-                    };
-                    match st.policy.decide_reroute(&obs) {
-                        RerouteDecision::Drop => {
-                            // Both directions exhausted their retries (or
-                            // there is no ring to fall back to): the frame
-                            // dies.
-                            st.undeliverable += 1;
-                            st.queued_bits -= st.frame_bits;
-                            st.trace(
-                                TraceRecord::at(now.as_secs(), TraceKind::Undeliverable)
-                                    .frame(frame.id)
-                                    .unit(sat)
-                                    .cause(TraceCause::RetriesExhausted)
-                                    .parent(frame.last_seq),
-                            );
-                        }
-                        RerouteDecision::Reverse { up } => {
-                            // Forward path dead: fall back to the reverse
-                            // ring.
-                            st.reroutes += 1;
-                            frame.reversed = true;
-                            frame.rev_up = up;
-                            frame.last_seq = st.trace(
-                                TraceRecord::at(now.as_secs(), TraceKind::Reroute)
-                                    .frame(frame.id)
-                                    .unit(sat)
-                                    .cause(TraceCause::LinkDown)
-                                    .parent(frame.last_seq),
-                            );
-                            dispatch(st, sched, frame, sat, now, 0);
-                        }
+                    if reroutes(
+                        false,
+                        frame.reversed,
+                        st.topo.supports_reverse(),
+                        st.cfg.faults.active(),
+                    ) {
+                        // Forward path dead: fall back to the reverse
+                        // ring.
+                        st.reroutes += 1;
+                        frame.reversed = true;
+                        frame.rev_up = st.topo.reverse_direction_up(sat);
+                        frame.last_seq = st.trace(
+                            TraceRecord::at(now.as_secs(), TraceKind::Reroute)
+                                .frame(frame.id)
+                                .unit(sat)
+                                .cause(TraceCause::LinkDown)
+                                .parent(frame.last_seq),
+                        );
+                        dispatch(st, sched, frame, sat, now, 0);
+                    } else {
+                        // Both directions exhausted their retries (or
+                        // there is no ring to fall back to): the frame
+                        // dies.
+                        st.undeliverable += 1;
+                        st.queued_bits -= st.frame_bits;
+                        st.trace(
+                            TraceRecord::at(now.as_secs(), TraceKind::Undeliverable)
+                                .frame(frame.id)
+                                .unit(sat)
+                                .cause(TraceCause::RetriesExhausted)
+                                .parent(frame.last_seq),
+                        );
                     }
                 }
             }
@@ -453,24 +409,6 @@ fn dispatch(
             .parent(frame.last_seq)
             .value((arrival - now).as_secs()),
     );
-    // Sharded runs: a reverse-routed hop is the only event whose
-    // handler touches another shard's state (the walk's next position
-    // can sit in a different arc). It travels through the outbox and is
-    // delivered at the next window barrier — safe because `arrival` is
-    // at least one full transmission + propagation ahead of `now`,
-    // which exceeds the runner's conservative lookahead window.
-    if frame.reversed {
-        if let Some(ctx) = st.shard.as_mut() {
-            let dest = st
-                .topo
-                .home_cluster(st.topo.reverse_next(sat, frame.rev_up));
-            if dest != ctx.index {
-                ctx.outbox
-                    .push((dest, arrival, Ev::Hop { frame, from: sat }));
-                return;
-            }
-        }
-    }
     sched.schedule_at(arrival, Ev::Hop { frame, from: sat });
 }
 
@@ -501,25 +439,16 @@ fn enqueue(
     );
 }
 
-/// Satellite `sat` images a frame: draw the discard (and possibly shed)
-/// coins, launch survivors into the network, and schedule the next
-/// imaging period.
-fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, now: Time) {
+/// Satellite `sat` images its `k`-th frame: draw the discard (and
+/// possibly shed) coins, launch survivors into the network, and
+/// schedule the next imaging period.
+fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, now: Time) {
     st.generated += 1;
-    // Frame ids must match across shard layouts: the staggered generate
-    // schedule fires satellite `sat`'s k-th frame as the (k·n + sat +
-    // 1)-th generate event globally, so a shard computes the id its
-    // event would have carried in the sequential loop analytically. The
-    // sequential engine keeps the counter form — the same value, and
-    // byte-identical to every run recorded before sharding existed.
-    let id = match st.shard.as_mut() {
-        Some(ctx) => {
-            let k = ctx.gen_ordinal[sat];
-            ctx.gen_ordinal[sat] = k + 1;
-            k * ctx.n_total + sat as u64 + 1
-        }
-        None => st.generated,
-    };
+    // The staggered generate schedule never reorders satellites, so
+    // satellite `sat`'s k-th frame is the (k·n + sat + 1)-th imaging
+    // event of the run. A shard, which sees only its own satellites,
+    // numbers its frames exactly as the sequential loop does.
+    let id = k * st.cfg.plane.satellite_count() as u64 + sat as u64 + 1;
     if st.keep_frame(sat, id, now) {
         st.kept += 1;
         let sensed = st.trace(
@@ -572,7 +501,7 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, now: Time)
                 .cause(TraceCause::Policy),
         );
     }
-    sched.schedule_in(st.cfg.frame.period, Ev::Generate { sat });
+    sched.schedule_in(st.cfg.frame.period, Ev::Generate { sat, k: k + 1 });
 }
 
 /// A reverse-routed frame walks the global ring until it passes a live
@@ -628,42 +557,35 @@ fn on_forward_hop(
         None => {
             let cluster = st.topo.home_cluster(from);
             if st.service.cluster_failed(cluster, now) {
-                let obs = RerouteObs {
-                    unit: from,
-                    now_s: now.as_secs(),
-                    site: RerouteSite::ClusterDown,
-                    reversed: frame.reversed,
-                    supports_reverse: st.topo.supports_reverse(),
-                    reverse_up: st.topo.reverse_direction_up(from),
-                    faults_active: st.cfg.faults.active(),
-                };
-                match st.policy.decide_reroute(&obs) {
-                    RerouteDecision::Reverse { up } => {
-                        st.reroutes += 1;
-                        let mut f = frame;
-                        f.reversed = true;
-                        f.rev_up = up;
-                        f.hops += 1;
-                        f.last_seq = st.trace(
-                            TraceRecord::at(now.as_secs(), TraceKind::Reroute)
-                                .frame(f.id)
-                                .unit(from)
-                                .cause(TraceCause::ClusterDown)
-                                .parent(f.last_seq),
-                        );
-                        dispatch(st, sched, f, from, now, 0);
-                    }
-                    RerouteDecision::Drop => {
-                        st.queued_bits -= st.frame_bits;
-                        st.lost_to_failures += 1;
-                        st.trace(
-                            TraceRecord::at(now.as_secs(), TraceKind::LostCluster)
-                                .frame(frame.id)
-                                .unit(cluster)
-                                .cause(TraceCause::ClusterDown)
-                                .parent(frame.last_seq),
-                        );
-                    }
+                if reroutes(
+                    true,
+                    frame.reversed,
+                    st.topo.supports_reverse(),
+                    st.cfg.faults.active(),
+                ) {
+                    st.reroutes += 1;
+                    let mut f = frame;
+                    f.reversed = true;
+                    f.rev_up = st.topo.reverse_direction_up(from);
+                    f.hops += 1;
+                    f.last_seq = st.trace(
+                        TraceRecord::at(now.as_secs(), TraceKind::Reroute)
+                            .frame(f.id)
+                            .unit(from)
+                            .cause(TraceCause::ClusterDown)
+                            .parent(f.last_seq),
+                    );
+                    dispatch(st, sched, f, from, now, 0);
+                } else {
+                    st.queued_bits -= st.frame_bits;
+                    st.lost_to_failures += 1;
+                    st.trace(
+                        TraceRecord::at(now.as_secs(), TraceKind::LostCluster)
+                            .frame(frame.id)
+                            .unit(cluster)
+                            .cause(TraceCause::ClusterDown)
+                            .parent(frame.last_seq),
+                    );
                 }
                 return;
             }
@@ -1346,7 +1268,7 @@ fn on_serve_batch_done(
 pub(super) fn step(st: &mut State, sched: &mut Scheduler<Ev>, ev: simkit::Event<Ev>) {
     let now = ev.time;
     match ev.payload {
-        Ev::Generate { sat } => on_generate(st, sched, sat, now),
+        Ev::Generate { sat, k } => on_generate(st, sched, sat, k, now),
         Ev::Hop { frame, from } if frame.reversed => on_reverse_hop(st, sched, frame, from, now),
         Ev::Hop { frame, from } => on_forward_hop(st, sched, frame, from, now),
         Ev::Retry {
@@ -1383,7 +1305,7 @@ pub(super) fn step(st: &mut State, sched: &mut Scheduler<Ev>, ev: simkit::Event<
 pub(super) fn seed_generate(sched: &mut Scheduler<Ev>, cfg: &SimConfig, sat: usize) {
     let n = cfg.plane.satellite_count();
     let offset = cfg.frame.period * (sat as f64 / n as f64);
-    sched.schedule_at(offset, Ev::Generate { sat });
+    sched.schedule_at(offset, Ev::Generate { sat, k: 0 });
 }
 
 /// Assembles the report: utilisation from the layers' busy-time
@@ -1437,9 +1359,16 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
     }
 
     if telemetry::level_enabled(telemetry::Level::Debug) {
-        if let Some(rep) = sched.probe_report() {
-            telemetry::debug("sim.scheduler", rep.fields());
-        }
+        let counters = sched.counters();
+        telemetry::debug(
+            "sim.scheduler",
+            vec![
+                ("scheduled".into(), counters.scheduled.into()),
+                ("processed".into(), counters.processed.into()),
+                ("peak_queue_depth".into(), counters.peak_queue_depth.into()),
+                ("sim_time_s".into(), sched.now().as_secs().into()),
+            ],
+        );
         if cfg.faults.active() {
             telemetry::debug(
                 "sim.faults",
@@ -1479,7 +1408,7 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
         lost_to_failures: st.lost_to_failures,
         goodput,
         stable,
-        scheduler: sched.probe_counters().unwrap_or_default(),
+        scheduler: sched.counters(),
         faults: fault_summary,
         serve: st.serve.as_ref().map(|s| s.report(horizon)),
     }
@@ -1517,7 +1446,6 @@ fn try_run_with(
     let mut st = State::new(cfg, recorder, pixel_capacity);
 
     let mut sched: Scheduler<Ev> = Scheduler::new();
-    sched.enable_probe();
     for sat in 0..n {
         seed_generate(&mut sched, cfg, sat);
     }
@@ -1554,6 +1482,28 @@ mod tests {
     use crate::sizing::SudcSpec;
     use units::{DataRate, Length};
     use workloads::{Application, Device};
+
+    #[test]
+    fn reroute_rule_reverses_only_where_a_reverse_ring_can_help() {
+        // (cluster_down, reversed, supports_reverse, faults_active) → reverse?
+        let table = [
+            // Retries exhausted: reverse only from an un-reversed frame
+            // on a reverse-capable topology.
+            ((false, false, true, true), true),
+            ((false, true, true, true), false),
+            ((false, false, false, true), false),
+            // Cluster down: reverse needs both a ring and active faults.
+            ((true, false, true, true), true),
+            ((true, false, true, false), false),
+        ];
+        for ((down, reversed, ring, faults), want) in table {
+            assert_eq!(
+                reroutes(down, reversed, ring, faults),
+                want,
+                "cluster_down={down} reversed={reversed} ring={ring} faults={faults}"
+            );
+        }
+    }
 
     fn quick(app: Application, res_m: f64, discard: f64, clusters: usize) -> SimReport {
         let mut cfg = SimConfig::paper_reference(app, Length::from_m(res_m), discard);

@@ -1,69 +1,47 @@
-//! Sharded parallel event loop with conservative time-windowed
-//! lookahead.
+//! Sharded parallel event loop for runs whose shards never exchange an
+//! event.
 //!
-//! The layered engine's state partitions cleanly along service-unit
-//! lines: every forward relay chain stays inside its home arc, the
+//! The layered engine's state partitions along service-unit lines:
+//! every forward relay chain stays inside its home arc, and the
 //! transport/service/RNG state an event touches is indexed by the
-//! satellite or unit it happens at, and the only traffic that ever
-//! crosses an arc boundary is a reverse-routed frame walking the global
-//! ring around a fault. That makes the home cluster a natural shard:
-//! each shard runs the *same* event loop ([`super::engine::step`]) over
-//! its own satellites, and the single cross-shard edge — a reversed hop
-//! — is exchanged through per-shard outboxes at window barriers.
+//! satellite or unit it happens at. Only a reverse-routed frame, which
+//! walks the global ring around a fault or migrates to another sub-arc,
+//! crosses an arc boundary, and only a serving layer, backlog-triggered
+//! degradation or an adaptive controller reads state that spans arcs.
+//! A run with none of these splits into independent shards, one per
+//! unit: each shard runs the *same* event loop ([`super::engine::step`])
+//! over its own satellites to the horizon, on its own calendar, and
+//! [`explore::map`] runs the shards on the worker threads.
 //!
-//! ## Lookahead and byte-identity
+//! ## The report contract
 //!
-//! A reversed hop scheduled at `now` fires no earlier than `now` plus
-//! one full serialization + propagation delay (an idle link; a busy one
-//! is later still). Windows are sized at [`LOOKAHEAD_SAFETY`] × that
-//! minimum hop latency, so an event emitted inside window `k` always
-//! fires strictly after window `k` ends — delivering outboxes at the
-//! barrier can never violate causality, and each shard's event order is
-//! a pure function of its own state plus the (deterministically
-//! ordered) barrier deliveries. Window boundaries, shard claiming, and
-//! delivery order are all independent of the worker count, so an
-//! N-thread run is byte-identical to a 1-thread run by construction.
-//! Fault-free runs schedule no reversed hops at all; every event stays
-//! shard-local, each shard processes exactly the sequential loop's
-//! event subsequence, and the merged report reproduces the sequential
-//! one (`results/simval.*`) — counters and per-index folds exactly,
-//! merged f64 accumulations to within ulps of the artifacts' printed
-//! precision.
+//! A shard processes exactly the sequential loop's event subsequence
+//! for its satellites, and frames are numbered by the same formula in
+//! both loops, so every counter and per-index fold of the merged report
+//! equals the sequential one. Shards merge in ascending unit order
+//! whatever the thread count, so every thread count gives the same
+//! bytes. Two fields differ from [`super::engine::try_run`]'s report:
+//! the peak queue depth is the sum of the shard peaks (an upper bound
+//! on the sequential peak), and the mean latency merges per-shard
+//! tallies, within 1e-9 s of the sequential mean.
 //!
-//! Runs the sharding cannot serve — serve scenarios (tenant state spans
-//! clusters), backlog-triggered degradation (sheds on the *global*
-//! backlog), recorded runs (one totally-ordered trace log), and
-//! single-unit topologies — fall back to the sequential engine at every
-//! thread count, preserving identity trivially.
+//! Every other run — serve scenarios, degradation, adaptive
+//! controllers, single-unit topologies, and faulted runs on a topology
+//! with a reverse ring — runs on the sequential engine at every thread
+//! count, so its report equals `try_run`'s exactly.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex, PoisonError};
-
+use explore::ExecOptions;
 use simkit::Scheduler;
-use units::Time;
 
-use crate::sim::engine::{self, Ev, State};
+use crate::sim::engine::{self, State};
 use crate::sim::model::{ConfigError, SimConfig, SimReport};
+use crate::sim::policy::PolicyKind;
 use crate::sim::topology;
 
-/// Fraction of the one-hop minimum latency used as the lookahead
-/// window. The margin absorbs floating-point rounding in the
-/// transport's arrival arithmetic (each add rounds, so an arrival can
-/// land ulps short of the exact sum) with room to spare.
-const LOOKAHEAD_SAFETY: f64 = 0.75;
-
-/// One event-loop shard: its slice of the world plus its own calendar.
-struct Shard {
-    st: State,
-    sched: Scheduler<Ev>,
-}
-
-/// Runs the simulation on `threads` worker threads by sharding the
-/// event loop per service unit, returning a report byte-identical to
-/// the same call with any other thread count. Configurations the
-/// sharding cannot serve (serve scenarios, global-backlog degradation,
-/// single-unit topologies) run on the sequential engine instead — at
-/// every thread count, so identity still holds.
+/// Runs the simulation on up to `threads` worker threads by sharding
+/// the event loop per service unit where no event can cross shards (see
+/// the module docs for the rule and the report contract), and on the
+/// sequential engine otherwise.
 ///
 /// # Panics
 ///
@@ -76,20 +54,63 @@ pub fn try_run_threads(cfg: &SimConfig, threads: usize) -> Result<SimReport, Con
     let pixel_capacity = cfg
         .unit_pixel_capacity()
         .ok_or(ConfigError::UnmeasuredWorkload)?;
-    Ok(run_sharded(cfg, threads.max(1), pixel_capacity))
+    let topo = topology::from_config(cfg);
+    let home: Vec<usize> = (0..cfg.plane.satellite_count())
+        .map(|s| topo.home_cluster(s))
+        .collect();
+    let units: Vec<usize> = (0..topo.units()).collect();
+    let opts = ExecOptions::threads(threads);
+
+    let shards = explore::map(&units, &opts, |&unit| {
+        let mut st = State::new(cfg, None, pixel_capacity);
+        let mut sched = Scheduler::new();
+        // Ascending satellite order: per-shard insertion order (the
+        // calendar's tie-breaker) matches the sequential seeding.
+        for sat in (0..home.len()).filter(|&s| home[s] == unit) {
+            engine::seed_generate(&mut sched, cfg, sat);
+        }
+        simkit::run_until(&mut sched, &mut st, cfg.duration, engine::step);
+        (st, sched)
+    });
+
+    // Merge in ascending unit order: f64 merge order is part of the
+    // thread-count identity contract.
+    let mut shards = shards.into_iter();
+    let Some((mut st, mut sched)) = shards.next() else {
+        return engine::try_run(cfg);
+    };
+    for (unit, (other, other_sched)) in (1..).zip(shards) {
+        st.absorb_shard(other, unit);
+        sched.absorb_counters(&other_sched.counters());
+    }
+    if telemetry::level_enabled(telemetry::Level::Debug) {
+        telemetry::debug(
+            "sim.parallel",
+            vec![
+                ("shards".to_string(), (units.len() as u64).into()),
+                (
+                    "threads".to_string(),
+                    (opts.threads.min(units.len()) as u64).into(),
+                ),
+            ],
+        );
+    }
+    Ok(engine::report(st, &sched, cfg))
 }
 
-/// Whether the configuration partitions along service-unit lines. The
+/// Whether no event can cross between the per-unit shards: the static
+/// controller, no serving layer, no degradation, at least two units,
+/// and no reverse ring that active faults could route onto. The
 /// forward-chain containment check is true for every shipped topology
 /// (arcs own their relay chains); it is verified rather than assumed so
-/// a future shape that breaks it degrades to the sequential engine
-/// instead of corrupting state.
+/// a future shape that breaks it runs sequentially instead of
+/// corrupting state.
 fn shardable(cfg: &SimConfig) -> bool {
-    if cfg.serve.is_some() || cfg.faults.degradation.is_some() {
+    if cfg.policy != PolicyKind::Static || cfg.serve.is_some() || cfg.faults.degradation.is_some() {
         return false;
     }
     let topo = topology::from_config(cfg);
-    if topo.units() < 2 {
+    if topo.units() < 2 || (topo.supports_reverse() && cfg.faults.active()) {
         return false;
     }
     let n = cfg.plane.satellite_count();
@@ -99,246 +120,12 @@ fn shardable(cfg: &SimConfig) -> bool {
     })
 }
 
-/// Pops and handles `sh`'s events that fire before `wend_s` (exclusive
-/// — boundary events belong to the next window) and within the horizon
-/// (inclusive, matching the sequential loop's closed end).
-fn run_window(sh: &mut Shard, wend_s: f64, duration: Time) {
-    while let Some(t) = sh.sched.peek_time() {
-        if t.as_secs() >= wend_s || t > duration {
-            break;
-        }
-        let Some(ev) = sh.sched.pop() else {
-            break;
-        };
-        engine::step(&mut sh.st, &mut sh.sched, ev);
-    }
-}
-
-/// Drains every shard's outbox in ascending shard order and schedules
-/// the events on their destination calendars — the single point where
-/// shards interact, and deliberately single-threaded so delivery order
-/// (hence destination-side tie-breaking) never depends on worker
-/// timing. Returns how many events crossed.
-fn exchange(shards: &mut [Shard]) -> u64 {
-    let mut crossed = 0u64;
-    for i in 0..shards.len() {
-        let moved = shards[i].st.take_outbox();
-        crossed += moved.len() as u64;
-        for (dest, at, ev) in moved {
-            shards[dest].sched.schedule_at(at, ev);
-        }
-    }
-    crossed
-}
-
-/// Start of window `k`; multiplication (not accumulation) so boundaries
-/// are identical no matter how a runner iterates to them.
-fn window_start(k: u64, lookahead_s: f64) -> f64 {
-    if k == 0 {
-        0.0
-    } else {
-        k as f64 * lookahead_s
-    }
-}
-
-fn run_sharded(cfg: &SimConfig, threads: usize, pixel_capacity: f64) -> SimReport {
-    let topo = topology::from_config(cfg);
-    let units = topo.units();
-    let n = cfg.plane.satellite_count();
-
-    let mut shards: Vec<Shard> = (0..units)
-        .map(|i| {
-            let mut sched = Scheduler::new();
-            sched.enable_probe();
-            Shard {
-                st: State::new_sharded(cfg, i, pixel_capacity),
-                sched,
-            }
-        })
-        .collect();
-    // Seed each satellite's first imaging event on its home shard in
-    // ascending satellite order — per-shard insertion order (the
-    // schedulers' tie-breaker) is part of the determinism contract.
-    for sat in 0..n {
-        engine::seed_generate(&mut shards[topo.home_cluster(sat)].sched, cfg, sat);
-    }
-
-    // Cross-shard traffic exists only where reverse routing can
-    // activate; without it the whole horizon is one window and shards
-    // free-run to completion with a single barrier.
-    let can_reverse = topo.supports_reverse() && cfg.faults.active();
-    let lookahead_s = if can_reverse {
-        LOOKAHEAD_SAFETY * shards[0].st.lookahead_floor_s()
-    } else {
-        f64::INFINITY
-    };
-
-    let duration = cfg.duration;
-    let workers = threads.min(units);
-    let (windows, crossed) = if workers <= 1 {
-        run_windows_inline(&mut shards, lookahead_s, duration)
-    } else {
-        run_windows_threaded(&mut shards, workers, lookahead_s, duration)
-    };
-
-    // Merge in ascending shard order: f64 merge order is part of the
-    // thread-count-identity contract.
-    let mut iter = shards.into_iter();
-    let Some(mut base) = iter.next() else {
-        // lint:allow(panic-reachable-from-event-loop) statically unreachable: shardable() admits only unit counts >= 2
-        unreachable!("shardable() requires at least two units");
-    };
-    for mut other in iter {
-        base.st.absorb_shard(&mut other.st);
-        if let Some(counters) = other.sched.probe_counters() {
-            base.sched.absorb_probe(&counters);
-        }
-    }
-
-    if telemetry::level_enabled(telemetry::Level::Debug) {
-        telemetry::debug(
-            "sim.parallel",
-            vec![
-                ("shards".to_string(), (units as u64).into()),
-                ("workers".to_string(), (workers as u64).into()),
-                ("windows".to_string(), windows.into()),
-                ("cross_shard_events".to_string(), crossed.into()),
-                (
-                    "lookahead_s".to_string(),
-                    if lookahead_s.is_finite() {
-                        lookahead_s
-                    } else {
-                        0.0
-                    }
-                    .into(),
-                ),
-            ],
-        );
-    }
-
-    engine::report(base.st, &base.sched, cfg)
-}
-
-/// The windowed loop on the calling thread — the same barrier-step
-/// algorithm as [`run_windows_threaded`] minus the threads, so a
-/// 1-thread run retraces an N-thread run's windows exactly.
-fn run_windows_inline(shards: &mut [Shard], lookahead_s: f64, duration: Time) -> (u64, u64) {
-    let duration_s = duration.as_secs();
-    let (mut windows, mut crossed) = (0u64, 0u64);
-    let mut k = 0u64;
-    while window_start(k, lookahead_s) <= duration_s {
-        let wend = if lookahead_s.is_finite() {
-            (k + 1) as f64 * lookahead_s
-        } else {
-            f64::INFINITY
-        };
-        for sh in shards.iter_mut() {
-            run_window(sh, wend, duration);
-        }
-        windows += 1;
-        crossed += exchange(shards);
-        k += 1;
-    }
-    (windows, crossed)
-}
-
-/// The windowed loop across `workers` scoped threads: per window, the
-/// main thread publishes the window end, workers claim shards off a
-/// shared cursor and run them to the boundary, and after the closing
-/// barrier the main thread alone exchanges outboxes. Which worker runs
-/// which shard varies run to run; nothing a shard computes depends on
-/// it.
-fn run_windows_threaded(
-    shards: &mut Vec<Shard>,
-    workers: usize,
-    lookahead_s: f64,
-    duration: Time,
-) -> (u64, u64) {
-    let duration_s = duration.as_secs();
-    let (mut windows, mut crossed) = (0u64, 0u64);
-
-    let cells: Vec<Mutex<Shard>> = std::mem::take(shards).into_iter().map(Mutex::new).collect();
-    let done = AtomicBool::new(false);
-    let wend_bits = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(0);
-    let start_barrier = Barrier::new(workers + 1);
-    let end_barrier = Barrier::new(workers + 1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                start_barrier.wait();
-                if done.load(Ordering::Acquire) {
-                    return;
-                }
-                let wend = f64::from_bits(wend_bits.load(Ordering::Acquire));
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    // A poisoned lock means a sibling worker panicked;
-                    // bail and let the scope propagate its panic.
-                    let Ok(mut sh) = cells[i].lock() else {
-                        return;
-                    };
-                    run_window(&mut sh, wend, duration);
-                }
-                end_barrier.wait();
-            });
-        }
-
-        let mut k = 0u64;
-        loop {
-            if window_start(k, lookahead_s) > duration_s {
-                done.store(true, Ordering::Release);
-                start_barrier.wait();
-                break;
-            }
-            let wend = if lookahead_s.is_finite() {
-                (k + 1) as f64 * lookahead_s
-            } else {
-                f64::INFINITY
-            };
-            wend_bits.store(wend.to_bits(), Ordering::Release);
-            cursor.store(0, Ordering::Release);
-            start_barrier.wait();
-            end_barrier.wait();
-            windows += 1;
-            // Workers are parked before the next start barrier: the
-            // main thread owns every shard here.
-            for i in 0..cells.len() {
-                let moved = cells[i]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .st
-                    .take_outbox();
-                crossed += moved.len() as u64;
-                for (dest, at, ev) in moved {
-                    cells[dest]
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .sched
-                        .schedule_at(at, ev);
-                }
-            }
-            k += 1;
-        }
-    });
-
-    *shards = cells
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    (windows, crossed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::faults::FaultModel;
     use crate::sim::model::SimTopology;
-    use units::Length;
+    use units::{Length, Time};
     use workloads::Application;
 
     fn base_cfg(clusters: usize) -> SimConfig {
@@ -349,33 +136,18 @@ mod tests {
         cfg
     }
 
-    /// Every field except the scheduler probe (whose peak-depth merge
-    /// is an aggregate bound, not the sequential global peak).
-    fn assert_matches_sequential(par: &SimReport, seq: &SimReport) {
-        assert_eq!(par.generated, seq.generated);
-        assert_eq!(par.kept, seq.kept);
-        assert_eq!(par.processed, seq.processed);
-        assert_eq!(par.lost_to_failures, seq.lost_to_failures);
-        assert_eq!(par.goodput, seq.goodput);
-        assert_eq!(par.stable, seq.stable);
-        assert_eq!(par.faults, seq.faults);
-        assert_eq!(par.ingest_utilization, seq.ingest_utilization);
-        assert_eq!(par.compute_utilization, seq.compute_utilization);
-        assert!((par.mean_latency_s - seq.mean_latency_s).abs() < 1e-9);
-        assert_eq!(par.max_latency_s, seq.max_latency_s);
-        assert_eq!(
-            par.scheduler.scheduled + par.scheduler.processed,
-            seq.scheduler.scheduled + seq.scheduler.processed,
-            "event totals must merge exactly"
-        );
-    }
-
+    /// The report contract: every field equal except the merged peak
+    /// queue depth (an upper bound) and the mean latency (within 1e-9 s).
     #[test]
     fn fault_free_sharded_run_matches_the_sequential_engine() {
         let cfg = base_cfg(4);
         let seq = engine::try_run(&cfg).expect("valid config");
-        let par = try_run_threads(&cfg, 4).expect("valid config");
-        assert_matches_sequential(&par, &seq);
+        let mut par = try_run_threads(&cfg, 4).expect("valid config");
+        assert!(par.scheduler.peak_queue_depth >= seq.scheduler.peak_queue_depth);
+        assert!((par.mean_latency_s - seq.mean_latency_s).abs() < 1e-9);
+        par.scheduler.peak_queue_depth = seq.scheduler.peak_queue_depth;
+        par.mean_latency_s = seq.mean_latency_s;
+        assert_eq!(par, seq);
     }
 
     #[test]
@@ -402,32 +174,40 @@ mod tests {
     }
 
     #[test]
-    fn faulted_sharded_runs_exchange_cross_shard_hops_and_stay_deterministic() {
-        let mut cfg = base_cfg(4);
-        cfg.faults = FaultModel::scenario("flaky_links").expect("registered scenario");
-        let a = try_run_threads(&cfg, 4).expect("valid config");
-        let b = try_run_threads(&cfg, 4).expect("valid config");
-        assert_eq!(a, b, "same seed, same report");
-        assert!(a.faults.retries > 0, "outages must bite: {:?}", a.faults);
-        // The sequential engine agrees on the schedule-shaped counters
-        // even under faults (reverse traffic changes only f64 details).
-        let seq = engine::try_run(&cfg).expect("valid config");
-        assert_eq!(a.generated, seq.generated);
-    }
-
-    #[test]
     fn ineligible_configurations_fall_back_to_the_sequential_engine() {
         // Single unit: nothing to shard.
         let one_cluster = base_cfg(1);
-        let seq = engine::try_run(&one_cluster).expect("valid config");
-        let par = try_run_threads(&one_cluster, 4).expect("valid config");
-        assert_eq!(seq, par, "fallback must be the sequential engine");
 
         // Global-backlog degradation reads state no shard owns.
         let mut degraded = base_cfg(4);
         degraded.faults = FaultModel::scenario("combined").expect("registered scenario");
-        let seq = engine::try_run(&degraded).expect("valid config");
-        let par = try_run_threads(&degraded, 4).expect("valid config");
-        assert_eq!(seq, par, "degradation falls back to sequential");
+
+        // Outages on a reverse-capable ring reroute frames across arcs.
+        let mut flaky = base_cfg(4);
+        flaky.faults = FaultModel::scenario("flaky_links").expect("registered scenario");
+
+        // Fault-free, but the predictive controller migrates frames
+        // from one sub-arc to the other.
+        let mut migrating =
+            SimConfig::paper_reference(Application::FloodDetection, Length::from_m(1.0), 0.5);
+        migrating.topology = SimTopology::SplitRing { factor: 2 };
+        migrating.clusters = 2;
+        migrating.duration = Time::from_minutes(2.0);
+        migrating.policy = PolicyKind::Predictive;
+
+        for (name, cfg) in [
+            ("one cluster", &one_cluster),
+            ("degraded", &degraded),
+            ("flaky ring", &flaky),
+            ("predictive split:2", &migrating),
+        ] {
+            let seq = engine::try_run(cfg).expect("valid config");
+            for threads in [1, 2, 4] {
+                let par = try_run_threads(cfg, threads).expect("valid config");
+                assert_eq!(par, seq, "{name} at {threads} threads");
+            }
+        }
+        let seq = engine::try_run(&migrating).expect("valid config");
+        assert_eq!(seq.faults.reroutes, 10, "migrations must cross arcs");
     }
 }

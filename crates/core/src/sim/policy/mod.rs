@@ -18,9 +18,13 @@
 //! observation fields alone. [`StaticPolicy`] overrides nothing, so a
 //! `--policy static` run (or one that omits the flag) performs the
 //! same draws on the same streams in the same order as the
-//! pre-policy-layer engine — sequentially and per shard, since each
-//! shard builds its own controller (shard-local policy state by
-//! construction).
+//! pre-policy-layer engine. Only static runs are sharded
+//! ([`super::parallel`]); adaptive controllers always run on the
+//! sequential engine, so their state is never split across shards.
+//!
+//! Where a frame goes when it cannot proceed forward is not a decision
+//! site: no controller shaped it, so the engine applies the static
+//! reroute rule itself.
 
 mod baseline;
 mod predictive;
@@ -86,15 +90,6 @@ impl PolicyKind {
     }
 }
 
-/// Where a reroute question arose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RerouteSite {
-    /// A frame's outbound link exhausted its retry budget.
-    RetriesExhausted,
-    /// A frame reached its home SµDC and found the cluster down.
-    ClusterDown,
-}
-
 /// Telemetry at a blocked-link retry decision (frame or request side).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkObs {
@@ -111,25 +106,6 @@ pub struct LinkObs {
     pub reversed: bool,
     /// `true` for serve-request transmissions (which never reroute).
     pub serve: bool,
-}
-
-/// Telemetry at a reroute decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RerouteObs {
-    /// Node holding the frame.
-    pub unit: usize,
-    /// Sim time, seconds.
-    pub now_s: f64,
-    /// Which decision site is asking.
-    pub site: RerouteSite,
-    /// Whether the frame is already reverse-routed.
-    pub reversed: bool,
-    /// Whether the topology has a reverse ring at all.
-    pub supports_reverse: bool,
-    /// The topology's preferred reverse walk direction from `unit`.
-    pub reverse_up: bool,
-    /// Whether any stochastic fault process is configured.
-    pub faults_active: bool,
 }
 
 /// Telemetry at a source-shed decision (one per kept frame).
@@ -205,15 +181,6 @@ pub enum RetryDecision {
     Escalate,
 }
 
-/// Reroute decision for a frame that cannot proceed forward.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RerouteDecision {
-    /// Fall back to the reverse ring, walking `up` or down.
-    Reverse { up: bool },
-    /// Drop the frame (undeliverable / lost, per site).
-    Drop,
-}
-
 /// Source-shed decision for a newly kept frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ShedDecision {
@@ -261,34 +228,14 @@ pub enum MigrationDecision {
 /// fields alone, without touching controller state or RNG. Adaptive
 /// controllers override the subset of decisions they shape.
 ///
-/// `Send` because sharded runs move each shard's state (controller
-/// included) onto its worker thread.
+/// `Send` because sharded runs build each shard's state (controller
+/// included) on a worker thread and hand it back to the caller.
 pub trait Policy: std::fmt::Debug + Send {
     /// Retry a blocked transmission, or give up?
     fn decide_retry(&mut self, obs: &LinkObs) -> RetryDecision {
         match obs.baseline_delay_s {
             Some(delay_s) => RetryDecision::Retry { delay_s },
             None => RetryDecision::Escalate,
-        }
-    }
-
-    /// Where does a frame that cannot proceed forward go?
-    fn decide_reroute(&mut self, obs: &RerouteObs) -> RerouteDecision {
-        match obs.site {
-            RerouteSite::RetriesExhausted => {
-                if obs.reversed || !obs.supports_reverse {
-                    RerouteDecision::Drop
-                } else {
-                    RerouteDecision::Reverse { up: obs.reverse_up }
-                }
-            }
-            RerouteSite::ClusterDown => {
-                if obs.supports_reverse && obs.faults_active {
-                    RerouteDecision::Reverse { up: obs.reverse_up }
-                } else {
-                    RerouteDecision::Drop
-                }
-            }
         }
     }
 
@@ -345,47 +292,6 @@ mod tests {
                 ..obs
             }),
             RetryDecision::Escalate
-        );
-
-        // Retries exhausted: reverse only from an un-reversed frame on
-        // a reverse-capable topology.
-        let r = RerouteObs {
-            unit: 0,
-            now_s: 1.0,
-            site: RerouteSite::RetriesExhausted,
-            reversed: false,
-            supports_reverse: true,
-            reverse_up: true,
-            faults_active: true,
-        };
-        assert_eq!(p.decide_reroute(&r), RerouteDecision::Reverse { up: true });
-        assert_eq!(
-            p.decide_reroute(&RerouteObs {
-                reversed: true,
-                ..r
-            }),
-            RerouteDecision::Drop
-        );
-        assert_eq!(
-            p.decide_reroute(&RerouteObs {
-                supports_reverse: false,
-                ..r
-            }),
-            RerouteDecision::Drop
-        );
-
-        // Cluster down: reverse needs both a ring and active faults.
-        let c = RerouteObs {
-            site: RerouteSite::ClusterDown,
-            ..r
-        };
-        assert_eq!(p.decide_reroute(&c), RerouteDecision::Reverse { up: true });
-        assert_eq!(
-            p.decide_reroute(&RerouteObs {
-                faults_active: false,
-                ..c
-            }),
-            RerouteDecision::Drop
         );
 
         let shed = ShedObs {

@@ -14,16 +14,15 @@
 //!    [`BURST_WINDOW_S`], so the window keeps just those timestamps and
 //!    costs O(1) per decision. That relies on observation times never
 //!    decreasing, which holds because each decision is taken at the
-//!    (shard-local) sim time of the event being handled.
+//!    sim time of the event being handled.
 //! 2. **Shed equalization across tenants.** When one tenant's shed
 //!    count runs well past the mean, its backlog shed threshold is
 //!    scaled up (shed less) while under-shed tenants are scaled down,
 //!    pushing the skew back toward fair degradation.
 //!
 //! The controller draws no RNG and its state is plain counters, so
-//! double runs of the same config are identical; under the sharded
-//! loop each shard owns an independent instance (shard-local state),
-//! so a sharded run is deterministic for a fixed shard layout.
+//! double runs of the same config are identical. Adaptive runs never
+//! shard, so one instance sees every decision of the run.
 
 use std::collections::VecDeque;
 
@@ -74,8 +73,8 @@ impl ReactivePolicy {
         if let Some(&last) = self.recent_down_s.back() {
             debug_assert!(
                 now_s >= last,
-                "link-down observations must come in non-decreasing (shard-local) \
-                 sim time: {now_s} after {last}"
+                "link-down observations must come in non-decreasing sim time: \
+                 {now_s} after {last}"
             );
         }
         while let Some(&oldest) = self.recent_down_s.front() {

@@ -121,15 +121,6 @@ impl Transport {
         self.link_free[sat].as_secs()
     }
 
-    /// Minimum time a `bits`-sized transmission spends in flight —
-    /// serialization plus one-hop propagation, with an idle link. This
-    /// is the conservative lookahead bound the sharded parallel runner
-    /// windows on: no event can cross between shards faster than one
-    /// full hop.
-    pub fn min_latency_s(&self, bits: f64) -> f64 {
-        bits / self.capacity_bps + self.hop_prop.as_secs()
-    }
-
     /// Takes satellite `sat`'s link state — the occupancy high-water
     /// mark and both directions' outage processes — from `donor`, the
     /// shard that owned `sat` in a sharded run. After every owned index

@@ -19,26 +19,18 @@ pub struct ExecOptions {
     /// Worker threads, the caller included; `1` runs inline on the
     /// caller.
     pub threads: usize,
-    /// Items per scheduling chunk; `0` picks `len / (threads × 8)`,
-    /// clamped to at least 1 (8 chunks per thread keeps the tail
-    /// balanced without contending on the cursor).
-    pub chunk: usize,
 }
 
 impl ExecOptions {
     /// Single-threaded execution.
     pub fn sequential() -> Self {
-        Self {
-            threads: 1,
-            chunk: 0,
-        }
+        Self { threads: 1 }
     }
 
     /// A fixed thread count.
     pub fn threads(threads: usize) -> Self {
         Self {
             threads: threads.max(1),
-            chunk: 0,
         }
     }
 
@@ -47,15 +39,14 @@ impl ExecOptions {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        Self { threads, chunk: 0 }
+        Self { threads }
     }
 
+    /// Items per scheduling chunk: `len / (threads × 8)`, at least 1.
+    /// Eight chunks per thread keep the tail balanced without
+    /// contending on the cursor.
     fn chunk_for(&self, len: usize) -> usize {
-        if self.chunk > 0 {
-            self.chunk
-        } else {
-            (len / (self.threads * 8)).max(1)
-        }
+        (len / (self.threads * 8)).max(1)
     }
 }
 
@@ -335,13 +326,11 @@ mod tests {
 
     #[test]
     fn uneven_work_is_stolen() {
-        // One point is 1000× the others: with a chunk of 1, the threads
-        // stuck behind it lose their share to the fast ones.
-        let space = demo_space(32);
-        let opts = ExecOptions {
-            threads: 4,
-            chunk: 1,
-        };
+        // One point is 1000× the others: 60 points on 4 threads make
+        // chunks of 1, so the threads stuck behind it lose their share
+        // to the fast ones.
+        let space = demo_space(20);
+        let opts = ExecOptions::threads(4);
         let out = sweep(&space, &opts, |&(a, _)| {
             let spins = if a == 0 { 200_000u64 } else { 200 };
             // A live loop the optimiser cannot elide entirely.
@@ -357,15 +346,16 @@ mod tests {
 
     #[test]
     fn map_keeps_item_order_at_any_thread_count() {
-        let items: Vec<u64> = (0..50).collect();
-        let want: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            for chunk in [0, 1, 7] {
-                let opts = ExecOptions { threads, chunk };
+        // Chunks of 1 (50 items on 8 threads) up to 41 with a short
+        // tail chunk (1,000 items on 3 threads).
+        for len in [50u64, 200, 1000] {
+            let items: Vec<u64> = (0..len).collect();
+            let want: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
+            for threads in [1, 2, 3, 8] {
                 assert_eq!(
-                    map(&items, &opts, |&x| x * x + 1),
+                    map(&items, &ExecOptions::threads(threads), |&x| x * x + 1),
                     want,
-                    "threads={threads} chunk={chunk}"
+                    "len={len} threads={threads}"
                 );
             }
         }
@@ -392,11 +382,7 @@ mod tests {
         // with two threads each runs one: one of them is the caller.
         let caller = std::thread::current().id();
         let barrier = std::sync::Barrier::new(2);
-        let opts = ExecOptions {
-            threads: 2,
-            chunk: 1,
-        };
-        let ran_on = map(&[0u8, 1], &opts, |_| {
+        let ran_on = map(&[0u8, 1], &ExecOptions::threads(2), |_| {
             barrier.wait();
             std::thread::current().id()
         });
@@ -413,12 +399,8 @@ mod tests {
         // the other one, so the panic is the worker's.
         let caller = std::thread::current().id();
         let worker_started = AtomicBool::new(false);
-        let opts = ExecOptions {
-            threads: 2,
-            chunk: 1,
-        };
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            map(&[0u8, 1], &opts, |_| {
+            map(&[0u8, 1], &ExecOptions::threads(2), |_| {
                 if std::thread::current().id() == caller {
                     while !worker_started.load(Ordering::SeqCst) {
                         std::thread::yield_now();

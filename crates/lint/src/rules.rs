@@ -132,7 +132,7 @@ pub static RULES: &[RuleInfo] = &[
         severity: Severity::Deny,
         summary: "mutable/interior-mutable static in sim code touched by shard-reachable \
                   functions",
-        hint: "move the state into per-shard Shard/State fields and merge it in the \
+        hint: "move the state into per-shard State fields and merge it in the \
                ascending absorb pass (see sim::parallel)",
         check: Check::Workspace(taint::check_shared_state),
     },
@@ -160,7 +160,7 @@ pub static RULES: &[RuleInfo] = &[
         summary: "unwrap/expect/panic! on a call path from engine::step, \
                   parallel::try_run_threads, or the report fold",
         hint: "return a typed error (ConfigError/SimError) and surface it before the \
-               event loop starts; a panic mid-window is a nondeterministic teardown",
+               event loop starts; a panic inside a shard is a nondeterministic teardown",
         check: Check::Workspace(taint::check_panic_reachable),
     },
 ];

@@ -20,8 +20,8 @@
 //!   (`HashMap`/`HashSet`) collection in merge-reachable code, outside
 //!   the ascending absorb discipline;
 //! * `panic-reachable-from-event-loop` — unwrap/expect/panic! on call
-//!   paths from the DES hot loop (a panic mid-window tears down one
-//!   shard while others proceed, so even *crashes* must be ordered).
+//!   paths from the DES hot loop (a panic in one shard tears down the
+//!   whole sharded run, so even *crashes* must be ordered).
 
 use std::collections::BTreeMap;
 
@@ -36,17 +36,16 @@ use crate::Diagnostic;
 /// determinism sink, and everything reachable from them inherits that.
 /// `engine::step` is the sequential hot loop, `parallel::try_run_threads`
 /// the sharded entry point (whose reach covers shard workers and the
-/// absorb/merge discipline), `engine::report` the report fold. The six
+/// absorb/merge discipline), `engine::report` the report fold. The five
 /// `policy::decide_*` specs are the adaptive control plane's decision
-/// entry points: controllers run inside the event loop on every shard,
-/// so any taint in a `Policy` impl breaks byte-identity exactly like
-/// taint in the engine proper.
+/// entry points: controllers run inside the event loop, so any taint in
+/// a `Policy` impl breaks byte-identity exactly like taint in the
+/// engine proper.
 pub const DETERMINISM_ROOTS: &[&str] = &[
     "engine::step",
     "parallel::try_run_threads",
     "engine::report",
     "policy::decide_retry",
-    "policy::decide_reroute",
     "policy::decide_shed",
     "policy::decide_admission",
     "policy::decide_batch",
@@ -394,9 +393,10 @@ pub fn check_float_merge_order(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diag
 }
 
 /// `panic-reachable-from-event-loop`: unwrap/expect/panic! in a
-/// function reachable from the DES roots. A panic mid-window tears one
-/// shard down while the others keep absorbing, so the failure itself is
-/// nondeterministic; reachable code must return typed errors instead.
+/// function reachable from the DES roots. A panic in one shard tears
+/// down the sharded run while the others are still running, so the
+/// failure itself is nondeterministic; reachable code must return typed
+/// errors instead.
 pub fn check_panic_reachable(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diagnostic>) {
     for (fi, f) in a.symbols.fns.iter().enumerate() {
         if !a.reach.contains(fi) {

@@ -10,8 +10,7 @@
 //! * [`rng`] — seeded, splittable random streams,
 //! * [`faults`] — stochastic up/down outage processes and bounded
 //!   exponential backoff for fault injection,
-//! * [`stats`] — counters, tallies, time-weighted integrals, and
-//!   histograms, and
+//! * [`stats`] — a streaming mean/variance tally, and
 //! * [`prop`] — a seeded property-test runner on [`rng`].
 //!
 //! # Examples
@@ -38,7 +37,6 @@ pub mod stats;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::{Duration, Instant};
 
 use units::Time;
 
@@ -80,10 +78,9 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Deterministic event-calendar counters gathered by an enabled probe
-/// (see [`Scheduler::enable_probe`]). Everything here depends only on
-/// the event stream, so two runs with the same seed produce identical
-/// counters.
+/// Deterministic event-calendar counters. Everything here depends
+/// only on the event stream, so two runs with the same seed produce
+/// identical counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerCounters {
     /// Events pushed onto the calendar.
@@ -94,95 +91,19 @@ pub struct SchedulerCounters {
     pub peak_queue_depth: u64,
 }
 
-/// A probe report combining the deterministic [`SchedulerCounters`]
-/// with wall-clock throughput figures.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchedulerReport {
-    /// Deterministic event counters.
-    pub counters: SchedulerCounters,
-    /// Simulation time reached (time of the last popped event).
-    pub sim_time: Time,
-    /// Wall-clock time since the probe was enabled.
-    pub wall: Duration,
-    /// Simulated seconds advanced per wall-clock second — the
-    /// simulator's headline throughput figure.
-    pub sim_seconds_per_wall_second: f64,
-    /// Events processed per wall-clock second.
-    pub events_per_wall_second: f64,
-}
-
-impl SchedulerReport {
-    /// The report as telemetry event fields (for
-    /// [`telemetry::debug`]-style emission).
-    pub fn fields(&self) -> Vec<(String, telemetry::Value)> {
-        vec![
-            ("scheduled".to_string(), self.counters.scheduled.into()),
-            ("processed".to_string(), self.counters.processed.into()),
-            (
-                "peak_queue_depth".to_string(),
-                self.counters.peak_queue_depth.into(),
-            ),
-            ("sim_time_s".to_string(), self.sim_time.as_secs().into()),
-            (
-                "wall_ms".to_string(),
-                (self.wall.as_secs_f64() * 1e3).into(),
-            ),
-            (
-                "sim_s_per_wall_s".to_string(),
-                self.sim_seconds_per_wall_second.into(),
-            ),
-            (
-                "events_per_wall_s".to_string(),
-                self.events_per_wall_second.into(),
-            ),
-        ]
-    }
-
-    /// Exports the report into a [`telemetry::Metrics`] registry under
-    /// `<prefix>.…` names.
-    pub fn export(&self, metrics: &telemetry::Metrics, prefix: &str) {
-        metrics.inc(&format!("{prefix}.scheduled"), self.counters.scheduled);
-        metrics.inc(&format!("{prefix}.processed"), self.counters.processed);
-        metrics.gauge(
-            &format!("{prefix}.peak_queue_depth"),
-            self.counters.peak_queue_depth as f64,
-        );
-        metrics.gauge(&format!("{prefix}.sim_time_s"), self.sim_time.as_secs());
-        metrics.gauge(
-            &format!("{prefix}.sim_s_per_wall_s"),
-            self.sim_seconds_per_wall_second,
-        );
-        metrics.gauge(
-            &format!("{prefix}.events_per_wall_s"),
-            self.events_per_wall_second,
-        );
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Probe {
-    counters: SchedulerCounters,
-    started: Instant,
-}
-
 /// A discrete-event calendar with deterministic tie-breaking.
 ///
 /// A binary heap ordered by (time, insertion sequence): events
 /// scheduled for the same instant fire in insertion order, which makes
-/// simulation runs bit-for-bit reproducible.
-///
-/// An optional telemetry probe (see [`Scheduler::enable_probe`]) counts
-/// scheduled/processed events and the queue-depth high-water mark, and
-/// reports simulated-seconds-per-wall-second throughput. When the probe
-/// is disabled (the default) the only cost is one `Option` check per
-/// operation.
+/// simulation runs bit-for-bit reproducible. The calendar counts
+/// scheduled and processed events and the queue-depth high-water mark
+/// as it goes ([`Scheduler::counters`]).
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
     queue: BinaryHeap<Reverse<Scheduled<E>>>,
     now: Time,
-    seq: u64,
-    processed: u64,
-    probe: Option<Probe>,
+    /// `scheduled` doubles as the next insertion sequence number.
+    counters: SchedulerCounters,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -197,69 +118,27 @@ impl<E> Scheduler<E> {
         Self {
             queue: BinaryHeap::new(),
             now: Time::ZERO,
-            seq: 0,
-            processed: 0,
-            probe: None,
-        }
-    }
-
-    /// Turns on the telemetry probe (restarting its counters and wall
-    /// clock if already enabled).
-    pub fn enable_probe(&mut self) {
-        self.probe = Some(Probe {
             counters: SchedulerCounters::default(),
-            started: Instant::now(),
-        });
-    }
-
-    /// Whether the telemetry probe is enabled.
-    pub fn probe_enabled(&self) -> bool {
-        self.probe.is_some()
-    }
-
-    /// Deterministic probe counters (`None` while the probe is
-    /// disabled).
-    pub fn probe_counters(&self) -> Option<SchedulerCounters> {
-        self.probe.as_ref().map(|p| p.counters)
-    }
-
-    /// Full probe report including wall-clock throughput (`None` while
-    /// the probe is disabled).
-    pub fn probe_report(&self) -> Option<SchedulerReport> {
-        self.probe.as_ref().map(|p| {
-            let wall = p.started.elapsed();
-            let wall_s = wall.as_secs_f64();
-            SchedulerReport {
-                counters: p.counters,
-                sim_time: self.now,
-                wall,
-                sim_seconds_per_wall_second: if wall_s > 0.0 {
-                    self.now.as_secs() / wall_s
-                } else {
-                    0.0
-                },
-                events_per_wall_second: if wall_s > 0.0 {
-                    p.counters.processed as f64 / wall_s
-                } else {
-                    0.0
-                },
-            }
-        })
-    }
-
-    /// Adds a co-scheduler's deterministic probe counters into this
-    /// probe (no-op while disabled). Sharded parallel runs merge their
-    /// per-shard schedulers through this: scheduled and processed
-    /// counts add exactly; the peak-depth high-water marks add too —
-    /// the shard queues coexist in time, so the sum is the aggregate
-    /// queue-depth bound (per-shard peaks need not coincide, making it
-    /// an upper bound rather than the exact global peak).
-    pub fn absorb_probe(&mut self, other: &SchedulerCounters) {
-        if let Some(p) = self.probe.as_mut() {
-            p.counters.scheduled += other.scheduled;
-            p.counters.processed += other.processed;
-            p.counters.peak_queue_depth += other.peak_queue_depth;
         }
+    }
+
+    /// The event counters so far.
+    pub fn counters(&self) -> SchedulerCounters {
+        self.counters
+    }
+
+    /// Adds a finished co-scheduler's counters into this one. Sharded
+    /// runs merge their per-shard schedulers through this: scheduled
+    /// and processed counts add exactly; the peak-depth high-water
+    /// marks add too — the shard queues coexist in time, so the sum is
+    /// the aggregate queue-depth bound (per-shard peaks need not
+    /// coincide, making it an upper bound rather than the exact global
+    /// peak). Merge only once every scheduler has stopped: `scheduled`
+    /// is also this calendar's insertion sequence.
+    pub fn absorb_counters(&mut self, other: &SchedulerCounters) {
+        self.counters.scheduled += other.scheduled;
+        self.counters.processed += other.processed;
+        self.counters.peak_queue_depth += other.peak_queue_depth;
     }
 
     /// Current simulation time (time of the last popped event).
@@ -269,7 +148,7 @@ impl<E> Scheduler<E> {
 
     /// Number of events processed so far.
     pub fn processed(&self) -> u64 {
-        self.processed
+        self.counters.processed
     }
 
     /// Number of pending events.
@@ -297,14 +176,12 @@ impl<E> Scheduler<E> {
         );
         self.queue.push(Reverse(Scheduled {
             time_s: at.as_secs(),
-            seq: self.seq,
+            seq: self.counters.scheduled,
             payload,
         }));
-        self.seq += 1;
-        if let Some(p) = self.probe.as_mut() {
-            p.counters.scheduled += 1;
-            p.counters.peak_queue_depth = p.counters.peak_queue_depth.max(self.queue.len() as u64);
-        }
+        self.counters.scheduled += 1;
+        self.counters.peak_queue_depth =
+            self.counters.peak_queue_depth.max(self.queue.len() as u64);
     }
 
     /// Schedules `payload` after a delay from the current time.
@@ -332,10 +209,7 @@ impl<E> Scheduler<E> {
     pub fn pop(&mut self) -> Option<Event<E>> {
         let Reverse(s) = self.queue.pop()?;
         self.now = Time::from_secs(s.time_s);
-        self.processed += 1;
-        if let Some(p) = self.probe.as_mut() {
-            p.counters.processed += 1;
-        }
+        self.counters.processed += 1;
         Some(Event {
             time: self.now,
             payload: s.payload,
@@ -455,28 +329,23 @@ mod tests {
     }
 
     #[test]
-    fn probe_is_off_by_default_and_counts_when_enabled() {
+    fn counters_track_schedules_pops_and_peak_depth() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        assert!(!s.probe_enabled());
-        assert_eq!(s.probe_counters(), None);
-        s.enable_probe();
+        assert_eq!(s.counters(), SchedulerCounters::default());
         s.schedule_at(Time::from_secs(1.0), 1);
         s.schedule_at(Time::from_secs(2.0), 2);
         s.pop();
-        let c = s.probe_counters().expect("probe enabled");
+        let c = s.counters();
         assert_eq!(c.scheduled, 2);
         assert_eq!(c.processed, 1);
         assert_eq!(c.peak_queue_depth, 2);
-        let report = s.probe_report().expect("probe enabled");
-        assert_eq!(report.counters, c);
-        assert_eq!(report.sim_time, Time::from_secs(1.0));
+        assert_eq!(s.processed(), 1);
     }
 
     #[test]
     fn probe_counters_are_reproducible_across_identical_runs() {
         let run = || {
             let mut s: Scheduler<usize> = Scheduler::new();
-            s.enable_probe();
             // A cascading workload: every event schedules two children
             // until the horizon, so counters depend on the full dynamics.
             s.schedule_at(Time::ZERO, 0);
@@ -487,27 +356,12 @@ mod tests {
                     sched.schedule_in(Time::from_secs(2.0), ev.payload + 1);
                 }
             });
-            s.probe_counters().expect("probe enabled")
+            s.counters()
         };
         let a = run();
         let b = run();
         assert_eq!(a, b, "same workload must give identical counters");
         assert!(a.scheduled > 0 && a.processed > 0 && a.peak_queue_depth > 0);
-    }
-
-    #[test]
-    fn probe_report_exports_into_metrics() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        s.enable_probe();
-        s.schedule_at(Time::from_secs(3.0), ());
-        s.pop();
-        let report = s.probe_report().unwrap();
-        let metrics = telemetry::Metrics::new();
-        report.export(&metrics, "sched");
-        assert_eq!(metrics.counter_value("sched.scheduled"), 1);
-        assert_eq!(metrics.counter_value("sched.processed"), 1);
-        assert_eq!(metrics.gauge_value("sched.sim_time_s"), Some(3.0));
-        assert!(report.fields().iter().any(|(k, _)| k == "sim_s_per_wall_s"));
     }
 
     #[test]
@@ -543,22 +397,17 @@ mod tests {
     #[test]
     fn clear_empties_the_calendar_but_keeps_probe_counters() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        s.enable_probe();
         for i in 0..5 {
             s.schedule_at(Time::from_secs(i as f64), i);
         }
         s.pop();
-        let before = s.probe_counters().unwrap();
+        let before = s.counters();
         s.clear();
         assert!(s.is_empty());
-        assert_eq!(
-            s.probe_counters().unwrap(),
-            before,
-            "clear() must not rewrite history"
-        );
+        assert_eq!(s.counters(), before, "clear() must not rewrite history");
         // Scheduling after clear continues the same counters.
         s.schedule_at(Time::from_secs(9.0), 9);
-        let after = s.probe_counters().unwrap();
+        let after = s.counters();
         assert_eq!(after.scheduled, before.scheduled + 1);
         assert_eq!(after.processed, before.processed);
     }
@@ -632,7 +481,7 @@ mod tests {
         assert_eq!(s.peek_time(), Some(Time::from_secs(952.0)));
     }
 
-    /// Probe counters remain internally consistent across arbitrary
+    /// Counters remain internally consistent across arbitrary
     /// schedule/pop/clear sequences: processed never exceeds
     /// scheduled, the peak queue depth is bounded by scheduled, and
     /// `clear()` never alters any counter.
@@ -642,7 +491,6 @@ mod tests {
             let ops = g.draw(prop::vec(0u8..3, 1..100));
 
             let mut s: Scheduler<usize> = Scheduler::new();
-            s.enable_probe();
             let mut expect_scheduled = 0u64;
             let mut expect_processed = 0u64;
             for (i, op) in ops.iter().enumerate() {
@@ -657,13 +505,13 @@ mod tests {
                         }
                     }
                     _ => {
-                        let before = s.probe_counters().unwrap();
+                        let before = s.counters();
                         s.clear();
-                        assert_eq!(s.probe_counters().unwrap(), before);
+                        assert_eq!(s.counters(), before);
                         assert!(s.is_empty());
                     }
                 }
-                let c = s.probe_counters().unwrap();
+                let c = s.counters();
                 assert_eq!(c.scheduled, expect_scheduled);
                 assert_eq!(c.processed, expect_processed);
                 assert!(c.processed <= c.scheduled);

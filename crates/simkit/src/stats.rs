@@ -1,7 +1,5 @@
 //! Statistics collectors for simulation outputs.
 
-use units::Time;
-
 /// Running mean/variance/min/max over streamed samples (Welford's
 /// algorithm).
 #[derive(Debug, Default, Clone, PartialEq)]
@@ -96,198 +94,6 @@ impl Tally {
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
     }
-
-    /// Exports the tally into a [`telemetry::Metrics`] registry as
-    /// `<name>.count` / `.mean` / `.std_dev` / `.min` / `.max`.
-    pub fn export(&self, metrics: &telemetry::Metrics, name: &str) {
-        metrics.inc(&format!("{name}.count"), self.count);
-        metrics.gauge(&format!("{name}.mean"), self.mean());
-        metrics.gauge(&format!("{name}.std_dev"), self.std_dev());
-        if let (Some(min), Some(max)) = (self.min(), self.max()) {
-            metrics.gauge(&format!("{name}.min"), min);
-            metrics.gauge(&format!("{name}.max"), max);
-        }
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue
-/// length, backlog bits).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeWeighted {
-    first_time: Time,
-    last_time: Time,
-    last_value: f64,
-    integral: f64,
-    peak: f64,
-    started: bool,
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeighted {
-    /// Creates an empty collector.
-    pub fn new() -> Self {
-        Self {
-            first_time: Time::ZERO,
-            last_time: Time::ZERO,
-            last_value: 0.0,
-            integral: 0.0,
-            peak: 0.0,
-            started: false,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` precedes the previous update.
-    pub fn update(&mut self, t: Time, value: f64) {
-        if self.started {
-            assert!(
-                t >= self.last_time,
-                "time-weighted updates must be monotone"
-            );
-            self.integral += self.last_value * (t - self.last_time).as_secs();
-        } else {
-            self.first_time = t;
-        }
-        self.started = true;
-        self.last_time = t;
-        self.last_value = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Time-weighted mean over `[first update, t]`.
-    pub fn mean_until(&self, t: Time) -> f64 {
-        if !self.started {
-            return 0.0;
-        }
-        let total = self.integral + self.last_value * (t - self.last_time).as_secs().max(0.0);
-        let span = (t - self.first_time).as_secs();
-        if span <= 0.0 {
-            self.last_value
-        } else {
-            total / span
-        }
-    }
-
-    /// Peak value observed.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Current (most recent) value.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Exports the collector into a [`telemetry::Metrics`] registry as
-    /// `<name>.mean` (over `[first update, until]`) / `.peak` /
-    /// `.current`.
-    pub fn export(&self, metrics: &telemetry::Metrics, name: &str, until: Time) {
-        metrics.gauge(&format!("{name}.mean"), self.mean_until(until));
-        metrics.gauge(&format!("{name}.peak"), self.peak());
-        metrics.gauge(&format!("{name}.current"), self.current());
-    }
-}
-
-/// Fixed-bucket histogram over `[lo, hi)` with overflow/underflow bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width bins over
-    /// `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(lo < hi, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.buckets.len();
-            let idx = ((value - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.buckets[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total samples including under/overflow.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Approximate quantile (0..=1) by bucket interpolation.
-    ///
-    /// Uses the ceiling-rank convention: `quantile(q)` is the midpoint
-    /// of the bucket holding the `max(1, ceil(q·n))`-th smallest sample,
-    /// so `quantile(0.0)` is clamped to the lowest non-empty bucket and
-    /// `quantile(1.0)` to the highest, rather than reporting the
-    /// configured `lo`/`hi` bounds no sample is anywhere near. Ranks
-    /// landing in the underflow (overflow) bin return `lo` (`hi`), the
-    /// tightest bound known for those samples. An empty histogram
-    /// returns `lo`.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return self.lo;
-        }
-        // Ceiling rank, at least 1: low quantiles always name the rank
-        // of an actual sample instead of tie-breaking through rank 0.
-        let target = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).clamp(1, total);
-        let mut cum = self.underflow;
-        if cum >= target {
-            return self.lo;
-        }
-        let width = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if c > 0 && cum >= target {
-                return self.lo + width * (i as f64 + 0.5);
-            }
-        }
-        self.hi
-    }
-
-    /// Exports the histogram into a [`telemetry::Metrics`] registry as
-    /// `<name>.count` / `.p50` / `.p90` / `.p99`.
-    pub fn export(&self, metrics: &telemetry::Metrics, name: &str) {
-        metrics.inc(&format!("{name}.count"), self.total());
-        metrics.gauge(&format!("{name}.p50"), self.quantile(0.5));
-        metrics.gauge(&format!("{name}.p90"), self.quantile(0.9));
-        metrics.gauge(&format!("{name}.p99"), self.quantile(0.99));
-    }
 }
 
 #[cfg(test)]
@@ -349,223 +155,6 @@ mod tests {
         let mut empty = Tally::new();
         empty.merge(&snapshot);
         assert_eq!(empty, snapshot, "merging into an empty tally copies");
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f64 / 10.0);
-        }
-        assert_eq!(h.total(), 100);
-        let median = h.quantile(0.5);
-        assert!((median - 5.0).abs() < 1.0, "got {median}");
-        h.record(-1.0);
-        h.record(99.0);
-        assert_eq!(h.total(), 102);
-    }
-
-    #[test]
-    fn time_weighted_mean_of_step_signal() {
-        // Signal: 0 on [0, 10), 10 on [10, 20) → mean over [0, 20] is 5.
-        let mut tw = TimeWeighted::new();
-        tw.update(Time::ZERO, 0.0);
-        tw.update(Time::from_secs(10.0), 10.0);
-        let mean = tw.mean_until(Time::from_secs(20.0));
-        assert!((mean - 5.0).abs() < 1e-12, "got {mean}");
-        assert_eq!(tw.peak(), 10.0);
-        assert_eq!(tw.current(), 10.0);
-    }
-
-    #[test]
-    fn time_weighted_starts_at_first_update() {
-        // First update at t=100: the window [0, 100) is not counted.
-        let mut tw = TimeWeighted::new();
-        tw.update(Time::from_secs(100.0), 4.0);
-        let mean = tw.mean_until(Time::from_secs(200.0));
-        assert!((mean - 4.0).abs() < 1e-12, "got {mean}");
-    }
-
-    #[test]
-    fn empty_time_weighted_is_zero() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean_until(Time::from_secs(5.0)), 0.0);
-    }
-
-    #[test]
-    fn histogram_extreme_quantiles() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(0.9);
-        assert!(h.quantile(0.0) <= h.quantile(1.0));
-    }
-
-    #[test]
-    fn quantile_zero_clamps_to_lowest_nonempty_bucket() {
-        // Single sample deep in the range: q=0 must not report the
-        // configured lo bound (the pre-fix behaviour) but the sample's
-        // own bucket.
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(0.9);
-        assert_eq!(h.quantile(0.0), 0.875, "lowest non-empty bucket midpoint");
-        assert_eq!(h.quantile(1.0), 0.875);
-    }
-
-    #[test]
-    fn quantile_one_clamps_to_highest_nonempty_bucket() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(1.5);
-        h.record(4.5);
-        assert_eq!(h.quantile(1.0), 4.5);
-        assert_eq!(h.quantile(0.0), 1.5);
-    }
-
-    #[test]
-    fn quantile_ranks_in_under_and_overflow_return_bounds() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.record(-5.0); // underflow
-        h.record(0.4);
-        h.record(9.0); // overflow
-        assert_eq!(h.quantile(0.0), 0.0, "rank 1 is the underflow sample");
-        assert_eq!(h.quantile(0.5), 0.25, "rank 2 is the in-range sample");
-        assert_eq!(h.quantile(1.0), 1.0, "rank 3 is the overflow sample");
-    }
-
-    #[test]
-    fn quantile_of_empty_histogram_is_lo() {
-        let h = Histogram::new(2.0, 4.0, 4);
-        assert_eq!(h.quantile(0.5), 2.0);
-    }
-
-    #[test]
-    fn low_quantiles_tie_break_consistently() {
-        // 10 samples in one bucket: every q in (0, 0.1] targets rank 1,
-        // and q=0 clamps to the same rank — no round()-based flip-flop
-        // between lo and the bucket midpoint.
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for _ in 0..10 {
-            h.record(7.5);
-        }
-        for q in [0.0, 0.01, 0.04, 0.05, 0.06, 0.1, 0.5, 1.0] {
-            assert_eq!(h.quantile(q), 7.5, "q={q}");
-        }
-    }
-
-    #[test]
-    fn time_weighted_three_step_signal_matches_hand_integral() {
-        // Signal: 2 on [1, 3), 5 on [3, 7), 1 on [7, 10].
-        // ∫ = 2·2 + 5·4 + 1·3 = 27 over a span of 9 → mean 3.
-        let mut tw = TimeWeighted::new();
-        tw.update(Time::from_secs(1.0), 2.0);
-        tw.update(Time::from_secs(3.0), 5.0);
-        tw.update(Time::from_secs(7.0), 1.0);
-        let mean = tw.mean_until(Time::from_secs(10.0));
-        assert!((mean - 3.0).abs() < 1e-12, "got {mean}");
-        assert_eq!(tw.peak(), 5.0);
-    }
-
-    #[test]
-    fn histogram_quantiles_match_hand_computed_ranks() {
-        // 3 samples in bucket [0,1), 4 in [4,5), 3 in [9,10).
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for _ in 0..3 {
-            h.record(0.5);
-        }
-        for _ in 0..4 {
-            h.record(4.5);
-        }
-        for _ in 0..3 {
-            h.record(9.5);
-        }
-        // Rank 5 of 10 lands in the [4,5) bucket → midpoint 4.5.
-        assert_eq!(h.quantile(0.5), 4.5);
-        // Rank 9 lands in [9,10) → 9.5; rank 1 in [0,1) → 0.5.
-        assert_eq!(h.quantile(0.9), 9.5);
-        assert_eq!(h.quantile(0.05), 0.5);
-    }
-
-    #[test]
-    fn collectors_export_into_telemetry_metrics() {
-        let metrics = telemetry::Metrics::new();
-
-        let mut t = Tally::new();
-        t.record(2.0);
-        t.record(4.0);
-        t.export(&metrics, "latency");
-        assert_eq!(metrics.counter_value("latency.count"), 2);
-        assert_eq!(metrics.gauge_value("latency.mean"), Some(3.0));
-        assert_eq!(metrics.gauge_value("latency.max"), Some(4.0));
-
-        let mut tw = TimeWeighted::new();
-        tw.update(Time::ZERO, 0.0);
-        tw.update(Time::from_secs(10.0), 10.0);
-        tw.export(&metrics, "backlog", Time::from_secs(20.0));
-        assert_eq!(metrics.gauge_value("backlog.mean"), Some(5.0));
-        assert_eq!(metrics.gauge_value("backlog.peak"), Some(10.0));
-
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(4.5);
-        h.export(&metrics, "hops");
-        assert_eq!(metrics.counter_value("hops.count"), 1);
-        assert_eq!(metrics.gauge_value("hops.p50"), Some(4.5));
-    }
-
-    /// The time-weighted mean is exactly the hand-computed Riemann
-    /// sum of the step signal divided by the observed span.
-    #[test]
-    fn time_weighted_mean_matches_hand_integral() {
-        prop::check("time_weighted_mean_matches_hand_integral", 256, |g| {
-            let steps = g.draw(prop::vec((0.0f64..50.0, -100.0f64..100.0), 1..20));
-            let tail = g.draw(1.0f64..25.0);
-
-            let mut tw = TimeWeighted::new();
-            let mut t = 0.0f64;
-            let mut points: Vec<(f64, f64)> = Vec::new();
-            for (gap, value) in steps {
-                t += gap;
-                tw.update(Time::from_secs(t), value);
-                points.push((t, value));
-            }
-            let horizon = t + tail;
-            let mut integral = 0.0f64;
-            for pair in points.windows(2) {
-                integral += pair[0].1 * (pair[1].0 - pair[0].0);
-            }
-            let last = points.last().unwrap();
-            integral += last.1 * (horizon - last.0);
-            let expected = integral / (horizon - points[0].0);
-            let got = tw.mean_until(Time::from_secs(horizon));
-            assert!(
-                (got - expected).abs() <= 1e-9 * (1.0 + expected.abs()),
-                "got {got}, hand-computed {expected}"
-            );
-        });
-    }
-
-    /// The bucket-interpolated quantile never strays more than half
-    /// a bucket width from the exact rank statistic it targets.
-    #[test]
-    fn histogram_quantile_tracks_exact_rank_statistic() {
-        prop::check("histogram_quantile_tracks_exact_rank_statistic", 256, |g| {
-            let samples = g.draw(prop::vec(0.0f64..100.0, 1..200));
-            let q = g.draw(0.0f64..1.0);
-
-            let buckets = 200usize;
-            let width = 100.0 / buckets as f64;
-            let mut h = Histogram::new(0.0, 100.0, buckets);
-            for &s in &samples {
-                h.record(s);
-            }
-            let mut sorted = samples.clone();
-            sorted.sort_by(f64::total_cmp);
-            // Mirror the implementation's ceiling-rank convention.
-            let target = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            let exact = sorted[target - 1];
-            let got = h.quantile(q);
-            assert!(
-                (got - exact).abs() <= width / 2.0 + 1e-12,
-                "quantile({q}) = {got}, exact rank statistic {exact}"
-            );
-        });
     }
 
     /// Tally mean/min/max agree with the naive recomputation.

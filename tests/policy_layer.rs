@@ -15,10 +15,10 @@ use workloads::Application;
 
 /// Asserts a sharded report matches the sequential one under the
 /// sharding contract (same one `crates/core/src/sim/parallel.rs` pins):
-/// every artifact-visible field exact, except the scheduler peak-depth
-/// probe (merged per-shard peaks are an aggregate bound, not the global
-/// sequential peak) and `mean_latency_s`, whose ascending absorb is
-/// ULP-exact only to ~1e-9 (artifacts render it at 4 decimals).
+/// every artifact-visible field exact, except the scheduler's peak
+/// queue depth (merged per-shard peaks are an aggregate bound, not the
+/// global sequential peak) and `mean_latency_s`, whose ascending absorb
+/// is ULP-exact only to ~1e-9 (artifacts render it at 4 decimals).
 fn assert_matches_sequential(par: &SimReport, seq: &SimReport, ctx: &str) {
     let view = |r: &SimReport| {
         let mut r = r.clone();
@@ -85,7 +85,7 @@ fn static_policy_is_the_pre_policy_engine_everywhere() {
 
 /// Every adaptive controller replays exactly under the same seed on
 /// every topology: all policy state is derived from the seeded config
-/// and per-shard observations, never from wall clock or ambient RNG.
+/// and its observations, never from wall clock or ambient RNG.
 #[test]
 fn adaptive_controllers_replay_byte_for_byte() {
     for (topology, ingest, topo_name) in topology_matrix() {
@@ -97,10 +97,9 @@ fn adaptive_controllers_replay_byte_for_byte() {
     }
 }
 
-/// The sharded loop is itself deterministic under adaptive controllers:
-/// same thread count, same bytes. (Shard-local controller state means
-/// t=1 and t=4 may legitimately differ for non-static policies; the
-/// contract is replayability per thread count.)
+/// `try_run_threads` never shards an adaptive run: one controller
+/// instance sees the whole run, so a 4-thread run replays exactly and
+/// equals the sequential engine's report.
 #[test]
 fn adaptive_controllers_replay_under_sharding() {
     for kind in [PolicyKind::Reactive, PolicyKind::Predictive] {
@@ -109,6 +108,7 @@ fn adaptive_controllers_replay_under_sharding() {
         let a = try_run_threads(&cfg, 4).expect("valid config");
         let b = try_run_threads(&cfg, 4).expect("valid config");
         assert_eq!(a, b, "{kind:?} must replay under 4 threads");
+        assert_eq!(a, run(&cfg), "{kind:?} must run on the sequential engine");
     }
 }
 
