@@ -32,18 +32,18 @@ pub fn exec(cli: &Cli) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let frames = log.frames();
-    let complete = frames.keys().filter(|&&f| log.is_complete(f)).count();
+    let (mut frames, mut complete) = (0, 0);
+    for frame in log.frame_ids() {
+        frames += 1;
+        complete += usize::from(log.is_complete(frame));
+    }
     let snapshots = log.count_kind(TraceKind::SnapshotNet)
         + log.count_kind(TraceKind::SnapshotLinks)
         + log.count_kind(TraceKind::SnapshotCluster);
     println!("flight log {path}");
     println!(
-        "  {} events, {} frames ({} with a complete causal lifecycle), {} timeline snapshots",
+        "  {} events, {frames} frames ({complete} with a complete causal lifecycle), {snapshots} timeline snapshots",
         log.len(),
-        frames.len(),
-        complete,
-        snapshots
     );
 
     let losses = log.loss_attribution();

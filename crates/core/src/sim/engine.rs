@@ -2,8 +2,8 @@
 //! service layers into the frame-level discrete-event simulation.
 //!
 //! The loop owns only the things no single layer can: the event
-//! calendar, frame bookkeeping (generated/kept/processed counters, the
-//! in-flight backlog), the early-discard draw, and report assembly.
+//! calendar, the [`Ledger`] every lifecycle transition goes through,
+//! the in-flight backlog, the early-discard draw, and report assembly.
 //! Routing questions go to [`super::topology`], link timing and outages
 //! to [`super::transport`], compute and SEU/shedding to
 //! [`super::service`]. Because every RNG draw comes from a stateless
@@ -17,7 +17,7 @@ use orbit::groundtrack::subsatellite_point;
 use simkit::rng::{coin, exponential, RngFactory};
 use simkit::stats::Tally;
 use simkit::Scheduler;
-use telemetry::trace::{Recorder, TraceCause, TraceKind, TraceRecord};
+use telemetry::trace::{Recorder, TraceCause, TraceKind, TraceRecord, TraceTally};
 use units::{DataSize, Time};
 
 use crate::sim::faults::FaultSummary;
@@ -114,6 +114,112 @@ pub(super) enum Ev {
     },
 }
 
+/// The run's one accounting path. Each lifecycle transition is one call
+/// here: the record's kind and cause are tallied whether or not a
+/// recorder is attached, and the record is buffered for the recorder
+/// only when one is. [`report`] reads `SimReport` and `FaultSummary`
+/// out of the tallies, so a recorded log's loss table equals the fault
+/// summary by construction.
+struct Ledger {
+    /// Frame lifecycle and timeline records.
+    frames: TraceTally,
+    /// Request lifecycle records, apart so that request retries and
+    /// hops never land in `FaultSummary`.
+    requests: TraceTally,
+    /// End-to-end latency of frames served with good output.
+    latency: Tally,
+    /// Flight recorder; `None` keeps every record out of the buffer.
+    recorder: Option<Arc<Recorder>>,
+    /// Locally buffered trace events: the ledger numbers events itself
+    /// and hands whole batches to the recorder, paying one lock (and,
+    /// on the recorder's fast path, zero copies) per `tbatch` events
+    /// instead of per event.
+    tbuf: Vec<TraceRecord>,
+    /// Batch size before a hand-off ([`Recorder::batch_hint`]).
+    tbatch: usize,
+    /// Next `seq` continues the recorder's numbering ([`Recorder::last_seq`]).
+    tseq: u64,
+}
+
+impl Ledger {
+    fn new(recorder: Option<Arc<Recorder>>) -> Ledger {
+        Ledger {
+            frames: TraceTally::default(),
+            requests: TraceTally::default(),
+            latency: Tally::new(),
+            tbuf: Vec::with_capacity(recorder.as_ref().map_or(0, |r| r.batch_hint())),
+            tbatch: recorder.as_ref().map_or(usize::MAX, |r| r.batch_hint()),
+            tseq: recorder.as_ref().map_or(0, |r| r.last_seq()),
+            recorder,
+        }
+    }
+
+    /// Tallies a frame or timeline record and returns its `seq` for
+    /// parent linkage (0 when recording is off).
+    #[inline(always)]
+    fn note(&mut self, rec: TraceRecord) -> u64 {
+        self.frames.add(&rec);
+        self.buffer(rec)
+    }
+
+    /// A frame served with good output: its end-to-end latency joins
+    /// the latency tally and becomes the record's value.
+    #[inline(always)]
+    fn served(&mut self, rec: TraceRecord, latency_s: f64) -> u64 {
+        self.latency.record(latency_s);
+        self.note(rec.value(latency_s))
+    }
+
+    /// Tallies a request record and returns its `seq`.
+    #[inline(always)]
+    fn note_request(&mut self, rec: TraceRecord) -> u64 {
+        self.requests.add(&rec);
+        self.buffer(rec)
+    }
+
+    /// Buffers a record under an engine-assigned `seq` when recording;
+    /// a single branch and no work otherwise. Observer only: never
+    /// draws RNG or touches sim state, so recorded and unrecorded runs
+    /// replay identically.
+    #[inline(always)]
+    fn buffer(&mut self, rec: TraceRecord) -> u64 {
+        if self.recorder.is_none() {
+            return 0;
+        }
+        self.tseq += 1;
+        self.tbuf.push(rec);
+        if self.tbuf.len() >= self.tbatch {
+            self.drain();
+        }
+        self.tseq
+    }
+
+    /// Hands the buffered batch to the recorder (one lock, bulk slice
+    /// copy, events numbered exactly as `tseq` predicted) and gets the
+    /// cleared buffer back with its capacity — and cache warmth —
+    /// intact.
+    #[cold]
+    #[inline(never)]
+    fn drain(&mut self) {
+        if let Some(rec) = &self.recorder {
+            rec.record_batch(&mut self.tbuf);
+        }
+    }
+
+    /// The recorder's timeline cadence, when recording with one.
+    fn cadence_s(&self) -> Option<f64> {
+        self.recorder.as_ref().and_then(|r| r.timeline_cadence_s())
+    }
+
+    /// Adds a finished shard's tallies; the latency tallies merge with
+    /// the parallel Welford combine. Shards record nothing.
+    fn absorb(&mut self, other: &Ledger) {
+        self.frames.merge(&other.frames);
+        self.requests.merge(&other.requests);
+        self.latency.merge(&other.latency);
+    }
+}
+
 /// Per-run mutable state: the three layers plus the engine's own frame
 /// bookkeeping.
 pub(super) struct State {
@@ -126,19 +232,10 @@ pub(super) struct State {
     /// Per-frame payload constants for this configuration.
     frame_bits: f64,
     frame_pixels: f64,
-    generated: u64,
-    kept: u64,
-    processed: u64,
-    lost_to_failures: u64,
-    latency: Tally,
+    /// Lifecycle tallies, latency and the recorder buffer.
+    ledger: Ledger,
     earth: EarthModel,
     rng_factory: RngFactory,
-    /// Fault counters folded into [`FaultSummary`] at the end.
-    retries: u64,
-    reroutes: u64,
-    undeliverable: u64,
-    frames_shed: u64,
-    frames_corrupted: u64,
     /// Serving-layer runtime; `None` for pure EO-frame runs, which then
     /// schedule no serve events and draw no serve RNG streams — keeping
     /// them byte-identical to the serve-unaware engine.
@@ -147,17 +244,6 @@ pub(super) struct State {
     /// with plain-value telemetry; the engine alone executes decisions
     /// (and performs every RNG draw).
     policy: Box<dyn Policy>,
-    /// Flight recorder; `None` keeps every trace site a dead branch.
-    recorder: Option<Arc<Recorder>>,
-    /// Locally buffered trace events: the engine numbers events itself
-    /// and hands whole batches to the recorder, paying one lock (and,
-    /// on the recorder's fast path, zero copies) per `tbatch` events
-    /// instead of per event.
-    tbuf: Vec<TraceRecord>,
-    /// Batch size before a hand-off ([`Recorder::batch_hint`]).
-    tbatch: usize,
-    /// Next `seq` continues the recorder's numbering ([`Recorder::last_seq`]).
-    tseq: u64,
 }
 
 impl State {
@@ -194,30 +280,16 @@ impl State {
             queued_bits: 0.0,
             frame_bits: cfg.frame.frame_size(cfg.resolution).as_bits(),
             frame_pixels: cfg.frame.pixels_at(cfg.resolution),
-            generated: 0,
-            kept: 0,
-            processed: 0,
-            lost_to_failures: 0,
-            latency: Tally::new(),
+            ledger: Ledger::new(recorder),
             earth: EarthModel::paper(cfg.seed),
             rng_factory,
-            retries: 0,
-            reroutes: 0,
-            undeliverable: 0,
-            frames_shed: 0,
-            frames_corrupted: 0,
             serve,
             policy: cfg.policy.build(cfg),
-            tbuf: Vec::with_capacity(recorder.as_ref().map_or(0, |r| r.batch_hint())),
-            tbatch: recorder.as_ref().map_or(usize::MAX, |r| r.batch_hint()),
-            tseq: recorder.as_ref().map_or(0, |r| r.last_seq()),
-            recorder,
         }
     }
 
     /// Folds the finished shard `other`, which ran service unit
-    /// `unit`'s satellites, into `self`: integer counters add, the
-    /// latency tallies merge with the parallel Welford combine, and the
+    /// `unit`'s satellites, into `self`: the ledgers merge, and the
     /// per-index transport/service state `other` owned moves over — so
     /// the merged state folds its report exactly like a sequential run
     /// over the same indices. Shards must be absorbed in ascending unit
@@ -231,47 +303,7 @@ impl State {
         }
         self.service.adopt(&mut other.service, unit);
         self.queued_bits += other.queued_bits;
-        self.generated += other.generated;
-        self.kept += other.kept;
-        self.processed += other.processed;
-        self.lost_to_failures += other.lost_to_failures;
-        self.latency.merge(&other.latency);
-        self.retries += other.retries;
-        self.reroutes += other.reroutes;
-        self.undeliverable += other.undeliverable;
-        self.frames_shed += other.frames_shed;
-        self.frames_corrupted += other.frames_corrupted;
-    }
-
-    /// Records a trace event and returns its `seq` for parent linkage;
-    /// a single branch and no work when recording is off (returns 0).
-    /// When on, the event lands in the local buffer with an
-    /// engine-assigned `seq` and is handed to the recorder in batches.
-    /// Observer only: never draws RNG or touches sim state, so recorded
-    /// and unrecorded runs replay identically.
-    #[inline(always)]
-    fn trace(&mut self, ev: TraceRecord) -> u64 {
-        if self.recorder.is_none() {
-            return 0;
-        }
-        self.tseq += 1;
-        self.tbuf.push(ev);
-        if self.tbuf.len() >= self.tbatch {
-            self.drain_trace();
-        }
-        self.tseq
-    }
-
-    /// Hands the buffered batch to the recorder (one lock, bulk slice
-    /// copy, events numbered exactly as `tseq` predicted) and gets the
-    /// cleared buffer back with its capacity — and cache warmth —
-    /// intact.
-    #[cold]
-    #[inline(never)]
-    fn drain_trace(&mut self) {
-        if let Some(rec) = &self.recorder {
-            rec.record_batch(&mut self.tbuf);
-        }
+        self.ledger.absorb(&other.ledger);
     }
 
     fn keep_frame(&mut self, sat: usize, id: u64, now: Time) -> bool {
@@ -297,6 +329,16 @@ impl State {
             }
         }
     }
+}
+
+/// A lifecycle record of frame or request `id` at satellite or cluster
+/// `unit`, linked to the lifecycle's previous record `parent` (0 for
+/// none).
+fn lifecycle(now: Time, kind: TraceKind, id: u64, unit: usize, parent: u64) -> TraceRecord {
+    TraceRecord::at(now.as_secs(), kind)
+        .frame(id)
+        .unit(unit)
+        .parent(parent)
 }
 
 /// The reroute rule for a frame that cannot proceed forward: `true`
@@ -344,13 +386,9 @@ fn dispatch(
             };
             match st.policy.decide_retry(&obs) {
                 RetryDecision::Retry { delay_s: delay } => {
-                    st.retries += 1;
-                    frame.last_seq = st.trace(
-                        TraceRecord::at(now.as_secs(), TraceKind::Retry)
-                            .frame(frame.id)
-                            .unit(sat)
+                    frame.last_seq = st.ledger.note(
+                        lifecycle(now, TraceKind::Retry, frame.id, sat, frame.last_seq)
                             .cause(TraceCause::LinkDown)
-                            .parent(frame.last_seq)
                             .value(delay),
                     );
                     sched.schedule_at(
@@ -371,29 +409,21 @@ fn dispatch(
                     ) {
                         // Forward path dead: fall back to the reverse
                         // ring.
-                        st.reroutes += 1;
                         frame.reversed = true;
                         frame.rev_up = st.topo.reverse_direction_up(sat);
-                        frame.last_seq = st.trace(
-                            TraceRecord::at(now.as_secs(), TraceKind::Reroute)
-                                .frame(frame.id)
-                                .unit(sat)
-                                .cause(TraceCause::LinkDown)
-                                .parent(frame.last_seq),
+                        frame.last_seq = st.ledger.note(
+                            lifecycle(now, TraceKind::Reroute, frame.id, sat, frame.last_seq)
+                                .cause(TraceCause::LinkDown),
                         );
                         dispatch(st, sched, frame, sat, now, 0);
                     } else {
                         // Both directions exhausted their retries (or
                         // there is no ring to fall back to): the frame
                         // dies.
-                        st.undeliverable += 1;
                         st.queued_bits -= st.frame_bits;
-                        st.trace(
-                            TraceRecord::at(now.as_secs(), TraceKind::Undeliverable)
-                                .frame(frame.id)
-                                .unit(sat)
-                                .cause(TraceCause::RetriesExhausted)
-                                .parent(frame.last_seq),
+                        st.ledger.note(
+                            lifecycle(now, TraceKind::Undeliverable, frame.id, sat, frame.last_seq)
+                                .cause(TraceCause::RetriesExhausted),
                         );
                     }
                 }
@@ -402,11 +432,8 @@ fn dispatch(
         }
     }
     let arrival = st.transport.transmit(sat, now, st.frame_bits);
-    frame.last_seq = st.trace(
-        TraceRecord::at(now.as_secs(), TraceKind::Hop)
-            .frame(frame.id)
-            .unit(sat)
-            .parent(frame.last_seq)
+    frame.last_seq = st.ledger.note(
+        lifecycle(now, TraceKind::Hop, frame.id, sat, frame.last_seq)
             .value((arrival - now).as_secs()),
     );
     sched.schedule_at(arrival, Ev::Hop { frame, from: sat });
@@ -422,11 +449,8 @@ fn enqueue(
     now: Time,
 ) {
     let (done, corrupted) = st.service.admit(st.frame_pixels, cluster, now);
-    frame.last_seq = st.trace(
-        TraceRecord::at(now.as_secs(), TraceKind::Enqueued)
-            .frame(frame.id)
-            .unit(cluster)
-            .parent(frame.last_seq)
+    frame.last_seq = st.ledger.note(
+        lifecycle(now, TraceKind::Enqueued, frame.id, cluster, frame.last_seq)
             .value((done - now).as_secs()),
     );
     sched.schedule_at(
@@ -443,19 +467,15 @@ fn enqueue(
 /// possibly shed) coins, launch survivors into the network, and
 /// schedule the next imaging period.
 fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, now: Time) {
-    st.generated += 1;
     // The staggered generate schedule never reorders satellites, so
     // satellite `sat`'s k-th frame is the (k·n + sat + 1)-th imaging
     // event of the run. A shard, which sees only its own satellites,
     // numbers its frames exactly as the sequential loop does.
     let id = k * st.cfg.plane.satellite_count() as u64 + sat as u64 + 1;
     if st.keep_frame(sat, id, now) {
-        st.kept += 1;
-        let sensed = st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::Sensed)
-                .frame(id)
-                .unit(sat),
-        );
+        let sensed = st
+            .ledger
+            .note(lifecycle(now, TraceKind::Sensed, id, sat, 0));
         let obs = ShedObs {
             unit: sat,
             now_s: now.as_secs(),
@@ -470,14 +490,8 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
         if shed {
             // Backlog-triggered graceful degradation: drop at the source
             // rather than swamp the ring.
-            st.frames_shed += 1;
-            st.trace(
-                TraceRecord::at(now.as_secs(), TraceKind::Shed)
-                    .frame(id)
-                    .unit(sat)
-                    .cause(TraceCause::Backlog)
-                    .parent(sensed),
-            );
+            st.ledger
+                .note(lifecycle(now, TraceKind::Shed, id, sat, sensed).cause(TraceCause::Backlog));
         } else {
             st.queued_bits += st.frame_bits;
             let frame = FrameInFlight {
@@ -494,12 +508,8 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
         // Policy discards fold sense + drop into one event: both happen
         // at the same sim instant, and ~95% of frames end here, so the
         // fold halves the trace cost of the paper's dominant path.
-        st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::Discarded)
-                .frame(id)
-                .unit(sat)
-                .cause(TraceCause::Policy),
-        );
+        st.ledger
+            .note(lifecycle(now, TraceKind::Discarded, id, sat, 0).cause(TraceCause::Policy));
     }
     sched.schedule_in(st.cfg.frame.period, Ev::Generate { sat, k: k + 1 });
 }
@@ -522,14 +532,10 @@ fn on_reverse_hop(
         st.queued_bits -= st.frame_bits;
         enqueue(st, sched, frame, cluster, now);
     } else if frame.hops as usize > 2 * st.cfg.plane.satellite_count() {
-        st.undeliverable += 1;
         st.queued_bits -= st.frame_bits;
-        st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::Undeliverable)
-                .frame(frame.id)
-                .unit(p)
-                .cause(TraceCause::HopLimit)
-                .parent(frame.last_seq),
+        st.ledger.note(
+            lifecycle(now, TraceKind::Undeliverable, frame.id, p, frame.last_seq)
+                .cause(TraceCause::HopLimit),
         );
     } else {
         let mut f = frame;
@@ -563,28 +569,26 @@ fn on_forward_hop(
                     st.topo.supports_reverse(),
                     st.cfg.faults.active(),
                 ) {
-                    st.reroutes += 1;
                     let mut f = frame;
                     f.reversed = true;
                     f.rev_up = st.topo.reverse_direction_up(from);
                     f.hops += 1;
-                    f.last_seq = st.trace(
-                        TraceRecord::at(now.as_secs(), TraceKind::Reroute)
-                            .frame(f.id)
-                            .unit(from)
-                            .cause(TraceCause::ClusterDown)
-                            .parent(f.last_seq),
+                    f.last_seq = st.ledger.note(
+                        lifecycle(now, TraceKind::Reroute, f.id, from, f.last_seq)
+                            .cause(TraceCause::ClusterDown),
                     );
                     dispatch(st, sched, f, from, now, 0);
                 } else {
                     st.queued_bits -= st.frame_bits;
-                    st.lost_to_failures += 1;
-                    st.trace(
-                        TraceRecord::at(now.as_secs(), TraceKind::LostCluster)
-                            .frame(frame.id)
-                            .unit(cluster)
-                            .cause(TraceCause::ClusterDown)
-                            .parent(frame.last_seq),
+                    st.ledger.note(
+                        lifecycle(
+                            now,
+                            TraceKind::LostCluster,
+                            frame.id,
+                            cluster,
+                            frame.last_seq,
+                        )
+                        .cause(TraceCause::ClusterDown),
                     );
                 }
                 return;
@@ -603,17 +607,13 @@ fn on_forward_hop(
                     reverse_up: st.topo.reverse_direction_up(from),
                 };
                 if let MigrationDecision::Migrate { up } = st.policy.decide_migration(&obs) {
-                    st.reroutes += 1;
                     let mut f = frame;
                     f.reversed = true;
                     f.rev_up = up;
                     f.hops += 1;
-                    f.last_seq = st.trace(
-                        TraceRecord::at(now.as_secs(), TraceKind::Reroute)
-                            .frame(f.id)
-                            .unit(from)
-                            .cause(TraceCause::Backlog)
-                            .parent(f.last_seq),
+                    f.last_seq = st.ledger.note(
+                        lifecycle(now, TraceKind::Reroute, f.id, from, f.last_seq)
+                            .cause(TraceCause::Backlog),
                     );
                     dispatch(st, sched, f, from, now, 0);
                     return;
@@ -629,35 +629,18 @@ fn on_forward_hop(
 /// the meantime dies with it instead of being credited as processed.
 fn on_done(st: &mut State, frame: FrameInFlight, cluster: usize, corrupted: bool, now: Time) {
     let latency = (now - frame.created).as_secs();
+    let record = |kind| lifecycle(now, kind, frame.id, cluster, frame.last_seq);
     if st.service.cluster_failed(cluster, now) {
-        st.lost_to_failures += 1;
-        st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::LostCluster)
-                .frame(frame.id)
-                .unit(cluster)
-                .cause(TraceCause::ClusterDown)
-                .parent(frame.last_seq),
-        );
+        st.ledger
+            .note(record(TraceKind::LostCluster).cause(TraceCause::ClusterDown));
     } else if corrupted {
-        st.frames_corrupted += 1;
-        st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::Corrupted)
-                .frame(frame.id)
-                .unit(cluster)
+        st.ledger.note(
+            record(TraceKind::Corrupted)
                 .cause(TraceCause::Seu)
-                .parent(frame.last_seq)
                 .value(latency),
         );
     } else {
-        st.processed += 1;
-        st.latency.record(latency);
-        st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::Served)
-                .frame(frame.id)
-                .unit(cluster)
-                .parent(frame.last_seq)
-                .value(latency),
-        );
+        st.ledger.served(record(TraceKind::Served), latency);
     }
 }
 
@@ -668,9 +651,10 @@ fn on_done(st: &mut State, frame: FrameInFlight, cluster: usize, corrupted: bool
 /// perform anyway, so recorded runs replay byte-identically.
 fn on_snapshot(st: &mut State, sched: &mut Scheduler<Ev>, now: Time) {
     let t = now.as_secs();
-    st.trace(TraceRecord::at(t, TraceKind::SnapshotNet).value(st.queued_bits.max(0.0)));
+    st.ledger
+        .note(TraceRecord::at(t, TraceKind::SnapshotNet).value(st.queued_bits.max(0.0)));
     if let Some((up, total)) = st.transport.link_states(now) {
-        st.trace(
+        st.ledger.note(
             TraceRecord::at(t, TraceKind::SnapshotLinks)
                 .unit(total as usize)
                 .value(up as f64),
@@ -683,9 +667,9 @@ fn on_snapshot(st: &mut State, sched: &mut Scheduler<Ev>, now: Time) {
         if st.service.cluster_failed(c, now) {
             ev = ev.cause(TraceCause::ClusterDown);
         }
-        st.trace(ev);
+        st.ledger.note(ev);
     }
-    if let Some(cadence) = st.recorder.as_ref().and_then(|r| r.timeline_cadence_s()) {
+    if let Some(cadence) = st.ledger.cadence_s() {
         sched.schedule_at(now + Time::from_secs(cadence), Ev::Snapshot);
     }
 }
@@ -820,12 +804,8 @@ fn serve_lose(
     if let Some(serve) = st.serve.as_mut() {
         serve.tenants[req.tenant as usize].lost += 1;
     }
-    st.trace(
-        TraceRecord::at(now.as_secs(), TraceKind::ReqRejected)
-            .frame(req.id)
-            .unit(unit)
-            .cause(cause)
-            .parent(req.last_seq),
+    st.ledger.note_request(
+        lifecycle(now, TraceKind::ReqRejected, req.id, unit, req.last_seq).cause(cause),
     );
     serve_finish_slot(st, sched, req.tenant, req.slot, now);
 }
@@ -857,11 +837,9 @@ fn on_serve_arrival(st: &mut State, sched: &mut Scheduler<Ev>, tenant: u32, slot
         let spec = &serve.tenants[t].spec;
         (id, spec.request_bits, spec.request_pixels, sat)
     };
-    let arrived = st.trace(
-        TraceRecord::at(now.as_secs(), TraceKind::ReqArrived)
-            .frame(id)
-            .unit(sat),
-    );
+    let arrived = st
+        .ledger
+        .note_request(lifecycle(now, TraceKind::ReqArrived, id, sat, 0));
     // Admission reads the backlog of the SµDC the entry satellite's
     // relay chain ends at.
     let mut tail = sat;
@@ -875,12 +853,9 @@ fn on_serve_arrival(st: &mut State, sched: &mut Scheduler<Ev>, tenant: u32, slot
     };
     match verdict {
         Admission::Admit => {
-            let last_seq = st.trace(
-                TraceRecord::at(now.as_secs(), TraceKind::ReqAdmitted)
-                    .frame(id)
-                    .unit(sat)
-                    .parent(arrived),
-            );
+            let last_seq =
+                st.ledger
+                    .note_request(lifecycle(now, TraceKind::ReqAdmitted, id, sat, arrived));
             let req = Request {
                 id,
                 tenant,
@@ -893,22 +868,15 @@ fn on_serve_arrival(st: &mut State, sched: &mut Scheduler<Ev>, tenant: u32, slot
             serve_dispatch(st, sched, req, sat, now, 0);
         }
         Admission::Throttled => {
-            st.trace(
-                TraceRecord::at(now.as_secs(), TraceKind::ReqRejected)
-                    .frame(id)
-                    .unit(sat)
-                    .cause(TraceCause::Throttled)
-                    .parent(arrived),
+            st.ledger.note_request(
+                lifecycle(now, TraceKind::ReqRejected, id, sat, arrived)
+                    .cause(TraceCause::Throttled),
             );
             serve_requeue_slot(st, sched, tenant, slot, now);
         }
         Admission::Shed => {
-            st.trace(
-                TraceRecord::at(now.as_secs(), TraceKind::ReqRejected)
-                    .frame(id)
-                    .unit(sat)
-                    .cause(TraceCause::Backlog)
-                    .parent(arrived),
+            st.ledger.note_request(
+                lifecycle(now, TraceKind::ReqRejected, id, sat, arrived).cause(TraceCause::Backlog),
             );
             serve_requeue_slot(st, sched, tenant, slot, now);
         }
@@ -995,15 +963,9 @@ fn serve_dispatch(
                 serve: true,
             };
             if let RetryDecision::Retry { delay_s: delay } = st.policy.decide_retry(&obs) {
-                if let Some(serve) = st.serve.as_mut() {
-                    serve.retries += 1;
-                }
-                req.last_seq = st.trace(
-                    TraceRecord::at(now.as_secs(), TraceKind::Retry)
-                        .frame(req.id)
-                        .unit(sat)
+                req.last_seq = st.ledger.note_request(
+                    lifecycle(now, TraceKind::Retry, req.id, sat, req.last_seq)
                         .cause(TraceCause::LinkDown)
-                        .parent(req.last_seq)
                         .value(delay),
                 );
                 sched.schedule_at(
@@ -1021,12 +983,8 @@ fn serve_dispatch(
         }
     }
     let arrival = st.transport.transmit(sat, now, req.bits);
-    req.last_seq = st.trace(
-        TraceRecord::at(now.as_secs(), TraceKind::Hop)
-            .frame(req.id)
-            .unit(sat)
-            .parent(req.last_seq)
-            .value((arrival - now).as_secs()),
+    req.last_seq = st.ledger.note_request(
+        lifecycle(now, TraceKind::Hop, req.id, sat, req.last_seq).value((arrival - now).as_secs()),
     );
     sched.schedule_at(arrival, Ev::ServeHop { req, from: sat });
 }
@@ -1140,12 +1098,8 @@ fn serve_dispatch_batch(
     let (done, corrupted) = st.service.admit_batch(service_s, cluster, now);
     let size = batch.reqs.len() as f64;
     for req in &mut batch.reqs {
-        req.last_seq = st.trace(
-            TraceRecord::at(now.as_secs(), TraceKind::ReqBatched)
-                .frame(req.id)
-                .unit(cluster)
-                .parent(req.last_seq)
-                .value(size),
+        req.last_seq = st.ledger.note_request(
+            lifecycle(now, TraceKind::ReqBatched, req.id, cluster, req.last_seq).value(size),
         );
     }
     let batch_id = match st.serve.as_mut() {
@@ -1232,26 +1186,13 @@ fn on_serve_batch_done(
                 Some(ok)
             }
         };
+        let record = |kind| lifecycle(now, kind, req.id, cluster, req.last_seq);
         let record = match on_time {
-            Some(true) => TraceRecord::at(now.as_secs(), TraceKind::ReqCompleted)
-                .frame(req.id)
-                .unit(cluster)
-                .parent(req.last_seq)
-                .value(latency),
-            Some(false) => TraceRecord::at(now.as_secs(), TraceKind::SloViolated)
-                .frame(req.id)
-                .unit(cluster)
-                .cause(TraceCause::Backlog)
-                .parent(req.last_seq)
-                .value(latency),
-            None => TraceRecord::at(now.as_secs(), TraceKind::SloViolated)
-                .frame(req.id)
-                .unit(cluster)
-                .cause(TraceCause::Seu)
-                .parent(req.last_seq)
-                .value(latency),
+            Some(true) => record(TraceKind::ReqCompleted),
+            Some(false) => record(TraceKind::SloViolated).cause(TraceCause::Backlog),
+            None => record(TraceKind::SloViolated).cause(TraceCause::Seu),
         };
-        st.trace(record);
+        st.ledger.note_request(record.value(latency));
         serve_finish_slot(st, sched, req.tenant, req.slot, now);
     }
     let tenants = st.serve.as_ref().map_or(0, |serve| serve.tenants.len());
@@ -1327,10 +1268,14 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
         .sum::<f64>()
         / units as f64;
 
-    let goodput = if st.kept == 0 {
+    let frames = &st.ledger.frames;
+    let kept = frames.count(TraceKind::Sensed);
+    let generated = kept + frames.count(TraceKind::Discarded);
+    let processed = frames.count(TraceKind::Served);
+    let goodput = if kept == 0 {
         1.0
     } else {
-        st.processed as f64 / st.kept as f64
+        processed as f64 / kept as f64
     };
     // Stable if goodput is near 1 and residual backlog is within a few
     // seconds of ingest work.
@@ -1342,11 +1287,11 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
     // that began within the horizon and average availability over every
     // modelled process (1.0 when nothing is modelled).
     let mut fault_summary = FaultSummary {
-        retries: st.retries,
-        reroutes: st.reroutes,
-        undeliverable: st.undeliverable,
-        frames_shed: st.frames_shed,
-        frames_corrupted: st.frames_corrupted,
+        retries: frames.count(TraceKind::Retry),
+        reroutes: frames.count(TraceKind::Reroute),
+        undeliverable: frames.count(TraceKind::Undeliverable),
+        frames_shed: frames.count(TraceKind::Shed),
+        frames_corrupted: frames.count(TraceKind::Corrupted),
         ..FaultSummary::default()
     };
     let mut avail = (0.0, 0usize);
@@ -1392,25 +1337,28 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
     }
 
     SimReport {
-        generated: st.generated,
-        kept: st.kept,
-        processed: st.processed,
-        discard_rate: if st.generated == 0 {
+        generated,
+        kept,
+        processed,
+        discard_rate: if generated == 0 {
             0.0
         } else {
-            1.0 - st.kept as f64 / st.generated as f64
+            1.0 - kept as f64 / generated as f64
         },
-        mean_latency_s: st.latency.mean(),
-        max_latency_s: st.latency.max().unwrap_or(0.0),
+        mean_latency_s: st.ledger.latency.mean(),
+        max_latency_s: st.ledger.latency.max().unwrap_or(0.0),
         ingest_utilization,
         compute_utilization,
         residual_backlog: residual,
-        lost_to_failures: st.lost_to_failures,
+        lost_to_failures: frames.count(TraceKind::LostCluster),
         goodput,
         stable,
         scheduler: sched.counters(),
         faults: fault_summary,
-        serve: st.serve.as_ref().map(|s| s.report(horizon)),
+        serve: st
+            .serve
+            .as_ref()
+            .map(|s| s.report(horizon, st.ledger.requests.count(TraceKind::Retry))),
     }
 }
 
@@ -1449,15 +1397,15 @@ fn try_run_with(
     for sat in 0..n {
         seed_generate(&mut sched, cfg, sat);
     }
-    if let Some(cadence) = st.recorder.as_ref().and_then(|r| r.timeline_cadence_s()) {
+    if let Some(cadence) = st.ledger.cadence_s() {
         sched.schedule_at(Time::from_secs(cadence), Ev::Snapshot);
     }
     serve_start(&mut st, &mut sched);
 
     simkit::run_until(&mut sched, &mut st, cfg.duration, step);
 
-    st.drain_trace();
-    if let Some(rec) = &st.recorder {
+    st.ledger.drain();
+    if let Some(rec) = &st.ledger.recorder {
         rec.flush();
     }
     Ok(report(st, &sched, cfg))

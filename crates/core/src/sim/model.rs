@@ -353,6 +353,65 @@ pub struct SimReport {
     pub serve: Option<ServeReport>,
 }
 
+impl SimReport {
+    /// Checks conservation from the report's own counters: every
+    /// generated frame was kept or discarded (at the reported discard
+    /// rate); processed, shed, undeliverable, lost and corrupted frames
+    /// are kept frames, each counted once, the gap being frames still
+    /// in flight at the horizon; goodput lies in [0, 1]. In serve runs,
+    /// each tenant's offered requests were admitted, throttled or shed,
+    /// and at most the admitted ones ended on time, late or lost.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first identity the report breaks.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let discarded = (self.discard_rate * self.generated as f64).round() as u64;
+        if self.kept + discarded != self.generated {
+            return Err(format!(
+                "generated {} != kept {} + discarded {discarded} (discard rate {})",
+                self.generated, self.kept, self.discard_rate
+            ));
+        }
+        let f = &self.faults;
+        let ended = self.processed
+            + f.frames_shed
+            + f.undeliverable
+            + self.lost_to_failures
+            + f.frames_corrupted;
+        if ended > self.kept {
+            return Err(format!(
+                "{ended} frames ended (processed {}, shed {}, undeliverable {}, lost {}, \
+                 corrupted {}) but only {} were kept",
+                self.processed,
+                f.frames_shed,
+                f.undeliverable,
+                self.lost_to_failures,
+                f.frames_corrupted,
+                self.kept
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.goodput) {
+            return Err(format!("goodput {} outside [0, 1]", self.goodput));
+        }
+        for t in self.serve.iter().flat_map(|s| &s.tenants) {
+            if t.admitted + t.throttled + t.shed != t.offered {
+                return Err(format!(
+                    "tenant {}: offered {} != admitted {} + throttled {} + shed {}",
+                    t.name, t.offered, t.admitted, t.throttled, t.shed
+                ));
+            }
+            if t.on_time + t.violations + t.lost > t.admitted {
+                return Err(format!(
+                    "tenant {}: {} on time + {} violations + {} lost exceed {} admitted",
+                    t.name, t.on_time, t.violations, t.lost, t.admitted
+                ));
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

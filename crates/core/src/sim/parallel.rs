@@ -169,6 +169,7 @@ mod tests {
                 let one = try_run_threads(&cfg, 1).expect("valid config");
                 let four = try_run_threads(&cfg, 4).expect("valid config");
                 assert_eq!(one, four, "{topology:?} {scenario} t1 vs t4");
+                assert_eq!(one.check_invariants(), Ok(()), "{topology:?} {scenario}");
             }
         }
     }
@@ -202,6 +203,7 @@ mod tests {
             ("predictive split:2", &migrating),
         ] {
             let seq = engine::try_run(cfg).expect("valid config");
+            assert_eq!(seq.check_invariants(), Ok(()), "{name}");
             for threads in [1, 2, 4] {
                 let par = try_run_threads(cfg, threads).expect("valid config");
                 assert_eq!(par, seq, "{name} at {threads} threads");

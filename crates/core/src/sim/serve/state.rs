@@ -115,8 +115,6 @@ pub struct ServeState {
     pub batcher: Batcher,
     /// Total arrivals so far (request ids and `serve_source` keying).
     pub arrivals: u64,
-    /// Link-outage retries spent on request hops.
-    pub retries: u64,
 }
 
 impl ServeState {
@@ -135,7 +133,6 @@ impl ServeState {
             batcher: Batcher::new(cfg, units),
             cfg: cfg.clone(),
             arrivals: 0,
-            retries: 0,
         }
     }
 
@@ -169,8 +166,9 @@ impl ServeState {
         pixels / self.profile.throughput(batch_len as u32)
     }
 
-    /// Folds the run into the embedded report.
-    pub fn report(&self, horizon_s: f64) -> ServeReport {
+    /// Folds the run into the embedded report; `retries` is the
+    /// link-outage retries the engine's ledger counted on request hops.
+    pub fn report(&self, horizon_s: f64, retries: u64) -> ServeReport {
         let horizon = horizon_s.max(f64::MIN_POSITIVE);
         let tenants: Vec<TenantReport> = self
             .tenants
@@ -212,7 +210,7 @@ impl ServeState {
             },
             batches: self.batcher.batches_dispatched,
             mean_batch: self.batcher.mean_batch(),
-            retries: self.retries,
+            retries,
             tenants,
         }
     }
@@ -271,7 +269,7 @@ mod tests {
         for _ in 0..8 {
             t.latency_ms.record(100.0);
         }
-        let rep = st.report(10.0);
+        let rep = st.report(10.0, 0);
         let tr = &rep.tenants[0];
         assert_eq!(tr.class, TenantClass::Premium);
         assert!((tr.slo_attainment - 0.6).abs() < 1e-12);

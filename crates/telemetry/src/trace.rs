@@ -18,7 +18,8 @@
 //! [`TraceLog`] parses a recorded JSONL file back into events and
 //! answers the analysis questions behind `repro trace <path>`: per-hop
 //! latency breakdown, critical-path extraction, loss attribution by
-//! cause, and the top-k slowest frames.
+//! cause, and the top-k slowest frames. Its counts come from a
+//! [`TraceTally`], the same tally the engine folds its report from.
 //!
 //! ```
 //! use telemetry::trace::{Recorder, TraceEvent, TraceKind, TraceRecord};
@@ -264,6 +265,13 @@ impl TraceCause {
     pub fn from_name(name: &str) -> Option<TraceCause> {
         CAUSES.iter().copied().find(|c| c.as_str() == name)
     }
+
+    /// Dense code for the packed forms: 0 is reserved for "no cause",
+    /// so a cause's code is its `CAUSES` index plus one.
+    #[inline]
+    fn code(self) -> u8 {
+        self as u8 + 1
+    }
 }
 
 /// One recorded flight-recorder event. `seq` is assigned by the
@@ -290,57 +298,6 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Starts an event at sim time `t_s` with every payload field
-    /// empty; chain the builder methods to fill them in.
-    #[inline]
-    pub fn at(t_s: f64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            seq: 0,
-            t_s,
-            kind,
-            frame: None,
-            unit: None,
-            cause: None,
-            parent: None,
-            value: None,
-        }
-    }
-
-    /// Attaches the frame id.
-    #[inline]
-    pub fn frame(mut self, id: u64) -> TraceEvent {
-        self.frame = Some(id);
-        self
-    }
-
-    /// Attaches the satellite/cluster index.
-    #[inline]
-    pub fn unit(mut self, unit: usize) -> TraceEvent {
-        self.unit = Some(unit as u64);
-        self
-    }
-
-    /// Attaches the cause.
-    #[inline]
-    pub fn cause(mut self, cause: TraceCause) -> TraceEvent {
-        self.cause = Some(cause);
-        self
-    }
-
-    /// Links the causal parent (`seq` of the preceding event).
-    #[inline]
-    pub fn parent(mut self, seq: u64) -> TraceEvent {
-        self.parent = Some(seq);
-        self
-    }
-
-    /// Attaches the kind-specific measurement.
-    #[inline]
-    pub fn value(mut self, v: f64) -> TraceEvent {
-        self.value = Some(v);
-        self
-    }
-
     /// Wraps the trace event in the shared [`Event`] schema. `ts_ms`
     /// carries **sim-time milliseconds** (derived from `t_s`), never
     /// the host clock, so recorded logs are seed-deterministic.
@@ -376,33 +333,6 @@ impl TraceEvent {
         }
     }
 
-    /// Reconstructs a trace event from a dispatched [`Event`] (the
-    /// in-memory mirror of [`parse_line`](Self::parse_line)).
-    pub fn from_event(ev: &Event) -> Option<TraceEvent> {
-        let kind = TraceKind::from_name(ev.name.strip_prefix(EVENT_PREFIX)?)?;
-        let u64_of = |key: &str| match ev.field(key) {
-            Some(Value::U64(v)) => Some(*v),
-            _ => None,
-        };
-        let f64_of = |key: &str| match ev.field(key) {
-            Some(Value::F64(v)) => Some(*v),
-            _ => None,
-        };
-        Some(TraceEvent {
-            seq: u64_of("seq")?,
-            t_s: f64_of("t_s")?,
-            kind,
-            frame: u64_of("frame"),
-            unit: u64_of("unit"),
-            cause: match ev.field("cause") {
-                Some(Value::Str(s)) => TraceCause::from_name(s),
-                _ => None,
-            },
-            parent: u64_of("parent"),
-            value: f64_of("value"),
-        })
-    }
-
     /// Parses one JSONL line that [`to_event`](Self::to_event) and
     /// `Event::to_json` produced. Returns `None` for lines that are not
     /// trace events (other telemetry sharing the sink is skipped, not
@@ -435,8 +365,8 @@ impl TraceEvent {
 /// record's sequence number is its position in the recorder's stream
 /// (batch base + offset), so the hot path never writes one.
 ///
-/// The builder API mirrors [`TraceEvent`]'s; [`expand`](Self::expand)
-/// produces the rich analysis form. Absent fields use in-band
+/// Producers build records with the builder methods below;
+/// [`expand`](Self::expand) produces the rich analysis form. Absent fields use in-band
 /// sentinels (`u32::MAX` frame, `u16::MAX` unit, `parent == 0`, NaN
 /// value), which [`expand`](Self::expand) maps back to `None`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -491,7 +421,7 @@ impl TraceRecord {
     /// Attaches the cause.
     #[inline]
     pub fn cause(mut self, cause: TraceCause) -> TraceRecord {
-        self.cause_code = cause as u8 + 1;
+        self.cause_code = cause.code();
         self
     }
 
@@ -526,6 +456,63 @@ impl TraceRecord {
                 .and_then(|i| CAUSES.get(i as usize).copied()),
             parent: (self.parent != 0).then_some(self.parent),
             value: (!self.value.is_nan()).then_some(self.value),
+        }
+    }
+}
+
+/// Lifecycle records counted by kind and cause: the one accounting the
+/// simulator and the log analysis share. The sim engine tallies every
+/// record it emits, recording on or off, and reads its report counters
+/// out of the tally; [`TraceLog`] runs the same tally over a parsed
+/// log. A log's loss table therefore equals the run's fault summary by
+/// construction.
+#[derive(Debug, Clone, Default)]
+pub struct TraceTally {
+    /// Records by kind code.
+    kinds: [u64; KINDS.len()],
+    /// Loss records by cause code; code 0 is "no cause".
+    losses: [u64; CAUSES.len() + 1],
+}
+
+impl TraceTally {
+    /// Counts one record.
+    #[inline(always)]
+    pub fn add(&mut self, rec: &TraceRecord) {
+        self.add_codes(rec.kind_code, rec.cause_code);
+    }
+
+    fn add_event(&mut self, ev: &TraceEvent) {
+        self.add_codes(ev.kind.code(), ev.cause.map_or(0, TraceCause::code));
+    }
+
+    #[inline(always)]
+    fn add_codes(&mut self, kind: u8, cause: u8) {
+        self.kinds[kind as usize] += 1;
+        if TraceKind::from_code(kind).is_loss() {
+            self.losses[cause as usize] += 1;
+        }
+    }
+
+    /// Records of one kind.
+    pub fn count(&self, kind: TraceKind) -> u64 {
+        self.kinds[kind.code() as usize]
+    }
+
+    /// Loss records ([`TraceKind::is_loss`]) grouped by cause label;
+    /// losses without a cause count as `"unattributed"`. Causes with no
+    /// loss are absent.
+    pub fn losses(&self) -> BTreeMap<&'static str, u64> {
+        let labels = std::iter::once("unattributed").chain(CAUSES.iter().map(|c| c.as_str()));
+        labels.zip(self.losses).filter(|&(_, n)| n > 0).collect()
+    }
+
+    /// Adds `other`'s counts to this tally.
+    pub fn merge(&mut self, other: &TraceTally) {
+        for (n, m) in self.kinds.iter_mut().zip(other.kinds) {
+            *n += m;
+        }
+        for (n, m) in self.losses.iter_mut().zip(other.losses) {
+            *n += m;
         }
     }
 }
@@ -770,17 +757,40 @@ impl Segment {
 }
 
 /// A parsed flight log plus the analyses `repro trace` runs on it.
+///
+/// Construction makes one pass over the events: it runs the
+/// [`TraceTally`] the engine keeps and builds a frame index. Every
+/// analysis then reads the tally or the index, and a parent lookup is a
+/// binary search over the `seq`-sorted events, so analysing a whole log
+/// costs O(n log n).
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     /// Every trace event, sorted by `seq`.
-    pub events: Vec<TraceEvent>,
+    events: Vec<TraceEvent>,
+    tally: TraceTally,
+    /// `(frame, index into events)` for every event that carries a
+    /// frame, sorted: each frame's events form one run in `seq` order.
+    by_frame: Vec<(u64, usize)>,
 }
 
 impl TraceLog {
     /// Builds a log from in-memory events (a recorder ring snapshot).
     pub fn from_events(mut events: Vec<TraceEvent>) -> TraceLog {
         events.sort_by_key(|e| e.seq);
-        TraceLog { events }
+        let mut tally = TraceTally::default();
+        let mut by_frame = Vec::new();
+        for (i, ev) in events.iter().enumerate() {
+            tally.add_event(ev);
+            if let Some(frame) = ev.frame {
+                by_frame.push((frame, i));
+            }
+        }
+        by_frame.sort_unstable();
+        TraceLog {
+            events,
+            tally,
+            by_frame,
+        }
     }
 
     /// Parses JSONL text, skipping lines that are not trace events.
@@ -807,35 +817,59 @@ impl TraceLog {
         self.events.is_empty()
     }
 
+    /// Every frame id in the log, ascending.
+    pub fn frame_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.by_frame
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| run[0].0)
+    }
+
     /// Frame-indexed view: frame id → its events in `seq` order.
     pub fn frames(&self) -> BTreeMap<u64, Vec<&TraceEvent>> {
         let mut out: BTreeMap<u64, Vec<&TraceEvent>> = BTreeMap::new();
-        for ev in &self.events {
-            if let Some(frame) = ev.frame {
-                out.entry(frame).or_default().push(ev);
-            }
+        for &(frame, i) in &self.by_frame {
+            out.entry(frame).or_default().push(&self.events[i]);
         }
         out
     }
 
+    /// One frame's events in `seq` order.
+    fn frame_events(&self, frame: u64) -> impl DoubleEndedIterator<Item = &TraceEvent> {
+        let lo = self.by_frame.partition_point(|&(f, _)| f < frame);
+        let hi = self.by_frame.partition_point(|&(f, _)| f <= frame);
+        self.by_frame[lo..hi].iter().map(|&(_, i)| &self.events[i])
+    }
+
+    /// The event numbered `seq` (the last one, should a log repeat a
+    /// number).
+    fn by_seq(&self, seq: u64) -> Option<&TraceEvent> {
+        let end = self.events.partition_point(|e| e.seq <= seq);
+        end.checked_sub(1)
+            .map(|i| &self.events[i])
+            .filter(|e| e.seq == seq)
+    }
+
     /// The frame's terminal event, if it reached one.
     pub fn terminal(&self, frame: u64) -> Option<&TraceEvent> {
-        self.events
-            .iter()
+        self.frame_events(frame)
             .rev()
-            .find(|e| e.frame == Some(frame) && e.kind.is_terminal())
+            .find(|e| e.kind.is_terminal())
     }
 
     /// Walks `parent` links backwards from the frame's terminal event
     /// and returns the causal chain oldest-first. The chain stops
-    /// early if an ancestor was evicted from a ring-only log.
+    /// early if an ancestor was evicted from a ring-only log, or at a
+    /// link that does not point to an earlier event (the recorder only
+    /// writes backward links, so a malformed log cannot loop).
     pub fn critical_path(&self, frame: u64) -> Vec<&TraceEvent> {
-        let by_seq: BTreeMap<u64, &TraceEvent> = self.events.iter().map(|e| (e.seq, e)).collect();
         let mut chain = Vec::new();
         let mut cursor = self.terminal(frame);
         while let Some(ev) = cursor {
             chain.push(ev);
-            cursor = ev.parent.and_then(|p| by_seq.get(&p).copied());
+            cursor = ev
+                .parent
+                .filter(|&p| p < ev.seq)
+                .and_then(|p| self.by_seq(p));
         }
         chain.reverse();
         chain
@@ -862,17 +896,12 @@ impl TraceLog {
     /// Loss terminals grouped by cause label (frames that were kept
     /// but never produced good output; discards are excluded).
     pub fn loss_attribution(&self) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for ev in self.events.iter().filter(|e| e.kind.is_loss()) {
-            let label = ev.cause.map_or("unattributed", TraceCause::as_str);
-            *out.entry(label).or_insert(0) += 1;
-        }
-        out
+        self.tally.losses()
     }
 
     /// Events of one kind.
     pub fn count_kind(&self, kind: TraceKind) -> u64 {
-        self.events.iter().filter(|e| e.kind == kind).count() as u64
+        self.tally.count(kind)
     }
 
     /// The `k` slowest completed frames or requests (served, corrupted,
@@ -902,24 +931,26 @@ impl TraceLog {
     /// Per-transition latency breakdown over every frame's critical
     /// path, sorted by label.
     pub fn hop_breakdown(&self) -> Vec<Segment> {
-        let mut segs: BTreeMap<String, Segment> = BTreeMap::new();
-        for frame in self.frames().keys() {
-            let path = self.critical_path(*frame);
-            for pair in path.windows(2) {
+        let mut segs: BTreeMap<(TraceKind, TraceKind), Segment> = BTreeMap::new();
+        for frame in self.frame_ids() {
+            for pair in self.critical_path(frame).windows(2) {
                 let dt = (pair[1].t_s - pair[0].t_s).max(0.0);
-                let label = format!("{}→{}", pair[0].kind.as_str(), pair[1].kind.as_str());
-                let seg = segs.entry(label.clone()).or_insert(Segment {
-                    label,
-                    count: 0,
-                    total_s: 0.0,
-                    max_s: 0.0,
-                });
+                let seg = segs
+                    .entry((pair[0].kind, pair[1].kind))
+                    .or_insert_with(|| Segment {
+                        label: format!("{}→{}", pair[0].kind.as_str(), pair[1].kind.as_str()),
+                        count: 0,
+                        total_s: 0.0,
+                        max_s: 0.0,
+                    });
                 seg.count += 1;
                 seg.total_s += dt;
                 seg.max_s = seg.max_s.max(dt);
             }
         }
-        segs.into_values().collect()
+        let mut out: Vec<Segment> = segs.into_values().collect();
+        out.sort_by(|a, b| a.label.cmp(&b.label));
+        out
     }
 }
 
@@ -928,19 +959,19 @@ mod tests {
     use super::*;
     use crate::sink::MemorySink;
 
-    fn full_event() -> TraceEvent {
-        TraceEvent::at(12.625, TraceKind::Retry)
+    fn full_event(seq: u64) -> TraceEvent {
+        TraceRecord::at(12.625, TraceKind::Retry)
             .frame(42)
             .unit(7)
             .cause(TraceCause::LinkDown)
             .parent(9)
             .value(0.05)
+            .expand(seq)
     }
 
     #[test]
     fn jsonl_round_trip_preserves_every_field() {
-        let mut ev = full_event();
-        ev.seq = 10;
+        let ev = full_event(10);
         let line = ev.to_event().to_json();
         let back = TraceEvent::parse_line(&line).expect("parses");
         assert_eq!(back, ev);
@@ -948,8 +979,9 @@ mod tests {
 
     #[test]
     fn sparse_events_round_trip_with_fields_absent() {
-        let mut ev = TraceEvent::at(0.0, TraceKind::SnapshotNet).value(1.5e9);
-        ev.seq = 1;
+        let ev = TraceRecord::at(0.0, TraceKind::SnapshotNet)
+            .value(1.5e9)
+            .expand(1);
         let back = TraceEvent::parse_line(&ev.to_event().to_json()).expect("parses");
         assert_eq!(back, ev);
         assert_eq!(back.frame, None);
@@ -970,8 +1002,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_sim_time_not_wall_time() {
-        let mut ev = TraceEvent::at(3.25, TraceKind::Sensed);
-        ev.seq = 1;
+        let ev = TraceRecord::at(3.25, TraceKind::Sensed).expand(1);
         let wrapped = ev.to_event();
         assert_eq!(wrapped.unix_ms, 3250, "ts_ms must be sim-time ms");
         assert!(wrapped.name.starts_with(EVENT_PREFIX));
@@ -983,8 +1014,7 @@ mod tests {
         assert_eq!(TraceEvent::parse_line(other), None);
         assert_eq!(TraceEvent::parse_line("not json at all"), None);
         assert_eq!(TraceEvent::parse_line(""), None);
-        let mut ev = full_event();
-        ev.seq = 3;
+        let ev = full_event(3);
         let line = ev.to_event().to_json();
         let bad_frame = line.replace("\"frame\":42", "\"frame\":-42");
         assert_eq!(TraceEvent::parse_line(&bad_frame), None);
@@ -993,8 +1023,7 @@ mod tests {
 
     #[test]
     fn log_parse_skips_a_deeply_nested_line() {
-        let mut ev = full_event();
-        ev.seq = 1;
+        let ev = full_event(1);
         let line = ev.to_event().to_json();
         let text = format!("{line}\n{}\n{line}\n", "[".repeat(1_000_000));
         assert_eq!(TraceLog::parse(&text).len(), 2);
@@ -1026,7 +1055,7 @@ mod tests {
         assert_eq!(rec.len(), 1, "ring wrapped");
         let streamed = sink.events();
         assert_eq!(streamed.len(), 2, "the sink sees the full log");
-        let back = TraceEvent::from_event(&streamed[1]).expect("trace event");
+        let back = TraceEvent::parse_line(&streamed[1].to_json()).expect("trace event");
         assert_eq!(back.kind, TraceKind::Shed);
         assert_eq!(back.cause, Some(TraceCause::Backlog));
     }

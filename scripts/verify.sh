@@ -24,11 +24,14 @@
 # byte-diffs the 78 <id>.{txt,csv,json} files against results/.
 #
 # The workspace builds from std and path crates only, so every step runs
-# offline; a registry dependency fails the tier-1 step.
+# offline; a registry dependency fails the tier-1 step. The gates run the
+# binary the build step produced, under ${CARGO_TARGET_DIR:-target}; a
+# gate that finds no binary there fails.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
 failed=0
+repro="${CARGO_TARGET_DIR:-target}/release/repro"
 
 echo "== tier-1: cargo build --release --offline && cargo test -q --offline =="
 if ! (cargo build --release --offline && cargo test -q --offline); then
@@ -37,7 +40,7 @@ if ! (cargo build --release --offline && cargo test -q --offline); then
 fi
 
 echo "== determinism gate (topology matrix × fault injection) =="
-if [ -x target/release/repro ]; then
+if [ -x "$repro" ]; then
     # Every topology shape must replay byte-identically under the same
     # seed, faults included: two runs of each cell are byte-diffed.
     # topology argument → artifact-id suffix (empty for the ring).
@@ -50,7 +53,7 @@ if [ -x target/release/repro ]; then
         db="$(mktemp -d)"
         cell_ok=1
         for runDir in "$da" "$db"; do
-            if ! ./target/release/repro --quiet sim --faults flaky_links \
+            if ! "$repro" --quiet sim --faults flaky_links \
                 --topology "$topo" --out-dir "$runDir" \
                 --record "$runDir/trace.jsonl" >/dev/null; then
                 cell_ok=0
@@ -72,8 +75,8 @@ if [ -x target/release/repro ]; then
             fi
             # Both logs must also read back: `repro trace` exits 0 on
             # each and prints the same analysis, bar the path line.
-            if ! ta="$(./target/release/repro trace "$da/trace.jsonl")" ||
-                ! tb="$(./target/release/repro trace "$db/trace.jsonl")"; then
+            if ! ta="$("$repro" trace "$da/trace.jsonl")" ||
+                ! tb="$("$repro" trace "$db/trace.jsonl")"; then
                 echo "FAIL: repro trace cannot analyze the $topo flight logs"
                 cell_ok=0
             elif [ "$(grep -v '^flight log ' <<<"$ta")" != \
@@ -106,7 +109,7 @@ if [ -x target/release/repro ]; then
         db="$(mktemp -d)"
         cell_ok=1
         for runDir in "$da" "$db"; do
-            if ! ./target/release/repro --quiet sim --serve steady \
+            if ! "$repro" --quiet sim --serve steady \
                 --minutes 1 --topology "$topo" --out-dir "$runDir" >/dev/null; then
                 cell_ok=0
             fi
@@ -149,7 +152,7 @@ if [ -x target/release/repro ]; then
             cell_ok=1
             for pair in "1:$d1" "4:$d4"; do
                 # shellcheck disable=SC2086 # $variant is a flag list
-                if ! ./target/release/repro --quiet sim \
+                if ! "$repro" --quiet sim \
                     $variant --topology "$topo" --threads "${pair%%:*}" \
                     --out-dir "${pair#*:}" >/dev/null; then
                     cell_ok=0
@@ -187,13 +190,13 @@ if [ -x target/release/repro ]; then
     policy_ok=1
     dimp="$(mktemp -d)"
     dexp="$(mktemp -d)"
-    if ./target/release/repro --quiet sim --faults flaky_links \
+    if "$repro" --quiet sim --faults flaky_links \
         --out-dir "$dimp" >/dev/null &&
-        ./target/release/repro --quiet sim --faults flaky_links \
+        "$repro" --quiet sim --faults flaky_links \
             --policy static --out-dir "$dexp" >/dev/null &&
-        ./target/release/repro --quiet sim --serve steady --minutes 1 \
+        "$repro" --quiet sim --serve steady --minutes 1 \
             --out-dir "$dimp" >/dev/null &&
-        ./target/release/repro --quiet sim --serve steady --minutes 1 \
+        "$repro" --quiet sim --serve steady --minutes 1 \
             --policy static --out-dir "$dexp" >/dev/null; then
         for f in faults_flaky_links serve_steady; do
             for ext in txt csv json; do
@@ -224,7 +227,7 @@ if [ -x target/release/repro ]; then
             db="$(mktemp -d)"
             cell_ok=1
             for runDir in "$da" "$db"; do
-                if ! ./target/release/repro --quiet sim --faults flaky_links \
+                if ! "$repro" --quiet sim --faults flaky_links \
                     --topology "$topo" --policy "$policy" \
                     --out-dir "$runDir" >/dev/null; then
                     cell_ok=0
@@ -254,17 +257,18 @@ if [ -x target/release/repro ]; then
         failed=1
     fi
 else
-    echo "warn: target/release/repro not built; skipping determinism gate"
+    echo "FAIL: $repro not built; cannot run the determinism, thread-count and policy gates"
+    failed=1
 fi
 
 echo "== artifact-identity gate (repro all vs results/) =="
-if [ -x target/release/repro ]; then
+if [ -x "$repro" ]; then
     # The committed experiment artifacts are the behaviour spec: a fresh
     # `repro all` must reproduce every <id>.{txt,csv,json} byte for byte.
     art="$(mktemp -d)"
     art_ok=1
-    if ./target/release/repro --quiet --out-dir "$art" all >/dev/null; then
-        ids="$(./target/release/repro list | awk 'NR > 1 { print $1 }')"
+    if "$repro" --quiet --out-dir "$art" all >/dev/null; then
+        ids="$("$repro" list | awk 'NR > 1 { print $1 }')"
         checked=0
         for id in $ids; do
             for ext in txt csv json; do
@@ -290,7 +294,8 @@ if [ -x target/release/repro ]; then
         failed=1
     fi
 else
-    echo "warn: target/release/repro not built; skipping artifact-identity gate"
+    echo "FAIL: $repro not built; cannot run the artifact-identity gate"
+    failed=1
 fi
 
 echo "== serve capacity gate (results/BENCH_serve.json) =="
@@ -304,9 +309,9 @@ if [ -f results/BENCH_serve.json ]; then
     done
     # The sweep is seeded and its artifacts carry no wall clock, so a
     # fresh run must reproduce the committed frontier byte for byte.
-    if [ -x target/release/repro ]; then
+    if [ -x "$repro" ]; then
         sv="$(mktemp -d)"
-        if ./target/release/repro --quiet explore serve --out-dir "$sv" >/dev/null; then
+        if "$repro" --quiet explore serve --out-dir "$sv" >/dev/null; then
             for f in explore_serve explore_serve_frontier; do
                 for ext in txt csv json; do
                     if ! cmp -s "$sv/$f.$ext" "results/$f.$ext"; then
@@ -325,7 +330,8 @@ if [ -f results/BENCH_serve.json ]; then
         fi
         rm -rf "$sv"
     else
-        echo "warn: target/release/repro not built; skipping the serve rerun"
+        echo "FAIL: $repro not built; cannot rerun the serve sweep"
+        serve_bench_ok=0
     fi
     if [ "$serve_bench_ok" -eq 1 ]; then
         echo "ok: repro explore serve reproduces the committed capacity frontier byte for byte"
@@ -333,12 +339,12 @@ if [ -f results/BENCH_serve.json ]; then
         failed=1
     fi
 else
-    echo "FAIL: results/BENCH_serve.json missing (run ./target/release/repro explore serve)"
+    echo "FAIL: results/BENCH_serve.json missing (run $repro explore serve)"
     failed=1
 fi
 
 echo "== static-analysis gate (repro lint --audit determinism) =="
-if [ -x target/release/repro ]; then
+if [ -x "$repro" ]; then
     # New violations (anything not grandfathered by the committed
     # baseline) fail; the baseline may only shrink. The determinism
     # audit rides the same invocation: the semantic pass must come out
@@ -348,7 +354,7 @@ if [ -x target/release/repro ]; then
     lb="$(mktemp -d)"
     lint_ok=1
     for auditDir in "$la" "$lb"; do
-        if ! ./target/release/repro --quiet lint \
+        if ! "$repro" --quiet lint \
             --audit determinism --out-dir "$auditDir" >/dev/null; then
             echo "FAIL: repro lint --audit determinism found new violations"
             lint_ok=0
@@ -365,7 +371,7 @@ if [ -x target/release/repro ]; then
         if diff -q "$la/lint_audit.json" results/lint_audit.json >/dev/null; then
             echo "ok: committed results/lint_audit.json matches the current code"
         else
-            echo "FAIL: results/lint_audit.json is stale (rerun ./target/release/repro lint --audit determinism)"
+            echo "FAIL: results/lint_audit.json is stale (rerun $repro lint --audit determinism)"
             lint_ok=0
         fi
     fi
@@ -374,7 +380,8 @@ if [ -x target/release/repro ]; then
         failed=1
     fi
 else
-    echo "warn: target/release/repro not built; skipping static-analysis gate"
+    echo "FAIL: $repro not built; cannot run the static-analysis gate"
+    failed=1
 fi
 
 echo "== cargo fmt --check =="

@@ -102,6 +102,7 @@ fn recorded_traces_are_byte_identical_across_the_topology_matrix() {
         let (report_a, events_a) = recorded(&cfg, Some(5.0));
         let (report_b, events_b) = recorded(&cfg, Some(5.0));
         assert_eq!(report_a, report_b, "topology '{label}' report must replay");
+        assert_eq!(report_a.check_invariants(), Ok(()), "topology '{label}'");
         assert_eq!(
             to_jsonl(&events_a),
             to_jsonl(&events_b),
@@ -230,5 +231,186 @@ fn timeline_snapshots_land_on_the_sim_time_cadence() {
     assert!(
         events.iter().any(|e| e.kind == TraceKind::SnapshotLinks),
         "flaky_links models outages, so link state must be snapshotted"
+    );
+}
+
+/// Today's-algorithm reference for the indexed `TraceLog` analyses: a
+/// linear scan per frame for the terminal and a whole-log `seq` map
+/// per critical path.
+mod naive {
+    use std::collections::BTreeMap;
+
+    use telemetry::trace::{TraceEvent, TraceKind};
+
+    pub fn frames(events: &[TraceEvent]) -> Vec<u64> {
+        let mut ids: Vec<u64> = events.iter().filter_map(|e| e.frame).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    pub fn critical_path(events: &[TraceEvent], frame: u64) -> Vec<TraceEvent> {
+        let by_seq: BTreeMap<u64, &TraceEvent> = events.iter().map(|e| (e.seq, e)).collect();
+        let mut chain = Vec::new();
+        let mut cursor = events
+            .iter()
+            .rev()
+            .find(|e| e.frame == Some(frame) && e.kind.is_terminal());
+        while let Some(ev) = cursor {
+            chain.push(*ev);
+            cursor = ev.parent.and_then(|p| by_seq.get(&p).copied());
+        }
+        chain.reverse();
+        chain
+    }
+
+    pub fn is_complete(events: &[TraceEvent], frame: u64) -> bool {
+        let path = critical_path(events, frame);
+        match (path.first(), path.last()) {
+            (Some(first), Some(last)) => {
+                matches!(
+                    first.kind,
+                    TraceKind::Sensed | TraceKind::Discarded | TraceKind::ReqArrived
+                ) && last.kind.is_terminal()
+            }
+            _ => false,
+        }
+    }
+
+    /// `(label, count, total_s, max_s)` sorted by label.
+    pub fn hop_breakdown(events: &[TraceEvent], frames: &[u64]) -> Vec<(String, u64, f64, f64)> {
+        let mut segs: BTreeMap<String, (u64, f64, f64)> = BTreeMap::new();
+        for &frame in frames {
+            for pair in critical_path(events, frame).windows(2) {
+                let dt = (pair[1].t_s - pair[0].t_s).max(0.0);
+                let label = format!("{}→{}", pair[0].kind.as_str(), pair[1].kind.as_str());
+                let seg = segs.entry(label).or_insert((0, 0.0, 0.0));
+                seg.0 += 1;
+                seg.1 += dt;
+                seg.2 = seg.2.max(dt);
+            }
+        }
+        segs.into_iter()
+            .map(|(l, (n, t, m))| (l, n, t, m))
+            .collect()
+    }
+
+    pub fn loss_attribution(events: &[TraceEvent]) -> BTreeMap<&'static str, u64> {
+        let mut out = BTreeMap::new();
+        for ev in events.iter().filter(|e| e.kind.is_loss()) {
+            let label = ev.cause.map_or("unattributed", |c| c.as_str());
+            *out.entry(label).or_insert(0) += 1;
+        }
+        out
+    }
+
+    pub fn slowest_frames(events: &[TraceEvent], k: usize) -> Vec<(u64, f64)> {
+        let mut done: Vec<(u64, f64)> = events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    TraceKind::Served
+                        | TraceKind::Corrupted
+                        | TraceKind::ReqCompleted
+                        | TraceKind::SloViolated
+                )
+            })
+            .filter_map(|e| Some((e.frame?, e.value?)))
+            .collect();
+        done.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        done.truncate(k);
+        done
+    }
+}
+
+/// The indexed analyses agree with the per-frame reference on random
+/// logs: interleaved frame and request (`≥ REQ_ID_BASE`) lifecycles,
+/// timeline snapshots, frames that never reach a terminal or reach
+/// several, unattributed losses, and events evicted from the middle of
+/// the log so that parent chains break.
+#[test]
+fn indexed_trace_analysis_matches_the_per_frame_reference() {
+    use simkit::prop::{self, any};
+    use sudc::sim::serve::REQ_ID_BASE;
+    use telemetry::trace::{TraceEvent, CAUSES, KINDS};
+
+    prop::check(
+        "indexed_trace_analysis_matches_the_per_frame_reference",
+        128,
+        |g| {
+            let ids: Vec<u64> = (0..g.draw(1usize..10))
+                .map(|i| {
+                    if g.draw(any::<bool>()) {
+                        REQ_ID_BASE + i as u64
+                    } else {
+                        1 + i as u64
+                    }
+                })
+                .collect();
+            let mut last_seq = vec![0u64; ids.len()];
+            let mut events = Vec::new();
+            let mut t_s = 0.0;
+            for seq in 1..=g.draw(0u64..120) {
+                t_s += g.draw(0.0f64..2.0);
+                let kind = KINDS[g.draw(0usize..KINDS.len())];
+                let cause = g
+                    .draw(any::<bool>())
+                    .then(|| CAUSES[g.draw(0usize..CAUSES.len())]);
+                let value = g.draw(any::<bool>()).then(|| g.draw(0.0f64..10.0));
+                let (frame, parent) = if kind.as_str().starts_with("snapshot") {
+                    (None, None)
+                } else {
+                    let i = g.draw(0usize..ids.len());
+                    let parent = (last_seq[i] != 0).then_some(last_seq[i]);
+                    last_seq[i] = seq;
+                    (Some(ids[i]), parent)
+                };
+                events.push(TraceEvent {
+                    seq,
+                    t_s,
+                    kind,
+                    frame,
+                    unit: None,
+                    cause,
+                    parent,
+                    value,
+                });
+            }
+            // Evict a random subset, as a wrapped ring drops events
+            // other events still point at.
+            events.retain(|_| g.draw(0u32..8) != 0);
+
+            // Hand the log over out of order; it sorts by seq.
+            let mut shuffled = events.clone();
+            shuffled.reverse();
+            let log = TraceLog::from_events(shuffled);
+            let frames = naive::frames(&events);
+            assert_eq!(log.frame_ids().collect::<Vec<_>>(), frames);
+            assert_eq!(log.frames().keys().copied().collect::<Vec<_>>(), frames);
+            for &frame in frames.iter().chain(&[0, u64::MAX]) {
+                let path: Vec<TraceEvent> = log.critical_path(frame).into_iter().copied().collect();
+                assert_eq!(path, naive::critical_path(&events, frame), "frame {frame}");
+                assert_eq!(
+                    log.is_complete(frame),
+                    naive::is_complete(&events, frame),
+                    "frame {frame}"
+                );
+            }
+            let segs: Vec<(String, u64, f64, f64)> = log
+                .hop_breakdown()
+                .into_iter()
+                .map(|s| (s.label, s.count, s.total_s, s.max_s))
+                .collect();
+            assert_eq!(segs, naive::hop_breakdown(&events, &frames));
+            assert_eq!(log.loss_attribution(), naive::loss_attribution(&events));
+            for kind in KINDS {
+                let want = events.iter().filter(|e| e.kind == *kind).count() as u64;
+                assert_eq!(log.count_kind(*kind), want, "{kind:?}");
+            }
+            for k in [0, 3, 1000] {
+                assert_eq!(log.slowest_frames(k), naive::slowest_frames(&events, k));
+            }
+        },
     );
 }

@@ -13,6 +13,14 @@ use sudc::sim::{run, try_run_threads, FaultModel, PolicyKind, SimConfig, SimRepo
 use units::{Length, Time};
 use workloads::Application;
 
+/// Asserts the report's conservation invariants and passes it on.
+fn checked(report: SimReport) -> SimReport {
+    if let Err(e) = report.check_invariants() {
+        panic!("report breaks an invariant: {e}\n{report:?}");
+    }
+    report
+}
+
 /// Asserts a sharded report matches the sequential one under the
 /// sharding contract (same one `crates/core/src/sim/parallel.rs` pins):
 /// every artifact-visible field exact, except the scheduler's peak
@@ -71,13 +79,13 @@ fn static_policy_is_the_pre_policy_engine_everywhere() {
             assert_eq!(implicit.policy, PolicyKind::Static, "default is static");
             let mut explicit = implicit.clone();
             explicit.policy = PolicyKind::Static;
-            let sequential = run(&implicit);
+            let sequential = checked(run(&implicit));
             assert_eq!(
                 sequential,
-                run(&explicit),
+                checked(run(&explicit)),
                 "explicit static diverged on {topo_name}/{scenario}"
             );
-            let sharded = try_run_threads(&explicit, 4).expect("valid config");
+            let sharded = checked(try_run_threads(&explicit, 4).expect("valid config"));
             assert_matches_sequential(&sharded, &sequential, &format!("{topo_name}/{scenario}"));
         }
     }
@@ -92,7 +100,11 @@ fn adaptive_controllers_replay_byte_for_byte() {
         for kind in [PolicyKind::Reactive, PolicyKind::Predictive] {
             let mut cfg = reference(topology, ingest, "flaky_links");
             cfg.policy = kind;
-            assert_eq!(run(&cfg), run(&cfg), "{kind:?} must replay on {topo_name}");
+            assert_eq!(
+                checked(run(&cfg)),
+                checked(run(&cfg)),
+                "{kind:?} must replay on {topo_name}"
+            );
         }
     }
 }
@@ -105,10 +117,14 @@ fn adaptive_controllers_replay_under_sharding() {
     for kind in [PolicyKind::Reactive, PolicyKind::Predictive] {
         let mut cfg = reference(SimTopology::SplitRing { factor: 4 }, None, "combined");
         cfg.policy = kind;
-        let a = try_run_threads(&cfg, 4).expect("valid config");
-        let b = try_run_threads(&cfg, 4).expect("valid config");
+        let a = checked(try_run_threads(&cfg, 4).expect("valid config"));
+        let b = checked(try_run_threads(&cfg, 4).expect("valid config"));
         assert_eq!(a, b, "{kind:?} must replay under 4 threads");
-        assert_eq!(a, run(&cfg), "{kind:?} must run on the sequential engine");
+        assert_eq!(
+            a,
+            checked(run(&cfg)),
+            "{kind:?} must run on the sequential engine"
+        );
     }
 }
 
@@ -122,7 +138,11 @@ fn adaptive_serve_runs_replay_byte_for_byte() {
         cfg.serve = Some(sc.serve.clone());
         cfg.faults = sc.faults.clone();
         cfg.policy = kind;
-        assert_eq!(run(&cfg), run(&cfg), "{kind:?} serve run must replay");
+        assert_eq!(
+            checked(run(&cfg)),
+            checked(run(&cfg)),
+            "{kind:?} serve run must replay"
+        );
     }
 }
 
@@ -134,10 +154,10 @@ fn adaptive_serve_runs_replay_byte_for_byte() {
 #[test]
 fn reactive_strictly_dominates_static_under_flaky_links() {
     let cfg = reference(SimTopology::Ring, None, "flaky_links");
-    let static_report = run(&cfg);
+    let static_report = checked(run(&cfg));
     let mut adaptive = cfg.clone();
     adaptive.policy = PolicyKind::Reactive;
-    let reactive_report = run(&adaptive);
+    let reactive_report = checked(run(&adaptive));
     // Availability is policy-independent: the same seeded outage
     // processes drive it no matter what the controller decides.
     assert_eq!(
