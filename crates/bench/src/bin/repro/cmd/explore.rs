@@ -127,8 +127,8 @@ pub fn exec(cli: &Cli) -> ExitCode {
     let cache_dir = (!cli.no_cache).then(|| bench::results_dir().join("cache"));
 
     let mut manifest = RunManifest::new("explore", sudc::sim::PAPER_SEED);
-    manifest.param("threads", threads as u64);
-    manifest.param("cached", !cli.no_cache);
+    // --threads and --no-cache are left out: neither can change a
+    // byte the sweep writes.
     manifest.param("sweep_count", names.len() as u64);
     // Headline gauges from the sweeps that surface them (today: the
     // serve capacity frontier), written once the manifest is complete.

@@ -11,7 +11,9 @@ pub mod trace;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sudc::sim::{PolicyKind, SimConfig, SimTopology};
+use sudc::sim::{
+    try_run, try_run_recorded, try_run_threads, PolicyKind, SimConfig, SimReport, SimTopology,
+};
 use telemetry::trace::Recorder;
 use telemetry::Level;
 
@@ -149,6 +151,30 @@ pub fn make_recorder(cli: &Cli) -> Result<Option<Arc<Recorder>>, String> {
     Ok(Some(Arc::new(
         Recorder::with_sink(RECORDER_RING, Arc::new(sink)).timeline(cli.cadence.unwrap_or(5.0)),
     )))
+}
+
+/// Runs one simulation the way the flags ask and checks the report's
+/// invariants. A recorded run takes the sequential loop (the recorder
+/// needs its total event order, so `--threads` is ignored there);
+/// `--threads` routes through `try_run_threads`, which shards only
+/// where the output is byte-identical at every count; otherwise the
+/// sequential loop runs. A report that breaks an invariant is an
+/// error, so no command writes one.
+pub fn simulate(
+    cli: &Cli,
+    cfg: &SimConfig,
+    recorder: Option<&Arc<Recorder>>,
+) -> Result<SimReport, String> {
+    let report = match (recorder, cli.threads) {
+        (Some(rec), _) => try_run_recorded(cfg, rec.clone()),
+        (None, Some(n)) => try_run_threads(cfg, n),
+        (None, None) => try_run(cfg),
+    }
+    .map_err(|e| format!("invalid sim configuration: {e}"))?;
+    report
+        .check_invariants()
+        .map_err(|e| format!("sim report breaks an invariant: {e}"))?;
+    Ok(report)
 }
 
 /// Installs the stderr telemetry pretty-printer at the verbosity the

@@ -8,9 +8,7 @@
 
 use std::process::ExitCode;
 
-use sudc::sim::{
-    try_run, try_run_recorded, try_run_threads, FaultModel, ServeReport, ServeScenario,
-};
+use sudc::sim::{FaultModel, ServeReport, ServeScenario};
 use telemetry::RunManifest;
 
 use super::SimParams;
@@ -60,14 +58,10 @@ pub fn exec(cli: &Cli) -> ExitCode {
     // clusters), so --threads degrades to the sequential engine inside
     // try_run_threads — accepted here so the flag is uniform across
     // `repro sim` modes.
-    let report = match match (&recorder, cli.threads) {
-        (Some(rec), _) => try_run_recorded(&cfg, rec.clone()),
-        (None, Some(n)) => try_run_threads(&cfg, n),
-        (None, None) => try_run(&cfg),
-    } {
+    let report = match super::simulate(cli, &cfg, recorder.as_ref()) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("error: invalid sim configuration: {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use sudc::sim::{try_run, try_run_recorded, try_run_threads, FaultModel, ServeScenario};
+use sudc::sim::{FaultModel, ServeScenario};
 use telemetry::RunManifest;
 
 use super::{SimParams, TopologyChoice};
@@ -86,21 +86,12 @@ pub fn exec(cli: &Cli) -> ExitCode {
     }
 
     let mut cfg = params.reference_config();
-
-    // Without --threads, runs take the sequential loop; with it,
-    // try_run_threads, which shards where no event can cross shards
-    // (byte-identical at every count).
-    let runner = |cfg: &sudc::sim::SimConfig| match cli.threads {
-        Some(n) => try_run_threads(cfg, n),
-        None => try_run(cfg),
-    };
-
-    // Validate once up front so bad --clusters/--topology combinations
-    // produce a diagnostic instead of a panic.
-    let baseline = match runner(&cfg) {
+    // The fault-free baseline runs first, so bad --clusters/--topology
+    // combinations produce a diagnostic before a flight log is opened.
+    let baseline = match super::simulate(cli, &cfg, None) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("error: invalid sim configuration: {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -112,16 +103,10 @@ pub fn exec(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Recorded runs need the sequential loop's total event order, so
-    // --record always runs unsharded (--threads is documented as
-    // ignored there) — the recorder observing can't change the report.
-    let faulted = match match &recorder {
-        Some(rec) => try_run_recorded(&cfg, rec.clone()),
-        None => runner(&cfg),
-    } {
+    let faulted = match super::simulate(cli, &cfg, recorder.as_ref()) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("error: invalid sim configuration: {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -383,20 +383,14 @@ pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<LintRun, String
     Ok(run)
 }
 
-/// Locates the workspace root: `CARGO_MANIFEST_DIR/../..` under cargo,
-/// else the current directory (the bare-rustc fallback in
-/// `scripts/verify.sh` runs from the repo root).
+/// Locates the workspace root: two levels above this crate's manifest
+/// directory (`crates/lint`).
 pub fn workspace_root() -> PathBuf {
-    match std::env::var_os("CARGO_MANIFEST_DIR") {
-        Some(dir) => {
-            let manifest = PathBuf::from(dir);
-            manifest
-                .parent()
-                .and_then(Path::parent)
-                .map_or(manifest.clone(), Path::to_path_buf)
-        }
-        None => PathBuf::from("."),
-    }
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest
+        .parent()
+        .and_then(Path::parent)
+        .map_or_else(|| manifest.to_path_buf(), Path::to_path_buf)
 }
 
 /// The workspace-relative baseline path.
@@ -509,17 +503,10 @@ mod tests {
     }
 
     /// The real gate: the workspace tree must be ratchet-clean against
-    /// the committed baseline. Under cargo this runs from the crate
-    /// dir; under the bare-rustc verify fallback it runs from the repo
-    /// root — `workspace_root` handles both.
+    /// the committed baseline.
     #[test]
     fn workspace_is_ratchet_clean() {
         let root = workspace_root();
-        if !root.join("crates").is_dir() {
-            // Detached test binary with no tree next to it: nothing to
-            // scan, and nothing to regress.
-            return;
-        }
         let run = lint_workspace(&root, None).expect("workspace scans");
         assert!(run.files > 0);
         let base = Baseline::load(&root.join(BASELINE_REL_PATH)).expect("baseline parses");

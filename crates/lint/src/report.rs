@@ -94,8 +94,9 @@ pub fn render_json(run: &LintRun, outcome: &Ratchet) -> String {
 /// call graph, reachability from the event-loop roots), taint-source
 /// site counts, per-rule counts over the full registry, every current
 /// semantic-family finding, and the ratchet verdict. Every field is a
-/// pure function of the source tree, so double runs byte-diff clean —
-/// verify.sh gates on exactly that.
+/// pure function of the source tree, so a fresh run must equal the
+/// committed file byte for byte — the results gate in
+/// `crates/bench/tests/gates.rs` checks exactly that.
 pub fn render_audit(run: &LintRun, outcome: &Ratchet, analysis: &Analysis) -> String {
     let mut roots = JsonArray::new();
     for spec in DETERMINISM_ROOTS {

@@ -6,11 +6,7 @@
 //! operations. Everything is driven by an explicit [`crate::rng::Rng64`]
 //! stream, so fault schedules are a pure function of the run seed and
 //! the entity's stream label — adding fault draws for one entity never
-//! perturbs another's.
-//!
-//! This module deliberately depends only on `crate::rng` (times are
-//! plain `f64` seconds) so the offline standalone-rustc fallback in
-//! `scripts/verify.sh` can build and test it without the workspace.
+//! perturbs another's. Times are plain `f64` seconds.
 
 use crate::rng::{exponential, Rng64};
 

@@ -1,9 +1,9 @@
-//! End-to-end tests of the flight recorder: recorder-off byte-identity
-//! with the committed seeded artifacts, recorder-on determinism across
-//! the topology matrix, and the causal-lifecycle / loss-attribution
-//! contract `repro trace` is built on.
+//! End-to-end tests of the flight recorder: recorder-off reports equal
+//! plain runs, recorder-on determinism across the topology matrix, and
+//! the causal-lifecycle / loss-attribution contract `repro trace` is
+//! built on. `crates/bench/tests/gates.rs` holds the committed-artifact
+//! and CLI double-run checks.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use sudc::sim::{run, try_run_recorded, FaultModel, SimConfig, SimTopology};
@@ -18,7 +18,8 @@ fn reference(clusters: usize) -> SimConfig {
     cfg
 }
 
-/// The verify.sh topology matrix, as config edits.
+/// The gates' topology matrix (ring, klist:4, geo, split:4), as config
+/// edits.
 fn topology_matrix() -> Vec<(&'static str, SimConfig)> {
     let mut klist = reference(4);
     klist.ingest_links = 4;
@@ -53,7 +54,8 @@ fn recorded(
 }
 
 /// Serializes a trace the way `repro sim --record` writes it, so string
-/// equality here is exactly the verify.sh byte-diff gate.
+/// equality here is the byte equality the `repro sim --record` double
+/// runs in `crates/bench/tests/gates.rs` check.
 fn to_jsonl(events: &[telemetry::trace::TraceEvent]) -> String {
     events
         .iter()
@@ -77,19 +79,6 @@ fn recorder_off_reports_match_plain_runs_for_every_scenario() {
         let again = run(&cfg);
         assert_eq!(plain, again, "scenario '{name}' must replay byte-for-byte");
     }
-}
-
-/// The committed seeded artifacts (results/simval.*) were produced with
-/// no recorder; a fault-free run today must regenerate them byte for
-/// byte, proving instrumented code paths changed nothing.
-#[test]
-fn seeded_simval_artifacts_stay_byte_identical() {
-    let result = sudc::experiments::run("simval").expect("simval is registered");
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let txt = std::fs::read_to_string(dir.join("simval.txt")).expect("committed simval.txt");
-    let csv = std::fs::read_to_string(dir.join("simval.csv")).expect("committed simval.csv");
-    assert_eq!(result.to_text_table(), txt, "simval.txt drifted");
-    assert_eq!(result.to_csv(), csv, "simval.csv drifted");
 }
 
 /// Recorder-on double runs emit byte-identical JSONL across the whole

@@ -138,13 +138,9 @@ fn taint_fixtures_match_golden_markers_exactly() {
     );
 }
 
-/// Loads the workspace and rereads each file's source from disk, or
-/// `None` for a detached test binary with no tree next to it.
-fn workspace_with_sources() -> Option<(Workspace, Vec<String>)> {
+/// Loads the workspace and rereads each file's source from disk.
+fn workspace_with_sources() -> (Workspace, Vec<String>) {
     let root = workspace_root();
-    if !root.join("crates").is_dir() {
-        return None;
-    }
     let ws = Workspace::load(&root).expect("workspace loads");
     assert!(!ws.files.is_empty());
     let sources = ws
@@ -155,7 +151,7 @@ fn workspace_with_sources() -> Option<(Workspace, Vec<String>)> {
                 .unwrap_or_else(|e| panic!("rereading {}: {e}", file.path))
         })
         .collect();
-    Some((ws, sources))
+    (ws, sources)
 }
 
 /// The lexer's token spans must exactly partition every workspace file:
@@ -165,9 +161,7 @@ fn workspace_with_sources() -> Option<(Workspace, Vec<String>)> {
 /// spans, so a drifted offset would corrupt all of it silently.
 #[test]
 fn token_spans_partition_every_workspace_file() {
-    let Some((ws, sources)) = workspace_with_sources() else {
-        return;
-    };
+    let (ws, sources) = workspace_with_sources();
     for (file, src) in ws.files.iter().zip(&sources) {
         assert_eq!(file.src(), src, "{}: held source differs", file.path);
         let mut prev_end = 0usize;
@@ -216,9 +210,7 @@ fn token_spans_partition_every_workspace_file() {
 /// past the end.
 #[test]
 fn line_text_matches_str_lines_on_every_workspace_line() {
-    let Some((ws, sources)) = workspace_with_sources() else {
-        return;
-    };
+    let (ws, sources) = workspace_with_sources();
     let mut total = 0u64;
     for (file, src) in ws.files.iter().zip(&sources) {
         let mut n = 0u32;
@@ -309,9 +301,6 @@ fn ratchet_fails_on_new_violation_and_passes_after_update() {
 #[test]
 fn fixtures_stay_outside_the_workspace_scan() {
     let root = workspace_root();
-    if !root.join("crates").is_dir() {
-        return;
-    }
     let run = sudc_lint::lint_workspace(&root, None).expect("workspace scans");
     assert!(
         run.diagnostics

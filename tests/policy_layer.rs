@@ -55,7 +55,7 @@ fn reference(topology: SimTopology, ingest_links: Option<usize>, scenario: &str)
     cfg
 }
 
-/// The topology matrix `scripts/verify.sh` byte-diffs: default ring,
+/// The topology matrix `crates/bench/tests/gates.rs` byte-diffs: ring,
 /// 4-list ring, GEO star, split ring.
 fn topology_matrix() -> Vec<(SimTopology, Option<usize>, &'static str)> {
     vec![

@@ -1,7 +1,8 @@
 //! Integration tests of the user-traffic serving layer: the closed-loop
 //! load generator's concurrency bound (property-tested across generator
 //! shapes and seeds) and double-run determinism of every named serve
-//! scenario across the verify.sh topology matrix.
+//! scenario across the gates' topology matrix (ring, klist:4, geo,
+//! split:4).
 
 use simkit::prop;
 use sudc::sim::serve::{ServeConfig, TenantClass, TenantSpec};
@@ -16,7 +17,7 @@ fn reference(minutes: f64) -> SimConfig {
     cfg
 }
 
-/// The verify.sh topology matrix, as config edits.
+/// The gates' topology matrix, as config edits.
 fn topology_matrix() -> Vec<(&'static str, SimConfig)> {
     let mut klist = reference(1.0);
     klist.ingest_links = 4;
@@ -44,7 +45,8 @@ fn scenario_config(name: &str, base: &SimConfig) -> SimConfig {
 
 /// Same seed + same scenario must reproduce the full report — the SLO
 /// tables the CLI writes are byte-derived from it — on every topology
-/// scripts/verify.sh exercises.
+/// the `repro sim --serve` double runs in `crates/bench/tests/gates.rs`
+/// exercise.
 #[test]
 fn every_serve_scenario_is_double_run_identical_across_topologies() {
     for (label, base) in topology_matrix() {
