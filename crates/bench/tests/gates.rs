@@ -8,7 +8,7 @@
 //! `CARGO_TARGET_TMPDIR`, so `results/` stays untouched. Every `repro
 //! sim` run also checks its report's invariants before writing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,12 +21,19 @@ const MATRIX: [(&str, &str); 4] = [
     ("split:4", "_split4"),
 ];
 
-/// Run manifests `repro` writes next to its artifacts that are not
-/// committed (see `.gitignore`).
-const UNCOMMITTED_MANIFESTS: [&str; 3] = [
+/// Files a run writes that `results/` does not commit: the run
+/// manifests `.gitignore` lists, and the split sweep's grid and
+/// frontier.
+const UNCOMMITTED: [&str; 9] = [
     "repro_manifest.json",
     "explore_manifest.json",
     "sim_manifest.json",
+    "explore_split.txt",
+    "explore_split.csv",
+    "explore_split.json",
+    "explore_split_frontier.txt",
+    "explore_split_frontier.csv",
+    "explore_split_frontier.json",
 ];
 
 /// An empty scratch directory for one run.
@@ -226,9 +233,10 @@ fn listed(command: &str, header: &str) -> Vec<String> {
 /// `repro all`, every `repro explore` sweep (cold: `--no-cache`), every
 /// `repro sim --serve` scenario and `repro lint --audit determinism`
 /// run into one scratch directory; each committed file must equal the
-/// file of the same name there, byte for byte, and a committed file no
-/// run writes fails too. Left out: the memo cache, the uncommitted
-/// manifests, and `lint_baseline.json`, which is the lint's input.
+/// file of the same name there, byte for byte, a committed file no run
+/// writes fails, and so does a written file `results/` lacks. Left out:
+/// the memo cache, the `UNCOMMITTED` files, and `lint_baseline.json`,
+/// which is the lint's input.
 #[test]
 fn results_dir_is_a_pure_function_of_code() {
     let out = scratch("results");
@@ -263,20 +271,26 @@ fn results_dir_is_a_pure_function_of_code() {
 
     let written = tree(&out);
     let committed = tree(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"));
+    let names: BTreeSet<&String> = written.keys().chain(committed.keys()).collect();
     let mut stale = Vec::new();
-    for (name, bytes) in &committed {
+    for name in names {
         if name.starts_with("cache/")
-            || UNCOMMITTED_MANIFESTS.contains(&name.as_str())
+            || UNCOMMITTED.contains(&name.as_str())
             || name == "lint_baseline.json"
         {
             continue;
         }
-        match written.get(name) {
-            None => stale.push(format!("results/{name}: no run writes it")),
-            Some(fresh) if fresh != bytes => {
+        match (committed.get(name), written.get(name)) {
+            (Some(_), None) => stale.push(format!(
+                "results/{name}: no run writes it (untracked output of a run by hand? delete it)"
+            )),
+            (None, Some(_)) => stale.push(format!(
+                "results/{name}: missing, but {dir}/{name} is written"
+            )),
+            (Some(old), Some(new)) if old != new => {
                 stale.push(format!("results/{name}: differs from {dir}/{name}"));
             }
-            Some(_) => {}
+            _ => {}
         }
     }
     assert!(

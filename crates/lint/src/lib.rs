@@ -386,11 +386,7 @@ pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<LintRun, String
 /// Locates the workspace root: two levels above this crate's manifest
 /// directory (`crates/lint`).
 pub fn workspace_root() -> PathBuf {
-    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(Path::parent)
-        .map_or_else(|| manifest.to_path_buf(), Path::to_path_buf)
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
 /// The workspace-relative baseline path.
