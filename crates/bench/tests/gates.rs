@@ -22,18 +22,11 @@ const MATRIX: [(&str, &str); 4] = [
 ];
 
 /// Files a run writes that `results/` does not commit: the run
-/// manifests `.gitignore` lists, and the split sweep's grid and
-/// frontier.
-const UNCOMMITTED: [&str; 9] = [
+/// manifests `.gitignore` lists.
+const UNCOMMITTED: [&str; 3] = [
     "repro_manifest.json",
     "explore_manifest.json",
     "sim_manifest.json",
-    "explore_split.txt",
-    "explore_split.csv",
-    "explore_split.json",
-    "explore_split_frontier.txt",
-    "explore_split_frontier.csv",
-    "explore_split_frontier.json",
 ];
 
 /// An empty scratch directory for one run.

@@ -113,13 +113,13 @@ const LENGTH_INDEX: [u8; 256] = last_base_at_most(&LENGTH_CODES, 3, 0);
 const DIST_INDEX_NEAR: [u8; 256] = last_base_at_most(&DIST_CODES, 1, 0);
 const DIST_INDEX_FAR: [u8; 256] = last_base_at_most(&DIST_CODES, 1, 7);
 
-/// Maps a match length (3..=258) to (symbol, extra-bit value, extra bits).
+/// Maps a match length, given as `len - 3` (a [`Token::Match`]'s
+/// `extra_len`), to (symbol, extra-bit value, extra bits).
 #[inline]
-fn length_symbol(len: u16) -> (usize, u64, u8) {
-    debug_assert!((3..=258).contains(&len));
-    let idx = usize::from(LENGTH_INDEX[usize::from(len.saturating_sub(3)).min(255)]);
+fn length_symbol(extra_len: u8) -> (usize, u64, u8) {
+    let idx = usize::from(LENGTH_INDEX[usize::from(extra_len)]);
     let (base, extra) = LENGTH_CODES[idx];
-    (257 + idx, u64::from(len - base), extra)
+    (257 + idx, u64::from(u16::from(extra_len) + 3 - base), extra)
 }
 
 /// Maps a distance (1..=32768) to (symbol, extra-bit value, extra bits).
@@ -161,8 +161,11 @@ impl Codec for MiniDeflate {
         for t in &tokens {
             match *t {
                 Token::Literal(b) => lit_freq[b as usize] += 1,
-                Token::Match { length, distance } => {
-                    lit_freq[length_symbol(length).0] += 1;
+                Token::Match {
+                    extra_len,
+                    distance,
+                } => {
+                    lit_freq[length_symbol(extra_len).0] += 1;
                     dist_freq[distance_symbol(distance).0] += 1;
                 }
             }
@@ -183,8 +186,11 @@ impl Codec for MiniDeflate {
         for t in &tokens {
             match *t {
                 Token::Literal(b) => lit_table.encode(b as usize, &mut w),
-                Token::Match { length, distance } => {
-                    let (ls, lv, le) = length_symbol(length);
+                Token::Match {
+                    extra_len,
+                    distance,
+                } => {
+                    let (ls, lv, le) = length_symbol(extra_len);
                     lit_table.encode(ls, &mut w);
                     w.write_bits(lv, le);
                     let (ds, dv, de) = distance_symbol(distance);
@@ -264,7 +270,7 @@ mod tests {
     #[test]
     fn binning_tables_cover_full_ranges() {
         for len in 3u16..=258 {
-            let (sym, extra_val, extra_bits) = length_symbol(len);
+            let (sym, extra_val, extra_bits) = length_symbol((len - 3) as u8);
             assert!((257..286).contains(&sym));
             let (base, eb) = LENGTH_CODES[sym - 257];
             assert_eq!(eb, extra_bits);
@@ -284,7 +290,10 @@ mod tests {
     fn lookup_tables_pick_the_last_code_whose_base_fits() {
         let last = |codes: &[(u16, u8)], v: u16| codes.iter().rposition(|&(b, _)| b <= v);
         for len in 3u16..=258 {
-            assert_eq!(Some(length_symbol(len).0 - 257), last(&LENGTH_CODES, len));
+            assert_eq!(
+                Some(length_symbol((len - 3) as u8).0 - 257),
+                last(&LENGTH_CODES, len)
+            );
         }
         for dist in 1u16..=32768 {
             assert_eq!(Some(distance_symbol(dist).0), last(&DIST_CODES, dist));
@@ -318,6 +327,27 @@ mod tests {
         let codec = MiniDeflate::new();
         let packed = codec.compress(&data);
         assert!(packed.len() < 1500, "got {}", packed.len());
+        round_trip(&data);
+    }
+
+    #[test]
+    fn matches_at_the_extremes_round_trip() {
+        // 32 KiB of noise repeated: the repeat is coded as matches of the
+        // longest length from the farthest distance. A run is coded as
+        // matches of the longest length from distance 1.
+        let mut rng = simkit::rng::Rng64::seed_from_u64(7);
+        let mut data: Vec<u8> = (0..lz77::MAX_DISTANCE)
+            .map(|_| rng.next_u64() as u8)
+            .collect();
+        data.extend_from_within(..600);
+        data.extend([9u8; 600]);
+        let tokens = lz77::tokenize(&data);
+        for extreme in [
+            Token::back_ref(lz77::MAX_MATCH, lz77::MAX_DISTANCE),
+            Token::back_ref(lz77::MAX_MATCH, 1),
+        ] {
+            assert!(tokens.contains(&extreme), "no {extreme:?}");
+        }
         round_trip(&data);
     }
 

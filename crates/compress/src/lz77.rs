@@ -10,18 +10,37 @@ pub const MIN_MATCH: usize = 3;
 /// Maximum match length (deflate's 258).
 pub const MAX_MATCH: usize = 258;
 
-/// One LZ77 token.
+/// One LZ77 token, four bytes: a match keeps its length as the offset
+/// from `MIN_MATCH`, which fits in a byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Token {
     /// A literal byte.
     Literal(u8),
-    /// A back-reference: copy `length` bytes from `distance` back.
+    /// A back-reference: copy `MIN_MATCH + extra_len` bytes from
+    /// `distance` back (see [`Token::back_ref`]).
     Match {
-        /// Copy length in `MIN_MATCH..=MAX_MATCH`.
-        length: u16,
+        /// Copy length minus `MIN_MATCH`, so `0..=255` spans
+        /// `MIN_MATCH..=MAX_MATCH`.
+        extra_len: u8,
         /// Backward distance in `1..=MAX_DISTANCE`.
         distance: u16,
     },
+}
+
+const _: () = assert!(std::mem::size_of::<Token>() == 4);
+
+impl Token {
+    /// A back-reference copying `length` bytes (`MIN_MATCH..=MAX_MATCH`)
+    /// from `distance` (`1..=MAX_DISTANCE`) back.
+    #[inline]
+    pub fn back_ref(length: usize, distance: usize) -> Token {
+        debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&length));
+        debug_assert!((1..=MAX_DISTANCE).contains(&distance));
+        Token::Match {
+            extra_len: (length - MIN_MATCH) as u8,
+            distance: distance as u16,
+        }
+    }
 }
 
 const HASH_BITS: usize = 15;
@@ -32,9 +51,6 @@ const CHAIN_LIMIT: usize = 64;
 /// written since then is newer, so no live link is ever overwritten.
 const WINDOW: usize = MAX_DISTANCE;
 const NONE: usize = usize::MAX;
-/// An empty head-table slot. Heads hold positions as `u32`, half the
-/// table a `usize` takes, so an input must be shorter than this.
-const EMPTY: u32 = u32::MAX;
 
 /// The 3-byte hash of the position whose bytes, little-endian from the
 /// low end, are `word` (at least 3 of them real).
@@ -121,11 +137,14 @@ fn load_u64(bytes: &[u8]) -> u64 {
 /// exactly where the hash-chain walk would.
 struct Matcher<'a> {
     data: &'a [u8],
-    /// `head[h]`: most recent position inserted with 3-byte hash `h`,
-    /// or `EMPTY`.
-    head: Vec<u32>,
+    /// The head tables hold position `p` as the `u16` `p - base + 1`,
+    /// and 0 for none; [`Matcher::slide`] moves `base` up before an
+    /// entry would overflow.
+    base: usize,
+    /// `head[h]`: most recent position inserted with 3-byte hash `h`.
+    head: Vec<u16>,
     /// Heads of the chains over `PREFIX_WIDTHS`-byte hashes, as `head`.
-    prefix_heads: [Vec<u32>; 2],
+    prefix_heads: [Vec<u16>; 2],
     prefix_shift: u32,
     /// `links[p % WINDOW]`: position `p`'s links, in one ring so a walk
     /// step touches one cache line.
@@ -153,18 +172,14 @@ struct Links {
 
 impl<'a> Matcher<'a> {
     fn new(data: &'a [u8]) -> Self {
-        assert!(
-            data.len() < EMPTY as usize,
-            "LZ77 input of {} bytes exceeds u32 positions",
-            data.len()
-        );
         // The prefix chains only skip candidates, so their table size is
         // free to follow the input.
         let slots = data.len().next_power_of_two().clamp(256, HASH_SIZE);
         Self {
             data,
-            head: vec![EMPTY; HASH_SIZE],
-            prefix_heads: [vec![EMPTY; slots], vec![EMPTY; slots]],
+            base: 0,
+            head: vec![0; HASH_SIZE],
+            prefix_heads: [vec![0; slots], vec![0; slots]],
             prefix_shift: 64 - slots.trailing_zeros(),
             links: vec![Links::default(); WINDOW.min(data.len())],
         }
@@ -181,23 +196,37 @@ impl<'a> Matcher<'a> {
 
     /// A head-table entry as a position, `NONE` for an empty slot.
     #[inline]
-    fn entry(head: u32) -> usize {
-        if head == EMPTY {
-            NONE
-        } else {
-            head as usize
+    fn entry(&self, head: u16) -> usize {
+        match head {
+            0 => NONE,
+            e => self.base + usize::from(e) - 1,
         }
     }
 
-    /// The link from `i` back to head entry `prev`, 0 if there is none in
-    /// range.
+    /// Rebases the head tables on `i - MAX_DISTANCE`, emptying the
+    /// entries before it: they are more than `MAX_DISTANCE` behind every
+    /// position searched from here on.
+    #[cold]
+    #[inline(never)]
+    fn slide(&mut self, i: usize) {
+        // `insert` slides at `i - base == u16::MAX`, so this is 32,767.
+        let shift = (i - MAX_DISTANCE - self.base) as u16;
+        let [p4, p8] = &mut self.prefix_heads;
+        for table in [&mut self.head, p4, p8] {
+            for e in table.iter_mut() {
+                *e = e.saturating_sub(shift);
+            }
+        }
+        self.base = i - MAX_DISTANCE;
+    }
+
+    /// The link from the position with head entry `slot` back to head
+    /// entry `prev`, 0 if there is none in range.
     #[inline]
-    fn link(i: usize, prev: u32) -> u16 {
-        let prev = Self::entry(prev);
-        if prev == NONE || i - prev > MAX_DISTANCE {
-            0
-        } else {
-            (i - prev) as u16
+    fn link(slot: u16, prev: u16) -> u16 {
+        match slot - prev {
+            d if prev == 0 || usize::from(d) > MAX_DISTANCE => 0,
+            d => d,
         }
     }
 
@@ -205,23 +234,26 @@ impl<'a> Matcher<'a> {
         if i + MIN_MATCH > self.data.len() {
             return;
         }
+        if i - self.base >= usize::from(u16::MAX) {
+            self.slide(i);
+        }
+        let slot = (i - self.base + 1) as u16;
         let word = word_at(self.data, i);
         let h = hash(word);
-        let back = Self::link(i, self.head[h]);
+        let back = Self::link(slot, self.head[h]);
         let ord = match back {
             0 => 0,
             d => self.links[(i - usize::from(d)) % WINDOW]
                 .ord
                 .wrapping_add(1),
         };
-        // `new` bounds the input below `EMPTY`.
-        self.head[h] = i as u32;
+        self.head[h] = slot;
         let mut prefix_back = [0u16; 2];
         for (level, &width) in PREFIX_WIDTHS.iter().enumerate() {
             if i + width <= self.data.len() {
                 let h = self.prefix_hash(word, level);
-                prefix_back[level] = Self::link(i, self.prefix_heads[level][h]);
-                self.prefix_heads[level][h] = i as u32;
+                prefix_back[level] = Self::link(slot, self.prefix_heads[level][h]);
+                self.prefix_heads[level][h] = slot;
             }
         }
         self.links[i % WINDOW] = Links {
@@ -260,7 +292,7 @@ impl<'a> Matcher<'a> {
         }
         let max_len = (data.len() - i).min(MAX_MATCH);
         let word = word_at(data, i);
-        let head = Self::entry(self.head[hash(word)]);
+        let head = self.entry(self.head[hash(word)]);
         if head == NONE || i - head > MAX_DISTANCE {
             return None;
         }
@@ -304,7 +336,7 @@ impl<'a> Matcher<'a> {
             if best.0 >= until {
                 continue;
             }
-            let mut cand = Self::entry(self.prefix_heads[level][self.prefix_hash(word, level)]);
+            let mut cand = self.entry(self.prefix_heads[level][self.prefix_hash(word, level)]);
             done = true;
             while cand != NONE && i - cand <= MAX_DISTANCE {
                 let links = self.links[cand % WINDOW];
@@ -331,13 +363,9 @@ impl<'a> Matcher<'a> {
 
 /// Tokenises `data` with greedy hash-chain matching (lazy matching of one
 /// byte, as zlib's fast levels do).
-///
-/// # Panics
-///
-/// Panics if `data` is 4 GiB or longer: the match finder keeps positions
-/// as `u32`.
 pub fn tokenize(data: &[u8]) -> Vec<Token> {
-    let mut tokens = Vec::with_capacity(data.len() / 2);
+    // Grown as needed: imagery takes 0.5–20 tokens per 100 bytes.
+    let mut tokens = Vec::new();
     if data.len() < MIN_MATCH {
         tokens.extend(data.iter().map(|&b| Token::Literal(b)));
         return tokens;
@@ -377,10 +405,7 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
             }
             i += 1;
         } else {
-            tokens.push(Token::Match {
-                length: len as u16,
-                distance: dist as u16,
-            });
+            tokens.push(Token::back_ref(len, dist));
             for j in i..(i + len).min(data.len()) {
                 m.insert(j);
             }
@@ -397,12 +422,15 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
 /// Returns an error message if a match refers before the start of output.
 pub fn detokenize(tokens: &[Token]) -> Result<Vec<u8>, String> {
     let mut out: Vec<u8> = Vec::new();
-    for t in tokens {
-        match *t {
+    for &t in tokens {
+        match t {
             Token::Literal(b) => out.push(b),
-            Token::Match { length, distance } => {
-                let dist = distance as usize;
-                let len = length as usize;
+            Token::Match {
+                extra_len,
+                distance,
+            } => {
+                let dist = usize::from(distance);
+                let len = MIN_MATCH + usize::from(extra_len);
                 if dist == 0 || dist > out.len() {
                     return Err(format!(
                         "match distance {dist} exceeds output length {}",
@@ -465,9 +493,8 @@ mod tests {
     fn match_lengths_and_distances_in_bounds() {
         let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         for t in tokenize(&data) {
-            if let Token::Match { length, distance } = t {
-                assert!((MIN_MATCH..=MAX_MATCH).contains(&(length as usize)));
-                assert!((1..=MAX_DISTANCE).contains(&(distance as usize)));
+            if let Token::Match { distance, .. } = t {
+                assert!((1..=MAX_DISTANCE).contains(&usize::from(distance)));
             }
         }
         round_trip(&data);
@@ -532,10 +559,7 @@ mod tests {
                         insert(&mut head, &mut prev, i);
                         i += 1;
                     } else {
-                        tokens.push(Token::Match {
-                            length: len as u16,
-                            distance: dist as u16,
-                        });
+                        tokens.push(Token::back_ref(len, dist));
                         for j in i..(i + len).min(data.len()) {
                             insert(&mut head, &mut prev, j);
                         }
@@ -555,9 +579,12 @@ mod tests {
     #[test]
     fn tokens_match_the_plain_hash_chain_walk() {
         prop::check("tokens_match_the_plain_hash_chain_walk", 150, |g| {
-            let len = g.draw(0..20_000usize);
             // Alphabets from 1 to 256 symbols, some smooth like imagery,
-            // some in long runs; long inputs cross the 32 KiB window.
+            // some in long runs; long inputs cross the 32 KiB window, and
+            // a fifth of the smooth and run cases cross 98,302 bytes, the
+            // second point where the head tables rebase.
+            let long = matches!(g.case() % 10, 6 | 9);
+            let len = g.draw(0..20_000usize) + if long { 100_000 } else { 0 };
             let alphabet = g.draw(1..257u64);
             let data: Vec<u8> = match g.case() % 5 {
                 0 => (0..len).map(|_| g.draw(0..alphabet) as u8).collect(),
@@ -610,11 +637,39 @@ mod tests {
     }
 
     #[test]
+    fn tokens_pack_and_unpack_at_the_extremes() {
+        for b in 0..=255u8 {
+            assert_eq!(detokenize(&[Token::Literal(b)]), Ok(vec![b]));
+        }
+        prop::check("tokens_pack_and_unpack_at_the_extremes", 64, |g| {
+            let length = match g.case() % 3 {
+                0 => MIN_MATCH,
+                1 => MAX_MATCH,
+                _ => g.draw(MIN_MATCH..MAX_MATCH + 1),
+            };
+            let distance = match g.case() / 3 % 3 {
+                0 => 1,
+                1 => MAX_DISTANCE,
+                _ => g.draw(1..MAX_DISTANCE + 1),
+            };
+            // After `distance` literals the match repeats them from the
+            // start, cyclically when it is the longer.
+            let prefix = g.draw(prop::vec(any::<u8>(), distance..distance + 1));
+            let mut tokens: Vec<Token> = prefix.iter().map(|&b| Token::Literal(b)).collect();
+            tokens.push(Token::back_ref(length, distance));
+            let want: Vec<u8> = prefix
+                .iter()
+                .cycle()
+                .take(distance + length)
+                .copied()
+                .collect();
+            assert_eq!(detokenize(&tokens), Ok(want));
+        });
+    }
+
+    #[test]
     fn invalid_distance_detected() {
-        let bad = vec![Token::Match {
-            length: 5,
-            distance: 10,
-        }];
+        let bad = vec![Token::back_ref(5, 10)];
         assert!(detokenize(&bad).is_err());
     }
 

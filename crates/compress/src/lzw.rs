@@ -31,24 +31,46 @@ fn code_width(next_code: u32) -> u8 {
 }
 
 /// The encoder's dictionary: an open-addressed map from (prefix code,
-/// next byte) to the code of their concatenation.
+/// next byte) to the code of their concatenation. It doubles when it
+/// would pass half full, so probes stay short and always find a free
+/// slot.
 struct EncoderDict {
     /// `(prefix << 8 | byte) + 1` per slot; 0 marks an empty slot.
     keys: Vec<u32>,
     codes: Vec<u16>,
+    /// Occupied slots.
+    len: usize,
     /// Hash shift: the table has `2^(32 - shift)` slots.
     shift: u32,
 }
 
 impl EncoderDict {
-    /// A table for up to `entries` insertions between clears, at most
-    /// half full so probes stay short and always find a free slot.
-    fn with_room_for(entries: usize) -> Self {
-        let slots = (2 * entries).next_power_of_two().max(64);
+    /// An empty table of `slots` (a power of two) slots.
+    fn with_slots(slots: usize) -> Self {
         Self {
             keys: vec![0; slots],
             codes: vec![0; slots],
+            len: 0,
             shift: 32 - slots.trailing_zeros(),
+        }
+    }
+
+    /// Stores `key → code` in `slot`, the empty slot [`Self::slot`]
+    /// returned for `key`.
+    fn insert(&mut self, slot: usize, key: u32, code: u16) {
+        self.keys[slot] = key;
+        self.codes[slot] = code;
+        self.len += 1;
+        if 2 * self.len > self.keys.len() {
+            let old = std::mem::replace(self, Self::with_slots(2 * self.keys.len()));
+            for (&key, &code) in old.keys.iter().zip(&old.codes) {
+                if key != 0 {
+                    let slot = self.slot(key);
+                    self.keys[slot] = key;
+                    self.codes[slot] = code;
+                }
+            }
+            self.len = old.len;
         }
     }
 
@@ -65,6 +87,7 @@ impl EncoderDict {
 
     fn clear(&mut self) {
         self.keys.fill(0);
+        self.len = 0;
     }
 }
 
@@ -84,7 +107,11 @@ impl Codec for Lzw {
             w.write_bits(u64::from(END_CODE), code_width(next_code));
             return w.into_bytes();
         };
-        let mut dict = EncoderDict::with_room_for(data.len().min(1 << MAX_BITS));
+        // Room for a code per four input bytes before the first doubling
+        // (RGB scenes take one per 4.4 bytes, SAR scenes one per ~100),
+        // and never more than a full dictionary's 65,536 at half load.
+        let mut dict =
+            EncoderDict::with_slots((data.len() / 2).next_power_of_two().clamp(64, 1 << 17));
         let mut current: u32 = u32::from(first);
 
         for &b in iter {
@@ -94,8 +121,7 @@ impl Codec for Lzw {
                 current = u32::from(dict.codes[slot]);
             } else {
                 w.write_bits(u64::from(current), code_width(next_code));
-                dict.keys[slot] = key;
-                dict.codes[slot] = next_code as u16;
+                dict.insert(slot, key, next_code as u16);
                 next_code += 1;
                 if next_code >= (1 << MAX_BITS) - 1 {
                     // Dictionary full: emit clear, reset.

@@ -5,7 +5,7 @@
 //! sees runs and skewed distributions — this is why PNG beats plain zip on
 //! imagery in Table 4 (2.49 vs 2.38 on RGB).
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::BitReader;
 use crate::deflate::MiniDeflate;
 use crate::{Codec, CodecError, Raster, RasterCodec};
 
@@ -148,14 +148,13 @@ impl PngLike {
             filter_row(f, row, prev, bpp, &mut filtered);
         }
 
-        let deflated = MiniDeflate::new().compress(&filtered);
-        let mut w = BitWriter::new();
-        w.write_bits(stride as u64, 32);
-        w.write_bits(bpp as u64, 8);
-        w.write_bits(rows as u64, 32);
-        let mut header = w.into_bytes();
-        header.extend_from_slice(&deflated);
-        header
+        // The 9-byte header goes in front of the deflated bytes in place:
+        // stride and rows as big-endian u32s around bpp as a byte.
+        let mut out = MiniDeflate::new().compress(&filtered);
+        let [s0, s1, s2, s3] = (stride as u32).to_be_bytes();
+        let [r0, r1, r2, r3] = (rows as u32).to_be_bytes();
+        out.splice(0..0, [s0, s1, s2, s3, bpp as u8, r0, r1, r2, r3]);
+        out
     }
 
     fn decompress_geometry(&self, data: &[u8]) -> Result<(Vec<u8>, usize, usize), CodecError> {

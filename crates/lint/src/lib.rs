@@ -313,8 +313,9 @@ impl LintRun {
 /// outside these roots.
 const SCAN_ROOTS: &[&str] = &["crates", "tests", "examples"];
 
-/// Whether a crates-relative path is lintable source: `src/` trees,
-/// bench harnesses, and the workspace-level `tests/` and `examples/`.
+/// Whether a workspace-relative path is lintable source: `src/` trees,
+/// bench harnesses, each crate's integration tests, and the
+/// workspace-level `tests/` and `examples/`.
 fn lintable(rel: &str) -> bool {
     if !rel.ends_with(".rs") {
         return false;
@@ -322,7 +323,8 @@ fn lintable(rel: &str) -> bool {
     if rel.starts_with("tests/") || rel.starts_with("examples/") {
         return true;
     }
-    rel.starts_with("crates/") && (rel.contains("/src/") || rel.contains("/benches/"))
+    rel.starts_with("crates/")
+        && (rel.contains("/src/") || rel.contains("/benches/") || rel.contains("/tests/"))
 }
 
 /// Recursively collects lintable files under `root`, sorted by
@@ -450,6 +452,8 @@ mod tests {
     fn lintable_path_filter() {
         assert!(lintable("crates/core/src/lib.rs"));
         assert!(lintable("crates/bench/benches/sim_bench.rs"));
+        assert!(lintable("crates/bench/tests/gates.rs"));
+        assert!(lintable("crates/compress/tests/heap_budget.rs"));
         assert!(lintable("tests/integration.rs"));
         assert!(lintable("examples/quickstart.rs"));
         assert!(

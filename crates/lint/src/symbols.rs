@@ -23,14 +23,16 @@ pub struct Symbols<'a> {
 
 /// Module path segments implied by a file's workspace-relative path:
 /// `crates/core/src/sim/engine.rs` → `["sim", "engine"]`,
-/// `crates/lint/src/lib.rs` → `[]`, `tests/lint_gate.rs` → `["lint_gate"]`.
+/// `crates/lint/src/lib.rs` → `[]`, `tests/lint_gate.rs` and
+/// `crates/bench/tests/lint_gate.rs` → `["lint_gate"]`.
 pub fn module_segments(path: &str) -> Vec<&str> {
     let rel = if let Some(rest) = path.strip_prefix("crates/") {
-        // Drop the crate name and the src/benches layer.
+        // Drop the crate name and the src/benches/tests layer.
         match rest.split_once('/') {
             Some((_, tail)) => tail
                 .strip_prefix("src/")
                 .or_else(|| tail.strip_prefix("benches/"))
+                .or_else(|| tail.strip_prefix("tests/"))
                 .unwrap_or(tail),
             None => rest,
         }
@@ -143,6 +145,10 @@ mod tests {
         );
         assert!(module_segments("crates/lint/src/lib.rs").is_empty());
         assert_eq!(module_segments("tests/lint_gate.rs"), vec!["lint_gate"]);
+        assert_eq!(
+            module_segments("crates/bench/tests/gates.rs"),
+            vec!["gates"]
+        );
         assert_eq!(module_segments("crates/core/src/sim/mod.rs"), vec!["sim"]);
     }
 
