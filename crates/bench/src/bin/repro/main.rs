@@ -69,38 +69,103 @@ pub struct Cli {
     pub cadence: Option<f64>,
 }
 
+/// Most values one `--axis` may expand to. Every committed sweep axis
+/// has a few dozen; the cap stops a typo like `0..4000000000` or
+/// `0:1:1e-12` from allocating gigabytes or looping for hours.
+const MAX_AXIS_VALUES: usize = 10_000;
+
+/// Why an `--axis name=SPEC` argument was rejected.
+#[derive(Debug, Clone, PartialEq)]
+enum AxisSpecError {
+    /// No `name=` prefix, or an empty name.
+    Malformed(String),
+    /// A value or range bound that does not parse.
+    BadValue {
+        name: String,
+        what: String,
+        spec: String,
+    },
+    /// An integer range whose start exceeds its end.
+    EmptyRange { name: String, lo: i64, hi: i64 },
+    /// A float range with a non-positive step or a non-finite bound.
+    BadRange { name: String, spec: String },
+    /// A spec that expands to no values.
+    NoValues { name: String, spec: String },
+    /// A spec that expands to more than [`MAX_AXIS_VALUES`] values.
+    TooMany { name: String, spec: String },
+}
+
+impl std::fmt::Display for AxisSpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Malformed(arg) => write!(f, "--axis wants name=values, got '{arg}'"),
+            Self::BadValue { name, what, spec } => {
+                write!(f, "axis '{name}': cannot parse '{what}' in '{spec}'")
+            }
+            Self::EmptyRange { name, lo, hi } => {
+                write!(f, "axis '{name}': empty range {lo}..{hi}")
+            }
+            Self::BadRange { name, spec } => {
+                write!(f, "axis '{name}': bad range '{spec}' (need step > 0)")
+            }
+            Self::NoValues { name, spec } => write!(f, "axis '{name}': no values in '{spec}'"),
+            Self::TooMany { name, spec } => write!(
+                f,
+                "axis '{name}': '{spec}' has more than {MAX_AXIS_VALUES} values"
+            ),
+        }
+    }
+}
+
 /// Parses an `--axis name=SPEC` argument. SPEC is a comma list
 /// (`2,4,8,16`), an inclusive integer range (`1..8`), or a
 /// `start:stop:step` float range (`0:0.99:0.05`, stop inclusive up to
-/// rounding).
-fn parse_axis_spec(arg: &str) -> Result<(String, Vec<f64>), String> {
+/// rounding). A spec is sized before it is expanded, so one past
+/// [`MAX_AXIS_VALUES`] fails without allocating.
+fn parse_axis_spec(arg: &str) -> Result<(String, Vec<f64>), AxisSpecError> {
     let (name, spec) = arg
         .split_once('=')
-        .ok_or_else(|| format!("--axis wants name=values, got '{arg}'"))?;
-    if name.is_empty() {
-        return Err(format!("--axis wants name=values, got '{arg}'"));
-    }
-    let bad = |what: &str| format!("axis '{name}': cannot parse '{what}' in '{spec}'");
+        .filter(|(name, _)| !name.is_empty())
+        .ok_or_else(|| AxisSpecError::Malformed(arg.to_string()))?;
+    let bad = |what: &str| AxisSpecError::BadValue {
+        name: name.to_string(),
+        what: what.to_string(),
+        spec: spec.to_string(),
+    };
+    let too_many = || AxisSpecError::TooMany {
+        name: name.to_string(),
+        spec: spec.to_string(),
+    };
     let values = if let Some((a, b)) = spec.split_once("..") {
         let lo: i64 = a.parse().map_err(|_| bad(a))?;
         let hi: i64 = b.parse().map_err(|_| bad(b))?;
         if lo > hi {
-            return Err(format!("axis '{name}': empty range {lo}..{hi}"));
+            return Err(AxisSpecError::EmptyRange {
+                name: name.to_string(),
+                lo,
+                hi,
+            });
+        }
+        if i128::from(hi) - i128::from(lo) >= MAX_AXIS_VALUES as i128 {
+            return Err(too_many());
         }
         (lo..=hi).map(|v| v as f64).collect()
     } else if spec.matches(':').count() == 2 {
         let mut parts = spec.split(':');
-        let start: f64 = parts
-            .next()
-            .map_or(Err(bad(spec)), |p| p.parse().map_err(|_| bad(p)))?;
-        let stop: f64 = parts
-            .next()
-            .map_or(Err(bad(spec)), |p| p.parse().map_err(|_| bad(p)))?;
-        let step: f64 = parts
-            .next()
-            .map_or(Err(bad(spec)), |p| p.parse().map_err(|_| bad(p)))?;
-        if !(step > 0.0) || !start.is_finite() || !stop.is_finite() {
-            return Err(format!("axis '{name}': bad range '{spec}' (need step > 0)"));
+        let mut next = || -> Result<f64, AxisSpecError> {
+            let p = parts.next().unwrap_or_default();
+            p.parse().map_err(|_| bad(p))
+        };
+        let (start, stop, step) = (next()?, next()?, next()?);
+        if step.is_nan() || step <= 0.0 || !start.is_finite() || !stop.is_finite() {
+            return Err(AxisSpecError::BadRange {
+                name: name.to_string(),
+                spec: spec.to_string(),
+            });
+        }
+        // The loop below takes about this many steps past the first.
+        if (stop - start) / step >= MAX_AXIS_VALUES as f64 {
+            return Err(too_many());
         }
         let mut out = Vec::new();
         let mut i = 0u64;
@@ -114,12 +179,21 @@ fn parse_axis_spec(arg: &str) -> Result<(String, Vec<f64>), String> {
         }
         out
     } else {
+        if spec.split(',').count() > MAX_AXIS_VALUES {
+            return Err(too_many());
+        }
         spec.split(',')
             .map(|p| p.trim().parse::<f64>().map_err(|_| bad(p)))
-            .collect::<Result<Vec<f64>, String>>()?
+            .collect::<Result<Vec<f64>, AxisSpecError>>()?
     };
     if values.is_empty() {
-        return Err(format!("axis '{name}': no values in '{spec}'"));
+        return Err(AxisSpecError::NoValues {
+            name: name.to_string(),
+            spec: spec.to_string(),
+        });
+    }
+    if values.len() > MAX_AXIS_VALUES {
+        return Err(too_many());
     }
     Ok((name.to_string(), values))
 }
@@ -160,7 +234,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--axis" => {
                 let spec = it.next().ok_or("--axis requires name=values")?;
-                cli.axes.push(parse_axis_spec(spec)?);
+                cli.axes
+                    .push(parse_axis_spec(spec).map_err(|e| e.to_string())?);
             }
             "--threads" => {
                 let n = it.next().ok_or("--threads requires a count")?;
@@ -402,7 +477,76 @@ and flags give the same bytes (no file records wall time)"
 
 #[cfg(test)]
 mod tests {
-    use super::usage_text;
+    use super::{parse_axis_spec, usage_text, AxisSpecError, MAX_AXIS_VALUES};
+
+    #[test]
+    fn axis_specs_parse_or_fail_with_a_typed_error() {
+        let ok: &[(&str, &[f64])] = &[
+            ("k=2,4,8", &[2.0, 4.0, 8.0]),
+            ("k= 1 , 2", &[1.0, 2.0]),
+            ("n=1..4", &[1.0, 2.0, 3.0, 4.0]),
+            ("n=-2..-2", &[-2.0]),
+            ("ed=0:1:0.25", &[0.0, 0.25, 0.5, 0.75, 1.0]),
+            ("ed=0:0.99:0.33", &[0.0, 0.33, 0.66, 0.99]),
+            ("ed=1:0.5:1", &[]),
+        ];
+        for &(arg, want) in ok {
+            match parse_axis_spec(arg) {
+                Ok((name, values)) => {
+                    assert_eq!(name, arg.split('=').next().unwrap(), "{arg}");
+                    assert_eq!(values.len(), want.len(), "{arg}: {values:?}");
+                    for (v, w) in values.iter().zip(want) {
+                        assert!((v - w).abs() < 1e-12, "{arg}: {values:?}");
+                    }
+                }
+                // A range that starts past its stop has no values.
+                Err(AxisSpecError::NoValues { .. }) if want.is_empty() => {}
+                Err(e) => panic!("{arg}: {e}"),
+            }
+        }
+        type Check = fn(&AxisSpecError) -> bool;
+        let malformed: &[(&str, Check)] = &[
+            ("k", |e| matches!(e, AxisSpecError::Malformed(_))),
+            ("=1,2", |e| matches!(e, AxisSpecError::Malformed(_))),
+            ("k=1,x", |e| matches!(e, AxisSpecError::BadValue { .. })),
+            ("k=", |e| matches!(e, AxisSpecError::BadValue { .. })),
+            ("n=1..x", |e| matches!(e, AxisSpecError::BadValue { .. })),
+            ("n=5..1", |e| matches!(e, AxisSpecError::EmptyRange { .. })),
+            ("ed=0:1:0", |e| matches!(e, AxisSpecError::BadRange { .. })),
+            ("ed=0:1:-1", |e| matches!(e, AxisSpecError::BadRange { .. })),
+            ("ed=0:inf:1", |e| {
+                matches!(e, AxisSpecError::BadRange { .. })
+            }),
+            ("ed=0:1:NaN", |e| {
+                matches!(e, AxisSpecError::BadRange { .. })
+            }),
+            ("ed=0:1", |e| matches!(e, AxisSpecError::BadValue { .. })),
+        ];
+        // Past the cap: each is sized, and rejected, before expansion.
+        let long_list = format!("k={}", vec!["1"; MAX_AXIS_VALUES + 1].join(","));
+        let over: Vec<String> = vec![
+            "n=0..4000000000".into(),
+            format!("n=0..{}", MAX_AXIS_VALUES),
+            format!("n={}..{}", i64::MIN, i64::MAX),
+            "ed=0:1:1e-12".into(),
+            "ed=-1e300:1e300:1e-300".into(),
+            long_list,
+        ];
+        let too_many = |e: &AxisSpecError| matches!(e, AxisSpecError::TooMany { .. });
+        let cases = malformed
+            .iter()
+            .map(|&(arg, want)| (arg.to_string(), want))
+            .chain(over.into_iter().map(|arg| (arg, too_many as Check)));
+        for (arg, want) in cases {
+            match parse_axis_spec(&arg) {
+                Err(e) => assert!(want(&e), "{arg}: wrong error {e:?}"),
+                Ok(v) => panic!("{arg}: parsed to {} values", v.1.len()),
+            }
+        }
+        // The cap itself still parses.
+        let at_cap = parse_axis_spec(&format!("n=1..{MAX_AXIS_VALUES}")).unwrap();
+        assert_eq!(at_cap.1.len(), MAX_AXIS_VALUES);
+    }
 
     /// Char column at which every command's description starts.
     const DESCRIPTION_COLUMN: usize = 29;

@@ -60,6 +60,7 @@ impl Antenna {
     }
 
     /// Gain in dBi at the given carrier.
+    #[cfg(test)]
     pub fn gain_dbi(&self, carrier: Frequency) -> f64 {
         10.0 * self.gain(carrier).log10()
     }
@@ -67,17 +68,6 @@ impl Antenna {
     /// Effective isotropic radiated power for a given transmit power.
     pub fn eirp(&self, tx_power: Power, carrier: Frequency) -> Power {
         tx_power * self.gain(carrier)
-    }
-
-    /// Half-power beamwidth of a parabolic dish (degrees), `~70·λ/D`.
-    /// Returns `None` for non-aperture antennas.
-    pub fn beamwidth_deg(&self, carrier: Frequency) -> Option<f64> {
-        match *self {
-            Self::Parabolic { diameter, .. } => {
-                Some(70.0 * carrier.wavelength().as_m() / diameter.as_m())
-            }
-            _ => None,
-        }
     }
 }
 
@@ -93,18 +83,10 @@ impl std::fmt::Display for Antenna {
 
 /// Dish diameter required to achieve a target linear gain at a carrier
 /// frequency: inverse of the aperture-gain formula.
+#[cfg(test)]
 pub fn diameter_for_gain(gain: f64, carrier: Frequency, efficiency: f64) -> Length {
     let lambda = carrier.wavelength().as_m();
     Length::from_m(lambda / std::f64::consts::PI * (gain / efficiency).sqrt())
-}
-
-/// Rough mass model for a deployable spaceborne dish, kg — grows with
-/// area. Used for feasibility commentary on Fig. 7 ("a 30 m antenna").
-pub fn dish_mass_kg(diameter: Length) -> f64 {
-    // ~2 kg/m² areal density for deployable mesh reflectors plus fixed
-    // 5 kg of feed/boom hardware.
-    let area = std::f64::consts::PI * (diameter.as_m() / 2.0).powi(2);
-    5.0 + 2.0 * area
 }
 
 #[cfg(test)]
@@ -154,18 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn beamwidth_narrow_for_big_dish() {
-        let small = Antenna::dish(Length::from_m(0.5))
-            .beamwidth_deg(xband())
-            .unwrap();
-        let big = Antenna::dish(Length::from_m(5.0))
-            .beamwidth_deg(xband())
-            .unwrap();
-        assert!(big < small);
-        assert_eq!(Antenna::Patch.beamwidth_deg(xband()), None);
-    }
-
-    #[test]
     #[should_panic(expected = "efficiency")]
     fn invalid_efficiency_panics() {
         let _ = Antenna::Parabolic {
@@ -173,11 +143,5 @@ mod tests {
             efficiency: 1.5,
         }
         .gain(xband());
-    }
-
-    #[test]
-    fn thirty_meter_dish_mass_is_tonnes() {
-        // Fig. 7's hypothetical 30 m antenna: over a tonne of reflector.
-        assert!(dish_mass_kg(Length::from_m(30.0)) > 1000.0);
     }
 }

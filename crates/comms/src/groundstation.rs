@@ -69,6 +69,7 @@ impl GsaasProvider {
     }
 
     /// Stations in a region.
+    #[cfg(test)]
     pub fn in_region(&self, region: Region) -> u32 {
         Region::ALL
             .iter()
@@ -191,6 +192,7 @@ impl GroundStationNetwork {
 
     /// A network scaled by a station-count factor (the paper considers a
     /// doubling of stations between 2021 and 2026).
+    #[cfg(test)]
     pub fn scaled(&self, factor: f64) -> Self {
         let mut scaled = self.clone();
         scaled.channels_per_station *= factor;

@@ -1,13 +1,10 @@
-//! Inter-satellite link capacity classes and per-link accounting.
+//! Inter-satellite link capacity classes.
 //!
 //! Table 8 and Fig. 11 sweep ISL capacity across 1, 10, and 100 Gbit/s —
 //! spanning RF crosslinks (low end) through current and next-generation
-//! optical terminals. [`IslClass`] names those sweep points; [`IslLink`]
-//! carries the per-link state the topology and simulation layers need.
+//! optical terminals. [`IslClass`] names those sweep points.
 
-use units::{DataRate, DataSize, Length, Power, Time};
-
-use crate::optical::OpticalTerminal;
+use units::DataRate;
 
 /// The ISL capacity classes swept by the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,77 +29,11 @@ impl IslClass {
             Self::Gbps100 => DataRate::from_gbps(100.0),
         }
     }
-
-    /// Whether this class requires an optical terminal (RF tops out near
-    /// 1 Gbit/s in the bands available for crosslinks).
-    pub fn is_optical(self) -> bool {
-        !matches!(self, Self::Gbps1)
-    }
 }
 
 impl std::fmt::Display for IslClass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.capacity())
-    }
-}
-
-/// A point-to-point inter-satellite link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IslLink {
-    /// Link capacity.
-    pub capacity: DataRate,
-    /// Link distance.
-    pub distance: Length,
-    /// Whether the link is optical (affects pointing and power models).
-    pub optical: bool,
-}
-
-impl IslLink {
-    /// Creates a link of the given class at the given distance.
-    pub fn of_class(class: IslClass, distance: Length) -> Self {
-        Self {
-            capacity: class.capacity(),
-            distance,
-            optical: class.is_optical(),
-        }
-    }
-
-    /// Time to move `size` across this link (serialisation only;
-    /// propagation delay is negligible at these sizes).
-    pub fn transfer_time(&self, size: DataSize) -> Time {
-        size / self.capacity
-    }
-
-    /// One-way propagation delay.
-    pub fn propagation_delay(&self) -> Time {
-        Time::from_secs(self.distance.as_m() / units::constants::SPEED_OF_LIGHT_M_PER_S)
-    }
-
-    /// Transmit power to run this link at full capacity, using the
-    /// LEO-class optical power model (RF links use the same quadratic
-    /// distance law through their own reference point; for the paper's
-    /// comparisons only optical links are power-swept).
-    pub fn transmit_power(&self, terminal: &OpticalTerminal) -> Power {
-        terminal.power_for(self.capacity, self.distance)
-    }
-
-    /// Number of whole frames of the given size this link can deliver per
-    /// frame period.
-    pub fn frames_per_period(&self, frame: DataSize, period: Time) -> u64 {
-        let budget = self.capacity * period;
-        (budget.as_bits() / frame.as_bits()).floor() as u64
-    }
-}
-
-impl std::fmt::Display for IslLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} {} ISL over {}",
-            self.capacity,
-            if self.optical { "optical" } else { "RF" },
-            self.distance
-        )
     }
 }
 
@@ -115,42 +46,5 @@ mod tests {
         assert_eq!(IslClass::Gbps1.capacity().as_gbps(), 1.0);
         assert_eq!(IslClass::Gbps10.capacity().as_gbps(), 10.0);
         assert_eq!(IslClass::Gbps100.capacity().as_gbps(), 100.0);
-        assert!(!IslClass::Gbps1.is_optical());
-        assert!(IslClass::Gbps100.is_optical());
-    }
-
-    #[test]
-    fn table8_base_case_frames_per_period() {
-        // Paper, Sec. 7: "at 3 m resolution and 1 Gbit/s ISL capacity,
-        // each ISL can support transmitting over four images every 1.5 s".
-        let frame = DataSize::from_bytes(3840.0 * 2160.0 * 3.0); // 4K RGB
-        let link = IslLink::of_class(IslClass::Gbps1, Length::from_km(700.0));
-        let frames = link.frames_per_period(frame, Time::from_secs(1.5));
-        assert!(frames >= 4, "got {frames} frames per 1.5 s");
-    }
-
-    #[test]
-    fn transfer_time_scales_inversely_with_capacity() {
-        let size = DataSize::from_gigabytes(1.0);
-        let d = Length::from_km(700.0);
-        let slow = IslLink::of_class(IslClass::Gbps1, d).transfer_time(size);
-        let fast = IslLink::of_class(IslClass::Gbps100, d).transfer_time(size);
-        assert!((slow.as_secs() / fast.as_secs() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn propagation_delay_is_milliseconds_in_leo() {
-        let link = IslLink::of_class(IslClass::Gbps10, Length::from_km(700.0));
-        let d = link.propagation_delay();
-        assert!(d.as_secs() > 1e-3 && d.as_secs() < 5e-3);
-    }
-
-    #[test]
-    fn transmit_power_uses_quadratic_law() {
-        let t = OpticalTerminal::leo_class();
-        let near = IslLink::of_class(IslClass::Gbps10, Length::from_km(700.0));
-        let far = IslLink::of_class(IslClass::Gbps10, Length::from_km(2_100.0));
-        let ratio = far.transmit_power(&t).ratio(near.transmit_power(&t));
-        assert!((ratio - 9.0).abs() < 1e-9);
     }
 }

@@ -29,7 +29,6 @@
 //! ```
 
 pub mod antenna;
-pub mod contact;
 pub mod groundstation;
 pub mod isl;
 pub mod linkbudget;
@@ -38,5 +37,5 @@ pub mod shannon;
 
 pub use antenna::Antenna;
 pub use groundstation::{GroundStationNetwork, GsaasProvider, Region};
-pub use isl::{IslClass, IslLink};
+pub use isl::IslClass;
 pub use linkbudget::DownlinkBudget;

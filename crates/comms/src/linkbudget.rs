@@ -113,6 +113,7 @@ impl DownlinkBudget {
     }
 
     /// Returns a copy at a different slant range.
+    #[cfg(test)]
     pub fn with_range(mut self, range: Length) -> Self {
         self.range = range;
         self

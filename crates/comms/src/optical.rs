@@ -63,34 +63,11 @@ impl OpticalTerminal {
 
     /// Achievable rate with a given power budget at a given distance
     /// (inverse of [`OpticalTerminal::power_for`]).
+    #[cfg(test)]
     pub fn rate_for(&self, power: Power, distance: Length) -> DataRate {
         let dist_factor = distance.ratio(self.ref_distance);
         self.ref_rate * (power.ratio(self.ref_power) / (dist_factor * dist_factor))
     }
-}
-
-/// Degradation factor (multiplier ≤ 1 on capacity) from atmospheric
-/// turbulence for a link whose lowest grazing altitude is `grazing`.
-///
-/// Links clearing 80 km are unaffected; links dipping toward 20 km lose
-/// capacity rapidly (scintillation and absorption); below 10 km the link
-/// is considered unusable. Piecewise-linear stand-in for the lognormal
-/// fading channel of Zhu & Kahn cited in Sec. 8.
-pub fn turbulence_capacity_factor(grazing: Length) -> f64 {
-    let km = grazing.as_km();
-    if km >= 80.0 {
-        1.0
-    } else if km <= 10.0 {
-        0.0
-    } else {
-        // Linear ramp between 10 km (0.0) and 80 km (1.0).
-        (km - 10.0) / 70.0
-    }
-}
-
-/// Whether an optical link is even feasible given grazing altitude.
-pub fn link_feasible(grazing: Length) -> bool {
-    turbulence_capacity_factor(grazing) > 0.0
 }
 
 #[cfg(test)]
@@ -147,37 +124,6 @@ mod tests {
         let t = OpticalTerminal::leo_geo_class();
         let p = t.power_for(DataRate::from_gbps(10.0), Length::from_km(40_000.0));
         assert!(p.as_watts() < 1_000.0, "got {}", p.as_watts());
-    }
-
-    #[test]
-    fn turbulence_factor_boundaries() {
-        assert_eq!(turbulence_capacity_factor(Length::from_km(100.0)), 1.0);
-        assert_eq!(turbulence_capacity_factor(Length::from_km(80.0)), 1.0);
-        assert_eq!(turbulence_capacity_factor(Length::from_km(10.0)), 0.0);
-        assert_eq!(turbulence_capacity_factor(Length::from_km(5.0)), 0.0);
-        let mid = turbulence_capacity_factor(Length::from_km(45.0));
-        assert!((mid - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn feasibility_threshold() {
-        assert!(link_feasible(Length::from_km(80.0)));
-        assert!(link_feasible(Length::from_km(20.0)));
-        assert!(!link_feasible(Length::from_km(9.0)));
-    }
-
-    #[test]
-    fn turbulence_factor_monotone() {
-        prop::check("turbulence_factor_monotone", 256, |g| {
-            let a = g.draw(0.0f64..200.0);
-            let b = g.draw(0.0f64..200.0);
-
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            assert!(
-                turbulence_capacity_factor(Length::from_km(lo))
-                    <= turbulence_capacity_factor(Length::from_km(hi))
-            );
-        });
     }
 
     #[test]

@@ -21,74 +21,6 @@ pub fn capacity(b: Frequency, snr: f64) -> DataRate {
     DataRate::from_bps(b.as_hz() * (1.0 + snr).log2())
 }
 
-/// Inverse of [`capacity`] in the SNR direction: the linear SNR required to
-/// reach `target` over bandwidth `b`.
-///
-/// Computed as `exp_m1((target/b)·ln 2)` for full precision at small
-/// spectral efficiencies. The result **saturates at [`f64::MAX`]** when
-/// `target/b` exceeds ~1024 bit/s/Hz (where `2^(target/b)` overflows the
-/// f64 range) instead of silently returning `f64::INFINITY`; use
-/// [`required_snr_checked`] to detect that regime explicitly.
-pub fn required_snr(b: Frequency, target: DataRate) -> f64 {
-    required_snr_checked(b, target).unwrap_or(f64::MAX)
-}
-
-/// Like [`required_snr`], but returns `None` when the required SNR
-/// overflows the representable `f64` range (no physical transmitter
-/// reaches such SNRs; the target needs more bandwidth, not more power).
-pub fn required_snr_checked(b: Frequency, target: DataRate) -> Option<f64> {
-    let bits_per_hz = target.as_bps() / b.as_hz();
-    let snr = (bits_per_hz * std::f64::consts::LN_2).exp_m1();
-    snr.is_finite().then_some(snr)
-}
-
-/// Inverse of [`capacity`] in the bandwidth direction: the bandwidth needed
-/// to reach `target` at the given SNR.
-///
-/// # Panics
-///
-/// Panics if `snr <= 0`, where no finite bandwidth suffices.
-pub fn required_bandwidth(target: DataRate, snr: f64) -> Frequency {
-    assert!(snr > 0.0, "positive SNR required for finite bandwidth");
-    Frequency::from_hz(target.as_bps() / (1.0 + snr).log2())
-}
-
-/// Marginal capacity per hertz of extra bandwidth: `∂C/∂B = log2(1+SNR)`
-/// in bit/s per Hz.
-pub fn capacity_per_hz(snr: f64) -> f64 {
-    (1.0 + snr).log2()
-}
-
-/// Marginal capacity per unit of linear SNR:
-/// `∂C/∂SNR = B / ((1+SNR)·ln 2)` in bit/s per unit SNR.
-pub fn capacity_per_snr(b: Frequency, snr: f64) -> f64 {
-    b.as_hz() / ((1.0 + snr) * std::f64::consts::LN_2)
-}
-
-/// Classification of where a link sits on the Shannon curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CapacityRegime {
-    /// SNR ≫ 1: capacity linear in bandwidth, logarithmic in SNR. This is
-    /// where satellite downlinks live (Dove: SNR ≈ 19).
-    BandwidthLimited,
-    /// SNR ≪ 1: capacity linear in power, bandwidth nearly free.
-    PowerLimited,
-    /// Neither dominates.
-    Intermediate,
-}
-
-/// Classifies the regime by SNR (bandwidth-limited above 4, power-limited
-/// below 0.25 — a decade around unity).
-pub fn regime(snr: f64) -> CapacityRegime {
-    if snr >= 4.0 {
-        CapacityRegime::BandwidthLimited
-    } else if snr <= 0.25 {
-        CapacityRegime::PowerLimited
-    } else {
-        CapacityRegime::Intermediate
-    }
-}
-
 /// SNR multiplier needed to scale capacity by `factor` at fixed bandwidth,
 /// starting from linear SNR `snr`. Shows the exponential blow-up: doubling
 /// a bandwidth-limited link's capacity roughly squares its required SNR.
@@ -113,15 +45,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_inverse_functions_round_trip() {
-        let b = Frequency::from_mhz(96.0);
-        let c = capacity(b, 19.0);
-        assert!((required_snr(b, c) - 19.0).abs() < 1e-9);
-        let b2 = required_bandwidth(c, 19.0);
-        assert!((b2.as_hz() - b.as_hz()).abs() < 1e-3);
-    }
-
-    #[test]
     fn zero_snr_means_zero_capacity() {
         assert_eq!(capacity(Frequency::from_mhz(100.0), 0.0).as_bps(), 0.0);
     }
@@ -142,58 +65,6 @@ mod tests {
     }
 
     #[test]
-    fn required_snr_saturates_instead_of_overflowing() {
-        // 2 Tbit/s over 1 Hz wants 2^2e12 − 1: far beyond f64 range. The
-        // saturating form stays finite; the checked form reports None.
-        let b = Frequency::from_hz(1.0);
-        let target = DataRate::from_gbps(2_000.0);
-        let snr = required_snr(b, target);
-        assert!(snr.is_finite(), "got {snr}");
-        assert_eq!(snr, f64::MAX);
-        assert_eq!(required_snr_checked(b, target), None);
-        // Just below the overflow knee (~1024 bit/s/Hz) stays finite and
-        // checked agrees with the saturating form.
-        let near = DataRate::from_bps(1_000.0);
-        let f = required_snr(Frequency::from_hz(1.0), near);
-        assert!(f.is_finite() && f > 1e300);
-        assert_eq!(required_snr_checked(Frequency::from_hz(1.0), near), Some(f));
-    }
-
-    #[test]
-    fn required_snr_is_precise_at_tiny_spectral_efficiency() {
-        // For target/b = 1e-12 bit/s/Hz, SNR ≈ ln2 · 1e-12. The old
-        // 2^x − 1 formulation lost all significant digits here.
-        let snr = required_snr(Frequency::from_hz(1e12), DataRate::from_bps(1.0));
-        let expected = std::f64::consts::LN_2 * 1e-12;
-        assert!(
-            (snr - expected).abs() / expected < 1e-9,
-            "got {snr}, want {expected}"
-        );
-    }
-
-    #[test]
-    fn regimes_classified() {
-        assert_eq!(regime(19.0), CapacityRegime::BandwidthLimited);
-        assert_eq!(regime(0.1), CapacityRegime::PowerLimited);
-        assert_eq!(regime(1.0), CapacityRegime::Intermediate);
-    }
-
-    #[test]
-    fn marginal_rates_match_finite_differences() {
-        let b = Frequency::from_mhz(50.0);
-        let snr = 10.0;
-        let dc_db = capacity_per_hz(snr);
-        let numeric = (capacity(Frequency::from_hz(b.as_hz() + 1.0), snr).as_bps()
-            - capacity(b, snr).as_bps())
-            / 1.0;
-        assert!((dc_db - numeric).abs() / dc_db < 1e-6);
-
-        let dc_dsnr = capacity_per_snr(b, snr);
-        let numeric2 = (capacity(b, snr + 1e-6).as_bps() - capacity(b, snr).as_bps()) / 1e-6;
-        assert!((dc_dsnr - numeric2).abs() / dc_dsnr < 1e-4);
-    }
-
-    #[test]
     fn capacity_monotone_in_both_arguments() {
         prop::check("capacity_monotone_in_both_arguments", 256, |g| {
             let b1 = g.draw(1e6f64..1e9);
@@ -206,18 +77,6 @@ mod tests {
             let c2 = capacity(Frequency::from_hz(b1), snr + dsnr);
             assert!(c1 > c0);
             assert!(c2 > c0);
-        });
-    }
-
-    #[test]
-    fn required_snr_round_trips() {
-        prop::check("required_snr_round_trips", 256, |g| {
-            let b = g.draw(1e6f64..1e9);
-            let snr = g.draw(0.1f64..1e3);
-
-            let c = capacity(Frequency::from_hz(b), snr);
-            let back = required_snr(Frequency::from_hz(b), c);
-            assert!((back - snr).abs() / snr < 1e-9);
         });
     }
 }

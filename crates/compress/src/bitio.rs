@@ -88,6 +88,7 @@ impl BitWriter {
     }
 
     /// Number of bits written so far.
+    #[cfg(test)]
     pub fn bit_len(&self) -> usize {
         self.bytes.len() * 8 + self.pending as usize
     }

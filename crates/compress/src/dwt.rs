@@ -460,6 +460,7 @@ impl DwtCodec {
     }
 
     /// Whether this configuration reconstructs exactly.
+    #[cfg(test)]
     pub fn is_lossless(&self) -> bool {
         self.quant_shift == 0
     }

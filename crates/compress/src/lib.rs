@@ -88,6 +88,7 @@ pub trait Codec {
     fn decompress(&self, data: &[u8]) -> Result<Vec<u8>, CodecError>;
 
     /// Compression ratio achieved on `data` (original / compressed).
+    #[cfg(test)]
     fn ratio(&self, data: &[u8]) -> f64 {
         let compressed = self.compress(data);
         if compressed.is_empty() {

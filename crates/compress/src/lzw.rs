@@ -259,6 +259,75 @@ mod tests {
         });
     }
 
+    /// The encoder with a plain `HashMap` dictionary and otherwise the
+    /// same code assignment, widths and CLEAR policy as
+    /// [`Lzw::compress`]. Returns the stream and how many times it
+    /// filled the dictionary and reset.
+    fn reference_compress(data: &[u8]) -> (Vec<u8>, usize) {
+        use std::collections::HashMap;
+        let mut w = BitWriter::new();
+        let mut next_code = FIRST_FREE;
+        let mut resets = 0;
+        w.write_bits(u64::from(CLEAR_CODE), code_width(next_code));
+        let Some((&first, rest)) = data.split_first() else {
+            w.write_bits(u64::from(END_CODE), code_width(next_code));
+            return (w.into_bytes(), resets);
+        };
+        let mut dict: HashMap<(u32, u8), u32> = HashMap::new();
+        let mut current = u32::from(first);
+        for &b in rest {
+            if let Some(&code) = dict.get(&(current, b)) {
+                current = code;
+                continue;
+            }
+            w.write_bits(u64::from(current), code_width(next_code));
+            dict.insert((current, b), next_code);
+            next_code += 1;
+            if next_code >= (1 << MAX_BITS) - 1 {
+                w.write_bits(u64::from(CLEAR_CODE), code_width(next_code));
+                dict.clear();
+                next_code = FIRST_FREE;
+                resets += 1;
+            }
+            current = u32::from(b);
+        }
+        w.write_bits(u64::from(current), code_width(next_code));
+        next_code += 1;
+        w.write_bits(u64::from(END_CODE), code_width(next_code));
+        (w.into_bytes(), resets)
+    }
+
+    /// Pins the open-addressed dictionary to a plain map, byte for byte:
+    /// a table that loses or misplaces an entry on a doubling re-adds
+    /// the key under a new code, which still round-trips but changes
+    /// the stream. Inputs under 128 bytes start at 64 slots and double
+    /// up to three times; every eighth case runs past 65,536 codes, so
+    /// the dictionary also fills and resets.
+    #[test]
+    fn encoder_matches_hashmap_reference() {
+        prop::check("encoder_matches_hashmap_reference", 48, |g| {
+            let long = g.case() % 8 == 0;
+            let len = if long {
+                g.draw(150_000usize..200_000)
+            } else if g.case() % 2 == 1 {
+                g.draw(0usize..128)
+            } else {
+                g.draw(0usize..4000)
+            };
+            let alphabet = if long { 256 } else { g.draw(2u16..257) };
+            let data: Vec<u8> = g
+                .draw(prop::vec(0..alphabet, len..len + 1))
+                .into_iter()
+                .map(|b| b as u8)
+                .collect();
+            let (expected, resets) = reference_compress(&data);
+            assert_eq!(Lzw::new().compress(&data), expected, "len {len}");
+            if long {
+                assert!(resets > 0, "{len} bytes never filled the dictionary");
+            }
+        });
+    }
+
     #[test]
     fn round_trips_textlike() {
         prop::check("round_trips_textlike", 64, |g| {

@@ -102,6 +102,7 @@ impl Raster {
     /// # Panics
     ///
     /// Panics if `y >= height`.
+    #[cfg(test)]
     pub fn row(&self, y: usize) -> &[u8] {
         assert!(y < self.height);
         let s = self.stride();

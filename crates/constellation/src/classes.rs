@@ -239,6 +239,7 @@ fn survey_rows_adaspace_to_vividi() -> Vec<ConstellationEntry> {
 }
 
 /// Classifies a Table 1 form factor into a [`SatelliteClass`].
+#[cfg(test)]
 pub fn classify_form_factor(form_factor: &str) -> SatelliteClass {
     let ff = form_factor.to_ascii_lowercase();
     if ff.contains('u') && (ff.starts_with('3') || ff.starts_with('6') || ff.starts_with("12")) {

@@ -23,9 +23,7 @@
 pub mod classes;
 pub mod plane;
 pub mod topology;
-pub mod walker;
 
 pub use classes::{ConstellationEntry, SatelliteClass};
 pub use plane::OrbitalPlane;
 pub use topology::{ClusterTopology, Formation};
-pub use walker::WalkerDelta;

@@ -20,9 +20,7 @@
 //!   whichever is visible (Fig. 15).
 
 use orbit::circular::CircularOrbit;
-use units::{DataRate, Length, Power};
-
-use crate::plane::OrbitalPlane;
+use units::{DataRate, Length};
 
 /// How EO satellites are spaced around the orbit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,11 +63,6 @@ impl ClusterTopology {
     /// Number of ingest links on the SµDC.
     pub fn ingest_links(&self) -> usize {
         self.k
-    }
-
-    /// The formation this topology assumes.
-    pub fn formation(&self) -> Formation {
-        self.formation
     }
 
     /// Relay-link distance multiplier relative to the ring's
@@ -123,7 +116,8 @@ impl ClusterTopology {
     /// links must keep optical line of sight (orbit-spaced), or are
     /// unconstrained up to the satellite count (frame-spaced, where
     /// spacing is km-scale).
-    pub fn max_k(plane: &OrbitalPlane, formation: Formation) -> usize {
+    #[cfg(test)]
+    pub fn max_k(plane: &crate::plane::OrbitalPlane, formation: Formation) -> usize {
         match formation {
             Formation::FrameSpaced => plane.satellite_count() & !1,
             Formation::OrbitSpaced => {
@@ -131,13 +125,6 @@ impl ClusterTopology {
                 (2 * hops).min(plane.satellite_count() & !1)
             }
         }
-    }
-
-    /// Per-link transmit power for this topology given a reference ring
-    /// link power (quadratic in the distance multiplier).
-    pub fn per_link_power(&self, ring_link_power: Power) -> Power {
-        let m = self.link_distance_multiplier();
-        ring_link_power * (m * m)
     }
 }
 
@@ -183,6 +170,7 @@ impl GeoStar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plane::OrbitalPlane;
     use units::Angle;
 
     #[test]
@@ -265,13 +253,6 @@ mod tests {
         assert!(k_orbit >= 4, "at 550 km / 64 sats a 4-list is feasible");
         assert_eq!(k_frame, 64);
         assert_eq!(k_frame % 2, 0);
-    }
-
-    #[test]
-    fn per_link_power_quadratic() {
-        let eight = ClusterTopology::k_list(8, Formation::FrameSpaced);
-        let p = eight.per_link_power(Power::from_watts(50.0));
-        assert_eq!(p.as_watts(), 50.0 * 16.0);
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! This module evaluates their combined capacity/power trade (Fig. 13)
 //! and encodes the paper's qualitative strategy comparison (Table 9).
 
-use comms::optical::OpticalTerminal;
 use constellation::topology::{ClusterTopology, Formation};
-use constellation::OrbitalPlane;
 use explore::{Axis, Space};
-use units::{DataRate, Power};
 
 /// One point of the Fig. 13 sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,36 +95,6 @@ pub fn paper_fig13_axes() -> (Vec<usize>, Vec<usize>) {
     (vec![2, 4, 8, 16], vec![1, 2, 4, 8])
 }
 
-/// Absolute aggregate ingest rate and ISL power for a configuration on
-/// the reference plane, using a LEO-class optical terminal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AbsoluteCodesign {
-    /// Aggregate ingest capacity across all SµDCs.
-    pub aggregate_capacity: DataRate,
-    /// Total transmit power across all ingest links.
-    pub total_power: Power,
-}
-
-/// Evaluates absolute (non-normalised) numbers for a k-list × split
-/// configuration on a plane, with each ingest link run at
-/// `link_capacity`.
-pub fn absolute(
-    plane: &OrbitalPlane,
-    k: usize,
-    split: usize,
-    link_capacity: DataRate,
-    terminal: &OpticalTerminal,
-) -> AbsoluteCodesign {
-    let topo = ClusterTopology::k_list(k, Formation::OrbitSpaced);
-    let links = k * split;
-    let distance = topo.link_distance(plane.link_distance(1));
-    let per_link_power = terminal.power_for(link_capacity, distance);
-    AbsoluteCodesign {
-        aggregate_capacity: link_capacity * links as f64,
-        total_power: per_link_power * links as f64,
-    }
-}
-
 /// The downlink-deficit mitigation strategies compared in Table 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
@@ -190,7 +157,6 @@ impl std::fmt::Display for Strategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use units::Length;
 
     #[test]
     fn fig13_normalisations_multiply() {
@@ -256,42 +222,6 @@ mod tests {
         let back = CodesignPoint::decode(&p.encode()).unwrap();
         assert_eq!(back, p);
         assert!(CodesignPoint::decode("3|garbage").is_none());
-    }
-
-    #[test]
-    fn absolute_power_grows_quadratically_with_k() {
-        let plane = OrbitalPlane::paper_reference();
-        let t = OpticalTerminal::leo_class();
-        let cap = DataRate::from_gbps(10.0);
-        let k2 = absolute(&plane, 2, 1, cap, &t);
-        let k4 = absolute(&plane, 4, 1, cap, &t);
-        // 2× links × 4× per-link power = 8× total.
-        let ratio = k4.total_power.ratio(k2.total_power);
-        assert!((ratio - 8.0).abs() < 1e-9, "got {ratio}");
-        assert!(
-            (k4.aggregate_capacity.as_bps() / k2.aggregate_capacity.as_bps() - 2.0).abs() < 1e-9
-        );
-    }
-
-    #[test]
-    fn absolute_split_grows_linearly() {
-        let plane = OrbitalPlane::paper_reference();
-        let t = OpticalTerminal::leo_class();
-        let cap = DataRate::from_gbps(10.0);
-        let one = absolute(&plane, 2, 1, cap, &t);
-        let four = absolute(&plane, 2, 4, cap, &t);
-        assert!((four.total_power.ratio(one.total_power) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ring_link_power_is_modest_at_reference_spacing() {
-        // 64-sat ring at 550 km: ~679 km links. A 10 Gbit/s LEO-class
-        // terminal closes that for well under 100 W.
-        let plane = OrbitalPlane::paper_reference();
-        let t = OpticalTerminal::leo_class();
-        let a = absolute(&plane, 2, 1, DataRate::from_gbps(10.0), &t);
-        assert!(a.total_power.as_watts() < 200.0, "got {}", a.total_power);
-        assert!(plane.link_distance(1) > Length::from_km(500.0));
     }
 
     #[test]

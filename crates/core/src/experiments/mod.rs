@@ -16,20 +16,23 @@ mod placement;
 mod simval;
 mod tables;
 
-use std::fmt;
-use std::str::FromStr;
+#[cfg(test)]
+use std::{fmt, str::FromStr};
 
 /// A contextual error from [`ExperimentResult::cell`]: names the
 /// experiment, row, column, and offending raw text.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellError(String);
 
+#[cfg(test)]
 impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
 }
 
+#[cfg(test)]
 impl std::error::Error for CellError {}
 
 /// A regenerated experiment artifact: a titled table of rows.
@@ -88,6 +91,7 @@ impl ExperimentResult {
     ///
     /// Returns [`CellError`] when the position is out of range or the
     /// cell text does not parse as `T`.
+    #[cfg(test)]
     pub fn cell<T: FromStr>(&self, row: usize, col: usize) -> Result<T, CellError> {
         let type_name = std::any::type_name::<T>()
             .rsplit("::")

@@ -55,7 +55,6 @@ pub mod costs;
 pub mod data;
 pub mod datareq;
 pub mod deficit;
-pub mod disaggregation;
 pub mod ecr;
 pub mod experiments;
 pub mod onboard;

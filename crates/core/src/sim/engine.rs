@@ -484,7 +484,6 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
         };
         let shed = match st.policy.decide_shed(&obs) {
             ShedDecision::Baseline => st.service.should_shed(sat, st.queued_bits),
-            ShedDecision::Admit => false,
             ShedDecision::Coin { probability } => st.service.shed_coin(sat, probability),
         };
         if shed {
@@ -1031,7 +1030,7 @@ fn serve_drain_queue(
             break;
         }
         // A fired deadline timer flushes unconditionally (stragglers
-        // must drain even under a `Hold`-happy controller); otherwise
+        // must drain whatever the controller decides); otherwise
         // the policy arbitrates, with `Baseline` deferring to the
         // configured batcher trigger verbatim.
         let ready = force || {
@@ -1048,7 +1047,6 @@ fn serve_drain_queue(
                     None => false,
                 },
                 BatchDecision::Flush => true,
-                BatchDecision::Hold => false,
             }
         };
         if !ready {

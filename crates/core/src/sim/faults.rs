@@ -10,7 +10,6 @@
 //! nothing: fault-free runs remain byte-identical to the pre-fault
 //! simulator because no fault RNG stream is ever drawn.
 
-use orbit::circular::CircularOrbit;
 use units::{DataSize, Time};
 
 /// Transient ISL link outages: each satellite's outgoing link alternates
@@ -34,19 +33,6 @@ pub struct LinkOutageSpec {
 pub struct SeuSpec {
     /// Raw radiation-induced bit flips per processed frame.
     pub upsets_per_frame: f64,
-}
-
-impl SeuSpec {
-    /// Derives the per-frame upset rate from the orbit's radiation
-    /// environment: `leo_upsets_per_frame` (the benign-LEO baseline) is
-    /// scaled by [`orbit::radiation::seu_rate_multiplier`] for the given
-    /// orbit and SAA transit fraction.
-    pub fn for_orbit(orbit: CircularOrbit, saa_fraction: f64, leo_upsets_per_frame: f64) -> Self {
-        Self {
-            upsets_per_frame: leo_upsets_per_frame
-                * orbit::radiation::seu_rate_multiplier(orbit, saa_fraction),
-        }
-    }
 }
 
 /// Stochastic whole-SµDC outages (alternating renewal, like
@@ -254,18 +240,6 @@ mod tests {
             assert_eq!(m.active(), *name != "none", "{name}");
         }
         assert!(FaultModel::scenario("not_a_scenario").is_none());
-    }
-
-    #[test]
-    fn seu_spec_scales_with_radiation_environment() {
-        use units::Length;
-        let leo = CircularOrbit::from_altitude(Length::from_km(550.0));
-        let benign = SeuSpec::for_orbit(leo, 0.0, 0.01);
-        assert!((benign.upsets_per_frame - 0.01).abs() < 1e-12);
-        let saa = SeuSpec::for_orbit(leo, 0.05, 0.01);
-        assert!(saa.upsets_per_frame > benign.upsets_per_frame);
-        let geo = SeuSpec::for_orbit(CircularOrbit::geostationary(), 0.0, 0.01);
-        assert!(geo.upsets_per_frame > saa.upsets_per_frame);
     }
 
     #[test]

@@ -298,6 +298,7 @@ impl SimConfig {
 
     /// Satellites per SµDC service arc. Meaningful only for
     /// configurations that pass [`SimConfig::validate`].
+    #[cfg(test)]
     pub fn cluster_size(&self) -> usize {
         self.plane.satellite_count().div_ceil(self.units().max(1))
     }

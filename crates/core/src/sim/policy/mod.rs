@@ -186,8 +186,6 @@ pub enum RetryDecision {
 pub enum ShedDecision {
     /// Defer to the configured degradation model verbatim.
     Baseline,
-    /// Admit the frame unconditionally (no draw).
-    Admit,
     /// Shed with this probability, drawn on the engine's `shed` stream
     /// with unchanged keying.
     Coin { probability: f64 },
@@ -210,8 +208,6 @@ pub enum BatchDecision {
     Baseline,
     /// Dispatch now regardless of the configured trigger.
     Flush,
-    /// Wait for the straggler deadline timer (which always flushes).
-    Hold,
 }
 
 /// Migration decision for a frame at a live home SµDC.

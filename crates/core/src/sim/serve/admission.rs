@@ -47,6 +47,7 @@ impl TokenBucket {
     }
 
     /// Tokens currently available (after the last refill point).
+    #[cfg(test)]
     pub fn available(&self) -> f64 {
         self.tokens
     }

@@ -84,6 +84,7 @@ impl Batcher {
     }
 
     /// Current timer epoch of one queue.
+    #[cfg(test)]
     pub fn epoch(&self, cluster: usize, tenant: usize) -> u64 {
         self.queues[self.index(cluster, tenant)].epoch
     }

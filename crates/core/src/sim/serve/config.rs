@@ -120,6 +120,7 @@ impl BatchPolicy {
     }
 
     /// Integer code for sweep axes and cache keys.
+    #[cfg(test)]
     pub fn code(self) -> usize {
         match self {
             BatchPolicy::Fixed { .. } => 0,

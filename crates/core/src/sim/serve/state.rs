@@ -5,7 +5,7 @@
 //! can embed a [`ServeReport`] at the end of the run.
 
 use telemetry::Histogram;
-use units::{Power, Time};
+use units::Time;
 use workloads::batch::BatchProfile;
 
 use crate::sim::serve::admission::TokenBucket;
@@ -126,8 +126,6 @@ impl ServeState {
             profile: BatchProfile {
                 base_pixels_per_sec: pixel_capacity / knee,
                 saturation_batch: knee,
-                idle_power: Power::from_watts(0.0),
-                dynamic_power: Power::from_watts(0.0),
             },
             tenants: cfg.tenants.iter().map(TenantRuntime::new).collect(),
             batcher: Batcher::new(cfg, units),

@@ -33,6 +33,7 @@ impl SudcSpec {
     }
 
     /// The paper's 256 kW "Space Station class" SµDC.
+    #[cfg(test)]
     pub fn station_256kw(device: Device) -> Self {
         Self {
             compute_power: Power::from_kilowatts(256.0),

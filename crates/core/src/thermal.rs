@@ -41,6 +41,7 @@ impl Radiator {
     }
 
     /// A GEO radiator (colder sink: less Earth IR).
+    #[cfg(test)]
     pub fn geo(area: Area) -> Self {
         Self {
             area,
@@ -54,6 +55,7 @@ impl Radiator {
     /// # Panics
     ///
     /// Panics if emissivity is outside `(0, 1]`.
+    #[cfg(test)]
     pub fn rejected_power(&self, surface_temp_k: f64) -> Power {
         assert!(
             self.emissivity > 0.0 && self.emissivity <= 1.0,

@@ -88,11 +88,13 @@ impl Cache {
     }
 
     /// Number of stored entries.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Whether the cache is empty.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }

@@ -6,7 +6,7 @@
 //! substrate for those sweeps:
 //!
 //! * **Parameter spaces** ([`Axis`], [`Space`]) — typed axes combined
-//!   into cartesian grids, explicit point lists, or filtered subspaces.
+//!   into cartesian grids or explicit point lists.
 //!   Every point carries a stable [`PointId`] derived from the canonical
 //!   textual form of its coordinates, independent of enumeration order
 //!   or thread count.

@@ -1,5 +1,5 @@
-//! Typed parameter spaces: axes, cartesian grids, explicit point lists,
-//! and filtered subspaces, each point with a stable [`PointId`].
+//! Typed parameter spaces: axes, cartesian grids, and explicit point
+//! lists, each point with a stable [`PointId`].
 
 use crate::fnv1a;
 
@@ -53,11 +53,13 @@ impl<T: AxisItem> Axis<T> {
     }
 
     /// Number of values.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
     /// Always false (construction rejects empty axes).
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
@@ -66,7 +68,7 @@ impl<T: AxisItem> Axis<T> {
 /// A stable identity for one point of a [`Space`].
 ///
 /// `index` is the position in the full enumeration order at
-/// construction time (preserved under [`Space::filter`]); `hash` is the
+/// construction time; `hash` is the
 /// FNV-1a content address of the canonical coordinate text, so it
 /// survives re-ordering, subspacing, and axis extension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,12 +121,12 @@ impl<P> Space<P> {
         self.points.len()
     }
 
-    /// Whether the space has no points (e.g. after a filter).
+    /// Whether the space has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
 
-    /// The point at enumeration position `i` (post-filter positions).
+    /// The point at enumeration position `i`.
     pub fn point(&self, i: usize) -> &P {
         &self.points[i]
     }
@@ -152,6 +154,7 @@ impl<P> Space<P> {
     /// Restricts the space to points satisfying `keep`. Surviving
     /// points retain their construction-time [`PointId`]s, so caches
     /// and cross-run comparisons stay valid on the subspace.
+    #[cfg(test)]
     pub fn filter(self, keep: impl Fn(&P) -> bool) -> Self {
         let (ids, points) = self
             .ids
@@ -204,54 +207,6 @@ impl<A: AxisItem, B: AxisItem, C: AxisItem> Space<(A, B, C)> {
                     );
                     ids.push(id_for(&name, &canon, points.len() as u64));
                     points.push((va.clone(), vb.clone(), vc.clone()));
-                }
-            }
-        }
-        Self { name, ids, points }
-    }
-}
-
-impl<A: AxisItem, B: AxisItem, C: AxisItem, D: AxisItem, E: AxisItem> Space<(A, B, C, D, E)> {
-    /// Cartesian product of five axes, row-major.
-    pub fn grid5(
-        name: impl Into<String>,
-        a: Axis<A>,
-        b: Axis<B>,
-        c: Axis<C>,
-        d: Axis<D>,
-        e: Axis<E>,
-    ) -> Self {
-        let name = name.into();
-        let mut ids = Vec::new();
-        let mut points = Vec::new();
-        for va in a.values() {
-            for vb in b.values() {
-                for vc in c.values() {
-                    for vd in d.values() {
-                        for ve in e.values() {
-                            let canon = format!(
-                                "{}={};{}={};{}={};{}={};{}={}",
-                                a.name(),
-                                va.canon(),
-                                b.name(),
-                                vb.canon(),
-                                c.name(),
-                                vc.canon(),
-                                d.name(),
-                                vd.canon(),
-                                e.name(),
-                                ve.canon()
-                            );
-                            ids.push(id_for(&name, &canon, points.len() as u64));
-                            points.push((
-                                va.clone(),
-                                vb.clone(),
-                                vc.clone(),
-                                vd.clone(),
-                                ve.clone(),
-                            ));
-                        }
-                    }
                 }
             }
         }
@@ -338,23 +293,5 @@ mod tests {
     #[should_panic(expected = "axis 'k' has no values")]
     fn empty_axis_panics() {
         let _ = Axis::<u64>::new("k", vec![]);
-    }
-
-    #[test]
-    fn grid5_sizes_multiply() {
-        let s = Space::grid5(
-            "t",
-            Axis::new("a", vec![1u64, 2]),
-            Axis::new("b", vec![1u64, 2, 3]),
-            Axis::new("c", vec![1u64]),
-            Axis::new("d", vec![1u64, 2]),
-            Axis::new("e", vec![1u64, 2]),
-        );
-        assert_eq!(s.len(), 2 * 3 * 2 * 2);
-        // All hashes distinct.
-        let mut hashes: Vec<u64> = s.ids().iter().map(|i| i.hash).collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), s.len());
     }
 }

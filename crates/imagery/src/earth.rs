@@ -41,16 +41,6 @@ impl GroundTruth {
             SceneKind::RuralRgb
         }
     }
-
-    /// The synthetic scene family for a SAR instrument (sees through
-    /// cloud and night).
-    pub fn sar_scene_kind(&self) -> SceneKind {
-        if self.ocean {
-            SceneKind::SarOcean
-        } else {
-            SceneKind::SarLand
-        }
-    }
 }
 
 /// The procedural Earth model.
@@ -282,8 +272,6 @@ mod tests {
             night: false,
         };
         assert_eq!(clear_city.scene_kind(), SceneKind::UrbanRgb);
-        // SAR ignores cloud and night.
-        assert_eq!(night.sar_scene_kind(), SceneKind::SarOcean);
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! [`discard`] the Table 3 early-discard classes with their effective
 //! compression ratios. [`earth`] maps orbital ground tracks to scene
 //! statistics so the simulator sees day/night, ocean/land, and cloud in
-//! the paper's gross proportions. [`classify`] implements the
-//! image-statistics classifier that *performs* early discard on actual
-//! pixels.
+//! the paper's gross proportions.
 //!
 //! # Examples
 //!
@@ -26,11 +24,9 @@
 //! assert!(img.mean() < 30.0, "SAR ocean scenes are nearly empty");
 //! ```
 
-pub mod classify;
 pub mod discard;
 pub mod earth;
 pub mod frame;
-pub mod hyperspectral;
 pub mod noise;
 pub mod synth;
 

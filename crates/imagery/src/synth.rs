@@ -49,6 +49,7 @@ impl SceneKind {
     ];
 
     /// Channel count for this scene family.
+    #[cfg(test)]
     pub fn channels(self) -> usize {
         match self {
             Self::SarOcean | Self::SarLand => 1,
@@ -83,11 +84,6 @@ impl Scene {
     /// Creates a scene of the given kind and random seed.
     pub fn new(kind: SceneKind, seed: u64) -> Self {
         Self { kind, seed }
-    }
-
-    /// The scene family.
-    pub fn kind(&self) -> SceneKind {
-        self.kind
     }
 
     /// Renders the scene at the given pixel dimensions.

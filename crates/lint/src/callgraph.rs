@@ -9,7 +9,10 @@
 //!   nothing are assumed external (`Vec::new`) and dropped;
 //! * a method call `recv.f(...)` resolves to every workspace *method*
 //!   (fn with a `self` receiver) of that name, and a bare call `f(...)`
-//!   to every free fn of that name.
+//!   to every free fn of that name;
+//! * a call from non-test code never resolves into test code (an
+//!   integration-test file, or a `#[test]` / `#[cfg(test)]` item): no
+//!   build links the two, so such a name match is always spurious.
 //!
 //! Edges and BFS order are fully deterministic (sorted, deduped), which
 //! keeps diagnostic output byte-stable across runs.
@@ -38,10 +41,14 @@ impl CallGraph {
     pub fn build(sym: &Symbols) -> Self {
         let mut edges: Vec<Vec<usize>> = vec![Vec::new(); sym.fns.len()];
         for (caller, f) in sym.fns.iter().enumerate() {
+            let from_test = sym.test_code[caller];
             for call in &f.calls {
                 let Some(candidates) = call.segments.last().and_then(|n| sym.by_name.get(n)) else {
                     continue;
                 };
+                let candidates = candidates
+                    .iter()
+                    .filter(|&&c| from_test || !sym.test_code[c]);
                 if call.segments.len() > 1 {
                     // Qualified: require the path to suffix-match.
                     for &c in candidates {
@@ -173,6 +180,40 @@ mod tests {
         let free: usize = *sym.by_name["merge"].iter().find(|&&i| i != method).unwrap();
         assert_eq!(g.edges[sym.by_name["f"][0]], vec![method]);
         assert_eq!(g.edges[sym.by_name["g"][0]], vec![free]);
+    }
+
+    #[test]
+    fn non_test_calls_never_resolve_into_test_code() {
+        let files = Box::leak(Box::new([
+            SourceFile::parse(
+                "crates/core/src/sim/engine.rs",
+                "pub fn step() { note(); }\nfn note() { Digest::new(); add(); }\nfn add() {}\n#[cfg(test)]\nmod tests {\n    fn add() {}\n    #[test]\n    fn t() { super::step(); }\n}\n",
+            ),
+            SourceFile::parse(
+                "crates/compress/tests/golden.rs",
+                "struct Digest;\nimpl Digest {\n    fn new() -> Self { add(); Digest }\n}\nfn add() {}\n",
+            ),
+        ]));
+        let sym = Symbols::build(files);
+        let g = CallGraph::build(&sym);
+        let named = |name: &str, test: bool| {
+            sym.by_name[name]
+                .iter()
+                .copied()
+                .find(|&i| sym.test_code[i] == test)
+                .unwrap()
+        };
+        let note = named("note", false);
+        // `Digest::new` lives only in an integration test, and the one
+        // non-test `add` is the only candidate for the bare call.
+        assert_eq!(g.edges[note], vec![named("add", false)]);
+        let reach = g.reach(&sym.resolve_root("engine::step"));
+        assert_eq!(reach.count(), 3, "step → note → add, nothing in tests");
+        // Test code still calls into library code.
+        assert_eq!(g.edges[named("t", true)], vec![named("step", false)]);
+        // Within test code, calls resolve as before.
+        let golden_new = named("new", true);
+        assert_eq!(g.edges[golden_new].len(), 3, "every `add`, test or not");
     }
 
     #[test]

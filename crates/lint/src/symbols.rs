@@ -19,6 +19,19 @@ pub struct Symbols<'a> {
     pub fields: Vec<FieldItem<'a>>,
     /// Function indices by bare name (sorted keys → deterministic walks).
     pub by_name: BTreeMap<&'a str, Vec<usize>>,
+    /// `test_code[f]`: whether function `f` is test code — declared in an
+    /// integration-test file or inside `#[test]` / `#[cfg(test)]` items.
+    pub test_code: Vec<bool>,
+}
+
+/// Whether `path` is an integration-test file: `tests/*.rs` or
+/// `crates/*/tests/*.rs`.
+fn is_test_file(path: &str) -> bool {
+    path.starts_with("tests/")
+        || path
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, tail)| tail.starts_with("tests/"))
 }
 
 /// Module path segments implied by a file's workspace-relative path:
@@ -54,8 +67,10 @@ impl<'a> Symbols<'a> {
         for (fi, file) in files.iter().enumerate() {
             let parsed = parse::parse_file(file);
             let prefix = module_segments(&file.path);
+            let test_file = is_test_file(&file.path);
             for mut f in parsed.fns {
                 f.file = fi;
+                sym.test_code.push(test_file || file.in_test_code(f.line));
                 let mut qual = prefix.clone();
                 qual.extend(f.qual);
                 f.qual = qual;

@@ -87,11 +87,6 @@ impl CircularOrbit {
         Velocity::from_m_per_s((EARTH_MU_M3_PER_S2 / self.radius.as_m()).sqrt())
     }
 
-    /// Angular rate in radians per second.
-    pub fn angular_rate_rad_per_s(&self) -> f64 {
-        self.velocity().as_m_per_s() / self.radius.as_m()
-    }
-
     /// Straight-line (chord) distance between two satellites separated by
     /// `separation` of central angle in the same circular orbit.
     ///
@@ -126,42 +121,12 @@ impl CircularOrbit {
         let ratio = (r_block / self.radius.as_m()).clamp(-1.0, 1.0);
         Angle::from_radians(2.0 * ratio.acos())
     }
-
-    /// Fraction of the orbit during which a satellite sees a given ground
-    /// point at ≥ 0° elevation (overhead pass through zenith). Upper bound
-    /// for pass duration; see [`crate::visibility`] for elevation masks.
-    pub fn max_pass_fraction(&self) -> f64 {
-        let lambda = (EARTH_RADIUS_M / self.radius.as_m()).acos();
-        lambda / std::f64::consts::PI
-    }
 }
 
 impl std::fmt::Display for CircularOrbit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "circular orbit at {} altitude", self.altitude())
     }
-}
-
-/// Inclination required for a sun-synchronous orbit at the given circular
-/// radius, from the first-order J2 nodal-precession condition.
-///
-/// Sun-synchronous orbits precess 360° per tropical year
-/// (≈ 1.991 × 10⁻⁷ rad/s) to keep constant local solar time — the paper
-/// notes EO satellites often fly SSO for consistent imaging light.
-///
-/// Returns `None` when no inclination satisfies the condition (radius too
-/// large for SSO).
-pub fn sun_synchronous_inclination(radius: Length) -> Option<Angle> {
-    use units::constants::{EARTH_EQUATORIAL_RADIUS_M, EARTH_J2};
-    let sso_rate = 1.990_968e-7; // rad/s, 2π / tropical year
-    let r = radius.as_m();
-    let n = (EARTH_MU_M3_PER_S2 / (r * r * r)).sqrt();
-    let cos_i = -2.0 * sso_rate * r * r
-        / (3.0 * n * EARTH_J2 * EARTH_EQUATORIAL_RADIUS_M * EARTH_EQUATORIAL_RADIUS_M);
-    if !(-1.0..=1.0).contains(&cos_i) {
-        return None;
-    }
-    Some(Angle::from_radians(cos_i.acos()))
 }
 
 #[cfg(test)]
@@ -226,30 +191,5 @@ mod tests {
     #[should_panic(expected = "at least one satellite")]
     fn even_spacing_zero_panics() {
         let _ = CircularOrbit::even_spacing(0);
-    }
-
-    #[test]
-    fn sso_inclination_near_98_degrees_at_800km() {
-        let inc = sun_synchronous_inclination(Length::from_km(6_371.0 + 800.0)).unwrap();
-        assert!(
-            inc.as_degrees() > 98.0 && inc.as_degrees() < 99.2,
-            "got {}",
-            inc.as_degrees()
-        );
-    }
-
-    #[test]
-    fn sso_impossible_at_geo() {
-        assert!(sun_synchronous_inclination(Length::from_m(GEO_RADIUS_M * 2.0)).is_none());
-    }
-
-    #[test]
-    fn max_pass_fraction_is_small_for_leo() {
-        let o = CircularOrbit::from_altitude(Length::from_km(500.0));
-        let f = o.max_pass_fraction();
-        assert!(
-            f > 0.0 && f < 0.15,
-            "LEO pass fraction should be small: {f}"
-        );
     }
 }

@@ -1,13 +1,13 @@
-//! Atmospheric drag, orbital decay, and station-keeping (boost) budgets.
+//! Atmospheric drag and station-keeping (boost) budgets.
 //!
 //! Sec. 9 of the paper weighs SµDC placement partly on boosting needs:
 //! "satellites need significant boosting at lower altitude to prevent
 //! atmospheric drag from causing them to crash into Earth", while "GEO
 //! requires less boosting than LEO". This module quantifies that with a
-//! piecewise-exponential atmosphere and first-order decay/boost formulas.
+//! piecewise-exponential atmosphere and first-order boost formulas.
 
 use units::constants::EARTH_MU_M3_PER_S2;
-use units::{Energy, Length, Mass, Power, Time, Velocity};
+use units::{Length, Mass, Power, Time, Velocity};
 
 use crate::circular::CircularOrbit;
 
@@ -59,15 +59,6 @@ pub struct Spacecraft {
 }
 
 impl Spacecraft {
-    /// A 3U-cubesat-like EO satellite (Dove class).
-    pub fn cubesat_3u() -> Self {
-        Self {
-            mass: Mass::from_kg(5.0),
-            drag_area_m2: 0.03,
-            drag_coefficient: 2.2,
-        }
-    }
-
     /// A rack-scale SµDC: big solar arrays mean big drag area.
     pub fn sudc_4kw() -> Self {
         Self {
@@ -76,22 +67,6 @@ impl Spacecraft {
             drag_coefficient: 2.2,
         }
     }
-
-    /// Ballistic coefficient `m / (Cd · A)` in kg/m².
-    pub fn ballistic_coefficient(&self) -> f64 {
-        self.mass.as_kg() / (self.drag_coefficient * self.drag_area_m2)
-    }
-}
-
-/// Instantaneous semi-major-axis decay rate for a circular orbit:
-/// `da/dt = -sqrt(mu·a) · rho · Cd·A/m` (standard first-order result).
-///
-/// Returns metres per second of altitude loss (positive number).
-pub fn decay_rate(orbit: CircularOrbit, sc: &Spacecraft) -> Velocity {
-    let a = orbit.radius().as_m();
-    let rho = atmospheric_density(orbit.altitude());
-    let rate = (EARTH_MU_M3_PER_S2 * a).sqrt() * rho / sc.ballistic_coefficient();
-    Velocity::from_m_per_s(rate)
 }
 
 /// Drag force magnitude on the spacecraft, N.
@@ -115,38 +90,6 @@ pub fn annual_stationkeeping_delta_v(orbit: CircularOrbit, sc: &Spacecraft) -> V
     Velocity::from_m_per_s(accel * Time::from_years(1.0).as_secs())
 }
 
-/// Rough orbital lifetime without boosting: integrates the decay rate in
-/// altitude steps until the orbit reaches the 120 km re-entry interface.
-///
-/// First-order only (constant density per step), but reproduces the
-/// qualitative divide the paper leans on: weeks at 300 km, years at
-/// 550 km, centuries-plus at 1000 km.
-pub fn orbital_lifetime(orbit: CircularOrbit, sc: &Spacecraft) -> Time {
-    let mut alt_km = orbit.altitude().as_km();
-    let mut total = 0.0;
-    let step_km = 2.0;
-    let reentry_km = 120.0;
-    if alt_km <= reentry_km {
-        return Time::ZERO;
-    }
-    let mut guard = 0;
-    while alt_km > reentry_km && guard < 100_000 {
-        let o = CircularOrbit::from_altitude(Length::from_km(alt_km));
-        let rate = decay_rate(o, sc).as_m_per_s(); // m/s of altitude
-        if rate <= 0.0 {
-            return Time::from_years(10_000.0); // effectively forever
-        }
-        let dt = (step_km * 1e3) / rate;
-        total += dt;
-        alt_km -= step_km;
-        guard += 1;
-        if total > Time::from_years(10_000.0).as_secs() {
-            return Time::from_years(10_000.0);
-        }
-    }
-    Time::from_secs(total)
-}
-
 /// Delta-v of a Hohmann transfer between two circular orbits (both burns).
 pub fn hohmann_delta_v(from: CircularOrbit, to: CircularOrbit) -> Velocity {
     let mu = EARTH_MU_M3_PER_S2;
@@ -158,16 +101,6 @@ pub fn hohmann_delta_v(from: CircularOrbit, to: CircularOrbit) -> Velocity {
     let v_peri = (mu * (2.0 / r1 - 1.0 / a_t)).sqrt();
     let v_apo = (mu * (2.0 / r2 - 1.0 / a_t)).sqrt();
     Velocity::from_m_per_s((v_peri - v1).abs() + (v2 - v_apo).abs())
-}
-
-/// Energy cost of a delta-v for the given spacecraft mass assuming an ideal
-/// thruster with the given exhaust velocity (propellant kinetic energy via
-/// the rocket equation).
-pub fn delta_v_energy(sc: &Spacecraft, delta_v: Velocity, exhaust: Velocity) -> Energy {
-    let m = sc.mass.as_kg();
-    let ve = exhaust.as_m_per_s();
-    let propellant = m * ((delta_v.as_m_per_s() / ve).exp() - 1.0);
-    Energy::from_joules(0.5 * propellant * ve * ve)
 }
 
 /// Delta-v to retire a satellite: LEO disposal lowers perigee to ~50 km
@@ -205,33 +138,6 @@ mod tests {
     #[test]
     fn sea_level_density_is_standard() {
         assert!((atmospheric_density(Length::ZERO) - 1.225).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cubesat_lifetime_ordering_across_altitudes() {
-        let sc = Spacecraft::cubesat_3u();
-        let at = |km| orbital_lifetime(CircularOrbit::from_altitude(Length::from_km(km)), &sc);
-        let low = at(300.0);
-        let mid = at(500.0);
-        let high = at(800.0);
-        assert!(low < mid && mid < high);
-        assert!(
-            low.as_days() < 400.0,
-            "300 km decays fast: {} d",
-            low.as_days()
-        );
-        assert!(
-            high.as_years() > 5.0,
-            "800 km lasts years: {} y",
-            high.as_years()
-        );
-    }
-
-    #[test]
-    fn lifetime_below_reentry_is_zero() {
-        let sc = Spacecraft::cubesat_3u();
-        let o = CircularOrbit::from_altitude(Length::from_km(100.0));
-        assert_eq!(orbital_lifetime(o, &sc), Time::ZERO);
     }
 
     #[test]
@@ -300,14 +206,5 @@ mod tests {
             Velocity::from_km_per_s(20.0), // ion thruster
         );
         assert!(p.as_watts() < 500.0, "got {} W", p.as_watts());
-    }
-
-    #[test]
-    fn delta_v_energy_grows_superlinearly() {
-        let sc = Spacecraft::cubesat_3u();
-        let ve = Velocity::from_km_per_s(3.0);
-        let e1 = delta_v_energy(&sc, Velocity::from_m_per_s(100.0), ve);
-        let e2 = delta_v_energy(&sc, Velocity::from_m_per_s(200.0), ve);
-        assert!(e2.as_joules() > 2.0 * e1.as_joules());
     }
 }

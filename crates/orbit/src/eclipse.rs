@@ -3,8 +3,8 @@
 //! SµDC power systems must be sized for eclipse: the paper notes LEO
 //! satellites spend ~1/3 of each orbit in shadow while GEO satellites are
 //! eclipsed only briefly around the equinoxes (Sec. 9). This module
-//! provides a cylindrical-shadow model, the orbit-plane beta angle, and
-//! closed-form eclipse fractions for circular orbits.
+//! provides the orbit-plane beta angle and closed-form cylindrical-shadow
+//! eclipse fractions for circular orbits.
 
 use units::constants::EARTH_RADIUS_M;
 use units::Angle;
@@ -41,18 +41,6 @@ pub fn beta_angle(orbit_normal: Vec3, sun: Vec3) -> Angle {
         .dot(sun.normalized())
         .clamp(-1.0, 1.0);
     Angle::from_radians(s.asin())
-}
-
-/// Returns `true` if a satellite at `position` (ECI metres) is inside the
-/// cylindrical Earth shadow for the given sun direction.
-pub fn is_eclipsed(position: Vec3, sun: Vec3) -> bool {
-    let sun = sun.normalized();
-    let along = position.dot(sun);
-    if along >= 0.0 {
-        return false; // on the day side
-    }
-    let perp = position - sun * along;
-    perp.norm() < EARTH_RADIUS_M
 }
 
 /// Fraction of a circular orbit spent in Earth's cylindrical shadow, for a
@@ -157,17 +145,6 @@ mod tests {
         assert!((solstice.z - OBLIQUITY_RAD.sin()).abs() < 1e-9);
         // Equinox: sun in equatorial plane.
         assert!(sun_direction(0.0).z.abs() < 1e-12);
-    }
-
-    #[test]
-    fn eclipse_behind_earth_only() {
-        let sun = Vec3::X;
-        let behind = Vec3::new(-7e6, 0.0, 0.0);
-        let front = Vec3::new(7e6, 0.0, 0.0);
-        let side = Vec3::new(0.0, 7e6, 0.0);
-        assert!(is_eclipsed(behind, sun));
-        assert!(!is_eclipsed(front, sun));
-        assert!(!is_eclipsed(side, sun));
     }
 
     #[test]

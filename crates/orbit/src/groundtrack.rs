@@ -1,16 +1,10 @@
-//! Ground tracks, sub-satellite points, and imaging-footprint geometry.
-//!
-//! The paper's frame model assumes each EO satellite images a fixed ground
-//! footprint every 1.5 s (the "ground track frame period"); this module
-//! provides the geodetic machinery behind that: ECI→geodetic conversion
-//! with Earth rotation, ground-track sampling, footprint sizing, and
-//! revisit estimates.
+//! Ground tracks and sub-satellite points: ECI→geodetic conversion with
+//! Earth rotation, so the Earth model can look up what lies under each
+//! satellite.
 
-use units::constants::{EARTH_RADIUS_M, EARTH_ROTATION_RAD_PER_S};
-use units::{Angle, Area, Length, Time, Velocity};
+use units::constants::EARTH_ROTATION_RAD_PER_S;
+use units::{Angle, Time};
 
-use crate::circular::CircularOrbit;
-use crate::kepler::{KeplerError, OrbitalElements};
 use crate::vec3::Vec3;
 
 /// A geodetic point on the (spherical) Earth model.
@@ -31,30 +25,15 @@ impl GeoPoint {
         }
     }
 
-    /// Great-circle central angle to another point.
-    pub fn central_angle_to(&self, other: &GeoPoint) -> Angle {
-        let (lat1, lon1) = (self.latitude.as_radians(), self.longitude.as_radians());
-        let (lat2, lon2) = (other.latitude.as_radians(), other.longitude.as_radians());
-        // Haversine formula for numerical stability at small angles.
-        let dlat = lat2 - lat1;
-        let dlon = lon2 - lon1;
-        let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-        Angle::from_radians(2.0 * h.sqrt().clamp(-1.0, 1.0).asin())
-    }
-
-    /// Great-circle surface distance to another point.
-    pub fn distance_to(&self, other: &GeoPoint) -> Length {
-        Length::from_m(self.central_angle_to(other).as_radians() * EARTH_RADIUS_M)
-    }
-
     /// ECEF position of this point on the spherical Earth surface.
+    #[cfg(test)]
     pub fn to_ecef(&self) -> Vec3 {
         let lat = self.latitude.as_radians();
         let lon = self.longitude.as_radians();
         Vec3::new(
-            EARTH_RADIUS_M * lat.cos() * lon.cos(),
-            EARTH_RADIUS_M * lat.cos() * lon.sin(),
-            EARTH_RADIUS_M * lat.sin(),
+            units::constants::EARTH_RADIUS_M * lat.cos() * lon.cos(),
+            units::constants::EARTH_RADIUS_M * lat.cos() * lon.sin(),
+            units::constants::EARTH_RADIUS_M * lat.sin(),
         )
     }
 }
@@ -83,89 +62,27 @@ pub fn subsatellite_point(position_eci: Vec3, elapsed: Time) -> GeoPoint {
     }
 }
 
-/// Samples the ground track of an orbit over `span`, returning
-/// sub-satellite points at uniform time steps.
-///
-/// # Errors
-///
-/// Propagates [`KeplerError`] from the propagation.
-///
-/// # Panics
-///
-/// Panics if `samples == 0`.
-pub fn ground_track(
-    elements: &OrbitalElements,
-    span: Time,
-    samples: usize,
-) -> Result<Vec<GeoPoint>, KeplerError> {
-    assert!(samples > 0, "must request at least one sample");
-    let step = span.as_secs() / samples as f64;
-    (0..samples)
-        .map(|i| {
-            let t = Time::from_secs(i as f64 * step);
-            Ok(subsatellite_point(elements.position_at(t)?, t))
-        })
-        .collect()
-}
-
-/// The imaging footprint model of the paper: one "ground frame" is a 4K
-/// image (4096 × 3072 px; see `imagery::frame` for the geometry
-/// derivation) whose *ground size is held constant* as spatial resolution
-/// improves — finer resolution means more pixels per frame, not a smaller
-/// footprint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Footprint {
-    /// Along-track ground extent of one frame.
-    pub along_track: Length,
-    /// Cross-track ground extent of one frame.
-    pub cross_track: Length,
-}
-
-impl Footprint {
-    /// The paper's base frame: 4K pixels at 3 m ground sample distance.
-    pub fn paper_base() -> Self {
-        Self {
-            along_track: Length::from_m(3072.0 * 3.0),
-            cross_track: Length::from_m(4096.0 * 3.0),
-        }
-    }
-
-    /// Ground area of one frame.
-    pub fn area(&self) -> Area {
-        self.along_track * self.cross_track
-    }
-
-    /// Number of pixels per frame at the given ground sample distance.
-    pub fn pixels_at(&self, resolution: Length) -> f64 {
-        self.area().as_m2() / resolution.squared().as_m2()
-    }
-
-    /// The frame period required for contiguous along-track coverage at a
-    /// given ground speed: `period = along_track / ground_speed`.
-    pub fn frame_period(&self, ground_speed: Velocity) -> Time {
-        self.along_track / ground_speed
-    }
-}
-
-/// Ground-track speed of the sub-satellite point for a circular orbit
-/// (ignores Earth rotation, adequate for frame-period estimates).
-pub fn ground_speed(orbit: CircularOrbit) -> Velocity {
-    // Angular rate of the satellite projected onto the surface.
-    Velocity::from_m_per_s(orbit.angular_rate_rad_per_s() * EARTH_RADIUS_M)
-}
-
-/// Mean revisit interval for a constellation imaging uniformly: time for
-/// `n_sats` satellites, each sweeping a swath of the given width, to cover
-/// Earth's surface once.
-pub fn mean_revisit(orbit: CircularOrbit, swath: Length, n_sats: usize) -> Time {
-    let rate_per_sat = ground_speed(orbit).as_m_per_s() * swath.as_m(); // m²/s
-    let total_rate = rate_per_sat * n_sats as f64;
-    Time::from_secs(units::constants::EARTH_SURFACE_AREA_M2 / total_rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kepler::{KeplerError, OrbitalElements};
+    use units::Length;
+
+    /// Sub-satellite points at `samples` uniform steps over `span`.
+    fn ground_track(
+        elements: &OrbitalElements,
+        span: Time,
+        samples: usize,
+    ) -> Result<Vec<GeoPoint>, KeplerError> {
+        assert!(samples > 0, "must request at least one sample");
+        let step = span.as_secs() / samples as f64;
+        (0..samples)
+            .map(|i| {
+                let t = Time::from_secs(i as f64 * step);
+                Ok(subsatellite_point(elements.position_at(t)?, t))
+            })
+            .collect()
+    }
 
     #[test]
     fn subsatellite_point_of_equatorial_orbit_stays_on_equator() {
@@ -210,62 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn haversine_known_distance() {
-        // London to Paris ≈ 344 km.
-        let london = GeoPoint::from_degrees(51.5074, -0.1278);
-        let paris = GeoPoint::from_degrees(48.8566, 2.3522);
-        let d = london.distance_to(&paris);
-        assert!(d.as_km() > 330.0 && d.as_km() < 355.0, "got {}", d.as_km());
-    }
-
-    #[test]
-    fn antipodal_distance_is_half_circumference() {
-        let a = GeoPoint::from_degrees(0.0, 0.0);
-        let b = GeoPoint::from_degrees(0.0, 180.0);
-        let expected = std::f64::consts::PI * EARTH_RADIUS_M;
-        assert!((a.distance_to(&b).as_m() - expected).abs() < 1.0);
-    }
-
-    #[test]
     fn ecef_round_trips_through_subsatellite_point() {
         let p = GeoPoint::from_degrees(35.0, -120.0);
         let back = subsatellite_point(p.to_ecef(), Time::ZERO);
         assert!((back.latitude.as_degrees() - 35.0).abs() < 1e-9);
         assert!((back.longitude.as_degrees() + 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_base_footprint_pixel_count_is_4k() {
-        let fp = Footprint::paper_base();
-        let px = fp.pixels_at(Length::from_m(3.0));
-        assert!((px - 4096.0 * 3072.0).abs() < 1.0);
-        // At 10× finer resolution, 100× the pixels.
-        let px_fine = fp.pixels_at(Length::from_cm(30.0));
-        assert!((px_fine / px - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn frame_period_close_to_paper_value() {
-        // The paper assumes a 1.5 s ground-track frame period; with a ~9 km
-        // along-track frame at LEO ground speed ~7 km/s this is ~1.3 s —
-        // consistent with contiguous along-track coverage.
-        let orbit = CircularOrbit::from_altitude(Length::from_km(500.0));
-        let period = Footprint::paper_base().frame_period(ground_speed(orbit));
-        assert!(
-            period.as_secs() > 0.5 && period.as_secs() < 2.0,
-            "got {} s",
-            period.as_secs()
-        );
-    }
-
-    #[test]
-    fn revisit_scales_inversely_with_constellation_size() {
-        let orbit = CircularOrbit::from_altitude(Length::from_km(500.0));
-        let swath = Length::from_km(11.5);
-        let one = mean_revisit(orbit, swath, 1);
-        let many = mean_revisit(orbit, swath, 64);
-        assert!((one.as_secs() / many.as_secs() - 64.0).abs() < 1e-9);
-        // A 64-sat constellation with ~11.5 km swath revisits in ~days.
-        assert!(many.as_days() > 0.5 && many.as_days() < 5.0);
     }
 }

@@ -134,36 +134,6 @@ impl OrbitalElements {
         )
     }
 
-    /// Semi-major axis.
-    pub fn semi_major_axis(&self) -> Length {
-        self.semi_major_axis
-    }
-
-    /// Eccentricity in `[0, 1)`.
-    pub fn eccentricity(&self) -> f64 {
-        self.eccentricity
-    }
-
-    /// Inclination.
-    pub fn inclination(&self) -> Angle {
-        self.inclination
-    }
-
-    /// Right ascension of the ascending node.
-    pub fn raan(&self) -> Angle {
-        self.raan
-    }
-
-    /// Argument of perigee.
-    pub fn arg_perigee(&self) -> Angle {
-        self.arg_perigee
-    }
-
-    /// Mean anomaly at epoch.
-    pub fn mean_anomaly_epoch(&self) -> Angle {
-        self.mean_anomaly_epoch
-    }
-
     /// Returns a copy with a different mean anomaly at epoch (used to phase
     /// satellites around a shared orbit).
     pub fn with_mean_anomaly(mut self, anomaly: Angle) -> Self {
@@ -190,11 +160,13 @@ impl OrbitalElements {
     }
 
     /// Perigee radius `a(1-e)`.
+    #[cfg(test)]
     pub fn perigee_radius(&self) -> Length {
         self.semi_major_axis * (1.0 - self.eccentricity)
     }
 
     /// Apogee radius `a(1+e)`.
+    #[cfg(test)]
     pub fn apogee_radius(&self) -> Length {
         self.semi_major_axis * (1.0 + self.eccentricity)
     }
@@ -250,18 +222,9 @@ impl OrbitalElements {
         })
     }
 
-    /// Orbital radius at a given true anomaly.
-    pub fn radius_at_true_anomaly(&self, nu: Angle) -> Length {
-        let e = self.eccentricity;
-        let p = self.semi_major_axis.as_m() * (1.0 - e * e);
-        Length::from_m(p / (1.0 + e * nu.cos()))
-    }
-
     /// ECI position and velocity at a time offset `dt` from epoch.
     ///
-    /// This is pure two-body motion; see
-    /// [`propagate::J2Propagator`](crate::propagate::J2Propagator) for
-    /// secular J2 drift.
+    /// This is pure two-body motion.
     ///
     /// # Errors
     ///
@@ -302,94 +265,6 @@ impl OrbitalElements {
         v.rotated_z(self.arg_perigee.as_radians())
             .rotated_x(self.inclination.as_radians())
             .rotated_z(self.raan.as_radians())
-    }
-
-    /// Recovers orbital elements from an ECI state vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KeplerError::UnsupportedEccentricity`] for non-elliptic
-    /// states and [`KeplerError::InvalidSemiMajorAxis`] for degenerate ones.
-    pub fn from_state(position: Vec3, velocity: Vec3) -> Result<Self, KeplerError> {
-        let mu = EARTH_MU_M3_PER_S2;
-        let r = position.norm();
-        let v2 = velocity.norm_squared();
-
-        let h = position.cross(velocity);
-        let n = Vec3::Z.cross(h);
-
-        let e_vec = (position * (v2 - mu / r) - velocity * position.dot(velocity)) / mu;
-        let e = e_vec.norm();
-
-        let energy = v2 / 2.0 - mu / r;
-        if energy >= 0.0 {
-            return Err(KeplerError::UnsupportedEccentricity(e));
-        }
-        let a = -mu / (2.0 * energy);
-
-        let inclination = (h.z / h.norm()).clamp(-1.0, 1.0).acos();
-
-        // RAAN: undefined for equatorial orbits; fall back to 0.
-        let raan = if n.norm() > 1e-10 {
-            let mut o = (n.x / n.norm()).clamp(-1.0, 1.0).acos();
-            if n.y < 0.0 {
-                o = std::f64::consts::TAU - o;
-            }
-            o
-        } else {
-            0.0
-        };
-
-        // Argument of perigee: undefined for circular orbits; fall back to 0.
-        let arg_perigee = if n.norm() > 1e-10 && e > 1e-10 {
-            let mut w = (n.dot(e_vec) / (n.norm() * e)).clamp(-1.0, 1.0).acos();
-            if e_vec.z < 0.0 {
-                w = std::f64::consts::TAU - w;
-            }
-            w
-        } else if e > 1e-10 {
-            // Equatorial elliptic: measure from +X.
-            let mut w = (e_vec.x / e).clamp(-1.0, 1.0).acos();
-            if e_vec.y < 0.0 {
-                w = std::f64::consts::TAU - w;
-            }
-            w
-        } else {
-            0.0
-        };
-
-        // True anomaly (from e_vec for elliptic, from node/position else).
-        let nu = if e > 1e-10 {
-            let mut nu = (e_vec.dot(position) / (e * r)).clamp(-1.0, 1.0).acos();
-            if position.dot(velocity) < 0.0 {
-                nu = std::f64::consts::TAU - nu;
-            }
-            nu
-        } else if n.norm() > 1e-10 {
-            let mut nu = (n.dot(position) / (n.norm() * r)).clamp(-1.0, 1.0).acos();
-            if position.z < 0.0 {
-                nu = std::f64::consts::TAU - nu;
-            }
-            nu
-        } else {
-            let mut nu = (position.x / r).clamp(-1.0, 1.0).acos();
-            if position.y < 0.0 {
-                nu = std::f64::consts::TAU - nu;
-            }
-            nu
-        };
-
-        let ea = true_to_eccentric(nu, e);
-        let mean = ea - e * ea.sin();
-
-        Self::new(
-            Length::from_m(a),
-            e,
-            Angle::from_radians(inclination),
-            Angle::from_radians(raan),
-            Angle::from_radians(arg_perigee),
-            Angle::from_radians(mean).normalized(),
-        )
     }
 }
 
@@ -600,17 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn elements_state_round_trip() {
-        let orbit = leo();
-        let (p, v) = orbit.state_at(Time::from_secs(777.0)).unwrap();
-        let rec = OrbitalElements::from_state(p, v).unwrap();
-        assert!((rec.semi_major_axis().as_km() - orbit.semi_major_axis().as_km()).abs() < 0.01);
-        assert!((rec.eccentricity() - orbit.eccentricity()).abs() < 1e-6);
-        assert!((rec.inclination().as_degrees() - 53.0).abs() < 1e-6);
-        assert!((rec.raan().as_degrees() - 30.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn circular_orbit_speed_is_constant() {
         let orbit =
             OrbitalElements::circular(Length::from_km(7000.0), Angle::from_degrees(98.0)).unwrap();
@@ -639,33 +503,6 @@ mod tests {
             let diff = (back - m).abs();
             let diff = diff.min(std::f64::consts::TAU - diff);
             assert!(diff < 1e-8);
-        });
-    }
-
-    #[test]
-    fn from_state_round_trips_sma() {
-        prop::check("from_state_round_trips_sma", 256, |g| {
-            let alt_km = g.draw(300.0f64..30_000.0);
-            let e = g.draw(0.0f64..0.3);
-            let inc = g.draw(1.0f64..179.0);
-            let m = g.draw(0.0f64..360.0);
-
-            let a = Length::from_km(6_371.0 + alt_km) / (1.0 - e); // keep perigee above surface
-            let orbit = OrbitalElements::new(
-                a,
-                e,
-                Angle::from_degrees(inc),
-                Angle::from_degrees(12.0),
-                Angle::from_degrees(34.0),
-                Angle::from_degrees(m),
-            )
-            .unwrap();
-            let (p, v) = orbit.state_at(Time::from_secs(100.0)).unwrap();
-            let rec = OrbitalElements::from_state(p, v).unwrap();
-            let rel = (rec.semi_major_axis().as_m() - orbit.semi_major_axis().as_m()).abs()
-                / orbit.semi_major_axis().as_m();
-            assert!(rel < 1e-8);
-            assert!((rec.eccentricity() - e).abs() < 1e-6);
         });
     }
 }

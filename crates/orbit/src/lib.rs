@@ -4,20 +4,19 @@
 //!
 //! * orbital periods, velocities, and in-plane satellite geometry
 //!   ([`circular`]),
-//! * full Keplerian element propagation including J2 secular drift
-//!   ([`kepler`], [`propagate`]),
+//! * full Keplerian element propagation ([`kepler`]),
 //! * eclipse fractions for power-system sizing ([`eclipse`]),
 //! * line-of-sight between satellites and to ground stations, with Earth
 //!   occlusion and atmospheric grazing ([`visibility`]),
-//! * ground tracks and revisit geometry ([`groundtrack`]),
-//! * drag-induced decay and boost budgets for LEO vs GEO placement
+//! * sub-satellite points under Earth rotation ([`groundtrack`]),
+//! * drag make-up and disposal budgets for LEO vs GEO placement
 //!   ([`drag`]), and
 //! * the radiation environment (South Atlantic Anomaly, Van Allen belts)
 //!   that drives the hardening analysis of Sec. 9 ([`radiation`]).
 //!
-//! Everything is two-body + first-order J2, which is the fidelity at which
-//! the paper itself reasons. Positions use an Earth-centred inertial (ECI)
-//! frame; [`Vec3`] is in metres.
+//! Everything is two-body, which is the fidelity at which the paper
+//! itself reasons. Positions use an Earth-centred inertial (ECI) frame;
+//! [`Vec3`] is in metres.
 //!
 //! # Examples
 //!
@@ -34,7 +33,6 @@ pub mod drag;
 pub mod eclipse;
 pub mod groundtrack;
 pub mod kepler;
-pub mod propagate;
 pub mod radiation;
 pub mod vec3;
 pub mod visibility;

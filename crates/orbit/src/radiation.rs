@@ -1,17 +1,14 @@
 //! Radiation environment: dose rates by orbit regime, the South Atlantic
-//! Anomaly, and Van Allen belt classification.
+//! Anomaly's dose boost at LEO, and Van Allen belt classification.
 //!
 //! Sec. 9 of the paper argues COTS hardware is viable in LEO (~1 krad/yr)
 //! but needs mitigation in the SAA and serious hardening in GEO (outer Van
 //! Allen belt). This module encodes that environment so the hardening
 //! experiments (Fig. 16) and placement analysis can query it.
 
-use units::{Length, Time};
+use units::Length;
 
 use crate::circular::CircularOrbit;
-use crate::groundtrack::subsatellite_point;
-use crate::groundtrack::GeoPoint;
-use crate::kepler::{KeplerError, OrbitalElements};
 
 /// Orbit regimes with qualitatively different radiation environments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,18 +55,6 @@ impl RadiationRegime {
             Self::Interplanetary => 5.0,
         }
     }
-
-    /// Representative single-event-upset rate multiplier relative to
-    /// benign LEO (drives soft-error modelling in `workloads`).
-    pub fn seu_multiplier(self) -> f64 {
-        match self {
-            Self::Leo => 1.0,
-            Self::InnerBelt => 300.0,
-            Self::Slot => 20.0,
-            Self::OuterBelt => 60.0,
-            Self::Interplanetary => 10.0,
-        }
-    }
 }
 
 impl std::fmt::Display for RadiationRegime {
@@ -82,75 +67,6 @@ impl std::fmt::Display for RadiationRegime {
             Self::Interplanetary => "interplanetary",
         };
         f.write_str(s)
-    }
-}
-
-/// The South Atlantic Anomaly modelled as an ellipse in latitude/longitude,
-/// centred near (−26° S, −50° W) with semi-axes ≈ 25° (lat) × 60° (lon) at
-/// LEO altitudes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SouthAtlanticAnomaly {
-    /// Centre of the anomaly.
-    pub center: GeoPoint,
-    /// Latitude semi-axis, degrees.
-    pub lat_semi_axis_deg: f64,
-    /// Longitude semi-axis, degrees.
-    pub lon_semi_axis_deg: f64,
-}
-
-impl Default for SouthAtlanticAnomaly {
-    fn default() -> Self {
-        Self {
-            center: GeoPoint::from_degrees(-26.0, -50.0),
-            lat_semi_axis_deg: 25.0,
-            lon_semi_axis_deg: 60.0,
-        }
-    }
-}
-
-impl SouthAtlanticAnomaly {
-    /// Returns `true` if the sub-satellite point is inside the anomaly.
-    pub fn contains(&self, point: &GeoPoint) -> bool {
-        let dlat = point.latitude.as_degrees() - self.center.latitude.as_degrees();
-        let mut dlon = point.longitude.as_degrees() - self.center.longitude.as_degrees();
-        // Wrap longitude difference into [-180, 180).
-        if dlon > 180.0 {
-            dlon -= 360.0;
-        } else if dlon < -180.0 {
-            dlon += 360.0;
-        }
-        let a = dlat / self.lat_semi_axis_deg;
-        let b = dlon / self.lon_semi_axis_deg;
-        a * a + b * b <= 1.0
-    }
-
-    /// Fraction of time a LEO orbit spends inside the anomaly, sampled at
-    /// fixed time steps across `revolutions` revolutions.
-    ///
-    /// The paper proposes pausing computation (or adding software
-    /// hardening) during SAA transits; this fraction is the duty-cycle
-    /// cost of doing so.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`KeplerError`] from the propagation.
-    pub fn transit_fraction(
-        &self,
-        elements: &OrbitalElements,
-        revolutions: usize,
-    ) -> Result<f64, KeplerError> {
-        let samples_per_rev = 240usize;
-        let total = samples_per_rev * revolutions.max(1);
-        let step = elements.period().as_secs() / samples_per_rev as f64;
-        let mut inside = 0usize;
-        for i in 0..total {
-            let t = Time::from_secs(i as f64 * step);
-            let p = subsatellite_point(elements.position_at(t)?, t);
-            if self.contains(&p) {
-                inside += 1;
-            }
-        }
-        Ok(inside as f64 / total as f64)
     }
 }
 
@@ -170,30 +86,9 @@ pub fn annual_dose_krad(orbit: CircularOrbit, saa_fraction: f64) -> f64 {
     }
 }
 
-/// Effective single-event-upset rate multiplier (relative to benign LEO)
-/// for a circular orbit, accounting for SAA transits at LEO the same way
-/// [`annual_dose_krad`] does: for the transit fraction of the time a LEO
-/// satellite sees inner-belt-like flux (derated by the same 0.1 shielding
-/// factor).
-///
-/// This is the orbit-side input to the simulator's SEU fault model: the
-/// per-frame upset rate scales linearly with it.
-pub fn seu_rate_multiplier(orbit: CircularOrbit, saa_fraction: f64) -> f64 {
-    let regime = RadiationRegime::from_altitude(orbit.altitude());
-    let base = regime.seu_multiplier();
-    match regime {
-        RadiationRegime::Leo => {
-            base * (1.0 - saa_fraction)
-                + RadiationRegime::InnerBelt.seu_multiplier() * 0.1 * saa_fraction
-        }
-        _ => base,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use units::Angle;
 
     #[test]
     fn regime_classification_boundaries() {
@@ -234,69 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn saa_contains_rio_not_tokyo() {
-        let saa = SouthAtlanticAnomaly::default();
-        assert!(saa.contains(&GeoPoint::from_degrees(-23.0, -43.0))); // Rio
-        assert!(!saa.contains(&GeoPoint::from_degrees(35.7, 139.7))); // Tokyo
-        assert!(!saa.contains(&GeoPoint::from_degrees(52.0, 13.0))); // Berlin
-    }
-
-    #[test]
-    fn saa_longitude_wraps() {
-        let saa = SouthAtlanticAnomaly {
-            center: GeoPoint::from_degrees(0.0, 170.0),
-            lat_semi_axis_deg: 10.0,
-            lon_semi_axis_deg: 30.0,
-        };
-        // A point at -175° is 15° east of 170° through the date line.
-        assert!(saa.contains(&GeoPoint::from_degrees(0.0, -175.0)));
-    }
-
-    #[test]
-    fn inclined_leo_spends_a_few_percent_in_saa() {
-        let elements =
-            OrbitalElements::circular(Length::from_km(6_921.0), Angle::from_degrees(53.0)).unwrap();
-        let saa = SouthAtlanticAnomaly::default();
-        let f = saa.transit_fraction(&elements, 16).unwrap();
-        assert!(f > 0.01 && f < 0.20, "SAA transit fraction {f}");
-    }
-
-    #[test]
-    fn equatorial_leo_misses_default_saa_center_latitude_partially() {
-        // An equatorial orbit clips only the top of the SAA ellipse.
-        let elements = OrbitalElements::circular(Length::from_km(6_921.0), Angle::ZERO).unwrap();
-        let saa = SouthAtlanticAnomaly::default();
-        let f_eq = saa.transit_fraction(&elements, 4).unwrap();
-        let inclined =
-            OrbitalElements::circular(Length::from_km(6_921.0), Angle::from_degrees(30.0)).unwrap();
-        let f_inc = saa.transit_fraction(&inclined, 4).unwrap();
-        assert!(
-            f_inc >= f_eq,
-            "an orbit reaching the SAA core ({f_inc}) should see at least the equatorial fraction ({f_eq})"
-        );
-    }
-
-    #[test]
     fn annual_dose_increases_with_saa_exposure() {
         let leo = CircularOrbit::from_altitude(Length::from_km(550.0));
         let none = annual_dose_krad(leo, 0.0);
         let some = annual_dose_krad(leo, 0.05);
         assert!(some > none);
         assert!((none - 1.0).abs() < 1e-9, "clean LEO is ~1 krad/yr");
-    }
-
-    #[test]
-    fn seu_multiplier_rises_with_saa_exposure_and_altitude() {
-        let leo = CircularOrbit::from_altitude(Length::from_km(550.0));
-        let clean = seu_rate_multiplier(leo, 0.0);
-        let saa = seu_rate_multiplier(leo, 0.05);
-        assert!((clean - 1.0).abs() < 1e-9, "benign LEO is the baseline");
-        assert!(saa > clean, "SAA transits raise the upset rate");
-        let geo = CircularOrbit::geostationary();
-        assert!(
-            seu_rate_multiplier(geo, 0.0) > seu_rate_multiplier(leo, 0.05),
-            "the outer belt out-radiates any LEO SAA exposure"
-        );
     }
 
     #[test]

@@ -1,13 +1,10 @@
 //! Minimal 3-vector used for Earth-centred inertial (ECI) positions and
 //! velocities, in metres and metres per second respectively.
 
-use units::Length;
-
 /// A 3-dimensional vector of `f64` components.
 ///
 /// Components are dimensionless at the type level; by convention positions
-/// are metres in ECI and velocities are m/s. Use [`Vec3::norm_length`] to
-/// recover a typed [`Length`] from a position vector.
+/// are metres in ECI and velocities are m/s.
 ///
 /// ```
 /// use orbit::Vec3;
@@ -26,6 +23,7 @@ pub struct Vec3 {
 
 impl Vec3 {
     /// The zero vector.
+    #[cfg(test)]
     pub const ZERO: Self = Self {
         x: 0.0,
         y: 0.0,
@@ -33,6 +31,7 @@ impl Vec3 {
     };
 
     /// Unit vector along +X.
+    #[cfg(test)]
     pub const X: Self = Self {
         x: 1.0,
         y: 0.0,
@@ -40,6 +39,7 @@ impl Vec3 {
     };
 
     /// Unit vector along +Y.
+    #[cfg(test)]
     pub const Y: Self = Self {
         x: 0.0,
         y: 1.0,
@@ -67,6 +67,7 @@ impl Vec3 {
 
     /// Cross product.
     #[inline]
+    #[cfg(test)]
     pub fn cross(self, rhs: Self) -> Self {
         Self {
             x: self.y * rhs.z - self.z * rhs.y,
@@ -89,8 +90,9 @@ impl Vec3 {
 
     /// Norm as a typed [`Length`] (for position vectors in metres).
     #[inline]
-    pub fn norm_length(self) -> Length {
-        Length::from_m(self.norm())
+    #[cfg(test)]
+    pub fn norm_length(self) -> units::Length {
+        units::Length::from_m(self.norm())
     }
 
     /// Returns the unit vector in this direction.
@@ -113,16 +115,11 @@ impl Vec3 {
         (self - rhs).norm()
     }
 
-    /// Distance as a typed [`Length`].
-    #[inline]
-    pub fn distance_length(self, rhs: Self) -> Length {
-        Length::from_m(self.distance(rhs))
-    }
-
     /// Angle between two vectors, in radians, in `[0, π]`.
     ///
     /// Returns 0 if either vector is zero.
     #[inline]
+    #[cfg(test)]
     pub fn angle_to(self, rhs: Self) -> f64 {
         // A product of norms is non-negative, so `<= 0.0` is exactly
         // the zero-vector case.
@@ -131,12 +128,6 @@ impl Vec3 {
             return 0.0;
         }
         (self.dot(rhs) / denom).clamp(-1.0, 1.0).acos()
-    }
-
-    /// Linear interpolation: `self + t * (rhs - self)`.
-    #[inline]
-    pub fn lerp(self, rhs: Self, t: f64) -> Self {
-        self + (rhs - self) * t
     }
 
     /// Rotates this vector about the +Z axis by `angle_rad` radians
@@ -254,15 +245,6 @@ mod tests {
     fn rotation_about_z_moves_x_to_y() {
         let r = Vec3::X.rotated_z(std::f64::consts::FRAC_PI_2);
         assert!((r - Vec3::Y).norm() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(4.0, 5.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(2.5, 3.5, 4.5));
     }
 
     #[test]

@@ -45,19 +45,6 @@ pub fn has_line_of_sight(a: Vec3, b: Vec3, grazing_altitude: Length) -> bool {
     closest.norm() >= r_block
 }
 
-/// Minimum altitude above the mean Earth surface reached by the segment
-/// between `a` and `b`. Negative values mean the segment intersects Earth.
-pub fn segment_grazing_altitude(a: Vec3, b: Vec3) -> Length {
-    let ab = b - a;
-    let len2 = ab.norm_squared();
-    let t = if len2 <= 0.0 {
-        0.0
-    } else {
-        (-a.dot(ab) / len2).clamp(0.0, 1.0)
-    };
-    Length::from_m((a + ab * t).norm() - EARTH_RADIUS_M)
-}
-
 /// Geometry of ground-station passes for a circular LEO orbit and a
 /// station elevation mask.
 ///
@@ -99,29 +86,6 @@ pub fn pass_geometry(orbit: CircularOrbit, elevation_mask: Angle) -> PassGeometr
         pass_fraction,
         max_slant_range: Length::from_m(slant),
     }
-}
-
-/// Estimates how many distinct ground stations a LEO satellite can downlink
-/// through per revolution given `station_count` stations spread over Earth,
-/// assuming stations are uniformly distributed and a pass happens whenever
-/// the ground track comes within the visibility cone.
-///
-/// The swath of visibility around the ground track has half-width
-/// `lambda`; the track length per revolution is `2π R`. The covered area
-/// per revolution is a band of width `2·lambda·R`, i.e. a fraction
-/// `sin(lambda)`-ish of Earth — we use the exact spherical band fraction.
-pub fn expected_station_contacts_per_rev(
-    orbit: CircularOrbit,
-    elevation_mask: Angle,
-    station_count: usize,
-) -> f64 {
-    let lambda = pass_geometry(orbit, elevation_mask)
-        .max_central_angle
-        .as_radians();
-    // Fraction of the sphere within angular distance lambda of a great
-    // circle: sin(lambda).
-    let band_fraction = lambda.sin();
-    station_count as f64 * band_fraction
 }
 
 /// Result of checking continuous GEO coverage for a LEO orbit.
@@ -220,13 +184,6 @@ mod tests {
         assert!(has_line_of_sight(above, above, Length::ZERO));
         let below = Vec3::new(1_000.0, 0.0, 0.0);
         assert!(!has_line_of_sight(below, below, Length::ZERO));
-        let alt = segment_grazing_altitude(above, above);
-        assert!((alt.as_m() - (7_000_000.0 - EARTH_RADIUS_M)).abs() < 1e-6);
-        assert!(alt.as_m().is_finite());
-        // A nearby non-degenerate segment agrees with the limit.
-        let nudged = above + Vec3::new(0.0, 1e-3, 0.0);
-        let near = segment_grazing_altitude(above, nudged);
-        assert!((near.as_m() - alt.as_m()).abs() < 1e-3);
     }
 
     #[test]
@@ -235,7 +192,6 @@ mod tests {
         let a = Vec3::new(r, 0.0, 0.0);
         let b = Vec3::new(-r, 0.0, 0.0);
         assert!(!has_line_of_sight(a, b, Length::ZERO));
-        assert!(segment_grazing_altitude(a, b).as_m() < 0.0);
     }
 
     #[test]
@@ -320,13 +276,5 @@ mod tests {
         let bound = CircularOrbit::geostationary().radius() + leo.radius();
         assert!(cov.max_range_to_nearest < bound);
         assert!(cov.max_range_to_nearest.as_km() > 30_000.0);
-    }
-
-    #[test]
-    fn expected_contacts_scale_with_station_count() {
-        let orbit = CircularOrbit::from_altitude(Length::from_km(500.0));
-        let one = expected_station_contacts_per_rev(orbit, Angle::from_degrees(5.0), 10);
-        let two = expected_station_contacts_per_rev(orbit, Angle::from_degrees(5.0), 20);
-        assert!((two / one - 2.0).abs() < 1e-9);
     }
 }

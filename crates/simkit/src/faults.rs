@@ -94,6 +94,7 @@ impl OutageProcess {
 
     /// The earliest time at or after `t` when the process is up: `t`
     /// itself if healthy, else the end of the covering outage window.
+    #[cfg(test)]
     pub fn next_up_after(&mut self, t: f64) -> f64 {
         match self.outage_at(t) {
             Some((_, end)) => end,

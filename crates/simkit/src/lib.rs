@@ -152,11 +152,13 @@ impl<E> Scheduler<E> {
     }
 
     /// Number of pending events.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.queue.len()
     }
 
     /// Whether the calendar is empty.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
@@ -198,6 +200,7 @@ impl<E> Scheduler<E> {
     }
 
     /// Time of the next pending event.
+    #[cfg(test)]
     pub fn peek_time(&self) -> Option<Time> {
         self.queue
             .peek()
@@ -226,6 +229,7 @@ impl<E> Scheduler<E> {
     }
 
     /// Drains and drops all pending events (e.g. at simulation end).
+    #[cfg(test)]
     pub fn clear(&mut self) {
         self.queue.clear();
     }

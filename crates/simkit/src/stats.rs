@@ -58,6 +58,7 @@ impl Tally {
     }
 
     /// Number of samples recorded.
+    #[cfg(test)]
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -72,6 +73,7 @@ impl Tally {
     }
 
     /// Sample variance (unbiased; 0 for fewer than two samples).
+    #[cfg(test)]
     pub fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
@@ -80,12 +82,8 @@ impl Tally {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Minimum sample (`None` if empty).
+    #[cfg(test)]
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }

@@ -85,15 +85,6 @@ impl Level {
             Level::Error => "error",
         }
     }
-
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Debug,
-            1 => Level::Info,
-            2 => Level::Warn,
-            _ => Level::Error,
-        }
-    }
 }
 
 impl std::fmt::Display for Level {
@@ -197,8 +188,6 @@ pub enum EventKind {
     SpanStart,
     /// A [`Span`] finished (carries `elapsed_ns`).
     SpanEnd,
-    /// A metric snapshot (see [`metrics::Metrics::emit`]).
-    Metric,
 }
 
 impl EventKind {
@@ -208,7 +197,6 @@ impl EventKind {
             EventKind::Instant => "event",
             EventKind::SpanStart => "span_start",
             EventKind::SpanEnd => "span_end",
-            EventKind::Metric => "metric",
         }
     }
 }
@@ -310,11 +298,6 @@ pub fn set_min_level(level: Level) {
     MIN_LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Current minimum dispatched level.
-pub fn min_level() -> Level {
-    Level::from_u8(MIN_LEVEL.load(Ordering::Relaxed))
-}
-
 /// Whether any sink is installed. One relaxed atomic load — the fast
 /// path every instrumentation site checks first.
 #[inline]
@@ -376,6 +359,7 @@ pub fn info(name: &str, fields: Vec<(String, Value)>) {
 }
 
 /// Emits a [`Level::Warn`] event.
+#[cfg(test)]
 pub fn warn(name: &str, fields: Vec<(String, Value)>) {
     emit(Level::Warn, name, fields);
 }
@@ -424,11 +408,6 @@ impl Span {
     /// Attaches a field, reported on the `span_end` event.
     pub fn record(&mut self, key: &str, value: impl Into<Value>) {
         self.fields.push((key.to_string(), value.into()));
-    }
-
-    /// Monotonic time since the span was entered.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
     }
 
     /// Ends the span explicitly, returning its duration.

@@ -1,9 +1,9 @@
 //! Counters, gauges, and log-bucketed histograms.
 //!
 //! A [`Metrics`] registry is a thread-safe, name-keyed set of metric
-//! cells. It is intentionally simple: counters are exact, gauges hold
-//! the last value, and histograms bucket samples by power of two (exact
-//! count/sum/min/max, approximate quantiles). `simkit::stats` collectors
+//! cells. It is intentionally simple: counters are exact and gauges hold
+//! the last value. A standalone [`Histogram`] buckets samples by power of
+//! two (exact count/mean/max, approximate quantiles). `simkit::stats` collectors
 //! export into a registry via their `export` methods; perfbench reports
 //! its per-layer metrics through one, and `repro explore serve` writes
 //! one into `results/BENCH_serve.json`.
@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::{json, EventKind, Level, Value};
+use crate::{json, Value};
 
 const BUCKETS: usize = 64;
 
@@ -22,8 +22,6 @@ pub enum MetricKind {
     Counter,
     /// Last-value-wins measurement.
     Gauge,
-    /// Distribution of observed samples.
-    Histogram,
 }
 
 impl MetricKind {
@@ -32,7 +30,6 @@ impl MetricKind {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
         }
     }
 }
@@ -92,19 +89,6 @@ impl Hist {
         }
     }
 
-    /// Folds `other` into `self`: counts and sums add, min/max widen,
-    /// and buckets add element-wise. Merging an empty histogram (in
-    /// either direction) is the identity.
-    fn merge(&mut self, other: &Hist) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
-
     /// Approximate quantile from the log buckets, clamped to the exact
     /// observed [min, max].
     fn quantile(&self, q: f64) -> f64 {
@@ -146,6 +130,7 @@ impl Histogram {
     }
 
     /// Number of recorded samples.
+    #[cfg(test)]
     pub fn count(&self) -> u64 {
         self.inner.count
     }
@@ -156,6 +141,7 @@ impl Histogram {
     }
 
     /// Largest recorded sample (0 when empty).
+    #[cfg(test)]
     pub fn max(&self) -> f64 {
         if self.inner.count == 0 {
             0.0
@@ -181,7 +167,6 @@ impl Default for Histogram {
 enum Cell {
     Counter(u64),
     Gauge(f64),
-    Histogram(Hist),
 }
 
 /// A point-in-time snapshot of one metric.
@@ -192,8 +177,7 @@ pub struct Metric {
     /// Metric kind.
     pub kind: MetricKind,
     /// Kind-specific summary fields (`count` for counters; `value` for
-    /// gauges; `count`/`sum`/`mean`/`min`/`max`/`p50`/`p90`/`p99`/
-    /// `p999` for histograms).
+    /// gauges).
     pub fields: Vec<(String, Value)>,
 }
 
@@ -242,24 +226,8 @@ impl Metrics {
         });
     }
 
-    /// Records one sample into the named histogram.
-    pub fn observe(&self, name: &str, value: f64) {
-        self.with_cells(|cells| {
-            match cells
-                .entry(name.to_string())
-                .or_insert_with(|| Cell::Histogram(Hist::new()))
-            {
-                Cell::Histogram(h) => h.record(value),
-                other => {
-                    let mut h = Hist::new();
-                    h.record(value);
-                    *other = Cell::Histogram(h);
-                }
-            }
-        });
-    }
-
     /// Reads the named counter (0 if absent or not a counter).
+    #[cfg(test)]
     pub fn counter_value(&self, name: &str) -> u64 {
         self.with_cells(|cells| match cells.get(name) {
             Some(Cell::Counter(v)) => *v,
@@ -268,43 +236,12 @@ impl Metrics {
     }
 
     /// Reads the named gauge.
+    #[cfg(test)]
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.with_cells(|cells| match cells.get(name) {
             Some(Cell::Gauge(v)) => Some(*v),
             _ => None,
         })
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.with_cells(|cells| cells.len())
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Folds every cell of `other` into this registry: counters add,
-    /// gauges take `other`'s value (last-wins, matching [`gauge`]
-    /// semantics), histograms merge bucket-wise. Names only in `other`
-    /// are copied over; a kind clash resolves in favour of `other`.
-    ///
-    /// [`gauge`]: Self::gauge
-    pub fn merge_from(&self, other: &Metrics) {
-        let theirs = other.with_cells(|cells| cells.clone());
-        self.with_cells(|cells| {
-            for (name, cell) in theirs {
-                match (cells.get_mut(&name), &cell) {
-                    (Some(Cell::Counter(mine)), Cell::Counter(v)) => *mine += v,
-                    (Some(Cell::Histogram(mine)), Cell::Histogram(h)) => mine.merge(h),
-                    (Some(existing), _) => *existing = cell,
-                    (None, _) => {
-                        cells.insert(name, cell);
-                    }
-                }
-            }
-        });
     }
 
     /// Snapshots every metric, sorted by name.
@@ -323,21 +260,6 @@ impl Metrics {
                         kind: MetricKind::Gauge,
                         fields: vec![("value".to_string(), Value::F64(*v))],
                     },
-                    Cell::Histogram(h) => Metric {
-                        name: name.clone(),
-                        kind: MetricKind::Histogram,
-                        fields: vec![
-                            ("count".to_string(), Value::U64(h.count)),
-                            ("sum".to_string(), Value::F64(h.sum)),
-                            ("mean".to_string(), Value::F64(h.mean())),
-                            ("min".to_string(), Value::F64(h.min)),
-                            ("max".to_string(), Value::F64(h.max)),
-                            ("p50".to_string(), Value::F64(h.quantile(0.5))),
-                            ("p90".to_string(), Value::F64(h.quantile(0.9))),
-                            ("p99".to_string(), Value::F64(h.quantile(0.99))),
-                            ("p999".to_string(), Value::F64(h.quantile(0.999))),
-                        ],
-                    },
                 })
                 .collect()
         })
@@ -350,24 +272,6 @@ impl Metrics {
             o.field_raw(&metric.name, &metric.to_json());
         }
         o.finish()
-    }
-
-    /// Emits every metric as a [`EventKind::Metric`] event at debug
-    /// level.
-    pub fn emit(&self) {
-        if !crate::level_enabled(Level::Debug) {
-            return;
-        }
-        for metric in self.snapshot() {
-            crate::dispatch(&crate::Event {
-                level: Level::Debug,
-                kind: EventKind::Metric,
-                name: metric.name.clone(),
-                fields: metric.fields,
-                unix_ms: crate::unix_ms(),
-                elapsed_ns: None,
-            });
-        }
     }
 }
 
@@ -396,64 +300,65 @@ mod tests {
 
     #[test]
     fn histogram_summary_is_exact_where_it_can_be() {
-        let m = Metrics::new();
+        let mut h = Histogram::new();
         for v in [1.0, 2.0, 4.0, 8.0] {
-            m.observe("wall_ms", v);
+            h.record(v);
         }
-        let snap = m.snapshot();
-        let h = snap.iter().find(|s| s.name == "wall_ms").unwrap();
-        assert_eq!(h.kind, MetricKind::Histogram);
-        let field = |k: &str| {
-            h.fields
-                .iter()
-                .find(|(name, _)| name == k)
-                .map(|(_, v)| v.clone())
-                .unwrap()
-        };
-        assert_eq!(field("count"), Value::U64(4));
-        assert_eq!(field("sum"), Value::F64(15.0));
-        assert_eq!(field("mean"), Value::F64(3.75));
-        assert_eq!(field("min"), Value::F64(1.0));
-        assert_eq!(field("max"), Value::F64(8.0));
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.mean(), 3.75);
+        assert_eq!(h.max(), 8.0);
     }
 
     #[test]
     fn histogram_quantiles_are_within_a_bucket() {
-        let m = Metrics::new();
+        let mut h = Histogram::new();
         for i in 1..=1000 {
-            m.observe("v", f64::from(i));
+            h.record(f64::from(i));
         }
-        let snap = m.snapshot();
-        let h = &snap[0];
-        let p50 = h
-            .fields
-            .iter()
-            .find(|(k, _)| k == "p50")
-            .map(|(_, v)| match v {
-                Value::F64(f) => *f,
-                _ => panic!("p50 is a float"),
-            })
-            .unwrap();
         // True median 500; log-bucket resolution at that magnitude is
         // [512, 1024), whose clamped representative must stay within a
         // factor of two.
+        let p50 = h.quantile(0.5);
         assert!((250.0..=1000.0).contains(&p50), "p50 = {p50}");
     }
 
     #[test]
     fn quantiles_clamp_to_observed_range() {
-        let m = Metrics::new();
-        m.observe("single", 7.0);
-        let snap = m.snapshot();
-        for q in ["p50", "p90", "p99"] {
-            let v = snap[0]
-                .fields
-                .iter()
-                .find(|(k, _)| k == q)
-                .map(|(_, v)| v.clone())
-                .unwrap();
-            assert_eq!(v, Value::F64(7.0), "{q}");
+        let mut h = Histogram::new();
+        h.record(7.0);
+        for q in [0.5, 0.9, 0.99] {
+            assert_eq!(h.quantile(q), 7.0, "q = {q}");
         }
+    }
+
+    /// With one sample every quantile, p999 included, is that sample:
+    /// the target rank never rounds to zero.
+    #[test]
+    fn p999_uses_ceil_rank_and_clamps_to_observed_range() {
+        let mut single = Histogram::new();
+        single.record(7.0);
+        assert_eq!(single.quantile(0.999), 7.0);
+
+        // 1000 equal samples: p999 targets rank 999, same bucket.
+        let mut flat = Histogram::new();
+        for _ in 0..1000 {
+            flat.record(3.0);
+        }
+        assert_eq!(flat.quantile(0.999), 3.0);
+
+        // A 1-in-100 outlier: p999 (ceil rank 100 of 100) must reach
+        // the outlier bucket while p99 (ceil rank 99) stays in the
+        // bulk — the ranks straddle the outlier.
+        let mut outlier = Histogram::new();
+        for _ in 0..99 {
+            outlier.record(1.0);
+        }
+        outlier.record(1e6);
+        let p999 = outlier.quantile(0.999);
+        assert!(p999 > 1e5, "p999 must land in the outlier bucket: {p999}");
+        let p99 = outlier.quantile(0.99);
+        assert!(p99 < 2.0, "p99 stays in the bulk: {p99}");
+        assert_eq!(Histogram::new().quantile(0.999), 0.0, "empty quantile is 0");
     }
 
     #[test]
@@ -463,116 +368,6 @@ mod tests {
         assert_eq!(Hist::bucket_index(f64::NAN), 0);
         assert!(Hist::bucket_index(1e300) < BUCKETS);
         assert_eq!(Hist::bucket_index(1.0), 33);
-    }
-
-    fn histogram_field(m: &Metrics, name: &str, key: &str) -> f64 {
-        let snap = m.snapshot();
-        let h = snap.iter().find(|s| s.name == name).unwrap();
-        match h.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
-            Some(Value::F64(f)) => *f,
-            Some(Value::U64(u)) => *u as f64,
-            other => panic!("{key} missing or non-numeric: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn merge_of_empty_is_identity_both_ways() {
-        let a = Metrics::new();
-        for v in [1.0, 2.0, 4.0] {
-            a.observe("lat", v);
-        }
-        let before = a.snapshot();
-
-        // Empty into populated: nothing changes (min/max/count intact).
-        a.merge_from(&Metrics::new());
-        assert_eq!(a.snapshot(), before);
-
-        // Populated into empty: the empty side adopts it exactly.
-        let c = Metrics::new();
-        c.merge_from(&a);
-        assert_eq!(c.snapshot(), before);
-    }
-
-    #[test]
-    fn merged_histograms_match_observing_everything_in_one() {
-        let a = Metrics::new();
-        let b = Metrics::new();
-        let combined = Metrics::new();
-        for v in [0.5, 1.0, 3.0] {
-            a.observe("lat", v);
-            combined.observe("lat", v);
-        }
-        for v in [8.0, 16.0] {
-            b.observe("lat", v);
-            combined.observe("lat", v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.snapshot(), combined.snapshot());
-        assert_eq!(histogram_field(&a, "lat", "count"), 5.0);
-        assert_eq!(histogram_field(&a, "lat", "min"), 0.5);
-        assert_eq!(histogram_field(&a, "lat", "max"), 16.0);
-    }
-
-    #[test]
-    fn merge_from_adds_counters_and_overwrites_gauges() {
-        let a = Metrics::new();
-        let b = Metrics::new();
-        a.inc("events", 2);
-        b.inc("events", 3);
-        a.gauge("depth", 1.0);
-        b.gauge("depth", 9.0);
-        b.inc("only_b", 7);
-        a.merge_from(&b);
-        assert_eq!(a.counter_value("events"), 5);
-        assert_eq!(a.gauge_value("depth"), Some(9.0));
-        assert_eq!(a.counter_value("only_b"), 7);
-    }
-
-    /// The PR 3 ceil-rank fix: with one sample, every quantile —
-    /// including the new p999 — is that sample; target rank never
-    /// rounds to zero.
-    #[test]
-    fn p999_uses_ceil_rank_and_clamps_to_observed_range() {
-        let m = Metrics::new();
-        m.observe("single", 7.0);
-        assert_eq!(histogram_field(&m, "single", "p999"), 7.0);
-
-        // 1000 equal samples: p999 targets rank 999, same bucket.
-        let n = Metrics::new();
-        for _ in 0..1000 {
-            n.observe("v", 3.0);
-        }
-        assert_eq!(histogram_field(&n, "v", "p999"), 3.0);
-
-        // A 1-in-100 outlier: p999 (ceil rank 100 of 100) must reach
-        // the outlier bucket while p99 (ceil rank 99) stays in the
-        // bulk — the ranks straddle the outlier.
-        let o = Metrics::new();
-        for _ in 0..99 {
-            o.observe("w", 1.0);
-        }
-        o.observe("w", 1e6);
-        let p999 = histogram_field(&o, "w", "p999");
-        assert!(p999 > 1e5, "p999 must land in the outlier bucket: {p999}");
-        let p99 = histogram_field(&o, "w", "p99");
-        assert!(p99 < 2.0, "p99 stays in the bulk: {p99}");
-    }
-
-    #[test]
-    fn merged_empty_histograms_stay_empty() {
-        let a = Metrics::new();
-        let b = Metrics::new();
-        a.observe("lat", 1.0);
-        b.observe("lat", 2.0);
-        // Construct two empty hists via merge identity checks.
-        let mut empty = Hist::new();
-        empty.merge(&Hist::new());
-        assert_eq!(empty.count, 0);
-        assert_eq!(empty.quantile(0.999), 0.0, "empty quantile is 0");
-        assert_eq!(empty.mean(), 0.0);
-        // And a sanity check that the non-empty merge stays finite.
-        a.merge_from(&b);
-        assert!(histogram_field(&a, "lat", "p999").is_finite());
     }
 
     #[test]

@@ -114,11 +114,13 @@ impl MemorySink {
     }
 
     /// Number of events received.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.events.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
     /// Whether no events have been received.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -16,10 +16,8 @@ quantity! {
 
 impl Angle {
     /// A full revolution (2π).
+    #[cfg(test)]
     pub const FULL_TURN: Self = Self::from_base(std::f64::consts::TAU);
-
-    /// Half a revolution (π).
-    pub const HALF_TURN: Self = Self::from_base(std::f64::consts::PI);
 
     /// Creates an angle from radians.
     #[inline]
@@ -84,12 +82,6 @@ impl Angle {
     #[inline]
     pub fn cos(self) -> f64 {
         self.as_base().cos()
-    }
-
-    /// Tangent of the angle.
-    #[inline]
-    pub fn tan(self) -> f64 {
-        self.as_base().tan()
     }
 }
 

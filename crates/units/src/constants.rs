@@ -4,8 +4,6 @@
 //! paper's models require. Each constant notes where it enters the
 //! reproduction.
 
-use crate::{Length, Time, Velocity};
-
 /// Speed of light in vacuum, m/s (link budgets, ISL latency).
 pub const SPEED_OF_LIGHT_M_PER_S: f64 = 299_792_458.0;
 
@@ -18,16 +16,11 @@ pub const EARTH_MU_M3_PER_S2: f64 = 3.986_004_418e14;
 /// Mean Earth radius, m (ground tracks, coverage area, occlusion).
 pub const EARTH_RADIUS_M: f64 = 6_371_000.0;
 
-/// Equatorial Earth radius, m (WGS-84; used by the J2 model).
-pub const EARTH_EQUATORIAL_RADIUS_M: f64 = 6_378_137.0;
-
-/// Earth's J2 zonal harmonic coefficient (sun-synchronous precession).
-pub const EARTH_J2: f64 = 1.082_626_68e-3;
-
 /// Earth's sidereal rotation rate, rad/s (GEO matching, ground tracks).
 pub const EARTH_ROTATION_RAD_PER_S: f64 = 7.292_115_9e-5;
 
 /// Sidereal day, s.
+#[cfg(test)]
 pub const SIDEREAL_DAY_S: f64 = 86_164.0905;
 
 /// Geostationary orbit radius from Earth's centre, m
@@ -44,43 +37,20 @@ pub const EARTH_OCEAN_FRACTION: f64 = 0.7;
 /// Mean global cloud-cover fraction (Table 3 early discard, MODIS-derived).
 pub const EARTH_CLOUD_FRACTION: f64 = 0.67;
 
-/// Returns the mean Earth radius as a typed [`Length`].
-pub fn earth_radius() -> Length {
-    Length::from_m(EARTH_RADIUS_M)
-}
-
-/// Returns the geostationary orbital radius as a typed [`Length`].
-pub fn geo_radius() -> Length {
-    Length::from_m(GEO_RADIUS_M)
-}
-
-/// Returns one sidereal day as a typed [`Time`].
-pub fn sidereal_day() -> Time {
-    Time::from_secs(SIDEREAL_DAY_S)
-}
-
-/// Circular orbital velocity at a given orbital *radius* (from Earth's
-/// centre): `v = sqrt(mu / r)`.
-///
-/// ```
-/// use units::{constants, Length};
-/// let v = constants::circular_velocity(Length::from_km(6771.0)); // 400 km alt
-/// assert!(v.as_km_per_s() > 7.6 && v.as_km_per_s() < 7.7);
-/// ```
-pub fn circular_velocity(radius: Length) -> Velocity {
-    Velocity::from_m_per_s((EARTH_MU_M3_PER_S2 / radius.as_m()).sqrt())
-}
-
-/// Orbital period of a circular orbit at a given radius:
-/// `T = 2π·sqrt(r³/mu)`.
-pub fn circular_period(radius: Length) -> Time {
-    let r = radius.as_m();
-    Time::from_secs(std::f64::consts::TAU * (r * r * r / EARTH_MU_M3_PER_S2).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Length, Time};
+
+    fn geo_radius() -> Length {
+        Length::from_m(GEO_RADIUS_M)
+    }
+
+    /// `T = 2π·sqrt(r³/mu)`.
+    fn circular_period(radius: Length) -> Time {
+        let r = radius.as_m();
+        Time::from_secs(std::f64::consts::TAU * (r * r * r / EARTH_MU_M3_PER_S2).sqrt())
+    }
 
     #[test]
     fn iss_orbit_period_is_about_92_minutes() {
@@ -100,13 +70,6 @@ mod tests {
             "GEO period {} s should be within a minute of the sidereal day",
             t.as_secs()
         );
-    }
-
-    #[test]
-    fn leo_velocity_near_8_km_per_s() {
-        // The paper quotes ~8 km/s orbiter motion for LEO imagers.
-        let v = circular_velocity(Length::from_km(6371.0 + 250.0));
-        assert!(v.as_km_per_s() > 7.5 && v.as_km_per_s() < 8.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@ quantity! {
     ///
     /// ```
     /// use units::DataSize;
-    /// let frame = DataSize::from_megabytes(24.0);
+    /// let frame = DataSize::from_bytes(24e6);
     /// assert_eq!(frame.as_bits(), 24.0 * 8.0 * 1e6);
     /// ```
     DataSize, base = "bits"
@@ -30,12 +30,6 @@ impl DataSize {
     #[inline]
     pub const fn from_bytes(bytes: f64) -> Self {
         Self::from_base(bytes * 8.0)
-    }
-
-    /// Creates a size from decimal megabytes (10⁶ bytes).
-    #[inline]
-    pub const fn from_megabytes(mb: f64) -> Self {
-        Self::from_base(mb * 8e6)
     }
 
     /// Creates a size from decimal gigabytes (10⁹ bytes).
@@ -64,6 +58,7 @@ impl DataSize {
 
     /// Size in decimal gigabytes.
     #[inline]
+    #[cfg(test)]
     pub fn as_gigabytes(self) -> f64 {
         self.as_base() / 8e9
     }
@@ -107,6 +102,7 @@ impl DataRate {
 
     /// Creates a rate from terabits per second.
     #[inline]
+    #[cfg(test)]
     pub const fn from_tbps(tbps: f64) -> Self {
         Self::from_base(tbps * 1e12)
     }

@@ -25,6 +25,7 @@ impl Money {
 
     /// Creates an amount from millions of US dollars.
     #[inline]
+    #[cfg(test)]
     pub const fn from_millions_usd(m: f64) -> Self {
         Self::from_base(m * 1e6)
     }

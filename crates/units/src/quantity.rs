@@ -65,6 +65,7 @@ macro_rules! quantity {
             ///
             /// Panics if `lo > hi`.
             #[inline]
+            #[cfg(test)]
             pub fn clamp(self, lo: Self, hi: Self) -> Self {
                 Self(self.0.clamp(lo.0, hi.0))
             }

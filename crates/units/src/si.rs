@@ -84,22 +84,10 @@ impl Area {
         Self::from_base(m2)
     }
 
-    /// Creates an area from square kilometres.
-    #[inline]
-    pub const fn from_km2(km2: f64) -> Self {
-        Self::from_base(km2 * 1e6)
-    }
-
     /// Area in square metres.
     #[inline]
     pub const fn as_m2(self) -> f64 {
         self.as_base()
-    }
-
-    /// Area in square kilometres.
-    #[inline]
-    pub fn as_km2(self) -> f64 {
-        self.as_base() / 1e6
     }
 }
 
@@ -173,6 +161,7 @@ impl Time {
 
     /// Time in hours.
     #[inline]
+    #[cfg(test)]
     pub fn as_hours(self) -> f64 {
         self.as_base() / 3600.0
     }
@@ -261,12 +250,14 @@ impl Power {
     ///
     /// Used by link-budget math in the `comms` crate.
     #[inline]
+    #[cfg(test)]
     pub fn as_dbw(self) -> f64 {
         10.0 * self.as_base().log10()
     }
 
     /// Creates power from decibel-watts.
     #[inline]
+    #[cfg(test)]
     pub fn from_dbw(dbw: f64) -> Self {
         Self::from_base(10f64.powf(dbw / 10.0))
     }

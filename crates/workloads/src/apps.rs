@@ -132,30 +132,6 @@ impl Application {
         }
     }
 
-    /// One-line description (Table 5 column 2).
-    pub fn description(self) -> &'static str {
-        match self {
-            Self::AirPollution => "Predict air pollution levels using CNN",
-            Self::CropMonitoring => "Identify type and quality of crops",
-            Self::FloodDetection => "Identify floods and assess flood severity",
-            Self::AircraftDetection => {
-                "Identify stationary and moving aircraft from satellite images using CNN"
-            }
-            Self::ForageQuality => {
-                "Estimate forage quality for use in agriculture and animal husbandry"
-            }
-            Self::UrbanEmergency => "Fire, traffic accident, building collapse detection",
-            Self::PanopticSegmentation => {
-                "Simultaneous detection of countable objects and backgrounds"
-            }
-            Self::OilSpill => "Deep water environmental monitoring",
-            Self::TrafficMonitoring => "Detect moving vehicles via blue reflectance",
-            Self::LandSurfaceClustering => {
-                "Unsupervised segmentation of land / land-cover change detection"
-            }
-        }
-    }
-
     /// Imagery type consumed (Table 5 column 3).
     pub fn imagery(self) -> ImageryKind {
         match self {

@@ -1,14 +1,10 @@
 //! Batch-size behaviour of inference workloads.
 //!
-//! The paper ran each DNN at a sweep of batch sizes and picked the one
-//! maximising pixels·s⁻¹·W⁻¹ (Table 6 reports "optimal batch sizes").
-//! This module models the standard saturating-throughput behaviour so the
-//! batch-selection procedure itself is reproducible: throughput rises
-//! roughly linearly while the device has idle compute, then saturates;
-//! power rises with utilisation over a sizeable idle floor; efficiency
-//! therefore peaks at the knee.
-
-use units::Power;
+//! The paper ran each DNN at a sweep of batch sizes (Table 6 reports
+//! "optimal batch sizes"). This module models the standard
+//! saturating-throughput behaviour the serving layer batches against:
+//! throughput rises roughly linearly while the device has idle compute,
+//! then saturates.
 
 /// A saturating batch-throughput model for one workload on one device.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,10 +13,6 @@ pub struct BatchProfile {
     pub base_pixels_per_sec: f64,
     /// Batch size at which the device saturates (knee of the curve).
     pub saturation_batch: f64,
-    /// Idle power floor of the device.
-    pub idle_power: Power,
-    /// Additional power at full utilisation.
-    pub dynamic_power: Power,
 }
 
 impl BatchProfile {
@@ -31,57 +23,16 @@ impl BatchProfile {
         let effective = b.min(self.saturation_batch);
         self.base_pixels_per_sec * effective
     }
-
-    /// Utilisation in `[0, 1]` at a given batch size.
-    pub fn utilization(&self, batch: u32) -> f64 {
-        (f64::from(batch.max(1)) / self.saturation_batch).min(1.0)
-    }
-
-    /// Power draw at a given batch size: idle floor plus dynamic power
-    /// scaled by utilisation.
-    pub fn power(&self, batch: u32) -> Power {
-        self.idle_power + self.dynamic_power * self.utilization(batch)
-    }
-
-    /// Energy efficiency (pixels per second per watt) at a batch size.
-    pub fn efficiency(&self, batch: u32) -> f64 {
-        self.throughput(batch) / self.power(batch).as_watts()
-    }
-
-    /// The batch size in `1..=max_batch` maximising energy efficiency —
-    /// the selection the paper performs for Table 6.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch == 0`.
-    pub fn optimal_batch(&self, max_batch: u32) -> u32 {
-        assert!(max_batch > 0, "need at least batch size 1");
-        // Smallest batch achieving the peak: beyond the knee efficiency
-        // plateaus, and smaller batches mean lower latency for free.
-        let mut best = 1u32;
-        let mut best_eff = self.efficiency(1);
-        for b in 2..=max_batch {
-            let eff = self.efficiency(b);
-            if eff > best_eff * (1.0 + 1e-12) {
-                best = b;
-                best_eff = eff;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::prop;
 
     fn profile() -> BatchProfile {
         BatchProfile {
             base_pixels_per_sec: 1e6,
             saturation_batch: 16.0,
-            idle_power: Power::from_watts(60.0),
-            dynamic_power: Power::from_watts(290.0),
         }
     }
 
@@ -95,51 +46,8 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_peaks_at_saturation_knee() {
-        let p = profile();
-        let best = p.optimal_batch(128);
-        assert_eq!(best, 16, "idle floor pushes the optimum to the knee");
-        assert!(p.efficiency(16) > p.efficiency(1));
-        assert!(p.efficiency(16) >= p.efficiency(128));
-    }
-
-    #[test]
-    fn power_between_idle_and_max() {
-        let p = profile();
-        assert_eq!(p.power(1).as_watts(), 60.0 + 290.0 / 16.0);
-        assert_eq!(p.power(16).as_watts(), 350.0);
-        assert_eq!(p.power(1000).as_watts(), 350.0);
-    }
-
-    #[test]
     fn batch_zero_treated_as_one() {
         let p = profile();
         assert_eq!(p.throughput(0), p.throughput(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size 1")]
-    fn optimal_batch_zero_panics() {
-        let _ = profile().optimal_batch(0);
-    }
-
-    #[test]
-    fn efficiency_never_exceeds_knee_efficiency() {
-        prop::check("efficiency_never_exceeds_knee_efficiency", 256, |g| {
-            let base = g.draw(1e3f64..1e8);
-            let knee = g.draw(2.0f64..64.0);
-            let idle = g.draw(1.0f64..200.0);
-            let dynamic = g.draw(10.0f64..500.0);
-            let batch = g.draw(1u32..256);
-
-            let p = BatchProfile {
-                base_pixels_per_sec: base,
-                saturation_batch: knee,
-                idle_power: Power::from_watts(idle),
-                dynamic_power: Power::from_watts(dynamic),
-            };
-            let knee_batch = knee.ceil() as u32;
-            assert!(p.efficiency(batch) <= p.efficiency(knee_batch) * (1.0 + 1e-9));
-        });
     }
 }

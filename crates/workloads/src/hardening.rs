@@ -42,27 +42,10 @@ impl Hardening {
         }
     }
 
-    /// Whether the strategy can *correct* (not just detect) errors.
-    pub fn corrects_errors(self) -> bool {
-        matches!(self, Self::Software | Self::TripleRedundancy)
-    }
-
     /// Effective pixels·s⁻¹·W⁻¹ after hardening, given the unhardened
     /// efficiency.
     pub fn derate_efficiency(self, kpixels_per_sec_per_watt: f64) -> f64 {
         kpixels_per_sec_per_watt / self.overhead_factor()
-    }
-
-    /// Overhead for a specific application: convolution-dominated DNNs
-    /// enjoy cheaper software hardening (<5% for conv layers per Sharif
-    /// et al.), which the paper cites to argue software hardening will
-    /// dominate. Redundancy costs are workload-independent.
-    pub fn overhead_factor_for(self, app: Application) -> f64 {
-        match self {
-            Self::Software if app.is_deep_learning() => 1.18,
-            Self::Software => 1.2,
-            other => other.overhead_factor(),
-        }
     }
 }
 
@@ -137,17 +120,6 @@ mod tests {
     }
 
     #[test]
-    fn dnn_software_hardening_is_cheaper() {
-        let dnn = Hardening::Software.overhead_factor_for(Application::FloodDetection);
-        let dsp = Hardening::Software.overhead_factor_for(Application::TrafficMonitoring);
-        assert!(dnn < dsp);
-        assert_eq!(
-            Hardening::DualRedundancy.overhead_factor_for(Application::FloodDetection),
-            2.0
-        );
-    }
-
-    #[test]
     fn stronger_strategies_have_lower_residual_error() {
         let raw = 1e-4;
         let app = Application::CropMonitoring;
@@ -187,12 +159,5 @@ mod tests {
             detected_error_rate(Hardening::TripleRedundancy, app, raw),
             0.0
         );
-    }
-
-    #[test]
-    fn correction_capability() {
-        assert!(!Hardening::None.corrects_errors());
-        assert!(!Hardening::DualRedundancy.corrects_errors());
-        assert!(Hardening::TripleRedundancy.corrects_errors());
     }
 }

@@ -26,15 +26,6 @@ pub enum Device {
 }
 
 impl Device {
-    /// All modelled devices.
-    pub const ALL: [Self; 5] = [
-        Self::JetsonAgxXavier,
-        Self::Rtx3090,
-        Self::CloudAi100,
-        Self::A100,
-        Self::H100,
-    ];
-
     /// Marketing name.
     pub fn name(self) -> &'static str {
         match self {
@@ -43,17 +34,6 @@ impl Device {
             Self::CloudAi100 => "Qualcomm Cloud AI 100",
             Self::A100 => "NVIDIA A100",
             Self::H100 => "NVIDIA H100",
-        }
-    }
-
-    /// Maximum board power.
-    pub fn max_power(self) -> Power {
-        match self {
-            Self::JetsonAgxXavier => Power::from_watts(30.0),
-            Self::Rtx3090 => Power::from_watts(350.0),
-            Self::CloudAi100 => Power::from_watts(75.0),
-            Self::A100 => Power::from_watts(400.0),
-            Self::H100 => Power::from_watts(700.0),
         }
     }
 
@@ -102,11 +82,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Pixels per second this measurement sustains at its measured power.
-    pub fn pixels_per_sec(&self) -> f64 {
-        self.kpixels_per_sec_per_watt * 1e3 * self.power.as_watts()
-    }
-
     /// Power needed to sustain `pixels_per_sec` at this efficiency,
     /// assuming (as the paper does) linear scaling of compute with pixel
     /// count.
@@ -115,13 +90,9 @@ impl Measurement {
     }
 
     /// Pixel rate sustainable within a power budget at this efficiency.
+    #[cfg(test)]
     pub fn pixel_rate_for_power(&self, budget: Power) -> f64 {
         self.kpixels_per_sec_per_watt * 1e3 * budget.as_watts()
-    }
-
-    /// Effective compute throughput implied by the app's FLOPs/pixel.
-    pub fn effective_gflops(&self) -> f64 {
-        self.pixels_per_sec() * self.app.flops_per_pixel() / 1e9
     }
 }
 
@@ -199,13 +170,6 @@ pub fn all_measurements(device: Device) -> Vec<Measurement> {
         .collect()
 }
 
-/// Estimates GPU power from utilisation and the device's maximum power —
-/// the TegraStats-based technique the paper cites for embedded GPUs
-/// (`P ≈ util × P_max`).
-pub fn power_from_utilization(device: Device, utilization_pct: f64) -> Power {
-    device.max_power() * (utilization_pct / 100.0).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,30 +222,6 @@ mod tests {
         let rate = m.pixel_rate_for_power(budget);
         let back = m.power_for_pixel_rate(rate);
         assert!((back.as_watts() - 4_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn pixels_per_sec_consistent_with_measured_power() {
-        let m = measurement(Application::ForageQuality, Device::Rtx3090).unwrap();
-        let expected = 843.0 * 1e3 * 129.0;
-        assert!((m.pixels_per_sec() - expected).abs() < 1.0);
-    }
-
-    #[test]
-    fn effective_gflops_is_plausible_for_a_3090() {
-        // FD on the 3090: 307 kpx/s/W × 325 W × 178 969 FLOP/px ≈ 18 TFLOPs
-        // — under the card's ~36 TFLOPs FP32 peak. The model is coherent.
-        let m = measurement(Application::FloodDetection, Device::Rtx3090).unwrap();
-        let gf = m.effective_gflops();
-        assert!(gf > 1_000.0 && gf < 40_000.0, "got {gf} GFLOPs");
-    }
-
-    #[test]
-    fn utilization_power_estimate_clamps() {
-        let p = power_from_utilization(Device::JetsonAgxXavier, 150.0);
-        assert_eq!(p.as_watts(), 30.0);
-        let half = power_from_utilization(Device::Rtx3090, 50.0);
-        assert_eq!(half.as_watts(), 175.0);
     }
 
     #[test]

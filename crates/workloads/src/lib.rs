@@ -28,7 +28,6 @@ pub mod apps;
 pub mod batch;
 pub mod hardening;
 pub mod hardware;
-pub mod mlperf;
 
 pub use apps::{Application, ImageryKind, KernelKind};
 pub use batch::BatchProfile;
