@@ -40,7 +40,7 @@ pub const EARTH_CLOUD_FRACTION: f64 = 0.67;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Length, Time};
+    use crate::{Length, Time, Velocity};
 
     fn geo_radius() -> Length {
         Length::from_m(GEO_RADIUS_M)
@@ -50,6 +50,18 @@ mod tests {
     fn circular_period(radius: Length) -> Time {
         let r = radius.as_m();
         Time::from_secs(std::f64::consts::TAU * (r * r * r / EARTH_MU_M3_PER_S2).sqrt())
+    }
+
+    /// `v = sqrt(mu/r)`.
+    fn circular_velocity(radius: Length) -> Velocity {
+        Velocity::from_m_per_s((EARTH_MU_M3_PER_S2 / radius.as_m()).sqrt())
+    }
+
+    #[test]
+    fn leo_velocity_near_8_km_per_s() {
+        // The paper quotes ~8 km/s orbiter motion for LEO imagers.
+        let v = circular_velocity(Length::from_km(6371.0 + 250.0));
+        assert!(v.as_km_per_s() > 7.5 && v.as_km_per_s() < 8.0);
     }
 
     #[test]

@@ -225,6 +225,22 @@ mod tests {
     }
 
     #[test]
+    fn pixels_per_sec_consistent_with_measured_power() {
+        let m = measurement(Application::ForageQuality, Device::Rtx3090).unwrap();
+        let expected = 843.0 * 1e3 * 129.0;
+        assert!((m.pixel_rate_for_power(m.power) - expected).abs() < 1.0);
+    }
+
+    #[test]
+    fn effective_gflops_is_plausible_for_a_3090() {
+        // FD on the 3090: 307 kpx/s/W × 325 W × 178 969 FLOP/px ≈ 18 TFLOPs
+        // — under the card's ~36 TFLOPs FP32 peak. The model is coherent.
+        let m = measurement(Application::FloodDetection, Device::Rtx3090).unwrap();
+        let gf = m.pixel_rate_for_power(m.power) * m.app.flops_per_pixel() / 1e9;
+        assert!(gf > 1_000.0 && gf < 40_000.0, "got {gf} GFLOPs");
+    }
+
+    #[test]
     fn xavier_beats_3090_on_lightweight_apps_only() {
         // TM and LSC run *more* efficiently on the Xavier (Table 6): tiny
         // kernels waste a big GPU.
