@@ -839,13 +839,9 @@ fn on_serve_arrival(st: &mut State, sched: &mut Scheduler<Ev>, tenant: u32, slot
     let arrived = st
         .ledger
         .note_request(lifecycle(now, TraceKind::ReqArrived, id, sat, 0));
-    // Admission reads the backlog of the SµDC the entry satellite's
-    // relay chain ends at.
-    let mut tail = sat;
-    while let Some(next) = st.topo.next_hop(tail) {
-        tail = next;
-    }
-    let cluster = st.topo.home_cluster(tail);
+    // Admission reads the backlog of the entry satellite's home SµDC,
+    // where its relay chain ends (chains never leave the home cluster).
+    let cluster = st.topo.home_cluster(sat);
     let backlog_s = st.service.queue_depth_s(cluster, now);
     let Some(verdict) = serve_admission_verdict(st, t, cluster, backlog_s, now) else {
         return;

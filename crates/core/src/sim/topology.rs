@@ -331,19 +331,30 @@ mod tests {
         assert_eq!(k4.next_hop(13), Some(11));
     }
 
+    /// Every relay chain ends at an SµDC without leaving the home
+    /// cluster of the satellite it starts from, on every shape. Serve
+    /// admission and the sharded loop both rely on this.
     #[test]
     fn every_ring_walk_terminates_at_the_sudc() {
-        for k in [2usize, 4, 8] {
-            let topo = KList::new(64, 4, k);
+        let shapes: Vec<(&str, Box<dyn Topology>)> = vec![
+            ("ring", Box::new(Ring::new(64, 4))),
+            ("k-list 4", Box::new(KList::new(64, 4, 4))),
+            ("k-list 8", Box::new(KList::new(64, 4, 8))),
+            ("split 2", Box::new(SplitRing::new(64, 4, 2, 2))),
+            ("split 2 k-list 4", Box::new(SplitRing::new(64, 4, 2, 4))),
+            ("geo", Box::new(GeoStar::new(4))),
+        ];
+        for (name, topo) in &shapes {
             for sat in 0..64 {
+                let home = topo.home_cluster(sat);
                 let mut p = sat;
                 let mut hops = 0;
                 while let Some(next) = topo.next_hop(p) {
                     p = next;
                     hops += 1;
-                    assert!(hops <= 64, "k={k} sat={sat} loops");
+                    assert!(hops <= 64, "{name} sat={sat} loops");
+                    assert_eq!(topo.home_cluster(p), home, "{name} sat={sat} leaves at {p}");
                 }
-                assert_eq!(topo.home_cluster(p), topo.home_cluster(sat));
             }
         }
     }

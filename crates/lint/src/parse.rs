@@ -39,8 +39,6 @@ pub struct FnItem<'a> {
     pub file: usize,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
     /// Code-token index range of the body, `[open brace, close brace]`.
     pub body: (usize, usize),
     /// Parameters as `(name, type text)`; `self` has an empty type.
@@ -397,7 +395,7 @@ impl<'a> Parser<'a> {
     /// Handles `fn name …` at `i`; returns the next scan index.
     fn handle_fn(&mut self, i: usize) -> usize {
         let name = self.text(i + 1);
-        let (line, col) = self.file.code_tok(i).map_or((0, 0), |t| (t.line, t.col));
+        let line = self.file.code_tok(i).map_or(0, |t| t.line);
         let mut j = i + 2;
         if self.is_punct(j, "<") {
             j = self.skip_generics(j);
@@ -434,7 +432,6 @@ impl<'a> Parser<'a> {
             qual,
             file: 0,
             line,
-            col,
             body: (open, open),
             params,
             locals: Vec::new(),

@@ -5,8 +5,8 @@
 //! granularity over hours of simulated time. This crate provides the
 //! domain-independent machinery:
 //!
-//! * [`Scheduler`] — a binary-heap event calendar (ties broken by insertion
-//!   order, so runs are exactly reproducible),
+//! * [`Scheduler`] — a packed-key heap + payload slab event calendar
+//!   (ties broken by insertion order, so runs are exactly reproducible),
 //! * [`rng`] — seeded, splittable random streams,
 //! * [`faults`] — stochastic up/down outage processes and bounded
 //!   exponential backoff for fault injection,
@@ -49,33 +49,37 @@ pub struct Event<E> {
     pub payload: E,
 }
 
-#[derive(Debug, Clone)]
-struct Scheduled<E> {
-    time_s: f64,
-    seq: u64,
-    payload: E,
+/// Low bits of a heap key that hold the payload's slab slot.
+const SLOT_BITS: u32 = 24;
+/// Bits between the slot and the time that hold the insertion sequence.
+const SEQ_BITS: u32 = 40;
+const SIGN: u64 = 1 << 63;
+
+/// Packs an event into one heap key: the time's [`f64::total_cmp`] bits
+/// (sign bit flipped, so unsigned order is IEEE total order) in the top
+/// 64 bits, the insertion sequence in the next 40 and the payload's slab
+/// slot in the low 24. Integer order on keys is therefore (time, seq)
+/// order; the slot never decides, because seqs are unique.
+#[inline]
+fn order_key(time_s: f64, seq: u64, slot: u32) -> u128 {
+    let bits = time_s.to_bits();
+    // As in `total_cmp`: a negative time's magnitude bits are flipped so
+    // it orders below every smaller magnitude.
+    let total = bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ SIGN;
+    ((total as u128) << 64) | ((seq as u128) << SLOT_BITS) | slot as u128
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time_s == other.time_s && self.seq == other.seq
-    }
+/// The time packed into `key`, bit for bit.
+#[inline]
+fn time_of(key: u128) -> f64 {
+    let total = ((key >> 64) as u64) ^ SIGN;
+    f64::from_bits(total ^ ((((total as i64) >> 63) as u64) >> 1))
 }
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Total order: time, then insertion sequence. Times are finite by
-        // construction (schedule_* validates), so IEEE total order
-        // agrees with the numeric order here.
-        self.time_s
-            .total_cmp(&other.time_s)
-            .then(self.seq.cmp(&other.seq))
-    }
+
+/// The slab slot packed into `key`.
+#[inline]
+fn slot_of(key: u128) -> u32 {
+    (key as u32) & ((1 << SLOT_BITS) - 1)
 }
 
 /// Deterministic event-calendar counters. Everything here depends
@@ -93,30 +97,43 @@ pub struct SchedulerCounters {
 
 /// A discrete-event calendar with deterministic tie-breaking.
 ///
-/// A binary heap ordered by (time, insertion sequence): events
+/// A packed-key heap + payload slab: the binary heap holds one 16-byte
+/// integer key per pending event, ordered by (time, insertion sequence),
+/// and the payloads sit still in a slab whose freed slots are reused
+/// last-in first-out. Sifting moves keys, never payloads, and `pop`
+/// copies its payload out of the slot it frees (hence `E: Copy`). Events
 /// scheduled for the same instant fire in insertion order, which makes
 /// simulation runs bit-for-bit reproducible. The calendar counts
 /// scheduled and processed events and the queue-depth high-water mark
 /// as it goes ([`Scheduler::counters`]).
+///
+/// It holds at most 2²⁴ pending events and 2⁴⁰ insertions over its
+/// life; [`Scheduler::schedule_at`] panics past either.
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
-    queue: BinaryHeap<Reverse<Scheduled<E>>>,
+    queue: BinaryHeap<Reverse<u128>>,
+    /// Payloads by slot; a slot is live while a key in `queue` names it.
+    slab: Vec<E>,
+    /// Slots of popped events, reused last-in first-out.
+    free: Vec<u32>,
     now: Time,
     /// `scheduled` doubles as the next insertion sequence number.
     counters: SchedulerCounters,
 }
 
-impl<E> Default for Scheduler<E> {
+impl<E: Copy> Default for Scheduler<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> Scheduler<E> {
+impl<E: Copy> Scheduler<E> {
     /// Creates an empty calendar at time zero.
     pub fn new() -> Self {
         Self {
             queue: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             now: Time::ZERO,
             counters: SchedulerCounters::default(),
         }
@@ -167,7 +184,8 @@ impl<E> Scheduler<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `at` is before the current time or not finite.
+    /// Panics if `at` is before the current time or not finite, or if
+    /// the calendar is full (2²⁴ pending events or 2⁴⁰ insertions).
     pub fn schedule_at(&mut self, at: Time, payload: E) {
         assert!(at.is_finite(), "event time must be finite");
         assert!(
@@ -176,11 +194,24 @@ impl<E> Scheduler<E> {
             at,
             self.now
         );
-        self.queue.push(Reverse(Scheduled {
-            time_s: at.as_secs(),
-            seq: self.counters.scheduled,
-            payload,
-        }));
+        let seq = self.counters.scheduled;
+        assert!(seq < 1 << SEQ_BITS, "event calendar full: {seq} insertions");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = payload;
+                slot
+            }
+            None => {
+                let slot = self.slab.len();
+                assert!(
+                    slot < 1 << SLOT_BITS,
+                    "event calendar full: {slot} pending events"
+                );
+                self.slab.push(payload);
+                slot as u32
+            }
+        };
+        self.queue.push(Reverse(order_key(at.as_secs(), seq, slot)));
         self.counters.scheduled += 1;
         self.counters.peak_queue_depth =
             self.counters.peak_queue_depth.max(self.queue.len() as u64);
@@ -204,18 +235,20 @@ impl<E> Scheduler<E> {
     pub fn peek_time(&self) -> Option<Time> {
         self.queue
             .peek()
-            .map(|Reverse(s)| Time::from_secs(s.time_s))
+            .map(|&Reverse(key)| Time::from_secs(time_of(key)))
     }
 
     /// Pops the next event, advancing the clock to its time.
     #[inline]
     pub fn pop(&mut self) -> Option<Event<E>> {
-        let Reverse(s) = self.queue.pop()?;
-        self.now = Time::from_secs(s.time_s);
+        let Reverse(key) = self.queue.pop()?;
+        let slot = slot_of(key);
+        self.free.push(slot);
+        self.now = Time::from_secs(time_of(key));
         self.counters.processed += 1;
         Some(Event {
             time: self.now,
-            payload: s.payload,
+            payload: self.slab[slot as usize],
         })
     }
 
@@ -223,7 +256,7 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn pop_until(&mut self, until: Time) -> Option<Event<E>> {
         match self.queue.peek() {
-            Some(Reverse(s)) if s.time_s <= until.as_secs() => self.pop(),
+            Some(&Reverse(key)) if time_of(key) <= until.as_secs() => self.pop(),
             _ => None,
         }
     }
@@ -232,6 +265,8 @@ impl<E> Scheduler<E> {
     #[cfg(test)]
     pub fn clear(&mut self) {
         self.queue.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 
@@ -239,7 +274,7 @@ impl<E> Scheduler<E> {
 ///
 /// The handler receives mutable access to both the caller's state and the
 /// scheduler (to schedule follow-up events).
-pub fn run_until<E, S>(
+pub fn run_until<E: Copy, S>(
     scheduler: &mut Scheduler<E>,
     state: &mut S,
     until: Time,
@@ -253,7 +288,8 @@ pub fn run_until<E, S>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prop;
+    use crate::prop::{self, any};
+    use crate::rng::Rng64;
 
     #[test]
     fn events_fire_in_time_order() {
@@ -558,42 +594,143 @@ mod tests {
     /// The calendar pops in exactly the (time, insertion seq) order
     /// of a reference binary heap over `(time, seq)` pairs —
     /// same-timestamp events stay FIFO — across random mixes of
-    /// pushes and interleaved pops. Timestamps are drawn from a
-    /// coarse grid so collisions are common and the FIFO tie-break
-    /// is genuinely exercised.
+    /// pushes and interleaved pops, and every pop returns the payload
+    /// pushed with that event. Timestamps are drawn from a coarse grid
+    /// so collisions are common and the FIFO tie-break is genuinely
+    /// exercised; payloads are distinct, and interleaved pops free
+    /// slots that later pushes reuse.
     #[test]
     fn calendar_matches_binary_heap_order() {
         prop::check("calendar_matches_binary_heap_order", 256, |g| {
-            let ops = g.draw(prop::vec((0u8..4, 0u16..500), 1..300));
+            let ops = g.draw(prop::vec((0u8..4, 0u16..500, any::<u32>()), 1..300));
 
             let mut cal = Scheduler::new();
-            let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut reference: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
             let mut floor = 0u64; // reference clock, integer grid ticks
-            for (op, slot) in ops {
+            for (op, slot, tag) in ops {
                 if op == 0 {
-                    // Pop from both and compare (time, payload-seq).
+                    // Pop from both and compare (time, payload).
                     let got = cal.pop().map(|ev| (ev.time.as_secs(), ev.payload));
-                    let want = reference.pop().map(|Reverse((t, q))| {
+                    let want = reference.pop().map(|Reverse((t, _, p))| {
                         floor = t;
-                        (t as f64 * 0.5, q)
+                        (t as f64 * 0.5, p)
                     });
                     assert_eq!(got, want);
                 } else {
                     // Push on a 0.5 s grid at/after the current clock so
                     // schedule_at never panics; ~500 slots force ties.
+                    // The payload's high half is random and its low half
+                    // the insertion seq, so no two are equal.
                     let t = floor + slot as u64;
-                    cal.schedule_at(Time::from_secs(t as f64 * 0.5), seq);
-                    reference.push(Reverse((t, seq)));
+                    let payload = (u64::from(tag) << 32) | seq;
+                    cal.schedule_at(Time::from_secs(t as f64 * 0.5), payload);
+                    reference.push(Reverse((t, seq, payload)));
                     seq += 1;
                 }
             }
+            // Freed slots are reused: the slab never outgrows the peak.
+            assert!(cal.slab.len() as u64 <= cal.counters().peak_queue_depth);
             // Drain what is left: full order must agree.
-            while let Some(Reverse((t, q))) = reference.pop() {
+            while let Some(Reverse((t, _, p))) = reference.pop() {
                 let got = cal.pop().map(|ev| (ev.time.as_secs(), ev.payload));
-                assert_eq!(got, Some((t as f64 * 0.5, q)));
+                assert_eq!(got, Some((t as f64 * 0.5, p)));
             }
             assert!(cal.is_empty());
         });
+    }
+
+    /// Times that stress the key's sign flip and bit layout: both
+    /// zeros, subnormals, exact ties, times near 10⁹ s, negatives and
+    /// ordinary values.
+    fn edge_time(r: &mut Rng64) -> f64 {
+        const EDGES: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e9,
+            f64::MAX,
+            f64::MIN,
+            1.0,
+        ];
+        match r.next_below(5) {
+            0 => EDGES[r.next_below(EDGES.len() as u64) as usize],
+            // A subnormal of either sign.
+            1 => f64::from_bits(r.next_below(1 << 52) | (r.next_below(2) << 63)),
+            2 => r.range_f64(1e9 - 1e3, 1e9 + 1e3),
+            3 => r.range_f64(-1e3, 1e3),
+            // Any finite bit pattern.
+            _ => loop {
+                let t = f64::from_bits(r.next_u64());
+                if t.is_finite() {
+                    break t;
+                }
+            },
+        }
+    }
+
+    /// `order_key`'s integer order is `(total_cmp, seq)` order. A seq
+    /// drawn from a small range makes equal seqs common, and an equal
+    /// time is drawn a third of the time.
+    #[test]
+    fn order_key_orders_like_total_cmp_then_seq() {
+        prop::check("order_key_orders_like_total_cmp_then_seq", 2048, |g| {
+            let a = g.draw(edge_time);
+            let b = match g.draw(0u8..3) {
+                0 => a,
+                _ => g.draw(edge_time),
+            };
+            let seq = |g: &mut prop::Gen| match g.draw(any::<bool>()) {
+                true => g.draw(0u64..4),
+                false => g.draw(0u64..1 << SEQ_BITS),
+            };
+            let (sa, sb) = (seq(g), seq(g));
+            let slot = g.draw(0u32..1 << SLOT_BITS);
+            let want = a.total_cmp(&b).then(sa.cmp(&sb));
+            assert_eq!(
+                order_key(a, sa, slot).cmp(&order_key(b, sb, slot)),
+                want,
+                "({a:e}, {sa}) vs ({b:e}, {sb})"
+            );
+        });
+    }
+
+    /// Unpacking a key gives back the time bit for bit and the slot.
+    #[test]
+    fn order_key_round_trips_time_and_slot() {
+        prop::check("order_key_round_trips_time_and_slot", 2048, |g| {
+            let t = g.draw(edge_time);
+            let seq = g.draw(0u64..1 << SEQ_BITS);
+            let slot = g.draw(0u32..1 << SLOT_BITS);
+            let key = order_key(t, seq, slot);
+            assert_eq!(time_of(key).to_bits(), t.to_bits(), "{t:e}");
+            assert_eq!(slot_of(key), slot);
+        });
+    }
+
+    /// The largest seq and slot fit their fields without spilling into
+    /// the next one, and the order still breaks on time first.
+    #[test]
+    fn packing_keeps_fields_apart_at_their_limits() {
+        let (max_seq, max_slot) = ((1u64 << SEQ_BITS) - 1, (1u32 << SLOT_BITS) - 1);
+        let t = 1e9;
+        let key = order_key(t, max_seq, max_slot);
+        assert_eq!(time_of(key), t);
+        assert_eq!(slot_of(key), max_slot);
+        assert!(key < order_key(t.next_up(), 0, 0));
+        assert!(order_key(t, max_seq - 1, max_slot) < order_key(t, max_seq, 0));
+        assert_eq!(
+            time_of(order_key(-0.0, max_seq, max_slot)).to_bits(),
+            (-0.0f64).to_bits()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "event calendar full")]
+    fn scheduling_past_the_seq_limit_panics() {
+        let mut s: Scheduler<()> = Scheduler::new();
+        s.counters.scheduled = 1 << SEQ_BITS;
+        s.schedule_at(Time::from_secs(1.0), ());
     }
 }
