@@ -1,86 +1,18 @@
-//! `repro lint [--rule <id>] [--format text|json] [--update-baseline]
-//! [--audit determinism]` — run the workspace static-analysis engine
-//! (`sudc-lint`) and gate against the ratcheting baseline in
-//! `results/lint_baseline.json`: grandfathered violations pass, new
-//! ones fail, and per rule the baseline may only shrink (a rule absent
-//! from the committed baseline may grandfather its offenders once, so
-//! new rules can land ratcheted).
+//! `repro lint [rules] [--rule <id>] [--format text|json] [--audit
+//! determinism]` — run the workspace static-analysis engine
+//! (`sudc-lint`). Any finding that no reasoned `lint:allow` suppresses
+//! fails the run, with or without `--rule`.
 //!
 //! `--audit determinism` additionally writes the committed
 //! `results/lint_audit.json` artifact, which is byte-identical across
 //! runs.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sudc_lint::{ratchet, report, rule_by_id, Baseline};
+use sudc_lint::{report, rule_by_id};
 
 use crate::Cli;
-
-/// Sums a baseline's grandfathered violations per rule id (entry keys
-/// are `<file>:<rule>`; paths never contain `:`).
-fn totals_by_rule(baseline: &Baseline) -> BTreeMap<String, u64> {
-    let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-    for (key, prints) in &baseline.entries {
-        let rule = key.rsplit_once(':').map_or(key.as_str(), |(_, r)| r);
-        *totals.entry(rule.to_string()).or_default() += prints.values().sum::<u64>();
-    }
-    totals
-}
-
-/// The ratchet check behind `--update-baseline`: per rule already in
-/// the committed baseline the count may only shrink; rules the
-/// committed baseline has never seen may grandfather offenders once.
-/// Returns the offending `(rule, committed, next)` on refusal.
-fn baseline_growth(committed: &Baseline, next: &Baseline) -> Option<(String, u64, u64)> {
-    if committed.is_empty() {
-        return None;
-    }
-    let before = totals_by_rule(committed);
-    for (rule, &after) in &totals_by_rule(next) {
-        match before.get(rule) {
-            Some(&b) if after > b => return Some((rule.clone(), b, after)),
-            _ => {}
-        }
-    }
-    None
-}
-
-/// `--update-baseline`: regenerate the committed baseline from this
-/// scan, subject to [`baseline_growth`]'s one-way ratchet.
-fn update_baseline(
-    cli: &Cli,
-    committed: &Baseline,
-    diags: &[sudc_lint::Diagnostic],
-    baseline_path: &std::path::Path,
-) -> ExitCode {
-    let next = Baseline::from_diags(diags);
-    if let Some((rule, before, after)) = baseline_growth(committed, &next) {
-        eprintln!(
-            "error: refusing to grow the baseline for rule '{rule}' \
-             ({before} -> {after} violations); the ratchet only turns one \
-             way — fix the new violations or suppress them with \
-             `// lint:allow({rule}) <reason>`"
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = next.save(baseline_path) {
-        eprintln!("error writing {}: {e}", baseline_path.display());
-        return ExitCode::FAILURE;
-    }
-    if !cli.quiet {
-        println!(
-            "wrote {} ({} grandfathered violations in {} file:rule entries, was {})",
-            baseline_path.display(),
-            next.total(),
-            next.len(),
-            committed.total()
-        );
-    }
-    telemetry::flush();
-    ExitCode::SUCCESS
-}
 
 /// Handles `repro lint rules` and rejects stray operands; `None` means
 /// proceed into the scan.
@@ -97,7 +29,7 @@ fn handle_operands(cli: &Cli) -> Option<ExitCode> {
     if let Some(op) = operands.first() {
         eprintln!(
             "error: unexpected operand '{op}' (usage: repro lint [rules] [--rule <id>] \
-             [--format text|json] [--update-baseline])"
+             [--format text|json] [--audit determinism])"
         );
         return Some(ExitCode::FAILURE);
     }
@@ -105,8 +37,8 @@ fn handle_operands(cli: &Cli) -> Option<ExitCode> {
 }
 
 /// Validates the flag combination: `--rule` must name a known rule,
-/// `--update-baseline` and `--audit` cover all rules (no `--rule`), and
-/// the only audit is `determinism`. Returns the `--rule` restriction.
+/// `--audit` covers all rules (no `--rule`), and the only audit is
+/// `determinism`. Returns the `--rule` restriction.
 fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, ExitCode> {
     let only = match &cli.rule {
         Some(id) => match rule_by_id(id) {
@@ -118,10 +50,6 @@ fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, ExitCode> {
         },
         None => None,
     };
-    if cli.update_baseline && only.is_some() {
-        eprintln!("error: --update-baseline covers all rules; drop --rule");
-        return Err(ExitCode::FAILURE);
-    }
     match cli.audit.as_deref() {
         None | Some("determinism") => {}
         Some(other) => {
@@ -129,8 +57,8 @@ fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, ExitCode> {
             return Err(ExitCode::FAILURE);
         }
     }
-    if cli.audit.is_some() && (only.is_some() || cli.update_baseline) {
-        eprintln!("error: --audit covers all rules; drop --rule/--update-baseline");
+    if cli.audit.is_some() && only.is_some() {
+        eprintln!("error: --audit covers all rules; drop --rule");
         return Err(ExitCode::FAILURE);
     }
     Ok(only)
@@ -176,7 +104,6 @@ pub fn exec(cli: &Cli) -> ExitCode {
     let root = results_dir
         .parent()
         .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
-    let baseline_path = results_dir.join("lint_baseline.json");
 
     let ws = match sudc_lint::Workspace::load(&root) {
         Ok(ws) => ws,
@@ -187,34 +114,14 @@ pub fn exec(cli: &Cli) -> ExitCode {
     };
     let (run, analysis) = ws.scan(only);
 
-    let committed = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if cli.update_baseline {
-        return update_baseline(cli, &committed, &run.diagnostics, &baseline_path);
-    }
-
-    // A --rule scan only sees that rule's diagnostics, so compare
-    // against the matching slice of the baseline.
-    let baseline = match only {
-        Some(id) => committed.for_rule(id),
-        None => committed,
-    };
-    let outcome = ratchet(&baseline, &run.diagnostics);
-
     match format {
-        "json" => print!("{}", report::render_json(&run, &outcome)),
-        _ => print!("{}", report::render_text(&run, &outcome, cli.verbose)),
+        "json" => print!("{}", report::render_json(&run)),
+        _ => print!("{}", report::render_text(&run)),
     }
 
-    let mut failed = !outcome.new.is_empty();
+    let mut failed = !run.diagnostics.is_empty();
     if cli.audit.is_some() {
-        let doc = report::render_audit(&run, &outcome, &analysis);
+        let doc = report::render_audit(&run, &analysis);
         failed |= !write_audit(cli, &doc, &results_dir, format);
     }
 
@@ -226,8 +133,6 @@ pub fn exec(cli: &Cli) -> ExitCode {
                 "findings".to_string(),
                 (run.diagnostics.len() as u64).into(),
             ),
-            ("new".to_string(), (outcome.new.len() as u64).into()),
-            ("fixed".to_string(), outcome.fixed.into()),
         ],
     );
     telemetry::flush();

@@ -59,12 +59,10 @@ pub struct Cli {
     pub out_dir: Option<PathBuf>,
     pub rule: Option<String>,
     pub format: Option<String>,
-    pub update_baseline: bool,
     /// `--audit <name>`: run a named workspace audit after the scan and
     /// write its committed artifact (only `determinism` exists, writing
     /// `results/lint_audit.json` — byte-identical across runs).
     pub audit: Option<String>,
-    pub verbose: bool,
     pub record: Option<PathBuf>,
     pub cadence: Option<f64>,
 }
@@ -217,9 +215,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         out_dir: None,
         rule: None,
         format: None,
-        update_baseline: false,
         audit: None,
-        verbose: false,
         record: None,
         cadence: None,
     };
@@ -307,14 +303,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 }
                 cli.format = Some(fmt.clone());
             }
-            "--update-baseline" => cli.update_baseline = true,
             "--audit" => {
                 let name = it
                     .next()
                     .ok_or("--audit requires an audit name (determinism)")?;
                 cli.audit = Some(name.clone());
             }
-            "--verbose" => cli.verbose = true,
             "--record" => {
                 let path = it.next().ok_or("--record requires a path")?;
                 cli.record = Some(PathBuf::from(path));
@@ -395,10 +389,9 @@ usage:
                              `repro sim --record` (per-hop latency
                              breakdown, critical paths, loss
                              attribution, top-k slowest frames)
-  repro lint                 run workspace static analysis and gate
-                             against results/lint_baseline.json
-                             (new violations fail; baseline only
-                             shrinks)
+  repro lint                 run workspace static analysis; any
+                             finding not suppressed by a reasoned
+                             `// lint:allow(<rule>) <reason>` fails
   repro lint rules           list lint rules and fix hints
   repro lint --audit determinism
                              run the semantic determinism audit
@@ -461,11 +454,6 @@ sim flags:
 lint flags:
   --rule <id>                restrict the scan to one rule
   --format text|json         report format (default text)
-  --verbose                  list grandfathered findings too
-  --update-baseline          regenerate results/lint_baseline.json
-                             (refuses to grow the violation count;
-                             rules new to the baseline may add
-                             grandfathered entries once)
   --audit <name>             also write the named audit artifact
                              (determinism -> lint_audit.json in
                              --out-dir, default results/)
@@ -477,7 +465,16 @@ and flags give the same bytes (no file records wall time)"
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_axis_spec, usage_text, AxisSpecError, MAX_AXIS_VALUES};
+    use super::{parse_args, parse_axis_spec, usage_text, AxisSpecError, MAX_AXIS_VALUES};
+
+    #[test]
+    fn retired_lint_flags_are_unknown() {
+        for flag in ["--update-baseline", "--verbose"] {
+            let args = ["lint".to_string(), flag.to_string()];
+            let err = parse_args(&args).err().expect("flag rejected");
+            assert!(err.starts_with(&format!("unknown flag {flag}")), "{err}");
+        }
+    }
 
     #[test]
     fn axis_specs_parse_or_fail_with_a_typed_error() {

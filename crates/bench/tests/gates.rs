@@ -222,6 +222,59 @@ fn listed(command: &str, header: &str) -> Vec<String> {
         .collect()
 }
 
+/// The data rows of the CSV artifact `name` in a run's file tree.
+fn csv_rows(files: &BTreeMap<String, Vec<u8>>, name: &str) -> BTreeSet<String> {
+    let bytes = files
+        .get(name)
+        .unwrap_or_else(|| panic!("{name} was not written"));
+    let text = std::str::from_utf8(bytes).expect("CSV is UTF-8");
+    text.lines().skip(1).map(str::to_string).collect()
+}
+
+/// Every sweep run sequentially and cold (`--threads 1 --no-cache`)
+/// writes the bytes `results/` commits, which the results test below
+/// checks at the default four threads, so one thread and four agree.
+/// Each sweep's grid and frontier are non-empty, and every frontier row
+/// is a grid row.
+#[test]
+fn one_thread_sweeps_write_the_committed_files() {
+    let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    for sweep in listed("explore", "available sweeps:") {
+        let out = scratch(&format!("sweep_{sweep}"));
+        let dir = out.to_str().expect("UTF-8 scratch path");
+        repro(&[
+            "explore",
+            &sweep,
+            "--threads",
+            "1",
+            "--no-cache",
+            "--out-dir",
+            dir,
+        ]);
+        let written = tree(&out);
+        for (name, bytes) in &written {
+            if UNCOMMITTED.contains(&name.as_str()) {
+                continue;
+            }
+            let want = fs::read(committed.join(name))
+                .unwrap_or_else(|e| panic!("results/{name} ({sweep} writes it): {e}"));
+            assert!(
+                *bytes == want,
+                "{sweep} at 1 thread: {name} differs from results/{name}"
+            );
+        }
+        let grid = csv_rows(&written, &format!("explore_{sweep}.csv"));
+        let frontier = csv_rows(&written, &format!("explore_{sweep}_frontier.csv"));
+        assert!(!grid.is_empty(), "{sweep}: empty grid");
+        assert!(!frontier.is_empty(), "{sweep}: empty frontier");
+        let strays: Vec<&String> = frontier.difference(&grid).collect();
+        assert!(
+            strays.is_empty(),
+            "{sweep}: frontier rows not in the grid: {strays:?}"
+        );
+    }
+}
+
 /// Every committed file under `results/` is what the code writes today.
 /// `repro all`, every `repro explore` sweep (cold: `--no-cache`), every
 /// `repro sim --serve` scenario and `repro lint --audit determinism`
@@ -229,7 +282,7 @@ fn listed(command: &str, header: &str) -> Vec<String> {
 /// file of the same name there, byte for byte, a committed file no run
 /// writes fails, and so does a written file `results/` lacks. Left out:
 /// the memo cache, the `UNCOMMITTED` files, and `lint_baseline.json`,
-/// which is the lint's input.
+/// which no run writes (only the benchmark reads it).
 #[test]
 fn results_dir_is_a_pure_function_of_code() {
     let out = scratch("results");

@@ -27,8 +27,7 @@ use crate::sim::policy::{
     MigrationObs, Policy, RetryDecision, ShedDecision, ShedObs,
 };
 use crate::sim::serve::{
-    admit as serve_admit, admit_scaled as serve_admit_scaled, Admission, LoadModel, Request,
-    ServeState, OPEN_SLOT,
+    admit as serve_admit, Admission, LoadModel, Request, ServeState, OPEN_SLOT,
 };
 use crate::sim::service::Service;
 use crate::sim::topology::{self, Topology};
@@ -319,7 +318,7 @@ impl State {
                     .cfg
                     .plane
                     .position(sat, now)
-                    // lint:allow(unwrap-in-lib, panic-reachable-from-event-loop) sat < n by construction
+                    // lint:allow(unwrap-in-lib) sat < n by construction
                     .expect("plane propagation is valid");
                 let point = subsatellite_point(pos, now);
                 // Sub-solar longitude drifts with time of day; start at 0.
@@ -905,23 +904,18 @@ fn serve_admission_verdict(
     };
     let serve = st.serve.as_mut()?;
     let class = serve.tenants[t].spec.class;
-    let verdict = match decision {
-        AdmissionDecision::Baseline => serve_admit(
-            &serve.cfg,
-            &mut serve.tenants[t].bucket,
-            class,
-            backlog_s,
-            now,
-        ),
-        AdmissionDecision::ScaleShedThreshold(scale) => serve_admit_scaled(
-            &serve.cfg,
-            &mut serve.tenants[t].bucket,
-            class,
-            backlog_s,
-            now,
-            scale,
-        ),
+    let scale = match decision {
+        AdmissionDecision::Baseline => 1.0,
+        AdmissionDecision::ScaleShedThreshold(scale) => scale,
     };
+    let verdict = serve_admit(
+        &serve.cfg,
+        &mut serve.tenants[t].bucket,
+        class,
+        backlog_s,
+        now,
+        scale,
+    );
     match verdict {
         // Only admitted requests enter the inflight gauge; rejected
         // ones bounce at the gate without ever being outstanding.

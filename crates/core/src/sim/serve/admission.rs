@@ -68,23 +68,11 @@ pub enum Admission {
 /// Decides admission for a request of `class` heading to a SµDC whose
 /// compute backlog is `backlog_s` seconds deep. Throttling is checked
 /// first (and consumes the token), then class shedding: a premium
-/// tenant rides out backlog a best-effort tenant is shed at.
+/// tenant rides out backlog a best-effort tenant is shed at. `scale`
+/// multiplies the shed threshold — the policy layer's lever for
+/// equalizing shed across tenants (>1 sheds less, <1 sheds more);
+/// `1.0` is the unscaled threshold, bit for bit.
 pub fn admit(
-    cfg: &ServeConfig,
-    bucket: &mut TokenBucket,
-    class: TenantClass,
-    backlog_s: f64,
-    now: Time,
-) -> Admission {
-    admit_scaled(cfg, bucket, class, backlog_s, now, 1.0)
-}
-
-/// [`admit`] with the backlog shed threshold scaled by `scale` — the
-/// policy layer's lever for equalizing shed across tenants (>1 sheds
-/// less, <1 sheds more). `scale == 1.0` is exactly [`admit`]: the
-/// multiplication by one is bit-exact, and the token draw happens
-/// first either way.
-pub fn admit_scaled(
     cfg: &ServeConfig,
     bucket: &mut TokenBucket,
     class: TenantClass,
@@ -136,7 +124,14 @@ mod tests {
         let mut bucket = TokenBucket::new(1000.0, 1000.0);
         let backlog = 1.5 * cfg.shed_threshold_s; // between best-effort and premium
         assert_eq!(
-            admit(&cfg, &mut bucket, TenantClass::Premium, backlog, Time::ZERO),
+            admit(
+                &cfg,
+                &mut bucket,
+                TenantClass::Premium,
+                backlog,
+                Time::ZERO,
+                1.0
+            ),
             Admission::Admit
         );
         assert_eq!(
@@ -145,7 +140,8 @@ mod tests {
                 &mut bucket,
                 TenantClass::BestEffort,
                 backlog,
-                Time::ZERO
+                Time::ZERO,
+                1.0
             ),
             Admission::Shed
         );
@@ -217,12 +213,26 @@ mod tests {
         let cfg = ServeConfig::defaults();
         let mut bucket = TokenBucket::new(0.0, 1.0);
         assert_eq!(
-            admit(&cfg, &mut bucket, TenantClass::Premium, 1e9, Time::ZERO),
+            admit(
+                &cfg,
+                &mut bucket,
+                TenantClass::Premium,
+                1e9,
+                Time::ZERO,
+                1.0
+            ),
             Admission::Shed,
             "token available: the deep backlog sheds the request"
         );
         assert_eq!(
-            admit(&cfg, &mut bucket, TenantClass::Premium, 0.0, Time::ZERO),
+            admit(
+                &cfg,
+                &mut bucket,
+                TenantClass::Premium,
+                0.0,
+                Time::ZERO,
+                1.0
+            ),
             Admission::Throttled,
             "the shed request still consumed its token"
         );

@@ -33,7 +33,7 @@ pub mod config;
 pub mod report;
 pub mod state;
 
-pub use admission::{admit, admit_scaled, Admission, TokenBucket};
+pub use admission::{admit, Admission, TokenBucket};
 pub use batcher::{Batch, Batcher};
 pub use config::{BatchPolicy, LoadModel, ServeConfig, ServeScenario, TenantClass, TenantSpec};
 pub use report::{ServeReport, TenantReport};

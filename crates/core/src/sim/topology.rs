@@ -66,8 +66,11 @@ pub trait Topology: Send {
 
 /// k-list striping (Fig. 12a): each arc side is striped into `k/2`
 /// interleaved relay chains whose links stride `k/2` positions, so `k`
-/// links land on the SµDC at the arc centre. `stride == 1` degenerates
-/// to the plain ring.
+/// links land on the SµDC at the arc centre. `k == 2` (stride 1) is the
+/// plain LEO ring of Fig. 10, where every satellite forwards to its
+/// neighbour toward the arc centre. SµDC splitting (Sec. 8) is a
+/// k-list over `clusters × factor` shorter arcs; the capacity division
+/// (`power/factor`) is the service layer's side of the bargain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KList {
     /// Ring size (total satellites).
@@ -159,89 +162,6 @@ impl Topology for KList {
     }
 }
 
-/// The plain LEO ring (Fig. 10): every satellite forwards to its
-/// neighbour toward the arc centre. Exactly a [`KList`] with
-/// `ingest_links == 2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ring(KList);
-
-impl Ring {
-    /// A ring of `n` satellites split into `units` equal arcs.
-    pub fn new(n: usize, units: usize) -> Self {
-        Self(KList::new(n, units, 2))
-    }
-}
-
-impl Topology for Ring {
-    fn units(&self) -> usize {
-        self.0.units()
-    }
-    fn home_cluster(&self, sat: usize) -> usize {
-        self.0.home_cluster(sat)
-    }
-    fn next_hop(&self, sat: usize) -> Option<usize> {
-        self.0.next_hop(sat)
-    }
-    fn supports_reverse(&self) -> bool {
-        true
-    }
-    fn reverse_direction_up(&self, sat: usize) -> bool {
-        self.0.reverse_direction_up(sat)
-    }
-    fn reverse_next(&self, sat: usize, rev_up: bool) -> usize {
-        self.0.reverse_next(sat, rev_up)
-    }
-    fn reverse_window(&self, p: usize) -> Option<usize> {
-        self.0.reverse_window(p)
-    }
-    fn hop_distance(&self, plane: &OrbitalPlane) -> Length {
-        self.0.hop_distance(plane)
-    }
-}
-
-/// SµDC splitting (Sec. 8): each of the original arcs is served by
-/// `factor` smaller SµDCs, so the ring has `clusters × factor` service
-/// units over proportionally shorter arcs. The geometry is a [`KList`]
-/// over the sub-arcs — the capacity division (`power/factor`) is the
-/// service layer's side of the bargain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitRing(KList);
-
-impl SplitRing {
-    /// `clusters` original arcs each split `factor` ways over an
-    /// `n`-satellite ring with `ingest_links` ISLs per sub-SµDC.
-    pub fn new(n: usize, clusters: usize, factor: usize, ingest_links: usize) -> Self {
-        Self(KList::new(n, clusters * factor, ingest_links))
-    }
-}
-
-impl Topology for SplitRing {
-    fn units(&self) -> usize {
-        self.0.units()
-    }
-    fn home_cluster(&self, sat: usize) -> usize {
-        self.0.home_cluster(sat)
-    }
-    fn next_hop(&self, sat: usize) -> Option<usize> {
-        self.0.next_hop(sat)
-    }
-    fn supports_reverse(&self) -> bool {
-        true
-    }
-    fn reverse_direction_up(&self, sat: usize) -> bool {
-        self.0.reverse_direction_up(sat)
-    }
-    fn reverse_next(&self, sat: usize, rev_up: bool) -> usize {
-        self.0.reverse_next(sat, rev_up)
-    }
-    fn reverse_window(&self, p: usize) -> Option<usize> {
-        self.0.reverse_window(p)
-    }
-    fn hop_distance(&self, plane: &OrbitalPlane) -> Length {
-        self.0.hop_distance(plane)
-    }
-}
-
 /// GEO star (Fig. 15): every EO satellite uplinks directly to one of
 /// the GEO SµDCs (assigned round-robin as a stand-in for
 /// whichever-node-is-visible); no relaying, no reverse path, ~0.13 s of
@@ -284,11 +204,10 @@ impl Topology for GeoStar {
 pub fn from_config(cfg: &SimConfig) -> Box<dyn Topology> {
     let n = cfg.plane.satellite_count();
     match cfg.topology {
-        SimTopology::Ring if cfg.ingest_links == 2 => Box::new(Ring::new(n, cfg.clusters)),
         SimTopology::Ring => Box::new(KList::new(n, cfg.clusters, cfg.ingest_links)),
         SimTopology::GeoStar => Box::new(GeoStar::new(cfg.clusters)),
         SimTopology::SplitRing { factor } => {
-            Box::new(SplitRing::new(n, cfg.clusters, factor, cfg.ingest_links))
+            Box::new(KList::new(n, cfg.clusters * factor, cfg.ingest_links))
         }
     }
 }
@@ -297,19 +216,38 @@ pub fn from_config(cfg: &SimConfig) -> Box<dyn Topology> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn ring_is_a_two_list() {
-        let ring = Ring::new(64, 4);
-        let klist = KList::new(64, 4, 2);
-        for sat in 0..64 {
-            assert_eq!(ring.next_hop(sat), klist.next_hop(sat));
-            assert_eq!(ring.home_cluster(sat), klist.home_cluster(sat));
+    /// The reference configuration with `clusters` SµDCs, over the
+    /// paper plane's ring and its satellite count.
+    fn reference(clusters: usize) -> (SimConfig, usize) {
+        let mut cfg = SimConfig::paper_reference(
+            workloads::Application::FloodDetection,
+            Length::from_m(1.0),
+            0.5,
+        );
+        cfg.clusters = clusters;
+        let n = cfg.plane.satellite_count();
+        (cfg, n)
+    }
+
+    /// Both topologies route every satellite the same way.
+    fn assert_same_routes(a: &dyn Topology, b: &dyn Topology, n: usize) {
+        assert_eq!(a.units(), b.units());
+        for sat in 0..n {
+            assert_eq!(a.next_hop(sat), b.next_hop(sat), "sat {sat}");
+            assert_eq!(a.home_cluster(sat), b.home_cluster(sat), "sat {sat}");
         }
     }
 
     #[test]
+    fn ring_is_a_two_list() {
+        let (cfg, n) = reference(4);
+        assert_eq!(cfg.ingest_links, 2);
+        assert_same_routes(&*from_config(&cfg), &KList::new(n, 4, 2), n);
+    }
+
+    #[test]
     fn ring_forwards_toward_the_arc_center() {
-        let ring = Ring::new(16, 1);
+        let ring = KList::new(16, 1, 2);
         // Centre of the single arc is position 8.
         assert_eq!(ring.next_hop(8), None, "SµDC ingests its own frames");
         assert_eq!(ring.next_hop(7), None, "one hop away: ingest link");
@@ -337,11 +275,11 @@ mod tests {
     #[test]
     fn every_ring_walk_terminates_at_the_sudc() {
         let shapes: Vec<(&str, Box<dyn Topology>)> = vec![
-            ("ring", Box::new(Ring::new(64, 4))),
+            ("ring", Box::new(KList::new(64, 4, 2))),
             ("k-list 4", Box::new(KList::new(64, 4, 4))),
             ("k-list 8", Box::new(KList::new(64, 4, 8))),
-            ("split 2", Box::new(SplitRing::new(64, 4, 2, 2))),
-            ("split 2 k-list 4", Box::new(SplitRing::new(64, 4, 2, 4))),
+            ("split 2", Box::new(KList::new(64, 4 * 2, 2))),
+            ("split 2 k-list 4", Box::new(KList::new(64, 4 * 2, 4))),
             ("geo", Box::new(GeoStar::new(4))),
         ];
         for (name, topo) in &shapes {
@@ -382,15 +320,18 @@ mod tests {
 
     #[test]
     fn split_ring_multiplies_units_and_shrinks_arcs() {
-        let split = SplitRing::new(64, 4, 4, 2);
+        let (mut cfg, n) = reference(4);
+        cfg.topology = SimTopology::SplitRing { factor: 4 };
+        let split = from_config(&cfg);
         assert_eq!(split.units(), 16);
-        // Sub-arcs are 4 satellites wide: sat 0..4 belong to unit 0.
+        // Sub-arcs are n/16 satellites wide: the first belong to unit 0.
+        let arc = n / 16;
         assert_eq!(split.home_cluster(0), 0);
-        assert_eq!(split.home_cluster(3), 0);
-        assert_eq!(split.home_cluster(4), 1);
+        assert_eq!(split.home_cluster(arc - 1), 0);
+        assert_eq!(split.home_cluster(arc), 1);
         // Worst-case hop count shrinks with the arc.
-        let plain = Ring::new(64, 4);
-        let far = 0; // furthest from the arc centre at 8
+        let plain = KList::new(n, 4, 2);
+        let far = 0; // furthest from the arc centre
         let count_hops = |topo: &dyn Topology, mut p: usize| {
             let mut hops = 0;
             while let Some(next) = topo.next_hop(p) {
@@ -399,18 +340,15 @@ mod tests {
             }
             hops
         };
-        assert!(count_hops(&split, far) < count_hops(&plain, far));
+        assert!(count_hops(&*split, far) < count_hops(&plain, far));
     }
 
     #[test]
     fn split_factor_one_is_the_plain_ring() {
-        let split = SplitRing::new(64, 4, 1, 2);
-        let ring = Ring::new(64, 4);
-        for sat in 0..64 {
-            assert_eq!(split.next_hop(sat), ring.next_hop(sat));
-            assert_eq!(split.home_cluster(sat), ring.home_cluster(sat));
-        }
-        assert_eq!(split.units(), ring.units());
+        let (ring, n) = reference(4);
+        let mut split = ring.clone();
+        split.topology = SimTopology::SplitRing { factor: 1 };
+        assert_same_routes(&*from_config(&split), &*from_config(&ring), n);
     }
 
     #[test]

@@ -35,8 +35,9 @@ pub struct AxisSpec {
     pub integer: bool,
 }
 
-/// A named sweep's description (for `repro explore --list`).
-#[derive(Debug, Clone, PartialEq)]
+/// A named sweep's description (for `repro explore --list`) and the
+/// function that runs it.
+#[derive(Debug, Clone)]
 pub struct SweepDef {
     /// CLI name.
     pub name: &'static str,
@@ -44,7 +45,12 @@ pub struct SweepDef {
     pub title: &'static str,
     /// Overridable axes.
     pub axes: Vec<AxisSpec>,
+    runner: Runner,
 }
+
+/// Runs one sweep from its def and validated axis overrides.
+type Runner =
+    fn(&SweepDef, &[(String, Vec<f64>)], &ExecOptions, Option<&Path>) -> Result<SweepRun, String>;
 
 /// All named sweeps, in presentation order.
 pub fn all() -> Vec<SweepDef> {
@@ -67,6 +73,7 @@ pub fn all() -> Vec<SweepDef> {
                     integer: true,
                 },
             ],
+            runner: run_codesign,
         },
         SweepDef {
             name: "split",
@@ -80,6 +87,7 @@ pub fn all() -> Vec<SweepDef> {
                 },
                 ed_axis(vec![0.0, 0.5, 0.95]),
             ],
+            runner: run_split,
         },
         SweepDef {
             name: "serve",
@@ -104,6 +112,7 @@ pub fn all() -> Vec<SweepDef> {
                     integer: true,
                 },
             ],
+            runner: run_serve,
         },
         SweepDef {
             name: "sizing",
@@ -113,6 +122,7 @@ pub fn all() -> Vec<SweepDef> {
                 res_axis(),
                 ed_axis(FrameSpec::paper_discard_rates().to_vec()),
             ],
+            runner: run_sizing,
         },
         SweepDef {
             name: "table8",
@@ -121,6 +131,7 @@ pub fn all() -> Vec<SweepDef> {
                 res_axis(),
                 ed_axis(FrameSpec::paper_discard_rates().to_vec()),
             ],
+            runner: run_table8,
         },
         SweepDef {
             name: "bottleneck",
@@ -130,6 +141,7 @@ pub fn all() -> Vec<SweepDef> {
                 res_axis(),
                 ed_axis(FrameSpec::paper_discard_rates().to_vec()),
             ],
+            runner: run_bottleneck,
         },
         SweepDef {
             name: "policy",
@@ -155,6 +167,7 @@ pub fn all() -> Vec<SweepDef> {
                 },
                 ed_axis(vec![0.5, 0.95]),
             ],
+            runner: run_policy,
         },
     ]
 }
@@ -235,16 +248,7 @@ pub fn run(
             ));
         }
     }
-    match def.name {
-        "codesign" => run_codesign(&def, overrides, opts, cache_dir),
-        "split" => run_split(&def, overrides, opts, cache_dir),
-        "serve" => run_serve(&def, overrides, opts, cache_dir),
-        "sizing" => run_sizing(&def, overrides, opts, cache_dir),
-        "table8" => run_table8(&def, overrides, opts, cache_dir),
-        "bottleneck" => run_bottleneck(&def, overrides, opts, cache_dir),
-        "policy" => run_policy(&def, overrides, opts, cache_dir),
-        _ => unreachable!("every SweepDef has a runner"),
-    }
+    (def.runner)(&def, overrides, opts, cache_dir)
 }
 
 /// Axis values for `name`: the override if given, else the def's
@@ -1347,23 +1351,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_named_sweep_runs_uncached() {
-        for def in all() {
-            let run = run(def.name, &[], &ExecOptions::sequential(), None)
-                .unwrap_or_else(|e| panic!("{}: {e}", def.name));
-            assert!(!run.grid.rows.is_empty(), "{} grid empty", def.name);
-            assert!(!run.frontier.rows.is_empty(), "{} frontier empty", def.name);
-            assert!(
-                run.frontier.rows.len() <= run.grid.rows.len(),
-                "{} frontier larger than grid",
-                def.name
-            );
-            assert_eq!(run.stats.evaluated, run.stats.points);
-            assert!(run.cache_written.is_none(), "{} wrote a cache", def.name);
-        }
-    }
-
-    #[test]
     fn default_codesign_grid_matches_fig13() {
         let run = run("codesign", &[], &ExecOptions::sequential(), None).unwrap();
         let fig13 = crate::experiments::run("fig13").unwrap();
@@ -1423,20 +1410,6 @@ mod tests {
             4,
             "the full splitting line survives"
         );
-    }
-
-    #[test]
-    fn parallel_named_sweep_matches_sequential() {
-        for def in all() {
-            let seq = run(def.name, &[], &ExecOptions::sequential(), None).unwrap();
-            let par = run(def.name, &[], &ExecOptions::threads(4), None).unwrap();
-            assert_eq!(seq.grid.rows, par.grid.rows, "{} grid", def.name);
-            assert_eq!(
-                seq.frontier.rows, par.frontier.rows,
-                "{} frontier",
-                def.name
-            );
-        }
     }
 
     #[test]

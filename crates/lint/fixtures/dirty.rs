@@ -1,7 +1,7 @@
 //! Golden fixture: every rule fires exactly where an expected-diagnostic
 //! marker says (checked by `tests/lint_gate.rs`). This file is never
 //! compiled, and `crates/lint/fixtures/` sits outside the workspace
-//! scan roots, so nothing here reaches the committed baseline.
+//! scan roots, so nothing here reaches a workspace scan.
 
 use std::collections::HashMap; //~ nondeterministic-iteration
 use std::collections::HashSet; //~ nondeterministic-iteration
@@ -47,6 +47,21 @@ pub fn must(o: Option<u32>) -> u32 {
 
 pub fn boom() -> ! {
     panic!("unreachable"); //~ unwrap-in-lib
+}
+
+pub fn pick(n: u32) -> u32 {
+    match n {
+        0 => 1,
+        _ => unreachable!("n is never zero"), //~ unwrap-in-lib
+    }
+}
+
+pub fn later() -> u32 {
+    todo!() //~ unwrap-in-lib
+}
+
+pub fn never_built() -> u32 {
+    unimplemented!() //~ unwrap-in-lib
 }
 
 // TODO: tighten this bound once sizing lands. //~ todo-marker

@@ -1,9 +1,9 @@
 //! Golden fixture for the semantic (workspace) rules: one seeded
 //! violation per family — a shared mutable static, cross-shard RNG
-//! stream reuse, unordered float folds (both the `for`-loop and the
-//! iterator-chain form), and an event-loop-reachable unwrap — all
-//! reachable from the fixture `engine::step` root (checked by
-//! `tests/lint_gate.rs`). This file is never compiled, and
+//! stream reuse, and unordered float folds (both the `for`-loop and
+//! the iterator-chain form) — all reachable from the fixture
+//! `engine::step` root (checked by `tests/lint_gate.rs`). The
+//! event-loop-reachable unwrap is the lexical `unwrap-in-lib` rule's. This file is never compiled, and
 //! `crates/lint/fixtures/` sits outside the workspace scan roots.
 
 mod engine {
@@ -36,7 +36,7 @@ pub fn checksum(weights: &HashMap<u32, f64>) -> f64 { //~ nondeterministic-itera
 }
 
 pub fn first_frame(frames: &[u64]) -> u64 {
-    *frames.first().unwrap() //~ panic-reachable-from-event-loop unwrap-in-lib
+    *frames.first().unwrap() //~ unwrap-in-lib
 }
 
 pub fn reuse(rng: &RngFactory) -> Rng64 {

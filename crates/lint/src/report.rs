@@ -1,8 +1,8 @@
 //! Report rendering for `repro lint`.
 //!
 //! Three formats: a human `text` report (per-diagnostic lines with
-//! snippets and fix hints, then a per-rule summary and the ratchet
-//! verdict), a machine `json` report (one document with the same
+//! snippets and fix hints, then a per-rule summary and the verdict),
+//! a machine `json` report (one document with the same
 //! content, encoded with `telemetry::json`), and the committed
 //! determinism `audit` artifact ([`render_audit`]) — byte-identical
 //! across runs by construction (no wall-clock fields, sorted keys,
@@ -10,19 +10,13 @@
 
 use telemetry::json::{JsonArray, JsonObject};
 
-use crate::baseline::Ratchet;
 use crate::taint::{Analysis, DETERMINISM_ROOTS};
 use crate::{Diagnostic, LintRun, RULES};
 
 /// Renders the human-readable report.
-pub fn render_text(run: &LintRun, outcome: &Ratchet, verbose: bool) -> String {
+pub fn render_text(run: &LintRun) -> String {
     let mut out = String::new();
-    let show: Vec<&Diagnostic> = if verbose {
-        run.diagnostics.iter().collect()
-    } else {
-        outcome.new.iter().collect()
-    };
-    for d in &show {
+    for d in &run.diagnostics {
         out.push_str(&format!(
             "{}:{}:{}: {} [{}]: {}\n    {}\n    fix: {}\n",
             d.file,
@@ -35,7 +29,7 @@ pub fn render_text(run: &LintRun, outcome: &Ratchet, verbose: bool) -> String {
             d.hint
         ));
     }
-    if !show.is_empty() {
+    if !run.diagnostics.is_empty() {
         out.push('\n');
     }
     out.push_str("rule counts:\n");
@@ -43,25 +37,22 @@ pub fn render_text(run: &LintRun, outcome: &Ratchet, verbose: bool) -> String {
         out.push_str(&format!("  {id:<28} {n}\n"));
     }
     out.push_str(&format!(
-        "\nscanned {} files, {} lines, {} tokens: {} finding(s) — {} new, {} grandfathered, {} fixed vs baseline\n",
+        "\nscanned {} files, {} lines, {} tokens: {} finding(s)\n",
         run.files,
         run.lines,
         run.tokens,
-        run.diagnostics.len(),
-        outcome.new.len(),
-        outcome.grandfathered,
-        outcome.fixed
+        run.diagnostics.len()
     ));
-    out.push_str(if outcome.new.is_empty() {
-        "lint: PASS (ratchet clean)\n"
+    out.push_str(if run.diagnostics.is_empty() {
+        "lint: PASS\n"
     } else {
-        "lint: FAIL (new violations; fix them or add `// lint:allow(<rule>) <reason>`)\n"
+        "lint: FAIL (fix each finding or add `// lint:allow(<rule>) <reason>`)\n"
     });
     out
 }
 
 /// Renders the machine-readable report.
-pub fn render_json(run: &LintRun, outcome: &Ratchet) -> String {
+pub fn render_json(run: &LintRun) -> String {
     let mut rules = JsonArray::new();
     for (id, n) in run.counts_by_rule() {
         let info = RULES.iter().find(|r| r.id == id);
@@ -72,20 +63,18 @@ pub fn render_json(run: &LintRun, outcome: &Ratchet) -> String {
         }
         rules.push_raw(&obj.finish());
     }
-    let mut new = JsonArray::new();
-    for d in &outcome.new {
-        new.push_raw(&diag_json(d));
+    let mut diagnostics = JsonArray::new();
+    for d in &run.diagnostics {
+        diagnostics.push_raw(&diag_json(d));
     }
     let mut root = JsonObject::new();
     root.field_str("tool", "sudc-lint")
         .field_u64("files", run.files as u64)
         .field_u64("lines", run.lines)
         .field_u64("findings", run.diagnostics.len() as u64)
-        .field_u64("grandfathered", outcome.grandfathered as u64)
-        .field_u64("fixed", outcome.fixed)
-        .field_bool("pass", outcome.new.is_empty())
+        .field_bool("pass", run.diagnostics.is_empty())
         .field_raw("rules", &rules.finish())
-        .field_raw("new", &new.finish());
+        .field_raw("diagnostics", &diagnostics.finish());
     root.finish() + "\n"
 }
 
@@ -93,11 +82,11 @@ pub fn render_json(run: &LintRun, outcome: &Ratchet) -> String {
 /// (`results/lint_audit.json`): the semantic analysis's shape (symbols,
 /// call graph, reachability from the event-loop roots), taint-source
 /// site counts, per-rule counts over the full registry, every current
-/// semantic-family finding, and the ratchet verdict. Every field is a
+/// semantic-family finding, and the verdict. Every field is a
 /// pure function of the source tree, so a fresh run must equal the
 /// committed file byte for byte — the results gate in
 /// `crates/bench/tests/gates.rs` checks exactly that.
-pub fn render_audit(run: &LintRun, outcome: &Ratchet, analysis: &Analysis) -> String {
+pub fn render_audit(run: &LintRun, analysis: &Analysis) -> String {
     let mut roots = JsonArray::new();
     for spec in DETERMINISM_ROOTS {
         roots.push_str(spec);
@@ -126,8 +115,7 @@ pub fn render_audit(run: &LintRun, outcome: &Ratchet, analysis: &Analysis) -> St
             obj.field_str("file", &d.file)
                 .field_u64("line", u64::from(d.line))
                 .field_str("rule", d.rule)
-                .field_str("message", &d.message)
-                .field_str("fingerprint", &d.fingerprint);
+                .field_str("message", &d.message);
             findings.push_raw(&obj.finish());
         }
     }
@@ -146,8 +134,7 @@ pub fn render_audit(run: &LintRun, outcome: &Ratchet, analysis: &Analysis) -> St
         .field_raw("sources", &sources.finish())
         .field_raw("rules", &rules.finish())
         .field_raw("findings", &findings.finish())
-        .field_u64("new", outcome.new.len() as u64)
-        .field_bool("pass", outcome.new.is_empty());
+        .field_bool("pass", run.diagnostics.is_empty());
     root.finish() + "\n"
 }
 
@@ -159,66 +146,65 @@ fn diag_json(d: &Diagnostic) -> String {
         .field_str("rule", d.rule)
         .field_str("severity", d.severity.label())
         .field_str("message", &d.message)
-        .field_str("snippet", &d.snippet)
-        .field_str("fingerprint", &d.fingerprint);
+        .field_str("snippet", &d.snippet);
     obj.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{lint_source, ratchet, Baseline};
+    use crate::lint_source;
     use telemetry::json::{self, Json};
 
-    fn sample() -> (LintRun, Ratchet) {
+    fn sample() -> LintRun {
         let diags = lint_source(
             "crates/core/src/m.rs",
             "fn f(x: f64) -> bool { x == 0.5 }\n",
             None,
         );
-        let run = LintRun {
+        LintRun {
             files: 1,
             lines: 1,
             tokens: 0,
             diagnostics: diags,
-        };
-        let outcome = ratchet(&Baseline::default(), &run.diagnostics);
-        (run, outcome)
+        }
     }
 
     #[test]
     fn text_report_shows_new_findings_and_verdict() {
-        let (run, outcome) = sample();
-        let text = render_text(&run, &outcome, false);
+        let text = render_text(&sample());
         assert!(text.contains("crates/core/src/m.rs:1:"), "{text}");
         assert!(text.contains("[float-eq]"));
         assert!(text.contains("fix:"));
         assert!(text.contains("lint: FAIL"));
-        assert!(text.contains("1 new, 0 grandfathered"));
+        assert!(text.contains(": 1 finding(s)"), "{text}");
     }
 
     #[test]
     fn clean_text_report_passes() {
-        let (run, _) = sample();
-        let base = Baseline::from_diags(&run.diagnostics);
-        let outcome = ratchet(&base, &run.diagnostics);
-        let text = render_text(&run, &outcome, false);
+        let run = LintRun {
+            diagnostics: Vec::new(),
+            ..sample()
+        };
+        let text = render_text(&run);
         assert!(text.contains("lint: PASS"));
-        assert!(
-            !text.contains("fix:"),
-            "grandfathered findings are not listed"
-        );
+        assert!(!text.contains("fix:"), "no finding, no fix hint");
     }
 
     #[test]
     fn json_report_parses_and_carries_the_verdict() {
-        let (run, outcome) = sample();
-        let doc = json::parse(&render_json(&run, &outcome)).expect("valid json");
+        let doc = json::parse(&render_json(&sample())).expect("valid json");
         assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
         assert_eq!(doc.get("findings").and_then(Json::as_u64), Some(1));
-        let new = doc.get("new").and_then(Json::as_arr).expect("array");
-        assert_eq!(new.len(), 1);
-        assert_eq!(new[0].get("rule").and_then(Json::as_str), Some("float-eq"));
+        let diags = doc
+            .get("diagnostics")
+            .and_then(Json::as_arr)
+            .expect("array");
+        assert_eq!(diags.len(), 1);
+        assert_eq!(
+            diags[0].get("rule").and_then(Json::as_str),
+            Some("float-eq")
+        );
         let rules = doc.get("rules").and_then(Json::as_arr).expect("rules");
         assert_eq!(rules.len(), RULES.len());
     }
@@ -236,9 +222,8 @@ mod tests {
             tokens: ws.tokens(),
             diagnostics: Vec::new(),
         };
-        let outcome = ratchet(&Baseline::default(), &run.diagnostics);
-        let a = render_audit(&run, &outcome, &analysis);
-        assert_eq!(a, render_audit(&run, &outcome, &analysis));
+        let a = render_audit(&run, &analysis);
+        assert_eq!(a, render_audit(&run, &analysis));
         let doc = json::parse(&a).expect("valid json");
         assert_eq!(doc.get("audit").and_then(Json::as_str), Some("determinism"));
         assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));

@@ -8,7 +8,7 @@
 //! report-affecting **sinks**: anything reachable from the event-loop
 //! roots in [`DETERMINISM_ROOTS`]. This module builds the
 //! [`Analysis`] (symbols + call graph + reachability) and implements
-//! the four semantic rule families registered in [`crate::rules`]:
+//! the three semantic rule families registered in [`crate::rules`]:
 //!
 //! * `shared-state-across-shards` — mutable or interior-mutable statics
 //!   in sim code referenced from shard-reachable functions;
@@ -18,10 +18,11 @@
 //!   which shards would then draw from in racy order);
 //! * `float-merge-order` — `+=`/`sum`/`fold` over an unordered
 //!   (`HashMap`/`HashSet`) collection in merge-reachable code, outside
-//!   the ascending absorb discipline;
-//! * `panic-reachable-from-event-loop` — unwrap/expect/panic! on call
-//!   paths from the DES hot loop (a panic in one shard tears down the
-//!   whole sharded run, so even *crashes* must be ordered).
+//!   the ascending absorb discipline.
+//!
+//! Panics need no reachability: the lexical `unwrap-in-lib` rule
+//! already flags every unwrap/expect/panicking macro in library code,
+//! reachable or not.
 
 use std::collections::BTreeMap;
 
@@ -392,50 +393,6 @@ pub fn check_float_merge_order(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diag
     }
 }
 
-/// `panic-reachable-from-event-loop`: unwrap/expect/panic! in a
-/// function reachable from the DES roots. A panic in one shard tears
-/// down the sharded run while the others are still running, so the
-/// failure itself is nondeterministic; reachable code must return typed
-/// errors instead.
-pub fn check_panic_reachable(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for (fi, f) in a.symbols.fns.iter().enumerate() {
-        if !a.reach.contains(fi) {
-            continue;
-        }
-        let file = &a.files[f.file];
-        if !crate::rules::is_lib_code(&file.path) {
-            continue;
-        }
-        let hi = f.body.1.min(file.code.len().saturating_sub(1));
-        let text = |i: usize| file.code_text(i);
-        for i in f.body.0..=hi {
-            let site = match text(i) {
-                "unwrap" | "expect" if text(i.wrapping_sub(1)) == "." && text(i + 1) == "(" => {
-                    Some(format!("`{}()`", text(i)))
-                }
-                "panic" | "unreachable" | "todo" | "unimplemented" if text(i + 1) == "!" => {
-                    Some(format!("`{}!`", text(i)))
-                }
-                _ => None,
-            };
-            let (Some(site), Some(t)) = (site, file.code_tok(i)) else {
-                continue;
-            };
-            emit(
-                rule,
-                file,
-                t.line,
-                t.col,
-                format!(
-                    "{site} reachable from the event loop ({})",
-                    a.reach.chain(&a.symbols, fi)
-                ),
-                out,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,35 +496,6 @@ mod tests {
         );
         assert!(run_rule(
             "float-merge-order",
-            &[("crates/core/src/sim/engine.rs", &src)]
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn panic_reachable_fires_with_chain() {
-        let src = format!(
-            "{LOOP_HEADER}pub fn touch(x: u32) {{ deep(x); }}\nfn deep(x: u32) {{\n    let _ = Some(x).unwrap();\n}}\nfn dead() {{\n    let _ = Some(1).expect(\"fine, unreachable\");\n}}\n"
-        );
-        let out = run_rule(
-            "panic-reachable-from-event-loop",
-            &[("crates/core/src/sim/engine.rs", &src)],
-        );
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(
-            out[0].message.contains("step → touch → deep"),
-            "{}",
-            out[0].message
-        );
-    }
-
-    #[test]
-    fn panic_reachable_respects_allows_and_tests() {
-        let src = format!(
-            "{LOOP_HEADER}pub fn touch(x: u32) {{\n    // lint:allow(panic-reachable-from-event-loop) capacity checked at config validation\n    let _ = Some(x).unwrap();\n}}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{ crate::touch(Some(1).unwrap()); }}\n}}\n"
-        );
-        assert!(run_rule(
-            "panic-reachable-from-event-loop",
             &[("crates/core/src/sim/engine.rs", &src)]
         )
         .is_empty());

@@ -33,7 +33,7 @@ impl CircularOrbit {
     /// Panics if the radius is below Earth's surface; use
     /// [`CircularOrbit::try_from_radius`] for fallible construction.
     pub fn from_radius(radius: Length) -> Self {
-        // lint:allow(unwrap-in-lib, panic-reachable-from-event-loop) documented # Panics contract; every caller passes a fixed LEO/GEO altitude and the fallible twin is try_from_radius
+        // lint:allow(unwrap-in-lib) documented # Panics contract; every caller passes a fixed LEO/GEO altitude and the fallible twin is try_from_radius
         Self::try_from_radius(radius).expect("circular orbit radius below Earth's surface")
     }
 

@@ -8,7 +8,8 @@
 # `repro` binary to regenerate every committed file under results/ byte
 # for byte and to check same-seed, 1-vs-4-worker and static-policy
 # replay across the topology matrix; `sudc_lint::tests::
-# workspace_is_ratchet_clean` holds the lint ratchet. The workspace
+# workspace_has_no_unsuppressed_findings` fails on any lint finding
+# that no reasoned `lint:allow` suppresses. The workspace
 # builds from std and path crates only, so every step runs offline; a
 # registry dependency fails the build.
 set -uo pipefail
