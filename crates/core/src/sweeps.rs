@@ -1349,6 +1349,50 @@ pub fn bottleneck_cli_space(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// Every named sweep run once sequentially and uncached, shared by the
+    /// tests that need exactly that run so it is computed once per binary.
+    fn sequential_runs() -> &'static [SweepRun] {
+        static RUNS: OnceLock<Vec<SweepRun>> = OnceLock::new();
+        RUNS.get_or_init(|| {
+            all()
+                .iter()
+                .map(|def| {
+                    run(def.name, &[], &ExecOptions::sequential(), None)
+                        .unwrap_or_else(|e| panic!("{}: {e}", def.name))
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn every_named_sweep_runs_uncached() {
+        for run in sequential_runs() {
+            assert!(!run.grid.rows.is_empty(), "{} grid empty", run.name);
+            assert!(!run.frontier.rows.is_empty(), "{} frontier empty", run.name);
+            assert!(
+                run.frontier.rows.len() <= run.grid.rows.len(),
+                "{} frontier larger than grid",
+                run.name
+            );
+            assert_eq!(run.stats.evaluated, run.stats.points);
+            assert!(run.cache_written.is_none(), "{} wrote a cache", run.name);
+        }
+    }
+
+    #[test]
+    fn parallel_named_sweep_matches_sequential() {
+        for seq in sequential_runs() {
+            let par = run(seq.name, &[], &ExecOptions::threads(4), None).unwrap();
+            assert_eq!(seq.grid.rows, par.grid.rows, "{} grid", seq.name);
+            assert_eq!(
+                seq.frontier.rows, par.frontier.rows,
+                "{} frontier",
+                seq.name
+            );
+        }
+    }
 
     #[test]
     fn default_codesign_grid_matches_fig13() {
