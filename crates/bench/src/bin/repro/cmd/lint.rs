@@ -116,6 +116,7 @@ pub fn exec(cli: &Cli) -> ExitCode {
 
     match format {
         "json" => print!("{}", report::render_json(&run)),
+        _ if cli.quiet => print!("{}", report::render_findings(&run)),
         _ => print!("{}", report::render_text(&run)),
     }
 

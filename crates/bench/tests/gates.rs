@@ -207,6 +207,13 @@ fn adaptive_policies_replay_across_the_topology_matrix() {
     }
 }
 
+/// `repro --quiet lint` prints the findings alone, without the rule
+/// counts and the verdict: nothing at all on the clean workspace.
+#[test]
+fn quiet_lint_prints_findings_only() {
+    assert_eq!(repro(&["lint"]), "");
+}
+
 /// Names listed in `repro <command> list` output under `header`: the
 /// first word of each indented line up to the next unindented one,
 /// skipping `--axis` help lines.

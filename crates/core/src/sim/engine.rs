@@ -219,6 +219,14 @@ impl Ledger {
     }
 }
 
+/// The run's early-discard rule. The Earth model's calibration is the
+/// costliest part of building a run, so only the rule that reads it
+/// builds it.
+enum Discard {
+    Uniform(f64),
+    ClearLandOnly(EarthModel),
+}
+
 /// Per-run mutable state: the three layers plus the engine's own frame
 /// bookkeeping.
 pub(super) struct State {
@@ -233,7 +241,7 @@ pub(super) struct State {
     frame_pixels: f64,
     /// Lifecycle tallies, latency and the recorder buffer.
     ledger: Ledger,
-    earth: EarthModel,
+    discard: Discard,
     rng_factory: RngFactory,
     /// Serving-layer runtime; `None` for pure EO-frame runs, which then
     /// schedule no serve events and draw no serve RNG streams — keeping
@@ -280,7 +288,10 @@ impl State {
             frame_bits: cfg.frame.frame_size(cfg.resolution).as_bits(),
             frame_pixels: cfg.frame.pixels_at(cfg.resolution),
             ledger: Ledger::new(recorder),
-            earth: EarthModel::paper(cfg.seed),
+            discard: match cfg.discard {
+                DiscardPolicy::Uniform(p) => Discard::Uniform(p),
+                DiscardPolicy::ClearLandOnly => Discard::ClearLandOnly(EarthModel::paper(cfg.seed)),
+            },
             rng_factory,
             serve,
             policy: cfg.policy.build(cfg),
@@ -306,14 +317,14 @@ impl State {
     }
 
     fn keep_frame(&mut self, sat: usize, id: u64, now: Time) -> bool {
-        match self.cfg.discard {
-            DiscardPolicy::Uniform(p) => {
+        match &self.discard {
+            Discard::Uniform(p) => {
                 let mut rng = self
                     .rng_factory
                     .stream("discard", ((sat as u64) << 32) | (id & 0xFFFF_FFFF));
-                !coin(&mut rng, p)
+                !coin(&mut rng, *p)
             }
-            DiscardPolicy::ClearLandOnly => {
+            Discard::ClearLandOnly(earth) => {
                 let pos = self
                     .cfg
                     .plane
@@ -323,7 +334,7 @@ impl State {
                 let point = subsatellite_point(pos, now);
                 // Sub-solar longitude drifts with time of day; start at 0.
                 let subsolar = (now.as_secs() / 86_400.0 * 360.0) % 360.0;
-                let truth = self.earth.ground_truth(&point, subsolar);
+                let truth = earth.ground_truth(&point, subsolar);
                 !truth.night && !truth.cloudy && !truth.ocean
             }
         }

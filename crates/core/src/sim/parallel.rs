@@ -124,7 +124,7 @@ fn shardable(cfg: &SimConfig) -> bool {
 mod tests {
     use super::*;
     use crate::sim::faults::FaultModel;
-    use crate::sim::model::SimTopology;
+    use crate::sim::model::{DiscardPolicy, SimTopology};
     use units::{Length, Time};
     use workloads::Application;
 
@@ -172,6 +172,25 @@ mod tests {
                 assert_eq!(one.check_invariants(), Ok(()), "{topology:?} {scenario}");
             }
         }
+    }
+
+    /// The Earth-model discard rule, which only its own runs build,
+    /// shards like the uniform one: each shard builds its own model from
+    /// the run seed and keeps the same frames.
+    #[test]
+    fn clear_land_only_discard_is_identical_at_one_and_four_threads() {
+        let mut cfg = base_cfg(4);
+        cfg.discard = DiscardPolicy::ClearLandOnly;
+        let one = try_run_threads(&cfg, 1).expect("valid config");
+        let four = try_run_threads(&cfg, 4).expect("valid config");
+        assert_eq!(one, four);
+        assert!(
+            one.generated > one.kept && one.kept > 0,
+            "generated {} kept {}",
+            one.generated,
+            one.kept
+        );
+        assert_eq!(one.check_invariants(), Ok(()));
     }
 
     #[test]

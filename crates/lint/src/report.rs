@@ -1,7 +1,8 @@
 //! Report rendering for `repro lint`.
 //!
 //! Three formats: a human `text` report (per-diagnostic lines with
-//! snippets and fix hints, then a per-rule summary and the verdict),
+//! snippets and fix hints, then a per-rule summary and the verdict;
+//! `--quiet` prints the diagnostic lines alone, [`render_findings`]),
 //! a machine `json` report (one document with the same
 //! content, encoded with `telemetry::json`), and the committed
 //! determinism `audit` artifact ([`render_audit`]) — byte-identical
@@ -13,22 +14,10 @@ use telemetry::json::{JsonArray, JsonObject};
 use crate::taint::{Analysis, DETERMINISM_ROOTS};
 use crate::{Diagnostic, LintRun, RULES};
 
-/// Renders the human-readable report.
+/// Renders the human-readable report: the findings, then the rule
+/// counts and the verdict.
 pub fn render_text(run: &LintRun) -> String {
-    let mut out = String::new();
-    for d in &run.diagnostics {
-        out.push_str(&format!(
-            "{}:{}:{}: {} [{}]: {}\n    {}\n    fix: {}\n",
-            d.file,
-            d.line,
-            d.col,
-            d.severity.label(),
-            d.rule,
-            d.message,
-            d.snippet,
-            d.hint
-        ));
-    }
+    let mut out = render_findings(run);
     if !run.diagnostics.is_empty() {
         out.push('\n');
     }
@@ -48,6 +37,26 @@ pub fn render_text(run: &LintRun) -> String {
     } else {
         "lint: FAIL (fix each finding or add `// lint:allow(<rule>) <reason>`)\n"
     });
+    out
+}
+
+/// Renders each finding with its snippet and fix hint, and nothing
+/// else: the whole text report under `--quiet`, empty on a clean run.
+pub fn render_findings(run: &LintRun) -> String {
+    let mut out = String::new();
+    for d in &run.diagnostics {
+        out.push_str(&format!(
+            "{}:{}:{}: {} [{}]: {}\n    {}\n    fix: {}\n",
+            d.file,
+            d.line,
+            d.col,
+            d.severity.label(),
+            d.rule,
+            d.message,
+            d.snippet,
+            d.hint
+        ));
+    }
     out
 }
 
@@ -189,6 +198,22 @@ mod tests {
         let text = render_text(&run);
         assert!(text.contains("lint: PASS"));
         assert!(!text.contains("fix:"), "no finding, no fix hint");
+    }
+
+    #[test]
+    fn findings_report_is_the_findings_alone() {
+        let run = sample();
+        let findings = render_findings(&run);
+        assert!(findings.contains("crates/core/src/m.rs:1:"), "{findings}");
+        assert!(findings.contains("fix:"));
+        assert!(!findings.contains("rule counts"), "{findings}");
+        assert!(!findings.contains("lint: FAIL"), "{findings}");
+        assert!(render_text(&run).starts_with(&findings));
+        let clean = LintRun {
+            diagnostics: Vec::new(),
+            ..run
+        };
+        assert_eq!(render_findings(&clean), "");
     }
 
     #[test]

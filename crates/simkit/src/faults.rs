@@ -16,6 +16,8 @@ use crate::rng::{exponential, Rng64};
 /// Outage windows are generated lazily from the owned RNG stream and
 /// cached, so queries may arrive in any time order; each window is drawn
 /// exactly once regardless of query pattern, keeping runs reproducible.
+/// A simulation's queries mostly follow its clock, so a cursor walks
+/// forward with them; a query before the cursor binary-searches.
 ///
 /// The process starts up at `t = 0` (a link is presumed healthy at
 /// launch; the first outage arrives after an exponential up-time).
@@ -29,6 +31,9 @@ pub struct OutageProcess {
     /// Time up to which the schedule has been materialised: every
     /// window starting before this is already in `windows`.
     horizon: f64,
+    /// Number of windows starting at or before the latest query time
+    /// seen so far; it never moves back.
+    cursor: usize,
 }
 
 impl OutageProcess {
@@ -52,6 +57,7 @@ impl OutageProcess {
             mttr_s,
             windows: Vec::new(),
             horizon: 0.0,
+            cursor: 0,
         }
     }
 
@@ -78,8 +84,22 @@ impl OutageProcess {
             "query time must be finite and >= 0"
         );
         self.extend_to(t);
-        // Windows are sorted; binary-search for the last start <= t.
-        let idx = self.windows.partition_point(|&(start, _)| start <= t);
+        // Windows are sorted; find the number that start at or before t.
+        let idx = match self.cursor.checked_sub(1) {
+            Some(last) if self.windows[last].0 > t => {
+                self.windows[..last].partition_point(|&(start, _)| start <= t)
+            }
+            _ => {
+                while self
+                    .windows
+                    .get(self.cursor)
+                    .is_some_and(|&(start, _)| start <= t)
+                {
+                    self.cursor += 1;
+                }
+                self.cursor
+            }
+        };
         if idx == 0 {
             return None;
         }
@@ -219,6 +239,27 @@ mod tests {
             forward, reversed,
             "query order must not change the schedule"
         );
+    }
+
+    /// Forward steps (a step of zero repeats the last query) mixed with
+    /// jumps back and forth: every answer equals a fresh process's
+    /// answer at the same time, so the cursor never changes one.
+    #[test]
+    fn cursor_queries_match_a_fresh_process() {
+        crate::prop::check("cursor_queries_match_a_fresh_process", 128, |g| {
+            let seed = g.draw(0u64..1_000);
+            let ops = g.draw(crate::prop::vec((0u8..3, 0u32..400), 1..200));
+            let mut p = process(seed, 30.0, 5.0);
+            let mut t = 0.0;
+            for (op, x) in ops {
+                t = match op {
+                    0 => x as f64 * 5.0,
+                    _ => t + x as f64 * 0.05,
+                };
+                let fresh = process(seed, 30.0, 5.0).outage_at(t);
+                assert_eq!(p.outage_at(t), fresh, "t = {t}");
+            }
+        });
     }
 
     #[test]

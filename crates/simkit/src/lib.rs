@@ -5,8 +5,9 @@
 //! granularity over hours of simulated time. This crate provides the
 //! domain-independent machinery:
 //!
-//! * [`Scheduler`] — a packed-key heap + payload slab event calendar
-//!   (ties broken by insertion order, so runs are exactly reproducible),
+//! * [`Scheduler`] — a packed-key heap plus a FIFO lane over a payload
+//!   slab (ties broken by insertion order, so runs are exactly
+//!   reproducible),
 //! * [`rng`] — seeded, splittable random streams,
 //! * [`faults`] — stochastic up/down outage processes and bounded
 //!   exponential backoff for fault injection,
@@ -36,7 +37,7 @@ pub mod rng;
 pub mod stats;
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use units::Time;
 
@@ -97,22 +98,39 @@ pub struct SchedulerCounters {
 
 /// A discrete-event calendar with deterministic tie-breaking.
 ///
-/// A packed-key heap + payload slab: the binary heap holds one 16-byte
-/// integer key per pending event, ordered by (time, insertion sequence),
-/// and the payloads sit still in a slab whose freed slots are reused
-/// last-in first-out. Sifting moves keys, never payloads, and `pop`
-/// copies its payload out of the slot it frees (hence `E: Copy`). Events
-/// scheduled for the same instant fire in insertion order, which makes
-/// simulation runs bit-for-bit reproducible. The calendar counts
-/// scheduled and processed events and the queue-depth high-water mark
-/// as it goes ([`Scheduler::counters`]).
+/// A packed-key heap and a FIFO lane over a payload slab. Each pending
+/// event is one 16-byte integer key, ordered by (time, insertion
+/// sequence); the payloads sit still in a slab whose freed slots are
+/// reused last-in first-out, and `pop` copies its payload out of the
+/// slot it frees (hence `E: Copy`).
+///
+/// A key no smaller than the lane's tail is appended to the lane, so the
+/// lane is always sorted; a key below the lane's next-to-last key is
+/// sifted into the heap. A key between the two takes the tail's place
+/// and the tail moves to the heap, so one far-future event (a timeline
+/// snapshot, a long backoff) cannot shut a periodic stream out of the
+/// lane. Either way a push costs at most one heap insertion. `pop`
+/// takes the smaller of the lane's front and the heap's top. Periodic
+/// self-rescheduling events (each satellite's next imaging event, one
+/// period ahead) arrive in key order and never touch the heap; events a
+/// short time ahead fall below the lane's last keys and keep the heap
+/// small. Keys are unique, so the pop order is the (time, seq) order
+/// whichever side holds a key: events scheduled for the same instant
+/// fire in insertion order, which makes simulation runs bit-for-bit
+/// reproducible. The calendar counts scheduled and processed events and
+/// the queue-depth high-water mark (heap plus lane) as it goes
+/// ([`Scheduler::counters`]).
 ///
 /// It holds at most 2²⁴ pending events and 2⁴⁰ insertions over its
 /// life; [`Scheduler::schedule_at`] panics past either.
 #[derive(Debug, Clone)]
 pub struct Scheduler<E> {
     queue: BinaryHeap<Reverse<u128>>,
-    /// Payloads by slot; a slot is live while a key in `queue` names it.
+    /// Keys in ascending order: a key joins only at or above the
+    /// next-to-last key, and a larger tail it displaces moves to `queue`.
+    lane: VecDeque<u128>,
+    /// Payloads by slot; a slot is live while a key in `queue` or `lane`
+    /// names it.
     slab: Vec<E>,
     /// Slots of popped events, reused last-in first-out.
     free: Vec<u32>,
@@ -132,6 +150,7 @@ impl<E: Copy> Scheduler<E> {
     pub fn new() -> Self {
         Self {
             queue: BinaryHeap::new(),
+            lane: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             now: Time::ZERO,
@@ -171,13 +190,13 @@ impl<E: Copy> Scheduler<E> {
     /// Number of pending events.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.queue.len() + self.lane.len()
     }
 
     /// Whether the calendar is empty.
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.is_empty() && self.lane.is_empty()
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -211,10 +230,24 @@ impl<E: Copy> Scheduler<E> {
                 slot as u32
             }
         };
-        self.queue.push(Reverse(order_key(at.as_secs(), seq, slot)));
+        let key = order_key(at.as_secs(), seq, slot);
+        let n = self.lane.len();
+        if n >= 2 && key < self.lane[n - 2] {
+            self.queue.push(Reverse(key));
+        } else {
+            // The key is no smaller than the lane's next-to-last key: it
+            // joins the lane, and a larger tail moves to the heap.
+            if let Some(&tail) = self.lane.back().filter(|&&tail| key < tail) {
+                self.lane.pop_back();
+                self.queue.push(Reverse(tail));
+            }
+            self.lane.push_back(key);
+        }
         self.counters.scheduled += 1;
-        self.counters.peak_queue_depth =
-            self.counters.peak_queue_depth.max(self.queue.len() as u64);
+        self.counters.peak_queue_depth = self
+            .counters
+            .peak_queue_depth
+            .max((self.queue.len() + self.lane.len()) as u64);
     }
 
     /// Schedules `payload` after a delay from the current time.
@@ -233,38 +266,59 @@ impl<E: Copy> Scheduler<E> {
     /// Time of the next pending event.
     #[cfg(test)]
     pub fn peek_time(&self) -> Option<Time> {
-        self.queue
-            .peek()
-            .map(|&Reverse(key)| Time::from_secs(time_of(key)))
+        self.next_key()
+            .map(|(key, _)| Time::from_secs(time_of(key)))
+    }
+
+    /// The smallest pending key, and whether the lane (not the heap)
+    /// holds it.
+    #[inline]
+    fn next_key(&self) -> Option<(u128, bool)> {
+        match (self.lane.front(), self.queue.peek()) {
+            (Some(&lane), Some(&Reverse(heap))) if heap < lane => Some((heap, false)),
+            (Some(&lane), _) => Some((lane, true)),
+            (None, heap) => heap.map(|&Reverse(heap)| (heap, false)),
+        }
+    }
+
+    /// Removes `key`, the key [`Self::next_key`] just named, advances
+    /// the clock to its time and copies its payload out.
+    #[inline]
+    fn take(&mut self, key: u128, in_lane: bool) -> Event<E> {
+        if in_lane {
+            self.lane.pop_front();
+        } else {
+            self.queue.pop();
+        }
+        let slot = slot_of(key);
+        self.free.push(slot);
+        self.now = Time::from_secs(time_of(key));
+        self.counters.processed += 1;
+        Event {
+            time: self.now,
+            payload: self.slab[slot as usize],
+        }
     }
 
     /// Pops the next event, advancing the clock to its time.
     #[inline]
     pub fn pop(&mut self) -> Option<Event<E>> {
-        let Reverse(key) = self.queue.pop()?;
-        let slot = slot_of(key);
-        self.free.push(slot);
-        self.now = Time::from_secs(time_of(key));
-        self.counters.processed += 1;
-        Some(Event {
-            time: self.now,
-            payload: self.slab[slot as usize],
-        })
+        let (key, in_lane) = self.next_key()?;
+        Some(self.take(key, in_lane))
     }
 
     /// Pops the next event only if it fires at or before `until`.
     #[inline]
     pub fn pop_until(&mut self, until: Time) -> Option<Event<E>> {
-        match self.queue.peek() {
-            Some(&Reverse(key)) if time_of(key) <= until.as_secs() => self.pop(),
-            _ => None,
-        }
+        let (key, in_lane) = self.next_key()?;
+        (time_of(key) <= until.as_secs()).then(|| self.take(key, in_lane))
     }
 
     /// Drains and drops all pending events (e.g. at simulation end).
     #[cfg(test)]
     pub fn clear(&mut self) {
         self.queue.clear();
+        self.lane.clear();
         self.slab.clear();
         self.free.clear();
     }
@@ -598,16 +652,23 @@ mod tests {
     /// pushed with that event. Timestamps are drawn from a coarse grid
     /// so collisions are common and the FIFO tie-break is genuinely
     /// exercised; payloads are distinct, and interleaved pops free
-    /// slots that later pushes reuse.
+    /// slots that later pushes reuse. A periodic ticker, which like a
+    /// satellite's imaging event always schedules a fixed step past its
+    /// previous firing, is mixed into the random pushes, so the lane and
+    /// the heap both hold keys and the pops interleave them.
     #[test]
     fn calendar_matches_binary_heap_order() {
+        let mut both_sides = 0u32;
         prop::check("calendar_matches_binary_heap_order", 256, |g| {
-            let ops = g.draw(prop::vec((0u8..4, 0u16..500, any::<u32>()), 1..300));
+            let ops = g.draw(prop::vec((0u8..5, 0u16..500, any::<u32>()), 1..300));
+            let period = g.draw(1u64..40);
 
             let mut cal = Scheduler::new();
             let mut reference: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
             let mut floor = 0u64; // reference clock, integer grid ticks
+            let mut tick = 0u64; // the ticker's last firing, grid ticks
+            let mut seen_both = false;
             for (op, slot, tag) in ops {
                 if op == 0 {
                     // Pop from both and compare (time, payload).
@@ -620,15 +681,24 @@ mod tests {
                 } else {
                     // Push on a 0.5 s grid at/after the current clock so
                     // schedule_at never panics; ~500 slots force ties.
-                    // The payload's high half is random and its low half
-                    // the insertion seq, so no two are equal.
-                    let t = floor + slot as u64;
+                    // The ticker's times never decrease. The payload's
+                    // high half is random and its low half the insertion
+                    // seq, so no two are equal.
+                    let t = if op == 1 {
+                        tick = tick.max(floor) + period;
+                        tick
+                    } else {
+                        floor + slot as u64
+                    };
                     let payload = (u64::from(tag) << 32) | seq;
                     cal.schedule_at(Time::from_secs(t as f64 * 0.5), payload);
                     reference.push(Reverse((t, seq, payload)));
                     seq += 1;
                 }
+                seen_both |= !cal.lane.is_empty() && !cal.queue.is_empty();
+                assert_eq!(cal.len(), reference.len());
             }
+            both_sides += u32::from(seen_both);
             // Freed slots are reused: the slab never outgrows the peak.
             assert!(cal.slab.len() as u64 <= cal.counters().peak_queue_depth);
             // Drain what is left: full order must agree.
@@ -638,6 +708,66 @@ mod tests {
             }
             assert!(cal.is_empty());
         });
+        assert!(
+            both_sides > 128,
+            "lane and heap were both occupied in only {both_sides} of 256 cases"
+        );
+    }
+
+    /// A key below the lane's next-to-last key goes to the heap; one
+    /// between the last two keys takes the tail's place and sends the
+    /// tail to the heap. Pops still interleave the two in key order.
+    #[test]
+    fn keys_below_the_lane_tail_go_to_the_heap_or_displace_it() {
+        let mut s = Scheduler::new();
+        for (t, c) in [(1.0, 'a'), (4.0, 'e'), (6.0, 'g')] {
+            s.schedule_at(Time::from_secs(t), c);
+        }
+        // Below the next-to-last key (4 s), above the front (1 s).
+        s.schedule_at(Time::from_secs(2.0), 'b');
+        assert_eq!((s.lane.len(), s.queue.len()), (3, 1));
+        // Between 4 s and the tail's 6 s: the tail moves to the heap.
+        s.schedule_at(Time::from_secs(5.0), 'f');
+        assert_eq!((s.lane.len(), s.queue.len()), (3, 2));
+        assert_eq!(s.lane.back().map(|&k| time_of(k)), Some(5.0));
+        // Equal to the tail's time but a later seq: the lane takes it.
+        s.schedule_at(Time::from_secs(5.0), 'F');
+        // The same time as a lane key but a later seq, below the tail.
+        s.schedule_at(Time::from_secs(4.0), 'E');
+        assert_eq!((s.lane.len(), s.queue.len()), (4, 3));
+        assert_eq!(s.counters().peak_queue_depth, 7);
+        let order: String = std::iter::from_fn(|| s.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, "abeEfFg");
+    }
+
+    /// A refused `pop_until` changes nothing: not the lane, the heap,
+    /// the clock nor the counters, whichever side holds the next key.
+    #[test]
+    fn refused_pop_until_leaves_lane_and_heap_untouched() {
+        let mut s = Scheduler::new();
+        s.schedule_at(Time::from_secs(5.0), 5);
+        s.schedule_at(Time::from_secs(10.0), 10);
+        s.schedule_at(Time::from_secs(7.0), 7);
+        let snapshot = |s: &Scheduler<i32>| {
+            let mut heap = s.queue.clone().into_sorted_vec();
+            heap.reverse();
+            (s.lane.clone(), heap, s.now(), s.counters())
+        };
+        // The lane holds the next key (5 s).
+        let before = snapshot(&s);
+        assert!(s.pop_until(Time::from_secs(4.0)).is_none());
+        assert_eq!(snapshot(&s), before);
+        assert_eq!(
+            s.pop_until(Time::from_secs(6.0)).map(|e| e.payload),
+            Some(5)
+        );
+        // Now the heap holds the next key (7 s), ahead of the lane's 10 s.
+        let before = snapshot(&s);
+        assert!(s.pop_until(Time::from_secs(6.5)).is_none());
+        assert_eq!(snapshot(&s), before);
+        assert_eq!((s.lane.len(), s.queue.len()), (1, 1));
+        let order: Vec<i32> = std::iter::from_fn(|| s.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, vec![7, 10]);
     }
 
     /// Times that stress the key's sign flip and bit layout: both

@@ -14,6 +14,7 @@ pub struct Rng64 {
     s: [u64; 4],
 }
 
+#[inline]
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -25,6 +26,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 impl Rng64 {
     /// Creates a stream from a 64-bit seed (splitmix64-expanded, so
     /// nearby seeds yield unrelated streams).
+    #[inline]
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut sm = seed;
         Self {
@@ -38,6 +40,7 @@ impl Rng64 {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
@@ -54,6 +57,7 @@ impl Rng64 {
     }
 
     /// Next value in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -106,11 +110,13 @@ impl RngFactory {
 
     /// Derives a stream for a labelled entity (e.g. `("satellite", 7)`).
     /// The same `(label, index)` always yields the same stream.
+    #[inline]
     pub fn stream(&self, label: &str, index: u64) -> Rng64 {
         Rng64::seed_from_u64(self.seed(label, index))
     }
 
     /// The 64-bit seed of [`stream`](Self::stream)`(label, index)`.
+    #[inline]
     pub fn seed(&self, label: &str, index: u64) -> u64 {
         // FNV-1a over the label, mixed with the run seed and index.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -129,6 +135,7 @@ impl RngFactory {
 /// # Panics
 ///
 /// Panics if `mean` is not positive.
+#[inline]
 pub fn exponential(rng: &mut Rng64, mean: f64) -> f64 {
     assert!(mean > 0.0, "exponential mean must be positive");
     let u: f64 = rng.next_f64().max(1e-12);
@@ -136,6 +143,7 @@ pub fn exponential(rng: &mut Rng64, mean: f64) -> f64 {
 }
 
 /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
+#[inline]
 pub fn coin(rng: &mut Rng64, p: f64) -> bool {
     rng.next_f64() < p.clamp(0.0, 1.0)
 }
