@@ -81,7 +81,7 @@ pub fn try_run_threads(cfg: &SimConfig, threads: usize) -> Result<SimReport, Con
     };
     for (unit, (other, other_sched)) in (1..).zip(shards) {
         st.absorb_shard(other, unit);
-        sched.absorb_counters(&other_sched.counters());
+        sched.absorb(&other_sched);
     }
     if telemetry::level_enabled(telemetry::Level::Debug) {
         telemetry::debug(

@@ -5,9 +5,9 @@
 //! granularity over hours of simulated time. This crate provides the
 //! domain-independent machinery:
 //!
-//! * [`Scheduler`] — a packed-key heap plus a FIFO lane over a payload
-//!   slab (ties broken by insertion order, so runs are exactly
-//!   reproducible),
+//! * [`Scheduler`] — a packed-key heap, a FIFO lane and named FIFO
+//!   streams over a payload slab (ties broken by insertion order, so
+//!   runs are exactly reproducible),
 //! * [`rng`] — seeded, splittable random streams,
 //! * [`faults`] — stochastic up/down outage processes and bounded
 //!   exponential backoff for fault injection,
@@ -96,30 +96,165 @@ pub struct SchedulerCounters {
     pub peak_queue_depth: u64,
 }
 
+/// Number of named FIFO streams a [`Scheduler`] offers
+/// ([`Scheduler::schedule_on`]).
+pub const STREAMS: usize = 16;
+
+/// Which of a calendar's structures its pops came from, and how the
+/// pushes that named a stream fared. Unlike [`SchedulerCounters`] these
+/// depend on where the caller files its events, not on the event
+/// stream alone, so they are a diagnostic and never part of a report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CalendarPaths {
+    /// Pops from the heap.
+    pub heap_pops: u64,
+    /// Pops from the lane.
+    pub lane_pops: u64,
+    /// Pops from the named streams.
+    pub stream_pops: u64,
+    /// Pushes that named each stream.
+    pub named: [u64; STREAMS],
+    /// Of those, the ones below their stream's tail, which went to the
+    /// lane or the heap instead.
+    pub fell_back: [u64; STREAMS],
+}
+
+/// The named FIFO streams, boxed into a [`Scheduler`] on its first
+/// named push.
+#[derive(Debug, Clone)]
+struct Streams {
+    /// Each stream's keys, ascending: a key joins only at or above the
+    /// stream's tail.
+    fifo: [VecDeque<u128>; STREAMS],
+    /// A winner tree over the stream fronts. Node `STREAMS + j` holds
+    /// stream `j`'s front key (`u128::MAX` while it is empty; no finite
+    /// time packs to that key), and node `i` below that the smaller of
+    /// nodes `2i` and `2i + 1`, so node 1 holds the smallest front.
+    key: [u128; 2 * STREAMS],
+    /// The stream whose front each node of `key` holds.
+    win: [u8; 2 * STREAMS],
+    /// Pushes naming each stream ([`CalendarPaths::named`]).
+    named: [u64; STREAMS],
+    /// Of those, the ones that fell back ([`CalendarPaths::fell_back`]).
+    fell_back: [u64; STREAMS],
+}
+
+impl Streams {
+    fn new() -> Self {
+        // A leaf names its own stream. An inner node's stream matters
+        // only once a match wrote it: until then its key is `u128::MAX`,
+        // which never wins.
+        let mut win = [0; 2 * STREAMS];
+        for (node, w) in win.iter_mut().enumerate().skip(STREAMS) {
+            *w = (node - STREAMS) as u8;
+        }
+        Self {
+            fifo: std::array::from_fn(|_| VecDeque::new()),
+            key: [u128::MAX; 2 * STREAMS],
+            win,
+            named: [0; STREAMS],
+            fell_back: [0; STREAMS],
+        }
+    }
+
+    /// Sets stream `j`'s front to `front` and replays its matches up to
+    /// the root; returns the new smallest front. Each match takes the
+    /// sibling's stored winner, so the running winner stays in registers.
+    #[inline]
+    fn refront(&mut self, j: usize, front: u128) -> u128 {
+        let mut node = STREAMS + j;
+        let (mut key, mut win) = (front, j as u8);
+        self.key[node] = key;
+        while node > 1 {
+            let sibling = node ^ 1;
+            // A mask, not a branch: which side wins is a coin flip.
+            let take = ((self.key[sibling] < key) as u128).wrapping_neg();
+            key = (self.key[sibling] & take) | (key & !take);
+            win = (self.win[sibling] & take as u8) | (win & !take as u8);
+            node /= 2;
+            self.key[node] = key;
+            self.win[node] = win;
+        }
+        key
+    }
+
+    /// Appends `key` to stream `j` if it is no smaller than the tail;
+    /// `None` means the caller files it elsewhere, `Some` carries the
+    /// smallest front afterwards.
+    #[inline(always)]
+    fn push(&mut self, j: usize, key: u128) -> Option<u128> {
+        self.named[j] += 1;
+        let top = match self.fifo[j].back() {
+            Some(&tail) if key < tail => {
+                self.fell_back[j] += 1;
+                return None;
+            }
+            Some(_) => self.key[1],
+            None => self.refront(j, key),
+        };
+        self.fifo[j].push_back(key);
+        Some(top)
+    }
+
+    /// Removes the smallest front; returns the next smallest.
+    #[inline]
+    fn pop(&mut self) -> u128 {
+        let j = self.win[1] as usize;
+        self.fifo[j].pop_front();
+        let next = self.fifo[j].front().copied().unwrap_or(u128::MAX);
+        self.refront(j, next)
+    }
+}
+
+/// Which structure holds a calendar's next key.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Heap,
+    Lane,
+    Stream,
+}
+
 /// A discrete-event calendar with deterministic tie-breaking.
 ///
-/// A packed-key heap and a FIFO lane over a payload slab. Each pending
-/// event is one 16-byte integer key, ordered by (time, insertion
-/// sequence); the payloads sit still in a slab whose freed slots are
-/// reused last-in first-out, and `pop` copies its payload out of the
-/// slot it frees (hence `E: Copy`).
+/// Each pending event is one 16-byte integer key, ordered by (time,
+/// insertion sequence), in one of three kinds of place: a binary heap,
+/// a FIFO lane, or one of [`STREAMS`] named FIFO streams. The payloads
+/// sit still in a slab whose freed slots are reused last-in first-out,
+/// and `pop` copies its payload out of the slot it frees (hence
+/// `E: Copy`).
 ///
-/// A key no smaller than the lane's tail is appended to the lane, so the
-/// lane is always sorted; a key below the lane's next-to-last key is
-/// sifted into the heap. A key between the two takes the tail's place
-/// and the tail moves to the heap, so one far-future event (a timeline
-/// snapshot, a long backoff) cannot shut a periodic stream out of the
-/// lane. Either way a push costs at most one heap insertion. `pop`
-/// takes the smaller of the lane's front and the heap's top. Periodic
-/// self-rescheduling events (each satellite's next imaging event, one
-/// period ahead) arrive in key order and never touch the heap; events a
-/// short time ahead fall below the lane's last keys and keep the heap
-/// small. Keys are unique, so the pop order is the (time, seq) order
-/// whichever side holds a key: events scheduled for the same instant
-/// fire in insertion order, which makes simulation runs bit-for-bit
-/// reproducible. The calendar counts scheduled and processed events and
-/// the queue-depth high-water mark (heap plus lane) as it goes
-/// ([`Scheduler::counters`]).
+/// Every structure is kept sorted, so `pop` takes the smallest of the
+/// heap's top, the lane's front and the streams' smallest front, which
+/// a winner tree over the stream fronts keeps at hand. Keys are unique,
+/// so the pop order is exactly the (time, seq) order whichever
+/// structure holds a key: events scheduled for the same instant fire in
+/// insertion order, which makes simulation runs bit-for-bit
+/// reproducible, and where a caller files its events changes only the
+/// speed.
+///
+/// * **The lane** takes a [`schedule_at`](Self::schedule_at) key no
+///   smaller than its tail. A key below its next-to-last key is sifted
+///   into the heap; a key between the two takes the tail's place and the
+///   tail moves to the heap, so one far-future event (a timeline
+///   snapshot, a long backoff) cannot shut a periodic stream out of the
+///   lane. Either way a push costs at most one heap insertion. Periodic
+///   self-rescheduling events (each satellite's next imaging event, one
+///   period ahead) arrive in key order and never touch the heap.
+/// * **A named stream** takes a [`schedule_on`](Self::schedule_on) key
+///   no smaller than that stream's tail; a smaller key falls back to the
+///   lane rule. A caller names a stream for a class of events it pushes
+///   in time order, such as arrivals of one Poisson source or backoffs
+///   of one constant delay, which would otherwise interleave with each
+///   other and sift a deep heap: counted by kind, retry backoffs spread
+///   over every unit were most of the 127 keys the serving simulation's
+///   heap held on average. The streams are allocated on the first named
+///   push, so a calendar that never names one pays one predictable
+///   compare per pop.
+///
+/// The calendar counts scheduled and processed events and the high-water
+/// mark of pending events in all three places ([`Scheduler::counters`]),
+/// and, as a diagnostic, where its pops came from
+/// ([`Scheduler::paths`]).
 ///
 /// It holds at most 2²⁴ pending events and 2⁴⁰ insertions over its
 /// life; [`Scheduler::schedule_at`] panics past either.
@@ -129,14 +264,22 @@ pub struct Scheduler<E> {
     /// Keys in ascending order: a key joins only at or above the
     /// next-to-last key, and a larger tail it displaces moves to `queue`.
     lane: VecDeque<u128>,
-    /// Payloads by slot; a slot is live while a key in `queue` or `lane`
-    /// names it.
+    /// The named streams; `None` until a push names one.
+    streams: Option<Box<Streams>>,
+    /// The streams' smallest front key, `u128::MAX` while they are empty.
+    stream_front: u128,
+    /// Payloads by slot; a slot is live while a key names it, so the
+    /// pending events number `slab.len() - free.len()`.
     slab: Vec<E>,
     /// Slots of popped events, reused last-in first-out.
     free: Vec<u32>,
     now: Time,
     /// `scheduled` doubles as the next insertion sequence number.
     counters: SchedulerCounters,
+    /// Pops by source; the stream counts live in `streams`.
+    heap_pops: u64,
+    lane_pops: u64,
+    stream_pops: u64,
 }
 
 impl<E: Copy> Default for Scheduler<E> {
@@ -151,10 +294,15 @@ impl<E: Copy> Scheduler<E> {
         Self {
             queue: BinaryHeap::new(),
             lane: VecDeque::new(),
+            streams: None,
+            stream_front: u128::MAX,
             slab: Vec::new(),
             free: Vec::new(),
             now: Time::ZERO,
             counters: SchedulerCounters::default(),
+            heap_pops: 0,
+            lane_pops: 0,
+            stream_pops: 0,
         }
     }
 
@@ -163,18 +311,43 @@ impl<E: Copy> Scheduler<E> {
         self.counters
     }
 
-    /// Adds a finished co-scheduler's counters into this one. Sharded
-    /// runs merge their per-shard schedulers through this: scheduled
-    /// and processed counts add exactly; the peak-depth high-water
-    /// marks add too — the shard queues coexist in time, so the sum is
-    /// the aggregate queue-depth bound (per-shard peaks need not
-    /// coincide, making it an upper bound rather than the exact global
-    /// peak). Merge only once every scheduler has stopped: `scheduled`
-    /// is also this calendar's insertion sequence.
-    pub fn absorb_counters(&mut self, other: &SchedulerCounters) {
-        self.counters.scheduled += other.scheduled;
-        self.counters.processed += other.processed;
-        self.counters.peak_queue_depth += other.peak_queue_depth;
+    /// Where the pops so far came from, and how the named pushes fared.
+    pub fn paths(&self) -> CalendarPaths {
+        let mut paths = CalendarPaths {
+            heap_pops: self.heap_pops,
+            lane_pops: self.lane_pops,
+            stream_pops: self.stream_pops,
+            ..CalendarPaths::default()
+        };
+        if let Some(streams) = &self.streams {
+            paths.named = streams.named;
+            paths.fell_back = streams.fell_back;
+        }
+        paths
+    }
+
+    /// Adds a finished co-scheduler's counters and pop counts into this
+    /// one. Sharded runs merge their per-shard schedulers through this:
+    /// scheduled and processed counts add exactly; the peak-depth
+    /// high-water marks add too — the shard queues coexist in time, so
+    /// the sum is the aggregate queue-depth bound (per-shard peaks need
+    /// not coincide, making it an upper bound rather than the exact
+    /// global peak). Merge only once every scheduler has stopped:
+    /// `scheduled` is also this calendar's insertion sequence.
+    pub fn absorb(&mut self, other: &Self) {
+        self.counters.scheduled += other.counters.scheduled;
+        self.counters.processed += other.counters.processed;
+        self.counters.peak_queue_depth += other.counters.peak_queue_depth;
+        self.heap_pops += other.heap_pops;
+        self.lane_pops += other.lane_pops;
+        self.stream_pops += other.stream_pops;
+        if let Some(theirs) = &other.streams {
+            let ours = self.streams.get_or_insert_with(|| Box::new(Streams::new()));
+            for j in 0..STREAMS {
+                ours.named[j] += theirs.named[j];
+                ours.fell_back[j] += theirs.fell_back[j];
+            }
+        }
     }
 
     /// Current simulation time (time of the last popped event).
@@ -190,13 +363,19 @@ impl<E: Copy> Scheduler<E> {
     /// Number of pending events.
     #[cfg(test)]
     pub fn len(&self) -> usize {
-        self.queue.len() + self.lane.len()
+        self.pending()
     }
 
     /// Whether the calendar is empty.
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty() && self.lane.is_empty()
+        self.pending() == 0
+    }
+
+    /// Pending events, wherever their keys are.
+    #[inline]
+    fn pending(&self) -> usize {
+        self.slab.len() - self.free.len()
     }
 
     /// Schedules `payload` at absolute time `at`.
@@ -205,7 +384,78 @@ impl<E: Copy> Scheduler<E> {
     ///
     /// Panics if `at` is before the current time or not finite, or if
     /// the calendar is full (2²⁴ pending events or 2⁴⁰ insertions).
+    #[inline]
     pub fn schedule_at(&mut self, at: Time, payload: E) {
+        self.push(at, payload, None);
+    }
+
+    /// Schedules `payload` at absolute time `at` on named stream
+    /// `stream`: appended there if no earlier than the stream's last
+    /// key, and filed as by [`schedule_at`](Self::schedule_at)
+    /// otherwise. Either way it pops in (time, seq) order.
+    ///
+    /// # Panics
+    ///
+    /// As [`schedule_at`](Self::schedule_at), and if `stream` is not
+    /// below [`STREAMS`].
+    #[inline]
+    pub fn schedule_on(&mut self, stream: usize, at: Time, payload: E) {
+        self.push(at, payload, Some(stream));
+    }
+
+    #[inline(always)]
+    fn push(&mut self, at: Time, payload: E, stream: Option<usize>) {
+        let seq = self.counters.scheduled;
+        if !(at.is_finite() && at >= self.now && seq < 1 << SEQ_BITS) {
+            self.refuse(at);
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = payload;
+                slot
+            }
+            None => {
+                let slot = self.slab.len();
+                if slot >= 1 << SLOT_BITS {
+                    self.refuse(at);
+                }
+                self.slab.push(payload);
+                slot as u32
+            }
+        };
+        let key = order_key(at.as_secs(), seq, slot);
+        let streamed = match stream {
+            Some(j) => self
+                .streams
+                .get_or_insert_with(|| Box::new(Streams::new()))
+                .push(j, key),
+            None => None,
+        };
+        if let Some(front) = streamed {
+            self.stream_front = front;
+        } else {
+            let n = self.lane.len();
+            if n >= 2 && key < self.lane[n - 2] {
+                self.queue.push(Reverse(key));
+            } else {
+                // The key is no smaller than the lane's next-to-last key:
+                // it joins the lane, and a larger tail moves to the heap.
+                if let Some(&tail) = self.lane.back().filter(|&&tail| key < tail) {
+                    self.lane.pop_back();
+                    self.queue.push(Reverse(tail));
+                }
+                self.lane.push_back(key);
+            }
+        }
+        self.counters.scheduled += 1;
+        self.counters.peak_queue_depth = self.counters.peak_queue_depth.max(self.pending() as u64);
+    }
+
+    /// Panics with the reason a push of an event at `at` is refused;
+    /// kept out of line so the push inlines without its messages.
+    #[cold]
+    #[inline(never)]
+    fn refuse(&self, at: Time) {
         assert!(at.is_finite(), "event time must be finite");
         assert!(
             at >= self.now,
@@ -215,39 +465,11 @@ impl<E: Copy> Scheduler<E> {
         );
         let seq = self.counters.scheduled;
         assert!(seq < 1 << SEQ_BITS, "event calendar full: {seq} insertions");
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = payload;
-                slot
-            }
-            None => {
-                let slot = self.slab.len();
-                assert!(
-                    slot < 1 << SLOT_BITS,
-                    "event calendar full: {slot} pending events"
-                );
-                self.slab.push(payload);
-                slot as u32
-            }
-        };
-        let key = order_key(at.as_secs(), seq, slot);
-        let n = self.lane.len();
-        if n >= 2 && key < self.lane[n - 2] {
-            self.queue.push(Reverse(key));
-        } else {
-            // The key is no smaller than the lane's next-to-last key: it
-            // joins the lane, and a larger tail moves to the heap.
-            if let Some(&tail) = self.lane.back().filter(|&&tail| key < tail) {
-                self.lane.pop_back();
-                self.queue.push(Reverse(tail));
-            }
-            self.lane.push_back(key);
-        }
-        self.counters.scheduled += 1;
-        self.counters.peak_queue_depth = self
-            .counters
-            .peak_queue_depth
-            .max((self.queue.len() + self.lane.len()) as u64);
+        let slot = self.slab.len();
+        assert!(
+            slot < 1 << SLOT_BITS,
+            "event calendar full: {slot} pending events"
+        );
     }
 
     /// Schedules `payload` after a delay from the current time.
@@ -255,6 +477,7 @@ impl<E: Copy> Scheduler<E> {
     /// # Panics
     ///
     /// Panics if the delay is negative or not finite.
+    #[inline]
     pub fn schedule_in(&mut self, delay: Time, payload: E) {
         assert!(
             delay.as_secs() >= 0.0,
@@ -270,25 +493,41 @@ impl<E: Copy> Scheduler<E> {
             .map(|(key, _)| Time::from_secs(time_of(key)))
     }
 
-    /// The smallest pending key, and whether the lane (not the heap)
-    /// holds it.
+    /// The smallest pending key, and which structure holds it.
     #[inline]
-    fn next_key(&self) -> Option<(u128, bool)> {
-        match (self.lane.front(), self.queue.peek()) {
-            (Some(&lane), Some(&Reverse(heap))) if heap < lane => Some((heap, false)),
-            (Some(&lane), _) => Some((lane, true)),
-            (None, heap) => heap.map(|&Reverse(heap)| (heap, false)),
+    fn next_key(&self) -> Option<(u128, Source)> {
+        let next = match (self.lane.front(), self.queue.peek()) {
+            (Some(&lane), Some(&Reverse(heap))) if heap < lane => Some((heap, Source::Heap)),
+            (Some(&lane), _) => Some((lane, Source::Lane)),
+            (None, heap) => heap.map(|&Reverse(heap)| (heap, Source::Heap)),
+        };
+        match next {
+            // No stream holds an event.
+            _ if self.stream_front == u128::MAX => next,
+            Some((key, _)) if key < self.stream_front => next,
+            _ => Some((self.stream_front, Source::Stream)),
         }
     }
 
     /// Removes `key`, the key [`Self::next_key`] just named, advances
     /// the clock to its time and copies its payload out.
     #[inline]
-    fn take(&mut self, key: u128, in_lane: bool) -> Event<E> {
-        if in_lane {
-            self.lane.pop_front();
-        } else {
-            self.queue.pop();
+    fn take(&mut self, key: u128, source: Source) -> Event<E> {
+        match source {
+            Source::Lane => {
+                self.lane.pop_front();
+                self.lane_pops += 1;
+            }
+            Source::Heap => {
+                self.queue.pop();
+                self.heap_pops += 1;
+            }
+            Source::Stream => {
+                if let Some(streams) = self.streams.as_mut() {
+                    self.stream_front = streams.pop();
+                }
+                self.stream_pops += 1;
+            }
         }
         let slot = slot_of(key);
         self.free.push(slot);
@@ -303,15 +542,15 @@ impl<E: Copy> Scheduler<E> {
     /// Pops the next event, advancing the clock to its time.
     #[inline]
     pub fn pop(&mut self) -> Option<Event<E>> {
-        let (key, in_lane) = self.next_key()?;
-        Some(self.take(key, in_lane))
+        let (key, source) = self.next_key()?;
+        Some(self.take(key, source))
     }
 
     /// Pops the next event only if it fires at or before `until`.
     #[inline]
     pub fn pop_until(&mut self, until: Time) -> Option<Event<E>> {
-        let (key, in_lane) = self.next_key()?;
-        (time_of(key) <= until.as_secs()).then(|| self.take(key, in_lane))
+        let (key, source) = self.next_key()?;
+        (time_of(key) <= until.as_secs()).then(|| self.take(key, source))
     }
 
     /// Drains and drops all pending events (e.g. at simulation end).
@@ -319,6 +558,12 @@ impl<E: Copy> Scheduler<E> {
     pub fn clear(&mut self) {
         self.queue.clear();
         self.lane.clear();
+        if let Some(streams) = self.streams.as_mut() {
+            for j in 0..STREAMS {
+                streams.fifo[j].clear();
+                self.stream_front = streams.refront(j, u128::MAX);
+            }
+        }
         self.slab.clear();
         self.free.clear();
     }
@@ -712,6 +957,138 @@ mod tests {
             both_sides > 128,
             "lane and heap were both occupied in only {both_sides} of 256 cases"
         );
+    }
+
+    /// Named streams keep the pop order exactly that of a reference
+    /// binary heap over `(time, seq)`. Each push names a random stream
+    /// or none, at a time either past that stream's last one (so it
+    /// appends) or anywhere at or after the clock (so it may fall below
+    /// the stream's tail and fall back to the lane or heap). Pops,
+    /// `pop_until` bounds that refuse or accept, and `clear` interleave
+    /// with the pushes; after each step the pending count agrees, and a
+    /// refusal changes nothing.
+    #[test]
+    fn streams_pop_in_binary_heap_order() {
+        let (mut fell_back, mut streamed) = (0u64, 0u64);
+        prop::check("streams_pop_in_binary_heap_order", 256, |g| {
+            let ops = g.draw(prop::vec(
+                (
+                    (0u8..12, 0u16..300),
+                    (0u8..(STREAMS as u8 + 2), any::<u32>()),
+                ),
+                1..300,
+            ));
+            let mut cal = Scheduler::new();
+            let mut reference: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut floor = 0u64; // reference clock, grid ticks
+            let mut tails = [0u64; STREAMS]; // each stream's last time
+            for ((op, ticks), (stream, tag)) in ops {
+                let half = |t: u64| t as f64 * 0.5;
+                match op {
+                    0 | 1 => {
+                        let got = cal.pop().map(|ev| (ev.time.as_secs(), ev.payload));
+                        let want = reference.pop().map(|Reverse((t, _, p))| {
+                            floor = t;
+                            (half(t), p)
+                        });
+                        assert_eq!(got, want);
+                    }
+                    2 | 3 => {
+                        let bound = floor + u64::from(ticks % 8);
+                        let before = (cal.len(), cal.now(), cal.counters(), cal.paths());
+                        let got = cal
+                            .pop_until(Time::from_secs(half(bound)))
+                            .map(|ev| (ev.time.as_secs(), ev.payload));
+                        let want = match reference.peek() {
+                            Some(&Reverse((t, _, _))) if t <= bound => {
+                                reference.pop().map(|Reverse((t, _, p))| {
+                                    floor = t;
+                                    (half(t), p)
+                                })
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(got, want);
+                        if got.is_none() {
+                            assert_eq!((cal.len(), cal.now(), cal.counters(), cal.paths()), before);
+                        }
+                    }
+                    4 if ticks < 10 => {
+                        cal.clear();
+                        reference.clear();
+                    }
+                    _ => {
+                        // `stream` past the last index names no stream.
+                        let named = (stream as usize) < STREAMS;
+                        let t = if named && op % 2 == 0 {
+                            let j = stream as usize;
+                            tails[j] = tails[j].max(floor) + u64::from(ticks % 20);
+                            tails[j]
+                        } else {
+                            floor + u64::from(ticks)
+                        };
+                        let payload = (u64::from(tag) << 32) | seq;
+                        let at = Time::from_secs(half(t));
+                        if named {
+                            cal.schedule_on(stream as usize, at, payload);
+                        } else {
+                            cal.schedule_at(at, payload);
+                        }
+                        reference.push(Reverse((t, seq, payload)));
+                        seq += 1;
+                    }
+                }
+                assert_eq!(cal.len(), reference.len());
+            }
+            let c = cal.counters();
+            assert!(c.peak_queue_depth >= cal.len() as u64);
+            while let Some(Reverse((t, _, p))) = reference.pop() {
+                let got = cal.pop().map(|ev| (ev.time.as_secs(), ev.payload));
+                assert_eq!(got, Some((t as f64 * 0.5, p)));
+            }
+            assert!(cal.is_empty() && cal.pop().is_none());
+            let paths = cal.paths();
+            assert_eq!(
+                paths.heap_pops + paths.lane_pops + paths.stream_pops,
+                cal.counters().processed
+            );
+            fell_back += paths.fell_back.iter().sum::<u64>();
+            streamed += paths.stream_pops;
+        });
+        assert!(
+            fell_back > 1000 && streamed > 10_000,
+            "too few fallbacks ({fell_back}) or stream pops ({streamed})"
+        );
+    }
+
+    /// A key below its stream's tail falls back to the lane rule (here
+    /// the heap, below the lane's keys) and still pops in (time, seq)
+    /// order; the stream, lane and heap pops and the fallback are
+    /// counted where they happened.
+    #[test]
+    fn a_key_below_its_stream_tail_falls_back_and_pops_in_order() {
+        let mut s = Scheduler::new();
+        s.schedule_at(Time::from_secs(3.0), 'c');
+        s.schedule_at(Time::from_secs(8.0), 'h');
+        s.schedule_on(5, Time::from_secs(2.0), 'b');
+        s.schedule_on(5, Time::from_secs(6.0), 'f');
+        // Below stream 5's tail (6 s) and the lane's next-to-last key.
+        s.schedule_on(5, Time::from_secs(1.0), 'a');
+        // The same time as the tail but a later seq: the stream takes it.
+        s.schedule_on(5, Time::from_secs(6.0), 'F');
+        s.schedule_on(9, Time::from_secs(4.0), 'd');
+        assert_eq!((s.lane.len(), s.queue.len(), s.len()), (2, 1, 7));
+        assert_eq!(s.counters().peak_queue_depth, 7);
+        let order: String = std::iter::from_fn(|| s.pop().map(|e| e.payload)).collect();
+        assert_eq!(order, "abcdfFh");
+        let paths = s.paths();
+        assert_eq!(
+            (paths.heap_pops, paths.lane_pops, paths.stream_pops),
+            (1, 2, 4)
+        );
+        assert_eq!((paths.named[5], paths.fell_back[5]), (4, 1));
+        assert_eq!((paths.named[9], paths.fell_back[9]), (1, 0));
     }
 
     /// A key below the lane's next-to-last key goes to the heap; one

@@ -118,7 +118,10 @@ impl RngFactory {
     /// The 64-bit seed of [`stream`](Self::stream)`(label, index)`.
     #[inline]
     pub fn seed(&self, label: &str, index: u64) -> u64 {
-        // FNV-1a over the label, mixed with the run seed and index.
+        // An FNV-1a-style hash of the label: FNV's 64-bit offset basis,
+        // but multiplied by 2⁴⁴ + 0x1b3, not by the FNV prime 2⁴⁰ + 0x1b3.
+        // Every seeded draw depends on this constant, so it stays; the
+        // hash is then mixed with the run seed and index.
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for b in label.bytes() {
             h ^= u64::from(b);
@@ -151,6 +154,16 @@ pub fn coin(rng: &mut Rng64, p: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The label hash's multiplier is 2⁴⁴ + 0x1b3, not FNV's prime;
+    /// every committed draw depends on it, so one seed is pinned.
+    #[test]
+    fn factory_seed_is_pinned() {
+        assert_eq!(
+            RngFactory::new(42).seed("serve_arrival", 7),
+            0x4332_ae58_43e0_6323
+        );
+    }
 
     #[test]
     fn xoshiro_matches_reference_sequence() {
