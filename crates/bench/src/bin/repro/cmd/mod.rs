@@ -11,9 +11,7 @@ pub mod trace;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use sudc::sim::{
-    try_run, try_run_recorded, try_run_threads, PolicyKind, SimConfig, SimReport, SimTopology,
-};
+use sudc::sim::{try_run_recorded, try_run_threads, PolicyKind, SimConfig, SimReport, SimTopology};
 use telemetry::trace::Recorder;
 use telemetry::Level;
 
@@ -155,20 +153,19 @@ pub fn make_recorder(cli: &Cli) -> Result<Option<Arc<Recorder>>, String> {
 
 /// Runs one simulation the way the flags ask and checks the report's
 /// invariants. A recorded run takes the sequential loop (the recorder
-/// needs its total event order, so `--threads` is ignored there);
-/// `--threads` routes through `try_run_threads`, which shards only
-/// where the output is byte-identical at every count; otherwise the
-/// sequential loop runs. A report that breaks an invariant is an
-/// error, so no command writes one.
+/// needs its total event order, so `--threads` is ignored there); every
+/// other run goes through `try_run_threads` on `--threads` workers
+/// (default 1), which shards every run whose shards never exchange an
+/// event, so the report is the same with or without the flag. A report
+/// that breaks an invariant is an error, so no command writes one.
 pub fn simulate(
     cli: &Cli,
     cfg: &SimConfig,
     recorder: Option<&Arc<Recorder>>,
 ) -> Result<SimReport, String> {
-    let report = match (recorder, cli.threads) {
-        (Some(rec), _) => try_run_recorded(cfg, rec.clone()),
-        (None, Some(n)) => try_run_threads(cfg, n),
-        (None, None) => try_run(cfg),
+    let report = match recorder {
+        Some(rec) => try_run_recorded(cfg, rec.clone()),
+        None => try_run_threads(cfg, cli.threads.unwrap_or(1)),
     }
     .map_err(|e| format!("invalid sim configuration: {e}"))?;
     report

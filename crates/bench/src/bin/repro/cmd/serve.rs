@@ -55,9 +55,9 @@ pub fn exec(cli: &Cli) -> ExitCode {
         }
     };
     // Serve scenarios are ineligible for sharding (tenant state spans
-    // clusters), so --threads degrades to the sequential engine inside
-    // try_run_threads — accepted here so the flag is uniform across
-    // `repro sim` modes.
+    // clusters), so try_run_threads runs them on the sequential loop
+    // whatever --threads says; the flag is accepted so it is uniform
+    // across `repro sim` modes.
     let report = match super::simulate(cli, &cfg, recorder.as_ref()) {
         Ok(report) => report,
         Err(e) => {

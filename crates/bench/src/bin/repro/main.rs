@@ -39,10 +39,10 @@ pub struct Cli {
     pub jsonl: Option<PathBuf>,
     pub axes: Vec<(String, Vec<f64>)>,
     /// `--threads <n>`: `None` means the flag was absent — explore
-    /// defaults to 4 workers, while `repro sim` runs the sequential
-    /// loop. `Some(n)` routes sim runs through `try_run_threads`, which
-    /// shards only runs whose shards never exchange an event and whose
-    /// output is byte-identical at every thread count.
+    /// defaults to 4 workers and `repro sim` to 1. Sim runs go through
+    /// `try_run_threads`, which shards every run whose shards never
+    /// exchange an event at any count, so its output is byte-identical
+    /// with or without the flag.
     pub threads: Option<usize>,
     pub no_cache: bool,
     pub faults: Option<String>,
@@ -443,13 +443,13 @@ sim flags:
   --cadence <s>              metrics-timeline snapshot cadence in
                              sim-time seconds (default 5; needs
                              --record)
-  --threads <n>              shard the event loop per SµDC on n
-                             workers where no event crosses
-                             shards (static policy, no serve or
-                             degradation, no faults on a ring);
-                             other runs stay sequential;
-                             byte-identical at every n; ignored
-                             with --record
+  --threads <n>              workers for the event loop (default
+                             1); runs shard per SµDC at every n
+                             where no event crosses shards (static
+                             policy, no serve or degradation, no
+                             faults on a ring), other runs stay
+                             sequential; byte-identical at every
+                             n; ignored with --record
 
 lint flags:
   --rule <id>                restrict the scan to one rule

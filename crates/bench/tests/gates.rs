@@ -146,8 +146,9 @@ fn serve_runs_replay_across_the_topology_matrix() {
     }
 }
 
-/// A 1-worker and a 4-worker run of every topology, fault-free, faulted
-/// and serving, write byte-identical output directories.
+/// A run without `--threads`, a 1-worker and a 4-worker run of every
+/// topology, fault-free, faulted and serving, write byte-identical
+/// output directories.
 #[test]
 fn one_and_four_workers_write_the_same_bytes() {
     let variants: [&[&str]; 3] = [
@@ -157,17 +158,22 @@ fn one_and_four_workers_write_the_same_bytes() {
     ];
     for (topo, suffix) in MATRIX {
         for (v, variant) in variants.iter().enumerate() {
-            let dirs = [1, 4].map(|n| {
-                let dir = scratch(&format!("threads{suffix}_{v}_{n}"));
-                let threads = n.to_string();
+            let dirs = [None, Some("1"), Some("4")].map(|n| {
+                let dir = scratch(&format!("threads{suffix}_{v}_{}", n.unwrap_or("default")));
+                let threads: &[&str] = match &n {
+                    Some(n) => &["--threads", n],
+                    None => &[],
+                };
                 sim(
                     &dir,
-                    &[variant, &["--topology", topo, "--threads", &threads][..]].concat(),
+                    &[variant, &["--topology", topo][..], threads].concat(),
                 );
                 dir
             });
-            let what = format!("1 vs 4 workers ({topo}, {})", variant.join(" "));
-            assert_same_tree(&dirs[0], &dirs[1], &what);
+            for (dir, n) in [(&dirs[1], 1), (&dirs[2], 4)] {
+                let what = format!("default vs {n} workers ({topo}, {})", variant.join(" "));
+                assert_same_tree(&dirs[0], dir, &what);
+            }
         }
     }
 }

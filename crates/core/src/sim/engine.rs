@@ -21,7 +21,7 @@ use telemetry::trace::{Recorder, TraceCause, TraceKind, TraceRecord, TraceTally}
 use units::{DataSize, Time};
 
 use crate::sim::faults::FaultSummary;
-use crate::sim::model::{ConfigError, DiscardPolicy, SimConfig, SimReport};
+use crate::sim::model::{DiscardPolicy, SimConfig, SimReport};
 use crate::sim::policy::{
     AdmissionDecision, AdmissionObs, BatchDecision, BatchObs, LinkObs, MigrationDecision,
     MigrationObs, Policy, RetryDecision, ShedDecision, ShedObs,
@@ -210,7 +210,7 @@ impl Ledger {
         Ledger {
             frames: TraceTally::default(),
             requests: TraceTally::default(),
-            latency: Tally::new(),
+            latency: Tally::default(),
             tbuf: Vec::with_capacity(recorder.as_ref().map_or(0, |r| r.batch_hint())),
             tbatch: recorder.as_ref().map_or(usize::MAX, |r| r.batch_hint()),
             tseq: recorder.as_ref().map_or(0, |r| r.last_seq()),
@@ -275,8 +275,8 @@ impl Ledger {
         self.recorder.as_ref().and_then(|r| r.timeline_cadence_s())
     }
 
-    /// Adds a finished shard's tallies; the latency tallies merge with
-    /// the parallel Welford combine. Shards record nothing.
+    /// Adds a finished shard's tallies. Every tally is a sum of
+    /// integers, so shards merge in any order. Shards record nothing.
     fn absorb(&mut self, other: &Ledger) {
         self.frames.merge(&other.frames);
         self.requests.merge(&other.requests);
@@ -299,8 +299,9 @@ pub(super) struct State {
     topo: Box<dyn Topology>,
     transport: Transport,
     service: Service,
-    /// Bits in flight (accepted but not yet at a SµDC).
-    queued_bits: f64,
+    /// Frames in flight (accepted but not yet at a SµDC). A count, so
+    /// shards add it exactly; [`State::queued_bits`] scales it.
+    queued_frames: u64,
     /// Per-frame payload constants for this configuration.
     frame_bits: f64,
     frame_pixels: f64,
@@ -349,7 +350,7 @@ impl State {
             topo,
             transport,
             service,
-            queued_bits: 0.0,
+            queued_frames: 0,
             frame_bits: cfg.frame.frame_size(cfg.resolution).as_bits(),
             frame_pixels: cfg.frame.pixels_at(cfg.resolution),
             ledger: Ledger::new(recorder),
@@ -367,9 +368,10 @@ impl State {
     /// `unit`'s satellites, into `self`: the ledgers merge, and the
     /// per-index transport/service state `other` owned moves over — so
     /// the merged state folds its report exactly like a sequential run
-    /// over the same indices. Shards must be absorbed in ascending unit
-    /// order (the report's f64 accumulation order is part of the
-    /// thread-count identity contract).
+    /// over the same indices. Each shard must be absorbed under the unit
+    /// it ran, since that unit's indices are the ones it adopts; the
+    /// order of the shards does not matter, as no fold here depends on
+    /// it.
     pub(super) fn absorb_shard(&mut self, mut other: State, unit: usize) {
         for s in 0..self.cfg.plane.satellite_count() {
             if self.topo.home_cluster(s) == unit {
@@ -377,8 +379,13 @@ impl State {
             }
         }
         self.service.adopt(&mut other.service, unit);
-        self.queued_bits += other.queued_bits;
+        self.queued_frames += other.queued_frames;
         self.ledger.absorb(&other.ledger);
+    }
+
+    /// Bits in flight.
+    fn queued_bits(&self) -> f64 {
+        self.queued_frames as f64 * self.frame_bits
     }
 
     fn keep_frame(&mut self, sat: usize, id: u64, now: Time) -> bool {
@@ -497,7 +504,7 @@ fn dispatch(
                         // Both directions exhausted their retries (or
                         // there is no ring to fall back to): the frame
                         // dies.
-                        st.queued_bits -= st.frame_bits;
+                        st.queued_frames -= 1;
                         st.ledger.note(
                             lifecycle(now, TraceKind::Undeliverable, frame.id, sat, frame.last_seq)
                                 .cause(TraceCause::RetriesExhausted),
@@ -559,11 +566,11 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
         let obs = ShedObs {
             unit: sat,
             now_s: now.as_secs(),
-            queued_bits: st.queued_bits,
+            queued_bits: st.queued_bits(),
             threshold_bits: st.service.shed_threshold_bits(),
         };
         let shed = match st.policy.decide_shed(&obs) {
-            ShedDecision::Baseline => st.service.should_shed(sat, st.queued_bits),
+            ShedDecision::Baseline => st.service.should_shed(sat, st.queued_bits()),
             ShedDecision::Coin { probability } => st.service.shed_coin(sat, probability),
         };
         if shed {
@@ -572,7 +579,7 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
             st.ledger
                 .note(lifecycle(now, TraceKind::Shed, id, sat, sensed).cause(TraceCause::Backlog));
         } else {
-            st.queued_bits += st.frame_bits;
+            st.queued_frames += 1;
             let frame = FrameInFlight {
                 id,
                 created: now,
@@ -612,10 +619,10 @@ fn on_reverse_hop(
         _ => None,
     };
     if let Some(cluster) = delivery {
-        st.queued_bits -= st.frame_bits;
+        st.queued_frames -= 1;
         enqueue(st, sched, frame, cluster, now);
     } else if frame.hops as usize > 2 * st.cfg.plane.satellite_count() {
-        st.queued_bits -= st.frame_bits;
+        st.queued_frames -= 1;
         st.ledger.note(
             lifecycle(now, TraceKind::Undeliverable, frame.id, p, frame.last_seq)
                 .cause(TraceCause::HopLimit),
@@ -662,7 +669,7 @@ fn on_forward_hop(
                     );
                     dispatch(st, sched, f, from, now, 0);
                 } else {
-                    st.queued_bits -= st.frame_bits;
+                    st.queued_frames -= 1;
                     st.ledger.note(
                         lifecycle(
                             now,
@@ -702,7 +709,7 @@ fn on_forward_hop(
                     return;
                 }
             }
-            st.queued_bits -= st.frame_bits;
+            st.queued_frames -= 1;
             enqueue(st, sched, frame, cluster, now);
         }
     }
@@ -735,7 +742,7 @@ fn on_done(st: &mut State, frame: FrameInFlight, cluster: usize, corrupted: bool
 fn on_snapshot(st: &mut State, sched: &mut Scheduler<Ev>, now: Time) {
     let t = now.as_secs();
     st.ledger
-        .note(TraceRecord::at(t, TraceKind::SnapshotNet).value(st.queued_bits.max(0.0)));
+        .note(TraceRecord::at(t, TraceKind::SnapshotNet).value(st.queued_bits()));
     if let Some((up, total)) = st.transport.link_states(now) {
         st.ledger.note(
             TraceRecord::at(t, TraceKind::SnapshotLinks)
@@ -1284,8 +1291,8 @@ fn on_serve_batch_done(
 }
 
 /// Handles one popped event — the complete event-loop dispatch table,
-/// shared verbatim by the sequential loop in [`try_run_with`] and every
-/// shard of [`super::parallel::try_run_threads`], so the two runners
+/// shared verbatim by the sequential loop in [`run_sequential`] and
+/// every shard of [`super::parallel::try_run_threads`], so the two runners
 /// cannot drift apart behaviourally.
 #[inline(always)] // the sequential loop had this match inlined at the pop site; keep it there
 pub(super) fn step(st: &mut State, sched: &mut Scheduler<Ev>, ev: simkit::Event<Ev>) {
@@ -1361,7 +1368,7 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
     };
     // Stable if goodput is near 1 and residual backlog is within a few
     // seconds of ingest work.
-    let residual = DataSize::from_bits(st.queued_bits.max(0.0));
+    let residual = DataSize::from_bits(st.queued_bits());
     let per_cluster_ingest = cfg.ingest_links as f64 * cfg.isl_capacity.as_bps();
     let stable = goodput > 0.9 && residual.as_bits() < per_cluster_ingest * units as f64 * 3.0;
 
@@ -1454,34 +1461,14 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
     }
 }
 
-/// Runs the simulation, reporting invalid configurations (including an
-/// unmeasured application/device pair) as a diagnostic instead of
-/// panicking.
-pub fn try_run(cfg: &SimConfig) -> Result<SimReport, ConfigError> {
-    try_run_with(cfg, None)
-}
-
-/// Runs the simulation with the flight recorder attached: every frame
-/// lifecycle step is recorded as a sim-time-stamped trace event, and —
-/// when the recorder has a timeline cadence — per-cluster queue depth,
-/// link state, and backlog are snapshotted on that cadence. The report
-/// is identical to [`try_run`]'s except for the scheduler counters
-/// (timeline ticks are scheduled events).
-pub fn try_run_recorded(
-    cfg: &SimConfig,
-    recorder: Arc<Recorder>,
-) -> Result<SimReport, ConfigError> {
-    try_run_with(cfg, Some(recorder))
-}
-
-fn try_run_with(
+/// The sequential loop over every satellite of a validated `cfg`,
+/// recording into `recorder` when one is given (see
+/// [`super::parallel::try_run_recorded`]).
+pub(super) fn run_sequential(
     cfg: &SimConfig,
     recorder: Option<Arc<Recorder>>,
-) -> Result<SimReport, ConfigError> {
-    cfg.validate()?;
-    let pixel_capacity = cfg
-        .unit_pixel_capacity()
-        .ok_or(ConfigError::UnmeasuredWorkload)?;
+    pixel_capacity: f64,
+) -> SimReport {
     let n = cfg.plane.satellite_count();
     let mut st = State::new(cfg, recorder, pixel_capacity);
 
@@ -1500,25 +1487,14 @@ fn try_run_with(
     if let Some(rec) = &st.ledger.recorder {
         rec.flush();
     }
-    Ok(report(st, &sched, cfg))
-}
-
-/// Runs the simulation and returns its report.
-///
-/// # Panics
-///
-/// Panics on invalid configurations (zero clusters, cluster size not
-/// dividing the ring) and if the (application, device) pair has no
-/// measurement.
-pub fn run(cfg: &SimConfig) -> SimReport {
-    // lint:allow(unwrap-in-lib) legacy panicking wrapper; the fallible path is try_run
-    try_run(cfg).unwrap_or_else(|e| panic!("{e}"))
+    report(st, &sched, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::model::SimTopology;
+    use crate::sim::{run, try_run, try_run_recorded};
     use crate::sizing::SudcSpec;
     use units::{DataRate, Length};
     use workloads::{Application, Device};

@@ -27,13 +27,12 @@ pub mod serve;
 pub mod service;
 pub mod topology;
 pub mod transport;
-pub use engine::{run, try_run, try_run_recorded};
 pub use faults::{
     ClusterOutageSpec, DegradationSpec, FaultModel, FaultSummary, LinkOutageSpec, RetrySpec,
     SeuSpec,
 };
 pub use model::*;
-pub use parallel::try_run_threads;
+pub use parallel::{run, try_run, try_run_recorded, try_run_threads};
 pub use policy::{Policy, PolicyKind};
 pub use serve::{BatchPolicy, LoadModel, ServeConfig, ServeReport, ServeScenario, TenantClass};
 pub use topology::Topology;

@@ -242,7 +242,7 @@ impl SimConfig {
     /// Checks the configuration is simulatable: at least one cluster, an
     /// even `ingest_links ≥ 2`, (for ring shapes) service arcs that
     /// divide the ring evenly, and an (application, device) pair with a
-    /// pixel-capacity measurement. Used by [`super::engine::try_run`]
+    /// pixel-capacity measurement. Used by [`super::parallel::try_run`]
     /// and the CLI so bad `--clusters`/`--ingest-links`/workload values
     /// produce a diagnostic instead of a panic.
     pub fn validate(&self) -> Result<(), ConfigError> {

@@ -1,5 +1,5 @@
-//! Sharded parallel event loop for runs whose shards never exchange an
-//! event.
+//! The simulator's entry points, and the sharded event loop they run
+//! whenever no event can cross between shards.
 //!
 //! The layered engine's state partitions along service-unit lines:
 //! every forward relay chain stays inside its home arc, and the
@@ -15,45 +15,94 @@
 //!
 //! ## The report contract
 //!
+//! Every unrecorded entry point shards every shardable config, at any
+//! thread count, one thread included; every other run takes the
+//! sequential loop. So [`try_run`], [`run`] and [`try_run_threads`]
+//! give the same report at every thread count.
+//!
 //! A shard processes exactly the sequential loop's event subsequence
 //! for its satellites, and frames are numbered by the same formula in
-//! both loops, so every counter and per-index fold of the merged report
-//! equals the sequential one. Shards merge in ascending unit order
-//! whatever the thread count, so every thread count gives the same
-//! bytes. Two fields differ from [`super::engine::try_run`]'s report:
-//! the peak queue depth is the sum of the shard peaks (an upper bound
-//! on the sequential peak), and the mean latency merges per-shard
-//! tallies, within 1e-9 s of the sequential mean.
-//!
-//! Every other run — serve scenarios, degradation, adaptive
-//! controllers, single-unit topologies, and faulted runs on a topology
-//! with a reverse ring — runs on the sequential engine at every thread
-//! count, so its report equals `try_run`'s exactly.
+//! both loops. Every fold of the merged report is a per-index move or a
+//! sum of integers, so a sharded report equals the sequential loop's in
+//! every field except `scheduler`: its peak queue depth is the sum of
+//! the shard peaks, an upper bound on the sequential peak. Recorded
+//! runs, which take the sequential loop, differ from unrecorded ones in
+//! that field too, by their timeline ticks.
+
+use std::sync::Arc;
 
 use explore::ExecOptions;
 use simkit::Scheduler;
+use telemetry::trace::Recorder;
 
 use crate::sim::engine::{self, State};
 use crate::sim::model::{ConfigError, SimConfig, SimReport};
 use crate::sim::policy::PolicyKind;
 use crate::sim::topology;
 
-/// Runs the simulation on up to `threads` worker threads by sharding
-/// the event loop per service unit where no event can cross shards (see
-/// the module docs for the rule and the report contract), and on the
-/// sequential engine otherwise.
+/// Runs the simulation, reporting invalid configurations (including an
+/// unmeasured application/device pair) as a diagnostic instead of
+/// panicking. The same as [`try_run_threads`] on one thread.
+pub fn try_run(cfg: &SimConfig) -> Result<SimReport, ConfigError> {
+    try_run_threads(cfg, 1)
+}
+
+/// Runs the simulation on up to `threads` worker threads. The report
+/// is the same at every thread count (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics if a worker thread panics mid-run.
 pub fn try_run_threads(cfg: &SimConfig, threads: usize) -> Result<SimReport, ConfigError> {
+    run_with(cfg, threads, None)
+}
+
+/// Runs the simulation on the sequential loop with the flight recorder
+/// attached: every frame lifecycle step is recorded as a sim-time-stamped
+/// trace event, and, when the recorder has a timeline cadence,
+/// per-cluster queue depth, link state, and backlog are snapshotted on
+/// that cadence. The report is identical to [`try_run`]'s except for
+/// the scheduler counters (timeline ticks are scheduled events, and a
+/// sharded run's peak depth is a sum of shard peaks).
+pub fn try_run_recorded(
+    cfg: &SimConfig,
+    recorder: Arc<Recorder>,
+) -> Result<SimReport, ConfigError> {
+    run_with(cfg, 1, Some(recorder))
+}
+
+/// Runs the simulation and returns its report.
+///
+/// # Panics
+///
+/// Panics on invalid configurations (zero clusters, cluster size not
+/// dividing the ring) and if the (application, device) pair has no
+/// measurement.
+pub fn run(cfg: &SimConfig) -> SimReport {
+    // lint:allow(unwrap-in-lib) legacy panicking wrapper; the fallible path is try_run
+    try_run(cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Validates `cfg` once and picks the loop: sharded for an unrecorded
+/// shardable run, sequential for every other.
+fn run_with(
+    cfg: &SimConfig,
+    threads: usize,
+    recorder: Option<Arc<Recorder>>,
+) -> Result<SimReport, ConfigError> {
     cfg.validate()?;
-    if !shardable(cfg) {
-        return engine::try_run(cfg);
-    }
     let pixel_capacity = cfg
         .unit_pixel_capacity()
         .ok_or(ConfigError::UnmeasuredWorkload)?;
+    Ok(match recorder {
+        None if shardable(cfg) => run_sharded(cfg, threads, pixel_capacity),
+        recorder => engine::run_sequential(cfg, recorder, pixel_capacity),
+    })
+}
+
+/// Runs one shard per service unit of a validated, shardable `cfg` on
+/// up to `threads` workers and merges them into one report.
+fn run_sharded(cfg: &SimConfig, threads: usize, pixel_capacity: f64) -> SimReport {
     let topo = topology::from_config(cfg);
     let home: Vec<usize> = (0..cfg.plane.satellite_count())
         .map(|s| topo.home_cluster(s))
@@ -73,13 +122,11 @@ pub fn try_run_threads(cfg: &SimConfig, threads: usize) -> Result<SimReport, Con
         (st, sched)
     });
 
-    // Merge in ascending unit order: f64 merge order is part of the
-    // thread-count identity contract.
-    let mut shards = shards.into_iter();
-    let Some((mut st, mut sched)) = shards.next() else {
-        return engine::try_run(cfg);
+    let mut shards = units.iter().zip(shards);
+    let Some((_, (mut st, mut sched))) = shards.next() else {
+        return engine::run_sequential(cfg, None, pixel_capacity);
     };
-    for (unit, (other, other_sched)) in (1..).zip(shards) {
+    for (&unit, (other, other_sched)) in shards {
         st.absorb_shard(other, unit);
         sched.absorb(&other_sched);
     }
@@ -95,7 +142,7 @@ pub fn try_run_threads(cfg: &SimConfig, threads: usize) -> Result<SimReport, Con
             ],
         );
     }
-    Ok(engine::report(st, &sched, cfg))
+    engine::report(st, &sched, cfg)
 }
 
 /// Whether no event can cross between the per-unit shards: the static
@@ -136,40 +183,80 @@ mod tests {
         cfg
     }
 
-    /// The report contract: every field equal except the merged peak
-    /// queue depth (an upper bound) and the mean latency (within 1e-9 s).
+    /// The sequential loop's report, the reference every entry point is
+    /// held to.
+    fn sequential(cfg: &SimConfig) -> SimReport {
+        cfg.validate().expect("valid config");
+        let capacity = cfg.unit_pixel_capacity().expect("measured workload");
+        engine::run_sequential(cfg, None, capacity)
+    }
+
+    /// The report contract: at 1, 2 and 4 threads, and through
+    /// `try_run`, the report equals the sequential loop's bit for bit in
+    /// every field but the peak queue depth, which a sharded run sums
+    /// over its shards.
+    fn assert_matches_sequential(cfg: &SimConfig, name: &str) {
+        let seq = sequential(cfg);
+        assert_eq!(seq.check_invariants(), Ok(()), "{name}");
+        let one = try_run_threads(cfg, 1).expect("valid config");
+        assert_eq!(try_run(cfg).expect("valid config"), one, "{name}: try_run");
+        for threads in [1, 2, 4] {
+            let mut par = try_run_threads(cfg, threads).expect("valid config");
+            assert_eq!(
+                par.mean_latency_s.to_bits(),
+                seq.mean_latency_s.to_bits(),
+                "{name} at {threads} threads"
+            );
+            let peak = seq.scheduler.peak_queue_depth;
+            if shardable(cfg) {
+                assert!(par.scheduler.peak_queue_depth >= peak, "{name}");
+                par.scheduler.peak_queue_depth = peak;
+            }
+            assert_eq!(par, seq, "{name} at {threads} threads");
+        }
+    }
+
     #[test]
     fn fault_free_sharded_run_matches_the_sequential_engine() {
         let cfg = base_cfg(4);
-        let seq = engine::try_run(&cfg).expect("valid config");
-        let mut par = try_run_threads(&cfg, 4).expect("valid config");
-        assert!(par.scheduler.peak_queue_depth >= seq.scheduler.peak_queue_depth);
-        assert!((par.mean_latency_s - seq.mean_latency_s).abs() < 1e-9);
-        par.scheduler.peak_queue_depth = seq.scheduler.peak_queue_depth;
-        par.mean_latency_s = seq.mean_latency_s;
-        assert_eq!(par, seq);
+        assert!(shardable(&cfg));
+        assert_matches_sequential(&cfg, "ring, 4 clusters");
     }
 
+    /// Topology × fault scenario × seed, at a frame size of a whole
+    /// number of bits (3 m) and, with a backlog left at the horizon, of
+    /// a fraction (0.7 m), which the in-flight backlog must sum exactly
+    /// across shards.
     #[test]
     fn thread_counts_are_byte_identical_across_the_matrix() {
         for (topology, ingest) in [
             (SimTopology::Ring, 2),
             (SimTopology::Ring, 4),
             (SimTopology::GeoStar, 2),
+            (SimTopology::SplitRing { factor: 2 }, 2),
             (SimTopology::SplitRing { factor: 4 }, 2),
         ] {
             for scenario in ["none", "flaky_links", "seu_storm"] {
-                let mut cfg = base_cfg(4);
-                cfg.topology = topology;
-                cfg.ingest_links = ingest;
-                cfg.faults = FaultModel::scenario(scenario).expect("registered scenario");
-                if topology == SimTopology::GeoStar {
-                    cfg.clusters = 3;
+                for (seed, res, ed) in [
+                    (1, 3.0, 0.95),
+                    (2, 3.0, 0.95),
+                    (3, 3.0, 0.95),
+                    (1, 0.7, 0.5),
+                ] {
+                    let mut cfg = base_cfg(4);
+                    cfg.resolution = Length::from_m(res);
+                    cfg.discard = DiscardPolicy::Uniform(ed);
+                    cfg.topology = topology;
+                    cfg.ingest_links = ingest;
+                    cfg.faults = FaultModel::scenario(scenario).expect("registered scenario");
+                    cfg.seed = seed;
+                    if topology == SimTopology::GeoStar {
+                        cfg.clusters = 3;
+                    }
+                    let name =
+                        format!("{topology:?} klist:{ingest} {scenario} seed {seed} {res} m");
+                    assert_matches_sequential(&cfg, &name);
                 }
-                let one = try_run_threads(&cfg, 1).expect("valid config");
-                let four = try_run_threads(&cfg, 4).expect("valid config");
-                assert_eq!(one, four, "{topology:?} {scenario} t1 vs t4");
-                assert_eq!(one.check_invariants(), Ok(()), "{topology:?} {scenario}");
             }
         }
     }
@@ -221,14 +308,13 @@ mod tests {
             ("flaky ring", &flaky),
             ("predictive split:2", &migrating),
         ] {
-            let seq = engine::try_run(cfg).expect("valid config");
-            assert_eq!(seq.check_invariants(), Ok(()), "{name}");
-            for threads in [1, 2, 4] {
-                let par = try_run_threads(cfg, threads).expect("valid config");
-                assert_eq!(par, seq, "{name} at {threads} threads");
-            }
+            assert!(!shardable(cfg), "{name}");
+            assert_matches_sequential(cfg, name);
         }
-        let seq = engine::try_run(&migrating).expect("valid config");
-        assert_eq!(seq.faults.reroutes, 10, "migrations must cross arcs");
+        assert_eq!(
+            sequential(&migrating).faults.reroutes,
+            10,
+            "migrations must cross arcs"
+        );
     }
 }

@@ -463,7 +463,7 @@ fn run_split(
     let space = Space::from_points("split", points, |&(factor, ed)| {
         format!("factor={factor};ed={ed}")
     });
-    let mut cache = open_cache(cache_dir, "split", "split-v1");
+    let mut cache = open_cache(cache_dir, "split", "split-v2");
     let out = explore::sweep_cached(&space, opts, &mut cache, |&(factor, ed)| {
         let report = crate::sim::run(&split_sweep_config(factor, ed));
         SplitCell {

@@ -134,7 +134,7 @@ pub static RULES: &[RuleInfo] = &[
         summary: "mutable/interior-mutable static in sim code touched by shard-reachable \
                   functions",
         hint: "move the state into per-shard State fields and merge it in the \
-               ascending absorb pass (see sim::parallel)",
+               absorb pass (see sim::parallel)",
         check: Check::Workspace(taint::check_shared_state),
     },
     RuleInfo {
@@ -151,8 +151,7 @@ pub static RULES: &[RuleInfo] = &[
         severity: Severity::Deny,
         summary: "order-sensitive accumulation (+=/sum/fold) over a HashMap/HashSet in \
                   merge-reachable code",
-        hint: "iterate a BTreeMap or sort keys first; shard merges must fold in \
-               ascending shard order (the absorb discipline)",
+        hint: "iterate a BTreeMap or sort keys first",
         check: Check::Workspace(taint::check_float_merge_order),
     },
 ];

@@ -17,8 +17,7 @@
 //!   index (a bare constant index is one stream shared across entities,
 //!   which shards would then draw from in racy order);
 //! * `float-merge-order` — `+=`/`sum`/`fold` over an unordered
-//!   (`HashMap`/`HashSet`) collection in merge-reachable code, outside
-//!   the ascending absorb discipline.
+//!   (`HashMap`/`HashSet`) collection in merge-reachable code.
 //!
 //! Panics need no reachability: the lexical `unwrap-in-lib` rule
 //! already flags every unwrap/expect/panicking macro in library code,
@@ -35,9 +34,10 @@ use crate::Diagnostic;
 
 /// Event-loop roots: every function matching one of these specs is a
 /// determinism sink, and everything reachable from them inherits that.
-/// `engine::step` is the sequential hot loop, `parallel::try_run_threads`
-/// the sharded entry point (whose reach covers shard workers and the
-/// absorb/merge discipline), `engine::report` the report fold. The five
+/// `engine::step` is the event loop's dispatch, `parallel::try_run_threads`
+/// the entry point every unrecorded run takes (whose reach covers both
+/// loops, the shard workers and the shard merge), `engine::report` the
+/// report fold. The five
 /// `policy::decide_*` specs are the adaptive control plane's decision
 /// entry points: controllers run inside the event loop, so any taint in
 /// a `Policy` impl breaks byte-identity exactly like taint in the
@@ -291,8 +291,8 @@ const ITER_METHODS: &[&str] = &["values", "keys", "iter", "into_iter", "drain", 
 
 /// `float-merge-order`: accumulating (`+=`, `.sum()`, `.fold()`) over a
 /// `HashMap`/`HashSet` feeds results in allocation order; under the
-/// byte-identity contract every merge must run in a fixed (ascending
-/// shard / sorted key) order.
+/// byte-identity contract an order-dependent fold must run in a fixed
+/// (sorted key) order.
 pub fn check_float_merge_order(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diagnostic>) {
     for (fi, f) in a.symbols.fns.iter().enumerate() {
         if !a.reach.contains(fi) {
