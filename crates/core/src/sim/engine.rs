@@ -1,12 +1,15 @@
-//! The sim engine's event loop: composes the topology, transport, and
-//! service layers into the frame-level discrete-event simulation.
+//! The sim engine's event loop and frame handlers: composes the
+//! topology, transport, and service layers into the frame-level
+//! discrete-event simulation.
 //!
 //! The loop owns only the things no single layer can: the event
 //! calendar, the [`Ledger`] every lifecycle transition goes through,
 //! the in-flight backlog, the early-discard draw, and report assembly.
 //! Routing questions go to [`super::topology`], link timing and outages
 //! to [`super::transport`], compute and SEU/shedding to
-//! [`super::service`]. Because every RNG draw comes from a stateless
+//! [`super::service`]. Serve events go to [`super::serve::handlers`],
+//! with the run's [`ServeState`], which lives beside [`State`] rather
+//! than inside it. Because every RNG draw comes from a stateless
 //! stream keyed exactly as in the pre-refactor monolith, seeded runs —
 //! fault-free and faulted alike — replay byte-identically.
 
@@ -14,7 +17,7 @@ use std::sync::Arc;
 
 use imagery::earth::EarthModel;
 use orbit::groundtrack::subsatellite_point;
-use simkit::rng::{coin, exponential, RngFactory};
+use simkit::rng::{coin, RngFactory};
 use simkit::stats::Tally;
 use simkit::Scheduler;
 use telemetry::trace::{Recorder, TraceCause, TraceKind, TraceRecord, TraceTally};
@@ -23,12 +26,9 @@ use units::{DataSize, Time};
 use crate::sim::faults::FaultSummary;
 use crate::sim::model::{DiscardPolicy, SimConfig, SimReport};
 use crate::sim::policy::{
-    AdmissionDecision, AdmissionObs, BatchDecision, BatchObs, LinkObs, MigrationDecision,
-    MigrationObs, Policy, RetryDecision, ShedDecision, ShedObs,
+    LinkObs, MigrationDecision, MigrationObs, Policy, RetryDecision, ShedDecision, ShedObs,
 };
-use crate::sim::serve::{
-    admit as serve_admit, Admission, LoadModel, Request, ServeState, OPEN_SLOT,
-};
+use crate::sim::serve::{self, Request, ServeState};
 use crate::sim::service::Service;
 use crate::sim::topology::{self, Topology};
 use crate::sim::transport::Transport;
@@ -87,7 +87,7 @@ pub(super) enum Ev {
     Snapshot,
     /// Tenant `tenant`'s load generator produces a request (closed-loop
     /// submissions carry their concurrency `slot`; open-loop arrivals
-    /// carry [`OPEN_SLOT`]). Never scheduled in non-serve runs.
+    /// carry [`OPEN_SLOT`](serve::OPEN_SLOT)). Never scheduled in non-serve runs.
     ServeArrival { tenant: u32, slot: u32 },
     /// A request finishes crossing the ISL out of `from`.
     ServeHop { req: Request, from: usize },
@@ -105,9 +105,10 @@ pub(super) enum Ev {
         tenant: u32,
         epoch: u64,
     },
-    /// SµDC `cluster` finishes the in-service batch `batch`.
+    /// SµDC `cluster` finishes its oldest in-service batch, of `size`
+    /// requests (a SµDC's pipeline finishes batches in dispatch order).
     ServeBatchDone {
-        batch: u64,
+        size: u32,
         cluster: u32,
         corrupted: bool,
     },
@@ -171,7 +172,7 @@ impl Ev {
 /// after such a store waits for it (no store forwarding), which held
 /// ≈9 % of the dense ring's sampled CPU on one instruction.
 #[inline(always)]
-fn schedule(sched: &mut Scheduler<Ev>, at: Time, ev: Ev) {
+pub(super) fn schedule(sched: &mut Scheduler<Ev>, at: Time, ev: Ev) {
     match ev.stream() {
         Some(stream) => sched.schedule_on(stream, at, ev),
         None => sched.schedule_at(at, ev),
@@ -184,7 +185,7 @@ fn schedule(sched: &mut Scheduler<Ev>, at: Time, ev: Ev) {
 /// only when one is. [`report`] reads `SimReport` and `FaultSummary`
 /// out of the tallies, so a recorded log's loss table equals the fault
 /// summary by construction.
-struct Ledger {
+pub(super) struct Ledger {
     /// Frame lifecycle and timeline records.
     frames: TraceTally,
     /// Request lifecycle records, apart so that request retries and
@@ -236,7 +237,7 @@ impl Ledger {
 
     /// Tallies a request record and returns its `seq`.
     #[inline(always)]
-    fn note_request(&mut self, rec: TraceRecord) -> u64 {
+    pub(super) fn note_request(&mut self, rec: TraceRecord) -> u64 {
         self.requests.add(&rec);
         self.buffer(rec)
     }
@@ -293,12 +294,13 @@ enum Discard {
 }
 
 /// Per-run mutable state: the three layers plus the engine's own frame
-/// bookkeeping.
+/// bookkeeping. The serve handlers read and drive the layers too, so
+/// those fields are visible across `sim`.
 pub(super) struct State {
-    cfg: SimConfig,
-    topo: Box<dyn Topology>,
-    transport: Transport,
-    service: Service,
+    pub(super) cfg: SimConfig,
+    pub(super) topo: Box<dyn Topology>,
+    pub(super) transport: Transport,
+    pub(super) service: Service,
     /// Frames in flight (accepted but not yet at a SµDC). A count, so
     /// shards add it exactly; [`State::queued_bits`] scales it.
     queued_frames: u64,
@@ -306,17 +308,13 @@ pub(super) struct State {
     frame_bits: f64,
     frame_pixels: f64,
     /// Lifecycle tallies, latency and the recorder buffer.
-    ledger: Ledger,
+    pub(super) ledger: Ledger,
     discard: Discard,
-    rng_factory: RngFactory,
-    /// Serving-layer runtime; `None` for pure EO-frame runs, which then
-    /// schedule no serve events and draw no serve RNG streams — keeping
-    /// them byte-identical to the serve-unaware engine.
-    serve: Option<ServeState>,
+    pub(super) rng_factory: RngFactory,
     /// The run's control-plane controller. Every decision site asks it
     /// with plain-value telemetry; the engine alone executes decisions
     /// (and performs every RNG draw).
-    policy: Box<dyn Policy>,
+    pub(super) policy: Box<dyn Policy>,
 }
 
 impl State {
@@ -341,10 +339,6 @@ impl State {
             rng_factory,
         );
         let service = Service::new(cfg, topo.units(), pixel_capacity, rng_factory);
-        let serve = cfg
-            .serve
-            .as_ref()
-            .map(|sc| ServeState::new(sc, topo.units(), pixel_capacity));
         Self {
             cfg: cfg.clone(),
             topo,
@@ -359,7 +353,6 @@ impl State {
                 DiscardPolicy::ClearLandOnly => Discard::ClearLandOnly(EarthModel::paper(cfg.seed)),
             },
             rng_factory,
-            serve,
             policy: cfg.policy.build(cfg),
         }
     }
@@ -415,8 +408,15 @@ impl State {
 
 /// A lifecycle record of frame or request `id` at satellite or cluster
 /// `unit`, linked to the lifecycle's previous record `parent` (0 for
-/// none).
-fn lifecycle(now: Time, kind: TraceKind, id: u64, unit: usize, parent: u64) -> TraceRecord {
+/// none). Inlined into the serve handlers' module too.
+#[inline]
+pub(super) fn lifecycle(
+    now: Time,
+    kind: TraceKind,
+    id: u64,
+    unit: usize,
+    parent: u64,
+) -> TraceRecord {
     TraceRecord::at(now.as_secs(), kind)
         .frame(id)
         .unit(unit)
@@ -764,538 +764,18 @@ fn on_snapshot(st: &mut State, sched: &mut Scheduler<Ev>, now: Time) {
     }
 }
 
-/// Draws tenant `t`'s next open-loop Poisson interarrival gap (seconds)
-/// from the dedicated `serve_arrival` stream, keyed by tenant and draw
-/// ordinal in the same `(id << 32) | ordinal` style as the frame-side
-/// streams. `None` for closed-loop tenants (and non-serve runs).
-fn serve_next_interarrival(st: &mut State, t: usize) -> Option<f64> {
-    let factory = st.rng_factory;
-    let serve = st.serve.as_mut()?;
-    let tr = &mut serve.tenants[t];
-    let LoadModel::Open { rate_rps } = tr.spec.load else {
-        return None;
-    };
-    tr.arrival_draws += 1;
-    let mut rng = factory.stream(
-        "serve_arrival",
-        ((t as u64) << 32) | (tr.arrival_draws & 0xFFFF_FFFF),
-    );
-    Some(exponential(&mut rng, 1.0 / rate_rps))
-}
-
-/// Draws tenant `t`'s next closed-loop think time (seconds) from the
-/// dedicated `serve_think` stream; 0 for open-loop tenants or a zero
-/// mean (no draw is spent in either case).
-fn serve_think_delay(st: &mut State, t: usize) -> f64 {
-    let factory = st.rng_factory;
-    let Some(serve) = st.serve.as_mut() else {
-        return 0.0;
-    };
-    let tr = &mut serve.tenants[t];
-    let LoadModel::Closed { think_s, .. } = tr.spec.load else {
-        return 0.0;
-    };
-    if think_s <= 0.0 {
-        return 0.0;
-    }
-    tr.think_draws += 1;
-    let mut rng = factory.stream(
-        "serve_think",
-        ((t as u64) << 32) | (tr.think_draws & 0xFFFF_FFFF),
-    );
-    exponential(&mut rng, think_s)
-}
-
-/// Seeds the serve load generators at t = 0: every open-loop tenant
-/// draws its first Poisson gap, every closed-loop slot draws an initial
-/// think time (staggering the slots' first submissions).
-fn serve_start(st: &mut State, sched: &mut Scheduler<Ev>) {
-    let plans: Vec<(usize, LoadModel)> = match st.serve.as_ref() {
-        Some(serve) => serve
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(t, tr)| (t, tr.spec.load))
-            .collect(),
-        None => return,
-    };
-    for (t, load) in plans {
-        let tenant = t as u32;
-        match load {
-            LoadModel::Open { .. } => {
-                if let Some(gap) = serve_next_interarrival(st, t) {
-                    schedule(
-                        sched,
-                        Time::from_secs(gap),
-                        Ev::ServeArrival {
-                            tenant,
-                            slot: OPEN_SLOT,
-                        },
-                    );
-                }
-            }
-            LoadModel::Closed { concurrency, .. } => {
-                for slot in 0..concurrency {
-                    let think = serve_think_delay(st, t);
-                    schedule(
-                        sched,
-                        Time::from_secs(think),
-                        Ev::ServeArrival {
-                            tenant,
-                            slot: slot as u32,
-                        },
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Hands a request slot back to its load generator: for closed-loop
-/// tenants, schedules the slot's next submission after a think-time
-/// draw — so outstanding requests can never exceed the configured
-/// concurrency. Open-loop slots are exogenous and need nothing.
-fn serve_requeue_slot(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    tenant: u32,
-    slot: u32,
-    now: Time,
-) {
-    if slot != OPEN_SLOT {
-        let think = serve_think_delay(st, tenant as usize);
-        schedule(
-            sched,
-            now + Time::from_secs(think),
-            Ev::ServeArrival { tenant, slot },
-        );
-    }
-}
-
-/// Closes out an *admitted* request: decrements the tenant's in-flight
-/// gauge and requeues the slot. Rejected requests never entered the
-/// gauge (see [`ServeState::begin_request`]) and use
-/// [`serve_requeue_slot`] directly.
-fn serve_finish_slot(st: &mut State, sched: &mut Scheduler<Ev>, tenant: u32, slot: u32, now: Time) {
-    if let Some(serve) = st.serve.as_mut() {
-        let tr = &mut serve.tenants[tenant as usize];
-        tr.inflight = tr.inflight.saturating_sub(1);
-    }
-    serve_requeue_slot(st, sched, tenant, slot, now);
-}
-
-/// An admitted request dies in the network or on dead hardware: counted
-/// against its tenant, traced as a rejection, and its slot handed back.
-fn serve_lose(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    req: &Request,
-    unit: usize,
-    cause: TraceCause,
-    now: Time,
-) {
-    if let Some(serve) = st.serve.as_mut() {
-        serve.tenants[req.tenant as usize].lost += 1;
-    }
-    st.ledger.note_request(
-        lifecycle(now, TraceKind::ReqRejected, req.id, unit, req.last_seq).cause(cause),
-    );
-    serve_finish_slot(st, sched, req.tenant, req.slot, now);
-}
-
-/// A load generator produces a request: pick its entry satellite from
-/// the `serve_source` stream, run admission against the destination
-/// SµDC's compute backlog, and launch admitted requests into the
-/// network. Open-loop generators reschedule themselves unconditionally
-/// — arrivals are exogenous, rejections included.
-fn on_serve_arrival(st: &mut State, sched: &mut Scheduler<Ev>, tenant: u32, slot: u32, now: Time) {
-    let t = tenant as usize;
-    if slot == OPEN_SLOT {
-        if let Some(gap) = serve_next_interarrival(st, t) {
-            schedule(
-                sched,
-                now + Time::from_secs(gap),
-                Ev::ServeArrival { tenant, slot },
-            );
-        }
-    }
-    let factory = st.rng_factory;
-    let n = st.cfg.plane.satellite_count() as u64;
-    let (id, bits, pixels, sat) = {
-        let Some(serve) = st.serve.as_mut() else {
-            return;
-        };
-        let id = serve.begin_request(t);
-        let mut rng = factory.stream("serve_source", serve.arrivals);
-        let sat = rng.next_below(n) as usize;
-        let spec = &serve.tenants[t].spec;
-        (id, spec.request_bits, spec.request_pixels, sat)
-    };
-    let arrived = st
-        .ledger
-        .note_request(lifecycle(now, TraceKind::ReqArrived, id, sat, 0));
-    // Admission reads the backlog of the entry satellite's home SµDC,
-    // where its relay chain ends (chains never leave the home cluster).
-    let cluster = st.topo.home_cluster(sat);
-    let backlog_s = st.service.queue_depth_s(cluster, now);
-    let Some(verdict) = serve_admission_verdict(st, t, cluster, backlog_s, now) else {
-        return;
-    };
-    match verdict {
-        Admission::Admit => {
-            let last_seq =
-                st.ledger
-                    .note_request(lifecycle(now, TraceKind::ReqAdmitted, id, sat, arrived));
-            let req = Request {
-                id,
-                tenant,
-                created: now,
-                bits,
-                pixels,
-                slot,
-                last_seq,
-            };
-            serve_dispatch(st, sched, req, sat, now, 0);
-        }
-        Admission::Throttled => {
-            st.ledger.note_request(
-                lifecycle(now, TraceKind::ReqRejected, id, sat, arrived)
-                    .cause(TraceCause::Throttled),
-            );
-            serve_requeue_slot(st, sched, tenant, slot, now);
-        }
-        Admission::Shed => {
-            st.ledger.note_request(
-                lifecycle(now, TraceKind::ReqRejected, id, sat, arrived).cause(TraceCause::Backlog),
-            );
-            serve_requeue_slot(st, sched, tenant, slot, now);
-        }
-    }
-}
-
-/// Runs one request through the admission gate of the SµDC at
-/// `cluster`: the policy observes the tenant's shed count against the
-/// fleet mean and may scale the shed threshold, then the (possibly
-/// scaled) token-bucket admission decides and the per-tenant counters
-/// record the verdict. `None` when no serving layer is configured.
-fn serve_admission_verdict(
-    st: &mut State,
-    t: usize,
-    cluster: usize,
-    backlog_s: f64,
-    now: Time,
-) -> Option<Admission> {
-    let decision = {
-        let serve = st.serve.as_ref()?;
-        let total_shed: u64 = serve.tenants.iter().map(|tr| tr.shed).sum();
-        let obs = AdmissionObs {
-            tenant: t,
-            unit: cluster,
-            now_s: now.as_secs(),
-            backlog_s,
-            tenant_shed: serve.tenants[t].shed,
-            mean_shed: total_shed as f64 / serve.tenants.len() as f64,
-        };
-        st.policy.decide_admission(&obs)
-    };
-    let serve = st.serve.as_mut()?;
-    let class = serve.tenants[t].spec.class;
-    let scale = match decision {
-        AdmissionDecision::Baseline => 1.0,
-        AdmissionDecision::ScaleShedThreshold(scale) => scale,
-    };
-    let verdict = serve_admit(
-        &serve.cfg,
-        &mut serve.tenants[t].bucket,
-        class,
-        backlog_s,
-        now,
-        scale,
-    );
-    match verdict {
-        // Only admitted requests enter the inflight gauge; rejected
-        // ones bounce at the gate without ever being outstanding.
-        Admission::Admit => serve.note_admitted(t),
-        Admission::Throttled => serve.tenants[t].throttled += 1,
-        Admission::Shed => serve.tenants[t].shed += 1,
-    }
-    Some(verdict)
-}
-
-/// Routes a request out of `sat` over the same ISLs the frame workload
-/// rides, honouring link outages: a down link retries with the frames'
-/// backoff policy, but requests never fall back to reverse routing — a
-/// request whose forward path exhausts its retries is lost (and
-/// reported per tenant), since re-serving from the ground beats a
-/// multi-second detour for interactive traffic.
-fn serve_dispatch(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    req: Request,
-    sat: usize,
-    now: Time,
-    attempt: u32,
-) {
-    if st.transport.outages_modelled() {
-        let start = st.transport.next_start(sat, now);
-        if !st.transport.link_up(sat, false, start) {
-            let obs = LinkObs {
-                unit: sat,
-                now_s: now.as_secs(),
-                attempt,
-                baseline_delay_s: st.transport.retry_delay_s(attempt),
-                reversed: false,
-                serve: true,
-            };
-            if let RetryDecision::Retry { delay_s: delay } = st.policy.decide_retry(&obs) {
-                let last_seq = st.ledger.note_request(
-                    lifecycle(now, TraceKind::Retry, req.id, sat, req.last_seq)
-                        .cause(TraceCause::LinkDown)
-                        .value(delay),
-                );
-                let req = Request { last_seq, ..req };
-                schedule(
-                    sched,
-                    now + Time::from_secs(delay),
-                    Ev::ServeRetry {
-                        req,
-                        from: sat,
-                        attempt: attempt + 1,
-                    },
-                );
-            } else {
-                serve_lose(st, sched, &req, sat, TraceCause::LinkDown, now);
-            }
-            return;
-        }
-    }
-    let arrival = st.transport.transmit(sat, now, req.bits);
-    let last_seq = st.ledger.note_request(
-        lifecycle(now, TraceKind::Hop, req.id, sat, req.last_seq).value((arrival - now).as_secs()),
-    );
-    let req = Request { last_seq, ..req };
-    schedule(sched, arrival, Ev::ServeHop { req, from: sat });
-}
-
-/// A request arrives at the next node: relay onward, or enter its home
-/// SµDC's batch queue — dying if that SµDC is down (requests have no
-/// reverse fallback).
-fn on_serve_hop(st: &mut State, sched: &mut Scheduler<Ev>, req: Request, from: usize, now: Time) {
-    match st.topo.next_hop(from) {
-        Some(next) => serve_dispatch(st, sched, req, next, now, 0),
-        None => {
-            let cluster = st.topo.home_cluster(from);
-            if st.service.cluster_failed(cluster, now) {
-                serve_lose(st, sched, &req, cluster, TraceCause::ClusterDown, now);
-                return;
-            }
-            let t = req.tenant as usize;
-            if let Some(serve) = st.serve.as_mut() {
-                serve.batcher.push(cluster, req);
-            }
-            serve_drain_queue(st, sched, cluster, t, now, false);
-        }
-    }
-}
-
-/// Dispatches every batch the policy says is ready on the (cluster,
-/// tenant) queue — `force` flushes regardless, for fired deadline
-/// timers — then arms the straggler flush timer for any remainder.
-fn serve_drain_queue(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    cluster: usize,
-    tenant: usize,
-    now: Time,
-    force: bool,
-) {
-    loop {
-        let depth_s = st.service.queue_depth_s(cluster, now);
-        let queue_len = match st.serve.as_ref() {
-            Some(serve) => serve.batcher.len(cluster, tenant),
-            None => 0,
-        };
-        if queue_len == 0 {
-            break;
-        }
-        // A fired deadline timer flushes unconditionally (stragglers
-        // must drain whatever the controller decides); otherwise
-        // the policy arbitrates, with `Baseline` deferring to the
-        // configured batcher trigger verbatim.
-        let ready = force || {
-            let obs = BatchObs {
-                unit: cluster,
-                tenant,
-                now_s: now.as_secs(),
-                queue_len,
-                depth_s,
-            };
-            match st.policy.decide_batch(&obs) {
-                BatchDecision::Baseline => match st.serve.as_ref() {
-                    Some(serve) => serve.batcher.ready(cluster, tenant, depth_s),
-                    None => false,
-                },
-                BatchDecision::Flush => true,
-            }
-        };
-        if !ready {
-            break;
-        }
-        serve_dispatch_batch(st, sched, cluster, tenant, now);
-    }
-    // The batcher never hands back a deadline in the past (leftover
-    // heads re-anchor at `now`), so the deadline schedules as-is.
-    let timer = st
-        .serve
-        .as_mut()
-        .and_then(|serve| serve.batcher.arm_timer(cluster, tenant, now.as_secs()));
-    if let Some((deadline_s, epoch)) = timer {
-        schedule(
-            sched,
-            Time::from_secs(deadline_s),
-            Ev::ServeBatchTimer {
-                cluster: cluster as u32,
-                tenant: tenant as u32,
-                epoch,
-            },
-        );
-    }
-}
-
-/// Pulls one batch off the queue into the SµDC compute pipeline: the
-/// saturating throughput model prices the batch, the shared pipeline
-/// (frames included) runs it FIFO, and an active SEU window can
-/// silently corrupt the whole batch's outputs.
-fn serve_dispatch_batch(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    cluster: usize,
-    tenant: usize,
-    now: Time,
-) {
-    let (mut batch, service_s) = {
-        let Some(serve) = st.serve.as_mut() else {
-            return;
-        };
-        let Some(batch) = serve.batcher.dispatch(cluster, tenant) else {
-            return;
-        };
-        let service_s = serve.service_seconds(tenant, batch.reqs.len());
-        (batch, service_s)
-    };
-    let (done, corrupted) = st.service.admit_batch(service_s, cluster, now);
-    let size = batch.reqs.len() as f64;
-    for req in &mut batch.reqs {
-        req.last_seq = st.ledger.note_request(
-            lifecycle(now, TraceKind::ReqBatched, req.id, cluster, req.last_seq).value(size),
-        );
-    }
-    let batch_id = match st.serve.as_mut() {
-        Some(serve) => serve.batcher.store(batch),
-        None => return,
-    };
-    schedule(
-        sched,
-        done,
-        Ev::ServeBatchDone {
-            batch: batch_id,
-            cluster: cluster as u32,
-            corrupted,
-        },
-    );
-}
-
-/// A flush-timer deadline fires: stale epochs (the queue dispatched in
-/// the meantime) are ignored; a live timer on a non-empty queue flushes
-/// it.
-fn on_serve_batch_timer(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    cluster: usize,
-    tenant: usize,
-    epoch: u64,
-    now: Time,
-) {
-    let live = match st.serve.as_mut() {
-        Some(serve) => serve.batcher.timer_fired(cluster, tenant, epoch),
-        None => false,
-    };
-    if live {
-        serve_drain_queue(st, sched, cluster, tenant, now, true);
-    }
-}
-
-/// A SµDC finishes a batch: score every request against its tenant's
-/// SLO deadline (work completing on a cluster that died mid-service
-/// dies with it), hand closed-loop slots back, then re-examine the
-/// cluster's queues — the pipeline just freed capacity an adaptive
-/// policy may want to use.
-fn on_serve_batch_done(
-    st: &mut State,
-    sched: &mut Scheduler<Ev>,
-    batch_id: u64,
-    cluster: usize,
-    corrupted: bool,
-    now: Time,
-) {
-    let batch = match st.serve.as_mut() {
-        Some(serve) => serve.batcher.take(batch_id),
-        None => None,
-    };
-    let Some(batch) = batch else {
-        return;
-    };
-    let dead = st.service.cluster_failed(cluster, now);
-    for req in &batch.reqs {
-        if dead {
-            serve_lose(st, sched, req, cluster, TraceCause::ClusterDown, now);
-            continue;
-        }
-        let latency = (now - req.created).as_secs();
-        let t = req.tenant as usize;
-        let on_time = {
-            let Some(serve) = st.serve.as_mut() else {
-                return;
-            };
-            let tr = &mut serve.tenants[t];
-            if corrupted {
-                // The output is silently wrong: an SLO violation even
-                // when it would have been on time.
-                tr.violations += 1;
-                None
-            } else {
-                tr.completed += 1;
-                tr.latency_ms.record(latency * 1e3);
-                let ok = latency <= tr.spec.slo_deadline_s;
-                if ok {
-                    tr.on_time += 1;
-                } else {
-                    tr.violations += 1;
-                }
-                Some(ok)
-            }
-        };
-        let record = |kind| lifecycle(now, kind, req.id, cluster, req.last_seq);
-        let record = match on_time {
-            Some(true) => record(TraceKind::ReqCompleted),
-            Some(false) => record(TraceKind::SloViolated).cause(TraceCause::Backlog),
-            None => record(TraceKind::SloViolated).cause(TraceCause::Seu),
-        };
-        st.ledger.note_request(record.value(latency));
-        serve_finish_slot(st, sched, req.tenant, req.slot, now);
-    }
-    let tenants = st.serve.as_ref().map_or(0, |serve| serve.tenants.len());
-    for t in 0..tenants {
-        serve_drain_queue(st, sched, cluster, t, now, false);
-    }
-}
-
 /// Handles one popped event — the complete event-loop dispatch table,
-/// shared verbatim by the sequential loop in [`run_sequential`] and
-/// every shard of [`super::parallel::try_run_threads`], so the two runners
-/// cannot drift apart behaviourally.
+/// shared verbatim by the sequential loop and every shard of
+/// [`super::parallel::try_run_threads`] through [`run_to_horizon`], so
+/// the two runners cannot drift apart behaviourally. Serve events go to
+/// [`serve::handlers::step`] with the run's [`ServeState`]; a run without one
+/// schedules none.
 #[inline(always)] // the sequential loop had this match inlined at the pop site; keep it there
-pub(super) fn step(st: &mut State, sched: &mut Scheduler<Ev>, ev: simkit::Event<Ev>) {
+fn step(
+    (st, serve): &mut (State, Option<ServeState>),
+    sched: &mut Scheduler<Ev>,
+    ev: simkit::Event<Ev>,
+) {
     let now = ev.time;
     match ev.payload {
         Ev::Generate { sat, k } => on_generate(st, sched, sat, k, now),
@@ -1312,42 +792,71 @@ pub(super) fn step(st: &mut State, sched: &mut Scheduler<Ev>, ev: simkit::Event<
             corrupted,
         } => on_done(st, frame, cluster, corrupted, now),
         Ev::Snapshot => on_snapshot(st, sched, now),
-        Ev::ServeArrival { tenant, slot } => on_serve_arrival(st, sched, tenant, slot, now),
-        Ev::ServeHop { req, from } => on_serve_hop(st, sched, req, from, now),
-        Ev::ServeRetry { req, from, attempt } => serve_dispatch(st, sched, req, from, now, attempt),
-        Ev::ServeBatchTimer {
-            cluster,
-            tenant,
-            epoch,
-        } => on_serve_batch_timer(st, sched, cluster as usize, tenant as usize, epoch, now),
-        Ev::ServeBatchDone {
-            batch,
-            cluster,
-            corrupted,
-        } => on_serve_batch_done(st, sched, batch, cluster as usize, corrupted, now),
+        ev => {
+            if let Some(serve) = serve {
+                serve::handlers::step(st, serve, sched, ev, now);
+            }
+        }
     }
 }
 
-/// Seeds satellite `sat`'s first imaging event, staggered uniformly
-/// over one period to avoid a thundering herd at t = 0. Shared by the
-/// sequential loop (all satellites) and each parallel shard (its own
-/// satellites, in the same ascending order).
-pub(super) fn seed_generate(sched: &mut Scheduler<Ev>, cfg: &SimConfig, sat: usize) {
+/// Builds a run's state and runs it to the horizon: seeds the imaging
+/// of `sats` (ascending), then the timeline tick when `recorder` has a
+/// cadence, then the serve load generators when `cfg` has a serving
+/// layer, and drains the ledger into the recorder at the end. The
+/// sequential loop runs every satellite; a shard of
+/// [`super::parallel::try_run_threads`] runs its unit's, seeded in the
+/// same order, so each shard replays the sequential loop's events for
+/// its satellites.
+pub(super) fn run_to_horizon(
+    cfg: &SimConfig,
+    recorder: Option<Arc<Recorder>>,
+    pixel_capacity: f64,
+    sats: impl Iterator<Item = usize>,
+) -> (State, Option<ServeState>, Scheduler<Ev>) {
+    let mut st = State::new(cfg, recorder, pixel_capacity);
     let n = cfg.plane.satellite_count();
-    let offset = cfg.frame.period * (sat as f64 / n as f64);
-    schedule(sched, offset, Ev::Generate { sat, k: 0 });
+    let mut sched: Scheduler<Ev> = Scheduler::new();
+    for sat in sats {
+        // Staggered uniformly over one period to avoid a thundering
+        // herd at t = 0.
+        let offset = cfg.frame.period * (sat as f64 / n as f64);
+        schedule(&mut sched, offset, Ev::Generate { sat, k: 0 });
+    }
+    if let Some(cadence) = st.ledger.cadence_s() {
+        schedule(&mut sched, Time::from_secs(cadence), Ev::Snapshot);
+    }
+    let mut serve = cfg
+        .serve
+        .as_ref()
+        .map(|sc| ServeState::new(sc, st.topo.units(), pixel_capacity));
+    if let Some(serve) = &mut serve {
+        serve::handlers::serve_start(&mut st, serve, &mut sched);
+    }
+    let mut run = (st, serve);
+    simkit::run_until(&mut sched, &mut run, cfg.duration, step);
+    let (mut st, serve) = run;
+    st.ledger.drain();
+    if let Some(rec) = &st.ledger.recorder {
+        rec.flush();
+    }
+    (st, serve, sched)
 }
 
 /// Assembles the report: utilisation from the layers' busy-time
 /// high-water marks, stability from goodput and residual backlog, and
 /// the fault summary folded out of the outage processes.
-pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> SimReport {
-    let n = cfg.plane.satellite_count();
+pub(super) fn report(
+    mut st: State,
+    serve: Option<ServeState>,
+    sched: &Scheduler<Ev>,
+    cfg: &SimConfig,
+) -> SimReport {
     let units = st.topo.units();
     // Utilisation: scheduled busy time of ingest links and SµDC pipelines
     // relative to the horizon (values beyond the horizon mean saturation).
     let horizon = cfg.duration.as_secs();
-    let ingest: Vec<f64> = (0..n)
+    let ingest: Vec<f64> = (0..cfg.plane.satellite_count())
         .filter(|&s| st.topo.next_hop(s).is_none())
         .map(|s| (st.transport.busy_s(s) / horizon).min(1.0))
         .collect();
@@ -1454,10 +963,7 @@ pub(super) fn report(mut st: State, sched: &Scheduler<Ev>, cfg: &SimConfig) -> S
         stable,
         scheduler: sched.counters(),
         faults: fault_summary,
-        serve: st
-            .serve
-            .as_ref()
-            .map(|s| s.report(horizon, st.ledger.requests.count(TraceKind::Retry))),
+        serve: serve.map(|s| s.report(horizon, st.ledger.requests.count(TraceKind::Retry))),
     }
 }
 
@@ -1469,31 +975,16 @@ pub(super) fn run_sequential(
     recorder: Option<Arc<Recorder>>,
     pixel_capacity: f64,
 ) -> SimReport {
-    let n = cfg.plane.satellite_count();
-    let mut st = State::new(cfg, recorder, pixel_capacity);
-
-    let mut sched: Scheduler<Ev> = Scheduler::new();
-    for sat in 0..n {
-        seed_generate(&mut sched, cfg, sat);
-    }
-    if let Some(cadence) = st.ledger.cadence_s() {
-        schedule(&mut sched, Time::from_secs(cadence), Ev::Snapshot);
-    }
-    serve_start(&mut st, &mut sched);
-
-    simkit::run_until(&mut sched, &mut st, cfg.duration, step);
-
-    st.ledger.drain();
-    if let Some(rec) = &st.ledger.recorder {
-        rec.flush();
-    }
-    report(st, &sched, cfg)
+    let sats = 0..cfg.plane.satellite_count();
+    let (st, serve, sched) = run_to_horizon(cfg, recorder, pixel_capacity, sats);
+    report(st, serve, &sched, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sim::model::SimTopology;
+    use crate::sim::serve::OPEN_SLOT;
     use crate::sim::{run, try_run, try_run_recorded};
     use crate::sizing::SudcSpec;
     use units::{DataRate, Length};
@@ -1541,7 +1032,7 @@ mod tests {
         }
         for cluster in 0..32 {
             let done = Ev::ServeBatchDone {
-                batch: 0,
+                size: 1,
                 cluster,
                 corrupted: false,
             };
@@ -2079,136 +1570,6 @@ mod tests {
         assert_eq!(log.count_kind(TraceKind::SnapshotNet), 0);
     }
 
-    fn serve_cfg(scenario: &str) -> SimConfig {
-        let mut cfg =
-            SimConfig::paper_reference(Application::AirPollution, Length::from_m(3.0), 0.95);
-        cfg.clusters = 4;
-        cfg.duration = Time::from_minutes(2.0);
-        let sc = crate::sim::ServeScenario::scenario(scenario).expect("registered scenario");
-        cfg.serve = Some(sc.serve);
-        cfg.faults = sc.faults;
-        cfg
-    }
-
-    #[test]
-    fn steady_scenario_serves_within_slo_alongside_frames() {
-        let r = run(&serve_cfg("steady"));
-        let serve = r.serve.expect("serve runs embed a ServeReport");
-        assert!(serve.offered() > 0);
-        assert!(serve.completed() > 0);
-        assert!(serve.requests_per_sec > 0.0);
-        assert!(serve.batch_efficiency > 0.0 && serve.batch_efficiency <= 1.0);
-        let premium = &serve.tenants[0];
-        assert!(premium.slo_attainment > 0.9, "{premium:?}");
-        assert!(premium.p99_ms >= premium.p50_ms);
-        assert!(premium.goodput_rps > 0.0);
-        // The frame workload keeps flowing alongside the serving traffic.
-        assert!(r.processed > 0);
-    }
-
-    #[test]
-    fn surge_scenario_sheds_or_throttles_excess_load() {
-        let r = run(&serve_cfg("surge"));
-        let serve = r.serve.expect("serve report");
-        assert!(serve.shed_rate > 0.0, "{serve:?}");
-        let turned_away: u64 = serve.tenants.iter().map(|t| t.throttled + t.shed).sum();
-        assert!(turned_away > 0, "{serve:?}");
-        // Class shedding sacrifices best-effort traffic first: premium
-        // loses a smaller fraction of its offered load to the backlog
-        // threshold than the best-effort survey flood does.
-        let premium = &serve.tenants[0];
-        let best_effort = &serve.tenants[2];
-        let shed_frac = |t: &crate::sim::serve::TenantReport| t.shed as f64 / t.offered as f64;
-        assert!(
-            shed_frac(premium) < shed_frac(best_effort),
-            "premium shed {} vs best-effort shed {}",
-            shed_frac(premium),
-            shed_frac(best_effort)
-        );
-    }
-
-    #[test]
-    fn closed_loop_peak_inflight_respects_concurrency() {
-        let cfg = serve_cfg("closed_loop");
-        let specs = cfg.serve.clone().expect("serve cfg").tenants;
-        let r = run(&cfg);
-        let serve = r.serve.expect("serve report");
-        for (tr, spec) in serve.tenants.iter().zip(&specs) {
-            let crate::sim::LoadModel::Closed { concurrency, .. } = spec.load else {
-                panic!("closed_loop tenants are closed-loop")
-            };
-            assert!(
-                tr.peak_inflight <= concurrency as u64,
-                "{}: peak {} > concurrency {}",
-                tr.name,
-                tr.peak_inflight,
-                concurrency
-            );
-            assert!(tr.completed > 0, "{tr:?}");
-        }
-    }
-
-    #[test]
-    fn throttled_requests_stay_off_the_inflight_gauge() {
-        // A starved token bucket (zero refill, burst 1) admits exactly
-        // one request; every later arrival bounces at the gate. Before
-        // the accounting fix, rejected requests transited the inflight
-        // gauge between begin_request and the verdict, inflating
-        // peak_inflight past the number of requests ever admitted.
-        use crate::sim::serve::{ServeConfig, TenantClass, TenantSpec};
-        let mut cfg =
-            SimConfig::paper_reference(Application::AirPollution, Length::from_m(3.0), 0.95);
-        cfg.clusters = 4;
-        cfg.duration = Time::from_minutes(1.0);
-        let mut tenant = TenantSpec::interactive("starved", TenantClass::Standard, 50.0);
-        tenant.rate_limit_rps = 0.0;
-        tenant.burst = 1.0;
-        cfg.serve = Some(ServeConfig {
-            tenants: vec![tenant],
-            ..ServeConfig::defaults()
-        });
-        let r = run(&cfg);
-        let serve = r.serve.expect("serve report");
-        let tr = &serve.tenants[0];
-        assert_eq!(tr.admitted, 1, "burst-1 bucket admits exactly once: {tr:?}");
-        assert!(tr.throttled > 0, "the rest must bounce: {tr:?}");
-        assert_eq!(
-            tr.peak_inflight, 1,
-            "peak inflight counts admitted requests only: {tr:?}"
-        );
-    }
-
-    #[test]
-    fn every_serve_scenario_is_seed_deterministic() {
-        for name in crate::sim::ServeScenario::scenario_names() {
-            let cfg = serve_cfg(name);
-            assert_eq!(run(&cfg), run(&cfg), "{name}");
-        }
-    }
-
-    #[test]
-    fn faulted_serve_runs_lose_or_violate_but_stay_accounted() {
-        let r = run(&serve_cfg("under_faults"));
-        let serve = r.serve.expect("serve report");
-        let lost: u64 = serve.tenants.iter().map(|t| t.lost).sum();
-        let violations: u64 = serve.tenants.iter().map(|t| t.violations).sum();
-        assert!(
-            lost + violations > 0,
-            "the combined fault scenario must bite the serving layer: {serve:?}"
-        );
-        for tr in &serve.tenants {
-            assert_eq!(
-                tr.offered,
-                tr.admitted + tr.throttled + tr.shed,
-                "every offered request gets a verdict: {tr:?}"
-            );
-            assert!(
-                tr.completed + tr.lost <= tr.admitted,
-                "completions and losses come out of admissions: {tr:?}"
-            );
-        }
-    }
-
     #[test]
     fn serve_overlay_does_not_change_non_serve_reports() {
         // Belt and braces for the byte-identity gate: a config with
@@ -2220,24 +1581,6 @@ mod tests {
         let plain = run(&cfg);
         assert_eq!(plain.serve, None);
         assert_eq!(plain, run(&cfg));
-    }
-
-    #[test]
-    fn recorded_serve_run_traces_the_request_lifecycle() {
-        let cfg = serve_cfg("steady");
-        let plain = run(&cfg);
-        let rec = Arc::new(Recorder::new(1 << 20));
-        let mut recorded = try_run_recorded(&cfg, rec.clone()).expect("valid config");
-        recorded.scheduler = plain.scheduler.clone();
-        assert_eq!(recorded, plain, "recording must not perturb serving");
-        let log = telemetry::trace::TraceLog::from_events(rec.events());
-        let serve = plain.serve.expect("serve report");
-        assert_eq!(log.count_kind(TraceKind::ReqArrived), serve.offered());
-        let on_time: u64 = serve.tenants.iter().map(|t| t.on_time).sum();
-        assert_eq!(log.count_kind(TraceKind::ReqCompleted), on_time);
-        let violations: u64 = serve.tenants.iter().map(|t| t.violations).sum();
-        assert_eq!(log.count_kind(TraceKind::SloViolated), violations);
-        assert!(log.count_kind(TraceKind::ReqBatched) > 0);
     }
 
     #[test]

@@ -361,7 +361,8 @@ impl SimReport {
     /// are kept frames, each counted once, the gap being frames still
     /// in flight at the horizon; goodput lies in [0, 1]. In serve runs,
     /// each tenant's offered requests were admitted, throttled or shed,
-    /// and at most the admitted ones ended on time, late or lost.
+    /// and each admitted one ended on time, late or lost, or was still
+    /// outstanding at the horizon.
     ///
     /// # Errors
     ///
@@ -402,10 +403,11 @@ impl SimReport {
                     t.name, t.offered, t.admitted, t.throttled, t.shed
                 ));
             }
-            if t.on_time + t.violations + t.lost > t.admitted {
+            if t.on_time + t.violations + t.lost + t.outstanding != t.admitted {
                 return Err(format!(
-                    "tenant {}: {} on time + {} violations + {} lost exceed {} admitted",
-                    t.name, t.on_time, t.violations, t.lost, t.admitted
+                    "tenant {}: {} on time + {} violations + {} lost + {} outstanding != {} \
+                     admitted",
+                    t.name, t.on_time, t.violations, t.lost, t.outstanding, t.admitted
                 ));
             }
         }

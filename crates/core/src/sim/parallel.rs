@@ -32,10 +32,9 @@
 use std::sync::Arc;
 
 use explore::ExecOptions;
-use simkit::Scheduler;
 use telemetry::trace::Recorder;
 
-use crate::sim::engine::{self, State};
+use crate::sim::engine;
 use crate::sim::model::{ConfigError, SimConfig, SimReport};
 use crate::sim::policy::PolicyKind;
 use crate::sim::topology;
@@ -111,14 +110,8 @@ fn run_sharded(cfg: &SimConfig, threads: usize, pixel_capacity: f64) -> SimRepor
     let opts = ExecOptions::threads(threads);
 
     let shards = explore::map(&units, &opts, |&unit| {
-        let mut st = State::new(cfg, None, pixel_capacity);
-        let mut sched = Scheduler::new();
-        // Ascending satellite order: per-shard insertion order (the
-        // calendar's tie-breaker) matches the sequential seeding.
-        for sat in (0..home.len()).filter(|&s| home[s] == unit) {
-            engine::seed_generate(&mut sched, cfg, sat);
-        }
-        simkit::run_until(&mut sched, &mut st, cfg.duration, engine::step);
+        let sats = (0..home.len()).filter(|&s| home[s] == unit);
+        let (st, _, sched) = engine::run_to_horizon(cfg, None, pixel_capacity, sats);
         (st, sched)
     });
 
@@ -142,7 +135,7 @@ fn run_sharded(cfg: &SimConfig, threads: usize, pixel_capacity: f64) -> SimRepor
             ],
         );
     }
-    engine::report(st, &sched, cfg)
+    engine::report(st, None, &sched, cfg)
 }
 
 /// Whether no event can cross between the per-unit shards: the static

@@ -1,22 +1,25 @@
 //! The dynamic batcher: per-(SµDC, tenant) request queues that exploit
-//! the saturating batch-throughput model. Three policies decide when a
-//! queue fires into the shared compute pipeline: fixed-size,
-//! deadline-triggered, and adaptive (backlog-aware). Dispatch order and
-//! timing are pure functions of queue state and sim time — no RNG —
-//! and stale deadline timers are invalidated by a per-queue epoch
-//! counter, so serve runs replay byte-identically.
+//! the saturating batch-throughput model, and each SµDC's in-service
+//! FIFO. Three policies decide when a queue fires into the shared
+//! compute pipeline: fixed-size, deadline-triggered, and adaptive
+//! (backlog-aware). Dispatch order and timing are pure functions of
+//! queue state and sim time — no RNG — and stale deadline timers are
+//! invalidated by a per-queue epoch counter, so serve runs replay
+//! byte-identically.
+//!
+//! A SµDC runs one compute pipeline first in first out
+//! ([`Service::admit_batch`](crate::sim::service::Service::admit_batch)
+//! starts a batch when the previous one is done), so its batches finish
+//! in dispatch order: done times never decrease per SµDC, and the event
+//! calendar breaks equal times by push order. A dispatched batch
+//! therefore needs no id: [`Batcher::dispatch`] appends its requests to
+//! the SµDC's in-service FIFO, and [`Batcher::complete`] pops them off
+//! the front when the batch's completion event fires.
+
+use std::collections::vec_deque::{IterMut, VecDeque};
 
 use crate::sim::serve::config::{BatchPolicy, ServeConfig};
 use crate::sim::serve::state::Request;
-
-/// A dispatched batch riding one SµDC pipeline slot.
-#[derive(Debug, Clone)]
-pub struct Batch {
-    /// Tenant every request in the batch belongs to.
-    pub tenant: u32,
-    /// The batched requests, in arrival order.
-    pub reqs: Vec<Request>,
-}
 
 /// One (SµDC, tenant) queue.
 #[derive(Debug, Clone, Default)]
@@ -29,7 +32,7 @@ struct Queue {
     timer_armed: bool,
 }
 
-/// All queues plus the in-service batch table.
+/// All queues plus each SµDC's in-service requests.
 #[derive(Debug)]
 pub struct Batcher {
     policy: BatchPolicy,
@@ -39,13 +42,11 @@ pub struct Batcher {
     flush_wait_s: f64,
     tenants: usize,
     queues: Vec<Queue>,
-    /// Batches currently in the compute pipeline, slab-indexed by batch
-    /// id. Freed slots are reused LIFO, so the table stays dense and
-    /// store/take are O(1) with no tree rebalancing or per-batch
-    /// allocation; slot reuse order is a pure function of completion
-    /// order, so ids stay deterministic.
-    in_service: Vec<Option<Batch>>,
-    free_slots: Vec<u32>,
+    /// Per SµDC, the requests of its dispatched batches that have not
+    /// completed, in dispatch order. Each FIFO grows to the SµDC's
+    /// largest in-service backlog and is reused, so dispatch allocates
+    /// nothing per batch.
+    pipelines: Vec<VecDeque<Request>>,
     /// Batches dispatched so far.
     pub batches_dispatched: u64,
     /// Requests dispatched inside those batches.
@@ -66,8 +67,7 @@ impl Batcher {
             flush_wait_s: cfg.flush_wait_s.max(0.0),
             tenants,
             queues: (0..units * tenants).map(|_| Queue::default()).collect(),
-            in_service: Vec::new(),
-            free_slots: Vec::new(),
+            pipelines: (0..units).map(|_| VecDeque::new()).collect(),
             batches_dispatched: 0,
             requests_batched: 0,
             efficiency_weighted: 0.0,
@@ -163,53 +163,33 @@ impl Batcher {
         !q.reqs.is_empty()
     }
 
-    /// Takes up to `max_batch` requests off the queue's head as a new
-    /// batch, bumping the epoch (stale timers die) and the dispatch
-    /// statistics. `None` when the queue is empty.
-    pub fn dispatch(&mut self, cluster: usize, tenant: usize) -> Option<Batch> {
+    /// Moves up to `max_batch` requests off the queue's head into the
+    /// SµDC's in-service FIFO as one batch, bumping the epoch (stale
+    /// timers die) and the dispatch statistics. Returns the batch's
+    /// requests in arrival order, empty when the queue is.
+    pub fn dispatch(&mut self, cluster: usize, tenant: usize) -> IterMut<'_, Request> {
         let max_batch = self.max_batch;
         let knee = self.knee;
         let i = self.index(cluster, tenant);
         let q = &mut self.queues[i];
-        if q.reqs.is_empty() {
-            return None;
-        }
         let n = q.reqs.len().min(max_batch);
-        let reqs: Vec<Request> = q.reqs.drain(..n).collect();
-        q.epoch += 1;
-        q.timer_armed = false;
-        self.batches_dispatched += 1;
-        self.requests_batched += n as u64;
-        self.efficiency_weighted += n as f64 * ((n as f64).min(knee) / knee);
-        Some(Batch {
-            tenant: tenant as u32,
-            reqs,
-        })
+        let fifo = &mut self.pipelines[cluster];
+        let start = fifo.len();
+        if n > 0 {
+            fifo.extend(q.reqs.drain(..n));
+            q.epoch += 1;
+            q.timer_armed = false;
+            self.batches_dispatched += 1;
+            self.requests_batched += n as u64;
+            self.efficiency_weighted += n as f64 * ((n as f64).min(knee) / knee);
+        }
+        fifo.range_mut(start..)
     }
 
-    /// Stores a dispatched batch as in-service, returning its slab id
-    /// for the completion event. Ids are live only while the batch is
-    /// in the pipeline; freed slots are reused.
-    pub fn store(&mut self, batch: Batch) -> u64 {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                self.in_service[slot as usize] = Some(batch);
-                slot as u64
-            }
-            None => {
-                self.in_service.push(Some(batch));
-                (self.in_service.len() - 1) as u64
-            }
-        }
-    }
-
-    /// Removes and returns a completed in-service batch.
-    pub fn take(&mut self, id: u64) -> Option<Batch> {
-        let batch = self.in_service.get_mut(id as usize)?.take();
-        if batch.is_some() {
-            self.free_slots.push(id as u32);
-        }
-        batch
+    /// Pops the oldest in-service request of SµDC `cluster`: a batch of
+    /// `n` completes as `n` calls, in the order it was dispatched.
+    pub fn complete(&mut self, cluster: usize) -> Option<Request> {
+        self.pipelines[cluster].pop_front()
     }
 
     /// Request-weighted mean batch efficiency: `throughput(batch) /
@@ -273,9 +253,8 @@ mod tests {
         assert!(!b.ready(0, 0, 5.0));
         b.push(0, req(3, 0, 0.2));
         assert!(b.ready(0, 0, 5.0));
-        let batch = b.dispatch(0, 0).expect("ready queue dispatches");
-        assert_eq!(batch.reqs.len(), 3);
-        assert_eq!(batch.reqs[0].id, 1, "arrival order preserved");
+        let ids: Vec<u64> = b.dispatch(0, 0).map(|r| r.id).collect();
+        assert_eq!(ids, [1, 2, 3], "arrival order preserved");
         assert_eq!(b.len(0, 0), 0);
     }
 
@@ -311,11 +290,10 @@ mod tests {
         let mut b = Batcher::new(&cfg(BatchPolicy::Deadline { max_wait_s: 0.05 }), 1);
         b.push(0, req(1, 0, 0.0));
         let (_, epoch) = b.arm_timer(0, 0, 0.0).expect("arms");
-        let batch = b.dispatch(0, 0).expect("non-empty");
-        let id = b.store(batch);
+        assert_eq!(b.dispatch(0, 0).len(), 1);
         assert!(!b.timer_fired(0, 0, epoch), "stale epoch is ignored");
-        assert_eq!(b.take(id).expect("stored").reqs.len(), 1);
-        assert_eq!(b.take(id).map(|batch| batch.reqs.len()), None);
+        assert_eq!(b.complete(0).map(|r| r.id), Some(1));
+        assert_eq!(b.complete(0), None, "the batch left the pipeline");
     }
 
     #[test]
@@ -328,8 +306,7 @@ mod tests {
         for i in 1..=6 {
             b.push(0, req(i, 0, 1.0));
         }
-        let batch = b.dispatch(0, 0).expect("over the cap");
-        assert_eq!(batch.reqs.len(), 4);
+        assert_eq!(b.dispatch(0, 0).len(), 4, "over the cap");
         assert_eq!(b.len(0, 0), 2, "partial drain leaves a tail");
         let (deadline, _) = b.arm_timer(0, 0, 2.0).expect("re-arms for the tail");
         assert!(
@@ -351,13 +328,11 @@ mod tests {
         let mut b = Batcher::new(&cfg(BatchPolicy::Fixed { size: 1 }), 1);
         // One batch of 1 (efficiency 1/4) and one of 4 (efficiency 1).
         b.push(0, req(1, 0, 0.0));
-        let first = b.dispatch(0, 0).expect("one queued");
-        b.store(first);
+        assert_eq!(b.dispatch(0, 0).len(), 1);
         for i in 2..=5 {
             b.push(0, req(i, 0, 0.0));
         }
-        let second = b.dispatch(0, 0).expect("four queued");
-        assert_eq!(second.reqs.len(), 4);
+        assert_eq!(b.dispatch(0, 0).len(), 4);
         // (1 × 0.25 + 4 × 1.0) / 5 = 0.85
         assert!((b.mean_efficiency() - 0.85).abs() < 1e-12);
         assert!((b.mean_batch() - 2.5).abs() < 1e-12);

@@ -8,9 +8,9 @@
 //! - [`config`]: tenants (class, load model, per-request cost, SLO,
 //!   rate limits), batching policies, and the named scenario registry
 //!   (`steady`, `surge`, `closed_loop`, `under_faults`).
-//! - Load generation (driven by the engine's event loop): deterministic
-//!   open-loop Poisson arrivals and closed-loop bounded-concurrency
-//!   generators with think time, each drawing from dedicated
+//! - Load generation (in `handlers`): deterministic open-loop Poisson
+//!   arrivals and closed-loop bounded-concurrency generators with
+//!   think time, each drawing from dedicated
 //!   `serve_arrival` / `serve_think` / `serve_source` RNG streams —
 //!   streams a non-serve run never touches, so fault-free non-serve
 //!   runs stay byte-identical to `results/simval.*`.
@@ -18,7 +18,11 @@
 //!   shedding by tenant class, guarding the SµDC compute queues.
 //! - [`batcher`]: per-(SµDC, tenant) dynamic batching — fixed-size,
 //!   deadline-triggered, or adaptive backlog-aware — exploiting the
-//!   saturating [`workloads::batch::BatchProfile`] throughput model.
+//!   saturating [`workloads::batch::BatchProfile`] throughput model,
+//!   and each SµDC's in-service FIFO of dispatched requests.
+//! - `handlers`: the serve event handlers. The engine's event loop
+//!   calls them with the frame engine's state and the run's
+//!   [`ServeState`], which lives beside it.
 //! - [`report`]: per-tenant SLO attainment (p50/p99/p999 latency,
 //!   goodput, shed/violation counts) embedded in the run's
 //!   [`SimReport`](crate::sim::model::SimReport).
@@ -30,11 +34,12 @@
 pub mod admission;
 pub mod batcher;
 pub mod config;
+pub(in crate::sim) mod handlers;
 pub mod report;
 pub mod state;
 
 pub use admission::{admit, Admission, TokenBucket};
-pub use batcher::{Batch, Batcher};
+pub use batcher::Batcher;
 pub use config::{BatchPolicy, LoadModel, ServeConfig, ServeScenario, TenantClass, TenantSpec};
 pub use report::{ServeReport, TenantReport};
 pub use state::{Request, ServeState, OPEN_SLOT, REQ_ID_BASE};

@@ -26,6 +26,9 @@ pub struct TenantReport {
     pub on_time: u64,
     /// SLO violations: late completions plus SEU-corrupted outputs.
     pub violations: u64,
+    /// Admitted requests still outstanding at the horizon: in the
+    /// network, queued or in service.
+    pub outstanding: u64,
     /// Peak outstanding requests (bounds the closed-loop generator at
     /// its configured concurrency).
     pub peak_inflight: u64,

@@ -182,6 +182,7 @@ impl ServeState {
                 completed: t.completed,
                 on_time: t.on_time,
                 violations: t.violations,
+                outstanding: t.inflight,
                 peak_inflight: t.peak_inflight,
                 mean_latency_ms: t.latency_ms.mean(),
                 p50_ms: t.latency_ms.quantile(0.5),

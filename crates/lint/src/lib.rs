@@ -139,6 +139,9 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
     /// Total source lines across `files`.
     pub lines: u64,
+    /// Lines of `crates/*/src` outside test items
+    /// ([`SourceFile::code_lines`]).
+    pub code_lines: u64,
 }
 
 impl Workspace {
@@ -154,7 +157,16 @@ impl Workspace {
 
     fn from_files(files: Vec<SourceFile>) -> Workspace {
         let lines = files.iter().map(|f| f.line_count() as u64).sum();
-        Workspace { files, lines }
+        let code_lines = files
+            .iter()
+            .filter(|f| f.path.starts_with("crates/") && f.path.split('/').nth(2) == Some("src"))
+            .map(|f| f.code_lines() as u64)
+            .sum();
+        Workspace {
+            files,
+            lines,
+            code_lines,
+        }
     }
 
     /// Loads every lintable file under `root` (sorted, deterministic).
@@ -199,6 +211,7 @@ impl Workspace {
         let run = LintRun {
             files: self.files.len(),
             lines: self.lines,
+            code_lines: self.code_lines,
             tokens: self.tokens(),
             diagnostics,
         };
@@ -266,6 +279,8 @@ pub struct LintRun {
     pub files: usize,
     /// Total source lines scanned.
     pub lines: u64,
+    /// Non-test lines of `crates/*/src` ([`Workspace::code_lines`]).
+    pub code_lines: u64,
     /// Tokens lexed, comments included.
     pub tokens: u64,
     /// All diagnostics, sorted by (file, line, col, rule).
@@ -445,6 +460,7 @@ mod tests {
         let run = LintRun {
             files: 1,
             lines: 1,
+            code_lines: 1,
             tokens: 0,
             diagnostics: lint_source(
                 "crates/core/src/m.rs",

@@ -136,6 +136,7 @@ pub fn render_audit(run: &LintRun, analysis: &Analysis) -> String {
         .field_u64("root_fns", analysis.roots.len() as u64)
         .field_u64("files", run.files as u64)
         .field_u64("lines", run.lines)
+        .field_u64("code_lines", run.code_lines)
         .field_u64("functions", analysis.symbols.fns.len() as u64)
         .field_u64("statics", analysis.symbols.statics.len() as u64)
         .field_u64("call_edges", analysis.edge_count() as u64)
@@ -174,6 +175,7 @@ mod tests {
         LintRun {
             files: 1,
             lines: 1,
+            code_lines: 1,
             tokens: 0,
             diagnostics: diags,
         }
@@ -236,14 +238,19 @@ mod tests {
 
     #[test]
     fn audit_report_is_byte_identical_and_carries_analysis_shape() {
-        let ws = crate::Workspace::from_sources(&[(
-            "crates/core/src/sim/engine.rs",
-            "pub fn step(x: u32) -> u32 { helper(x) }\npub fn helper(x: u32) -> u32 { x }\n",
-        )]);
+        let ws = crate::Workspace::from_sources(&[
+            (
+                "crates/core/src/sim/engine.rs",
+                "pub fn step(x: u32) -> u32 { helper(x) }\npub fn helper(x: u32) -> u32 { x }\n\
+                 #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n}\n",
+            ),
+            ("crates/core/tests/it.rs", "fn main() {}\n"),
+        ]);
         let analysis = crate::analyze(&ws.files);
         let run = LintRun {
             files: ws.files.len(),
             lines: ws.lines,
+            code_lines: ws.code_lines,
             tokens: ws.tokens(),
             diagnostics: Vec::new(),
         };
@@ -252,7 +259,13 @@ mod tests {
         let doc = json::parse(&a).expect("valid json");
         assert_eq!(doc.get("audit").and_then(Json::as_str), Some("determinism"));
         assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
-        assert_eq!(doc.get("functions").and_then(Json::as_u64), Some(2));
+        assert_eq!(doc.get("lines").and_then(Json::as_u64), Some(8));
+        assert_eq!(
+            doc.get("code_lines").and_then(Json::as_u64),
+            Some(2),
+            "only the src file's two non-test lines count"
+        );
+        assert_eq!(doc.get("functions").and_then(Json::as_u64), Some(4));
         assert_eq!(
             doc.get("reachable_fns").and_then(Json::as_u64),
             Some(2),

@@ -112,6 +112,26 @@ impl SourceFile {
             .any(|&(lo, hi)| (lo..=hi).contains(&line))
     }
 
+    /// Lines outside every `#[test]` / `#[cfg(test)]` item. Nested
+    /// test items (a `#[test]` fn inside a `#[cfg(test)]` module) count
+    /// once.
+    pub fn code_lines(&self) -> usize {
+        let total = self.line_count() as u32;
+        let mut covered = 0;
+        let mut end = 0;
+        // Ranges come in order of their first line, nested ones after
+        // the item that holds them.
+        for &(lo, hi) in &self.test_ranges {
+            let hi = hi.min(total);
+            let lo = lo.max(end + 1);
+            if hi >= lo {
+                covered += hi - lo + 1;
+                end = hi;
+            }
+        }
+        (total - covered) as usize
+    }
+
     /// Whether `rule` is suppressed at `line` by an adjacent
     /// `lint:allow` comment (same line, or a comment whose binding
     /// target — the next code line, skipping attributes — is `line`).
@@ -385,6 +405,18 @@ mod tests {
         let f = SourceFile::parse("crates/x/src/a.rs", src);
         assert!(f.in_test_code(4));
         assert!(!f.in_test_code(6));
+    }
+
+    #[test]
+    fn code_lines_count_nested_test_items_once() {
+        let src = "pub fn lib() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n    #[test]\n    fn t() {\n        x();\n    }\n}\n\
+                   pub fn lib2() {}\n\
+                   #[test]\nfn u() {}\n";
+        let f = SourceFile::parse("crates/x/src/a.rs", src);
+        assert_eq!(f.line_count(), 11);
+        assert_eq!(f.code_lines(), 2, "lines 1 and 9");
     }
 
     #[test]
