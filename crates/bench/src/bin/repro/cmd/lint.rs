@@ -21,8 +21,13 @@ fn handle_operands(cli: &Cli) -> Option<ExitCode> {
     if operands.first().map(String::as_str) == Some("rules") {
         println!("lint rules:");
         for r in sudc_lint::RULES {
-            println!("  {:28} [{}]  {}", r.id, r.severity.label(), r.summary);
-            println!("  {:28}        fix: {}", "", r.hint);
+            let layer = if r.is_semantic() {
+                "semantic"
+            } else {
+                "lexical"
+            };
+            println!("  {:28} {layer:<8}  {}", r.id, r.summary);
+            println!("  {:28} {:<8}  fix: {}", "", "", r.hint);
         }
         return Some(ExitCode::SUCCESS);
     }

@@ -264,7 +264,6 @@ mod tests {
     /// [`Lzw::compress`]. Returns the stream and how many times it
     /// filled the dictionary and reset.
     fn reference_compress(data: &[u8]) -> (Vec<u8>, usize) {
-        use std::collections::HashMap;
         let mut w = BitWriter::new();
         let mut next_code = FIRST_FREE;
         let mut resets = 0;
@@ -273,7 +272,8 @@ mod tests {
             w.write_bits(u64::from(END_CODE), code_width(next_code));
             return (w.into_bytes(), resets);
         };
-        let mut dict: HashMap<(u32, u8), u32> = HashMap::new();
+        // lint:allow(nondeterministic-iteration) lookup-only dictionary, never iterated
+        let mut dict = std::collections::HashMap::<(u32, u8), u32>::new();
         let mut current = u32::from(first);
         for &b in rest {
             if let Some(&code) = dict.get(&(current, b)) {

@@ -83,7 +83,9 @@ pub fn run(cfg: &SimConfig) -> SimReport {
 }
 
 /// Validates `cfg` once and picks the loop: sharded for an unrecorded
-/// shardable run, sequential for every other.
+/// shardable run, sequential for every other. Builds with debug
+/// assertions (every test) check the report's frame and request
+/// conservation ([`SimReport::check_invariants`]) on every run.
 fn run_with(
     cfg: &SimConfig,
     threads: usize,
@@ -93,10 +95,12 @@ fn run_with(
     let pixel_capacity = cfg
         .unit_pixel_capacity()
         .ok_or(ConfigError::UnmeasuredWorkload)?;
-    Ok(match recorder {
+    let report = match recorder {
         None if shardable(cfg) => run_sharded(cfg, threads, pixel_capacity),
         recorder => engine::run_sequential(cfg, recorder, pixel_capacity),
-    })
+    };
+    debug_assert_eq!(report.check_invariants(), Ok(()), "{cfg:?}");
+    Ok(report)
 }
 
 /// Runs one shard per service unit of a validated, shardable `cfg` on

@@ -1,8 +1,9 @@
 //! Golden fixture: determinism-conscious counterparts of `dirty.rs`.
 //! No rule fires anywhere in this file (checked by
 //! `tests/lint_gate.rs`), including the cases rules must *not* match:
-//! ordered float comparisons, `unwrap_or`, tokens hidden inside
-//! strings, and unwraps confined to `#[cfg(test)]` code.
+//! ordered float comparisons, `unwrap_or`, a literal stream label with
+//! an entity-derived index, tokens hidden inside strings, and unwraps
+//! confined to `#[cfg(test)]` code.
 
 use std::collections::BTreeMap;
 
@@ -20,6 +21,10 @@ pub fn near(a: f64, b: f64) -> bool {
 
 pub fn first(v: &[u32]) -> u32 {
     v.first().copied().unwrap_or(0)
+}
+
+pub fn reseed(rng: &RngFactory, sat: usize) -> Rng64 {
+    rng.stream("reseed", sat as u64)
 }
 
 pub struct Stamp {

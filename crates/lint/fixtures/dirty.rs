@@ -11,22 +11,30 @@ pub fn order(m: &HashMap<String, u32>, s: &HashSet<u32>) -> usize { //~ nondeter
 }
 
 pub fn elapsed() -> u64 {
-    let t = Instant::now(); //~ wall-clock-in-model wall-clock-in-trace
+    let t = Instant::now(); //~ wall-clock-in-model
     t.elapsed().as_secs()
 }
 
 pub fn stamp() -> SystemTime {
-    SystemTime::now() //~ wall-clock-in-model wall-clock-in-trace
+    SystemTime::now() //~ wall-clock-in-model
 }
 
 pub fn stamped_event() -> u64 {
-    unix_ms() //~ wall-clock-in-trace
+    unix_ms() //~ wall-clock-in-model
 }
 
 pub fn draws() -> u64 {
     let mut ad_hoc = thread_rng(); //~ unseeded-rng
     let mut stream = Rng64::seed_from_u64(42); //~ unseeded-rng
     ad_hoc.next_u64() + stream.next_u64()
+}
+
+pub fn reuse(rng: &RngFactory) -> Rng64 {
+    rng.stream("shed", 7) //~ rng-stream-discipline
+}
+
+pub fn relabel(rng: &RngFactory, label: &str, idx: u64) -> Rng64 {
+    rng.stream(label, idx) //~ rng-stream-discipline
 }
 
 pub fn is_zero(x: f64) -> bool {

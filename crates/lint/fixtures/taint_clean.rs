@@ -1,8 +1,8 @@
 //! Golden fixture: the compliant counterparts of `taint_dirty.rs` —
-//! the same shapes routed through per-shard struct state, a literal
-//! stream label with an entity-derived index, ordered (BTreeMap)
-//! merges, and typed errors instead of panics — must stay completely
-//! silent under both lint passes (checked by `tests/lint_gate.rs`).
+//! the same shapes routed through per-shard struct state, ordered
+//! (BTreeMap) merges, and typed errors instead of panics — must stay
+//! completely silent under both lint passes (checked by
+//! `tests/lint_gate.rs`).
 
 mod engine {
     pub fn step(st: u32) {
@@ -32,8 +32,4 @@ pub fn merge_totals(shard: &Shard) -> f64 {
 
 pub fn first_frame(frames: &[u64]) -> Result<u64, SimError> {
     frames.first().copied().ok_or(SimError::EmptyWindow)
-}
-
-pub fn reseed(rng: &RngFactory, sat: usize) -> Rng64 {
-    rng.stream("reseed", sat as u64)
 }

@@ -64,8 +64,7 @@ impl CallGraph {
                     // free fns — cuts by-name noise without losing the
                     // over-approximation guarantee for either form.
                     for &c in candidates {
-                        let has_self = sym.fns[c].params.first().is_some_and(|(n, _)| *n == "self");
-                        if has_self == call.method {
+                        if sym.fns[c].receiver == call.method {
                             edges[caller].push(c);
                         }
                     }

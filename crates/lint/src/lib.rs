@@ -8,16 +8,15 @@
 //!
 //! * a **lexical** layer — a zero-dependency, string/char/comment-aware
 //!   [`lexer`] plus per-file token rules that catch the usual ways
-//!   determinism rots (`HashMap` iteration in result paths, wall-clock
-//!   reads in model code, ad-hoc RNG streams, float `==`, stray
-//!   `unwrap()`/`expect()`/panicking macros in library paths, leftover
-//!   to-do markers);
+//!   determinism rots (any `HashMap`/`HashSet`, wall-clock reads in
+//!   model and recorder code, ad-hoc RNG streams and stream labels,
+//!   float `==`, stray `unwrap()`/`expect()`/panicking macros in
+//!   library paths, leftover to-do markers);
 //! * a **semantic** layer — an item-level [`parse`]r, workspace
 //!   [`symbols`] table, and approximate [`callgraph`] feeding the
-//!   [`taint`] analysis, which propagates nondeterminism sources
-//!   through the call graph to the event-loop sinks of the sharded
-//!   engine's byte-identity contract (`shared-state-across-shards`,
-//!   `rng-stream-discipline`, `float-merge-order`).
+//!   [`taint`] analysis, which finds every function reachable from the
+//!   event-loop roots of the sharded engine's byte-identity contract
+//!   (`shared-state-across-shards`).
 //!
 //! The verdict is one rule: any finding fails. The only way to let one
 //! through is an inline `// lint:allow(rule-id) reason` on or above its
@@ -51,25 +50,6 @@ pub use rules::{rule_by_id, RuleInfo, RULES};
 pub use source::SourceFile;
 pub use taint::{analyze, Analysis, DETERMINISM_ROOTS};
 
-/// Severity class of a rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Correctness-relevant; the default for determinism rules.
-    Deny,
-    /// Hygiene; fails the lint like `Deny`, but presented as a warning.
-    Warn,
-}
-
-impl Severity {
-    /// Lowercase label (`deny` / `warn`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Deny => "deny",
-            Severity::Warn => "warn",
-        }
-    }
-}
-
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
@@ -81,8 +61,6 @@ pub struct Diagnostic {
     pub col: u32,
     /// Rule id.
     pub rule: &'static str,
-    /// Rule severity.
-    pub severity: Severity,
     /// What fired, with the offending token in backticks.
     pub message: String,
     /// Fix guidance from the rule.
@@ -106,7 +84,6 @@ impl Diagnostic {
             line,
             col,
             rule: rule.id,
-            severity: rule.severity,
             message,
             hint: rule.hint,
             snippet: file.line_text(line).trim().to_string(),

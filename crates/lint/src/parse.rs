@@ -1,12 +1,12 @@
 //! Item-level Rust parser over the [`crate::lexer`] token stream.
 //!
-//! The semantic rules need *items* — functions with their bodies and
-//! signatures, statics with their types, struct fields — and the call
-//! expressions inside bodies, not a full expression grammar. This
+//! The semantic analysis needs *items* — functions with their bodies
+//! and whether they take `self`, statics with their types — and the
+//! call expressions inside bodies, not a full expression grammar. This
 //! parser recovers exactly that in one linear pass with a scope stack:
 //! `mod`/`impl`/`fn` frames contribute path segments, every other brace
-//! is an anonymous frame, and calls/typed-locals encountered inside a
-//! body attach to the innermost enclosing function. Like the lexer it
+//! is an anonymous frame, and calls encountered inside a body attach to
+//! the innermost enclosing function. Like the lexer it
 //! never fails: unparseable stretches are skipped token by token, so a
 //! work-in-progress tree still yields a (partial) item set.
 
@@ -41,10 +41,8 @@ pub struct FnItem<'a> {
     pub line: u32,
     /// Code-token index range of the body, `[open brace, close brace]`.
     pub body: (usize, usize),
-    /// Parameters as `(name, type text)`; `self` has an empty type.
-    pub params: Vec<(&'a str, String)>,
-    /// `let` bindings with explicit type annotations, `(name, type)`.
-    pub locals: Vec<(&'a str, String)>,
+    /// Whether the first parameter is a `self` receiver (a method).
+    pub receiver: bool,
     /// Call expressions in the body (nested closures included).
     pub calls: Vec<Call<'a>>,
 }
@@ -66,17 +64,6 @@ pub struct StaticItem<'a> {
     pub ty: String,
 }
 
-/// One named struct field.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldItem<'a> {
-    /// Owning struct name.
-    pub owner: &'a str,
-    /// Field name.
-    pub name: &'a str,
-    /// Space-joined type text.
-    pub ty: String,
-}
-
 /// Everything recovered from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile<'a> {
@@ -84,8 +71,6 @@ pub struct ParsedFile<'a> {
     pub fns: Vec<FnItem<'a>>,
     /// Module-level statics.
     pub statics: Vec<StaticItem<'a>>,
-    /// Named struct fields.
-    pub fields: Vec<FieldItem<'a>>,
 }
 
 /// Keywords that look like `name(` call heads but are not calls.
@@ -93,14 +78,6 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "let", "else", "unsafe", "move", "in", "as",
     "fn", "where", "ref", "mut", "box", "yield", "await", "dyn", "impl", "pub", "use", "crate",
 ];
-
-/// Whether a space-joined type text mentions `word` as a whole path
-/// segment (so `HashMap < K , V >` matches `HashMap` but `MyHashMapLike`
-/// does not — the parser emits every ident as its own space-separated
-/// token).
-pub fn ty_mentions(ty: &str, word: &str) -> bool {
-    ty.split(' ').any(|t| t == word)
-}
 
 struct Scope<'a> {
     /// Path segment this frame contributes (`mod` name or `impl` type).
@@ -188,60 +165,20 @@ impl<'a> Parser<'a> {
         s
     }
 
-    /// Parses a parenthesized parameter list starting at `i` (on `(`);
-    /// returns `(params, index past ')')`.
-    fn parse_params(&self, i: usize) -> (Vec<(&'a str, String)>, usize) {
-        let end = self.skip_balanced(i);
-        let mut params = Vec::new();
-        let mut j = i + 1;
-        while j < end - 1 {
-            // One parameter runs to the next top-level comma.
-            let mut k = j;
-            let mut depth = 0i32;
-            while k < end - 1 {
-                match self.text(k) {
-                    "(" | "[" | "{" | "<" => depth += 1,
-                    ")" | "]" | "}" | ">" => depth -= 1,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            // Split the parameter at its top-level `:`.
-            let mut colon = None;
-            let mut d = 0i32;
-            for c in j..k {
-                match self.text(c) {
-                    "(" | "[" | "{" | "<" => d += 1,
-                    ")" | "]" | "}" | ">" => d -= 1,
-                    ":" if d == 0 => {
-                        colon = Some(c);
-                        break;
-                    }
-                    _ => {}
-                }
-            }
-            match colon {
-                Some(c) => {
-                    // Pattern side: first ident is the binding name
-                    // (handles `mut x`, `&x`, `(a, b)` approximately).
-                    let name = (j..c)
-                        .find(|&p| self.is_ident(p) && self.text(p) != "mut")
-                        .map(|p| self.text(p));
-                    if let Some(name) = name {
-                        params.push((name, self.join(c + 1, k)));
-                    }
-                }
-                None => {
-                    // Receiver shorthand: `self`, `&self`, `&mut self`.
-                    if (j..k).any(|p| self.text(p) == "self") {
-                        params.push(("self", String::new()));
-                    }
-                }
-            }
-            j = k + 1;
+    /// Whether the parameter list opening at `i` (on `(`) starts with
+    /// a `self` receiver: `self`, `&self`, `&'a mut self`, `mut self`,
+    /// `self: Box<Self>`.
+    fn takes_self(&self, mut i: usize) -> bool {
+        i += 1;
+        while matches!(self.text(i), "&" | "&&" | "mut")
+            || self
+                .file
+                .code_tok(i)
+                .is_some_and(|t| t.kind == TokKind::Lifetime)
+        {
+            i += 1;
         }
-        (params, end)
+        self.text(i) == "self"
     }
 
     /// Parses an `impl` header starting at `i` (on `impl`); returns
@@ -328,46 +265,6 @@ impl<'a> Parser<'a> {
         });
     }
 
-    /// Parses named struct fields between braces `open..` for `owner`.
-    fn parse_fields(&mut self, owner: &'a str, open: usize) -> usize {
-        let end = self.skip_balanced(open);
-        let mut j = open + 1;
-        while j < end - 1 {
-            // Field: `ident :` at top level inside the braces.
-            if self.is_ident(j) && self.is_punct(j + 1, ":") && self.text(j) != "pub" {
-                let name = self.text(j);
-                // Type runs to the next top-level comma or the close.
-                let mut k = j + 2;
-                let mut depth = 0i32;
-                while k < end - 1 {
-                    match self.text(k) {
-                        "(" | "[" | "{" | "<" => depth += 1,
-                        ")" | "]" | "}" | ">" => depth -= 1,
-                        "," if depth == 0 => break,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                self.out.fields.push(FieldItem {
-                    owner,
-                    name,
-                    ty: self.join(j + 2, k),
-                });
-                j = k + 1;
-            } else {
-                // Attribute or visibility tokens before the field.
-                if self.is_punct(j, "#") && self.is_punct(j + 1, "[") {
-                    j = self.skip_balanced(j + 1);
-                } else if self.is_punct(j, "(") {
-                    j = self.skip_balanced(j);
-                } else {
-                    j += 1;
-                }
-            }
-        }
-        end
-    }
-
     /// The qualified path of the current scope stack plus `name`.
     fn qual_with(&self, name: &'a str) -> Vec<&'a str> {
         let mut q: Vec<&'a str> = self.scopes.iter().filter_map(|s| s.seg).collect();
@@ -403,7 +300,8 @@ impl<'a> Parser<'a> {
         if !self.is_punct(j, "(") {
             return i + 1;
         }
-        let (params, after) = self.parse_params(j);
+        let receiver = self.takes_self(j);
+        let after = self.skip_balanced(j);
         // Find the body `{` (or `;` for a declaration), skipping return
         // types and where clauses.
         let mut k = after;
@@ -433,8 +331,7 @@ impl<'a> Parser<'a> {
             file: 0,
             line,
             body: (open, open),
-            params,
-            locals: Vec::new(),
+            receiver,
             calls: Vec::new(),
         });
         let fn_idx = self.out.fns.len() - 1;
@@ -443,30 +340,6 @@ impl<'a> Parser<'a> {
             fn_idx: Some(fn_idx),
         });
         open + 1
-    }
-
-    /// Handles `struct Name …` at `i`; returns the next scan index.
-    fn handle_struct(&mut self, i: usize) -> usize {
-        let name = self.text(i + 1);
-        let mut j = i + 2;
-        if self.is_punct(j, "<") {
-            j = self.skip_generics(j);
-        }
-        // Skip a where clause to the body or terminator.
-        while j < self.file.code.len()
-            && !self.is_punct(j, "{")
-            && !self.is_punct(j, "(")
-            && !self.is_punct(j, ";")
-        {
-            j += 1;
-        }
-        if self.is_punct(j, "{") {
-            self.parse_fields(name, j)
-        } else if self.is_punct(j, "(") {
-            self.skip_balanced(j)
-        } else {
-            j + 1
-        }
     }
 
     /// Handles `static [mut] NAME: Type …` at `i`; returns the next
@@ -494,25 +367,6 @@ impl<'a> Parser<'a> {
         k
     }
 
-    /// Handles `let [mut] name: Type …` inside a fn at `i`; returns the
-    /// next scan index (the initializer is NOT skipped — it has calls).
-    fn handle_let(&mut self, i: usize) -> usize {
-        let mut j = i + 1;
-        if self.text(j) == "mut" {
-            j += 1;
-        }
-        if !(self.is_ident(j) && self.is_punct(j + 1, ":")) {
-            return i + 1;
-        }
-        let name = self.text(j);
-        let k = self.type_end(j + 2);
-        let ty = self.join(j + 2, k);
-        if let Some(fn_idx) = self.scopes.iter().rev().find_map(|s| s.fn_idx) {
-            self.out.fns[fn_idx].locals.push((name, ty));
-        }
-        k
-    }
-
     fn run(mut self) -> ParsedFile<'a> {
         let mut i = 0usize;
         while i < self.file.code.len() {
@@ -536,9 +390,7 @@ impl<'a> Parser<'a> {
                     None => i += 1,
                 },
                 "fn" if self.is_ident(i + 1) => i = self.handle_fn(i),
-                "struct" if self.is_ident(i + 1) && !in_fn => i = self.handle_struct(i),
                 "static" if !in_fn => i = self.handle_static(i),
-                "let" if in_fn => i = self.handle_let(i),
                 "{" => {
                     self.scopes.push(Scope {
                         seg: None,
@@ -603,9 +455,9 @@ mod tests {
         let f = &p.fns[0];
         assert_eq!(f.name, "relay");
         assert_eq!(f.qual, vec!["relay"]);
-        assert_eq!(f.params.len(), 2);
-        assert_eq!(f.params[0], ("sat", "usize".to_string()));
-        assert!(f.params[1].1.contains("Vec"));
+        assert_eq!(f.line, 1);
+        assert!(!f.receiver, "a free fn takes no self");
+        assert_eq!(f.calls.len(), 2, "pop and unwrap_or: {:?}", f.calls);
     }
 
     #[test]
@@ -616,7 +468,8 @@ mod tests {
         let quals: Vec<Vec<&str>> = p.fns.iter().map(|f| f.qual.clone()).collect();
         assert!(quals.contains(&vec!["engine", "State", "step"]));
         assert!(quals.contains(&vec!["engine", "report"]));
-        assert_eq!(p.fns[0].params, vec![("self", String::new())]);
+        assert!(p.fns[0].receiver);
+        assert!(!p.fns[1].receiver);
     }
 
     #[test]
@@ -659,36 +512,10 @@ mod tests {
             "static COUNTER: AtomicU64 = AtomicU64::new(0);\nstatic mut RAW: u64 = 0;\nstatic NAME: &str = \"x\";\n",
         );
         assert_eq!(p.statics.len(), 3);
-        assert!(ty_mentions(&p.statics[0].ty, "AtomicU64"));
+        assert_eq!(p.statics[0].ty, "AtomicU64");
         assert!(!p.statics[0].mutable);
         assert!(p.statics[1].mutable);
-        assert!(ty_mentions(&p.statics[2].ty, "str"));
-    }
-
-    #[test]
-    fn struct_fields_capture_types() {
-        let p = parsed(
-            "pub struct Merge {\n    pub counts: HashMap<String, u64>,\n    total: f64,\n}\n",
-        );
-        assert_eq!(p.fields.len(), 2);
-        assert_eq!(p.fields[0].owner, "Merge");
-        assert!(ty_mentions(&p.fields[0].ty, "HashMap"));
-        assert_eq!(p.fields[1].name, "total");
-    }
-
-    #[test]
-    fn typed_locals_attach_to_their_function() {
-        let p = parsed(
-            "fn f() {\n    let m: HashMap<u32, f64> = build();\n    let untyped = 3;\n    m.len();\n}\n",
-        );
-        let f = &p.fns[0];
-        assert_eq!(f.locals.len(), 1);
-        assert!(ty_mentions(&f.locals[0].1, "HashMap"));
-        assert!(
-            f.calls.iter().any(|c| c.segments == ["build"]),
-            "initializer calls are kept: {:?}",
-            f.calls
-        );
+        assert_eq!(p.statics[2].ty, "& str");
     }
 
     #[test]

@@ -46,15 +46,8 @@ pub fn render_findings(run: &LintRun) -> String {
     let mut out = String::new();
     for d in &run.diagnostics {
         out.push_str(&format!(
-            "{}:{}:{}: {} [{}]: {}\n    {}\n    fix: {}\n",
-            d.file,
-            d.line,
-            d.col,
-            d.severity.label(),
-            d.rule,
-            d.message,
-            d.snippet,
-            d.hint
+            "{}:{}:{}: [{}]: {}\n    {}\n    fix: {}\n",
+            d.file, d.line, d.col, d.rule, d.message, d.snippet, d.hint
         ));
     }
     out
@@ -64,12 +57,8 @@ pub fn render_findings(run: &LintRun) -> String {
 pub fn render_json(run: &LintRun) -> String {
     let mut rules = JsonArray::new();
     for (id, n) in run.counts_by_rule() {
-        let info = RULES.iter().find(|r| r.id == id);
         let mut obj = JsonObject::new();
         obj.field_str("id", id).field_u64("count", n as u64);
-        if let Some(info) = info {
-            obj.field_str("severity", info.severity.label());
-        }
         rules.push_raw(&obj.finish());
     }
     let mut diagnostics = JsonArray::new();
@@ -154,7 +143,6 @@ fn diag_json(d: &Diagnostic) -> String {
         .field_u64("line", u64::from(d.line))
         .field_u64("col", u64::from(d.col))
         .field_str("rule", d.rule)
-        .field_str("severity", d.severity.label())
         .field_str("message", &d.message)
         .field_str("snippet", &d.snippet);
     obj.finish()

@@ -8,7 +8,7 @@
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
 use crate::taint::{self, Analysis};
-use crate::{Diagnostic, Severity};
+use crate::Diagnostic;
 
 /// How a rule runs: per-file over tokens, or per-workspace over the
 /// semantic [`Analysis`] (symbols, call graph, reachability).
@@ -23,9 +23,6 @@ pub enum Check {
 pub struct RuleInfo {
     /// Stable rule id, as used in `lint:allow(...)` and `--rule`.
     pub id: &'static str,
-    /// Severity class (presentation only — any finding fails the
-    /// lint).
-    pub severity: Severity,
     /// One-line description of what the rule catches.
     pub summary: &'static str,
     /// How to fix a violation.
@@ -66,39 +63,36 @@ impl RuleInfo {
 pub static RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "nondeterministic-iteration",
-        severity: Severity::Deny,
-        summary: "HashMap/HashSet in a sim/result/sweep path (iteration order varies run to run)",
+        summary: "HashMap/HashSet in linted code (iteration order varies run to run)",
         hint: "use BTreeMap/BTreeSet, or collect and sort before iterating",
         check: Check::File(check_nondeterministic_iteration),
     },
     RuleInfo {
         id: "wall-clock-in-model",
-        severity: Severity::Deny,
-        summary: "Instant::now/SystemTime::now outside the telemetry and simkit timing shims",
-        hint: "model code must take time from the simulation clock; route wall-clock \
-               measurement through telemetry spans or simkit's scheduler probe",
+        summary: "Instant::now/SystemTime::now outside the telemetry and simkit timing shims, \
+                  or a unix_ms() call in the flight-recorder path",
+        hint: "model code and trace stamps must take time from the simulation clock \
+               (derive unix_ms from t_s); route wall-clock measurement through \
+               telemetry spans or simkit's scheduler probe",
         check: Check::File(check_wall_clock),
     },
     RuleInfo {
-        id: "wall-clock-in-trace",
-        severity: Severity::Deny,
-        summary: "wall-clock source (unix_ms()/Instant::now/SystemTime::now) inside the \
-                  flight-recorder path",
-        hint: "trace timestamps must be sim-time: stamp events from the scheduler clock \
-               (t_s) and derive unix_ms as a pure function of it",
-        check: Check::File(check_wall_clock_in_trace),
-    },
-    RuleInfo {
         id: "unseeded-rng",
-        severity: Severity::Deny,
         summary: "RNG constructed outside simkit::rng::RngFactory streams",
         hint: "derive per-entity streams with RngFactory::stream(label, index) so draws \
                replay under the run seed",
         check: Check::File(check_unseeded_rng),
     },
     RuleInfo {
+        id: "rng-stream-discipline",
+        summary: "RngFactory::stream call in sim code with a dynamic label or a constant \
+                  (entity-independent) index",
+        hint: "use a string-literal stream label and derive the index from the entity \
+               (sat/link/tenant) id so shards never share a stream",
+        check: Check::File(check_rng_stream_discipline),
+    },
+    RuleInfo {
         id: "float-eq",
-        severity: Severity::Deny,
         summary: "`==`/`!=` against a float literal",
         hint: "compare with an explicit epsilon, or restructure the guard \
                (e.g. `x <= 0.0` for a non-negative quantity)",
@@ -106,7 +100,6 @@ pub static RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "unwrap-in-lib",
-        severity: Severity::Deny,
         summary: "unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! in non-test \
                   library code",
         hint: "return Result with a contextual error (see the CellError pattern in \
@@ -115,7 +108,6 @@ pub static RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "long-function",
-        severity: Severity::Warn,
         summary: "function spans more than 120 lines",
         hint: "extract helpers or split the function along its phases (see the sim \
                engine's topology/transport/service layering)",
@@ -123,56 +115,23 @@ pub static RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "todo-marker",
-        severity: Severity::Warn,
         summary: "to-do/fix-me marker left in a comment",
         hint: "resolve the marker or file it as a tracked issue",
         check: Check::File(check_todo_marker),
     },
     RuleInfo {
         id: "shared-state-across-shards",
-        severity: Severity::Deny,
         summary: "mutable/interior-mutable static in sim code touched by shard-reachable \
                   functions",
         hint: "move the state into per-shard State fields and merge it in the \
                absorb pass (see sim::parallel)",
         check: Check::Workspace(taint::check_shared_state),
     },
-    RuleInfo {
-        id: "rng-stream-discipline",
-        severity: Severity::Deny,
-        summary: "RngFactory::stream call with a dynamic label or a constant (entity-\
-                  independent) index",
-        hint: "use a string-literal stream label and derive the index from the entity \
-               (sat/link/tenant) id so shards never share a stream",
-        check: Check::Workspace(taint::check_rng_stream_discipline),
-    },
-    RuleInfo {
-        id: "float-merge-order",
-        severity: Severity::Deny,
-        summary: "order-sensitive accumulation (+=/sum/fold) over a HashMap/HashSet in \
-                  merge-reachable code",
-        hint: "iterate a BTreeMap or sort keys first",
-        check: Check::Workspace(taint::check_float_merge_order),
-    },
 ];
 
 /// Looks a rule up by id.
 pub fn rule_by_id(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
-}
-
-/// Paths whose iteration order feeds simulation results, sweep rows, or
-/// report artifacts.
-fn in_sim_result_path(path: &str) -> bool {
-    [
-        "crates/core/",
-        "crates/simkit/",
-        "crates/explore/",
-        "crates/bench/",
-    ]
-    .iter()
-    .any(|p| path.starts_with(p))
-        || path.starts_with("tests/")
 }
 
 /// Library code proper: `crates/*/src/**` (integration tests, examples,
@@ -200,10 +159,16 @@ fn path_seq(file: &SourceFile, i: usize, recv: &[&str], member: &[&str]) -> bool
     id(i, recv) && sep && id(i + 2, member)
 }
 
+/// Matches the punctuation `s` at code position `i`.
+fn punct_at(file: &SourceFile, i: usize, s: &str) -> bool {
+    file.code_tok(i)
+        .is_some_and(|t| t.kind == TokKind::Punct && file.text(t) == s)
+}
+
+/// Every file the scan lints, test code included: a fold over a hash
+/// collection needs a parameter, local or field declared with the
+/// type, and that declaration is a flagged line.
 fn check_nondeterministic_iteration(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !in_sim_result_path(&file.path) {
-        return;
-    }
     // One diagnostic per line: a single declaration usually mentions
     // the type several times (`let m: HashMap<..> = HashMap::new()`).
     let mut last_line = 0u32;
@@ -219,71 +184,53 @@ fn check_nondeterministic_iteration(rule: &RuleInfo, file: &SourceFile, out: &mu
                 rule,
                 file,
                 t,
-                format!("`{text}` in a sim/result/sweep path"),
+                format!("`{text}`: iteration order varies run to run"),
                 out,
             );
         }
     }
 }
 
-fn check_wall_clock(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if file.path.starts_with("crates/telemetry/") || file.path.starts_with("crates/simkit/") {
-        return;
-    }
-    for i in 0..file.code.len() {
-        if !path_seq(file, i, &["Instant", "SystemTime"], &["now"]) {
-            continue;
-        }
-        let Some(t) = file.code_tok(i) else { continue };
-        if file.in_test_code(t.line) {
-            continue;
-        }
-        emit(
-            rule,
-            file,
-            t,
-            format!(
-                "`{}::now()` outside the telemetry/simkit timing shims",
-                file.text(t)
-            ),
-            out,
-        );
-    }
-}
+/// The flight recorder's source, which sits in the telemetry crate but
+/// is no timing shim.
+const TRACE_PATH: &str = "crates/telemetry/src/trace.rs";
 
 /// The flight-recorder path: everything recorded there must be
 /// timestamped in sim-time so double runs byte-diff clean.
 fn in_trace_path(path: &str) -> bool {
-    path.starts_with("crates/core/src/sim/") || path == "crates/telemetry/src/trace.rs"
+    path.starts_with("crates/core/src/sim/") || path == TRACE_PATH
 }
 
-fn check_wall_clock_in_trace(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if !in_trace_path(&file.path) {
+fn check_wall_clock(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    let shim = file.path.starts_with("crates/simkit/")
+        || (file.path.starts_with("crates/telemetry/") && file.path != TRACE_PATH);
+    if shim {
         return;
     }
-    let punct = |i: usize, s: &str| {
-        file.code_tok(i)
-            .is_some_and(|t| t.kind == TokKind::Punct && file.text(t) == s)
-    };
+    let recorder = in_trace_path(&file.path);
     for i in 0..file.code.len() {
         let Some(t) = file.code_tok(i) else { break };
-        // `unix_ms(` as a call — a bare `unix_ms` field write stays
-        // legal (TraceEvent::to_event derives it from sim-time).
-        let hit = (t.kind == TokKind::Ident && file.text(t) == "unix_ms" && punct(i + 1, "("))
-            || path_seq(file, i, &["Instant", "SystemTime"], &["now"]);
-        if !hit || file.in_test_code(t.line) {
+        // On the recorder path, `unix_ms(` as a call: a bare `unix_ms`
+        // field write stays legal (TraceEvent::to_event derives it from
+        // sim-time).
+        let message = if path_seq(file, i, &["Instant", "SystemTime"], &["now"]) {
+            format!(
+                "`{}::now()` outside the telemetry/simkit timing shims",
+                file.text(t)
+            )
+        } else if recorder
+            && t.kind == TokKind::Ident
+            && file.text(t) == "unix_ms"
+            && punct_at(file, i + 1, "(")
+        {
+            "`unix_ms()`: wall-clock source in the flight-recorder path".to_string()
+        } else {
+            continue;
+        };
+        if file.in_test_code(t.line) {
             continue;
         }
-        emit(
-            rule,
-            file,
-            t,
-            format!(
-                "`{}`: wall-clock source in the flight-recorder path",
-                file.text(t)
-            ),
-            out,
-        );
+        emit(rule, file, t, message, out);
     }
 }
 
@@ -309,6 +256,74 @@ fn check_unseeded_rng(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnost
             ),
             out,
         );
+    }
+}
+
+/// `rng-stream-discipline`: every `.stream(label, index)` derivation in
+/// `sim/` must use a string-literal label (auditable stream namespace)
+/// and an index derived from an entity identifier — a bare constant
+/// index is one stream reused across entities, which the sharded run
+/// then draws from in nondeterministic interleaving.
+fn check_rng_stream_discipline(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    if !file.path.starts_with("crates/core/src/sim/") {
+        return;
+    }
+    let text = |i: usize| file.code_text(i);
+    let is_kind = |i: usize, kind: TokKind| file.code_tok(i).is_some_and(|t| t.kind == kind);
+    for i in 0..file.code.len() {
+        if text(i) != "." || text(i + 1) != "stream" || text(i + 2) != "(" {
+            continue;
+        }
+        let Some(site) = file.code_tok(i + 1) else {
+            continue;
+        };
+        if file.in_test_code(site.line) {
+            continue;
+        }
+        // Walk the argument list: first arg to the top-level comma,
+        // second to the matching close.
+        let mut depth = 0i32;
+        let mut comma = None;
+        let mut close = None;
+        for j in i + 2..file.code.len() {
+            match text(j) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        close = Some(j);
+                        break;
+                    }
+                }
+                "," if depth == 1 && comma.is_none() => comma = Some(j),
+                _ => {}
+            }
+        }
+        let (Some(comma), Some(close)) = (comma, close) else {
+            continue; // not a two-argument call — not a stream derivation
+        };
+        if !(comma == i + 4 && is_kind(i + 3, TokKind::Str)) {
+            emit(
+                rule,
+                file,
+                site,
+                "stream label must be a single string literal so the stream \
+                 namespace is statically auditable"
+                    .to_string(),
+                out,
+            );
+        }
+        if !(comma + 1..close).any(|k| is_kind(k, TokKind::Ident) && text(k) != "as") {
+            emit(
+                rule,
+                file,
+                site,
+                "stream index is a bare constant — derive it from the entity \
+                 index so parallel shards never share a stream"
+                    .to_string(),
+                out,
+            );
+        }
     }
 }
 
@@ -377,10 +392,7 @@ fn check_unwrap_in_lib(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnos
     if !is_lib_code(&file.path) {
         return;
     }
-    let punct = |i: usize, s: &str| {
-        file.code_tok(i)
-            .is_some_and(|t| t.kind == TokKind::Punct && file.text(t) == s)
-    };
+    let punct = |i: usize, s: &str| punct_at(file, i, s);
     for i in 0..file.code.len() {
         let Some(t) = file.code_tok(i) else { break };
         if t.kind != TokKind::Ident {
@@ -549,18 +561,24 @@ mod tests {
     #[test]
     fn hashmap_fires_only_in_sim_result_paths() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-        let hits = rule_ids(LIB, src);
-        assert_eq!(
-            hits.iter()
-                .filter(|r| **r == "nondeterministic-iteration")
-                .count(),
-            2,
-            "one per line: {hits:?}"
-        );
-        assert!(
-            !rule_ids("crates/compress/src/lzw.rs", src).contains(&"nondeterministic-iteration"),
-            "lookup-only crates are out of scope"
-        );
+        // Every linted path, lookup-only crates included: no file may
+        // hold a hash collection unflagged.
+        for path in [
+            LIB,
+            "crates/compress/src/lzw.rs",
+            "crates/telemetry/src/merge.rs",
+            "crates/lint/src/rules.rs",
+            "examples/quickstart.rs",
+        ] {
+            let hits = rule_ids(path, src);
+            assert_eq!(
+                hits.iter()
+                    .filter(|r| **r == "nondeterministic-iteration")
+                    .count(),
+                2,
+                "one per line in {path}: {hits:?}"
+            );
+        }
     }
 
     #[test]
@@ -584,16 +602,21 @@ mod tests {
         const SIM: &str = "crates/core/src/sim/engine.rs";
         const TRACE: &str = "crates/telemetry/src/trace.rs";
         let call = "fn f() -> u64 { unix_ms() }\n";
-        assert!(rule_ids(SIM, call).contains(&"wall-clock-in-trace"));
-        assert!(rule_ids(TRACE, call).contains(&"wall-clock-in-trace"));
+        assert_eq!(rule_ids(SIM, call), ["wall-clock-in-model"]);
+        assert_eq!(rule_ids(TRACE, call), ["wall-clock-in-model"]);
         assert!(
-            !rule_ids(LIB, call).contains(&"wall-clock-in-trace"),
-            "model code outside the recorder path is wall-clock-in-model's business"
+            rule_ids(LIB, call).is_empty(),
+            "a unix_ms() call outside the recorder path stamps no trace"
         );
         let now = "fn f() { let t = Instant::now(); }\n";
-        assert!(rule_ids(SIM, now).contains(&"wall-clock-in-trace"));
-        assert!(
-            rule_ids(TRACE, now).contains(&"wall-clock-in-trace"),
+        assert_eq!(
+            rule_ids(SIM, now),
+            ["wall-clock-in-model"],
+            "one finding per read on the recorder path"
+        );
+        assert_eq!(
+            rule_ids(TRACE, now),
+            ["wall-clock-in-model"],
             "the telemetry shim exemption does not extend to trace.rs"
         );
     }
@@ -603,11 +626,11 @@ mod tests {
         const TRACE: &str = "crates/telemetry/src/trace.rs";
         let field = "fn f(t_s: f64) -> Event { Event { unix_ms: (t_s * 1e3) as u64 } }\n";
         assert!(
-            !rule_ids(TRACE, field).contains(&"wall-clock-in-trace"),
+            !rule_ids(TRACE, field).contains(&"wall-clock-in-model"),
             "a struct-literal field named unix_ms is the sanctioned sim-time derivation"
         );
         let test_src = "#[test]\nfn t() { let _ = unix_ms(); }\n";
-        assert!(!rule_ids(TRACE, test_src).contains(&"wall-clock-in-trace"));
+        assert!(!rule_ids(TRACE, test_src).contains(&"wall-clock-in-model"));
     }
 
     #[test]

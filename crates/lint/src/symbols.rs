@@ -1,10 +1,10 @@
-//! Workspace symbol table: every function, static, and struct field in
-//! the scanned tree, with qualified paths derived from file layout plus
+//! Workspace symbol table: every function and static in the scanned
+//! tree, with qualified paths derived from file layout plus
 //! the inline `mod`/`impl` structure recovered by [`crate::parse`].
 
 use std::collections::BTreeMap;
 
-use crate::parse::{self, ty_mentions, FieldItem, FnItem, StaticItem};
+use crate::parse::{self, FnItem, StaticItem};
 use crate::source::SourceFile;
 
 /// All items in the workspace, indexed for resolution. Names borrow
@@ -15,8 +15,6 @@ pub struct Symbols<'a> {
     pub fns: Vec<FnItem<'a>>,
     /// Every module-level static, file-qualified.
     pub statics: Vec<StaticItem<'a>>,
-    /// Every named struct field.
-    pub fields: Vec<FieldItem<'a>>,
     /// Function indices by bare name (sorted keys → deterministic walks).
     pub by_name: BTreeMap<&'a str, Vec<usize>>,
     /// `test_code[f]`: whether function `f` is test code — declared in an
@@ -80,7 +78,6 @@ impl<'a> Symbols<'a> {
                 s.file = fi;
                 sym.statics.push(s);
             }
-            sym.fields.extend(parsed.fields);
         }
         for (i, f) in sym.fns.iter().enumerate() {
             sym.by_name.entry(f.name).or_default().push(i);
@@ -120,31 +117,6 @@ impl<'a> Symbols<'a> {
                 })
             })
             .collect()
-    }
-
-    /// The declared type text of `name` as seen from function `fn_idx`:
-    /// parameters first, then typed locals, then (workspace-wide) any
-    /// struct field of that name — an approximation that errs toward
-    /// finding a type.
-    pub fn var_type(&self, fn_idx: usize, name: &str) -> Option<&str> {
-        let f = &self.fns[fn_idx];
-        if let Some((_, ty)) = f.params.iter().find(|(n, _)| *n == name) {
-            return Some(ty);
-        }
-        if let Some((_, ty)) = f.locals.iter().find(|(n, _)| *n == name) {
-            return Some(ty);
-        }
-        self.fields
-            .iter()
-            .find(|fld| fld.name == name)
-            .map(|fld| fld.ty.as_str())
-    }
-
-    /// Whether `name`, seen from `fn_idx`, is declared with a type that
-    /// mentions `word` as a path segment (e.g. `HashMap`).
-    pub fn var_type_mentions(&self, fn_idx: usize, name: &str, word: &str) -> bool {
-        self.var_type(fn_idx, name)
-            .is_some_and(|ty| ty_mentions(ty, word))
     }
 }
 
@@ -201,22 +173,5 @@ mod tests {
         assert_eq!(hits.len(), 2, "both engine step fns, not serve's");
         assert!(hits.iter().all(|&i| sym.fns[i].file == 0));
         assert!(sym.resolve_root("engine::missing").is_empty());
-    }
-
-    #[test]
-    fn var_type_checks_params_locals_then_fields() {
-        let files = vec![SourceFile::parse(
-            "crates/core/src/sim/x.rs",
-            "pub struct S {\n    counts: HashMap<u32, u64>,\n}\nfn f(m: &HashMap<String, f64>) {\n    let v: Vec<u8> = vec![];\n}\n",
-        )];
-        let sym = Symbols::build(&files);
-        let f = sym.by_name["f"][0];
-        assert!(sym.var_type_mentions(f, "m", "HashMap"));
-        assert!(sym.var_type_mentions(f, "v", "Vec"));
-        assert!(
-            sym.var_type_mentions(f, "counts", "HashMap"),
-            "field fallback"
-        );
-        assert!(!sym.var_type_mentions(f, "nope", "HashMap"));
     }
 }

@@ -3,30 +3,25 @@
 //! The sharded engine's byte-identity contract (see DESIGN.md) says a
 //! fault-free N-worker run must be byte-identical to the sequential
 //! run. Statically, that decomposes into taint **sources** (wall clock,
-//! unseeded RNG, `HashMap`/`HashSet` iteration order, thread identity,
-//! order-sensitive `f64` accumulation) that must never flow into
-//! report-affecting **sinks**: anything reachable from the event-loop
-//! roots in [`DETERMINISM_ROOTS`]. This module builds the
-//! [`Analysis`] (symbols + call graph + reachability) and implements
-//! the three semantic rule families registered in [`crate::rules`]:
+//! unseeded RNG, `HashMap`/`HashSet` iteration order, thread identity)
+//! that must never flow into report-affecting **sinks**: anything
+//! reachable from the event-loop roots in [`DETERMINISM_ROOTS`]. This
+//! module builds the [`Analysis`] (symbols + call graph +
+//! reachability), counts the reachable source sites for the audit, and
+//! implements the one rule that needs reachability,
+//! `shared-state-across-shards`: a mutable or interior-mutable static
+//! in sim code referenced from a shard-reachable function.
 //!
-//! * `shared-state-across-shards` — mutable or interior-mutable statics
-//!   in sim code referenced from shard-reachable functions;
-//! * `rng-stream-discipline` — every `RngFactory::stream(label, index)`
-//!   in `sim/` must use a string-literal label and an entity-derived
-//!   index (a bare constant index is one stream shared across entities,
-//!   which shards would then draw from in racy order);
-//! * `float-merge-order` — `+=`/`sum`/`fold` over an unordered
-//!   (`HashMap`/`HashSet`) collection in merge-reachable code.
-//!
-//! Panics need no reachability: the lexical `unwrap-in-lib` rule
-//! already flags every unwrap/expect/panicking macro in library code,
-//! reachable or not.
+//! The other sources need no reachability, so lexical rules in
+//! [`crate::rules`] flag them wherever they appear: any hash
+//! collection (`nondeterministic-iteration`), wall-clock reads
+//! (`wall-clock-in-model`), ad-hoc RNGs and stream derivations
+//! (`unseeded-rng`, `rng-stream-discipline`), and every
+//! unwrap/expect/panicking macro in library code (`unwrap-in-lib`).
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::{CallGraph, Reach};
-use crate::lexer::TokKind;
 use crate::rules::RuleInfo;
 use crate::source::SourceFile;
 use crate::symbols::Symbols;
@@ -209,206 +204,13 @@ pub fn check_shared_state(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diagnosti
     }
 }
 
-/// `rng-stream-discipline`: every `.stream(label, index)` derivation in
-/// `sim/` must use a string-literal label (auditable stream namespace)
-/// and an index derived from an entity identifier — a bare constant
-/// index is one stream reused across entities, which the sharded run
-/// then draws from in nondeterministic interleaving.
-pub fn check_rng_stream_discipline(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for file in a.files {
-        if !file.path.starts_with("crates/core/src/sim/") {
-            continue;
-        }
-        let tok = |i: usize| file.code_tok(i);
-        let text = |i: usize| file.code_text(i);
-        for i in 0..file.code.len() {
-            if text(i) != "." || text(i + 1) != "stream" || text(i + 2) != "(" {
-                continue;
-            }
-            let Some(site) = tok(i + 1) else { continue };
-            let (line, col) = (site.line, site.col);
-            // Walk the argument list: first arg to the top-level comma,
-            // second to the matching close.
-            let mut depth = 0i32;
-            let mut comma = None;
-            let mut close = None;
-            let mut j = i + 2;
-            while j < file.code.len() {
-                match text(j) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            close = Some(j);
-                            break;
-                        }
-                    }
-                    "," if depth == 1 && comma.is_none() => comma = Some(j),
-                    _ => {}
-                }
-                j += 1;
-            }
-            let (Some(comma), Some(close)) = (comma, close) else {
-                continue; // not a two-argument call — not a stream derivation
-            };
-            let label_lits = (i + 3..comma)
-                .filter(|&k| tok(k).is_some_and(|t| t.kind == TokKind::Str))
-                .count();
-            let label_width = comma - (i + 3);
-            if !(label_lits == 1 && label_width == 1) {
-                emit(
-                    rule,
-                    file,
-                    line,
-                    col,
-                    "stream label must be a single string literal so the stream \
-                     namespace is statically auditable"
-                        .to_string(),
-                    out,
-                );
-            }
-            let has_entity_index = (comma + 1..close)
-                .any(|k| tok(k).is_some_and(|t| t.kind == TokKind::Ident) && text(k) != "as");
-            if !has_entity_index {
-                emit(
-                    rule,
-                    file,
-                    line,
-                    col,
-                    "stream index is a bare constant — derive it from the entity \
-                     index so parallel shards never share a stream"
-                        .to_string(),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Method names that iterate a collection (receiver position for the
-/// float-merge check).
-const ITER_METHODS: &[&str] = &["values", "keys", "iter", "into_iter", "drain", "values_mut"];
-
-/// `float-merge-order`: accumulating (`+=`, `.sum()`, `.fold()`) over a
-/// `HashMap`/`HashSet` feeds results in allocation order; under the
-/// byte-identity contract an order-dependent fold must run in a fixed
-/// (sorted key) order.
-pub fn check_float_merge_order(rule: &RuleInfo, a: &Analysis, out: &mut Vec<Diagnostic>) {
-    for (fi, f) in a.symbols.fns.iter().enumerate() {
-        if !a.reach.contains(fi) {
-            continue;
-        }
-        let file = &a.files[f.file];
-        let hi = f.body.1.min(file.code.len().saturating_sub(1));
-        let text = |i: usize| file.code_text(i);
-        let is_hash_var = |i: usize| {
-            file.code_tok(i).is_some_and(|t| t.kind == TokKind::Ident)
-                && (a.symbols.var_type_mentions(fi, text(i), "HashMap")
-                    || a.symbols.var_type_mentions(fi, text(i), "HashSet"))
-        };
-        for i in f.body.0..=hi {
-            // Form 1: `for _ in <expr-with-hash-var> { ... += / sum / fold }`.
-            if text(i) == "for" {
-                let Some(kw_in) = (i + 1..=hi).find(|&j| text(j) == "in") else {
-                    continue;
-                };
-                let Some(open) = (kw_in + 1..=hi).find(|&j| text(j) == "{") else {
-                    continue;
-                };
-                if !(kw_in + 1..open).any(|j| is_hash_var(j)) {
-                    continue;
-                }
-                // Loop body: to the matching close brace.
-                let mut depth = 0i32;
-                let mut end = open;
-                for j in open..=hi {
-                    match text(j) {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                end = j;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                // Compound assignment lexes as two tokens (`+` `=`);
-                // `==`/`=>`/`<=`/`>=` are fused, so the pair is exact.
-                let accumulates = (open..end).any(|j| {
-                    (matches!(text(j), "+" | "-" | "*") && text(j + 1) == "=")
-                        || (text(j) == "." && matches!(text(j + 1), "sum" | "fold"))
-                });
-                let Some(t) = file.code_tok(i) else { continue };
-                if accumulates {
-                    emit(
-                        rule,
-                        file,
-                        t.line,
-                        t.col,
-                        "accumulation over an unordered collection — iteration \
-                         order varies run to run"
-                            .to_string(),
-                        out,
-                    );
-                }
-            }
-            // Form 2: `hash_var.iter()...sum()` / `.fold()` chains.
-            if text(i) == "." && matches!(text(i + 1), "sum" | "fold") && text(i + 2) == "(" {
-                // Scan back through the statement for the chain base:
-                // the nearest `ident.<iter-method>(` receiver.
-                let mut base = None;
-                let mut j = i;
-                while j >= f.body.0 + 2 && !matches!(text(j), ";" | "{" | "}") {
-                    if ITER_METHODS.contains(&text(j))
-                        && text(j - 1) == "."
-                        && text(j + 1) == "("
-                        && is_hash_var(j - 2)
-                    {
-                        base = Some(j - 2);
-                        break;
-                    }
-                    j -= 1;
-                }
-                let Some(t) = file.code_tok(i + 1) else {
-                    continue;
-                };
-                if base.is_some() {
-                    emit(
-                        rule,
-                        file,
-                        t.line,
-                        t.col,
-                        format!(
-                            "`{}` over a HashMap/HashSet iterator — fold order \
-                             varies run to run",
-                            file.text(t)
-                        ),
-                        out,
-                    );
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::rule_by_id;
 
+    /// Both passes over `sources`, restricted to rule `id`.
     fn run_rule(id: &str, sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-        let files: Vec<SourceFile> = sources
-            .iter()
-            .map(|(p, s)| SourceFile::parse(p, s))
-            .collect();
-        let a = analyze(&files);
-        let mut out = Vec::new();
-        rule_by_id(id)
-            .expect("rule registered")
-            .check_workspace(&a, &mut out);
-        out
+        crate::lint_files(sources, Some(id))
     }
 
     const LOOP_HEADER: &str = "mod engine {\n    pub fn step(st: u32) { crate::touch(st); }\n}\n";
@@ -473,30 +275,6 @@ mod tests {
         assert!(run_rule(
             "rng-stream-discipline",
             &[("crates/workloads/src/apps.rs", src)]
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn float_merge_over_hash_iteration_fires() {
-        let src = format!(
-            "{LOOP_HEADER}pub fn touch(_x: u32) {{ merge(&Default::default()); }}\nfn merge(counts: &HashMap<u64, f64>) -> f64 {{\n    let mut total = 0.0;\n    for (_k, v) in counts.iter() {{\n        total += v;\n    }}\n    let direct: f64 = counts.values().sum();\n    total + direct\n}}\n"
-        );
-        let out = run_rule(
-            "float-merge-order",
-            &[("crates/core/src/sim/engine.rs", &src)],
-        );
-        assert_eq!(out.len(), 2, "for-loop accumulation and .sum(): {out:?}");
-    }
-
-    #[test]
-    fn ordered_merges_do_not_fire() {
-        let src = format!(
-            "{LOOP_HEADER}pub fn touch(_x: u32) {{ merge(&Default::default()); }}\nfn merge(counts: &BTreeMap<u64, f64>) -> f64 {{\n    let mut total = 0.0;\n    for (_k, v) in counts.iter() {{\n        total += v;\n    }}\n    total\n}}\n"
-        );
-        assert!(run_rule(
-            "float-merge-order",
-            &[("crates/core/src/sim/engine.rs", &src)]
         )
         .is_empty());
     }

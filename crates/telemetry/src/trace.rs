@@ -326,7 +326,7 @@ impl TraceEvent {
             kind: EventKind::Instant,
             name: format!("{EVENT_PREFIX}{}", self.kind.as_str()),
             fields,
-            // Sim-time milliseconds — the wall-clock-in-trace lint rule
+            // Sim-time milliseconds — the wall-clock-in-model lint rule
             // keeps the host clock out of this path.
             unix_ms: (self.t_s * 1e3) as u64,
             elapsed_ns: None,

@@ -17,9 +17,10 @@ use std::fs;
 
 use sudc_lint::{lint_source, rule_by_id, workspace_root, Diagnostic, Workspace, RULES};
 
-/// Synthetic scan path placing fixtures in lib code inside a
-/// sim/result path that is also flight-recorder territory, so every
-/// rule — including `wall-clock-in-trace` — is in scope.
+/// Synthetic scan path placing fixtures in library sim code, which is
+/// also flight-recorder territory, so every path-scoped rule —
+/// `wall-clock-in-model`'s `unix_ms()` clause and
+/// `rng-stream-discipline` included — is in scope.
 const FIXTURE_SCAN_PREFIX: &str = "crates/core/src/sim/fixtures/";
 
 fn fixture(name: &str) -> (String, String) {
@@ -96,10 +97,11 @@ fn dirty_fixture_matches_golden_markers_exactly() {
 }
 
 /// Every semantic (workspace) rule fires in the taint fixture pair:
-/// `taint_dirty.rs` seeds one violation per family — a shared mutable
-/// static, cross-shard RNG stream reuse, and an unordered float fold —
-/// all reachable from a fixture `engine::step`, while `taint_clean.rs` exercises the compliant
-/// counterparts of the same shapes and must stay silent.
+/// `taint_dirty.rs` seeds a shared mutable static and unordered float
+/// folds, whose hash-typed declarations the lexical pass flags, all
+/// reachable from a fixture `engine::step`, while `taint_clean.rs`
+/// exercises the compliant counterparts of the same shapes and must
+/// stay silent.
 #[test]
 fn taint_fixtures_match_golden_markers_exactly() {
     let (dirty_path, dirty_src) = fixture("taint_dirty.rs");
@@ -130,6 +132,37 @@ fn taint_fixtures_match_golden_markers_exactly() {
         clean.is_empty(),
         "clean taint fixture fired: {:?}",
         clean.iter().map(|d| (d.line, d.rule)).collect::<Vec<_>>()
+    );
+}
+
+/// An unordered float merge outside the sim crates is flagged where its
+/// hash collection is declared: a parameter folded by `.values().sum()`,
+/// a local folded by a `for` loop, and a struct field. Both passes run,
+/// and nothing else fires.
+#[test]
+fn float_merges_anywhere_are_flagged_at_their_declarations() {
+    let src = "use std::collections::{HashMap, HashSet};\n\
+               \n\
+               pub struct Seen {\n\
+               \x20   ids: HashSet<u32>,\n\
+               }\n\
+               \n\
+               pub fn merge(parts: &HashMap<u32, f64>) -> f64 {\n\
+               \x20   let direct: f64 = parts.values().sum();\n\
+               \x20   let copy: HashMap<u32, f64> = parts.clone();\n\
+               \x20   let mut total = 0.0;\n\
+               \x20   for (_k, v) in &copy {\n\
+               \x20       total += v;\n\
+               \x20   }\n\
+               \x20   direct + total\n\
+               }\n";
+    let diags = sudc_lint::lint_files(&[("crates/telemetry/src/merge.rs", src)], None);
+    let got: Vec<(u32, &str)> = diags.iter().map(|d| (d.line, d.rule)).collect();
+    let flagged = "nondeterministic-iteration";
+    assert_eq!(
+        got,
+        [(1, flagged), (4, flagged), (7, flagged), (9, flagged)],
+        "the use, the field, the parameter and the local"
     );
 }
 
