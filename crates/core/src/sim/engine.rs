@@ -25,9 +25,7 @@ use units::{DataSize, Time};
 
 use crate::sim::faults::FaultSummary;
 use crate::sim::model::{DiscardPolicy, SimConfig, SimReport};
-use crate::sim::policy::{
-    LinkObs, MigrationDecision, MigrationObs, Policy, RetryDecision, ShedDecision, ShedObs,
-};
+use crate::sim::policy::{LinkObs, Policy, RetryDecision, ShedDecision, ShedObs};
 use crate::sim::serve::{self, Request, ServeState};
 use crate::sim::service::Service;
 use crate::sim::topology::{self, Topology};
@@ -459,12 +457,9 @@ fn dispatch(
         let start = st.transport.next_start(sat, now);
         if !st.transport.link_up(sat, frame.reversed, start) {
             let obs = LinkObs {
-                unit: sat,
                 now_s: now.as_secs(),
                 attempt,
                 baseline_delay_s: st.transport.retry_delay_s(attempt),
-                reversed: frame.reversed,
-                serve: false,
             };
             match st.policy.decide_retry(&obs) {
                 RetryDecision::Retry { delay_s: delay } => {
@@ -682,32 +677,6 @@ fn on_forward_hop(
                     );
                 }
                 return;
-            }
-            // Live home SµDC: the policy may still migrate the frame
-            // toward another sub-arc (inter-sub-arc load balancing)
-            // instead of entering this queue. `Stay` — the static
-            // behavior — falls through to the pre-policy enqueue path.
-            if !frame.reversed && st.topo.supports_reverse() {
-                let obs = MigrationObs {
-                    unit: from,
-                    cluster,
-                    now_s: now.as_secs(),
-                    queue_depth_s: st.service.queue_depth_s(cluster, now),
-                    hops: frame.hops,
-                    reverse_up: st.topo.reverse_direction_up(from),
-                };
-                if let MigrationDecision::Migrate { up } = st.policy.decide_migration(&obs) {
-                    let mut f = frame;
-                    f.reversed = true;
-                    f.rev_up = up;
-                    f.hops += 1;
-                    f.last_seq = st.ledger.note(
-                        lifecycle(now, TraceKind::Reroute, f.id, from, f.last_seq)
-                            .cause(TraceCause::Backlog),
-                    );
-                    dispatch(st, sched, f, from, now, 0);
-                    return;
-                }
             }
             st.queued_frames -= 1;
             enqueue(st, sched, frame, cluster, now);

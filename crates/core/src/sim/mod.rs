@@ -14,8 +14,8 @@
 //! `model` holds the configuration and report types; `faults` the
 //! fault-injection model; `serve` the multi-tenant user-traffic
 //! serving layer riding the same links and pipelines; `policy` the
-//! control plane deciding retries, reroutes, shedding, admission,
-//! batching, and migration at the engine's decision points. Seeded
+//! control plane deciding retries and source shedding at the engine's
+//! two decision points. Seeded
 //! runs replay byte-identically across the layer seams — see DESIGN.md
 //! for the contract.
 pub mod engine;

@@ -5,8 +5,7 @@
 //! every forward relay chain stays inside its home arc, and the
 //! transport/service/RNG state an event touches is indexed by the
 //! satellite or unit it happens at. Only a reverse-routed frame, which
-//! walks the global ring around a fault or migrates to another sub-arc,
-//! crosses an arc boundary, and only a serving layer, backlog-triggered
+//! walks the global ring around a fault, crosses an arc boundary, and only a serving layer, backlog-triggered
 //! degradation or an adaptive controller reads state that spans arcs.
 //! A run with none of these splits into independent shards, one per
 //! unit: each shard runs the *same* event loop ([`super::engine::step`])
@@ -260,7 +259,10 @@ mod tests {
 
     /// The Earth-model discard rule, which only its own runs build,
     /// shards like the uniform one: each shard builds its own model from
-    /// the run seed and keeps the same frames.
+    /// the run seed and keeps the same frames. No committed artifact runs
+    /// this rule, so the exact counts pin what it keeps: anything that
+    /// moves the sub-solar longitude or the Earth model (a host-clock
+    /// read, say) moves them.
     #[test]
     fn clear_land_only_discard_is_identical_at_one_and_four_threads() {
         let mut cfg = base_cfg(4);
@@ -268,12 +270,7 @@ mod tests {
         let one = try_run_threads(&cfg, 1).expect("valid config");
         let four = try_run_threads(&cfg, 4).expect("valid config");
         assert_eq!(one, four);
-        assert!(
-            one.generated > one.kept && one.kept > 0,
-            "generated {} kept {}",
-            one.generated,
-            one.kept
-        );
+        assert_eq!((one.generated, one.kept), (5121, 862));
         assert_eq!(one.check_invariants(), Ok(()));
     }
 
@@ -290,28 +287,24 @@ mod tests {
         let mut flaky = base_cfg(4);
         flaky.faults = FaultModel::scenario("flaky_links").expect("registered scenario");
 
-        // Fault-free, but the predictive controller migrates frames
-        // from one sub-arc to the other.
-        let mut migrating =
+        // Fault-free, but adaptive: every adaptive run takes the
+        // sequential loop, because reactive's burst window and
+        // predictive's global-backlog shed read state across arcs.
+        let mut adaptive =
             SimConfig::paper_reference(Application::FloodDetection, Length::from_m(1.0), 0.5);
-        migrating.topology = SimTopology::SplitRing { factor: 2 };
-        migrating.clusters = 2;
-        migrating.duration = Time::from_minutes(2.0);
-        migrating.policy = PolicyKind::Predictive;
+        adaptive.topology = SimTopology::SplitRing { factor: 2 };
+        adaptive.clusters = 2;
+        adaptive.duration = Time::from_minutes(2.0);
+        adaptive.policy = PolicyKind::Predictive;
 
         for (name, cfg) in [
             ("one cluster", &one_cluster),
             ("degraded", &degraded),
             ("flaky ring", &flaky),
-            ("predictive split:2", &migrating),
+            ("predictive split:2", &adaptive),
         ] {
             assert!(!shardable(cfg), "{name}");
             assert_matches_sequential(cfg, name);
         }
-        assert_eq!(
-            sequential(&migrating).faults.reroutes,
-            10,
-            "migrations must cross arcs"
-        );
     }
 }

@@ -1,18 +1,19 @@
-//! The sim's control plane: a unified `Policy` layer extracted from
-//! the decision sites that used to be hard-coded across
-//! `transport.rs`, `engine.rs`, and `serve/`.
+//! The sim's control plane: a `Policy` layer for the two decision
+//! sites a controller shapes, the retry of a transmission blocked by a
+//! link outage (frames in `engine.rs`, requests in `serve/`) and the
+//! source shed of a newly kept frame (`engine.rs`).
 //!
 //! The contract is observe → decide → act. At each decision point the
-//! engine assembles a small, plain-value observation (per-unit,
-//! sim-time telemetry: queue depths, link state, retry counts — plus
-//! whatever the controller derived at build time from `orbit::eclipse`
-//! and the SµDC thermal design) and asks the run's [`Policy`] for a
-//! typed decision. The engine alone executes decisions; controllers
+//! engine assembles a small, plain-value observation (sim-time
+//! telemetry: retry counts, the configured backoff, the backlog and
+//! degradation threshold — plus whatever the controller derived at
+//! build time from `orbit::eclipse`) and asks the run's [`Policy`] for
+//! a typed decision. The engine alone executes decisions; controllers
 //! never touch sim state and never draw RNG, so every stochastic draw
 //! stays on the engine's dedicated stateless streams with unchanged
 //! keying.
 //!
-//! Byte-identity argument: every decision enum carries a variant whose
+//! Byte-identity argument: each decision enum carries a variant whose
 //! execution path in the engine is the exact pre-refactor code, and the
 //! trait's default methods reproduce the pre-refactor conditions from
 //! observation fields alone. [`StaticPolicy`] overrides nothing, so a
@@ -22,9 +23,12 @@
 //! ([`super::parallel`]); adaptive controllers always run on the
 //! sequential engine, so their state is never split across shards.
 //!
-//! Where a frame goes when it cannot proceed forward is not a decision
-//! site: no controller shaped it, so the engine applies the static
-//! reroute rule itself.
+//! Everything else is fixed behaviour the engine applies itself: where
+//! a frame goes when it cannot proceed forward (the static reroute
+//! rule), whether a frame enters its live home SµDC (always), serve
+//! admission (token bucket and class shed threshold) and batch
+//! readiness (the configured batcher). Each was once a decision site
+//! that no controller ever moved off its baseline on a committed run.
 
 mod baseline;
 mod predictive;
@@ -40,15 +44,15 @@ use crate::sim::model::SimConfig;
 /// reproduces the pre-policy engine byte-for-byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
-    /// Fixed behavior: config-driven backoff, threshold shedding,
-    /// token-bucket admission, configured batching. No adaptation.
+    /// Fixed behavior: config-driven backoff and threshold shedding.
+    /// No adaptation.
     #[default]
     Static,
-    /// Threshold-driven feedback: widens backoff on observed outage
-    /// bursts and equalizes shed across tenants on shed-count skew.
+    /// Threshold-driven feedback: widens and extends the retry backoff
+    /// on observed outage bursts.
     Reactive,
-    /// Eclipse/thermal-aware feedforward: pre-sheds, pre-migrates, and
-    /// flushes batches ahead of predicted capacity dips.
+    /// Eclipse-aware feedforward: pre-sheds frames imaged ahead of a
+    /// predicted capacity dip.
     Predictive,
 }
 
@@ -78,7 +82,7 @@ impl PolicyKind {
     }
 
     /// Builds the controller for a validated config. Controllers that
-    /// precompute orbital/thermal context (predictive) derive it here,
+    /// precompute orbital context (predictive) derive it here,
     /// once, from the config alone — keeping `decide_*` pure functions
     /// of (controller state, observation).
     pub fn build(self, cfg: &SimConfig) -> Box<dyn Policy> {
@@ -93,8 +97,6 @@ impl PolicyKind {
 /// Telemetry at a blocked-link retry decision (frame or request side).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkObs {
-    /// Satellite whose outbound link is down.
-    pub unit: usize,
     /// Sim time, seconds.
     pub now_s: f64,
     /// Retries already spent on this transmission.
@@ -102,10 +104,6 @@ pub struct LinkObs {
     /// What the configured backoff schedule would do: `Some(delay)`
     /// to retry after `delay` seconds, `None` once the budget is spent.
     pub baseline_delay_s: Option<f64>,
-    /// Whether the frame is already on the reverse ring.
-    pub reversed: bool,
-    /// `true` for serve-request transmissions (which never reroute).
-    pub serve: bool,
 }
 
 /// Telemetry at a source-shed decision (one per kept frame).
@@ -119,56 +117,6 @@ pub struct ShedObs {
     pub queued_bits: f64,
     /// Configured degradation threshold, when degradation is on.
     pub threshold_bits: Option<f64>,
-}
-
-/// Telemetry at a serve-admission decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionObs {
-    /// Tenant index.
-    pub tenant: usize,
-    /// Destination SµDC.
-    pub unit: usize,
-    /// Sim time, seconds.
-    pub now_s: f64,
-    /// Destination compute backlog, seconds.
-    pub backlog_s: f64,
-    /// Requests this tenant has had shed so far.
-    pub tenant_shed: u64,
-    /// Mean shed count across tenants (skew signal).
-    pub mean_shed: f64,
-}
-
-/// Telemetry at a batch-readiness decision.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchObs {
-    /// SµDC owning the queue.
-    pub unit: usize,
-    /// Tenant owning the queue.
-    pub tenant: usize,
-    /// Sim time, seconds.
-    pub now_s: f64,
-    /// Requests waiting in the (cluster, tenant) queue.
-    pub queue_len: usize,
-    /// The SµDC's compute backlog, seconds.
-    pub depth_s: f64,
-}
-
-/// Telemetry at a delivery-point migration decision (frame arrived at
-/// a live home SµDC; should it enter here or migrate along the ring?).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MigrationObs {
-    /// Node the frame arrived at.
-    pub unit: usize,
-    /// The home SµDC it would enter.
-    pub cluster: usize,
-    /// Sim time, seconds.
-    pub now_s: f64,
-    /// That SµDC's compute backlog, seconds.
-    pub queue_depth_s: f64,
-    /// ISL hops the frame has already taken.
-    pub hops: u32,
-    /// The topology's preferred reverse walk direction from `unit`.
-    pub reverse_up: bool,
 }
 
 /// Retry decision for a transmission blocked by a link outage.
@@ -191,34 +139,6 @@ pub enum ShedDecision {
     Coin { probability: f64 },
 }
 
-/// Admission decision for an arriving serve request.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionDecision {
-    /// Token bucket + configured shed threshold, verbatim.
-    Baseline,
-    /// Same gate with the backlog shed threshold scaled by this factor
-    /// (>1 sheds less, <1 sheds more).
-    ScaleShedThreshold(f64),
-}
-
-/// Batch-readiness decision for a (cluster, tenant) queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchDecision {
-    /// Defer to the configured batcher verbatim.
-    Baseline,
-    /// Dispatch now regardless of the configured trigger.
-    Flush,
-}
-
-/// Migration decision for a frame at a live home SµDC.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MigrationDecision {
-    /// Enter the home SµDC's queue (the only pre-policy behavior).
-    Stay,
-    /// Walk the reverse ring toward another sub-arc, direction `up`.
-    Migrate { up: bool },
-}
-
 /// A run's controller. The trait's default methods ARE the static
 /// policy: each reproduces the pre-refactor condition from observation
 /// fields alone, without touching controller state or RNG. Adaptive
@@ -238,21 +158,6 @@ pub trait Policy: std::fmt::Debug + Send {
     /// Shed a newly kept frame at the source?
     fn decide_shed(&mut self, _obs: &ShedObs) -> ShedDecision {
         ShedDecision::Baseline
-    }
-
-    /// Admit, throttle, or shed an arriving request?
-    fn decide_admission(&mut self, _obs: &AdmissionObs) -> AdmissionDecision {
-        AdmissionDecision::Baseline
-    }
-
-    /// Is the (cluster, tenant) batch queue ready to dispatch?
-    fn decide_batch(&mut self, _obs: &BatchObs) -> BatchDecision {
-        BatchDecision::Baseline
-    }
-
-    /// Migrate an arriving frame away from its (live) home SµDC?
-    fn decide_migration(&mut self, _obs: &MigrationObs) -> MigrationDecision {
-        MigrationDecision::Stay
     }
 }
 
@@ -274,12 +179,9 @@ mod tests {
     fn default_methods_reproduce_the_static_conditions() {
         let mut p = StaticPolicy;
         let obs = LinkObs {
-            unit: 3,
             now_s: 1.0,
             attempt: 2,
             baseline_delay_s: Some(0.2),
-            reversed: false,
-            serve: false,
         };
         assert_eq!(p.decide_retry(&obs), RetryDecision::Retry { delay_s: 0.2 });
         assert_eq!(
@@ -297,37 +199,5 @@ mod tests {
             threshold_bits: Some(2e9),
         };
         assert_eq!(p.decide_shed(&shed), ShedDecision::Baseline);
-        assert_eq!(
-            p.decide_admission(&AdmissionObs {
-                tenant: 0,
-                unit: 0,
-                now_s: 0.0,
-                backlog_s: 9.0,
-                tenant_shed: 4,
-                mean_shed: 1.0,
-            }),
-            AdmissionDecision::Baseline
-        );
-        assert_eq!(
-            p.decide_batch(&BatchObs {
-                unit: 0,
-                tenant: 0,
-                now_s: 0.0,
-                queue_len: 7,
-                depth_s: 3.0,
-            }),
-            BatchDecision::Baseline
-        );
-        assert_eq!(
-            p.decide_migration(&MigrationObs {
-                unit: 1,
-                cluster: 0,
-                now_s: 0.0,
-                queue_depth_s: 30.0,
-                hops: 2,
-                reverse_up: false,
-            }),
-            MigrationDecision::Stay
-        );
     }
 }

@@ -1,45 +1,29 @@
-//! The `Predictive` controller: eclipse/thermal-aware feedforward.
+//! The `Predictive` controller: eclipse-aware feedforward.
 //!
-//! At build time it derives, once, from the run's config:
-//!
-//! - the plane's **eclipse geometry** via `orbit::eclipse` — orbit
-//!   normal from inclination/RAAN, beta angle against a deterministic
-//!   sun vector, eclipse fraction and orbital period. A satellite at
-//!   ring phase `s/n` is modelled as entering the Earth's shadow when
-//!   its orbit-phase position falls in the trailing `fraction` of the
-//!   period — the standard cylindrical-shadow picture, phase-shifted
-//!   per satellite.
-//! - the SµDC **thermal margin** via [`crate::thermal::design_leo`]:
-//!   the paper's radiator is sized for zero margin at 330 K, so the
-//!   controller computes how much headroom (kelvin) a 90%-duty load
-//!   leaves and tightens its migration threshold when the design runs
-//!   hot.
+//! At build time it derives, once, the plane's **eclipse geometry** from
+//! the run's config via `orbit::eclipse` — orbit normal from
+//! inclination/RAAN, beta angle against a deterministic sun vector,
+//! eclipse fraction and orbital period. A satellite at ring phase `s/n`
+//! is modelled as entering the Earth's shadow when its orbit-phase
+//! position falls in the trailing `fraction` of the period — the
+//! standard cylindrical-shadow picture, phase-shifted per satellite.
 //!
 //! During the run it acts *before* the predicted capacity dip rather
-//! than after the backlog builds:
+//! than after the backlog builds, at one decision site: it **pre-sheds**.
+//! Frames imaged by a satellite inside (or within the lead window of)
+//! eclipse are shed with a small probability once the backlog passes
+//! half the configured degradation threshold — trimming load before the
+//! threshold trips, instead of the static policy's
+//! escalate-at-threshold coin.
 //!
-//! - **pre-shed**: frames imaged by a satellite inside (or within the
-//!   lead window of) eclipse are shed with a small probability once
-//!   the backlog passes half the configured degradation threshold —
-//!   trimming load before the threshold trips, instead of the static
-//!   policy's escalate-at-threshold coin.
-//! - **pre-migrate**: frames arriving at a live SµDC that is itself in
-//!   the dip window with a deep compute queue are walked along the
-//!   reverse ring toward a sunlit sub-arc.
-//! - **batch flush**: serve batches on a dipping SµDC are dispatched
-//!   immediately rather than waiting out the batching trigger.
-//!
-//! All decisions are pure functions of (build-time constants, the
+//! Every decision is a pure function of (build-time constants, the
 //! observation); the controller holds no mutable state and draws no
 //! RNG, so runs are trivially repeatable.
 
 use orbit::eclipse;
 
-use super::{
-    BatchDecision, BatchObs, MigrationDecision, MigrationObs, Policy, ShedDecision, ShedObs,
-};
+use super::{Policy, ShedDecision, ShedObs};
 use crate::sim::model::SimConfig;
-use crate::thermal;
 
 /// Seconds of lead time before predicted eclipse entry during which
 /// the controller already acts.
@@ -49,34 +33,20 @@ const PRE_SHED_P: f64 = 0.15;
 /// Backlog fraction of the degradation threshold at which pre-shedding
 /// starts.
 const PRE_SHED_BACKLOG_FRAC: f64 = 0.5;
-/// Compute-queue depth (seconds) past which a dipping SµDC migrates
-/// arriving frames, given comfortable thermal margin.
-const MIGRATE_DEPTH_S: f64 = 3.0;
-/// Tightened migration depth when the thermal design runs hot.
-const MIGRATE_DEPTH_HOT_S: f64 = 1.5;
-/// Thermal headroom (kelvin at 90% duty) below which the design counts
-/// as hot.
-const HOT_HEADROOM_K: f64 = 10.0;
-/// Batch backlog depth past which a dipping SµDC flushes immediately.
-const FLUSH_DEPTH_S: f64 = 1.0;
 
-/// Eclipse/thermal-aware feedforward controller.
+/// Eclipse-aware feedforward controller.
 #[derive(Debug)]
 pub struct PredictivePolicy {
     /// Satellites in the ring (phase denominator).
     n: usize,
-    /// Service units (sub-arc phase denominator).
-    units: usize,
     /// Orbital period, seconds.
     period_s: f64,
     /// Eclipse fraction of the orbit (0 when the shadow is missed).
     eclipse_fraction: f64,
-    /// Migration depth threshold after thermal derating, seconds.
-    migrate_depth_s: f64,
 }
 
 impl PredictivePolicy {
-    /// Derives the orbital and thermal context from the config.
+    /// Derives the orbital context from the config.
     pub fn new(cfg: &SimConfig) -> Self {
         let orbit = cfg.plane.orbit();
         let normal = eclipse::orbit_normal(cfg.plane.inclination(), cfg.plane.raan());
@@ -84,31 +54,21 @@ impl PredictivePolicy {
         // at year fraction 0 — a conservative (near-maximal) eclipse
         // fraction for the paper's 53° plane.
         let beta = eclipse::beta_angle(normal, eclipse::sun_direction(0.0));
-        let fraction = eclipse::eclipse_fraction(orbit, beta);
-        let design = thermal::design_leo(cfg.sudc.compute_power);
-        let radiator = thermal::Radiator::leo(design.radiator_area);
-        let headroom_k = design.surface_temp_k - radiator.equilibrium_temp_k(design.load * 0.9);
-        let migrate_depth_s = if headroom_k < HOT_HEADROOM_K {
-            MIGRATE_DEPTH_HOT_S
-        } else {
-            MIGRATE_DEPTH_S
-        };
         Self {
             n: cfg.plane.satellite_count(),
-            units: cfg.units().max(1),
             period_s: orbit.period().as_secs(),
-            eclipse_fraction: fraction,
-            migrate_depth_s,
+            eclipse_fraction: eclipse::eclipse_fraction(orbit, beta),
         }
     }
 
-    /// Whether ring phase `index/denom` sits inside the eclipse window
-    /// (or within [`ECLIPSE_LEAD_S`] of entering it) at `now_s`.
-    fn in_dip_window(&self, index: usize, denom: usize, now_s: f64) -> bool {
+    /// Whether satellite `sat`, at ring phase `sat/n`, sits inside the
+    /// eclipse window (or within [`ECLIPSE_LEAD_S`] of entering it) at
+    /// `now_s`.
+    fn in_dip_window(&self, sat: usize, now_s: f64) -> bool {
         if self.eclipse_fraction <= 0.0 {
             return false;
         }
-        let phase = (now_s / self.period_s + index as f64 / denom as f64).rem_euclid(1.0);
+        let phase = (now_s / self.period_s + sat as f64 / self.n as f64).rem_euclid(1.0);
         let entry = 1.0 - self.eclipse_fraction;
         let lead = ECLIPSE_LEAD_S / self.period_s;
         phase >= entry - lead
@@ -121,7 +81,7 @@ impl Policy for PredictivePolicy {
             // No degradation model configured: nothing to pre-empt.
             return ShedDecision::Baseline;
         };
-        if !self.in_dip_window(obs.unit, self.n, obs.now_s) {
+        if !self.in_dip_window(obs.unit, obs.now_s) {
             return ShedDecision::Baseline;
         }
         if obs.queued_bits > threshold {
@@ -137,33 +97,6 @@ impl Policy for PredictivePolicy {
             ShedDecision::Baseline
         }
     }
-
-    fn decide_migration(&mut self, obs: &MigrationObs) -> MigrationDecision {
-        // One migration per frame: past a handful of hops the frame has
-        // already detoured, and walking further only burns ring
-        // capacity.
-        if obs.hops as usize > self.n {
-            return MigrationDecision::Stay;
-        }
-        if self.in_dip_window(obs.cluster, self.units, obs.now_s)
-            && obs.queue_depth_s > self.migrate_depth_s
-        {
-            MigrationDecision::Migrate { up: obs.reverse_up }
-        } else {
-            MigrationDecision::Stay
-        }
-    }
-
-    fn decide_batch(&mut self, obs: &BatchObs) -> BatchDecision {
-        if obs.queue_len > 0
-            && obs.depth_s > FLUSH_DEPTH_S
-            && self.in_dip_window(obs.unit, self.units, obs.now_s)
-        {
-            BatchDecision::Flush
-        } else {
-            BatchDecision::Baseline
-        }
-    }
 }
 
 #[cfg(test)]
@@ -173,14 +106,11 @@ mod tests {
     use workloads::Application;
 
     fn policy() -> PredictivePolicy {
-        let mut cfg = crate::sim::model::SimConfig::paper_reference(
+        PredictivePolicy::new(&SimConfig::paper_reference(
             Application::AirPollution,
             Length::from_m(3.0),
             0.95,
-        );
-        // Four sub-arcs so the trailing units sit in the dip window.
-        cfg.clusters = 4;
-        PredictivePolicy::new(&cfg)
+        ))
     }
 
     #[test]
@@ -198,11 +128,12 @@ mod tests {
     fn the_dip_window_is_the_trailing_arc_plus_lead() {
         let p = policy();
         // Phase 0 (ring start, t=0) is sunlit; the trailing arc is dark.
-        assert!(!p.in_dip_window(0, 64, 0.0));
-        assert!(p.in_dip_window(63, 64, 0.0));
+        assert_eq!(p.n, 64);
+        assert!(!p.in_dip_window(0, 0.0));
+        assert!(p.in_dip_window(63, 0.0));
         // The same satellite leaves the window as the orbit advances.
         let half = p.period_s / 2.0;
-        assert!(!p.in_dip_window(63, 64, half));
+        assert!(!p.in_dip_window(63, half));
     }
 
     #[test]
@@ -248,67 +179,6 @@ mod tests {
                 ..dark
             }),
             ShedDecision::Baseline
-        );
-    }
-
-    #[test]
-    fn migration_targets_deep_queues_on_dipping_units() {
-        let mut p = policy();
-        let units = p.units;
-        let dark_unit = units - 1;
-        let obs = MigrationObs {
-            unit: 5,
-            cluster: dark_unit,
-            now_s: 0.0,
-            queue_depth_s: 10.0,
-            hops: 1,
-            reverse_up: true,
-        };
-        assert_eq!(
-            p.decide_migration(&obs),
-            MigrationDecision::Migrate { up: true }
-        );
-        // Shallow queue or sunlit unit: stay.
-        assert_eq!(
-            p.decide_migration(&MigrationObs {
-                queue_depth_s: 0.1,
-                ..obs
-            }),
-            MigrationDecision::Stay
-        );
-        assert_eq!(
-            p.decide_migration(&MigrationObs { cluster: 0, ..obs }),
-            MigrationDecision::Stay
-        );
-        // Hop-weary frames are not bounced again.
-        assert_eq!(
-            p.decide_migration(&MigrationObs { hops: 200, ..obs }),
-            MigrationDecision::Stay
-        );
-    }
-
-    #[test]
-    fn batches_flush_ahead_of_the_dip() {
-        let mut p = policy();
-        let units = p.units;
-        let obs = BatchObs {
-            unit: units - 1,
-            tenant: 0,
-            now_s: 0.0,
-            queue_len: 3,
-            depth_s: 2.0,
-        };
-        assert_eq!(p.decide_batch(&obs), BatchDecision::Flush);
-        assert_eq!(
-            p.decide_batch(&BatchObs { unit: 0, ..obs }),
-            BatchDecision::Baseline
-        );
-        assert_eq!(
-            p.decide_batch(&BatchObs {
-                queue_len: 0,
-                ..obs
-            }),
-            BatchDecision::Baseline
         );
     }
 }

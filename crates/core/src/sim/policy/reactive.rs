@@ -1,24 +1,18 @@
 //! The `Reactive` controller: threshold-driven feedback on observed
-//! telemetry.
+//! telemetry, with no orbital model and no lookahead.
 //!
-//! Two behaviors, both pure feedback (no orbital model, no lookahead):
-//!
-//! 1. **Backoff widening on outage bursts.** Every retry decision is a
-//!    link-down observation; the controller keeps a sliding window of
-//!    them. Inside a burst it stretches the configured backoff and
-//!    extends the retry budget with capped delays, so transmissions
-//!    wait out an outage (the paper's flaky-link MTTR is seconds)
-//!    instead of exhausting a sub-second schedule and taking the long
-//!    reverse-ring detour — or dying outright. The burst test only asks
-//!    whether the last [`BURST_THRESHOLD`] observations all fall inside
-//!    [`BURST_WINDOW_S`], so the window keeps just those timestamps and
-//!    costs O(1) per decision. That relies on observation times never
-//!    decreasing, which holds because each decision is taken at the
-//!    sim time of the event being handled.
-//! 2. **Shed equalization across tenants.** When one tenant's shed
-//!    count runs well past the mean, its backlog shed threshold is
-//!    scaled up (shed less) while under-shed tenants are scaled down,
-//!    pushing the skew back toward fair degradation.
+//! It widens the backoff on outage bursts. Every retry decision is a
+//! link-down observation; the controller keeps a sliding window of
+//! them. Inside a burst it stretches the configured backoff and extends
+//! the retry budget with capped delays, so transmissions wait out an
+//! outage (the paper's flaky-link MTTR is seconds) instead of
+//! exhausting a sub-second schedule and taking the long reverse-ring
+//! detour — or dying outright. The burst test only asks whether the
+//! last [`BURST_THRESHOLD`] observations all fall inside
+//! [`BURST_WINDOW_S`], so the window keeps just those timestamps and
+//! costs O(1) per decision. That relies on observation times never
+//! decreasing, which holds because each decision is taken at the sim
+//! time of the event being handled.
 //!
 //! The controller draws no RNG and its state is plain counters, so
 //! double runs of the same config are identical. Adaptive runs never
@@ -26,7 +20,7 @@
 
 use std::collections::VecDeque;
 
-use super::{AdmissionDecision, AdmissionObs, LinkObs, Policy, RetryDecision};
+use super::{LinkObs, Policy, RetryDecision};
 use crate::sim::faults::RetrySpec;
 use crate::sim::model::SimConfig;
 
@@ -114,23 +108,6 @@ impl Policy for ReactivePolicy {
             None => RetryDecision::Escalate,
         }
     }
-
-    fn decide_admission(&mut self, obs: &AdmissionObs) -> AdmissionDecision {
-        // Skew only means anything once some shedding has happened.
-        if obs.mean_shed < 1.0 {
-            return AdmissionDecision::Baseline;
-        }
-        let tenant = obs.tenant_shed as f64;
-        if tenant > obs.mean_shed * 1.25 {
-            // Over-shed tenant: raise its threshold, shed it less.
-            AdmissionDecision::ScaleShedThreshold(1.5)
-        } else if tenant < obs.mean_shed * 0.75 {
-            // Under-shed tenant: absorb more of the degradation.
-            AdmissionDecision::ScaleShedThreshold(0.75)
-        } else {
-            AdmissionDecision::Baseline
-        }
-    }
 }
 
 #[cfg(test)]
@@ -148,12 +125,9 @@ mod tests {
 
     fn obs(now_s: f64, attempt: u32, baseline: Option<f64>) -> LinkObs {
         LinkObs {
-            unit: 0,
             now_s,
             attempt,
             baseline_delay_s: baseline,
-            reversed: false,
-            serve: false,
         }
     }
 
@@ -204,46 +178,6 @@ mod tests {
         assert_eq!(
             p.decide_retry(&obs(500.0, 4, None)),
             RetryDecision::Escalate
-        );
-    }
-
-    #[test]
-    fn shed_skew_scales_the_admission_threshold() {
-        let mut p = ReactivePolicy::new(&cfg());
-        let base = AdmissionObs {
-            tenant: 0,
-            unit: 0,
-            now_s: 5.0,
-            backlog_s: 3.0,
-            tenant_shed: 10,
-            mean_shed: 4.0,
-        };
-        assert_eq!(
-            p.decide_admission(&base),
-            AdmissionDecision::ScaleShedThreshold(1.5)
-        );
-        assert_eq!(
-            p.decide_admission(&AdmissionObs {
-                tenant_shed: 1,
-                ..base
-            }),
-            AdmissionDecision::ScaleShedThreshold(0.75)
-        );
-        assert_eq!(
-            p.decide_admission(&AdmissionObs {
-                tenant_shed: 4,
-                ..base
-            }),
-            AdmissionDecision::Baseline
-        );
-        // Before any shedding the gate is untouched.
-        assert_eq!(
-            p.decide_admission(&AdmissionObs {
-                tenant_shed: 0,
-                mean_shed: 0.0,
-                ..base
-            }),
-            AdmissionDecision::Baseline
         );
     }
 

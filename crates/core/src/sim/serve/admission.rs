@@ -68,22 +68,18 @@ pub enum Admission {
 /// Decides admission for a request of `class` heading to a SµDC whose
 /// compute backlog is `backlog_s` seconds deep. Throttling is checked
 /// first (and consumes the token), then class shedding: a premium
-/// tenant rides out backlog a best-effort tenant is shed at. `scale`
-/// multiplies the shed threshold — the policy layer's lever for
-/// equalizing shed across tenants (>1 sheds less, <1 sheds more);
-/// `1.0` is the unscaled threshold, bit for bit.
+/// tenant rides out backlog a best-effort tenant is shed at.
 pub fn admit(
     cfg: &ServeConfig,
     bucket: &mut TokenBucket,
     class: TenantClass,
     backlog_s: f64,
     now: Time,
-    scale: f64,
 ) -> Admission {
     if !bucket.take(now) {
         return Admission::Throttled;
     }
-    if backlog_s > cfg.shed_threshold_s * class.shed_headroom() * scale {
+    if backlog_s > cfg.shed_threshold_s * class.shed_headroom() {
         return Admission::Shed;
     }
     Admission::Admit
@@ -124,14 +120,7 @@ mod tests {
         let mut bucket = TokenBucket::new(1000.0, 1000.0);
         let backlog = 1.5 * cfg.shed_threshold_s; // between best-effort and premium
         assert_eq!(
-            admit(
-                &cfg,
-                &mut bucket,
-                TenantClass::Premium,
-                backlog,
-                Time::ZERO,
-                1.0
-            ),
+            admit(&cfg, &mut bucket, TenantClass::Premium, backlog, Time::ZERO),
             Admission::Admit
         );
         assert_eq!(
@@ -140,8 +129,7 @@ mod tests {
                 &mut bucket,
                 TenantClass::BestEffort,
                 backlog,
-                Time::ZERO,
-                1.0
+                Time::ZERO
             ),
             Admission::Shed
         );
@@ -213,26 +201,12 @@ mod tests {
         let cfg = ServeConfig::defaults();
         let mut bucket = TokenBucket::new(0.0, 1.0);
         assert_eq!(
-            admit(
-                &cfg,
-                &mut bucket,
-                TenantClass::Premium,
-                1e9,
-                Time::ZERO,
-                1.0
-            ),
+            admit(&cfg, &mut bucket, TenantClass::Premium, 1e9, Time::ZERO),
             Admission::Shed,
             "token available: the deep backlog sheds the request"
         );
         assert_eq!(
-            admit(
-                &cfg,
-                &mut bucket,
-                TenantClass::Premium,
-                0.0,
-                Time::ZERO,
-                1.0
-            ),
+            admit(&cfg, &mut bucket, TenantClass::Premium, 0.0, Time::ZERO),
             Admission::Throttled,
             "the shed request still consumed its token"
         );

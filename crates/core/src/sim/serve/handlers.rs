@@ -17,9 +17,7 @@ use telemetry::trace::{TraceCause, TraceKind};
 use units::Time;
 
 use crate::sim::engine::{lifecycle, schedule, Ev, State};
-use crate::sim::policy::{
-    AdmissionDecision, AdmissionObs, BatchDecision, BatchObs, LinkObs, RetryDecision,
-};
+use crate::sim::policy::{LinkObs, RetryDecision};
 use crate::sim::serve::{admit, Admission, LoadModel, Request, ServeState, OPEN_SLOT};
 
 /// Handles one popped serve event; frame events belong to
@@ -209,39 +207,16 @@ impl Ctx<'_> {
 
     /// Runs one request entering at `sat` through the admission gate of
     /// its home SµDC, where its relay chain ends (chains never leave
-    /// the home cluster): the policy observes the tenant's shed count
-    /// against the fleet mean and may scale the shed threshold, then the
-    /// (possibly scaled) token-bucket admission decides against that
-    /// SµDC's compute backlog and the per-tenant counters record the
-    /// verdict.
+    /// the home cluster): the token-bucket admission decides against
+    /// that SµDC's compute backlog and the per-tenant counters record
+    /// the verdict.
     fn serve_admission_verdict(&mut self, t: usize, sat: usize) -> Admission {
         let cluster = self.st.topo.home_cluster(sat);
         let backlog_s = self.st.service.queue_depth_s(cluster, self.now);
-        let tenants = &self.serve.tenants;
-        let total_shed: u64 = tenants.iter().map(|tr| tr.shed).sum();
-        let obs = AdmissionObs {
-            tenant: t,
-            unit: cluster,
-            now_s: self.now.as_secs(),
-            backlog_s,
-            tenant_shed: tenants[t].shed,
-            mean_shed: total_shed as f64 / tenants.len() as f64,
-        };
-        let scale = match self.st.policy.decide_admission(&obs) {
-            AdmissionDecision::Baseline => 1.0,
-            AdmissionDecision::ScaleShedThreshold(scale) => scale,
-        };
         let serve = &mut *self.serve;
         let tr = &mut serve.tenants[t];
         let class = tr.spec.class;
-        let verdict = admit(
-            &serve.cfg,
-            &mut tr.bucket,
-            class,
-            backlog_s,
-            self.now,
-            scale,
-        );
+        let verdict = admit(&serve.cfg, &mut tr.bucket, class, backlog_s, self.now);
         match verdict {
             // Only admitted requests enter the inflight gauge; rejected
             // ones bounce at the gate without ever being outstanding.
@@ -264,12 +239,9 @@ impl Ctx<'_> {
             let start = st.transport.next_start(sat, now);
             if !st.transport.link_up(sat, false, start) {
                 let obs = LinkObs {
-                    unit: sat,
                     now_s: now.as_secs(),
                     attempt,
                     baseline_delay_s: st.transport.retry_delay_s(attempt),
-                    reversed: false,
-                    serve: true,
                 };
                 if let RetryDecision::Retry { delay_s: delay } = st.policy.decide_retry(&obs) {
                     let last_seq = st.ledger.note_request(
@@ -315,33 +287,14 @@ impl Ctx<'_> {
         self.serve_drain_queue(cluster, req.tenant as usize, false);
     }
 
-    /// Dispatches every batch the policy says is ready on the (cluster,
-    /// tenant) queue — `force` flushes regardless, for fired deadline
-    /// timers — then arms the straggler flush timer for any remainder.
+    /// Dispatches every batch the configured batcher says is ready on
+    /// the (cluster, tenant) queue — `force` flushes regardless, for
+    /// fired deadline timers — then arms the straggler flush timer for
+    /// any remainder.
     fn serve_drain_queue(&mut self, cluster: usize, tenant: usize, force: bool) {
-        loop {
+        while self.serve.batcher.len(cluster, tenant) > 0 {
             let depth_s = self.st.service.queue_depth_s(cluster, self.now);
-            let queue_len = self.serve.batcher.len(cluster, tenant);
-            if queue_len == 0 {
-                break;
-            }
-            // A fired deadline timer flushes unconditionally (stragglers
-            // must drain whatever the controller decides); otherwise
-            // the policy arbitrates, with `Baseline` deferring to the
-            // configured batcher trigger verbatim.
-            let ready = force || {
-                let obs = BatchObs {
-                    unit: cluster,
-                    tenant,
-                    now_s: self.now.as_secs(),
-                    queue_len,
-                    depth_s,
-                };
-                match self.st.policy.decide_batch(&obs) {
-                    BatchDecision::Baseline => self.serve.batcher.ready(cluster, tenant, depth_s),
-                    BatchDecision::Flush => true,
-                }
-            };
+            let ready = force || self.serve.batcher.ready(cluster, tenant, depth_s);
             if !ready {
                 break;
             }

@@ -194,10 +194,10 @@ impl Service {
         }
     }
 
-    /// Flight-recorder timeline snapshot: outstanding work in unit
-    /// `c`'s compute queue at `now`, in seconds of service time (0 when
-    /// the pipeline is idle). This is the per-unit backlog signal future
-    /// `Policy` controllers consume.
+    /// Outstanding work in unit `c`'s compute queue at `now`, in
+    /// seconds of service time (0 when the pipeline is idle): the
+    /// flight recorder's timeline snapshot, and the backlog serve
+    /// admission and the adaptive batcher read.
     pub fn queue_depth_s(&self, c: usize, now: Time) -> f64 {
         (self.sudc_free[c].as_secs() - now.as_secs()).max(0.0)
     }

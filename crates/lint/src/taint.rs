@@ -43,9 +43,6 @@ pub const DETERMINISM_ROOTS: &[&str] = &[
     "engine::report",
     "policy::decide_retry",
     "policy::decide_shed",
-    "policy::decide_admission",
-    "policy::decide_batch",
-    "policy::decide_migration",
 ];
 
 /// Files whose statics/streams are subject to the sharding rules.

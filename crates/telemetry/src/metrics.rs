@@ -1,12 +1,13 @@
-//! Counters, gauges, and log-bucketed histograms.
+//! Counters, gauges, and a log-bucketed histogram.
 //!
-//! A [`Metrics`] registry is a thread-safe, name-keyed set of metric
-//! cells. It is intentionally simple: counters are exact and gauges hold
-//! the last value. A standalone [`Histogram`] buckets samples by power of
-//! two (exact count/mean/max, approximate quantiles). `simkit::stats` collectors
-//! export into a registry via their `export` methods; perfbench reports
-//! its per-layer metrics through one, and `repro explore serve` writes
-//! one into `results/BENCH_serve.json`.
+//! A [`Metrics`] registry is a thread-safe, name-keyed set of counters
+//! and gauges. It is intentionally simple: counters are exact and
+//! gauges hold the last value. perfbench reports its per-layer metrics
+//! through one, and `repro explore serve` writes one into
+//! `results/BENCH_serve.json`. The standalone [`Histogram`] is not part
+//! of the registry: it buckets samples by power of two (exact
+//! count/mean/max, approximate quantiles), and the serving layer keeps
+//! one per tenant for its latency percentiles.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -34,8 +35,11 @@ impl MetricKind {
     }
 }
 
+/// A log2-bucket latency histogram: exact count, mean and range, and
+/// quantiles clamped to the observed range, deterministic for a given
+/// sample sequence.
 #[derive(Debug, Clone)]
-struct Hist {
+pub struct Histogram {
     count: u64,
     sum: f64,
     min: f64,
@@ -43,8 +47,9 @@ struct Hist {
     buckets: Vec<u64>,
 }
 
-impl Hist {
-    fn new() -> Self {
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
         Self {
             count: 0,
             sum: 0.0,
@@ -73,7 +78,9 @@ impl Hist {
         }
     }
 
-    fn record(&mut self, value: f64) {
+    /// Records one sample (non-positive and non-finite samples land in
+    /// bucket zero).
+    pub fn record(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
         self.min = self.min.min(value);
@@ -81,7 +88,14 @@ impl Hist {
         self.buckets[Self::bucket_index(value)] += 1;
     }
 
-    fn mean(&self) -> f64 {
+    /// Number of recorded samples.
+    #[cfg(test)]
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Arithmetic mean of the samples (0 when empty).
+    pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -89,9 +103,19 @@ impl Hist {
         }
     }
 
+    /// Largest recorded sample (0 when empty).
+    #[cfg(test)]
+    pub fn max(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.max
+        }
+    }
+
     /// Approximate quantile from the log buckets, clamped to the exact
-    /// observed [min, max].
-    fn quantile(&self, q: f64) -> f64 {
+    /// observed range (0 when empty).
+    pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -104,56 +128,6 @@ impl Hist {
             }
         }
         self.max
-    }
-}
-
-/// A standalone log2-bucket latency histogram with the same buckets,
-/// merge semantics, and clamped quantiles as the registry's internal
-/// histograms — for callers (like the sim's serving layer) that need
-/// deterministic per-key percentiles embedded in their own reports
-/// rather than the global metrics registry.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    inner: Hist,
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self { inner: Hist::new() }
-    }
-
-    /// Records one sample (non-positive and non-finite samples land in
-    /// bucket zero).
-    pub fn record(&mut self, value: f64) {
-        self.inner.record(value);
-    }
-
-    /// Number of recorded samples.
-    #[cfg(test)]
-    pub fn count(&self) -> u64 {
-        self.inner.count
-    }
-
-    /// Arithmetic mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.inner.mean()
-    }
-
-    /// Largest recorded sample (0 when empty).
-    #[cfg(test)]
-    pub fn max(&self) -> f64 {
-        if self.inner.count == 0 {
-            0.0
-        } else {
-            self.inner.max
-        }
-    }
-
-    /// Approximate quantile from the log buckets, clamped to the exact
-    /// observed range (0 when empty).
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.inner.quantile(q)
     }
 }
 
@@ -363,11 +337,11 @@ mod tests {
 
     #[test]
     fn nonpositive_and_nonfinite_samples_land_in_bucket_zero() {
-        assert_eq!(Hist::bucket_index(0.0), 0);
-        assert_eq!(Hist::bucket_index(-5.0), 0);
-        assert_eq!(Hist::bucket_index(f64::NAN), 0);
-        assert!(Hist::bucket_index(1e300) < BUCKETS);
-        assert_eq!(Hist::bucket_index(1.0), 33);
+        assert_eq!(Histogram::bucket_index(0.0), 0);
+        assert_eq!(Histogram::bucket_index(-5.0), 0);
+        assert_eq!(Histogram::bucket_index(f64::NAN), 0);
+        assert!(Histogram::bucket_index(1e300) < BUCKETS);
+        assert_eq!(Histogram::bucket_index(1.0), 33);
     }
 
     #[test]
