@@ -1,8 +1,9 @@
 //! MSB-first bit-level I/O used by the entropy coders.
 //!
 //! Both ends work a machine word at a time: the writer shifts whole
-//! fields into a 64-bit accumulator and flushes complete bytes, and the
-//! reader loads the eight bytes under the cursor as one big-endian word.
+//! fields into a 64-bit accumulator and appends complete 32-bit words,
+//! and the reader loads the eight bytes under the cursor as one
+//! big-endian word.
 //! The streams and the error behaviour (where the cursor stops, which
 //! error comes back) are exactly those of a bit-at-a-time loop; the
 //! tests below check that against one.
@@ -20,7 +21,7 @@ pub struct BitWriter {
     /// Pending bits, right-aligned in the low `pending` bits (the bits
     /// above them are stale and never read).
     acc: u64,
-    /// Bits in `acc` not yet flushed to `bytes` (0..8 between calls).
+    /// Bits in `acc` not yet flushed to `bytes` (0..32 between calls).
     pending: u32,
 }
 
@@ -32,7 +33,7 @@ impl BitWriter {
 
     /// Appends a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(u64::from(bit), 1);
+        self.put(u64::from(bit), 1);
     }
 
     /// Appends the low `count` bits of `value`, MSB-first.
@@ -43,15 +44,33 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u64, count: u8) {
         assert!(count <= 64, "cannot write more than 64 bits at once");
-        if count > 56 {
-            // At most 7 bits are pending, so 56 always fit beside them.
-            self.write_bits(value >> 32, count - 32);
-            self.write_bits(value & 0xFFFF_FFFF, 32);
-            return;
-        }
         let count = u32::from(count);
+        if count > 32 {
+            self.put(value >> 32, count - 32);
+            self.put(value, 32);
+        } else {
+            self.put(value, count);
+        }
+    }
+
+    /// Appends the low `count` (≤ 32) bits of `value`. Fewer than 32
+    /// bits are pending, so the field fits beside them; a completed
+    /// 32-bit word goes out as one big-endian append.
+    #[inline]
+    fn put(&mut self, value: u64, count: u32) {
+        debug_assert!(count <= 32 && self.pending < 32);
         self.acc = (self.acc << count) | (value & ((1u64 << count) - 1));
         self.pending += count;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
+        }
+    }
+
+    /// Moves the whole bytes among the pending bits to the buffer,
+    /// leaving fewer than eight pending.
+    fn flush_bytes(&mut self) {
         while self.pending >= 8 {
             self.pending -= 8;
             self.bytes.push((self.acc >> self.pending) as u8);
@@ -62,29 +81,17 @@ impl BitWriter {
     pub fn write_unary(&mut self, n: u64) {
         let mut zeros = n;
         if zeros >= 56 {
-            // Fill the partial byte, then append whole zero bytes.
-            let pad = (8 - self.pending) % 8;
-            self.write_bits(0, pad as u8);
+            // Fill the partial byte, flush the pending bytes ahead of
+            // the run, then append whole zero bytes.
+            let pad = (8 - self.pending % 8) % 8;
+            self.put(0, pad);
             zeros -= u64::from(pad);
+            self.flush_bytes();
             let whole = (zeros / 8) as usize;
             self.bytes.resize(self.bytes.len() + whole, 0);
             zeros %= 8;
         }
         self.write_bits(1, zeros as u8 + 1);
-    }
-
-    /// Appends whole bytes (eight bits each, MSB-first), at any bit
-    /// alignment.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        if self.pending == 0 {
-            self.bytes.extend_from_slice(bytes);
-            return;
-        }
-        self.bytes.reserve(bytes.len());
-        for &b in bytes {
-            self.acc = (self.acc << 8) | u64::from(b);
-            self.bytes.push((self.acc >> self.pending) as u8);
-        }
     }
 
     /// Number of bits written so far.
@@ -96,6 +103,7 @@ impl BitWriter {
     /// Finishes writing (zero-padding the final byte) and returns the
     /// buffer.
     pub fn into_bytes(mut self) -> Vec<u8> {
+        self.flush_bytes();
         if self.pending > 0 {
             self.bytes.push((self.acc << (8 - self.pending)) as u8);
         }
@@ -405,12 +413,14 @@ mod tests {
                         reference.write_unary(n);
                     }
                     2 => {
-                        let bytes = value.to_le_bytes();
-                        let len = g.draw(0..9usize);
-                        w.write_bytes(&bytes[..len]);
-                        for &b in &bytes[..len] {
-                            reference.write_bits(u64::from(b), 8);
-                        }
+                        // A long run after a partial word: the run's zero
+                        // bytes must land behind the pending bits.
+                        let count = g.draw(1..32u8);
+                        let n = g.draw(56..300u64);
+                        w.write_bits(value, count);
+                        w.write_unary(n);
+                        reference.write_bits(value, count);
+                        reference.write_unary(n);
                     }
                     _ => {
                         let count = g.draw(0..65u8);

@@ -16,10 +16,13 @@ const EOB: usize = 256;
 const LITLEN_SYMBOLS: usize = 286;
 const DIST_SYMBOLS: usize = 30;
 
+/// Bits of the two length tables every stream opens with: a 16-bit
+/// count and 4 bits per symbol each.
+const HEADER_BITS: u64 = (2 * 16 + 4 * (LITLEN_SYMBOLS + DIST_SYMBOLS)) as u64;
+
 /// Length in bytes of the shortest possible stream: the two length
-/// tables (a 16-bit count and 4 bits per symbol each) and a 1-bit
-/// end-of-block code.
-pub const MIN_STREAM_LEN: usize = (2 * 16 + 4 * (LITLEN_SYMBOLS + DIST_SYMBOLS) + 1).div_ceil(8);
+/// tables and a 1-bit end-of-block code.
+pub const MIN_STREAM_LEN: usize = (HEADER_BITS as usize + 1).div_ceil(8);
 
 /// Deflate length-code table: (base length, extra bits) for codes 257..=285.
 const LENGTH_CODES: [(u16, u8); 29] = [
@@ -153,53 +156,8 @@ impl Codec for MiniDeflate {
     }
 
     fn compress(&self, data: &[u8]) -> Vec<u8> {
-        let tokens = lz77::tokenize(data);
-
-        // Frequency pass.
-        let mut lit_freq = vec![0u64; LITLEN_SYMBOLS];
-        let mut dist_freq = vec![0u64; DIST_SYMBOLS];
-        for t in &tokens {
-            match *t {
-                Token::Literal(b) => lit_freq[b as usize] += 1,
-                Token::Match {
-                    extra_len,
-                    distance,
-                } => {
-                    lit_freq[length_symbol(extra_len).0] += 1;
-                    dist_freq[distance_symbol(distance).0] += 1;
-                }
-            }
-        }
-        lit_freq[EOB] += 1;
-        // Distance table must be non-degenerate even with no matches.
-        if dist_freq.iter().all(|&f| f == 0) {
-            dist_freq[0] = 1;
-        }
-
-        let lit_table = HuffmanTable::from_frequencies(&lit_freq);
-        let dist_table = HuffmanTable::from_frequencies(&dist_freq);
-
         let mut w = BitWriter::new();
-        lit_table.write_lengths(&mut w);
-        dist_table.write_lengths(&mut w);
-
-        for t in &tokens {
-            match *t {
-                Token::Literal(b) => lit_table.encode(b as usize, &mut w),
-                Token::Match {
-                    extra_len,
-                    distance,
-                } => {
-                    let (ls, lv, le) = length_symbol(extra_len);
-                    lit_table.encode(ls, &mut w);
-                    w.write_bits(lv, le);
-                    let (ds, dv, de) = distance_symbol(distance);
-                    dist_table.encode(ds, &mut w);
-                    w.write_bits(dv, de);
-                }
-            }
-        }
-        lit_table.encode(EOB, &mut w);
+        plan(data).write_into(&mut w);
         w.into_bytes()
     }
 
@@ -253,6 +211,100 @@ impl Codec for MiniDeflate {
                 }
             }
         }
+    }
+}
+
+/// A tokenised input and its Huffman tables: the stream
+/// [`MiniDeflate`] writes, sized before a bit of it is written.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    tokens: Vec<Token>,
+    lit_table: HuffmanTable,
+    dist_table: HuffmanTable,
+    bits: u64,
+}
+
+/// Tokenises `data` and builds the Huffman tables for its tokens.
+pub(crate) fn plan(data: &[u8]) -> Plan {
+    let tokens = lz77::tokenize(data);
+
+    // Frequency pass, counting the extra bits as it goes.
+    let mut lit_freq = vec![0u64; LITLEN_SYMBOLS];
+    let mut dist_freq = vec![0u64; DIST_SYMBOLS];
+    let mut extra_bits = 0u64;
+    for t in &tokens {
+        match *t {
+            Token::Literal(b) => lit_freq[b as usize] += 1,
+            Token::Match {
+                extra_len,
+                distance,
+            } => {
+                let (ls, _, le) = length_symbol(extra_len);
+                let (ds, _, de) = distance_symbol(distance);
+                lit_freq[ls] += 1;
+                dist_freq[ds] += 1;
+                extra_bits += u64::from(le) + u64::from(de);
+            }
+        }
+    }
+    lit_freq[EOB] += 1;
+    // Distance table must be non-degenerate even with no matches.
+    let no_match = dist_freq.iter().all(|&f| f == 0);
+    if no_match {
+        dist_freq[0] = 1;
+    }
+    let lit_table = HuffmanTable::from_frequencies(&lit_freq);
+    let dist_table = HuffmanTable::from_frequencies(&dist_freq);
+
+    let code_bits = |freqs: &[u64], table: &HuffmanTable| -> u64 {
+        freqs
+            .iter()
+            .zip(table.lengths())
+            .map(|(&f, &l)| f * u64::from(l))
+            .sum()
+    };
+    let mut bits = HEADER_BITS + code_bits(&lit_freq, &lit_table) + extra_bits;
+    // The dummy distance entry is never coded.
+    if !no_match {
+        bits += code_bits(&dist_freq, &dist_table);
+    }
+    Plan {
+        tokens,
+        lit_table,
+        dist_table,
+        bits,
+    }
+}
+
+impl Plan {
+    /// Length in bits of the stream [`Plan::write_into`] writes.
+    pub(crate) fn bit_len(&self) -> u64 {
+        self.bits
+    }
+
+    /// Writes the stream: both length tables, the tokens and the
+    /// end-of-block code.
+    pub(crate) fn write_into(&self, w: &mut BitWriter) {
+        let (lit_table, dist_table) = (&self.lit_table, &self.dist_table);
+        lit_table.write_lengths(w);
+        dist_table.write_lengths(w);
+        for t in &self.tokens {
+            match *t {
+                Token::Literal(b) => lit_table.encode(b as usize, w),
+                Token::Match {
+                    extra_len,
+                    distance,
+                } => {
+                    let (ls, lv, le) = length_symbol(extra_len);
+                    lit_table.encode(ls, w);
+                    w.write_bits(lv, le);
+                    let (ds, dv, de) = distance_symbol(distance);
+                    dist_table.encode(ds, w);
+                    w.write_bits(dv, de);
+                }
+            }
+        }
+        lit_table.encode(EOB, w);
     }
 }
 
@@ -365,6 +417,39 @@ mod tests {
             let data = g.draw(prop::vec(any::<u8>(), 0..4000));
 
             round_trip(&data);
+        });
+    }
+
+    #[test]
+    fn plan_length_is_the_stream_length() {
+        prop::check("plan_length_is_the_stream_length", 64, |g| {
+            // Noise, runs, inputs shorter than a match, and inputs with
+            // no match at all (only the dummy distance entry).
+            let case = g.draw(0..4u8);
+            let data: Vec<u8> = match case {
+                0 => g.draw(prop::vec(any::<u8>(), 0..4000)),
+                1 => {
+                    let run = g.draw(1usize..3000);
+                    let mut data = vec![g.draw(any::<u8>()); run];
+                    data.extend(g.draw(prop::vec(any::<u8>(), 0..64)));
+                    data
+                }
+                2 => g.draw(prop::vec(any::<u8>(), 0..lz77::MIN_MATCH)),
+                _ => {
+                    let len = g.draw(0..256usize);
+                    let start = g.draw(any::<u8>());
+                    (0..len).map(|i| start.wrapping_add(i as u8)).collect()
+                }
+            };
+            let plan = plan(&data);
+            if case == 3 {
+                assert!(plan.tokens.iter().all(|t| matches!(t, Token::Literal(_))));
+            }
+            let stream = MiniDeflate::new().compress(&data);
+            assert_eq!(plan.bit_len().div_ceil(8), stream.len() as u64);
+            let mut w = BitWriter::new();
+            plan.write_into(&mut w);
+            assert_eq!(w.bit_len() as u64, plan.bit_len());
         });
     }
 

@@ -278,17 +278,17 @@ fn subband_scan(w: usize, h: usize, levels: u8) -> Vec<Band> {
 /// is smaller: block-adaptive Rice (dense residuals) or varint bytes
 /// through the LZ77+Huffman stage (sparse/zero-dominated subbands, where
 /// run coding wins by orders of magnitude — the significance-coding role
-/// in real JPEG2000).
+/// in real JPEG2000). Both candidates are sized exactly before either is
+/// written, and only the winner is written, straight into `w`.
 fn encode_subband(values: &[u64], w: &mut BitWriter) {
     // Candidate 1: Rice.
-    let mut rice_w = BitWriter::new();
-    rice::encode_blocks(values.iter().copied(), BLOCK, &mut rice_w);
-    let rice_bytes = rice_w.into_bytes();
+    let (ks, rice_bits) = rice::plan_blocks(values, BLOCK);
+    let rice_len = rice_bits.div_ceil(8);
 
     // Candidate 2: varint + mini-deflate. Rice wins ties, and no deflate
     // stream is shorter than its two length tables, so a Rice payload
-    // that short wins without building the alternative.
-    let deflated = if rice_bytes.len() <= deflate::MIN_STREAM_LEN {
+    // that short wins without planning the alternative.
+    let deflated = if rice_len <= deflate::MIN_STREAM_LEN as u64 {
         None
     } else {
         let mut varint = Vec::with_capacity(values.len());
@@ -304,21 +304,26 @@ fn encode_subband(values: &[u64], w: &mut BitWriter) {
                 varint.push(byte | 0x80);
             }
         }
-        Some(deflate::MiniDeflate::new().compress(&varint))
+        Some(deflate::plan(&varint))
     };
 
-    match deflated {
-        Some(deflated) if deflated.len() < rice_bytes.len() => {
+    // The payload goes out at the stream's bit alignment, zero-padded
+    // to its whole byte length as the decoder reads it.
+    let payload_bits = match deflated {
+        Some(plan) if plan.bit_len().div_ceil(8) < rice_len => {
             w.write_bit(true);
-            w.write_bits(deflated.len() as u64, 32);
-            w.write_bytes(&deflated);
+            w.write_bits(plan.bit_len().div_ceil(8), 32);
+            plan.write_into(w);
+            plan.bit_len()
         }
         _ => {
             w.write_bit(false);
-            w.write_bits(rice_bytes.len() as u64, 32);
-            w.write_bytes(&rice_bytes);
+            w.write_bits(rice_len, 32);
+            rice::write_blocks(values, &ks, BLOCK, w);
+            rice_bits
         }
-    }
+    };
+    w.write_bits(0, ((8 - payload_bits % 8) % 8) as u8);
 }
 
 /// Decodes a subband written by [`encode_subband`].

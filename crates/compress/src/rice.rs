@@ -85,6 +85,11 @@ pub fn cost(value: u64, k: u8) -> u64 {
 /// whose successor does not cost strictly less is the first minimum, and
 /// the search stops there instead of trying every `k`.
 pub fn best_k(values: &[u64]) -> u8 {
+    best_k_with_cost(values).0
+}
+
+/// [`best_k`] and the block's bit cost at that `k`.
+fn best_k_with_cost(values: &[u64]) -> (u8, u64) {
     let block_cost = |k: u8| -> u64 { values.iter().map(|&v| cost(v, k)).sum() };
     let mut best = 0u8;
     let mut best_cost = block_cost(0);
@@ -96,7 +101,7 @@ pub fn best_k(values: &[u64]) -> u8 {
         best += 1;
         best_cost = c;
     }
-    best
+    (best, best_cost)
 }
 
 /// Maps a signed residual to a non-negative integer (zig-zag: 0, -1, 1,
@@ -132,11 +137,44 @@ pub fn encode_blocks(values: impl IntoIterator<Item = u64>, block_size: usize, w
         if block.is_empty() {
             return;
         }
-        let k = best_k(&block);
-        w.write_bits(u64::from(k), 5);
-        for &v in &block {
-            encode(v, k, w);
-        }
+        write_block(&block, best_k(&block), w);
+    }
+}
+
+/// Writes one block of [`encode_blocks`]: its 5-bit `k`, then each
+/// value.
+fn write_block(block: &[u64], k: u8, w: &mut BitWriter) {
+    w.write_bits(u64::from(k), 5);
+    for &v in block {
+        encode(v, k, w);
+    }
+}
+
+/// The per-block parameters [`encode_blocks`] picks for `values`, with
+/// the exact length in bits of the stream it writes: 5 bits per block
+/// plus each block's cost at its `k`.
+///
+/// # Panics
+///
+/// Panics if `block_size == 0`.
+pub(crate) fn plan_blocks(values: &[u64], block_size: usize) -> (Vec<u8>, u64) {
+    let mut bits = 0;
+    let ks = values
+        .chunks(block_size)
+        .map(|block| {
+            let (k, cost) = best_k_with_cost(block);
+            bits += 5 + cost;
+            k
+        })
+        .collect();
+    (ks, bits)
+}
+
+/// Writes the stream [`encode_blocks`] writes for `values`, with the
+/// per-block parameters `ks` from [`plan_blocks`].
+pub(crate) fn write_blocks(values: &[u64], ks: &[u8], block_size: usize, w: &mut BitWriter) {
+    for (block, &k) in values.chunks(block_size).zip(ks) {
+        write_block(block, k, w);
     }
 }
 
@@ -245,6 +283,34 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         let back = decode_blocks(values.len(), 64, &mut r).unwrap();
         assert_eq!(back, values);
+    }
+
+    #[test]
+    fn planned_blocks_size_and_write_the_encode_blocks_stream() {
+        let name = "planned_blocks_size_and_write_the_encode_blocks_stream";
+        prop::check(name, 256, |g| {
+            // Mostly small values with rare large ones, so some codes
+            // take the long unary path.
+            let len = g.draw(0..500usize);
+            let values: Vec<u64> = (0..len)
+                .map(|_| match g.draw(0..16u8) {
+                    0 => g.draw(0..1_000_000u64),
+                    _ => g.draw(0..8u64),
+                })
+                .collect();
+            let block = g.draw(1usize..128);
+
+            let mut w = BitWriter::new();
+            encode_blocks(values.iter().copied(), block, &mut w);
+            let want_bits = w.bit_len() as u64;
+            let want = w.into_bytes();
+
+            let (ks, bits) = plan_blocks(&values, block);
+            assert_eq!(bits, want_bits);
+            let mut w = BitWriter::new();
+            write_blocks(&values, &ks, block, &mut w);
+            assert_eq!(w.into_bytes(), want);
+        });
     }
 
     #[test]
