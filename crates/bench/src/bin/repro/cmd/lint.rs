@@ -21,13 +21,8 @@ fn handle_operands(cli: &Cli) -> Option<ExitCode> {
     if operands.first().map(String::as_str) == Some("rules") {
         println!("lint rules:");
         for r in sudc_lint::RULES {
-            let layer = if r.is_semantic() {
-                "semantic"
-            } else {
-                "lexical"
-            };
-            println!("  {:28} {layer:<8}  {}", r.id, r.summary);
-            println!("  {:28} {:<8}  fix: {}", "", "", r.hint);
+            println!("  {:28} {}", r.id, r.summary);
+            println!("  {:28} fix: {}", "", r.hint);
         }
         return Some(ExitCode::SUCCESS);
     }
@@ -117,7 +112,7 @@ pub fn exec(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (run, analysis) = ws.scan(only);
+    let run = ws.scan(only);
 
     match format {
         "json" => print!("{}", report::render_json(&run)),
@@ -127,7 +122,7 @@ pub fn exec(cli: &Cli) -> ExitCode {
 
     let mut failed = !run.diagnostics.is_empty();
     if cli.audit.is_some() {
-        let doc = report::render_audit(&run, &analysis);
+        let doc = report::render_audit(&run);
         failed |= !write_audit(cli, &doc, &results_dir, format);
     }
 

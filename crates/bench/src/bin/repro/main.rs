@@ -394,9 +394,9 @@ usage:
                              `// lint:allow(<rule>) <reason>` fails
   repro lint rules           list lint rules and fix hints
   repro lint --audit determinism
-                             run the semantic determinism audit
-                             (symbol table, call graph, taint
-                             reachability) and write
+                             scan, then write the determinism
+                             audit (scan size and per-rule
+                             counts) to
                              results/lint_audit.json — the
                              artifact is byte-identical across
                              runs and committed

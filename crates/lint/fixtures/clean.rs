@@ -2,8 +2,9 @@
 //! No rule fires anywhere in this file (checked by
 //! `tests/lint_gate.rs`), including the cases rules must *not* match:
 //! ordered float comparisons, `unwrap_or`, a literal stream label with
-//! an entity-derived index, tokens hidden inside strings, and unwraps
-//! confined to `#[cfg(test)]` code.
+//! an entity-derived index, tokens hidden inside strings, an immutable
+//! static, `'static` lifetimes, per-shard state merged in order, and
+//! unwraps and a shared static confined to `#[cfg(test)]` code.
 
 use std::collections::BTreeMap;
 
@@ -39,13 +40,51 @@ pub fn sim_time_stamp(t_s: f64) -> Stamp {
     }
 }
 
-pub const PROSE: &str = "HashMap Instant::now() thread_rng x == 0.0 .unwrap() unix_ms()";
+static NAME: &str = "sudc";
+
+pub fn label(tag: &'static str) -> &'static str {
+    if tag.is_empty() {
+        NAME
+    } else {
+        tag
+    }
+}
+
+pub fn keep<T: Send + 'static>(t: T) -> Box<dyn Send + 'static> {
+    Box::new(t)
+}
+
+pub struct Shard {
+    hits: u64,
+    totals: BTreeMap<u32, f64>,
+}
+
+pub fn count_hit(shard: &mut Shard) {
+    shard.hits += 1;
+}
+
+pub fn merge_totals(shard: &Shard) -> f64 {
+    let mut sum = 0.0;
+    for (_sat, t) in &shard.totals {
+        sum += *t;
+    }
+    sum
+}
+
+pub fn first_frame(frames: &[u64]) -> Result<u64, SimError> {
+    frames.first().copied().ok_or(SimError::EmptyWindow)
+}
+
+pub const PROSE: &str = "HashMap Instant::now() thread_rng x == 0.0 .unwrap() unix_ms() static mut X: Cell";
 
 #[cfg(test)]
 mod tests {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+
     #[test]
     fn unwraps_and_exact_floats_are_fine_in_tests() {
         let z: f64 = Some(0.0).unwrap();
         assert!(z == 0.0);
+        CALLS.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -197,3 +197,23 @@ pub fn long_tail(mut acc: u64) -> u64 { //~ long-function
     acc = acc.wrapping_add(118);
     acc
 }
+
+static mut DRAWS: u64 = 0; //~ shared-state-across-shards
+
+static HITS: AtomicU64 = AtomicU64::new(0); //~ shared-state-across-shards
+
+static FIRST_SEED: OnceLock<u64> = OnceLock::new(); //~ shared-state-across-shards
+
+thread_local! {
+    static SCRATCH: RefCell<Vec<u64>> = RefCell::new(Vec::new()); //~ shared-state-across-shards
+}
+
+pub fn next_call() -> usize {
+    static CALLS: AtomicUsize = AtomicUsize::new(0); //~ shared-state-across-shards
+    CALLS.fetch_add(1, Ordering::Relaxed)
+}
+
+pub fn worker_salt(seed: u64) -> u64 {
+    let id: ThreadId = thread::current().id(); //~ shared-state-across-shards
+    seed ^ format!("{id:?}").len() as u64
+}

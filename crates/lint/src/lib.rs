@@ -4,19 +4,13 @@
 //! fault-free runs must stay byte-identical to `results/simval.*`,
 //! same-seed sweeps must replay exactly, and N-worker sharded runs must
 //! match sequential byte for byte. This crate is the *static* half of
-//! that guarantee, in two layers:
-//!
-//! * a **lexical** layer — a zero-dependency, string/char/comment-aware
-//!   [`lexer`] plus per-file token rules that catch the usual ways
-//!   determinism rots (any `HashMap`/`HashSet`, wall-clock reads in
-//!   model and recorder code, ad-hoc RNG streams and stream labels,
-//!   float `==`, stray `unwrap()`/`expect()`/panicking macros in
-//!   library paths, leftover to-do markers);
-//! * a **semantic** layer — an item-level [`parse`]r, workspace
-//!   [`symbols`] table, and approximate [`callgraph`] feeding the
-//!   [`taint`] analysis, which finds every function reachable from the
-//!   event-loop roots of the sharded engine's byte-identity contract
-//!   (`shared-state-across-shards`).
+//! that guarantee: a zero-dependency, string/char/comment-aware
+//! [`lexer`] feeding per-file token [`rules`] that catch the usual ways
+//! determinism rots (any `HashMap`/`HashSet`, wall-clock reads in model
+//! and recorder code, ad-hoc RNG streams and stream labels, float `==`,
+//! stray `unwrap()`/`expect()`/panicking macros in library paths,
+//! leftover to-do markers, and shared statics or thread identity in the
+//! code shard workers run).
 //!
 //! The verdict is one rule: any finding fails. The only way to let one
 //! through is an inline `// lint:allow(rule-id) reason` on or above its
@@ -36,19 +30,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod baseline;
-pub mod callgraph;
 pub mod lexer;
-pub mod parse;
 pub mod report;
 pub mod rules;
 pub mod source;
-pub mod symbols;
-pub mod taint;
 
 pub use baseline::Baseline;
 pub use rules::{rule_by_id, RuleInfo, RULES};
 pub use source::SourceFile;
-pub use taint::{analyze, Analysis, DETERMINISM_ROOTS};
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,9 +80,7 @@ impl Diagnostic {
     }
 }
 
-/// Lints one in-memory source file with the **lexical** rules only
-/// (semantic rules need the whole workspace — see [`lint_files`]).
-/// `only` restricts to a single rule id (unknown ids yield no
+/// Lints one in-memory source file. `only` restricts to a single rule id (unknown ids yield no
 /// diagnostics — validate with [`rule_by_id`] first).
 pub fn lint_source(rel_path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
     let file = SourceFile::parse(rel_path, src);
@@ -108,8 +95,7 @@ pub fn lint_source(rel_path: &str, src: &str, only: Option<&str>) -> Vec<Diagnos
     out
 }
 
-/// The parsed workspace: every lintable file, lexed once, ready for
-/// both passes.
+/// The loaded workspace: every lintable file, lexed once.
 #[derive(Debug)]
 pub struct Workspace {
     /// Parsed files in sorted path order.
@@ -123,7 +109,8 @@ pub struct Workspace {
 
 impl Workspace {
     /// Builds a workspace from in-memory `(path, source)` pairs.
-    pub fn from_sources(sources: &[(&str, &str)]) -> Workspace {
+    #[cfg(test)]
+    pub(crate) fn from_sources(sources: &[(&str, &str)]) -> Workspace {
         Workspace::from_files(
             sources
                 .iter()
@@ -177,22 +164,19 @@ impl Workspace {
         self.files.iter().map(|f| f.tokens.len() as u64).sum()
     }
 
-    /// Runs both passes — the lexical rules, then the semantic analysis
-    /// (symbols → call graph → taint reachability) and its rules — and
-    /// sorts the findings. Returns the analysis too, for the audit.
-    pub fn scan(&self, only: Option<&str>) -> (LintRun, Analysis<'_>) {
-        let analysis = taint::analyze(&self.files);
+    /// Runs every rule over every file and sorts the findings.
+    pub fn scan(&self, only: Option<&str>) -> LintRun {
         let mut diagnostics = lexical_pass(self, only);
-        diagnostics.extend(semantic_pass(&analysis, only));
-        sort_diagnostics(&mut diagnostics);
-        let run = LintRun {
+        diagnostics.sort_by(|a, b| {
+            (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
+        });
+        LintRun {
             files: self.files.len(),
             lines: self.lines,
             code_lines: self.code_lines,
             tokens: self.tokens(),
             diagnostics,
-        };
-        (run, analysis)
+        }
     }
 }
 
@@ -208,8 +192,7 @@ fn check_source_len(rel: &str, len: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs every per-file (lexical) rule over the workspace. Unsorted;
-/// callers compose passes and sort once.
+/// Runs every rule over the workspace, unsorted.
 pub fn lexical_pass(ws: &Workspace, only: Option<&str>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for file in &ws.files {
@@ -223,30 +206,14 @@ pub fn lexical_pass(ws: &Workspace, only: Option<&str>) -> Vec<Diagnostic> {
     out
 }
 
-/// Runs every workspace (semantic) rule over a prebuilt [`Analysis`].
-/// Unsorted; callers compose passes and sort once.
-pub fn semantic_pass(analysis: &Analysis, only: Option<&str>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for rule in RULES {
-        if only.is_some_and(|id| id != rule.id) {
-            continue;
-        }
-        rule.check_workspace(analysis, &mut out);
-    }
-    out
-}
+/// No-op kept for the benchmark's `lint.semantic_ms` probe
+/// (`perfbench/src/layers.rs`), its only caller, which times
+/// `semantic_pass(&analyze(&ws.files), None)`.
+pub fn analyze(_files: &[SourceFile]) {}
 
-/// Sorts diagnostics into the canonical (file, line, col, rule) order.
-pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
-    diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
-}
-
-/// Lints a set of in-memory files with **both** passes — the fixture
-/// harness for semantic rules, where reachability spans files.
-pub fn lint_files(sources: &[(&str, &str)], only: Option<&str>) -> Vec<Diagnostic> {
-    let ws = Workspace::from_sources(sources);
-    let (run, _) = ws.scan(only);
-    run.diagnostics
+/// No-op for the same probe as [`analyze`]: finds nothing.
+pub fn semantic_pass(_analysis: &(), _only: Option<&str>) -> Vec<Diagnostic> {
+    Vec::new()
 }
 
 /// A completed workspace scan.
@@ -348,7 +315,7 @@ fn collect_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
 pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<LintRun, String> {
     let mut span = telemetry::span!("lint.scan");
     let ws = Workspace::load(root)?;
-    let (run, _) = ws.scan(only);
+    let run = ws.scan(only);
     span.record("files", run.files as u64);
     span.record("lines", run.lines);
     span.record("tokens", run.tokens);

@@ -11,8 +11,7 @@
 
 use telemetry::json::{JsonArray, JsonObject};
 
-use crate::taint::{Analysis, DETERMINISM_ROOTS};
-use crate::{Diagnostic, LintRun, RULES};
+use crate::{Diagnostic, LintRun};
 
 /// Renders the human-readable report: the findings, then the rule
 /// counts and the verdict.
@@ -77,62 +76,26 @@ pub fn render_json(run: &LintRun) -> String {
 }
 
 /// Renders the committed determinism-audit artifact
-/// (`results/lint_audit.json`): the semantic analysis's shape (symbols,
-/// call graph, reachability from the event-loop roots), taint-source
-/// site counts, per-rule counts over the full registry, every current
-/// semantic-family finding, and the verdict. Every field is a
-/// pure function of the source tree, so a fresh run must equal the
-/// committed file byte for byte — the results gate in
-/// `crates/bench/tests/gates.rs` checks exactly that.
-pub fn render_audit(run: &LintRun, analysis: &Analysis) -> String {
-    let mut roots = JsonArray::new();
-    for spec in DETERMINISM_ROOTS {
-        roots.push_str(spec);
-    }
-    let mut sources = JsonObject::new();
-    for (family, n) in analysis.source_counts() {
-        sources.field_u64(family, n);
-    }
+/// (`results/lint_audit.json`): the scan's size, per-rule counts over
+/// the full registry, and the verdict. Every field is a pure function
+/// of the source tree, so a fresh run must equal the committed file
+/// byte for byte — the results gate in `crates/bench/tests/gates.rs`
+/// checks exactly that.
+pub fn render_audit(run: &LintRun) -> String {
     let mut rules = JsonArray::new();
     for (id, n) in run.counts_by_rule() {
         let mut obj = JsonObject::new();
         obj.field_str("id", id).field_u64("count", n as u64);
-        if let Some(info) = RULES.iter().find(|r| r.id == id) {
-            obj.field_bool("semantic", info.is_semantic());
-        }
         rules.push_raw(&obj.finish());
-    }
-    let mut findings = JsonArray::new();
-    for d in &run.diagnostics {
-        let semantic = RULES
-            .iter()
-            .find(|r| r.id == d.rule)
-            .is_some_and(crate::RuleInfo::is_semantic);
-        if semantic {
-            let mut obj = JsonObject::new();
-            obj.field_str("file", &d.file)
-                .field_u64("line", u64::from(d.line))
-                .field_str("rule", d.rule)
-                .field_str("message", &d.message);
-            findings.push_raw(&obj.finish());
-        }
     }
     let mut root = JsonObject::new();
     root.field_str("tool", "sudc-lint")
         .field_str("audit", "determinism")
-        .field_u64("version", 1)
-        .field_raw("roots", &roots.finish())
-        .field_u64("root_fns", analysis.roots.len() as u64)
+        .field_u64("version", 2)
         .field_u64("files", run.files as u64)
         .field_u64("lines", run.lines)
         .field_u64("code_lines", run.code_lines)
-        .field_u64("functions", analysis.symbols.fns.len() as u64)
-        .field_u64("statics", analysis.symbols.statics.len() as u64)
-        .field_u64("call_edges", analysis.edge_count() as u64)
-        .field_u64("reachable_fns", analysis.reach.count() as u64)
-        .field_raw("sources", &sources.finish())
         .field_raw("rules", &rules.finish())
-        .field_raw("findings", &findings.finish())
         .field_bool("pass", run.diagnostics.is_empty());
     root.finish() + "\n"
 }
@@ -221,7 +184,7 @@ mod tests {
             Some("float-eq")
         );
         let rules = doc.get("rules").and_then(Json::as_arr).expect("rules");
-        assert_eq!(rules.len(), RULES.len());
+        assert_eq!(rules.len(), crate::RULES.len());
     }
 
     #[test]
@@ -234,18 +197,12 @@ mod tests {
             ),
             ("crates/core/tests/it.rs", "fn main() {}\n"),
         ]);
-        let analysis = crate::analyze(&ws.files);
-        let run = LintRun {
-            files: ws.files.len(),
-            lines: ws.lines,
-            code_lines: ws.code_lines,
-            tokens: ws.tokens(),
-            diagnostics: Vec::new(),
-        };
-        let a = render_audit(&run, &analysis);
-        assert_eq!(a, render_audit(&run, &analysis));
+        let run = ws.scan(None);
+        let a = render_audit(&run);
+        assert_eq!(a, render_audit(&run));
         let doc = json::parse(&a).expect("valid json");
         assert_eq!(doc.get("audit").and_then(Json::as_str), Some("determinism"));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
         assert_eq!(doc.get("lines").and_then(Json::as_u64), Some(8));
         assert_eq!(
@@ -253,21 +210,7 @@ mod tests {
             Some(2),
             "only the src file's two non-test lines count"
         );
-        assert_eq!(doc.get("functions").and_then(Json::as_u64), Some(4));
-        assert_eq!(
-            doc.get("reachable_fns").and_then(Json::as_u64),
-            Some(2),
-            "step reaches helper, both count"
-        );
-        let sources = doc.get("sources").expect("sources object");
-        for family in ["wall-clock", "unseeded-rng", "hash-iteration", "thread-id"] {
-            assert_eq!(
-                sources.get(family).and_then(Json::as_u64),
-                Some(0),
-                "clean fixture has zero {family} sites"
-            );
-        }
-        let roots = doc.get("roots").and_then(Json::as_arr).expect("roots");
-        assert_eq!(roots.len(), crate::DETERMINISM_ROOTS.len());
+        let rules = doc.get("rules").and_then(Json::as_arr).expect("rules");
+        assert_eq!(rules.len(), crate::RULES.len());
     }
 }

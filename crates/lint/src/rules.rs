@@ -7,17 +7,7 @@
 
 use crate::lexer::{Tok, TokKind};
 use crate::source::SourceFile;
-use crate::taint::{self, Analysis};
 use crate::Diagnostic;
-
-/// How a rule runs: per-file over tokens, or per-workspace over the
-/// semantic [`Analysis`] (symbols, call graph, reachability).
-pub enum Check {
-    /// Lexical rule: one file at a time.
-    File(fn(&RuleInfo, &SourceFile, &mut Vec<Diagnostic>)),
-    /// Semantic rule: the whole workspace at once.
-    Workspace(fn(&RuleInfo, &Analysis, &mut Vec<Diagnostic>)),
-}
 
 /// Static description of one lint rule.
 pub struct RuleInfo {
@@ -27,7 +17,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
     /// How to fix a violation.
     pub hint: &'static str,
-    check: Check,
+    check: fn(&RuleInfo, &SourceFile, &mut Vec<Diagnostic>),
 }
 
 impl std::fmt::Debug for RuleInfo {
@@ -37,25 +27,9 @@ impl std::fmt::Debug for RuleInfo {
 }
 
 impl RuleInfo {
-    /// Runs a per-file rule over one file, appending diagnostics.
-    /// No-op for workspace (semantic) rules.
+    /// Runs the rule over one file, appending diagnostics.
     pub fn check(&self, file: &SourceFile, out: &mut Vec<Diagnostic>) {
-        if let Check::File(f) = self.check {
-            f(self, file, out);
-        }
-    }
-
-    /// Runs a workspace rule over the semantic analysis, appending
-    /// diagnostics. No-op for per-file rules.
-    pub fn check_workspace(&self, analysis: &Analysis, out: &mut Vec<Diagnostic>) {
-        if let Check::Workspace(f) = self.check {
-            f(self, analysis, out);
-        }
-    }
-
-    /// Whether this rule needs the workspace [`Analysis`].
-    pub fn is_semantic(&self) -> bool {
-        matches!(self.check, Check::Workspace(_))
+        (self.check)(self, file, out);
     }
 }
 
@@ -65,7 +39,7 @@ pub static RULES: &[RuleInfo] = &[
         id: "nondeterministic-iteration",
         summary: "HashMap/HashSet in linted code (iteration order varies run to run)",
         hint: "use BTreeMap/BTreeSet, or collect and sort before iterating",
-        check: Check::File(check_nondeterministic_iteration),
+        check: check_nondeterministic_iteration,
     },
     RuleInfo {
         id: "wall-clock-in-model",
@@ -74,14 +48,14 @@ pub static RULES: &[RuleInfo] = &[
         hint: "model code and trace stamps must take time from the simulation clock \
                (derive unix_ms from t_s); route wall-clock measurement through \
                telemetry spans or simkit's scheduler probe",
-        check: Check::File(check_wall_clock),
+        check: check_wall_clock,
     },
     RuleInfo {
         id: "unseeded-rng",
         summary: "RNG constructed outside simkit::rng::RngFactory streams",
         hint: "derive per-entity streams with RngFactory::stream(label, index) so draws \
                replay under the run seed",
-        check: Check::File(check_unseeded_rng),
+        check: check_unseeded_rng,
     },
     RuleInfo {
         id: "rng-stream-discipline",
@@ -89,14 +63,14 @@ pub static RULES: &[RuleInfo] = &[
                   (entity-independent) index",
         hint: "use a string-literal stream label and derive the index from the entity \
                (sat/link/tenant) id so shards never share a stream",
-        check: Check::File(check_rng_stream_discipline),
+        check: check_rng_stream_discipline,
     },
     RuleInfo {
         id: "float-eq",
         summary: "`==`/`!=` against a float literal",
         hint: "compare with an explicit epsilon, or restructure the guard \
                (e.g. `x <= 0.0` for a non-negative quantity)",
-        check: Check::File(check_float_eq),
+        check: check_float_eq,
     },
     RuleInfo {
         id: "unwrap-in-lib",
@@ -104,28 +78,29 @@ pub static RULES: &[RuleInfo] = &[
                   library code",
         hint: "return Result with a contextual error (see the CellError pattern in \
                sudc::experiments), or restructure so the failure case cannot occur",
-        check: Check::File(check_unwrap_in_lib),
+        check: check_unwrap_in_lib,
     },
     RuleInfo {
         id: "long-function",
         summary: "function spans more than 120 lines",
         hint: "extract helpers or split the function along its phases (see the sim \
                engine's topology/transport/service layering)",
-        check: Check::File(check_long_function),
+        check: check_long_function,
     },
     RuleInfo {
         id: "todo-marker",
         summary: "to-do/fix-me marker left in a comment",
         hint: "resolve the marker or file it as a tracked issue",
-        check: Check::File(check_todo_marker),
+        check: check_todo_marker,
     },
     RuleInfo {
         id: "shared-state-across-shards",
-        summary: "mutable/interior-mutable static in sim code touched by shard-reachable \
-                  functions",
+        summary: "`static mut`, a static of an interior-mutable type, or thread identity \
+                  (`ThreadId`, `thread::current`) in non-test sim or simkit code",
         hint: "move the state into per-shard State fields and merge it in the \
-               absorb pass (see sim::parallel)",
-        check: Check::Workspace(taint::check_shared_state),
+               absorb pass (see sim::parallel); derive per-shard values from the \
+               shard index, never from the worker thread",
+        check: check_shared_state,
     },
 ];
 
@@ -539,6 +514,91 @@ fn contains_word(haystack: &str, word: &str) -> bool {
     false
 }
 
+/// Files whose statics and thread identity `shared-state-across-shards`
+/// covers: the sim engine and simkit, which hold the shards' state.
+fn in_shard_scope(path: &str) -> bool {
+    path.starts_with("crates/core/src/sim/") || path.starts_with("crates/simkit/src/")
+}
+
+/// Interior-mutability / shared-mutability type heads.
+fn is_shared_mut_ty(head: &str) -> bool {
+    head.starts_with("Atomic")
+        || matches!(
+            head,
+            "Mutex"
+                | "RwLock"
+                | "RefCell"
+                | "Cell"
+                | "UnsafeCell"
+                | "OnceLock"
+                | "OnceCell"
+                | "LazyLock"
+        )
+}
+
+/// Describes the `static` item whose keyword is code token `i` when
+/// shard workers would share its state: a `static mut`, or a
+/// `static NAME: Type` whose type names an interior-mutable head.
+fn shared_static(file: &SourceFile, i: usize) -> Option<String> {
+    let text = |j: usize| file.code_text(j);
+    if text(i + 1) == "mut" {
+        return Some(format!("`static mut {}`", text(i + 2)));
+    }
+    let name = file.code_tok(i + 1).filter(|t| t.kind == TokKind::Ident)?;
+    if text(i + 2) != ":" {
+        return None;
+    }
+    // The type runs to the `=` or `;` at bracket depth 0.
+    let mut depth = 0i32;
+    for j in i + 3..file.code.len() {
+        match text(j) {
+            "(" | "[" | "{" | "<" => depth += 1,
+            ")" | "]" | "}" | ">" => depth -= 1,
+            "=" | ";" if depth == 0 => break,
+            head if is_shared_mut_ty(head) => {
+                return Some(format!(
+                    "static `{}` has interior-mutable `{head}` in its type",
+                    file.text(name)
+                ));
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// `shared-state-across-shards`: in the code shard workers run, a
+/// static they would all share (module-level, fn-local or inside
+/// `thread_local!`) makes writes race and reads observe scheduling
+/// order, and thread identity differs from worker to worker; either
+/// breaks byte-identity across thread counts.
+fn check_shared_state(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic>) {
+    if !in_shard_scope(&file.path) {
+        return;
+    }
+    for i in 0..file.code.len() {
+        let Some(t) = file.code_tok(i) else { break };
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let message = match file.text(t) {
+            "static" => match shared_static(file, i) {
+                Some(item) => format!("{item}: state shared by every shard worker"),
+                None => continue,
+            },
+            "ThreadId" => "`ThreadId`: thread identity differs between shard workers".to_string(),
+            "thread" if path_seq(file, i, &["thread"], &["current"]) => {
+                "`thread::current()`: thread identity differs between shard workers".to_string()
+            }
+            _ => continue,
+        };
+        if file.in_test_code(t.line) {
+            continue;
+        }
+        emit(rule, file, t, message, out);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,6 +700,20 @@ mod tests {
         assert!(rule_ids("crates/simkit/src/rng.rs", src).is_empty());
         let ok = "fn f(fac: &RngFactory) { let r = fac.stream(\"sat\", 0); }\n";
         assert!(!rule_ids(LIB, ok).contains(&"unseeded-rng"));
+    }
+
+    #[test]
+    fn stream_discipline_flags_dynamic_labels_and_constant_indices() {
+        let src = "fn wire(rng: &RngFactory, label: &str, sat: u64) {\n    let _a = rng.stream(\"isl\", sat);\n    let _b = rng.stream(label, sat);\n    let _c = rng.stream(\"ingest\", 0);\n}\n";
+        let out: Vec<Diagnostic> = diags("crates/core/src/sim/transport.rs", src)
+            .into_iter()
+            .filter(|d| d.rule == "rng-stream-discipline")
+            .collect();
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].message.contains("string literal"));
+        assert!(out[1].message.contains("bare constant"));
+        // Outside sim/, no jurisdiction.
+        assert!(!rule_ids("crates/workloads/src/apps.rs", src).contains(&"rng-stream-discipline"));
     }
 
     #[test]
