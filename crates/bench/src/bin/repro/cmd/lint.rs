@@ -105,14 +105,13 @@ pub fn exec(cli: &Cli) -> ExitCode {
         .parent()
         .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
 
-    let ws = match sudc_lint::Workspace::load(&root) {
-        Ok(ws) => ws,
+    let run = match sudc_lint::lint_workspace(&root, only) {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let run = ws.scan(only);
 
     match format {
         "json" => print!("{}", report::render_json(&run)),

@@ -16,6 +16,13 @@
 //! through is an inline `// lint:allow(rule-id) reason` on or above its
 //! line, with a non-empty reason.
 //!
+//! Every rule reads one file, so [`lint_workspace`] streams: after a
+//! serial directory walk, one `explore::map` task per file reads, lexes
+//! and checks it, and keeps only its counts and findings. The merged
+//! run does not depend on the thread count, and the whole workspace is
+//! never held at once ([`Workspace::load`] still holds it, for the
+//! benchmark's per-phase probes).
+//!
 //! ```
 //! let diags = sudc_lint::lint_source(
 //!     "crates/core/src/model.rs",
@@ -28,6 +35,8 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+use explore::ExecOptions;
 
 pub mod baseline;
 pub mod lexer;
@@ -83,16 +92,27 @@ impl Diagnostic {
 /// Lints one in-memory source file. `only` restricts to a single rule id (unknown ids yield no
 /// diagnostics — validate with [`rule_by_id`] first).
 pub fn lint_source(rel_path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(rel_path, src);
+    let mut out = check_file(&SourceFile::parse(rel_path, src), only);
+    sort_diagnostics(&mut out);
+    out
+}
+
+/// Runs every rule (or only `only`) over one file, in registry order.
+fn check_file(file: &SourceFile, only: Option<&str>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for rule in RULES {
         if only.is_some_and(|id| id != rule.id) {
             continue;
         }
-        rule.check(&file, &mut out);
+        rule.check(file, &mut out);
     }
-    out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
+}
+
+/// Sorts findings by (file, line, col, rule), the order every report
+/// prints.
+fn sort_diagnostics(diags: &mut [Diagnostic]) {
+    diags.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
 }
 
 /// The loaded workspace: every lintable file, lexed once.
@@ -108,32 +128,9 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Builds a workspace from in-memory `(path, source)` pairs.
-    #[cfg(test)]
-    pub(crate) fn from_sources(sources: &[(&str, &str)]) -> Workspace {
-        Workspace::from_files(
-            sources
-                .iter()
-                .map(|(path, src)| SourceFile::parse(path, src))
-                .collect(),
-        )
-    }
-
-    fn from_files(files: Vec<SourceFile>) -> Workspace {
-        let lines = files.iter().map(|f| f.line_count() as u64).sum();
-        let code_lines = files
-            .iter()
-            .filter(|f| f.path.starts_with("crates/") && f.path.split('/').nth(2) == Some("src"))
-            .map(|f| f.code_lines() as u64)
-            .sum();
-        Workspace {
-            files,
-            lines,
-            code_lines,
-        }
-    }
-
-    /// Loads every lintable file under `root` (sorted, deterministic).
+    /// Loads every lintable file under `root` (sorted, deterministic)
+    /// and holds them all. [`lint_workspace`] streams the same files
+    /// one at a time instead.
     ///
     /// # Errors
     ///
@@ -141,43 +138,33 @@ impl Workspace {
     /// be read or is too long for the lexer, or no lintable sources
     /// exist.
     pub fn load(root: &Path) -> Result<Workspace, String> {
-        let listing =
-            collect_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
-        if listing.is_empty() {
-            return Err(format!(
-                "no lintable sources under {} (expected crates/, tests/, examples/)",
-                root.display()
-            ));
-        }
-        let mut files = Vec::with_capacity(listing.len());
-        for (rel, path) in &listing {
-            let src =
-                fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-            check_source_len(rel, src.len())?;
-            files.push(SourceFile::from_string(rel, src));
-        }
-        Ok(Workspace::from_files(files))
+        let files: Vec<SourceFile> = list_files(root)?
+            .iter()
+            .map(|(rel, path)| load_file(rel, path))
+            .collect::<Result<_, _>>()?;
+        Ok(Workspace {
+            lines: files.iter().map(|f| f.line_count() as u64).sum(),
+            code_lines: files.iter().map(src_code_lines).sum(),
+            files,
+        })
     }
+}
 
-    /// Tokens lexed across `files`, comments included.
-    pub fn tokens(&self) -> u64 {
-        self.files.iter().map(|f| f.tokens.len() as u64).sum()
+/// Lines of `file` that count as library code: its non-test lines when
+/// it lies under `crates/*/src`, else none.
+fn src_code_lines(file: &SourceFile) -> u64 {
+    if file.path.starts_with("crates/") && file.path.split('/').nth(2) == Some("src") {
+        file.code_lines() as u64
+    } else {
+        0
     }
+}
 
-    /// Runs every rule over every file and sorts the findings.
-    pub fn scan(&self, only: Option<&str>) -> LintRun {
-        let mut diagnostics = lexical_pass(self, only);
-        diagnostics.sort_by(|a, b| {
-            (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
-        });
-        LintRun {
-            files: self.files.len(),
-            lines: self.lines,
-            code_lines: self.code_lines,
-            tokens: self.tokens(),
-            diagnostics,
-        }
-    }
+/// Reads and lexes one listed file.
+fn load_file(rel: &str, path: &Path) -> Result<SourceFile, String> {
+    let src = fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    check_source_len(rel, src.len())?;
+    Ok(SourceFile::from_string(rel, src))
 }
 
 /// Rejects a source of `len` bytes that token offsets (`u32`) cannot
@@ -194,16 +181,7 @@ fn check_source_len(rel: &str, len: usize) -> Result<(), String> {
 
 /// Runs every rule over the workspace, unsorted.
 pub fn lexical_pass(ws: &Workspace, only: Option<&str>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for file in &ws.files {
-        for rule in RULES {
-            if only.is_some_and(|id| id != rule.id) {
-                continue;
-            }
-            rule.check(file, &mut out);
-        }
-    }
-    out
+    ws.files.iter().flat_map(|f| check_file(f, only)).collect()
 }
 
 /// No-op kept for the benchmark's `lint.semantic_ms` probe
@@ -217,7 +195,7 @@ pub fn semantic_pass(_analysis: &(), _only: Option<&str>) -> Vec<Diagnostic> {
 }
 
 /// A completed workspace scan.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct LintRun {
     /// Files scanned.
     pub files: usize,
@@ -232,6 +210,50 @@ pub struct LintRun {
 }
 
 impl LintRun {
+    /// One file's share of a scan: its counts and its findings.
+    fn of_file(file: &SourceFile, only: Option<&str>) -> LintRun {
+        LintRun {
+            files: 1,
+            lines: file.line_count() as u64,
+            code_lines: src_code_lines(file),
+            tokens: file.tokens.len() as u64,
+            diagnostics: check_file(file, only),
+        }
+    }
+
+    /// Lints in-memory `(path, source)` pairs as one scan.
+    #[cfg(test)]
+    pub(crate) fn from_sources(sources: &[(&str, &str)]) -> LintRun {
+        LintRun::merge(
+            sources
+                .iter()
+                .map(|(path, src)| Ok(LintRun::of_file(&SourceFile::parse(path, src), None))),
+        )
+        .expect("in-memory sources read without error")
+    }
+
+    /// Sums one-file runs given in path order into one sorted run. The
+    /// first error in that order is the scan's error.
+    fn merge(runs: impl IntoIterator<Item = Result<LintRun, String>>) -> Result<LintRun, String> {
+        let mut total = LintRun {
+            files: 0,
+            lines: 0,
+            code_lines: 0,
+            tokens: 0,
+            diagnostics: Vec::new(),
+        };
+        for run in runs {
+            let run = run?;
+            total.files += run.files;
+            total.lines += run.lines;
+            total.code_lines += run.code_lines;
+            total.tokens += run.tokens;
+            total.diagnostics.extend(run.diagnostics);
+        }
+        sort_diagnostics(&mut total.diagnostics);
+        Ok(total)
+    }
+
     /// Diagnostic count per rule id, in registry order (zero-count
     /// rules included, so reports always show the full registry).
     pub fn counts_by_rule(&self) -> Vec<(&'static str, usize)> {
@@ -278,7 +300,10 @@ fn collect_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
             if name.starts_with('.') || name == "target" {
                 continue;
             }
-            if path.is_dir() {
+            // A symlink resolves through `fs::metadata`, so a linked
+            // directory is walked; other entries cost no extra `stat`.
+            let file_type = entry.file_type()?;
+            if file_type.is_dir() || (file_type.is_symlink() && path.is_dir()) {
                 walk(&path, root, out)?;
             } else {
                 let rel = path
@@ -304,18 +329,45 @@ fn collect_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
     Ok(out)
 }
 
-/// Lints every Rust source file in the workspace rooted at `root`.
-/// Emits telemetry (`lint.scan` span with `files`, `lines`, `tokens`
-/// and `findings` fields) when a sink is installed.
+/// [`collect_files`], refusing a tree with nothing to lint.
+fn list_files(root: &Path) -> Result<Vec<(String, PathBuf)>, String> {
+    let listing = collect_files(root).map_err(|e| format!("walking {}: {e}", root.display()))?;
+    if listing.is_empty() {
+        return Err(format!(
+            "no lintable sources under {} (expected crates/, tests/, examples/)",
+            root.display()
+        ));
+    }
+    Ok(listing)
+}
+
+/// Lints every Rust source file in the workspace rooted at `root`, one
+/// file per task on every core. Each task reads, lexes and checks its
+/// file and keeps only the counts and findings, so the workspace is
+/// never held at once. Emits telemetry (`lint.scan` span with `files`,
+/// `lines`, `tokens` and `findings` fields) when a sink is installed.
 ///
 /// # Errors
 ///
-/// Returns a message when the tree cannot be walked or a file cannot
-/// be read.
+/// Returns a message when the tree cannot be walked, or names the
+/// first file in path order that cannot be read or is too long for the
+/// lexer.
 pub fn lint_workspace(root: &Path, only: Option<&str>) -> Result<LintRun, String> {
+    lint_workspace_on(root, only, &ExecOptions::auto())
+}
+
+/// [`lint_workspace`] on `opts`' threads; the result does not depend on
+/// them.
+fn lint_workspace_on(
+    root: &Path,
+    only: Option<&str>,
+    opts: &ExecOptions,
+) -> Result<LintRun, String> {
     let mut span = telemetry::span!("lint.scan");
-    let ws = Workspace::load(root)?;
-    let run = ws.scan(only);
+    let listing = list_files(root)?;
+    let run = LintRun::merge(explore::map(&listing, opts, |(rel, path)| {
+        load_file(rel, path).map(|file| LintRun::of_file(&file, only))
+    }))?;
     span.record("files", run.files as u64);
     span.record("lines", run.lines);
     span.record("tokens", run.tokens);
@@ -360,12 +412,13 @@ mod tests {
 
     #[test]
     fn workspace_counts_lines_and_tokens() {
-        let ws = Workspace::from_sources(&[
+        let run = LintRun::from_sources(&[
             ("crates/a/src/a.rs", "fn a() {}\n// note\n"),
             ("crates/a/src/b.rs", "let x = 1;"),
         ]);
-        assert_eq!(ws.lines, 3);
-        assert_eq!(ws.tokens(), 6 + 1 + 5);
+        assert_eq!(run.files, 2);
+        assert_eq!(run.lines, 3);
+        assert_eq!(run.tokens, 6 + 1 + 5);
     }
 
     #[test]
@@ -421,6 +474,104 @@ mod tests {
                 .map(|(_, n)| *n),
             Some(1)
         );
+    }
+
+    /// A fresh tree under the system temp dir holding `files`.
+    fn temp_tree(tag: &str, files: &[(&str, &[u8])]) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sudc_lint_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for (rel, bytes) in files {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().expect("a file has a parent")).expect("mkdir");
+            fs::write(&path, bytes).expect("write");
+        }
+        dir
+    }
+
+    /// `dirty.rs` planted at two linted paths, one clean file between
+    /// them, and the findings `lint_source` gives for it there, in path
+    /// order.
+    fn planted_tree(tag: &str) -> (PathBuf, Vec<Diagnostic>) {
+        let dirty = fs::read_to_string(workspace_root().join("crates/lint/fixtures/dirty.rs"))
+            .expect("fixture reads");
+        let planted = ["crates/core/src/sim/dirty.rs", "tests/dirty.rs"];
+        let dir = temp_tree(
+            tag,
+            &[
+                (planted[0], dirty.as_bytes()),
+                ("crates/core/src/sim/mod.rs", b"pub fn ok() {}\n"),
+                (planted[1], dirty.as_bytes()),
+            ],
+        );
+        let want: Vec<Diagnostic> = planted
+            .iter()
+            .flat_map(|rel| lint_source(rel, &dirty, None))
+            .collect();
+        (dir, want)
+    }
+
+    /// `lint_workspace_on` at 1 and 4 threads gives the same run: on the
+    /// workspace, and on a tree whose findings are known.
+    #[test]
+    fn scans_are_identical_at_one_and_four_threads() {
+        let root = workspace_root();
+        let one = lint_workspace_on(&root, None, &ExecOptions::sequential()).expect("scans");
+        let four = lint_workspace_on(&root, None, &ExecOptions::threads(4)).expect("scans");
+        assert_eq!(one, four);
+
+        let (dir, want) = planted_tree("threads");
+        assert!(want.iter().any(|d| d.file.starts_with("tests/")));
+        for opts in [ExecOptions::sequential(), ExecOptions::threads(4)] {
+            let run = lint_workspace_on(&dir, None, &opts).expect("planted tree scans");
+            assert_eq!(run.files, 3, "{opts:?}");
+            assert_eq!(run.diagnostics, want, "{opts:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Of two unreadable files, the scan names the first in path order,
+    /// whichever thread reads it first.
+    #[test]
+    fn scan_error_names_the_first_bad_file_in_path_order() {
+        let not_utf8: &[u8] = &[b'/', b'/', 0xff, 0xfe, b'\n'];
+        let dir = temp_tree(
+            "bad_utf8",
+            &[
+                ("tests/late.rs", not_utf8),
+                ("crates/a/src/ok.rs", b"pub fn ok() {}\n"),
+                ("crates/a/src/early.rs", not_utf8),
+            ],
+        );
+        let first = dir.join("crates/a/src/early.rs");
+        let io = fs::read_to_string(&first).expect_err("not UTF-8");
+        let want = format!("reading {}: {io}", first.display());
+        for opts in [ExecOptions::sequential(), ExecOptions::threads(4)] {
+            let err = lint_workspace_on(&dir, None, &opts).expect_err("a file is not UTF-8");
+            assert_eq!(err, want, "{opts:?}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The streaming scan and the held workspace agree: the same counts,
+    /// and the same findings as `lexical_pass` once sorted.
+    #[test]
+    fn streaming_scan_equals_load_plus_lexical_pass() {
+        let (planted, _) = planted_tree("agree");
+        for root in [workspace_root(), planted.clone()] {
+            let run = lint_workspace(&root, None).expect("scans");
+            let ws = Workspace::load(&root).expect("loads");
+            let mut lexical = lexical_pass(&ws, None);
+            sort_diagnostics(&mut lexical);
+            assert_eq!(run.diagnostics, lexical, "{}", root.display());
+            let tokens: u64 = ws.files.iter().map(|f| f.tokens.len() as u64).sum();
+            assert_eq!(
+                (run.files, run.lines, run.code_lines, run.tokens),
+                (ws.files.len(), ws.lines, ws.code_lines, tokens),
+                "{}",
+                root.display()
+            );
+        }
+        let _ = fs::remove_dir_all(&planted);
     }
 
     /// The real gate: no finding in the workspace survives its

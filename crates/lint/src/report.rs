@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn audit_report_is_byte_identical_and_carries_analysis_shape() {
-        let ws = crate::Workspace::from_sources(&[
+        let run = crate::LintRun::from_sources(&[
             (
                 "crates/core/src/sim/engine.rs",
                 "pub fn step(x: u32) -> u32 { helper(x) }\npub fn helper(x: u32) -> u32 { x }\n\
@@ -197,7 +197,6 @@ mod tests {
             ),
             ("crates/core/tests/it.rs", "fn main() {}\n"),
         ]);
-        let run = ws.scan(None);
         let a = render_audit(&run);
         assert_eq!(a, render_audit(&run));
         let doc = json::parse(&a).expect("valid json");
