@@ -17,8 +17,10 @@ use telemetry::Level;
 
 use crate::Cli;
 
-/// Ring capacity of the in-process flight recorder. The JSONL sink sees
+/// Ring capacity of the in-process flight recorder. The JSONL log gets
 /// every event regardless; the ring only backs in-memory inspection.
+/// It equals the engine's batch size (`Recorder::batch_hint`), so every
+/// full batch reaches the ring by a pointer swap after it is logged.
 const RECORDER_RING: usize = 4096;
 
 /// One parsed `--topology` argument: the shape, the ingest-link
@@ -144,11 +146,22 @@ pub fn make_recorder(cli: &Cli) -> Result<Option<Arc<Recorder>>, String> {
     let Some(path) = cli.record.as_deref() else {
         return Ok(None);
     };
-    let sink = telemetry::sink::JsonlSink::create(path)
+    let rec = Recorder::to_file(RECORDER_RING, path)
         .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    Ok(Some(Arc::new(
-        Recorder::with_sink(RECORDER_RING, Arc::new(sink)).timeline(cli.cadence.unwrap_or(5.0)),
-    )))
+    Ok(Some(Arc::new(rec.timeline(cli.cadence.unwrap_or(5.0)))))
+}
+
+/// Flushes the flight log `--record` asked for, if any, and names it.
+pub fn finish_recording(cli: &Cli, recorder: Option<&Arc<Recorder>>) -> Result<(), String> {
+    let (Some(path), Some(rec)) = (cli.record.as_deref(), recorder) else {
+        return Ok(());
+    };
+    rec.flush()
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    if !cli.quiet {
+        println!("wrote {}", path.display());
+    }
+    Ok(())
 }
 
 /// Runs one simulation the way the flags ask and checks the report's

@@ -65,11 +65,9 @@ pub fn exec(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let (Some(path), Some(rec)) = (cli.record.as_deref(), &recorder) {
-        rec.flush();
-        if !cli.quiet {
-            println!("wrote {}", path.display());
-        }
+    if let Err(e) = super::finish_recording(cli, recorder.as_ref()) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     let Some(serve) = report.serve.as_ref() else {
         eprintln!("error: serve run produced no serve report");

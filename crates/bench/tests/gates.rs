@@ -108,33 +108,53 @@ fn assert_replays(name: &str, args: &[&str]) {
     assert_same_tree(&dirs[0], &dirs[1], &format!("repro sim {}", args.join(" ")));
 }
 
+/// Runs `repro sim <args> --record` into two fresh directories, each
+/// with its flight log inside, and requires byte-identical directories
+/// and the same `repro trace` analysis of both logs (bar the line
+/// naming the log). Returns that analysis.
+fn assert_recorded_replay(name: &str, args: &[&str]) -> String {
+    let dirs = [scratch(&format!("{name}_a")), scratch(&format!("{name}_b"))];
+    let analyses: Vec<String> = dirs
+        .iter()
+        .map(|dir| {
+            let log = dir.join("trace.jsonl");
+            let log = log.to_str().expect("UTF-8 scratch path");
+            sim(dir, &[args, &["--record", log]].concat());
+            repro(&["trace", log])
+                .lines()
+                .filter(|line| !line.starts_with("flight log "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        })
+        .collect();
+    let what = format!("repro sim {} --record", args.join(" "));
+    assert_same_tree(&dirs[0], &dirs[1], &what);
+    assert!(!analyses[0].is_empty(), "{what}: no repro trace output");
+    assert_eq!(analyses[0], analyses[1], "{what}: repro trace differs");
+    analyses[0].clone()
+}
+
 /// Same-seed `--faults flaky_links --record` runs of every topology
 /// write the same reports and flight logs, and `repro trace` reads each
-/// log back into the same analysis (bar the line naming the log).
+/// log back into the same analysis.
 #[test]
 fn faulted_runs_and_flight_logs_replay_across_the_topology_matrix() {
     for (topo, suffix) in MATRIX {
-        let dirs = [
-            scratch(&format!("record{suffix}_a")),
-            scratch(&format!("record{suffix}_b")),
-        ];
-        let analyses: Vec<String> = dirs
-            .iter()
-            .map(|dir| {
-                let log = dir.join("trace.jsonl");
-                let log = log.to_str().expect("UTF-8 scratch path");
-                let args = ["--faults", "flaky_links", "--topology", topo];
-                sim(dir, &[&args[..], &["--record", log]].concat());
-                repro(&["trace", log])
-                    .lines()
-                    .filter(|line| !line.starts_with("flight log "))
-                    .collect()
-            })
-            .collect();
-        assert_same_tree(&dirs[0], &dirs[1], &format!("--record ({topo})"));
-        assert!(!analyses[0].is_empty(), "no repro trace output ({topo})");
-        assert_eq!(analyses[0], analyses[1], "repro trace differs ({topo})");
+        let args = ["--faults", "flaky_links", "--topology", topo];
+        assert_recorded_replay(&format!("record{suffix}"), &args);
     }
+}
+
+/// Same-seed recorded serve runs write the same flight logs, and those
+/// logs carry request lifecycles that `repro trace` reads back.
+#[test]
+fn recorded_serve_runs_and_flight_logs_replay() {
+    let args = ["--serve", "steady", "--minutes", "1"];
+    let analysis = assert_recorded_replay("record_serve", &args);
+    assert!(
+        analysis.contains("req_arrived→req_admitted"),
+        "the serve log holds no request lifecycle:\n{analysis}"
+    );
 }
 
 /// Same-seed serve runs of every topology write the same SLO reports.

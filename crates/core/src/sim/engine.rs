@@ -806,9 +806,6 @@ pub(super) fn run_to_horizon(
     simkit::run_until(&mut sched, &mut run, cfg.duration, step);
     let (mut st, serve) = run;
     st.ledger.drain();
-    if let Some(rec) = &st.ledger.recorder {
-        rec.flush();
-    }
     (st, serve, sched)
 }
 

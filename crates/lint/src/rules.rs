@@ -186,8 +186,8 @@ fn check_wall_clock(rule: &RuleInfo, file: &SourceFile, out: &mut Vec<Diagnostic
     for i in 0..file.code.len() {
         let Some(t) = file.code_tok(i) else { break };
         // On the recorder path, `unix_ms(` as a call: a bare `unix_ms`
-        // field write stays legal (TraceEvent::to_event derives it from
-        // sim-time).
+        // field write stays legal (a sim-time stamp derived from `t_s`
+        // may carry the name).
         let message = if path_seq(file, i, &["Instant", "SystemTime"], &["now"]) {
             format!(
                 "`{}::now()` outside the telemetry/simkit timing shims",

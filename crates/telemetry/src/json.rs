@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::io;
 
 /// Escapes `s` into `out` as JSON string *contents* (no surrounding
 /// quotes).
@@ -40,11 +41,24 @@ pub fn string(s: &str) -> String {
 /// Renders a JSON number (`null` for NaN/infinite values, which JSON
 /// cannot represent).
 pub fn number(v: f64) -> String {
+    let mut out = Vec::with_capacity(24);
+    // A `Vec` sink cannot fail, and a number renders as ASCII.
+    let _ = write_number(&mut out, v);
+    String::from_utf8(out).unwrap_or_default()
+}
+
+/// Writes the JSON number [`number`] renders straight to `w`, without
+/// an intermediate `String`.
+///
+/// # Errors
+///
+/// Returns any error from writing to `w`.
+pub fn write_number(w: &mut impl io::Write, v: f64) -> io::Result<()> {
     if v.is_finite() {
         // `{}` prints the shortest representation that round-trips.
-        format!("{v}")
+        write!(w, "{v}")
     } else {
-        "null".to_string()
+        w.write_all(b"null")
     }
 }
 

@@ -9,8 +9,8 @@
 //! parent event, and tagged with a machine-readable [`TraceCause`].
 //!
 //! A [`Recorder`] keeps the most recent events in a bounded ring and
-//! optionally streams every event to a [`Sink`] (the JSONL sink turns
-//! a run into a replayable flight log). The recorder draws no
+//! optionally writes every event to a JSONL file, which turns a run
+//! into a replayable flight log. The recorder draws no
 //! randomness and stamps no wall clock, so two same-seed recorded runs
 //! produce byte-identical logs — and a run with recording off is
 //! bit-for-bit the run that never knew the recorder existed.
@@ -34,22 +34,23 @@
 //!         .value(0.5),
 //! );
 //! assert_eq!(rec.len(), 2);
-//! let line = rec.events()[1].to_event().to_json();
-//! let back = TraceEvent::parse_line(&line).unwrap();
+//! let mut line = Vec::new();
+//! rec.events()[1].write_jsonl(&mut line).unwrap();
+//! let back = TraceEvent::parse_line(std::str::from_utf8(&line).unwrap().trim_end()).unwrap();
 //! assert_eq!(back.kind, TraceKind::Served);
 //! ```
 
 use std::collections::BTreeMap;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json::{self, Json};
-use crate::{Event, EventKind, Level, Sink, Value};
 
 /// Name prefix of trace events in the shared JSONL schema
 /// (`"name":"trace.<kind>"`), keeping them distinguishable from
-/// ordinary telemetry when both share a sink.
+/// ordinary telemetry when both share a file.
 pub const EVENT_PREFIX: &str = "trace.";
 
 /// One step of a frame's lifecycle (or a timeline snapshot).
@@ -298,45 +299,50 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Wraps the trace event in the shared [`Event`] schema. `ts_ms`
-    /// carries **sim-time milliseconds** (derived from `t_s`), never
-    /// the host clock, so recorded logs are seed-deterministic.
-    pub fn to_event(&self) -> Event {
-        let mut fields: Vec<(String, Value)> = vec![
-            ("seq".to_string(), Value::U64(self.seq)),
-            ("t_s".to_string(), Value::F64(self.t_s)),
-        ];
+    /// Writes the event as one line of the telemetry JSONL schema,
+    /// newline included:
+    /// `{"ts_ms":…,"level":"debug","kind":"event","name":"trace.<kind>","fields":{…}}`.
+    /// `ts_ms` carries **sim-time milliseconds** (derived from `t_s`),
+    /// never the host clock, so recorded logs are seed-deterministic.
+    /// `fields` holds `seq` and `t_s`, then each present optional field
+    /// in declaration order; floats go through [`json::write_number`].
+    ///
+    /// # Errors
+    ///
+    /// Returns any error from writing to `w`.
+    pub fn write_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
+        write!(
+            w,
+            "{{\"ts_ms\":{},\"level\":\"debug\",\"kind\":\"event\",\"name\":\"{EVENT_PREFIX}{}\",\"fields\":{{\"seq\":{},\"t_s\":",
+            (self.t_s * 1e3) as u64,
+            self.kind.as_str(),
+            self.seq,
+        )?;
+        json::write_number(w, self.t_s)?;
         if let Some(frame) = self.frame {
-            fields.push(("frame".to_string(), Value::U64(frame)));
+            write!(w, ",\"frame\":{frame}")?;
         }
         if let Some(unit) = self.unit {
-            fields.push(("unit".to_string(), Value::U64(unit)));
+            write!(w, ",\"unit\":{unit}")?;
         }
         if let Some(cause) = self.cause {
-            fields.push(("cause".to_string(), Value::Str(cause.as_str().to_string())));
+            // Cause names are plain snake case: nothing to escape.
+            write!(w, ",\"cause\":\"{}\"", cause.as_str())?;
         }
         if let Some(parent) = self.parent {
-            fields.push(("parent".to_string(), Value::U64(parent)));
+            write!(w, ",\"parent\":{parent}")?;
         }
         if let Some(value) = self.value {
-            fields.push(("value".to_string(), Value::F64(value)));
+            w.write_all(b",\"value\":")?;
+            json::write_number(w, value)?;
         }
-        Event {
-            level: Level::Debug,
-            kind: EventKind::Instant,
-            name: format!("{EVENT_PREFIX}{}", self.kind.as_str()),
-            fields,
-            // Sim-time milliseconds — the wall-clock-in-model lint rule
-            // keeps the host clock out of this path.
-            unix_ms: (self.t_s * 1e3) as u64,
-            elapsed_ns: None,
-        }
+        w.write_all(b"}}\n")
     }
 
-    /// Parses one JSONL line that [`to_event`](Self::to_event) and
-    /// `Event::to_json` produced. Returns `None` for lines that are not
-    /// trace events (other telemetry sharing the sink is skipped, not
-    /// an error) and for malformed ones.
+    /// Parses one JSONL line that [`write_jsonl`](Self::write_jsonl)
+    /// wrote. Returns `None` for lines that are not trace events (other
+    /// telemetry sharing the file is skipped, not an error) and for
+    /// malformed ones.
     pub fn parse_line(line: &str) -> Option<TraceEvent> {
         let root = json::parse(line).ok()?;
         let kind = TraceKind::from_name(root.get("name")?.as_str()?.strip_prefix(EVENT_PREFIX)?)?;
@@ -527,6 +533,12 @@ struct Inner {
     /// grow phase it trails `buf.len()`.
     head: usize,
     next_seq: u64,
+    /// The JSONL flight log every record is written to, if any. Written
+    /// under the ring's lock, so the file holds records in `seq` order.
+    log: Option<BufWriter<File>>,
+    /// The first write error; the log stops there and
+    /// [`Recorder::flush`] reports it.
+    log_error: Option<io::Error>,
 }
 
 impl Inner {
@@ -557,6 +569,20 @@ impl Inner {
         self.head = (self.head + src.len()) % cap;
     }
 
+    /// Writes `events`, numbered from `base`, to the log (if any).
+    fn write_log(&mut self, base: u64, events: &[TraceRecord]) {
+        let Some(w) = &mut self.log else { return };
+        let written = events
+            .iter()
+            .zip(base..)
+            .try_for_each(|(ev, seq)| ev.expand(seq).write_jsonl(w));
+        if let Err(e) = written {
+            // A log with a hole in it replays nothing: stop writing.
+            self.log = None;
+            self.log_error = Some(e);
+        }
+    }
+
     /// Records evicted so far: everything numbered minus everything
     /// retained.
     fn dropped(&self) -> u64 {
@@ -565,9 +591,9 @@ impl Inner {
 }
 
 /// A bounded, thread-safe flight recorder. Keeps the most recent
-/// `capacity` events in a ring (drop-oldest) and streams every event
-/// to the optional sink as it happens, so the on-disk log is complete
-/// even when the ring wraps.
+/// `capacity` events in a ring (drop-oldest) and, when built with
+/// [`to_file`](Self::to_file), writes every event to a JSONL flight log
+/// as it is recorded, so the log is complete even when the ring wraps.
 ///
 /// The recorder is deliberately *not* wired into the global telemetry
 /// dispatcher: a flight log must stay pure trace (no interleaved
@@ -575,7 +601,6 @@ impl Inner {
 pub struct Recorder {
     capacity: usize,
     cadence_s: Option<f64>,
-    sink: Option<Arc<dyn Sink>>,
     inner: Mutex<Inner>,
 }
 
@@ -586,20 +611,33 @@ impl Recorder {
         Recorder {
             capacity: capacity.max(1),
             cadence_s: None,
-            sink: None,
             inner: Mutex::new(Inner {
                 buf: Vec::new(),
                 head: 0,
                 next_seq: 1,
+                log: None,
+                log_error: None,
             }),
         }
     }
 
-    /// A recorder that additionally streams every event to `sink`.
-    pub fn with_sink(capacity: usize, sink: Arc<dyn Sink>) -> Recorder {
-        let mut rec = Recorder::new(capacity);
-        rec.sink = Some(sink);
-        rec
+    /// A recorder that additionally writes every event to a JSONL
+    /// flight log at `path` (created, or truncated). The log is
+    /// buffered: call [`flush`](Self::flush) before reading it back
+    /// (dropping the recorder flushes too, but drops any error).
+    ///
+    /// # Errors
+    ///
+    /// Returns any filesystem error from creating the file.
+    pub fn to_file(capacity: usize, path: &Path) -> io::Result<Recorder> {
+        let log = BufWriter::new(File::create(path)?);
+        let rec = Recorder::new(capacity);
+        rec.lock().log = Some(log);
+        Ok(rec)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Enables the metrics timeline at a sim-time cadence in seconds
@@ -615,16 +653,13 @@ impl Recorder {
     }
 
     /// Records one event: assigns its `seq`, appends it to the ring
-    /// (dropping the oldest past capacity), streams it to the sink,
-    /// and returns the assigned `seq` for parent linkage.
+    /// (dropping the oldest past capacity), writes it to the log, and
+    /// returns the assigned `seq` for parent linkage.
     pub fn record(&self, ev: TraceRecord) -> u64 {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         let seq = inner.next_seq;
+        inner.write_log(seq, std::slice::from_ref(&ev));
         inner.push_slice(self.capacity, std::slice::from_ref(&ev));
-        drop(inner);
-        if let Some(sink) = &self.sink {
-            sink.emit(&ev.expand(seq).to_event());
-        }
         seq
     }
 
@@ -633,24 +668,25 @@ impl Recorder {
     /// numbers — `last_seq() + 1`, `+ 2`, … — and hand them over later
     /// via [`Recorder::record_batch`].
     pub fn last_seq(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.next_seq - 1
+        self.lock().next_seq - 1
     }
 
-    /// Appends a whole producer batch under one lock with bulk slice
-    /// copies, then clears `events` (its capacity survives, so a
-    /// producer's scratch buffer stays allocation-free and cache-warm
-    /// run after run). This is what keeps the sim engine's recording
-    /// overhead in the low single digits. Events are numbered
-    /// consecutively from the recorder's current sequence, matching
-    /// what a single producer predicted from [`Recorder::last_seq`].
+    /// Appends a whole producer batch under one lock, then clears
+    /// `events` (its capacity survives, so a producer's scratch buffer
+    /// stays allocation-free and cache-warm run after run). The log, if
+    /// any, gets every record first; a batch of exactly the ring's size
+    /// then replaces the ring by a pointer swap, any other by bulk slice
+    /// copies. Events are numbered consecutively from the recorder's
+    /// current sequence, matching what a single producer predicted from
+    /// [`Recorder::last_seq`].
     pub fn record_batch(&self, events: &mut Vec<TraceRecord>) {
         if events.is_empty() {
             return;
         }
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         let base = inner.next_seq;
-        if self.sink.is_none() && events.len() == self.capacity {
+        inner.write_log(base, events);
+        if events.len() == self.capacity {
             // Zero-copy fast path: a batch exactly the ring's size
             // evicts every retained record anyway, so the ring takes
             // the producer's Vec wholesale and hands its old storage
@@ -658,17 +694,10 @@ impl Recorder {
             inner.next_seq += events.len() as u64;
             std::mem::swap(&mut inner.buf, events);
             inner.head = 0;
-            drop(inner);
-            events.clear();
-            return;
+        } else {
+            inner.push_slice(self.capacity, events);
         }
-        inner.push_slice(self.capacity, events);
         drop(inner);
-        if let Some(sink) = &self.sink {
-            for (i, ev) in events.iter().enumerate() {
-                sink.emit(&ev.expand(base + i as u64).to_event());
-            }
-        }
         events.clear();
     }
 
@@ -682,7 +711,7 @@ impl Recorder {
 
     /// Snapshot of the ring, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         let n = inner.buf.len();
         if n == 0 {
             return Vec::new();
@@ -698,8 +727,7 @@ impl Recorder {
 
     /// Events currently held in the ring.
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.buf.len()
+        self.lock().buf.len()
     }
 
     /// Whether nothing has been recorded (or everything was dropped).
@@ -707,17 +735,22 @@ impl Recorder {
         self.len() == 0
     }
 
-    /// Events evicted from the ring so far (still on the sink).
+    /// Events evicted from the ring so far (still in the log, if any).
     pub fn dropped(&self) -> u64 {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.dropped()
+        self.lock().dropped()
     }
 
-    /// Flushes the sink (call before reading the log back).
-    pub fn flush(&self) {
-        if let Some(sink) = &self.sink {
-            sink.flush();
+    /// Flushes the log (call before reading it back).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error writing the log met, or the flush's own.
+    pub fn flush(&self) -> io::Result<()> {
+        let mut inner = self.lock();
+        if let Some(e) = inner.log_error.take() {
+            return Err(e);
         }
+        inner.log.as_mut().map_or(Ok(()), Write::flush)
     }
 }
 
@@ -798,13 +831,19 @@ impl TraceLog {
         TraceLog::from_events(text.lines().filter_map(TraceEvent::parse_line).collect())
     }
 
-    /// Reads and parses a JSONL flight log from disk.
+    /// Reads and parses a JSONL flight log from disk, one line at a
+    /// time, so only the parsed events are ever held in memory.
     ///
     /// # Errors
     ///
-    /// Returns any filesystem error from reading the file.
+    /// Returns any filesystem error from reading the file, and an
+    /// `InvalidData` error for a line that is not UTF-8.
     pub fn read_path(path: &Path) -> io::Result<TraceLog> {
-        Ok(TraceLog::parse(&std::fs::read_to_string(path)?))
+        let mut events = Vec::new();
+        for line in BufReader::new(File::open(path)?).lines() {
+            events.extend(TraceEvent::parse_line(&line?));
+        }
+        Ok(TraceLog::from_events(events))
     }
 
     /// Total events.
@@ -957,7 +996,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::MemorySink;
+    use std::path::PathBuf;
 
     fn full_event(seq: u64) -> TraceEvent {
         TraceRecord::at(12.625, TraceKind::Retry)
@@ -969,11 +1008,227 @@ mod tests {
             .expand(seq)
     }
 
+    fn jsonl(ev: &TraceEvent) -> String {
+        let mut out = Vec::new();
+        ev.write_jsonl(&mut out).expect("a Vec takes every write");
+        String::from_utf8(out).expect("JSONL is UTF-8")
+    }
+
+    fn temp_log(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "telemetry_trace_{name}_{}.jsonl",
+            std::process::id()
+        ))
+    }
+
+    /// Flight-log lines pinned byte for byte: every kind, every cause,
+    /// each optional field absent and present, a `t_s` whose
+    /// millisecond stamp truncates, shortest-round-trip and zero
+    /// values, and a serve request id above 2^30.
+    #[test]
+    fn jsonl_lines_match_the_golden_bytes() {
+        const REQ: u64 = 0x4000_0000 + 7;
+        let golden: [(TraceRecord, u64, &str); 23] = [
+            (
+                TraceRecord::at(0.0, TraceKind::Sensed),
+                1,
+                r#"{"ts_ms":0,"level":"debug","kind":"event","name":"trace.sensed","fields":{"seq":1,"t_s":0}}"#,
+            ),
+            (
+                TraceRecord::at(0.25, TraceKind::Sensed).frame(1).unit(3),
+                2,
+                r#"{"ts_ms":250,"level":"debug","kind":"event","name":"trace.sensed","fields":{"seq":2,"t_s":0.25,"frame":1,"unit":3}}"#,
+            ),
+            (
+                TraceRecord::at(0.0225, TraceKind::Discarded)
+                    .frame(2)
+                    .unit(4)
+                    .cause(TraceCause::Policy),
+                3,
+                r#"{"ts_ms":22,"level":"debug","kind":"event","name":"trace.discarded","fields":{"seq":3,"t_s":0.0225,"frame":2,"unit":4,"cause":"policy"}}"#,
+            ),
+            (
+                TraceRecord::at(1.0, TraceKind::Shed)
+                    .frame(3)
+                    .unit(5)
+                    .cause(TraceCause::Backlog)
+                    .parent(2),
+                4,
+                r#"{"ts_ms":1000,"level":"debug","kind":"event","name":"trace.shed","fields":{"seq":4,"t_s":1,"frame":3,"unit":5,"cause":"backlog","parent":2}}"#,
+            ),
+            (
+                TraceRecord::at(1.5, TraceKind::Hop)
+                    .frame(3)
+                    .unit(5)
+                    .parent(4)
+                    .value(0.1 + 0.2),
+                5,
+                r#"{"ts_ms":1500,"level":"debug","kind":"event","name":"trace.hop","fields":{"seq":5,"t_s":1.5,"frame":3,"unit":5,"parent":4,"value":0.30000000000000004}}"#,
+            ),
+            (
+                TraceRecord::at(2.0, TraceKind::Retry)
+                    .frame(3)
+                    .unit(6)
+                    .cause(TraceCause::LinkDown)
+                    .parent(5)
+                    .value(0.05),
+                6,
+                r#"{"ts_ms":2000,"level":"debug","kind":"event","name":"trace.retry","fields":{"seq":6,"t_s":2,"frame":3,"unit":6,"cause":"link_down","parent":5,"value":0.05}}"#,
+            ),
+            (
+                TraceRecord::at(2.5, TraceKind::Reroute)
+                    .frame(3)
+                    .cause(TraceCause::ClusterDown)
+                    .parent(6),
+                7,
+                r#"{"ts_ms":2500,"level":"debug","kind":"event","name":"trace.reroute","fields":{"seq":7,"t_s":2.5,"frame":3,"cause":"cluster_down","parent":6}}"#,
+            ),
+            (
+                TraceRecord::at(2.75, TraceKind::Reroute)
+                    .frame(8)
+                    .cause(TraceCause::HopLimit),
+                8,
+                r#"{"ts_ms":2750,"level":"debug","kind":"event","name":"trace.reroute","fields":{"seq":8,"t_s":2.75,"frame":8,"cause":"hop_limit"}}"#,
+            ),
+            (
+                TraceRecord::at(3.0, TraceKind::Undeliverable)
+                    .frame(3)
+                    .cause(TraceCause::RetriesExhausted)
+                    .parent(7),
+                9,
+                r#"{"ts_ms":3000,"level":"debug","kind":"event","name":"trace.undeliverable","fields":{"seq":9,"t_s":3,"frame":3,"cause":"retries_exhausted","parent":7}}"#,
+            ),
+            (
+                TraceRecord::at(3.5, TraceKind::Enqueued)
+                    .frame(4)
+                    .unit(0)
+                    .parent(1)
+                    .value(0.0),
+                10,
+                r#"{"ts_ms":3500,"level":"debug","kind":"event","name":"trace.enqueued","fields":{"seq":10,"t_s":3.5,"frame":4,"unit":0,"parent":1,"value":0}}"#,
+            ),
+            (
+                TraceRecord::at(4.0, TraceKind::Served)
+                    .frame(4)
+                    .unit(0)
+                    .parent(10)
+                    .value(12.625),
+                11,
+                r#"{"ts_ms":4000,"level":"debug","kind":"event","name":"trace.served","fields":{"seq":11,"t_s":4,"frame":4,"unit":0,"parent":10,"value":12.625}}"#,
+            ),
+            (
+                TraceRecord::at(4.5, TraceKind::Corrupted)
+                    .frame(5)
+                    .unit(1)
+                    .cause(TraceCause::Seu)
+                    .value(1e-7),
+                12,
+                r#"{"ts_ms":4500,"level":"debug","kind":"event","name":"trace.corrupted","fields":{"seq":12,"t_s":4.5,"frame":5,"unit":1,"cause":"seu","value":0.0000001}}"#,
+            ),
+            (
+                TraceRecord::at(5.0, TraceKind::LostCluster)
+                    .frame(6)
+                    .unit(2)
+                    .cause(TraceCause::ClusterDown),
+                13,
+                r#"{"ts_ms":5000,"level":"debug","kind":"event","name":"trace.lost_cluster","fields":{"seq":13,"t_s":5,"frame":6,"unit":2,"cause":"cluster_down"}}"#,
+            ),
+            (
+                TraceRecord::at(5.0, TraceKind::SnapshotNet).value(1.5e9),
+                14,
+                r#"{"ts_ms":5000,"level":"debug","kind":"event","name":"trace.snapshot_net","fields":{"seq":14,"t_s":5,"value":1500000000}}"#,
+            ),
+            (
+                TraceRecord::at(5.0, TraceKind::SnapshotLinks)
+                    .unit(12)
+                    .value(10.0),
+                15,
+                r#"{"ts_ms":5000,"level":"debug","kind":"event","name":"trace.snapshot_links","fields":{"seq":15,"t_s":5,"unit":12,"value":10}}"#,
+            ),
+            (
+                TraceRecord::at(5.0, TraceKind::SnapshotCluster)
+                    .unit(2)
+                    .cause(TraceCause::ClusterDown)
+                    .value(0.0),
+                16,
+                r#"{"ts_ms":5000,"level":"debug","kind":"event","name":"trace.snapshot_cluster","fields":{"seq":16,"t_s":5,"unit":2,"cause":"cluster_down","value":0}}"#,
+            ),
+            (
+                TraceRecord::at(6.125, TraceKind::ReqArrived)
+                    .frame(REQ)
+                    .unit(3),
+                17,
+                r#"{"ts_ms":6125,"level":"debug","kind":"event","name":"trace.req_arrived","fields":{"seq":17,"t_s":6.125,"frame":1073741831,"unit":3}}"#,
+            ),
+            (
+                TraceRecord::at(6.125, TraceKind::ReqAdmitted)
+                    .frame(REQ)
+                    .parent(17),
+                18,
+                r#"{"ts_ms":6125,"level":"debug","kind":"event","name":"trace.req_admitted","fields":{"seq":18,"t_s":6.125,"frame":1073741831,"parent":17}}"#,
+            ),
+            (
+                TraceRecord::at(6.5, TraceKind::ReqBatched)
+                    .frame(REQ)
+                    .unit(0)
+                    .parent(18)
+                    .value(4.0),
+                19,
+                r#"{"ts_ms":6500,"level":"debug","kind":"event","name":"trace.req_batched","fields":{"seq":19,"t_s":6.5,"frame":1073741831,"unit":0,"parent":18,"value":4}}"#,
+            ),
+            (
+                TraceRecord::at(7.0, TraceKind::ReqCompleted)
+                    .frame(REQ)
+                    .unit(0)
+                    .parent(19)
+                    .value(0.875),
+                20,
+                r#"{"ts_ms":7000,"level":"debug","kind":"event","name":"trace.req_completed","fields":{"seq":20,"t_s":7,"frame":1073741831,"unit":0,"parent":19,"value":0.875}}"#,
+            ),
+            (
+                TraceRecord::at(7.25, TraceKind::ReqRejected)
+                    .frame(REQ + 1)
+                    .unit(5)
+                    .cause(TraceCause::Throttled)
+                    .parent(17),
+                21,
+                r#"{"ts_ms":7250,"level":"debug","kind":"event","name":"trace.req_rejected","fields":{"seq":21,"t_s":7.25,"frame":1073741832,"unit":5,"cause":"throttled","parent":17}}"#,
+            ),
+            (
+                TraceRecord::at(7199.9996, TraceKind::SloViolated)
+                    .frame(REQ + 2)
+                    .unit(2)
+                    .cause(TraceCause::Seu)
+                    .parent(19)
+                    .value(2.5),
+                1 << 40,
+                r#"{"ts_ms":7199999,"level":"debug","kind":"event","name":"trace.slo_violated","fields":{"seq":1099511627776,"t_s":7199.9996,"frame":1073741833,"unit":2,"cause":"seu","parent":19,"value":2.5}}"#,
+            ),
+            (
+                TraceRecord::at(8.0, TraceKind::Hop).frame(9).value(-0.5),
+                23,
+                r#"{"ts_ms":8000,"level":"debug","kind":"event","name":"trace.hop","fields":{"seq":23,"t_s":8,"frame":9,"value":-0.5}}"#,
+            ),
+        ];
+        for (rec, seq, want) in golden {
+            let ev = rec.expand(seq);
+            assert_eq!(jsonl(&ev), format!("{want}\n"), "{ev:?}");
+            assert_eq!(TraceEvent::parse_line(want), Some(ev), "{want}");
+        }
+        let kinds: std::collections::BTreeSet<TraceKind> =
+            golden.iter().map(|(r, ..)| r.expand(0).kind).collect();
+        let causes: std::collections::BTreeSet<TraceCause> = golden
+            .iter()
+            .filter_map(|(r, ..)| r.expand(0).cause)
+            .collect();
+        assert_eq!(kinds.len(), KINDS.len(), "every kind is pinned");
+        assert_eq!(causes.len(), CAUSES.len(), "every cause is pinned");
+    }
+
     #[test]
     fn jsonl_round_trip_preserves_every_field() {
         let ev = full_event(10);
-        let line = ev.to_event().to_json();
-        let back = TraceEvent::parse_line(&line).expect("parses");
+        let back = TraceEvent::parse_line(&jsonl(&ev)).expect("parses");
         assert_eq!(back, ev);
     }
 
@@ -982,7 +1237,7 @@ mod tests {
         let ev = TraceRecord::at(0.0, TraceKind::SnapshotNet)
             .value(1.5e9)
             .expand(1);
-        let back = TraceEvent::parse_line(&ev.to_event().to_json()).expect("parses");
+        let back = TraceEvent::parse_line(&jsonl(&ev)).expect("parses");
         assert_eq!(back, ev);
         assert_eq!(back.frame, None);
         assert_eq!(back.cause, None);
@@ -1002,10 +1257,12 @@ mod tests {
 
     #[test]
     fn timestamps_are_sim_time_not_wall_time() {
-        let ev = TraceRecord::at(3.25, TraceKind::Sensed).expand(1);
-        let wrapped = ev.to_event();
-        assert_eq!(wrapped.unix_ms, 3250, "ts_ms must be sim-time ms");
-        assert!(wrapped.name.starts_with(EVENT_PREFIX));
+        let line = jsonl(&TraceRecord::at(3.25, TraceKind::Sensed).expand(1));
+        let doc = json::parse(&line).expect("one JSON document");
+        let ts_ms = doc.get("ts_ms").and_then(Json::as_u64);
+        assert_eq!(ts_ms, Some(3250), "ts_ms must be sim-time ms");
+        let name = doc.get("name").and_then(Json::as_str);
+        assert!(name.is_some_and(|n| n.starts_with(EVENT_PREFIX)));
     }
 
     #[test]
@@ -1014,8 +1271,8 @@ mod tests {
         assert_eq!(TraceEvent::parse_line(other), None);
         assert_eq!(TraceEvent::parse_line("not json at all"), None);
         assert_eq!(TraceEvent::parse_line(""), None);
-        let ev = full_event(3);
-        let line = ev.to_event().to_json();
+        let line = jsonl(&full_event(3));
+        let line = line.trim_end();
         let bad_frame = line.replace("\"frame\":42", "\"frame\":-42");
         assert_eq!(TraceEvent::parse_line(&bad_frame), None);
         assert_eq!(TraceEvent::parse_line(&line[..line.len() - 1]), None);
@@ -1023,9 +1280,8 @@ mod tests {
 
     #[test]
     fn log_parse_skips_a_deeply_nested_line() {
-        let ev = full_event(1);
-        let line = ev.to_event().to_json();
-        let text = format!("{line}\n{}\n{line}\n", "[".repeat(1_000_000));
+        let line = jsonl(&full_event(1));
+        let text = format!("{line}{}\n{line}", "[".repeat(1_000_000));
         assert_eq!(TraceLog::parse(&text).len(), 2);
     }
 
@@ -1043,9 +1299,9 @@ mod tests {
     }
 
     #[test]
-    fn recorder_streams_every_event_to_its_sink() {
-        let sink = Arc::new(MemorySink::new());
-        let rec = Recorder::with_sink(1, sink.clone());
+    fn recorder_writes_every_event_to_its_log() {
+        let path = temp_log("every_event");
+        let rec = Recorder::to_file(1, &path).expect("create log");
         rec.record(TraceRecord::at(0.0, TraceKind::Sensed).frame(1));
         rec.record(
             TraceRecord::at(1.0, TraceKind::Shed)
@@ -1053,11 +1309,52 @@ mod tests {
                 .cause(TraceCause::Backlog),
         );
         assert_eq!(rec.len(), 1, "ring wrapped");
-        let streamed = sink.events();
-        assert_eq!(streamed.len(), 2, "the sink sees the full log");
-        let back = TraceEvent::parse_line(&streamed[1].to_json()).expect("trace event");
-        assert_eq!(back.kind, TraceKind::Shed);
-        assert_eq!(back.cause, Some(TraceCause::Backlog));
+        rec.flush().expect("flush log");
+        let log = TraceLog::read_path(&path).expect("read log");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(log.len(), 2, "the log holds every event");
+        assert_eq!(log.events[1].kind, TraceKind::Shed);
+        assert_eq!(log.events[1].cause, Some(TraceCause::Backlog));
+    }
+
+    /// A batch exactly the ring's size takes the pointer-swap path; the
+    /// log must still get all of it, numbered on from `last_seq()`.
+    #[test]
+    fn a_full_batch_reaches_the_log() {
+        let path = temp_log("full_batch");
+        let rec = Recorder::to_file(4, &path).expect("create log");
+        rec.record(TraceRecord::at(0.0, TraceKind::Sensed).frame(1));
+        let base = rec.last_seq();
+        let mut batch: Vec<TraceRecord> = (0..4u32)
+            .map(|i| {
+                TraceRecord::at(1.0 + f64::from(i), TraceKind::Hop)
+                    .frame(1)
+                    .parent(base + u64::from(i))
+            })
+            .collect();
+        rec.record_batch(&mut batch);
+        assert!(batch.is_empty(), "the producer's buffer comes back empty");
+        assert_eq!(rec.last_seq(), base + 4);
+        rec.flush().expect("flush log");
+        let log = TraceLog::read_path(&path).expect("read log");
+        let _ = std::fs::remove_file(&path);
+        let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5], "every record is logged");
+        assert_eq!(log.events[1..], rec.events()[..], "log and ring agree");
+    }
+
+    /// A log that cannot be written is an error at `flush`, not a
+    /// silently short file; the ring keeps recording.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_log_write_is_reported_at_flush() {
+        let rec = Recorder::to_file(8, Path::new("/dev/full")).expect("open /dev/full");
+        // More than one buffer's worth, so the writer hits the device.
+        for i in 0..1000 {
+            rec.record(TraceRecord::at(f64::from(i), TraceKind::Sensed).frame(1));
+        }
+        assert_eq!(rec.last_seq(), 1000);
+        assert!(rec.flush().is_err(), "the full device must surface");
     }
 
     #[test]
@@ -1121,12 +1418,8 @@ mod tests {
                 .value(2.5),
         );
 
-        let lines: Vec<String> = rec
-            .events()
-            .iter()
-            .map(|e| e.to_event().to_json())
-            .collect();
-        let log = TraceLog::parse(&lines.join("\n"));
+        let text: String = rec.events().iter().map(jsonl).collect();
+        let log = TraceLog::parse(&text);
         assert_eq!(log.len(), 9, "every record survives the JSONL round trip");
         for frame in [100, 101, 102] {
             assert!(
@@ -1269,11 +1562,7 @@ mod tests {
                 .cause(TraceCause::RetriesExhausted)
                 .parent(s),
         );
-        let text: String = rec
-            .events()
-            .iter()
-            .map(|e| format!("{}\n", e.to_event().to_json()))
-            .collect();
+        let text: String = rec.events().iter().map(jsonl).collect();
         let log = TraceLog::parse(&text);
         assert_eq!(log.events, rec.events());
         assert!(log.is_complete(7));

@@ -57,14 +57,11 @@ fn recorded(
 /// equality here is the byte equality the `repro sim --record` double
 /// runs in `crates/bench/tests/gates.rs` check.
 fn to_jsonl(events: &[telemetry::trace::TraceEvent]) -> String {
-    events
-        .iter()
-        .map(|e| {
-            let mut line = e.to_event().to_json();
-            line.push('\n');
-            line
-        })
-        .collect()
+    let mut out = Vec::new();
+    for e in events {
+        e.write_jsonl(&mut out).expect("a Vec takes every write");
+    }
+    String::from_utf8(out).expect("JSONL is UTF-8")
 }
 
 /// Recording off: the simulation is the pre-recorder simulation, field
