@@ -171,11 +171,5 @@ pub fn exec(cli: &Cli) -> ExitCode {
             ("failed".to_string(), failed.into()),
         ],
     );
-    telemetry::flush();
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    super::exit_status(cli, failed)
 }

@@ -135,11 +135,5 @@ pub fn exec(cli: &Cli) -> ExitCode {
             ),
         ],
     );
-    telemetry::flush();
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    super::exit_status(cli, failed)
 }

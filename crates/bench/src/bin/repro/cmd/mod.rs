@@ -9,6 +9,7 @@ pub mod sim;
 pub mod trace;
 
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use sudc::sim::{try_run_recorded, try_run_threads, PolicyKind, SimConfig, SimReport, SimTopology};
@@ -206,6 +207,25 @@ pub fn install_telemetry(cli: &Cli) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Flushes the telemetry sinks and gives the run's exit status. A
+/// `--jsonl` log that could not be written fails the run, naming the
+/// path, as an unwritable `--record` log does.
+pub fn exit_status(cli: &Cli, failed: bool) -> ExitCode {
+    let flushed = telemetry::flush();
+    if let Err(e) = &flushed {
+        let log = cli.jsonl.as_deref().map_or_else(
+            || "the telemetry log".to_string(),
+            |p| p.display().to_string(),
+        );
+        eprintln!("error: cannot write {log}: {e}");
+    }
+    if failed || flushed.is_err() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }
 
 /// Writes one result's txt/csv/json artifact triplet into `dir`,

@@ -92,13 +92,7 @@ pub fn exec(cli: &Cli) -> ExitCode {
             ("failed".to_string(), (!ok).into()),
         ],
     );
-    telemetry::flush();
-
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    super::exit_status(cli, !ok)
 }
 
 /// Writes the run manifest and the per-tenant SLO artifact; returns

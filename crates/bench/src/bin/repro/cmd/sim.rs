@@ -142,13 +142,7 @@ pub fn exec(cli: &Cli) -> ExitCode {
             ("failed".to_string(), failed.into()),
         ],
     );
-    telemetry::flush();
-
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    super::exit_status(cli, failed)
 }
 
 /// Builds the baseline-vs-faulted comparison artifact

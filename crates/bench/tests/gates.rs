@@ -240,6 +240,36 @@ fn quiet_lint_prints_findings_only() {
     assert_eq!(repro(&["lint"]), "");
 }
 
+/// A `--jsonl` event log that cannot be written fails the run, naming
+/// the path, as an unwritable `--record` flight log does; the same run
+/// with a writable log succeeds.
+#[cfg(target_os = "linux")]
+#[test]
+fn unwritable_jsonl_logs_fail_the_run() {
+    let dir = scratch("jsonl_full");
+    let out_dir = dir.to_str().expect("UTF-8 scratch path");
+    let run = |log: &str| {
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--trace", "--jsonl", log, "--out-dir", out_dir])
+            .args(["simval", "placement"])
+            .output()
+            .expect("repro starts")
+    };
+    let full = run("/dev/full");
+    let stderr = String::from_utf8_lossy(&full.stderr);
+    assert_eq!(full.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: cannot write /dev/full"), "{stderr}");
+    let log = dir.join("events.jsonl");
+    let ok = run(log.to_str().expect("UTF-8 scratch path"));
+    assert!(
+        ok.status.success(),
+        "{}",
+        String::from_utf8_lossy(&ok.stderr)
+    );
+    let events = fs::read_to_string(&log).expect("the log was written");
+    assert!(events.contains("\"span_end\""), "{events}");
+}
+
 /// Names listed in `repro <command> list` output under `header`: the
 /// first word of each indented line up to the next unindented one,
 /// skipping `--axis` help lines.

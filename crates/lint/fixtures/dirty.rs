@@ -217,3 +217,9 @@ pub fn worker_salt(seed: u64) -> u64 {
     let id: ThreadId = thread::current().id(); //~ shared-state-across-shards
     seed ^ format!("{id:?}").len() as u64
 }
+
+pub fn negated(x: f64) -> bool {
+    x == -0.5 //~ float-eq
+        || x == - 1.0 //~ float-eq
+        || x == -f64::INFINITY //~ float-eq
+}

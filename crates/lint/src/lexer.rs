@@ -120,19 +120,18 @@ fn is_ident_continue(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_' || b >= 0x80
 }
 
-/// Tokenizes Rust source. Unterminated literals and comments are
-/// tolerated (the token simply runs to end of input), so the lexer
-/// never fails — important because it runs over work-in-progress trees.
-/// Only the first [`MAX_SOURCE_BYTES`] bytes, cut back to a char
-/// boundary, are lexed.
-pub fn tokenize(src: &str) -> Vec<Tok> {
+/// Tokenizes Rust source, handing each token to `push` in source order.
+/// Unterminated literals and comments are tolerated (the token simply
+/// runs to end of input), so the lexer never fails — important because
+/// it runs over work-in-progress trees. Only the first
+/// [`MAX_SOURCE_BYTES`] bytes, cut back to a char boundary, are lexed.
+pub fn tokenize(src: &str, mut push: impl FnMut(Tok)) {
     let mut c = Cursor {
         src: &src.as_bytes()[..lexable_len(src)],
         pos: 0,
         line: 1,
         col: 1,
     };
-    let mut toks = Vec::new();
     while let Some(b) = c.peek() {
         let (line, col, start) = (c.line, c.col, c.pos);
         // Offsets fit in `u32`: the cursor stops at `MAX_SOURCE_BYTES`.
@@ -149,7 +148,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
             }
             b'/' if c.peek_at(1) == Some(b'/') => {
                 c.eat_while(|b| b != b'\n');
-                toks.push(tok(&c, TokKind::LineComment));
+                push(tok(&c, TokKind::LineComment));
             }
             b'/' if c.peek_at(1) == Some(b'*') => {
                 c.bump();
@@ -173,30 +172,30 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                         (None, _) => break,
                     }
                 }
-                toks.push(tok(&c, TokKind::BlockComment));
+                push(tok(&c, TokKind::BlockComment));
             }
             b'"' => {
                 lex_string(&mut c);
-                toks.push(tok(&c, TokKind::Str));
+                push(tok(&c, TokKind::Str));
             }
             b'r' | b'b' if starts_raw_or_byte_literal(&c) => {
                 let kind = lex_prefixed_literal(&mut c);
-                toks.push(tok(&c, kind));
+                push(tok(&c, kind));
             }
             b'\'' => {
                 if lex_char_or_lifetime(&mut c) {
-                    toks.push(tok(&c, TokKind::Char));
+                    push(tok(&c, TokKind::Char));
                 } else {
-                    toks.push(tok(&c, TokKind::Lifetime));
+                    push(tok(&c, TokKind::Lifetime));
                 }
             }
             b if is_ident_start(b) => {
                 c.eat_while(is_ident_continue);
-                toks.push(tok(&c, TokKind::Ident));
+                push(tok(&c, TokKind::Ident));
             }
             b if b.is_ascii_digit() => {
                 let kind = lex_number(&mut c);
-                toks.push(tok(&c, kind));
+                push(tok(&c, kind));
             }
             _ => {
                 c.bump();
@@ -214,11 +213,10 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     }
                     _ => {}
                 }
-                toks.push(tok(&c, TokKind::Punct));
+                push(tok(&c, TokKind::Punct));
             }
         }
     }
-    toks
 }
 
 /// The length of the prefix of `src` the lexer reads: all of it, or
@@ -409,8 +407,14 @@ fn lex_number(c: &mut Cursor) -> TokKind {
 mod tests {
     use super::*;
 
+    fn tokens(src: &str) -> Vec<Tok> {
+        let mut toks = Vec::new();
+        tokenize(src, |t| toks.push(t));
+        toks
+    }
+
     fn kinds(src: &str) -> Vec<(TokKind, String)> {
-        tokenize(src)
+        tokens(src)
             .into_iter()
             .map(|t| (t.kind, t.text(src).to_string()))
             .collect()
@@ -518,7 +522,7 @@ mod tests {
 
     #[test]
     fn positions_are_one_based_lines_and_cols() {
-        let toks = tokenize("a\n  b == 1.5");
+        let toks = tokens("a\n  b == 1.5");
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
         assert_eq!((toks[2].line, toks[2].col), (2, 5));
@@ -543,7 +547,7 @@ mod tests {
     fn non_ascii_columns_count_chars_and_spans_count_bytes() {
         // `é` is 2 bytes, `→` 3, `🛰` 4.
         let src = "let é = \"→\"; // 🛰 up\n  naïve == 1.5";
-        let toks = tokenize(src);
+        let toks = tokens(src);
         let got: Vec<(&str, u32, u32, u32, u32)> = toks
             .iter()
             .map(|t| (t.text(src), t.line, t.col, t.pos, t.len))
@@ -588,7 +592,7 @@ mod tests {
 
     #[test]
     fn a_span_outside_the_source_reads_empty() {
-        let t = tokenize("abc")[0];
+        let t = tokens("abc")[0];
         assert_eq!(t.text("abc"), "abc");
         assert_eq!(t.text("ab"), "", "short source");
         assert_eq!(t.text("é"), "", "not a char boundary");

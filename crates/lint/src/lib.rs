@@ -10,7 +10,8 @@
 //! and recorder code, ad-hoc RNG streams and stream labels, float `==`,
 //! stray `unwrap()`/`expect()`/panicking macros in library paths,
 //! leftover to-do markers, and shared statics or thread identity in the
-//! code shard workers run).
+//! code shard workers run). All nine rules run in one walk over a
+//! file's code tokens and one over its comments.
 //!
 //! The verdict is one rule: any finding fails. The only way to let one
 //! through is an inline `// lint:allow(rule-id) reason` on or above its
@@ -45,6 +46,7 @@ pub mod rules;
 pub mod source;
 
 pub use baseline::Baseline;
+use rules::check_file;
 pub use rules::{rule_by_id, RuleInfo, RULES};
 pub use source::SourceFile;
 
@@ -94,18 +96,6 @@ impl Diagnostic {
 pub fn lint_source(rel_path: &str, src: &str, only: Option<&str>) -> Vec<Diagnostic> {
     let mut out = check_file(&SourceFile::parse(rel_path, src), only);
     sort_diagnostics(&mut out);
-    out
-}
-
-/// Runs every rule (or only `only`) over one file, in registry order.
-fn check_file(file: &SourceFile, only: Option<&str>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for rule in RULES {
-        if only.is_some_and(|id| id != rule.id) {
-            continue;
-        }
-        rule.check(file, &mut out);
-    }
     out
 }
 
@@ -216,7 +206,7 @@ impl LintRun {
             files: 1,
             lines: file.line_count() as u64,
             code_lines: src_code_lines(file),
-            tokens: file.tokens.len() as u64,
+            tokens: (file.code().len() + file.comments().len()) as u64,
             diagnostics: check_file(file, only),
         }
     }
@@ -563,7 +553,8 @@ mod tests {
             let mut lexical = lexical_pass(&ws, None);
             sort_diagnostics(&mut lexical);
             assert_eq!(run.diagnostics, lexical, "{}", root.display());
-            let tokens: u64 = ws.files.iter().map(|f| f.tokens.len() as u64).sum();
+            let tokens = ws.files.iter().map(|f| f.code().len() + f.comments().len());
+            let tokens = tokens.sum::<usize>() as u64;
             assert_eq!(
                 (run.files, run.lines, run.code_lines, run.tokens),
                 (ws.files.len(), ws.lines, ws.code_lines, tokens),

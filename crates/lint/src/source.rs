@@ -29,7 +29,9 @@ pub struct Allow {
 /// A lexed source file plus the derived facts rules need.
 ///
 /// The file owns its source text once; tokens are spans into it, read
-/// back through [`SourceFile::text`] and [`SourceFile::code_text`].
+/// back through [`SourceFile::text`] and [`SourceFile::bytes`]. The
+/// lexer splits them into code and comments, each contiguous and in
+/// source order, so the rules' walk reads a code token with one load.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
@@ -40,10 +42,10 @@ pub struct SourceFile {
     /// `line_starts[n - 1]`); one entry past the last line when the
     /// source ends in a newline.
     line_starts: Vec<u32>,
-    /// All tokens, comments included.
-    pub tokens: Vec<Tok>,
-    /// Indices into `tokens` of the non-comment tokens.
-    pub code: Vec<usize>,
+    /// The non-comment tokens.
+    code: Vec<Tok>,
+    /// The comment tokens.
+    comments: Vec<Tok>,
     /// Inclusive 1-based line ranges of `#[test]` / `#[cfg(test)]`
     /// items.
     test_ranges: Vec<(u32, u32)>,
@@ -63,21 +65,22 @@ impl SourceFile {
     /// files instead).
     pub(crate) fn from_string(path: &str, mut src: String) -> SourceFile {
         src.truncate(lexable_len(&src));
-        let tokens = tokenize(&src);
-        let code: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !t.is_comment())
-            .map(|(i, _)| i)
-            .collect();
-        let test_ranges = test_ranges(&src, &tokens, &code);
-        let allows = parse_allows(&src, &tokens, &code);
+        let (mut code, mut comments) = (Vec::new(), Vec::new());
+        tokenize(&src, |t| {
+            if t.is_comment() {
+                comments.push(t);
+            } else {
+                code.push(t);
+            }
+        });
+        let test_ranges = test_ranges(&src, &code);
+        let allows = parse_allows(&src, &code, &comments);
         SourceFile {
             path: path.to_string(),
             line_starts: line_starts(&src),
             src,
-            tokens,
             code,
+            comments,
             test_ranges,
             allows,
         }
@@ -93,10 +96,21 @@ impl SourceFile {
         tok.text(&self.src)
     }
 
-    /// The text of the code token at `self.code[i]` (empty when out of
-    /// range).
-    pub fn code_text(&self, i: usize) -> &str {
-        self.code_tok(i).map_or("", |t| self.text(t))
+    /// The bytes of a token of this file, without [`SourceFile::text`]'s
+    /// char-boundary checks (empty when the span does not lie in the
+    /// source).
+    pub fn bytes(&self, tok: &Tok) -> &[u8] {
+        self.src.as_bytes().get(tok.span()).unwrap_or_default()
+    }
+
+    /// The non-comment tokens, in source order.
+    pub fn code(&self) -> &[Tok] {
+        &self.code
+    }
+
+    /// The comment tokens, in source order.
+    pub fn comments(&self) -> &[Tok] {
+        &self.comments
     }
 
     /// Number of source lines, counted as [`str::lines`] counts them.
@@ -158,11 +172,6 @@ impl SourceFile {
             None => &self.src[start..],
         }
     }
-
-    /// The code token at `self.code[i]`, if in range.
-    pub fn code_tok(&self, i: usize) -> Option<&Tok> {
-        self.code.get(i).map(|&idx| &self.tokens[idx])
-    }
 }
 
 /// Byte offsets at which each line of `src` starts: 0, then one past
@@ -186,12 +195,11 @@ fn is_test_attr(attr_idents: &[&str]) -> bool {
 }
 
 /// Finds the inclusive line ranges covered by test-gated items.
-fn test_ranges(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<(u32, u32)> {
+fn test_ranges(src: &str, code: &[Tok]) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
-    let tok = |i: usize| -> &Tok { &tokens[code[i]] };
     let is_punct = |i: usize, s: &str| {
         code.get(i)
-            .is_some_and(|&idx| tokens[idx].kind == TokKind::Punct && tokens[idx].text(src) == s)
+            .is_some_and(|t| t.kind == TokKind::Punct && t.text(src) == s)
     };
     let mut i = 0usize;
     while i < code.len() {
@@ -199,13 +207,13 @@ fn test_ranges(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<(u32, u32)> {
             i += 1;
             continue;
         }
-        let attr_start_line = tok(i).line;
+        let attr_start_line = code[i].line;
         // Collect idents until the matching `]`.
         let mut depth = 0i32;
         let mut j = i + 1;
         let mut idents: Vec<&str> = Vec::new();
         while j < code.len() {
-            match (&tok(j).kind, tok(j).text(src)) {
+            match (&code[j].kind, code[j].text(src)) {
                 (TokKind::Punct, "[") => depth += 1,
                 (TokKind::Punct, "]") => {
                     depth -= 1;
@@ -245,7 +253,7 @@ fn test_ranges(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<(u32, u32)> {
         let mut nest = 0i32;
         let mut end_line = attr_start_line;
         while k < code.len() {
-            let t = tok(k);
+            let t = &code[k];
             if t.kind == TokKind::Punct {
                 match t.text(src) {
                     "(" | "[" => nest += 1,
@@ -256,7 +264,7 @@ fn test_ranges(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<(u32, u32)> {
                             // Consume to the matching close brace.
                             k += 1;
                             while k < code.len() && nest > 0 {
-                                let t = tok(k);
+                                let t = &code[k];
                                 if t.kind == TokKind::Punct {
                                     match t.text(src) {
                                         "{" => nest += 1,
@@ -293,13 +301,10 @@ fn test_ranges(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<(u32, u32)> {
 /// first following code line, skipping attribute lines so the
 /// suppression lands on the decorated item; a comment *trailing* code
 /// binds to that line only.
-fn parse_allows(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<Allow> {
+fn parse_allows(src: &str, code: &[Tok], comments: &[Tok]) -> Vec<Allow> {
     const MARKER: &str = "lint:allow(";
     let mut allows = Vec::new();
-    for (ti, t) in tokens.iter().enumerate() {
-        if !t.is_comment() {
-            continue;
-        }
+    for t in comments {
         let text = t.text(src);
         let Some(start) = text.find(MARKER) else {
             continue;
@@ -322,15 +327,12 @@ fn parse_allows(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<Allow> {
         if rules.is_empty() || reason.is_empty() {
             continue;
         }
-        // Tokens are in source order, so the ones starting on this
-        // line sit directly before the comment.
-        let leading = tokens[..ti]
-            .iter()
-            .rev()
-            .take_while(|p| p.line == t.line)
-            .all(Tok::is_comment);
+        // The comment leads its line when no code token starts on that
+        // line before it.
+        let next = code.partition_point(|c| c.pos < t.pos);
+        let leading = next == 0 || code[next - 1].line != t.line;
         let target = if leading {
-            allow_target(src, tokens, code, t.pos)
+            allow_target(src, code, next)
         } else {
             None
         };
@@ -344,16 +346,15 @@ fn parse_allows(src: &str, tokens: &[Tok], code: &[usize]) -> Vec<Allow> {
     allows
 }
 
-/// The line a line-leading `lint:allow` comment at byte `pos` binds to:
-/// the first following code token's line, skipping whole attribute
-/// spans (`#[...]` / `#![...]`) so the suppression applies to the
-/// decorated item rather than its attributes.
-fn allow_target(src: &str, tokens: &[Tok], code: &[usize], pos: u32) -> Option<u32> {
+/// The line a line-leading `lint:allow` comment binds to, given the
+/// index of the first code token after it: that token's line, skipping
+/// whole attribute spans (`#[...]` / `#![...]`) so the suppression
+/// applies to the decorated item rather than its attributes.
+fn allow_target(src: &str, code: &[Tok], mut c: usize) -> Option<u32> {
     let is = |c: usize, s: &str| {
         code.get(c)
-            .is_some_and(|&idx| tokens[idx].kind == TokKind::Punct && tokens[idx].text(src) == s)
+            .is_some_and(|t| t.kind == TokKind::Punct && t.text(src) == s)
     };
-    let mut c = code.partition_point(|&idx| tokens[idx].pos < pos);
     loop {
         let hash = c;
         let open = if is(hash, "#") && is(hash + 1, "[") {
@@ -361,7 +362,7 @@ fn allow_target(src: &str, tokens: &[Tok], code: &[usize], pos: u32) -> Option<u
         } else if is(hash, "#") && is(hash + 1, "!") && is(hash + 2, "[") {
             hash + 2
         } else {
-            return code.get(c).map(|&idx| tokens[idx].line);
+            return code.get(c).map(|t| t.line);
         };
         let mut depth = 0i32;
         c = open;

@@ -326,11 +326,16 @@ pub fn dispatch(event: &Event) {
 
 /// Flushes every installed sink (call before process exit so buffered
 /// JSONL output reaches disk).
-pub fn flush() {
+///
+/// # Errors
+///
+/// Returns the first sink's error, after flushing every sink.
+pub fn flush() -> std::io::Result<()> {
     let guard = sinks().read().unwrap_or_else(|e| e.into_inner());
-    for sink in guard.iter() {
-        sink.flush();
-    }
+    guard
+        .iter()
+        .map(|sink| sink.flush())
+        .fold(Ok(()), Result::and)
 }
 
 /// Emits a point-in-time event.

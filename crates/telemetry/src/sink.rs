@@ -18,7 +18,13 @@ pub trait Sink: Send + Sync {
     fn emit(&self, event: &Event);
 
     /// Flushes buffered output; called by [`crate::flush`].
-    fn flush(&self) {}
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error the sink met writing, or the flush's own.
+    fn flush(&self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Pretty-prints events to stderr, one line each, with its own minimum
@@ -48,9 +54,31 @@ impl Sink for StderrSink {
 ///
 /// The schema per line is
 /// `{"ts_ms":…,"level":…,"kind":…,"name":…,"elapsed_ns":…,"fields":{…}}`;
-/// see [`Event::to_json`].
+/// see [`Event::to_json`]. The first failed write stops the log, and
+/// every later [`Sink::flush`] returns that error.
 pub struct JsonlSink {
-    writer: Mutex<BufWriter<File>>,
+    log: Mutex<JsonlLog>,
+}
+
+/// A JSON Lines file and the first error writing it met.
+struct JsonlLog {
+    /// `None` once a write failed: a log with a hole in it is no log.
+    writer: Option<BufWriter<File>>,
+    error: Option<io::Error>,
+}
+
+impl JsonlLog {
+    /// Runs `op` on the file unless an earlier write failed, keeping the
+    /// first error.
+    fn write(&mut self, op: impl FnOnce(&mut BufWriter<File>) -> io::Result<()>) {
+        let Some(writer) = &mut self.writer else {
+            return;
+        };
+        if let Err(e) = op(writer) {
+            self.writer = None;
+            self.error = Some(e);
+        }
+    }
 }
 
 impl JsonlSink {
@@ -62,29 +90,40 @@ impl JsonlSink {
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let file = File::create(path)?;
         Ok(Self {
-            writer: Mutex::new(BufWriter::new(file)),
+            log: Mutex::new(JsonlLog {
+                writer: Some(BufWriter::new(file)),
+                error: None,
+            }),
         })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, JsonlLog> {
+        // Every update leaves the log valid, so a poisoned lock is
+        // still usable.
+        self.log.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl Sink for JsonlSink {
     fn emit(&self, event: &Event) {
-        let mut writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(writer, "{}", event.to_json());
+        self.lock().write(|w| writeln!(w, "{}", event.to_json()));
     }
 
-    fn flush(&self) {
-        let _ = self
-            .writer
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .flush();
+    fn flush(&self) -> io::Result<()> {
+        let mut log = self.lock();
+        log.write(Write::flush);
+        match &log.error {
+            Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
     }
 }
 
 impl Drop for JsonlSink {
+    /// Flushes what is buffered; a failure here is lost, so call
+    /// [`Sink::flush`] first to see it.
     fn drop(&mut self) {
-        Sink::flush(self);
+        let _ = Sink::flush(self);
     }
 }
 
@@ -176,7 +215,7 @@ mod tests {
             let sink = JsonlSink::create(&path).expect("create jsonl file");
             sink.emit(&event("one", Level::Info));
             sink.emit(&event("two", Level::Debug));
-            Sink::flush(&sink);
+            Sink::flush(&sink).expect("the log flushes");
         }
         let text = std::fs::read_to_string(&path).expect("read back");
         let lines: Vec<&str> = text.lines().collect();
@@ -189,6 +228,25 @@ mod tests {
             assert_eq!(k.and_then(Json::as_u64), Some(1));
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A log that cannot be written is an error at every flush, not a
+    /// silent loss.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_jsonl_write_is_reported_at_flush() {
+        let sink = JsonlSink::create("/dev/full").expect("/dev/full opens");
+        // More than the buffer holds, so a write itself fails.
+        for _ in 0..200 {
+            sink.emit(&event("one", Level::Info));
+        }
+        for _ in 0..2 {
+            let err = Sink::flush(&sink).expect_err("/dev/full takes no bytes");
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{err}");
+        }
+        let unflushed = JsonlSink::create("/dev/full").expect("/dev/full opens");
+        unflushed.emit(&event("one", Level::Info));
+        assert!(Sink::flush(&unflushed).is_err(), "the flush's own error");
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! violating line. This harness lints each fixture (under a synthetic
 //! `crates/core/src/...` path so every path-scoped rule applies) and
 //! requires the diagnostic set to match the markers exactly — no
-//! misses, no extras. For `dirty.rs` it also pins every diagnostic's
-//! column, message and snippet against the `dirty.diagnostics` golden
-//! file next to it, so a token span that drifts inside a line cannot
-//! pass. Every `lint:allow` in the workspace must name a registered
+//! misses, no extras. For `dirty.rs` and the boundary cases of
+//! `edges.rs` it also pins every diagnostic's column, message and
+//! snippet against the `.diagnostics` golden file next to it, so a
+//! token span that drifts inside a line cannot pass. Every `lint:allow` in the workspace must name a registered
 //! rule, so deleting a rule cannot leave stale suppressions behind.
 
 use std::collections::BTreeSet;
@@ -104,6 +104,64 @@ fn dirty_fixture_matches_golden_markers_exactly() {
     );
 }
 
+/// The boundary fixture: a pattern in a file's first tokens, columns
+/// after non-ASCII text, patterns inside nested block comments and raw
+/// strings, and near-miss markers fire exactly as marked, at the pinned
+/// columns. A pattern cut off by the end of the file (`Instant::` with
+/// no member, `.stream(` with no close paren, a final `static`) adds no
+/// finding and disturbs none before it.
+#[test]
+fn edge_fixture_matches_golden_markers_exactly() {
+    let (path, src) = fixture("edges.rs");
+    assert_eq!(actual(&path, &src), expected_markers(&src));
+    let diags = lint_source(&path, &src, None);
+    assert_golden("edges.diagnostics", &diags);
+    assert!(
+        src.trim_end().ends_with("static"),
+        "the fixture ends in `static`"
+    );
+    for tail in ["Instant::", "rng.stream(", "static"] {
+        let cut = format!("{src}{tail}");
+        assert_eq!(lint_source(&path, &cut, None), diags, "tail `{tail}`");
+    }
+}
+
+/// `repro lint --rule <id>` scans with `only`: for every rule, its
+/// findings must be exactly the full scan's findings of that rule, on
+/// every fixture and every workspace file.
+#[test]
+fn rule_filter_agrees_with_the_full_scan() {
+    let mut sources: Vec<(String, String)> = ["clean.rs", "dirty.rs", "suppressed.rs", "edges.rs"]
+        .into_iter()
+        .map(fixture)
+        .collect();
+    let ws = Workspace::load(&workspace_root()).expect("workspace loads");
+    sources.extend(
+        ws.files
+            .iter()
+            .map(|f| (f.path.clone(), f.src().to_string())),
+    );
+    let mut compared = 0;
+    for (path, src) in &sources {
+        let all = lint_source(path, src, None);
+        for rule in RULES {
+            let want: Vec<&Diagnostic> = all.iter().filter(|d| d.rule == rule.id).collect();
+            let got = lint_source(path, src, Some(rule.id));
+            assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                want,
+                "{path}: --rule {}",
+                rule.id
+            );
+            compared += got.len();
+        }
+    }
+    assert!(
+        compared > 0,
+        "no finding compared; the check would pass vacuously"
+    );
+}
+
 /// An unordered float merge outside the sim crates is flagged where its
 /// hash collection is declared: a parameter folded by `.values().sum()`,
 /// a local folded by a `for` loop, and a struct field, and nothing else
@@ -161,8 +219,10 @@ fn token_spans_partition_every_workspace_file() {
     let (ws, sources) = workspace_with_sources();
     for (file, src) in ws.files.iter().zip(&sources) {
         assert_eq!(file.src(), src, "{}: held source differs", file.path);
+        let mut tokens: Vec<_> = file.code().iter().chain(file.comments()).collect();
+        tokens.sort_by_key(|t| t.pos);
         let mut prev_end = 0usize;
-        for tok in &file.tokens {
+        for tok in tokens {
             let span = tok.span();
             assert!(
                 span.start >= prev_end,

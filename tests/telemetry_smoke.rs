@@ -28,7 +28,7 @@ fn experiment_run_emits_spans_and_a_complete_manifest() {
     let mut manifest = RunManifest::new("smoke", sudc::sim::PAPER_SEED);
     let result = sudc::experiments::run("placement").expect("known experiment id");
     manifest.record_experiment(&result.id);
-    telemetry::flush();
+    telemetry::flush().expect("the JSONL log flushes");
     telemetry::reset();
 
     // The experiment produced real rows and its span closed with timing.
