@@ -16,17 +16,7 @@ fn print_sweep_list() {
     for def in sudc::sweeps::all() {
         println!("  {:10}  {}", def.name, def.title);
         for axis in &def.axes {
-            let default: Vec<String> = axis
-                .default
-                .iter()
-                .map(|&v| {
-                    if axis.integer {
-                        format!("{}", v as i64)
-                    } else {
-                        format!("{v}")
-                    }
-                })
-                .collect();
+            let default: Vec<String> = axis.default.iter().map(f64::to_string).collect();
             println!(
                 "              --axis {}=…  {} (default {})",
                 axis.name,

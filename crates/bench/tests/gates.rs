@@ -270,6 +270,30 @@ fn unwritable_jsonl_logs_fail_the_run() {
     assert!(events.contains("\"span_end\""), "{events}");
 }
 
+/// An axis value outside its domain is an error naming the axis, not a
+/// panic: the runner refuses `res=0` before the frame model's
+/// positive-resolution assert can see it.
+#[test]
+fn out_of_domain_axis_values_fail_cleanly() {
+    let dir = scratch("bad_axis");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([
+            "--quiet",
+            "explore",
+            "sizing",
+            "--axis",
+            "res=0",
+            "--out-dir",
+        ])
+        .arg(&dir)
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("axis 'res'"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Names listed in `repro <command> list` output under `header`: the
 /// first word of each indented line up to the next unindented one,
 /// skipping `--axis` help lines.

@@ -323,19 +323,14 @@ pub fn fig11() -> ExperimentResult {
 /// Fig. 13: k-list × splitting normalised capacity and power.
 pub fn fig13() -> ExperimentResult {
     let (ks, splits) = crate::codesign::paper_fig13_axes();
+    let codesign = crate::sweeps::codesign();
     let mut r = ExperimentResult::new(
         "fig13",
         "Aggregate ISL capacity and transmit power vs k-list and splitting, normalised to an unsplit ring (Fig. 13)",
-        &["k", "split", "capacity (×ring)", "power (×ring)", "capacity/power"],
+        codesign.columns,
     );
     for p in crate::codesign::fig13_sweep(&ks, &splits) {
-        r.push_row([
-            p.k.to_string(),
-            p.split.to_string(),
-            trim_float(p.capacity_norm),
-            trim_float(p.power_norm),
-            format!("{:.3}", p.capacity_per_power),
-        ]);
+        r.push_row((codesign.row)(&p));
     }
     r.note("frame-spaced constellation; optical power ∝ distance² (Sec. 8)");
     r

@@ -268,7 +268,8 @@ impl SimConfig {
                 if factor == 0 {
                     return Err(ConfigError::ZeroSplitFactor);
                 }
-                if n % (self.clusters * factor) != 0 {
+                // A unit count past `usize` cannot divide the ring either.
+                if self.clusters.checked_mul(factor).is_none_or(|u| n % u != 0) {
                     return Err(ConfigError::IndivisibleSplit {
                         satellites: n,
                         clusters: self.clusters,

@@ -1,26 +1,88 @@
 //! Named design-space sweeps for the `repro explore` CLI.
 //!
-//! Each sweep binds a parameter [`Space`] to an evaluator, a cache
-//! version tag, objectives/constraints for Pareto extraction, and the
-//! formatting that turns rows into [`ExperimentResult`] artifacts. The
-//! CLI looks sweeps up by name, applies `--axis` overrides to the
-//! numeric axes, and runs them through [`explore::sweep_cached`].
+//! Each sweep is data, a `Sweep` table entry: its axes with their
+//! domains, a cache version tag, a space over the resolved axes, a cell
+//! function, the columns and row function that render a cell, the
+//! objectives and constraints of its Pareto frontier, and a finish hook.
+//! One generic runner does the shared work for every sweep: [`run`]
+//! looks the sweep up, resolves `--axis` overrides against the defaults
+//! and checks every value against its axis's domain; the runner then
+//! builds the space, validates each DES point's [`SimConfig`] before any
+//! cell runs, evaluates the space through [`explore::sweep_cached`], and
+//! turns the cells into grid and frontier [`ExperimentResult`]s.
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 use comms::IslClass;
-use explore::{Cache, Constraint, ExecOptions, Objective, Space, SweepStats};
+use explore::{Cache, Cacheable, Constraint, Direction, ExecOptions, Objective, Space, SweepStats};
 use imagery::FrameSpec;
 use units::fmt_si::trim_float;
 use units::Length;
 use workloads::Application;
 
-use crate::bottleneck::{fig11_row, Fig11Row, Table8Cell};
-use crate::codesign::{fig13_point, paper_fig13_axes, CodesignPoint};
+use crate::bottleneck::{fig11_row, table8_cell, table8_space, Fig11Row, Table8Cell};
+use crate::codesign::{fig13_point, fig13_space, paper_fig13_axes, CodesignPoint};
 use crate::experiments::figures::{ed_label, res_label};
 use crate::experiments::ExperimentResult;
-use crate::sim::serve::{BatchPolicy, ServeConfig, TenantClass, TenantSpec};
+use crate::sim::serve::{BatchPolicy, ServeConfig, ServeReport, TenantClass, TenantSpec};
+use crate::sim::{PolicyKind, SimConfig, SimTopology};
 use crate::sizing::{sizing_point, SizingRow, SudcSpec, PAPER_CONSTELLATION};
+
+/// The values an axis accepts. Every value must also be finite.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Domain {
+    /// Even integers ≥ 2.
+    EvenFrom2,
+    /// Integers ≥ 1.
+    Count,
+    /// Values > 0.
+    Positive,
+    /// Values in [0, 1).
+    Rate,
+    /// Values in (0, 1).
+    Share,
+    /// Integer codes, each indexing one of these names.
+    Code(&'static [&'static str]),
+}
+
+impl Domain {
+    /// Whether `v` is a finite value in the domain.
+    fn contains(self, v: f64) -> bool {
+        // fract() of a non-negative v is non-negative, so `<= 0.0` is
+        // exactly the integer-valued check.
+        let int_from = |lo: f64| v >= lo && v.fract() <= 0.0;
+        v.is_finite()
+            && match self {
+                Domain::EvenFrom2 => int_from(2.0) && (v / 2.0).fract() <= 0.0,
+                Domain::Count => int_from(1.0),
+                Domain::Positive => v > 0.0,
+                Domain::Rate => (0.0..1.0).contains(&v),
+                Domain::Share => v > 0.0 && v < 1.0,
+                Domain::Code(names) => int_from(0.0) && v < names.len() as f64,
+            }
+    }
+}
+
+impl fmt::Display for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Domain::EvenFrom2 => f.write_str("even integers ≥ 2"),
+            Domain::Count => f.write_str("integers ≥ 1"),
+            Domain::Positive => f.write_str("finite values > 0"),
+            Domain::Rate => f.write_str("values in [0, 1)"),
+            Domain::Share => f.write_str("values in (0, 1)"),
+            Domain::Code(names) => {
+                let codes: Vec<String> = names
+                    .iter()
+                    .enumerate()
+                    .map(|(i, name)| format!("{i} ({name})"))
+                    .collect();
+                write!(f, "one of the codes {}", codes.join(", "))
+            }
+        }
+    }
+}
 
 /// One overridable numeric axis of a named sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,14 +91,39 @@ pub struct AxisSpec {
     pub name: &'static str,
     /// What the axis controls.
     pub help: &'static str,
-    /// Default values (integers rendered without a decimal point).
+    /// Default values.
     pub default: Vec<f64>,
-    /// Whether only integral values are accepted.
-    pub integer: bool,
+    /// The values the axis accepts.
+    pub domain: Domain,
+}
+
+fn axis(name: &'static str, help: &'static str, domain: Domain, default: Vec<f64>) -> AxisSpec {
+    AxisSpec {
+        name,
+        help,
+        default,
+        domain,
+    }
+}
+
+fn kw_axis(default: Vec<f64>) -> AxisSpec {
+    axis("kw", "SµDC compute power (kW)", Domain::Positive, default)
+}
+
+fn res_axis() -> AxisSpec {
+    let default = FrameSpec::paper_resolutions()
+        .iter()
+        .map(|r| r.as_m())
+        .collect();
+    axis("res", "spatial resolution (m)", Domain::Positive, default)
+}
+
+fn ed_axis(default: Vec<f64>) -> AxisSpec {
+    axis("ed", "early-discard rate in [0, 1)", Domain::Rate, default)
 }
 
 /// A named sweep's description (for `repro explore --list`) and the
-/// function that runs it.
+/// runner monomorphised for its `Sweep` entry.
 #[derive(Debug, Clone)]
 pub struct SweepDef {
     /// CLI name.
@@ -48,158 +135,28 @@ pub struct SweepDef {
     runner: Runner,
 }
 
-/// Runs one sweep from its def and validated axis overrides.
-type Runner =
-    fn(&SweepDef, &[(String, Vec<f64>)], &ExecOptions, Option<&Path>) -> Result<SweepRun, String>;
+/// Runs one sweep over its resolved, checked axis values.
+type Runner = fn(&[Vec<f64>], &ExecOptions, Option<&Path>) -> Result<SweepRun, String>;
 
 /// All named sweeps, in presentation order.
 pub fn all() -> Vec<SweepDef> {
-    let (ks, splits) = paper_fig13_axes();
+    fn def<P, C>(sweep: Sweep<P, C>, runner: Runner) -> SweepDef {
+        SweepDef {
+            name: sweep.name,
+            title: sweep.summary,
+            axes: sweep.axes,
+            runner,
+        }
+    }
     vec![
-        SweepDef {
-            name: "codesign",
-            title: "Fig. 13 k-list × splitting capacity/power trade",
-            axes: vec![
-                AxisSpec {
-                    name: "k",
-                    help: "ingest links per SµDC (even, ≥ 2)",
-                    default: ks.iter().map(|&k| k as f64).collect(),
-                    integer: true,
-                },
-                AxisSpec {
-                    name: "split",
-                    help: "SµDC splitting factor (≥ 1)",
-                    default: splits.iter().map(|&s| s as f64).collect(),
-                    integer: true,
-                },
-            ],
-            runner: run_codesign,
-        },
-        SweepDef {
-            name: "split",
-            title: "Sec. 8 SµDC splitting on the DES: goodput vs split factor",
-            axes: vec![
-                AxisSpec {
-                    name: "factor",
-                    help: "SµDC split factor (clusters × factor must divide the ring)",
-                    default: vec![1.0, 2.0, 4.0, 8.0],
-                    integer: true,
-                },
-                ed_axis(vec![0.0, 0.5, 0.95]),
-            ],
-            runner: run_split,
-        },
-        SweepDef {
-            name: "serve",
-            title: "User-traffic capacity frontier: rate × tenant mix × batching (DES)",
-            axes: vec![
-                AxisSpec {
-                    name: "rate",
-                    help: "total offered load (requests/s)",
-                    default: vec![250.0, 1000.0, 2000.0, 4000.0],
-                    integer: false,
-                },
-                AxisSpec {
-                    name: "premium",
-                    help: "premium share of the offered load, in (0, 1)",
-                    default: vec![0.25, 0.5, 0.75],
-                    integer: false,
-                },
-                AxisSpec {
-                    name: "policy",
-                    help: "batch policy: 0 fixed, 1 deadline, 2 adaptive",
-                    default: vec![0.0, 1.0, 2.0],
-                    integer: true,
-                },
-            ],
-            runner: run_serve,
-        },
-        SweepDef {
-            name: "sizing",
-            title: "Fig. 9-style SµDC counts (RTX 3090), all applications",
-            axes: vec![
-                kw_axis(vec![4.0]),
-                res_axis(),
-                ed_axis(FrameSpec::paper_discard_rates().to_vec()),
-            ],
-            runner: run_sizing,
-        },
-        SweepDef {
-            name: "table8",
-            title: "Table 8 ring-supportable EO satellites per ISL class",
-            axes: vec![
-                res_axis(),
-                ed_axis(FrameSpec::paper_discard_rates().to_vec()),
-            ],
-            runner: run_table8,
-        },
-        SweepDef {
-            name: "bottleneck",
-            title: "Fig. 11-style cluster counts across apps × ISLs (RTX 3090)",
-            axes: vec![
-                kw_axis(vec![4.0, 256.0]),
-                res_axis(),
-                ed_axis(FrameSpec::paper_discard_rates().to_vec()),
-            ],
-            runner: run_bottleneck,
-        },
-        SweepDef {
-            name: "policy",
-            title: "Controller race: static vs reactive vs predictive across fault × topology × load (DES)",
-            axes: vec![
-                AxisSpec {
-                    name: "controller",
-                    help: "control plane: 0 static, 1 reactive, 2 predictive",
-                    default: vec![0.0, 1.0, 2.0],
-                    integer: true,
-                },
-                AxisSpec {
-                    name: "scenario",
-                    help: "fault scenario: 0 flaky_links, 1 cluster_loss, 2 combined",
-                    default: vec![0.0, 1.0, 2.0],
-                    integer: true,
-                },
-                AxisSpec {
-                    name: "topology",
-                    help: "ring shape: 0 ring, 1 split:4",
-                    default: vec![0.0, 1.0],
-                    integer: true,
-                },
-                ed_axis(vec![0.5, 0.95]),
-            ],
-            runner: run_policy,
-        },
+        def(codesign(), |a, o, d| run_sweep(codesign(), a, o, d)),
+        def(split(), |a, o, d| run_sweep(split(), a, o, d)),
+        def(serve(), |a, o, d| run_sweep(serve(), a, o, d)),
+        def(sizing(), |a, o, d| run_sweep(sizing(), a, o, d)),
+        def(table8(), |a, o, d| run_sweep(table8(), a, o, d)),
+        def(bottleneck(), |a, o, d| run_sweep(bottleneck(), a, o, d)),
+        def(policy(), |a, o, d| run_sweep(policy(), a, o, d)),
     ]
-}
-
-fn kw_axis(default: Vec<f64>) -> AxisSpec {
-    AxisSpec {
-        name: "kw",
-        help: "SµDC compute power (kW)",
-        default,
-        integer: false,
-    }
-}
-
-fn res_axis() -> AxisSpec {
-    AxisSpec {
-        name: "res",
-        help: "spatial resolution (m)",
-        default: FrameSpec::paper_resolutions()
-            .iter()
-            .map(|r| r.as_m())
-            .collect(),
-        integer: false,
-    }
-}
-
-fn ed_axis(default: Vec<f64>) -> AxisSpec {
-    AxisSpec {
-        name: "ed",
-        help: "early-discard rate in [0, 1)",
-        default,
-        integer: false,
-    }
 }
 
 /// A completed named sweep: artifacts plus executor statistics.
@@ -227,18 +184,23 @@ pub struct SweepRun {
 ///
 /// # Errors
 ///
-/// Returns a message for unknown sweep names, unknown axis names, and
-/// non-integral values on integer axes.
+/// Returns a message for unknown sweep names, unknown axis names, an
+/// axis with no values or a value outside its axis's [`Domain`], and a
+/// DES point whose configuration fails [`SimConfig::validate`].
 pub fn run(
     name: &str,
     overrides: &[(String, Vec<f64>)],
     opts: &ExecOptions,
     cache_dir: Option<&Path>,
 ) -> Result<SweepRun, String> {
-    let def = all().into_iter().find(|d| d.name == name).ok_or_else(|| {
-        let names: Vec<&str> = all().iter().map(|d| d.name).collect();
-        format!("unknown sweep '{name}' (available: {})", names.join(", "))
-    })?;
+    let defs = all();
+    let Some(def) = defs.iter().find(|d| d.name == name) else {
+        let names: Vec<&str> = defs.iter().map(|d| d.name).collect();
+        return Err(format!(
+            "unknown sweep '{name}' (available: {})",
+            names.join(", ")
+        ));
+    };
     for (axis, _) in overrides {
         if !def.axes.iter().any(|a| a.name == axis) {
             let names: Vec<&str> = def.axes.iter().map(|a| a.name).collect();
@@ -248,165 +210,189 @@ pub fn run(
             ));
         }
     }
-    (def.runner)(&def, overrides, opts, cache_dir)
-}
-
-/// Axis values for `name`: the override if given, else the def's
-/// declared default. An axis the def never declared yields no values —
-/// the sweep comes out empty (and visibly wrong in the artifact) rather
-/// than panicking mid-run.
-fn axis_f64(def: &SweepDef, overrides: &[(String, Vec<f64>)], name: &str) -> Vec<f64> {
-    overrides
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.clone())
-        .or_else(|| {
-            def.axes
-                .iter()
-                .find(|a| a.name == name)
-                .map(|a| a.default.clone())
-        })
-        .unwrap_or_default()
-}
-
-fn axis_usize(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    name: &str,
-) -> Result<Vec<usize>, String> {
-    axis_f64(def, overrides, name)
-        .into_iter()
-        .map(|v| {
-            // fract() of the non-negative v is non-negative, so
-            // `<= 0.0` is exactly the integer-valued check.
-            if v >= 0.0 && v.fract() <= 0.0 && v <= usize::MAX as f64 {
-                Ok(v as usize)
-            } else {
-                Err(format!(
-                    "axis '{name}' needs non-negative integers, got {v}"
-                ))
-            }
-        })
-        .collect()
-}
-
-fn open_cache(cache_dir: Option<&Path>, sweep: &str, version: &str) -> Cache {
-    match cache_dir {
-        Some(dir) => Cache::open(dir, sweep, version),
-        None => Cache::in_memory(version),
-    }
-}
-
-fn frontier_note(objectives: &[String], constraints: &[String]) -> String {
-    if constraints.is_empty() {
-        format!("Pareto-nondominated under: {}", objectives.join(", "))
-    } else {
-        format!(
-            "Pareto-nondominated under: {}; subject to: {}",
-            objectives.join(", "),
-            constraints.join(", ")
-        )
-    }
-}
-
-/// Assembles the grid + frontier artifact pair shared by every runner.
-#[allow(clippy::too_many_arguments)]
-fn artifacts<R>(
-    name: &'static str,
-    title: &str,
-    columns: &[&str],
-    rows: &[R],
-    row_cells: impl Fn(&R) -> Vec<String>,
-    objectives: &[Objective<R>],
-    constraints: &[Constraint<R>],
-    stats: SweepStats,
-    cache_written: Option<PathBuf>,
-) -> SweepRun {
-    let mut grid = ExperimentResult::new(&format!("explore_{name}"), title, columns);
-    for r in rows {
-        grid.push_row(row_cells(r));
-    }
-
-    let front = explore::pareto_indices(rows, objectives, constraints);
-    let mut frontier = ExperimentResult::new(
-        &format!("explore_{name}_frontier"),
-        &format!("{title} — Pareto frontier"),
-        columns,
-    );
-    for &i in &front {
-        frontier.push_row(row_cells(&rows[i]));
-    }
-    let names = |os: &[Objective<R>]| -> Vec<String> {
-        os.iter()
-            .map(|o| {
-                let dir = match o.direction {
-                    explore::Direction::Minimize => "min",
-                    explore::Direction::Maximize => "max",
-                };
-                format!("{dir} {}", o.name)
-            })
-            .collect()
-    };
-    frontier.note(frontier_note(
-        &names(objectives),
-        &constraints
+    let mut resolved = Vec::with_capacity(def.axes.len());
+    for axis in &def.axes {
+        let values = overrides
             .iter()
-            .map(|c| c.name.clone())
-            .collect::<Vec<_>>(),
-    ));
-    frontier.note(format!(
-        "{} of {} feasible-and-nondominated points",
-        front.len(),
-        rows.len()
-    ));
-
-    SweepRun {
-        name,
-        grid,
-        frontier,
-        stats,
-        cache_written,
-        metrics: Vec::new(),
+            .find(|(n, _)| n == axis.name)
+            .map_or(&axis.default, |(_, v)| v);
+        if values.is_empty() {
+            return Err(format!("axis '{}' needs at least one value", axis.name));
+        }
+        if let Some(v) = values.iter().find(|&&v| !axis.domain.contains(v)) {
+            return Err(format!(
+                "axis '{}' needs {}, got {v}",
+                axis.name, axis.domain
+            ));
+        }
+        resolved.push(values.clone());
     }
+    (def.runner)(&resolved, opts, cache_dir)
 }
 
-fn run_codesign(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
+/// One named sweep declared as data over points `P` evaluating to
+/// cells `C`; [`run_sweep`] does the rest.
+pub(crate) struct Sweep<P, C> {
+    /// CLI name, also the cache snapshot's name.
+    name: &'static str,
+    /// One-line description for `repro explore list`.
+    summary: &'static str,
+    /// Title of the grid artifact.
+    title: &'static str,
+    /// Cache version tag: bump it whenever a cell's value changes.
+    tag: &'static str,
+    /// Column headers, one per `row` entry.
+    pub(crate) columns: &'static [&'static str],
+    /// The overridable axes, in the order `space` reads them.
+    axes: Vec<AxisSpec>,
+    /// The space over the resolved axis values.
+    space: fn(&[Vec<f64>]) -> Space<P>,
+    /// The DES configuration a point simulates, validated before any
+    /// cell runs; `None` for the closed-form sweeps.
+    config: fn(&P) -> Option<SimConfig>,
+    /// Evaluates one point.
+    cell: fn(&P) -> C,
+    /// Renders one cell as a grid row.
+    pub(crate) row: fn(&C) -> Vec<String>,
+    /// The frontier's objectives.
+    objectives: Vec<Objective<C>>,
+    /// The frontier's feasibility constraints.
+    constraints: Vec<Constraint<C>>,
+    /// Adds sweep-specific notes or metrics to the finished run.
+    finish: fn(&mut SweepRun, &[C]),
+}
+
+/// The one runner behind every named sweep: builds the space over the
+/// checked axes, validates its DES points, evaluates it through the
+/// memo cache, and assembles the grid and Pareto-frontier artifacts.
+fn run_sweep<P: Sync + fmt::Debug, C: Cacheable + Send>(
+    sweep: Sweep<P, C>,
+    axes: &[Vec<f64>],
     opts: &ExecOptions,
     cache_dir: Option<&Path>,
 ) -> Result<SweepRun, String> {
-    let ks = axis_usize(def, overrides, "k")?;
-    let splits = axis_usize(def, overrides, "split")?;
-    for &k in &ks {
-        if k < 2 || k % 2 != 0 {
-            return Err(format!("axis 'k' needs even values ≥ 2, got {k}"));
+    let space = (sweep.space)(axes);
+    for point in space.points() {
+        if let Some(cfg) = (sweep.config)(point) {
+            cfg.validate()
+                .map_err(|e| format!("sweep '{}' point {point:?}: {e}", sweep.name))?;
         }
     }
-    for &s in &splits {
-        if s == 0 {
-            return Err("axis 'split' needs values ≥ 1".to_string());
-        }
-    }
-    let space = crate::codesign::fig13_space(&ks, &splits);
-    let mut cache = open_cache(cache_dir, "codesign", "fig13-v1");
-    let out = explore::sweep_cached(&space, opts, &mut cache, |&(k, split)| {
-        fig13_point(k, split)
-    });
+    let mut cache = match cache_dir {
+        Some(dir) => Cache::open(dir, sweep.name, sweep.tag),
+        None => Cache::in_memory(sweep.tag),
+    };
+    let out = explore::sweep_cached(&space, opts, &mut cache, sweep.cell);
     let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
 
-    Ok(artifacts(
-        "codesign",
-        "k-list × splitting: normalised capacity vs ISL transmit power (Fig. 13 space)",
-        &[
+    let cells = out.results;
+    let grid_id = format!("explore_{}", sweep.name);
+    let mut grid = ExperimentResult::new(&grid_id, sweep.title, sweep.columns);
+    for c in &cells {
+        grid.push_row((sweep.row)(c));
+    }
+    let front = explore::pareto_indices(&cells, &sweep.objectives, &sweep.constraints);
+    let mut frontier = ExperimentResult::new(
+        &format!("{grid_id}_frontier"),
+        &format!("{} — Pareto frontier", sweep.title),
+        sweep.columns,
+    );
+    for &i in &front {
+        frontier.push_row((sweep.row)(&cells[i]));
+    }
+    let under: Vec<String> = sweep
+        .objectives
+        .iter()
+        .map(|o| match o.direction {
+            Direction::Minimize => format!("min {}", o.name),
+            Direction::Maximize => format!("max {}", o.name),
+        })
+        .collect();
+    let mut note = format!("Pareto-nondominated under: {}", under.join(", "));
+    if !sweep.constraints.is_empty() {
+        let names: Vec<&str> = sweep.constraints.iter().map(|c| c.name.as_str()).collect();
+        note += &format!("; subject to: {}", names.join(", "));
+    }
+    frontier.note(note);
+    frontier.note(format!(
+        "{} of {} feasible-and-nondominated points",
+        front.len(),
+        cells.len()
+    ));
+
+    let mut run = SweepRun {
+        name: sweep.name,
+        grid,
+        frontier,
+        stats: out.stats,
+        cache_written,
+        metrics: Vec::new(),
+    };
+    (sweep.finish)(&mut run, &cells);
+    Ok(run)
+}
+
+/// Every combination of the axes' values, first axis outermost, each
+/// mapped to a point.
+fn product<P>(axes: &[Vec<f64>], point: impl Fn(&[f64]) -> P) -> Vec<P> {
+    let mut combos: Vec<Vec<f64>> = vec![Vec::new()];
+    for axis in axes {
+        combos = combos
+            .iter()
+            .flat_map(|c| axis.iter().map(move |&v| [c.as_slice(), &[v]].concat()))
+            .collect();
+    }
+    combos.iter().map(|c| point(c)).collect()
+}
+
+/// Integer axis values as counts (their domains make them integral).
+fn counts(values: &[f64]) -> Vec<usize> {
+    values.iter().map(|&v| v as usize).collect()
+}
+
+fn lengths(meters: &[f64]) -> Vec<Length> {
+    meters.iter().map(|&m| Length::from_m(m)).collect()
+}
+
+/// The name of a coded axis value, `?` for a code outside `names`.
+fn label(names: &[&'static str], code: usize) -> &'static str {
+    names.get(code).copied().unwrap_or("?")
+}
+
+/// Fig. 13's k-list × splitting capacity/power trade.
+pub(crate) fn codesign() -> Sweep<(usize, usize), CodesignPoint> {
+    let (ks, splits) = paper_fig13_axes();
+    let floats = |v: Vec<usize>| v.into_iter().map(|n| n as f64).collect();
+    Sweep {
+        name: "codesign",
+        summary: "Fig. 13 k-list × splitting capacity/power trade",
+        title: "k-list × splitting: normalised capacity vs ISL transmit power (Fig. 13 space)",
+        tag: "fig13-v1",
+        columns: &[
             "k",
             "split",
             "capacity (×ring)",
             "power (×ring)",
             "capacity/power",
         ],
-        &out.results,
-        |p: &CodesignPoint| {
+        axes: vec![
+            axis(
+                "k",
+                "ingest links per SµDC (even, ≥ 2)",
+                Domain::EvenFrom2,
+                floats(ks),
+            ),
+            axis(
+                "split",
+                "SµDC splitting factor (≥ 1)",
+                Domain::Count,
+                floats(splits),
+            ),
+        ],
+        space: |axes| fig13_space(&counts(&axes[0]), &counts(&axes[1])),
+        config: |_| None,
+        cell: |&(k, split)| fig13_point(k, split),
+        row: |p| {
             vec![
                 p.k.to_string(),
                 p.split.to_string(),
@@ -415,72 +401,69 @@ fn run_codesign(
                 format!("{:.3}", p.capacity_per_power),
             ]
         },
-        &[
+        objectives: vec![
             Objective::maximize("capacity (×ring)", |p: &CodesignPoint| p.capacity_norm),
             Objective::minimize("power (×ring)", |p: &CodesignPoint| p.power_norm),
         ],
-        &[],
-        out.stats,
-        cache_written,
-    ))
+        constraints: Vec::new(),
+        finish: |_, _| {},
+    }
 }
 
-/// Fixed SµDC count of the split sweep's reference ring: matches the
-/// `repro sim` default so the factor-1 column reproduces that regime.
+/// Fixed SµDC count of the DES sweeps' reference ring: matches the
+/// `repro sim` default so the split sweep's factor-1 column reproduces
+/// that regime.
 const SPLIT_SWEEP_CLUSTERS: usize = 4;
 
-/// Builds the paper-reference [`crate::sim::SimConfig`] the split sweep
-/// evaluates: 1 simulated minute of `AirPollution` at 3 m, the ring
-/// served by [`SPLIT_SWEEP_CLUSTERS`] SµDCs each split `factor` ways.
-fn split_sweep_config(factor: usize, ed: f64) -> crate::sim::SimConfig {
-    let mut cfg =
-        crate::sim::SimConfig::paper_reference(Application::AirPollution, Length::from_m(3.0), ed);
-    cfg.topology = crate::sim::SimTopology::SplitRing { factor };
+/// The DES sweeps' paper-reference [`SimConfig`]: `minutes` simulated
+/// minutes of `AirPollution` at 3 m under `ed` early discard, the ring
+/// served by [`SPLIT_SWEEP_CLUSTERS`] SµDCs.
+fn reference_config(ed: f64, minutes: f64) -> SimConfig {
+    let mut cfg = SimConfig::paper_reference(Application::AirPollution, Length::from_m(3.0), ed);
     cfg.clusters = SPLIT_SWEEP_CLUSTERS;
-    cfg.duration = units::Time::from_minutes(1.0);
+    cfg.duration = units::Time::from_minutes(minutes);
     cfg
 }
 
-fn run_split(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    opts: &ExecOptions,
-    cache_dir: Option<&Path>,
-) -> Result<SweepRun, String> {
-    let factors = axis_usize(def, overrides, "factor")?;
-    let eds = axis_f64(def, overrides, "ed");
-    for &f in &factors {
-        split_sweep_config(f, 0.0)
-            .validate()
-            .map_err(|e| format!("axis 'factor': {e}"))?;
-    }
-    let mut points = Vec::new();
-    for &factor in &factors {
-        for &ed in &eds {
-            points.push((factor, ed));
-        }
-    }
-    let space = Space::from_points("split", points, |&(factor, ed)| {
-        format!("factor={factor};ed={ed}")
-    });
-    let mut cache = open_cache(cache_dir, "split", "split-v2");
-    let out = explore::sweep_cached(&space, opts, &mut cache, |&(factor, ed)| {
-        let report = crate::sim::run(&split_sweep_config(factor, ed));
-        SplitCell {
-            factor,
-            discard_rate: ed,
-            goodput: report.goodput,
-            mean_latency_s: report.mean_latency_s,
-            compute_utilization: report.compute_utilization,
-            stable: report.stable,
-        }
-    });
-    let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
+/// The DES sweeps' two-tenant serving overlay: a premium interactive
+/// tenant and a best-effort analytics tenant, each at its requests/s.
+fn two_tenants(premium_rps: f64, analytics_rps: f64) -> ServeConfig {
+    let mut serve = ServeConfig::defaults();
+    serve.tenants = vec![
+        TenantSpec::interactive("premium", TenantClass::Premium, premium_rps),
+        TenantSpec::analytics("analytics", analytics_rps),
+    ];
+    serve
+}
 
-    Ok(artifacts(
-        "split",
-        "SµDC splitting under the DES: per-unit ISL relief vs split factor (Sec. 8)",
-        &[
+/// On-time completions over offered requests, every tenant; 1 when
+/// none were offered.
+fn attainment(serve: &ServeReport) -> f64 {
+    let offered = serve.offered();
+    let on_time: u64 = serve.tenants.iter().map(|t| t.on_time).sum();
+    if offered == 0 {
+        1.0
+    } else {
+        on_time as f64 / offered as f64
+    }
+}
+
+/// The split sweep's [`SimConfig`]: 1 simulated reference minute, each
+/// SµDC split `factor` ways.
+fn split_sweep_config(factor: usize, ed: f64) -> SimConfig {
+    let mut cfg = reference_config(ed, 1.0);
+    cfg.topology = SimTopology::SplitRing { factor };
+    cfg
+}
+
+/// Sec. 8 SµDC splitting on the DES.
+fn split() -> Sweep<(usize, f64), SplitCell> {
+    Sweep {
+        name: "split",
+        summary: "Sec. 8 SµDC splitting on the DES: goodput vs split factor",
+        title: "SµDC splitting under the DES: per-unit ISL relief vs split factor (Sec. 8)",
+        tag: "split-v2",
+        columns: &[
             "split",
             "ED",
             "goodput",
@@ -488,8 +471,34 @@ fn run_split(
             "compute util",
             "stable",
         ],
-        &out.results,
-        |c: &SplitCell| {
+        axes: vec![
+            axis(
+                "factor",
+                "SµDC split factor (clusters × factor must divide the ring)",
+                Domain::Count,
+                vec![1.0, 2.0, 4.0, 8.0],
+            ),
+            ed_axis(vec![0.0, 0.5, 0.95]),
+        ],
+        space: |axes| {
+            let points = product(axes, |v| (v[0] as usize, v[1]));
+            Space::from_points("split", points, |&(factor, ed)| {
+                format!("factor={factor};ed={ed}")
+            })
+        },
+        config: |&(factor, ed)| Some(split_sweep_config(factor, ed)),
+        cell: |&(factor, ed)| {
+            let report = crate::sim::run(&split_sweep_config(factor, ed));
+            SplitCell {
+                factor,
+                discard_rate: ed,
+                goodput: report.goodput,
+                mean_latency_s: report.mean_latency_s,
+                compute_utilization: report.compute_utilization,
+                stable: report.stable,
+            }
+        },
+        row: |c| {
             vec![
                 c.factor.to_string(),
                 ed_label(c.discard_rate),
@@ -499,38 +508,29 @@ fn run_split(
                 c.stable.to_string(),
             ]
         },
-        &[
+        objectives: vec![
             Objective::maximize("goodput", |c: &SplitCell| c.goodput),
             Objective::minimize("split factor", |c: &SplitCell| c.factor as f64),
             Objective::minimize("ED", |c: &SplitCell| c.discard_rate),
         ],
-        &[],
-        out.stats,
-        cache_written,
-    ))
+        constraints: Vec::new(),
+        finish: |_, _| {},
+    }
 }
 
-/// Builds the paper-reference [`crate::sim::SimConfig`] the serve sweep
-/// evaluates: 1 simulated minute of the reference frame plane
-/// ([`SPLIT_SWEEP_CLUSTERS`] SµDCs, `AirPollution` at 3 m, 0.95 ED)
-/// with a two-tenant serving overlay — a premium interactive tenant
-/// carrying `premium` of the `rate` requests/s and a best-effort
-/// analytics tenant carrying the rest — batched under `policy`.
-fn serve_sweep_config(rate: f64, premium: f64, policy: BatchPolicy) -> crate::sim::SimConfig {
-    let mut cfg = crate::sim::SimConfig::paper_reference(
-        Application::AirPollution,
-        Length::from_m(3.0),
-        0.95,
-    );
-    cfg.clusters = SPLIT_SWEEP_CLUSTERS;
-    cfg.duration = units::Time::from_minutes(1.0);
-    let mut serve = ServeConfig::defaults();
-    serve.batch = policy;
-    serve.tenants = vec![
-        TenantSpec::interactive("premium", TenantClass::Premium, rate * premium),
-        TenantSpec::analytics("analytics", rate * (1.0 - premium)),
-    ];
-    cfg.serve = Some(serve);
+/// Serve-sweep batch policies, indexed by the `policy` axis code
+/// ([`BatchPolicy::from_code`] order).
+const SERVE_SWEEP_POLICIES: [&str; 3] = ["fixed", "deadline", "adaptive"];
+
+/// The serve sweep's [`SimConfig`]: 1 simulated reference minute at
+/// 0.95 ED with the two-tenant overlay, the premium tenant carrying
+/// `premium` of the `rate` requests/s, batched under `policy`.
+fn serve_sweep_config(rate: f64, premium: f64, policy: BatchPolicy) -> SimConfig {
+    let mut cfg = reference_config(0.95, 1.0);
+    cfg.serve = Some(ServeConfig {
+        batch: policy,
+        ..two_tenants(rate * premium, rate * (1.0 - premium))
+    });
     cfg
 }
 
@@ -554,86 +554,28 @@ fn serve_cell(rate: f64, premium: f64, code: usize) -> ServeCell {
     let Some(serve) = report.serve else {
         return fallback;
     };
-    let offered = serve.offered();
-    let on_time: u64 = serve.tenants.iter().map(|t| t.on_time).sum();
     ServeCell {
-        rate_rps: rate,
-        premium_share: premium,
-        policy: code,
         requests_per_sec: serve.requests_per_sec,
-        attainment: if offered == 0 {
-            1.0
-        } else {
-            on_time as f64 / offered as f64
-        },
+        attainment: attainment(&serve),
         premium_attainment: serve.tenants.first().map_or(1.0, |t| t.slo_attainment),
         batch_efficiency: serve.batch_efficiency,
         shed_rate: serve.shed_rate,
         stable: report.stable,
+        ..fallback
     }
 }
 
-fn run_serve(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    opts: &ExecOptions,
-    cache_dir: Option<&Path>,
-) -> Result<SweepRun, String> {
-    let rates = axis_f64(def, overrides, "rate");
-    let shares = axis_f64(def, overrides, "premium");
-    let policies = axis_usize(def, overrides, "policy")?;
-    for &r in &rates {
-        if !(r > 0.0) || !r.is_finite() {
-            return Err(format!("axis 'rate' needs positive requests/s, got {r}"));
-        }
-    }
-    for &s in &shares {
-        if !(s > 0.0 && s < 1.0) {
-            return Err(format!("axis 'premium' needs values in (0, 1), got {s}"));
-        }
-    }
-    for &p in &policies {
-        if BatchPolicy::from_code(p).is_none() {
-            return Err(format!(
-                "axis 'policy' wants 0 (fixed), 1 (deadline), or 2 (adaptive), got {p}"
-            ));
-        }
-    }
-    let mut points = Vec::new();
-    for &rate in &rates {
-        for &share in &shares {
-            for &policy in &policies {
-                points.push((rate, share, policy));
-            }
-        }
-    }
-    let space = Space::from_points("serve", points, |&(rate, share, policy)| {
-        format!("rate={rate};premium={share};policy={policy}")
-    });
-    // v2: serve-layer accounting fixes (inflight counted only on
-    // admission; leftover batch timers re-anchored at `now`) changed
-    // cell results, so v1 cache entries are stale.
-    let mut cache = open_cache(cache_dir, "serve", "serve-v2");
-    let out = explore::sweep_cached(&space, opts, &mut cache, |&(rate, share, policy)| {
-        serve_cell(rate, share, policy)
-    });
-    let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
-
-    // Headline capacity: the highest completed-request throughput among
-    // stable operating points (any point if none were stable).
-    let peak = out
-        .results
-        .iter()
-        .filter(|c| c.stable)
-        .chain(out.results.iter())
-        .max_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec))
-        .copied();
-
-    let policy_label = |code: usize| BatchPolicy::from_code(code).map_or("?", BatchPolicy::as_str);
-    let mut sweep = artifacts(
-        "serve",
-        "User-traffic capacity frontier: completed req/s vs SLO attainment (DES)",
-        &[
+/// The user-traffic capacity frontier on the DES.
+fn serve() -> Sweep<(f64, f64, usize), ServeCell> {
+    Sweep {
+        name: "serve",
+        summary: "User-traffic capacity frontier: rate × tenant mix × batching (DES)",
+        title: "User-traffic capacity frontier: completed req/s vs SLO attainment (DES)",
+        // v2: serve-layer accounting fixes (inflight counted only on
+        // admission; leftover batch timers re-anchored at `now`) changed
+        // cell results, so v1 cache entries are stale.
+        tag: "serve-v2",
+        columns: &[
             "rate (rps)",
             "premium",
             "policy",
@@ -644,12 +586,41 @@ fn run_serve(
             "shed rate",
             "stable",
         ],
-        &out.results,
-        |c: &ServeCell| {
+        axes: vec![
+            axis(
+                "rate",
+                "total offered load (requests/s)",
+                Domain::Positive,
+                vec![250.0, 1000.0, 2000.0, 4000.0],
+            ),
+            axis(
+                "premium",
+                "premium share of the offered load, in (0, 1)",
+                Domain::Share,
+                vec![0.25, 0.5, 0.75],
+            ),
+            axis(
+                "policy",
+                "batch policy: 0 fixed, 1 deadline, 2 adaptive",
+                Domain::Code(&SERVE_SWEEP_POLICIES),
+                vec![0.0, 1.0, 2.0],
+            ),
+        ],
+        space: |axes| {
+            let points = product(axes, |v| (v[0], v[1], v[2] as usize));
+            Space::from_points("serve", points, |&(rate, share, policy)| {
+                format!("rate={rate};premium={share};policy={policy}")
+            })
+        },
+        config: |&(rate, share, code)| {
+            BatchPolicy::from_code(code).map(|policy| serve_sweep_config(rate, share, policy))
+        },
+        cell: |&(rate, share, policy)| serve_cell(rate, share, policy),
+        row: |c| {
             vec![
                 trim_float(c.rate_rps),
                 trim_float(c.premium_share),
-                policy_label(c.policy).to_string(),
+                label(&SERVE_SWEEP_POLICIES, c.policy).to_string(),
                 format!("{:.1}", c.requests_per_sec),
                 format!("{:.4}", c.attainment),
                 format!("{:.4}", c.premium_attainment),
@@ -658,22 +629,28 @@ fn run_serve(
                 c.stable.to_string(),
             ]
         },
-        &[
+        objectives: vec![
             Objective::maximize("req/s", |c: &ServeCell| c.requests_per_sec),
             Objective::maximize("SLO attainment", |c: &ServeCell| c.attainment),
         ],
-        &[Constraint::new("bounded backlog", |c: &ServeCell| c.stable)],
-        out.stats,
-        cache_written,
-    );
-    if let Some(p) = peak {
-        sweep.metrics = vec![
-            ("serve.requests_per_sec", p.requests_per_sec),
-            ("serve.batch_efficiency", p.batch_efficiency),
-            ("serve.shed_rate", p.shed_rate),
-        ];
+        constraints: vec![Constraint::new("bounded backlog", |c: &ServeCell| c.stable)],
+        // Headline capacity: the highest completed-request throughput
+        // among stable operating points (any point if none were stable).
+        finish: |run, cells| {
+            let peak = cells
+                .iter()
+                .filter(|c| c.stable)
+                .chain(cells.iter())
+                .max_by(|a, b| a.requests_per_sec.total_cmp(&b.requests_per_sec));
+            if let Some(p) = peak {
+                run.metrics = vec![
+                    ("serve.requests_per_sec", p.requests_per_sec),
+                    ("serve.batch_efficiency", p.batch_efficiency),
+                    ("serve.shed_rate", p.shed_rate),
+                ];
+            }
+        },
     }
-    Ok(sweep)
 }
 
 /// Fault scenarios the policy race runs, indexed by the `scenario`
@@ -682,84 +659,36 @@ fn run_serve(
 /// nothing here (`repro sim` already prints it per scenario).
 const POLICY_SWEEP_SCENARIOS: [&str; 3] = ["flaky_links", "cluster_loss", "combined"];
 
+/// Ring shapes the policy race runs, indexed by the `topology` axis
+/// code.
+const POLICY_SWEEP_TOPOLOGIES: [&str; 2] = ["ring", "split:4"];
+
 /// Offered serving load riding along each policy-race cell so the
 /// admission/batching decision points are exercised and SLO attainment
 /// is measurable, requests/s split evenly across the two tenants.
 const POLICY_SWEEP_RATE_RPS: f64 = 400.0;
 
-/// Ring shape for a policy-race `topology` axis code.
-fn policy_sweep_topology(code: usize) -> Option<(crate::sim::SimTopology, &'static str)> {
-    match code {
-        0 => Some((crate::sim::SimTopology::Ring, "ring")),
-        1 => Some((crate::sim::SimTopology::SplitRing { factor: 4 }, "split:4")),
-        _ => None,
+/// The [`SimConfig`] one policy-race cell evaluates: 2 simulated
+/// reference minutes under `ed` early discard (standing in for frame
+/// load), the coded fault scenario and topology, the two-tenant
+/// overlay, and the coded controller driving the decision points.
+fn policy_sweep_config(controller: usize, scenario: usize, topology: usize, ed: f64) -> SimConfig {
+    let mut cfg = reference_config(ed, 2.0);
+    // The runner checked every code against its axis; codes outside
+    // them keep the reference defaults rather than panicking mid-sweep.
+    if label(&POLICY_SWEEP_TOPOLOGIES, topology) == "split:4" {
+        cfg.topology = SimTopology::SplitRing { factor: 4 };
     }
-}
-
-/// Builds the paper-reference [`crate::sim::SimConfig`] one policy-race
-/// cell evaluates: 2 simulated minutes of `AirPollution` at 3 m under
-/// the coded fault scenario and topology, `ed` early-discard standing
-/// in for frame load, a two-tenant serving overlay, and the coded
-/// controller driving the decision points.
-fn policy_sweep_config(
-    controller: crate::sim::PolicyKind,
-    scenario: usize,
-    topology: usize,
-    ed: f64,
-) -> crate::sim::SimConfig {
-    let mut cfg =
-        crate::sim::SimConfig::paper_reference(Application::AirPollution, Length::from_m(3.0), ed);
-    cfg.clusters = SPLIT_SWEEP_CLUSTERS;
-    cfg.duration = units::Time::from_minutes(2.0);
-    // The axes were validated in `run_policy`; out-of-range codes (only
-    // reachable through a stale cache key) keep the reference defaults
-    // rather than panicking mid-sweep.
-    if let Some((topo, _)) = policy_sweep_topology(topology) {
-        cfg.topology = topo;
-    }
-    if let Some(model) = POLICY_SWEEP_SCENARIOS
-        .get(scenario)
-        .and_then(|name| crate::sim::FaultModel::scenario(name))
+    if let Some(model) = crate::sim::FaultModel::scenario(label(&POLICY_SWEEP_SCENARIOS, scenario))
     {
         cfg.faults = model;
     }
-    cfg.policy = controller;
-    let mut serve = ServeConfig::defaults();
-    serve.tenants = vec![
-        TenantSpec::interactive("premium", TenantClass::Premium, POLICY_SWEEP_RATE_RPS * 0.5),
-        TenantSpec::analytics("analytics", POLICY_SWEEP_RATE_RPS * 0.5),
-    ];
-    cfg.serve = Some(serve);
+    cfg.policy = PolicyKind::parse(label(PolicyKind::names(), controller)).unwrap_or_default();
+    cfg.serve = Some(two_tenants(
+        POLICY_SWEEP_RATE_RPS * 0.5,
+        POLICY_SWEEP_RATE_RPS * 0.5,
+    ));
     cfg
-}
-
-/// Evaluates one policy-race cell through the DES.
-fn policy_cell(controller: usize, scenario: usize, topology: usize, ed: f64) -> PolicyCell {
-    let kind = crate::sim::PolicyKind::names()
-        .get(controller)
-        .and_then(|name| crate::sim::PolicyKind::parse(name))
-        .unwrap_or_default();
-    let report = crate::sim::run(&policy_sweep_config(kind, scenario, topology, ed));
-    let (offered, on_time) = report.serve.as_ref().map_or((0, 0), |s| {
-        (s.offered(), s.tenants.iter().map(|t| t.on_time).sum())
-    });
-    PolicyCell {
-        controller,
-        scenario,
-        topology,
-        ed,
-        goodput: report.goodput,
-        availability: report.faults.availability,
-        attainment: if offered == 0 {
-            1.0
-        } else {
-            on_time as f64 / offered as f64
-        },
-        undeliverable: report.faults.undeliverable,
-        reroutes: report.faults.reroutes,
-        frames_shed: report.faults.frames_shed,
-        stable: report.stable,
-    }
 }
 
 /// Whether adaptive cell `a` strictly Pareto-dominates static cell `s`
@@ -773,7 +702,7 @@ fn policy_dominates(a: &PolicyCell, s: &PolicyCell) -> bool {
 /// Appends one leaderboard note per adaptive controller: at how many
 /// (scenario, topology, ed) matrix points it strictly dominates the
 /// static controller, and the widest-margin example.
-fn policy_dominance_notes(grid: &mut ExperimentResult, cells: &[PolicyCell]) {
+fn policy_dominance_notes(run: &mut SweepRun, cells: &[PolicyCell]) {
     let static_at = |c: &PolicyCell| {
         cells.iter().find(|s| {
             s.controller == 0
@@ -783,7 +712,7 @@ fn policy_dominance_notes(grid: &mut ExperimentResult, cells: &[PolicyCell]) {
         })
     };
     for controller in [1usize, 2] {
-        let name = crate::sim::PolicyKind::names()[controller];
+        let name = PolicyKind::names()[controller];
         let mut total = 0usize;
         let mut wins: Vec<(&PolicyCell, &PolicyCell)> = Vec::new();
         for c in cells.iter().filter(|c| c.controller == controller) {
@@ -796,18 +725,18 @@ fn policy_dominance_notes(grid: &mut ExperimentResult, cells: &[PolicyCell]) {
         let Some(&(best, base)) = wins.iter().max_by(|(a, sa), (b, sb)| {
             (a.goodput - sa.goodput).total_cmp(&(b.goodput - sb.goodput))
         }) else {
-            grid.note(format!(
+            run.grid.note(format!(
                 "leaderboard: {name} strictly dominates static at 0/{total} matrix points"
             ));
             continue;
         };
-        let topo = policy_sweep_topology(best.topology).map_or("?", |(_, l)| l);
-        grid.note(format!(
+        run.grid.note(format!(
             "leaderboard: {name} strictly dominates static (goodput × availability) at {}/{total} \
-             matrix points; widest margin at {}/{topo}/ed={}: goodput {:.4} vs {:.4} at \
+             matrix points; widest margin at {}/{}/ed={}: goodput {:.4} vs {:.4} at \
              availability {:.4} vs {:.4}",
             wins.len(),
-            POLICY_SWEEP_SCENARIOS[best.scenario],
+            label(&POLICY_SWEEP_SCENARIOS, best.scenario),
+            label(&POLICY_SWEEP_TOPOLOGIES, best.topology),
             trim_float(best.ed),
             best.goodput,
             base.goodput,
@@ -817,66 +746,16 @@ fn policy_dominance_notes(grid: &mut ExperimentResult, cells: &[PolicyCell]) {
     }
 }
 
-fn run_policy(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    opts: &ExecOptions,
-    cache_dir: Option<&Path>,
-) -> Result<SweepRun, String> {
-    let controllers = axis_usize(def, overrides, "controller")?;
-    let scenarios = axis_usize(def, overrides, "scenario")?;
-    let topologies = axis_usize(def, overrides, "topology")?;
-    let eds = axis_f64(def, overrides, "ed");
-    for &c in &controllers {
-        if c >= crate::sim::PolicyKind::names().len() {
-            return Err(format!(
-                "axis 'controller' wants 0 (static), 1 (reactive), or 2 (predictive), got {c}"
-            ));
-        }
-    }
-    for &s in &scenarios {
-        if s >= POLICY_SWEEP_SCENARIOS.len() {
-            return Err(format!(
-                "axis 'scenario' wants 0 (flaky_links), 1 (cluster_loss), or 2 (combined), got {s}"
-            ));
-        }
-    }
-    for &t in &topologies {
-        if policy_sweep_topology(t).is_none() {
-            return Err(format!(
-                "axis 'topology' wants 0 (ring) or 1 (split:4), got {t}"
-            ));
-        }
-    }
-    for &ed in &eds {
-        if !(ed > 0.0 && ed <= 1.0) {
-            return Err(format!("axis 'ed' needs values in (0, 1], got {ed}"));
-        }
-    }
-    let mut points = Vec::new();
-    for &c in &controllers {
-        for &s in &scenarios {
-            for &t in &topologies {
-                for &ed in &eds {
-                    points.push((c, s, t, ed));
-                }
-            }
-        }
-    }
-    let space = Space::from_points("policy", points, |&(c, s, t, ed)| {
-        format!("controller={c};scenario={s};topology={t};ed={ed}")
-    });
-    let mut cache = open_cache(cache_dir, "policy", "policy-v1");
-    let out = explore::sweep_cached(&space, opts, &mut cache, |&(c, s, t, ed)| {
-        policy_cell(c, s, t, ed)
-    });
-    let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
-
-    let controller_label = |code: usize| *crate::sim::PolicyKind::names().get(code).unwrap_or(&"?");
-    let mut sweep = artifacts(
-        "policy",
-        "Controller race: static vs reactive vs predictive across fault × topology × load (DES)",
-        &[
+/// The controller race on the DES.
+fn policy() -> Sweep<(usize, usize, usize, f64), PolicyCell> {
+    let title =
+        "Controller race: static vs reactive vs predictive across fault × topology × load (DES)";
+    Sweep {
+        name: "policy",
+        summary: title,
+        title,
+        tag: "policy-v1",
+        columns: &[
             "controller",
             "scenario",
             "topology",
@@ -889,14 +768,57 @@ fn run_policy(
             "frames shed",
             "stable",
         ],
-        &out.results,
-        |c: &PolicyCell| {
+        axes: vec![
+            axis(
+                "controller",
+                "control plane: 0 static, 1 reactive, 2 predictive",
+                Domain::Code(PolicyKind::names()),
+                vec![0.0, 1.0, 2.0],
+            ),
+            axis(
+                "scenario",
+                "fault scenario: 0 flaky_links, 1 cluster_loss, 2 combined",
+                Domain::Code(&POLICY_SWEEP_SCENARIOS),
+                vec![0.0, 1.0, 2.0],
+            ),
+            axis(
+                "topology",
+                "ring shape: 0 ring, 1 split:4",
+                Domain::Code(&POLICY_SWEEP_TOPOLOGIES),
+                vec![0.0, 1.0],
+            ),
+            ed_axis(vec![0.5, 0.95]),
+        ],
+        space: |axes| {
+            let points = product(axes, |v| {
+                (v[0] as usize, v[1] as usize, v[2] as usize, v[3])
+            });
+            Space::from_points("policy", points, |&(c, s, t, ed)| {
+                format!("controller={c};scenario={s};topology={t};ed={ed}")
+            })
+        },
+        config: |&(c, s, t, ed)| Some(policy_sweep_config(c, s, t, ed)),
+        cell: |&(controller, scenario, topology, ed)| {
+            let report = crate::sim::run(&policy_sweep_config(controller, scenario, topology, ed));
+            PolicyCell {
+                controller,
+                scenario,
+                topology,
+                ed,
+                goodput: report.goodput,
+                availability: report.faults.availability,
+                attainment: report.serve.as_ref().map_or(1.0, attainment),
+                undeliverable: report.faults.undeliverable,
+                reroutes: report.faults.reroutes,
+                frames_shed: report.faults.frames_shed,
+                stable: report.stable,
+            }
+        },
+        row: |c| {
             vec![
-                controller_label(c.controller).to_string(),
-                POLICY_SWEEP_SCENARIOS[c.scenario].to_string(),
-                policy_sweep_topology(c.topology)
-                    .map_or("?", |(_, l)| l)
-                    .to_string(),
+                label(PolicyKind::names(), c.controller).to_string(),
+                label(&POLICY_SWEEP_SCENARIOS, c.scenario).to_string(),
+                label(&POLICY_SWEEP_TOPOLOGIES, c.topology).to_string(),
                 trim_float(c.ed),
                 format!("{:.4}", c.goodput),
                 format!("{:.4}", c.availability),
@@ -907,41 +829,33 @@ fn run_policy(
                 c.stable.to_string(),
             ]
         },
-        &[
+        objectives: vec![
             Objective::maximize("goodput", |c: &PolicyCell| c.goodput),
             Objective::maximize("availability", |c: &PolicyCell| c.availability),
             Objective::maximize("SLO attainment", |c: &PolicyCell| c.attainment),
         ],
-        &[],
-        out.stats,
-        cache_written,
-    );
-    policy_dominance_notes(&mut sweep.grid, &out.results);
-    Ok(sweep)
+        constraints: Vec::new(),
+        finish: policy_dominance_notes,
+    }
 }
 
-fn run_sizing(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    opts: &ExecOptions,
-    cache_dir: Option<&Path>,
-) -> Result<SweepRun, String> {
-    let kws = axis_f64(def, overrides, "kw");
-    let space = sizing_cli_space(
-        &kws,
-        &lengths(&axis_f64(def, overrides, "res")),
-        &axis_f64(def, overrides, "ed"),
-    );
-    let mut cache = open_cache(cache_dir, "sizing", "fig9-v1");
-    let out = explore::sweep_cached(&space, opts, &mut cache, sizing_cell);
-    let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
-
-    Ok(artifacts(
-        "sizing",
-        "SµDCs needed per application (RTX 3090, Fig. 9 space)",
-        &["SµDC kW", "app", "resolution", "ED", "SµDCs"],
-        &out.results,
-        |c: &SizingCell| {
+/// Fig. 9-style SµDC counts on the RTX 3090.
+fn sizing() -> Sweep<(f64, Application, Length, f64), SizingCell> {
+    Sweep {
+        name: "sizing",
+        summary: "Fig. 9-style SµDC counts (RTX 3090), all applications",
+        title: "SµDCs needed per application (RTX 3090, Fig. 9 space)",
+        tag: "fig9-v1",
+        columns: &["SµDC kW", "app", "resolution", "ED", "SµDCs"],
+        axes: vec![
+            kw_axis(vec![4.0]),
+            res_axis(),
+            ed_axis(FrameSpec::paper_discard_rates().to_vec()),
+        ],
+        space: |axes| sizing_cli_space(&axes[0], &lengths(&axes[1]), &axes[2]),
+        config: |_| None,
+        cell: sizing_cell,
+        row: |c| {
             vec![
                 trim_float(c.kw),
                 c.row.app.to_string(),
@@ -953,7 +867,7 @@ fn run_sizing(
                     .unwrap_or_else(|| "unmappable".to_string()),
             ]
         },
-        &[
+        objectives: vec![
             Objective::minimize("SµDCs", |c: &SizingCell| match c.row.sudcs {
                 Some(n) => n as f64,
                 None => f64::NAN,
@@ -961,34 +875,29 @@ fn run_sizing(
             Objective::minimize("resolution (m)", |c: &SizingCell| c.row.resolution.as_m()),
             Objective::minimize("ED", |c: &SizingCell| c.row.discard_rate),
         ],
-        &[Constraint::new("measured on device", |c: &SizingCell| {
+        constraints: vec![Constraint::new("measured on device", |c: &SizingCell| {
             c.row.sudcs.is_some()
         })],
-        out.stats,
-        cache_written,
-    ))
+        finish: |_, _| {},
+    }
 }
 
-fn run_table8(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    opts: &ExecOptions,
-    cache_dir: Option<&Path>,
-) -> Result<SweepRun, String> {
-    let space = crate::bottleneck::table8_space(
-        &lengths(&axis_f64(def, overrides, "res")),
-        &axis_f64(def, overrides, "ed"),
-    );
-    let mut cache = open_cache(cache_dir, "table8", "table8-v1");
-    let out = explore::sweep_cached(&space, opts, &mut cache, crate::bottleneck::table8_cell);
-    let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
-
-    Ok(artifacts(
-        "table8",
-        "EO satellites one ring SµDC can ingest from (Table 8 space)",
-        &["resolution", "ED", "ISL", "supportable EO sats"],
-        &out.results,
-        |c: &Table8Cell| {
+/// Table 8's ring-supportable EO satellites per ISL class.
+fn table8() -> Sweep<(Length, f64, IslClass), Table8Cell> {
+    Sweep {
+        name: "table8",
+        summary: "Table 8 ring-supportable EO satellites per ISL class",
+        title: "EO satellites one ring SµDC can ingest from (Table 8 space)",
+        tag: "table8-v1",
+        columns: &["resolution", "ED", "ISL", "supportable EO sats"],
+        axes: vec![
+            res_axis(),
+            ed_axis(FrameSpec::paper_discard_rates().to_vec()),
+        ],
+        space: |axes| table8_space(&lengths(&axes[0]), &axes[1]),
+        config: |_| None,
+        cell: table8_cell,
+        row: |c| {
             vec![
                 res_label(c.resolution),
                 ed_label(c.discard_rate),
@@ -996,49 +905,28 @@ fn run_table8(
                 c.supportable.to_string(),
             ]
         },
-        &[
+        objectives: vec![
             Objective::maximize("supportable EO sats", |c: &Table8Cell| c.supportable as f64),
             Objective::minimize("ISL capacity (Gbit/s)", |c: &Table8Cell| {
                 c.isl.capacity().as_bps() / 1e9
             }),
         ],
-        &[Constraint::new(
+        constraints: vec![Constraint::new(
             "supports ≥ 1 satellite",
             |c: &Table8Cell| c.supportable >= 1,
         )],
-        out.stats,
-        cache_written,
-    ))
+        finish: |_, _| {},
+    }
 }
 
-fn run_bottleneck(
-    def: &SweepDef,
-    overrides: &[(String, Vec<f64>)],
-    opts: &ExecOptions,
-    cache_dir: Option<&Path>,
-) -> Result<SweepRun, String> {
-    let space = bottleneck_cli_space(
-        &axis_f64(def, overrides, "kw"),
-        &lengths(&axis_f64(def, overrides, "res")),
-        &axis_f64(def, overrides, "ed"),
-    );
-    let mut cache = open_cache(cache_dir, "bottleneck", "fig11-v1");
-    let out = explore::sweep_cached(&space, opts, &mut cache, |p| {
-        fig11_row(PAPER_CONSTELLATION, p)
-    });
-    let cache_written = cache.save().map_err(|e| format!("cache save: {e}"))?;
-
-    let fmt_clusters = |c: usize| {
-        if c == usize::MAX {
-            "infeasible".to_string()
-        } else {
-            c.to_string()
-        }
-    };
-    Ok(artifacts(
-        "bottleneck",
-        "Ring clusters needed vs ISL capacity across applications (Fig. 11 space)",
-        &[
+/// Fig. 11-style ring cluster counts across applications × ISLs.
+fn bottleneck() -> Sweep<(f64, Application, Length, f64, IslClass), Fig11Row> {
+    Sweep {
+        name: "bottleneck",
+        summary: "Fig. 11-style cluster counts across apps × ISLs (RTX 3090)",
+        title: "Ring clusters needed vs ISL capacity across applications (Fig. 11 space)",
+        tag: "fig11-v1",
+        columns: &[
             "SµDC kW",
             "app",
             "resolution",
@@ -1049,35 +937,42 @@ fn run_bottleneck(
             "clusters",
             "binding",
         ],
-        &out.results,
-        move |r: &Fig11Row| {
-            let (cc, ic, cl, binding) = match &r.analysis {
-                Some(a) => (
-                    a.compute_clusters.to_string(),
-                    fmt_clusters(a.isl_clusters),
-                    fmt_clusters(a.clusters),
-                    a.binding.to_string(),
-                ),
-                None => (
-                    "unmappable".to_string(),
-                    "unmappable".to_string(),
-                    "unmappable".to_string(),
-                    "unmappable".to_string(),
-                ),
+        axes: vec![
+            kw_axis(vec![4.0, 256.0]),
+            res_axis(),
+            ed_axis(FrameSpec::paper_discard_rates().to_vec()),
+        ],
+        space: |axes| bottleneck_cli_space(&axes[0], &lengths(&axes[1]), &axes[2]),
+        config: |_| None,
+        cell: |p| fig11_row(PAPER_CONSTELLATION, p),
+        row: |r| {
+            let clusters = |c: usize| {
+                if c == usize::MAX {
+                    "infeasible".to_string()
+                } else {
+                    c.to_string()
+                }
             };
-            vec![
+            let analysis = match &r.analysis {
+                Some(a) => [
+                    a.compute_clusters.to_string(),
+                    clusters(a.isl_clusters),
+                    clusters(a.clusters),
+                    a.binding.to_string(),
+                ],
+                None => std::array::from_fn(|_| "unmappable".to_string()),
+            };
+            let mut row = vec![
                 trim_float(r.sudc_kw),
                 r.app.to_string(),
                 res_label(r.resolution),
                 ed_label(r.discard_rate),
                 r.isl.to_string(),
-                cc,
-                ic,
-                cl,
-                binding,
-            ]
+            ];
+            row.extend(analysis);
+            row
         },
-        &[
+        objectives: vec![
             Objective::minimize("clusters", |r: &Fig11Row| match &r.analysis {
                 Some(a) if a.isl_clusters != usize::MAX => a.clusters as f64,
                 _ => f64::NAN,
@@ -1085,18 +980,13 @@ fn run_bottleneck(
             Objective::minimize("resolution (m)", |r: &Fig11Row| r.resolution.as_m()),
             Objective::minimize("ED", |r: &Fig11Row| r.discard_rate),
         ],
-        &[Constraint::new("feasible ring ingest", |r: &Fig11Row| {
+        constraints: vec![Constraint::new("feasible ring ingest", |r: &Fig11Row| {
             r.analysis
                 .as_ref()
                 .is_some_and(|a| a.isl_clusters != usize::MAX)
         })],
-        out.stats,
-        cache_written,
-    ))
-}
-
-fn lengths(meters: &[f64]) -> Vec<Length> {
-    meters.iter().map(|&m| Length::from_m(m)).collect()
+        finish: |_, _| {},
+    }
 }
 
 /// One cell of the split sweep: the DES outcome of serving the
@@ -1150,7 +1040,7 @@ pub struct ServeCell {
     pub rate_rps: f64,
     /// Premium tenant's share of the offered load, in (0, 1).
     pub premium_share: f64,
-    /// Batch policy code ([`BatchPolicy::code`]).
+    /// Batch policy code (`SERVE_SWEEP_POLICIES` index).
     pub policy: usize,
     /// Completed requests per simulated second.
     pub requests_per_sec: f64,
@@ -1203,11 +1093,11 @@ impl explore::Cacheable for ServeCell {
 pub struct PolicyCell {
     /// Controller code ([`crate::sim::PolicyKind::names`] index).
     pub controller: usize,
-    /// Fault scenario code ([`POLICY_SWEEP_SCENARIOS`] index).
+    /// Fault scenario code (`POLICY_SWEEP_SCENARIOS` index).
     pub scenario: usize,
-    /// Topology code (0 ring, 1 split:4).
+    /// Topology code (`POLICY_SWEEP_TOPOLOGIES` index).
     pub topology: usize,
-    /// Early-discard keep rate, the sweep's load proxy.
+    /// Early-discard rate, the sweep's load proxy.
     pub ed: f64,
     /// Frames processed over frames kept.
     pub goodput: f64,
@@ -1349,49 +1239,14 @@ pub fn bottleneck_cli_space(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
-
-    /// Every named sweep run once sequentially and uncached, shared by the
-    /// tests that need exactly that run so it is computed once per binary.
-    fn sequential_runs() -> &'static [SweepRun] {
-        static RUNS: OnceLock<Vec<SweepRun>> = OnceLock::new();
-        RUNS.get_or_init(|| {
-            all()
-                .iter()
-                .map(|def| {
-                    run(def.name, &[], &ExecOptions::sequential(), None)
-                        .unwrap_or_else(|e| panic!("{}: {e}", def.name))
-                })
-                .collect()
-        })
-    }
 
     #[test]
-    fn every_named_sweep_runs_uncached() {
-        for run in sequential_runs() {
-            assert!(!run.grid.rows.is_empty(), "{} grid empty", run.name);
-            assert!(!run.frontier.rows.is_empty(), "{} frontier empty", run.name);
-            assert!(
-                run.frontier.rows.len() <= run.grid.rows.len(),
-                "{} frontier larger than grid",
-                run.name
-            );
-            assert_eq!(run.stats.evaluated, run.stats.points);
-            assert!(run.cache_written.is_none(), "{} wrote a cache", run.name);
-        }
-    }
-
-    #[test]
-    fn parallel_named_sweep_matches_sequential() {
-        for seq in sequential_runs() {
-            let par = run(seq.name, &[], &ExecOptions::threads(4), None).unwrap();
-            assert_eq!(seq.grid.rows, par.grid.rows, "{} grid", seq.name);
-            assert_eq!(
-                seq.frontier.rows, par.frontier.rows,
-                "{} frontier",
-                seq.name
-            );
-        }
+    fn uncached_runs_evaluate_every_point_and_write_no_cache() {
+        let run = run("table8", &[], &ExecOptions::threads(2), None).unwrap();
+        assert!(!run.grid.rows.is_empty());
+        assert_eq!(run.stats.evaluated, run.stats.points);
+        assert_eq!(run.stats.cache_hits, 0);
+        assert!(run.cache_written.is_none(), "wrote a cache");
     }
 
     #[test]
@@ -1414,22 +1269,96 @@ mod tests {
     }
 
     #[test]
+    fn every_default_value_is_in_its_axis_domain() {
+        for def in all() {
+            for axis in &def.axes {
+                assert!(!axis.default.is_empty(), "{}.{}", def.name, axis.name);
+                for &v in &axis.default {
+                    assert!(
+                        axis.domain.contains(v),
+                        "{}.{} default {v} outside {}",
+                        def.name,
+                        axis.name,
+                        axis.domain
+                    );
+                }
+            }
+        }
+    }
+
+    /// Runs `sweep` with one override of `axis`, which must fail; the
+    /// error names the axis and the last (offending) value.
+    fn rejected(sweep: &str, axis: &str, values: &[f64]) -> String {
+        let overrides = vec![(axis.to_string(), values.to_vec())];
+        let err = match run(sweep, &overrides, &ExecOptions::sequential(), None) {
+            Ok(_) => panic!("{sweep} accepted {axis}={values:?}"),
+            Err(e) => e,
+        };
+        assert!(err.contains(&format!("axis '{axis}'")), "{sweep}: {err}");
+        if let Some(bad) = values.last() {
+            assert!(err.contains(&format!("got {bad}")), "{sweep}: {err}");
+        }
+        err
+    }
+
+    #[test]
     fn unknown_names_are_rejected() {
-        assert!(run("nope", &[], &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("unknown sweep"));
-        let bad_axis = vec![("device".to_string(), vec![1.0])];
-        assert!(run("sizing", &bad_axis, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("no axis 'device'"));
-        let odd_k = vec![("k".to_string(), vec![3.0])];
-        assert!(run("codesign", &odd_k, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("even values"));
-        let frac = vec![("split".to_string(), vec![1.5])];
-        assert!(run("codesign", &frac, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("integers"));
+        let unknown = run("nope", &[], &ExecOptions::sequential(), None).unwrap_err();
+        assert!(unknown.contains("unknown sweep 'nope'"), "{unknown}");
+        let device = vec![("device".to_string(), vec![1.0])];
+        let no_axis = run("sizing", &device, &ExecOptions::sequential(), None).unwrap_err();
+        assert!(no_axis.contains("no axis 'device'"), "{no_axis}");
+        let odd_k = rejected("codesign", "k", &[3.0]);
+        assert!(odd_k.contains("even integers"), "{odd_k}");
+        let frac = rejected("codesign", "split", &[1.5]);
+        assert!(frac.contains("integers"), "{frac}");
+    }
+
+    #[test]
+    fn serve_sweep_rejects_bad_axes() {
+        let bad_share = rejected("serve", "premium", &[1.0]);
+        assert!(bad_share.contains("(0, 1)"), "{bad_share}");
+        let bad_rate = rejected("serve", "rate", &[0.0]);
+        assert!(bad_rate.contains("values > 0"), "{bad_rate}");
+        let bad_policy = rejected("serve", "policy", &[5.0]);
+        assert!(bad_policy.contains("adaptive"), "{bad_policy}");
+    }
+
+    #[test]
+    fn policy_race_rejects_unknown_codes() {
+        for (axis, bad) in [("controller", 3.0), ("scenario", 3.0), ("topology", 2.0)] {
+            rejected("policy", axis, &[bad]);
+        }
+    }
+
+    /// Every other axis value outside its domain (non-finite values
+    /// included) is an `Err` naming what was wrong, never a panic or a row.
+    #[test]
+    fn bad_names_and_axis_values_are_rejected() {
+        let mut cases: Vec<(&str, &str, Vec<f64>)> = vec![
+            ("codesign", "k", vec![0.0]),
+            ("codesign", "k", vec![]),
+            ("codesign", "split", vec![0.0]),
+            ("split", "factor", vec![-1.0]),
+            ("serve", "rate", vec![f64::INFINITY]),
+            ("policy", "topology", vec![0.5]),
+        ];
+        for sweep in ["sizing", "table8", "bottleneck"] {
+            cases.push((sweep, "res", vec![0.0]));
+            cases.push((sweep, "res", vec![3.0, -3.0]));
+        }
+        for sweep in ["sizing", "bottleneck"] {
+            for kw in [0.0, f64::INFINITY, f64::NAN] {
+                cases.push((sweep, "kw", vec![kw]));
+            }
+        }
+        for sweep in ["split", "sizing", "table8", "bottleneck", "policy"] {
+            cases.push((sweep, "ed", vec![1.0]));
+            cases.push((sweep, "ed", vec![-0.5]));
+        }
+        for (sweep, axis, values) in cases {
+            rejected(sweep, axis, &values);
+        }
     }
 
     #[test]
@@ -1476,10 +1405,13 @@ mod tests {
 
     #[test]
     fn split_sweep_rejects_indivisible_factors() {
-        let bad = vec![("factor".to_string(), vec![3.0])];
-        assert!(run("split", &bad, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("divide the ring"));
+        // 2^62 SµDC units per cluster overflow `clusters × factor`.
+        for factor in [3.0, 2f64.powi(62)] {
+            let bad = vec![("factor".to_string(), vec![factor])];
+            assert!(run("split", &bad, &ExecOptions::sequential(), None)
+                .unwrap_err()
+                .contains("divide the ring"));
+        }
     }
 
     #[test]
@@ -1502,22 +1434,6 @@ mod tests {
         assert_eq!(warm.stats.cache_hits, warm.stats.points);
         assert_eq!(cold.grid.rows, warm.grid.rows);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn serve_sweep_rejects_bad_axes() {
-        let bad_share = vec![("premium".to_string(), vec![1.0])];
-        assert!(run("serve", &bad_share, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("(0, 1)"));
-        let bad_rate = vec![("rate".to_string(), vec![0.0])];
-        assert!(run("serve", &bad_rate, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("positive requests/s"));
-        let bad_policy = vec![("policy".to_string(), vec![5.0])];
-        assert!(run("serve", &bad_policy, &ExecOptions::sequential(), None)
-            .unwrap_err()
-            .contains("adaptive"));
     }
 
     #[test]
@@ -1568,15 +1484,6 @@ mod tests {
             stable: true,
         };
         assert_eq!(PolicyCell::decode(&cell.encode()), Some(cell));
-    }
-
-    #[test]
-    fn policy_race_rejects_unknown_codes() {
-        for (axis, bad) in [("controller", 3.0), ("scenario", 3.0), ("topology", 2.0)] {
-            let overrides = vec![(axis.to_string(), vec![bad])];
-            let err = run("policy", &overrides, &ExecOptions::sequential(), None).unwrap_err();
-            assert!(err.contains(axis), "{err}");
-        }
     }
 
     #[test]

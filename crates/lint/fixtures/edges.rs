@@ -40,7 +40,7 @@ pub fn spaced(o: Option<u32>, x: f64) -> bool {
 pub fn streams(rng: &RngFactory, sat: u64) {
     let _a = rng.stream(("wrapped"), sat); //~ rng-stream-discipline
     let _b = rng.stream("nested", (0)); //~ rng-stream-discipline
-    let _c = rng.stream("cast", 0 as u64);
+    let _c = rng.stream("cast", 0 as u64); //~ rng-stream-discipline
     let _d = rng.stream(sat);
     let _e = rng.stream("fine", sat);
 }

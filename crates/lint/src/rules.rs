@@ -428,8 +428,13 @@ impl<'f> Walk<'f> {
             return; // not a two-argument call — not a stream derivation
         };
         let literal_label = comma == i + 3 && self.kind_at(i + 2, TokKind::Str);
-        let entity_index = (comma + 1..close)
-            .any(|k| self.kind_at(k, TokKind::Ident) && self.bytes_at(k) != b"as");
+        // `as` and the cast type after it name no entity: `0 as u64` is
+        // a constant index.
+        let entity_index = (comma + 1..close).any(|k| {
+            self.kind_at(k, TokKind::Ident)
+                && self.bytes_at(k) != b"as"
+                && self.bytes_at(k - 1) != b"as"
+        });
         if !literal_label {
             self.emit(
                 &STREAM,
@@ -694,14 +699,16 @@ mod tests {
 
     #[test]
     fn stream_discipline_flags_dynamic_labels_and_constant_indices() {
-        let src = "fn wire(rng: &RngFactory, label: &str, sat: u64) {\n    let _a = rng.stream(\"isl\", sat);\n    let _b = rng.stream(label, sat);\n    let _c = rng.stream(\"ingest\", 0);\n}\n";
+        let src = "fn wire(rng: &RngFactory, label: &str, sat: u64) {\n    let _a = rng.stream(\"isl\", sat);\n    let _b = rng.stream(label, sat);\n    let _c = rng.stream(\"ingest\", 0);\n    let _d = rng.stream(\"cast\", 0 as u64);\n    let _e = rng.stream(\"shift\", (sat as u64) << 32);\n}\n";
         let out: Vec<Diagnostic> = diags("crates/core/src/sim/transport.rs", src)
             .into_iter()
             .filter(|d| d.rule == "rng-stream-discipline")
             .collect();
-        assert_eq!(out.len(), 2, "{out:?}");
+        assert_eq!(out.len(), 3, "{out:?}");
         assert!(out[0].message.contains("string literal"));
         assert!(out[1].message.contains("bare constant"));
+        assert_eq!(out[2].line, 5, "`0 as u64` is a constant");
+        assert!(out[2].message.contains("bare constant"));
         // Outside sim/, no jurisdiction.
         assert!(!rule_ids("crates/workloads/src/apps.rs", src).contains(&"rng-stream-discipline"));
     }
