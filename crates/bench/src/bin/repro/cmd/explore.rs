@@ -3,21 +3,20 @@
 //! `BENCH_serve.json` for the serve capacity frontier). Executor
 //! statistics go to one `explore.stats` event per sweep on stderr.
 
-use std::path::Path;
-use std::process::ExitCode;
-
 use telemetry::RunManifest;
 
+use super::{Out, Outcome, Publisher};
 use crate::Cli;
 
-/// `repro explore list` — print every sweep with its axes and defaults.
-fn print_sweep_list() {
-    println!("available sweeps:");
+/// `repro explore list` — every sweep with its axes and defaults.
+fn list(out: &mut Out) {
+    writeln!(out, "available sweeps:");
     for def in sudc::sweeps::all() {
-        println!("  {:10}  {}", def.name, def.title);
+        writeln!(out, "  {:10}  {}", def.name, def.title);
         for axis in &def.axes {
             let default: Vec<String> = axis.default.iter().map(f64::to_string).collect();
-            println!(
+            writeln!(
+                out,
                 "              --axis {}=…  {} (default {})",
                 axis.name,
                 axis.help,
@@ -27,9 +26,8 @@ fn print_sweep_list() {
     }
 }
 
-/// Reports one finished sweep's executor statistics and writes its
-/// grid + frontier artifacts into `out_dir`.
-fn record_sweep(cli: &Cli, run: &sudc::sweeps::SweepRun, out_dir: &Path, failed: &mut bool) {
+/// Reports one finished sweep's executor statistics.
+fn report_stats(run: &sudc::sweeps::SweepRun) {
     let stats = &run.stats;
     telemetry::info(
         "explore.stats",
@@ -43,47 +41,14 @@ fn record_sweep(cli: &Cli, run: &sudc::sweeps::SweepRun, out_dir: &Path, failed:
             ("points_per_sec".to_string(), stats.points_per_sec().into()),
         ],
     );
-    if !cli.quiet {
-        println!("{}", run.frontier.to_text_table());
-    }
-    for result in [&run.grid, &run.frontier] {
-        if !super::emit_artifacts(out_dir, result, cli.quiet) {
-            *failed = true;
-        }
-    }
-    if !cli.quiet {
-        println!();
-    }
 }
 
-/// Writes a sweep's headline gauges (today: the serve capacity
-/// frontier) to `BENCH_serve.json` in `out_dir`.
-fn write_serve_bench(
-    cli: &Cli,
-    gauges: &[(&str, f64)],
-    manifest: &RunManifest,
-    out_dir: &Path,
-    failed: &mut bool,
-) {
-    let metrics = telemetry::Metrics::new();
-    for &(key, value) in gauges {
-        metrics.gauge(key, value);
-    }
-    let path = out_dir.join("BENCH_serve.json");
-    if let Err(e) = bench::write_bench_json(&path, manifest, &metrics) {
-        eprintln!("error writing {}: {e}", path.display());
-        *failed = true;
-    } else if !cli.quiet {
-        println!("wrote {}", path.display());
-    }
-}
-
-pub fn exec(cli: &Cli) -> ExitCode {
+pub fn exec(cli: &Cli, out: &mut Out) -> Outcome {
     let names: Vec<String> = cli.ids[1..].to_vec();
 
     if names.first().map(String::as_str) == Some("list") {
-        print_sweep_list();
-        return ExitCode::SUCCESS;
+        list(out);
+        return Ok(false);
     }
 
     let names: Vec<String> = if names.is_empty() {
@@ -95,15 +60,10 @@ pub fn exec(cli: &Cli) -> ExitCode {
         names
     };
     if !cli.axes.is_empty() && names.len() != 1 {
-        eprintln!(
-            "error: --axis needs exactly one sweep name (got {})",
+        return Err(format!(
+            "--axis needs exactly one sweep name (got {})",
             names.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = super::install_telemetry(cli) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+        ));
     }
 
     let threads = cli.threads.unwrap_or(4);
@@ -112,7 +72,6 @@ pub fn exec(cli: &Cli) -> ExitCode {
     } else {
         explore::ExecOptions::threads(threads)
     };
-    let out_dir = cli.out_dir.clone().unwrap_or_else(bench::results_dir);
     // The memo store stays under results/ whatever --out-dir says.
     let cache_dir = (!cli.no_cache).then(|| bench::results_dir().join("cache"));
 
@@ -120,46 +79,40 @@ pub fn exec(cli: &Cli) -> ExitCode {
     // --threads and --no-cache are left out: neither can change a
     // byte the sweep writes.
     manifest.param("sweep_count", names.len() as u64);
+    let mut publisher = Publisher::new(cli, out, manifest, true);
     // Headline gauges from the sweeps that surface them (today: the
     // serve capacity frontier), written once the manifest is complete.
     let mut gauges = Vec::new();
-    let mut failed = false;
     for name in &names {
         match sudc::sweeps::run(name, &cli.axes, &opts, cache_dir.as_deref()) {
             Ok(run) => {
-                manifest.record_experiment(&run.grid.id);
-                record_sweep(cli, &run, &out_dir, &mut failed);
+                report_stats(&run);
+                publisher.publish(&run.frontier, &[&run.grid, &run.frontier]);
                 if !run.metrics.is_empty() {
                     gauges = run.metrics;
                 }
             }
-            Err(e) => {
-                eprintln!("error: {e}");
-                failed = true;
-            }
-        }
-    }
-
-    match manifest.write_to(&out_dir) {
-        Ok(path) => telemetry::info(
-            "explore.manifest",
-            vec![("path".to_string(), path.display().to_string().into())],
-        ),
-        Err(e) => {
-            eprintln!("error writing run manifest: {e}");
-            failed = true;
+            Err(e) => publisher.fail(&e),
         }
     }
     if !gauges.is_empty() {
-        write_serve_bench(cli, &gauges, &manifest, &out_dir, &mut failed);
+        publisher.write_file("BENCH_serve.json", |path, manifest| {
+            let metrics = telemetry::Metrics::new();
+            for &(key, value) in &gauges {
+                metrics.gauge(key, value);
+            }
+            bench::write_bench_json(path, manifest, &metrics)
+        });
     }
+    let sweeps = publisher.published();
+    let failed = publisher.finish();
 
     telemetry::info(
         "explore.done",
         vec![
-            ("sweeps".to_string(), manifest.experiments.len().into()),
+            ("sweeps".to_string(), sweeps.into()),
             ("failed".to_string(), failed.into()),
         ],
     );
-    super::exit_status(cli, failed)
+    Ok(failed)
 }

@@ -7,59 +7,44 @@
 //! `results/lint_audit.json` artifact, which is byte-identical across
 //! runs.
 
-use std::path::PathBuf;
-use std::process::ExitCode;
+use std::path::{Path, PathBuf};
 
 use sudc_lint::{report, rule_by_id};
 
+use super::{Out, Outcome};
 use crate::Cli;
 
-/// Handles `repro lint rules` and rejects stray operands; `None` means
-/// proceed into the scan.
-fn handle_operands(cli: &Cli) -> Option<ExitCode> {
-    let operands = &cli.ids[1..];
-    if operands.first().map(String::as_str) == Some("rules") {
-        println!("lint rules:");
-        for r in sudc_lint::RULES {
-            println!("  {:28} {}", r.id, r.summary);
-            println!("  {:28} fix: {}", "", r.hint);
-        }
-        return Some(ExitCode::SUCCESS);
+/// `repro lint rules` — every rule with its fix hint.
+fn list(out: &mut Out) {
+    writeln!(out, "lint rules:");
+    for r in sudc_lint::RULES {
+        writeln!(out, "  {:28} {}", r.id, r.summary);
+        writeln!(out, "  {:28} fix: {}", "", r.hint);
     }
-    if let Some(op) = operands.first() {
-        eprintln!(
-            "error: unexpected operand '{op}' (usage: repro lint [rules] [--rule <id>] \
-             [--format text|json] [--audit determinism])"
-        );
-        return Some(ExitCode::FAILURE);
-    }
-    None
 }
 
 /// Validates the flag combination: `--rule` must name a known rule,
 /// `--audit` covers all rules (no `--rule`), and the only audit is
 /// `determinism`. Returns the `--rule` restriction.
-fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, ExitCode> {
+fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, String> {
     let only = match &cli.rule {
-        Some(id) => match rule_by_id(id) {
-            Some(r) => Some(r.id),
-            None => {
-                eprintln!("error: unknown rule '{id}' (try `repro lint rules`)");
-                return Err(ExitCode::FAILURE);
-            }
-        },
+        Some(id) => Some(
+            rule_by_id(id)
+                .ok_or_else(|| format!("unknown rule '{id}' (try `repro lint rules`)"))?
+                .id,
+        ),
         None => None,
     };
     match cli.audit.as_deref() {
         None | Some("determinism") => {}
         Some(other) => {
-            eprintln!("error: unknown audit '{other}' (only 'determinism' exists)");
-            return Err(ExitCode::FAILURE);
+            return Err(format!(
+                "unknown audit '{other}' (only 'determinism' exists)"
+            ))
         }
     }
     if cli.audit.is_some() && only.is_some() {
-        eprintln!("error: --audit covers all rules; drop --rule");
-        return Err(ExitCode::FAILURE);
+        return Err("--audit covers all rules; drop --rule".to_string());
     }
     Ok(only)
 }
@@ -67,7 +52,7 @@ fn validate_flags(cli: &Cli) -> Result<Option<&'static str>, ExitCode> {
 /// `--audit`: writes the committed audit artifact (default
 /// `results/lint_audit.json`, or into `--out-dir`). Returns `false` on
 /// an IO failure.
-fn write_audit(cli: &Cli, doc: &str, results_dir: &std::path::Path, format: &str) -> bool {
+fn write_audit(cli: &Cli, out: &mut Out, doc: &str, results_dir: &Path, format: &str) -> bool {
     let audit_dir = cli
         .out_dir
         .clone()
@@ -80,49 +65,45 @@ fn write_audit(cli: &Cli, doc: &str, results_dir: &std::path::Path, format: &str
         return false;
     }
     if !cli.quiet && format != "json" {
-        println!("wrote {}", audit_path.display());
+        writeln!(out, "wrote {}", audit_path.display());
     }
     true
 }
 
-pub fn exec(cli: &Cli) -> ExitCode {
-    if let Some(code) = handle_operands(cli) {
-        return code;
+pub fn exec(cli: &Cli, out: &mut Out) -> Outcome {
+    match cli.ids.get(1).map(String::as_str) {
+        Some("rules") => {
+            list(out);
+            return Ok(false);
+        }
+        Some(op) => {
+            return Err(format!(
+                "unexpected operand '{op}' (usage: repro lint [rules] [--rule <id>] \
+                 [--format text|json] [--audit determinism])"
+            ))
+        }
+        None => {}
     }
-    let only = match validate_flags(cli) {
-        Ok(only) => only,
-        Err(code) => return code,
-    };
+    let only = validate_flags(cli)?;
     let format = cli.format.as_deref().unwrap_or("text");
-
-    if let Err(e) = super::install_telemetry(cli) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
 
     let results_dir = bench::results_dir();
     let root = results_dir
         .parent()
-        .map_or_else(|| PathBuf::from("."), std::path::Path::to_path_buf);
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
 
-    let run = match sudc_lint::lint_workspace(&root, only) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let run = sudc_lint::lint_workspace(&root, only)?;
 
     match format {
-        "json" => print!("{}", report::render_json(&run)),
-        _ if cli.quiet => print!("{}", report::render_findings(&run)),
-        _ => print!("{}", report::render_text(&run)),
+        "json" => write!(out, "{}", report::render_json(&run)),
+        _ if cli.quiet => write!(out, "{}", report::render_findings(&run)),
+        _ => write!(out, "{}", report::render_text(&run)),
     }
 
     let mut failed = !run.diagnostics.is_empty();
     if cli.audit.is_some() {
         let doc = report::render_audit(&run);
-        failed |= !write_audit(cli, &doc, &results_dir, format);
+        failed |= !write_audit(cli, out, &doc, &results_dir, format);
     }
 
     telemetry::info(
@@ -135,5 +116,5 @@ pub fn exec(cli: &Cli) -> ExitCode {
             ),
         ],
     );
-    super::exit_status(cli, failed)
+    Ok(failed)
 }

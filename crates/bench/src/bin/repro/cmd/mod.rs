@@ -1,191 +1,74 @@
 //! `repro` subcommands, one module each, plus the plumbing they share:
-//! telemetry installation and the txt/csv/json artifact-triplet writer.
+//! the stdout writer, telemetry installation, and the publisher that
+//! prints tables and writes artifact triplets and run manifests.
+//!
+//! Every subcommand's `exec` takes the parsed [`Cli`] and the [`Out`]
+//! writer and returns an [`Outcome`] to `main`, which prints a fatal
+//! error, flushes stdout and the telemetry sinks, and picks the exit
+//! code, once for every command.
 
 pub mod explore;
 pub mod lint;
 pub mod run;
-pub mod serve;
 pub mod sim;
 pub mod trace;
 
+use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use std::sync::Arc;
 
-use sudc::sim::{try_run_recorded, try_run_threads, PolicyKind, SimConfig, SimReport, SimTopology};
-use telemetry::trace::Recorder;
-use telemetry::Level;
+use sudc::experiments::ExperimentResult;
+use telemetry::{Level, RunManifest};
 
 use crate::Cli;
 
-/// Ring capacity of the in-process flight recorder. The JSONL log gets
-/// every event regardless; the ring only backs in-memory inspection.
-/// It equals the engine's batch size (`Recorder::batch_hint`), so every
-/// full batch reaches the ring by a pointer swap after it is logged.
-const RECORDER_RING: usize = 4096;
+/// What a command hands back to `main`: `Err` is a fatal error (printed
+/// as `error: …`), `Ok(failed)` says whether any step failed (each
+/// failed step printed its own error already).
+pub type Outcome = Result<bool, String>;
 
-/// One parsed `--topology` argument: the shape, the ingest-link
-/// override it implies, and how it appears in artifact ids and notes.
-pub struct TopologyChoice {
-    pub topology: SimTopology,
-    pub ingest_links: Option<usize>,
-    /// Artifact-id suffix; empty for the default ring so existing
-    /// `faults_<scenario>` artifacts keep their byte-identical names.
-    pub slug: String,
-    /// Human label for the report note.
-    pub label: String,
+/// The one stdout writer: listings, reports, tables and `wrote …` lines
+/// all go through it, with `write!`/`writeln!`, and no write can panic.
+/// A closed stdout drops the rest of the report, not the run: the run
+/// keeps writing its files and exits as it would have. Any other write
+/// error drops the rest of the report too, and [`Out::finish`] returns
+/// it, failing the run.
+pub struct Out {
+    stdout: io::Stdout,
+    /// The first write error; nothing more is written after it.
+    error: Option<io::Error>,
 }
 
-/// Parses `ring`, `klist:<k>`, `geo`, or `split:<factor>`.
-pub fn parse_topology(arg: &str) -> Result<TopologyChoice, String> {
-    if let Some(k) = arg.strip_prefix("klist:") {
-        let k: usize = k
-            .parse()
-            .map_err(|_| format!("--topology klist wants an integer k, got '{arg}'"))?;
-        return Ok(TopologyChoice {
-            topology: SimTopology::Ring,
-            ingest_links: Some(k),
-            slug: format!("_klist{k}"),
-            label: format!("{k}-list ring"),
-        });
-    }
-    if let Some(factor) = arg.strip_prefix("split:") {
-        let factor: usize = factor
-            .parse()
-            .map_err(|_| format!("--topology split wants an integer factor, got '{arg}'"))?;
-        return Ok(TopologyChoice {
-            topology: SimTopology::SplitRing { factor },
-            ingest_links: None,
-            slug: format!("_split{factor}"),
-            label: format!("split ring (factor {factor})"),
-        });
-    }
-    match arg {
-        "ring" => Ok(TopologyChoice {
-            topology: SimTopology::Ring,
-            ingest_links: None,
-            slug: String::new(),
-            label: "ring".to_string(),
-        }),
-        "geo" => Ok(TopologyChoice {
-            topology: SimTopology::GeoStar,
-            ingest_links: None,
-            slug: "_geo".to_string(),
-            label: "GEO star".to_string(),
-        }),
-        _ => Err(format!(
-            "unknown topology '{arg}' (want ring, klist:<k>, geo, or split:<factor>)"
-        )),
-    }
-}
-
-/// The simulator flags `repro sim` and the serve path share —
-/// `--seed`, `--minutes`, `--clusters`, `--topology`, `--out-dir` —
-/// parsed once with identical defaults so both command paths name and
-/// place their artifacts the same way.
-pub struct SimParams {
-    pub seed: u64,
-    pub minutes: f64,
-    pub clusters: usize,
-    pub choice: TopologyChoice,
-    pub policy: PolicyKind,
-    pub out_dir: PathBuf,
-}
-
-impl SimParams {
-    pub fn from_cli(cli: &Cli) -> Result<SimParams, String> {
-        let policy = match cli.policy.as_deref() {
-            None => PolicyKind::Static,
-            Some(name) => PolicyKind::parse(name).ok_or_else(|| {
-                format!("unknown policy '{name}' (want static, reactive, or predictive)")
-            })?,
-        };
-        Ok(SimParams {
-            seed: cli.seed.unwrap_or(sudc::sim::PAPER_SEED),
-            minutes: cli.minutes.unwrap_or(2.0),
-            clusters: cli.clusters.unwrap_or(4),
-            choice: parse_topology(cli.topology.as_deref().unwrap_or("ring"))?,
-            policy,
-            out_dir: cli.out_dir.clone().unwrap_or_else(::bench::results_dir),
-        })
-    }
-
-    /// Artifact-id suffix for the controller: empty for `static` so
-    /// every pre-policy artifact keeps its byte-identical name,
-    /// `_<policy>` for adaptive runs (which must never clobber the
-    /// committed static copies).
-    pub fn policy_slug(&self) -> String {
-        match self.policy {
-            PolicyKind::Static => String::new(),
-            other => format!("_{}", other.as_str()),
+impl Out {
+    pub fn stdout() -> Out {
+        Out {
+            stdout: io::stdout(),
+            error: None,
         }
     }
 
-    /// The paper-reference plane (Table 8 regime) under these
-    /// parameters, split into clusters so that cluster outages have
-    /// somewhere to reroute to.
-    pub fn reference_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper_reference(
-            workloads::Application::AirPollution,
-            units::Length::from_m(3.0),
-            0.95,
-        );
-        cfg.topology = self.choice.topology;
-        if let Some(k) = self.choice.ingest_links {
-            cfg.ingest_links = k;
+    /// The target of `write!`/`writeln!`: a failed write is kept for
+    /// [`Out::finish`] rather than returned, so no call site checks one.
+    pub fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.stdout.write_fmt(args).err();
         }
-        cfg.clusters = self.clusters;
-        cfg.duration = units::Time::from_minutes(self.minutes);
-        cfg.seed = self.seed;
-        cfg.policy = self.policy;
-        cfg
     }
-}
 
-/// Builds the JSONL-backed flight recorder when `--record` was given.
-pub fn make_recorder(cli: &Cli) -> Result<Option<Arc<Recorder>>, String> {
-    let Some(path) = cli.record.as_deref() else {
-        return Ok(None);
-    };
-    let rec = Recorder::to_file(RECORDER_RING, path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    Ok(Some(Arc::new(rec.timeline(cli.cadence.unwrap_or(5.0)))))
-}
-
-/// Flushes the flight log `--record` asked for, if any, and names it.
-pub fn finish_recording(cli: &Cli, recorder: Option<&Arc<Recorder>>) -> Result<(), String> {
-    let (Some(path), Some(rec)) = (cli.record.as_deref(), recorder) else {
-        return Ok(());
-    };
-    rec.flush()
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    if !cli.quiet {
-        println!("wrote {}", path.display());
+    /// Flushes stdout. Returns the first write error, unless stdout was
+    /// merely closed (`EPIPE`).
+    pub fn finish(&mut self) -> Result<(), String> {
+        if self.error.is_none() {
+            self.error = self.stdout.flush().err();
+        }
+        match self.error.take() {
+            Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                Err(format!("cannot write to stdout: {e}"))
+            }
+            _ => Ok(()),
+        }
     }
-    Ok(())
-}
-
-/// Runs one simulation the way the flags ask and checks the report's
-/// invariants. A recorded run takes the sequential loop (the recorder
-/// needs its total event order, so `--threads` is ignored there); every
-/// other run goes through `try_run_threads` on `--threads` workers
-/// (default 1), which shards every run whose shards never exchange an
-/// event, so the report is the same with or without the flag. A report
-/// that breaks an invariant is an error, so no command writes one.
-pub fn simulate(
-    cli: &Cli,
-    cfg: &SimConfig,
-    recorder: Option<&Arc<Recorder>>,
-) -> Result<SimReport, String> {
-    let report = match recorder {
-        Some(rec) => try_run_recorded(cfg, rec.clone()),
-        None => try_run_threads(cfg, cli.threads.unwrap_or(1)),
-    }
-    .map_err(|e| format!("invalid sim configuration: {e}"))?;
-    report
-        .check_invariants()
-        .map_err(|e| format!("sim report breaks an invariant: {e}"))?;
-    Ok(report)
 }
 
 /// Installs the stderr telemetry pretty-printer at the verbosity the
@@ -209,51 +92,121 @@ pub fn install_telemetry(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// Flushes the telemetry sinks and gives the run's exit status. A
-/// `--jsonl` log that could not be written fails the run, naming the
-/// path, as an unwritable `--record` log does.
-pub fn exit_status(cli: &Cli, failed: bool) -> ExitCode {
-    let flushed = telemetry::flush();
-    if let Err(e) = &flushed {
-        let log = cli.jsonl.as_deref().map_or_else(
-            || "the telemetry log".to_string(),
-            |p| p.display().to_string(),
-        );
-        eprintln!("error: cannot write {log}: {e}");
-    }
-    if failed || flushed.is_err() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+/// Publishes one run's results into the out-dir (`--out-dir`, default
+/// `results/`): prints each table on stdout (unless `--quiet`), writes
+/// each txt/csv/json triplet with a `wrote …` line, and last writes the
+/// `<tool>_manifest.json` of what ran — unless nothing was written, so a
+/// run that failed before its first artifact leaves no manifest behind.
+pub struct Publisher<'a> {
+    out: &'a mut Out,
+    quiet: bool,
+    /// Print a blank line after each published group.
+    spaced: bool,
+    dir: PathBuf,
+    manifest: RunManifest,
+    wrote: bool,
+    failed: bool,
 }
 
-/// Writes one result's txt/csv/json artifact triplet into `dir`,
-/// printing the path (unless `quiet`) and the error on failure.
-/// Returns `false` when the write failed, so callers can fold it into
-/// their exit status.
-pub fn emit_artifacts(
-    dir: &Path,
-    result: &sudc::experiments::ExperimentResult,
-    quiet: bool,
-) -> bool {
-    match bench::write_artifacts_to(dir, result) {
-        Ok(path) => {
-            if !quiet {
-                println!("wrote {}", path.display());
-            }
-            true
+impl<'a> Publisher<'a> {
+    /// A publisher for `manifest`'s tool; `spaced` separates the groups
+    /// of a multi-result run with blank lines.
+    pub fn new(cli: &Cli, out: &'a mut Out, manifest: RunManifest, spaced: bool) -> Self {
+        Publisher {
+            out,
+            quiet: cli.quiet,
+            spaced,
+            dir: cli.out_dir.clone().unwrap_or_else(bench::results_dir),
+            manifest,
+            wrote: false,
+            failed: false,
         }
-        Err(e) => {
-            telemetry::error(
-                "repro.write_failed",
-                vec![
-                    ("id".to_string(), result.id.as_str().into()),
-                    ("error".to_string(), e.to_string().into()),
-                ],
-            );
-            eprintln!("error writing artifacts for {}: {e}", result.id);
-            false
+    }
+
+    /// A step failed before it could publish: prints `error: <why>` and
+    /// fails the run, which carries on with its other steps.
+    pub fn fail(&mut self, why: &str) {
+        eprintln!("error: {why}");
+        self.failed = true;
+    }
+
+    /// Publishes one group: lists it in the manifest under the first
+    /// result's id, prints `table`, and writes each result's triplet.
+    pub fn publish(&mut self, table: &ExperimentResult, results: &[&ExperimentResult]) {
+        if let Some(first) = results.first() {
+            self.manifest.record_experiment(&first.id);
+        }
+        if !self.quiet {
+            writeln!(self.out, "{}", table.to_text_table());
+        }
+        for result in results {
+            match bench::write_artifacts_to(&self.dir, result) {
+                Ok(path) => self.wrote(&path),
+                Err(e) => {
+                    telemetry::error(
+                        "repro.write_failed",
+                        vec![
+                            ("id".to_string(), result.id.as_str().into()),
+                            ("error".to_string(), e.to_string().into()),
+                        ],
+                    );
+                    eprintln!("error writing artifacts for {}: {e}", result.id);
+                    self.failed = true;
+                }
+            }
+        }
+        if self.spaced && !self.quiet {
+            writeln!(self.out);
+        }
+    }
+
+    /// Writes one more file, `name` in the out-dir, from the manifest as
+    /// it stands (today `BENCH_serve.json`).
+    pub fn write_file(
+        &mut self,
+        name: &str,
+        write: impl FnOnce(&Path, &RunManifest) -> io::Result<()>,
+    ) {
+        let path = self.dir.join(name);
+        match write(&path, &self.manifest) {
+            Ok(()) => self.wrote(&path),
+            Err(e) => {
+                eprintln!("error writing {}: {e}", path.display());
+                self.failed = true;
+            }
+        }
+    }
+
+    fn wrote(&mut self, path: &Path) {
+        self.wrote = true;
+        if !self.quiet {
+            writeln!(self.out, "wrote {}", path.display());
+        }
+    }
+
+    /// How many groups the manifest lists.
+    pub fn published(&self) -> usize {
+        self.manifest.experiments.len()
+    }
+
+    /// Writes the manifest if anything was written; returns whether any
+    /// step failed.
+    pub fn finish(self) -> bool {
+        if !self.wrote {
+            return self.failed;
+        }
+        match self.manifest.write_to(&self.dir) {
+            Ok(path) => {
+                telemetry::info(
+                    &format!("{}.manifest", self.manifest.tool),
+                    vec![("path".to_string(), path.display().to_string().into())],
+                );
+                self.failed
+            }
+            Err(e) => {
+                eprintln!("error writing run manifest: {e}");
+                true
+            }
         }
     }
 }

@@ -1,18 +1,22 @@
-//! `repro <id>... | all` — run experiments and write their artifacts.
-
-use std::process::ExitCode;
+//! `repro <id>... | all` — run experiments and write their artifacts;
+//! `repro list` — list them.
 
 use sudc::experiments;
 use telemetry::RunManifest;
 
+use super::{Out, Outcome, Publisher};
 use crate::Cli;
 
-pub fn exec(cli: &Cli) -> ExitCode {
-    if let Err(e) = super::install_telemetry(cli) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
+/// `repro list` — every experiment with its paper reference.
+pub fn list(out: &mut Out) -> Outcome {
+    writeln!(out, "available experiments:");
+    for e in experiments::all() {
+        writeln!(out, "  {:9}  {:9}  {}", e.id, e.paper_ref, e.description);
     }
+    Ok(false)
+}
 
+pub fn exec(cli: &Cli, out: &mut Out) -> Outcome {
     let ids: Vec<String> = if cli.ids.first().map(String::as_str) == Some("all") {
         experiments::all()
             .iter()
@@ -22,56 +26,30 @@ pub fn exec(cli: &Cli) -> ExitCode {
         cli.ids.clone()
     };
     if ids.is_empty() {
-        eprintln!("error: no experiment ids given (try `repro list`)");
-        return ExitCode::FAILURE;
+        return Err("no experiment ids given (try `repro list`)".to_string());
     }
 
-    let results_dir = cli.out_dir.clone().unwrap_or_else(bench::results_dir);
     let mut manifest = RunManifest::new("repro", sudc::sim::PAPER_SEED);
     manifest.param("trace", cli.trace);
     manifest.param("quiet", cli.quiet);
     manifest.param("experiment_count", ids.len() as u64);
 
-    let mut failed = false;
+    let mut publisher = Publisher::new(cli, out, manifest, true);
     for id in &ids {
         match experiments::run(id) {
-            Some(result) => {
-                manifest.record_experiment(id);
-                if !cli.quiet {
-                    println!("{}", result.to_text_table());
-                }
-                if super::emit_artifacts(&results_dir, &result, cli.quiet) {
-                    if !cli.quiet {
-                        println!();
-                    }
-                } else {
-                    failed = true;
-                }
-            }
-            None => {
-                eprintln!("unknown experiment id: {id} (try `repro list`)");
-                failed = true;
-            }
+            Some(result) => publisher.publish(&result, &[&result]),
+            None => publisher.fail(&format!("unknown experiment id: {id} (try `repro list`)")),
         }
     }
-
-    match manifest.write_to(&results_dir) {
-        Ok(path) => telemetry::info(
-            "repro.manifest",
-            vec![("path".to_string(), path.display().to_string().into())],
-        ),
-        Err(e) => {
-            eprintln!("error writing run manifest: {e}");
-            failed = true;
-        }
-    }
+    let experiments = publisher.published();
+    let failed = publisher.finish();
 
     telemetry::info(
         "repro.done",
         vec![
-            ("experiments".to_string(), manifest.experiments.len().into()),
+            ("experiments".to_string(), experiments.into()),
             ("failed".to_string(), failed.into()),
         ],
     );
-    super::exit_status(cli, failed)
+    Ok(failed)
 }

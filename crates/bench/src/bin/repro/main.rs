@@ -19,16 +19,23 @@
 //! `--trace`/`--jsonl` and in perfbench.
 //!
 //! Each subcommand lives in its own module under [`cmd`]: `run`
-//! (experiments), `explore` (design-space sweeps), `sim` (fault-scenario
-//! simulation), and `lint` (static analysis).
+//! (experiments), `explore` (design-space sweeps), `sim` (fault and
+//! serve simulation), `trace` (flight-log analysis), and `lint` (static
+//! analysis). Every command takes one path: `main` parses the flags and
+//! installs telemetry, the command's `exec` writes its report through
+//! the one stdout writer ([`cmd::Out`]) and its files through the one
+//! publisher ([`cmd::Publisher`]), and hands back its outcome — a fatal
+//! error, or whether any step failed. `main` then prints the fatal
+//! `error: …` line, flushes the telemetry sinks and stdout, and picks
+//! the exit code. A closed stdout drops the report, not the run.
 
 use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sudc::experiments;
-
 mod cmd;
+
+use cmd::{Out, Outcome};
 
 /// Parsed command line, shared by every subcommand (each reads the
 /// flags it understands).
@@ -336,33 +343,54 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "help" || args[0] == "--help" {
-        println!("{}", usage_text());
-        return ExitCode::SUCCESS;
-    }
-
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    match cli.ids.first().map(String::as_str) {
-        Some("list") => {
-            println!("available experiments:");
-            for e in experiments::all() {
-                println!("  {:9}  {:9}  {}", e.id, e.paper_ref, e.description);
+    let mut out = Out::stdout();
+    let outcome = run(&args, &mut out);
+    let mut failed = false;
+    for step in [outcome, out.finish().map(|()| false)] {
+        match step {
+            Ok(step_failed) => failed |= step_failed,
+            Err(e) => {
+                eprintln!("error: {e}");
+                failed = true;
             }
-            ExitCode::SUCCESS
         }
-        Some("explore") => cmd::explore::exec(&cli),
-        Some("sim") => cmd::sim::exec(&cli),
-        Some("trace") => cmd::trace::exec(&cli),
-        Some("lint") => cmd::lint::exec(&cli),
-        _ => cmd::run::exec(&cli),
     }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Parses `args`, installs telemetry and runs the command they name,
+/// flushing the telemetry sinks after it whatever its outcome. A
+/// `--jsonl` log that could not be written fails the run, naming the
+/// path, as an unwritable `--record` log does.
+fn run(args: &[String], out: &mut Out) -> Outcome {
+    if args.is_empty() || args[0] == "help" || args[0] == "--help" {
+        writeln!(out, "{}", usage_text());
+        return Ok(false);
+    }
+    let cli = parse_args(args)?;
+    cmd::install_telemetry(&cli)?;
+    let outcome = match cli.ids.first().map(String::as_str) {
+        Some("list") => cmd::run::list(out),
+        Some("explore") => cmd::explore::exec(&cli, out),
+        Some("sim") => cmd::sim::exec(&cli, out),
+        Some("trace") => cmd::trace::exec(&cli, out),
+        Some("lint") => cmd::lint::exec(&cli, out),
+        _ => cmd::run::exec(&cli, out),
+    };
+    let flushed = telemetry::flush().map_err(|e| {
+        let log = cli.jsonl.as_deref().map_or_else(
+            || "the telemetry log".to_string(),
+            |p| p.display().to_string(),
+        );
+        format!("cannot write {log}: {e}")
+    });
+    let failed = outcome?;
+    flushed?;
+    Ok(failed)
 }
 
 /// The `repro help` text. Command and flag lines are indented two

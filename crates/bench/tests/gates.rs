@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// `--topology` argument and the artifact-id suffix it implies.
 const MATRIX: [(&str, &str); 4] = [
@@ -270,28 +270,116 @@ fn unwritable_jsonl_logs_fail_the_run() {
     assert!(events.contains("\"span_end\""), "{events}");
 }
 
-/// An axis value outside its domain is an error naming the axis, not a
-/// panic: the runner refuses `res=0` before the frame model's
-/// positive-resolution assert can see it.
+/// A bad input is one clean error, not a panic: exit 1, exactly one
+/// stderr line starting `error`, naming what was wrong, and no run
+/// manifest (nor out-dir) when nothing was written. The runner refuses an axis value
+/// outside its domain (`res=0`) before the frame model's
+/// positive-resolution assert can see it, and a serve point whose
+/// requests would overflow the event calendar (`rate=1e8`) before any
+/// cell runs.
 #[test]
 fn out_of_domain_axis_values_fail_cleanly() {
-    let dir = scratch("bad_axis");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--quiet",
-            "explore",
-            "sizing",
-            "--axis",
-            "res=0",
-            "--out-dir",
-        ])
-        .arg(&dir)
-        .output()
-        .expect("repro starts");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("axis 'res'"), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    let dir = scratch("bad_input");
+    let missing = dir.join("missing");
+    let missing = missing.to_str().expect("UTF-8 scratch path");
+    let log = dir.join("no_such.jsonl");
+    let log = log.to_str().expect("UTF-8 scratch path");
+    let cases: [(&[&str], &str); 10] = [
+        (&["explore", "sizing", "--axis", "res=0"], "axis 'res'"),
+        (
+            &["explore", "split", "--axis", "factor=3"],
+            "divide the ring",
+        ),
+        (&["nope"], "unknown experiment id: nope"),
+        (&["explore", "nope"], "unknown sweep 'nope'"),
+        (
+            &[
+                "explore",
+                "serve",
+                "--axis",
+                "rate=1e8",
+                "--axis",
+                "premium=0.5",
+                "--axis",
+                "policy=0",
+            ],
+            "100000000 req/s",
+        ),
+        (
+            &["sim", "--faults", "nope"],
+            "unknown fault scenario 'nope'",
+        ),
+        (&["sim", "--serve", "nope"], "unknown serve scenario 'nope'"),
+        (&["sim", "--topology", "klist:x"], "--topology klist"),
+        (&["trace", log], "cannot read"),
+        (&["sim", "stray"], "unexpected operand 'stray'"),
+    ];
+    for (args, want) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--quiet")
+            .args(args)
+            .args(["--out-dir", missing])
+            .output()
+            .expect("repro starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("repro {}", args.join(" "));
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error")).collect();
+        assert!(
+            errors.len() == 1 && errors[0].starts_with("error: ") && errors[0].contains(want),
+            "{what}: want one `error: …{want}…` line:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    }
+    assert!(
+        !Path::new(missing).exists(),
+        "a failed run created its out-dir"
+    );
+}
+
+/// A closed stdout drops the report, not the run: with stdout the write
+/// end of a pipe whose read end is already gone (so every write meets
+/// `EPIPE`), each listing and `repro trace` exits 0 without a panic, and
+/// `repro all` still writes every artifact and its manifest, the bytes
+/// an ordinary run writes.
+#[test]
+fn a_closed_stdout_never_panics() {
+    let dir = scratch("closed_stdout");
+    let log = dir.join("trace.jsonl");
+    let log = log.to_str().expect("UTF-8 scratch path");
+    let recorded = dir.join("recorded");
+    sim(&recorded, &["--minutes", "0.5", "--record", log]);
+    let (closed, open) = (dir.join("closed"), dir.join("open"));
+    let (closed_dir, open_dir) = (
+        closed.to_str().expect("UTF-8 scratch path"),
+        open.to_str().expect("UTF-8 scratch path"),
+    );
+    let cases: [&[&str]; 6] = [
+        &["list"],
+        &["explore", "list"],
+        &["sim", "list"],
+        &["lint", "rules"],
+        &["trace", log],
+        &["all", "--out-dir", closed_dir],
+    ];
+    let run = |args: &[&str], stdout: Stdio| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .stdout(stdout)
+            .output()
+            .expect("repro starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let what = format!("repro {}", args.join(" "));
+        assert_eq!(out.status.code(), Some(0), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    };
+    for args in cases {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        run(args, writer.into());
+    }
+    run(&["all", "--out-dir", open_dir], Stdio::null());
+    assert_same_tree(&open, &closed, "repro all, stdout open vs closed");
 }
 
 /// Names listed in `repro <command> list` output under `header`: the

@@ -29,6 +29,13 @@ use crate::sizing::SudcSpec;
 /// configuration and the repro CLI's run manifest.
 pub const PAPER_SEED: u64 = 0xEC0_5A7;
 
+/// Most requests a serve run's tenants may offer over its horizon:
+/// 2²², a quarter of the event calendar's 2²⁴ pending events. Each
+/// request holds at most two pending events at once (its own hop, retry
+/// or batch completion, and one straggler-flush timer), and half the
+/// calendar stays for the frame workload. DESIGN §7 has the reasoning.
+pub const MAX_SERVE_REQUESTS: f64 = (1u64 << 22) as f64;
+
 /// The ingest network shape the simulation plays out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimTopology {
@@ -63,7 +70,7 @@ pub enum DiscardPolicy {
 }
 
 /// Why a [`SimConfig`] cannot be simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `clusters` is zero.
     NoClusters,
@@ -110,6 +117,16 @@ pub enum ConfigError {
     /// The configured (application, device) pair has no pixel-capacity
     /// measurement, so no service rate can be derived.
     UnmeasuredWorkload,
+    /// Serve tenants that offer more than [`MAX_SERVE_REQUESTS`]
+    /// requests over the horizon, which could overflow the event
+    /// calendar.
+    ServeOverload {
+        /// Summed open-loop arrival rate, requests per second.
+        rate_rps: f64,
+        /// Requests offered over the horizon: the open-loop rate times
+        /// the duration, plus the closed-loop slots.
+        requests: f64,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -157,6 +174,11 @@ impl std::fmt::Display for ConfigError {
                     "the (application, device) pair has no pixel-capacity measurement"
                 )
             }
+            ConfigError::ServeOverload { rate_rps, requests } => write!(
+                f,
+                "serve load of {rate_rps} req/s offers {requests:.0} requests over the run, \
+                 past the {MAX_SERVE_REQUESTS} the event calendar can hold"
+            ),
         }
     }
 }
@@ -241,7 +263,8 @@ impl SimConfig {
 
     /// Checks the configuration is simulatable: at least one cluster, an
     /// even `ingest_links ≥ 2`, (for ring shapes) service arcs that
-    /// divide the ring evenly, and an (application, device) pair with a
+    /// divide the ring evenly, a serve load within
+    /// [`MAX_SERVE_REQUESTS`], and an (application, device) pair with a
     /// pixel-capacity measurement. Used by [`super::parallel::try_run`]
     /// and the CLI so bad `--clusters`/`--ingest-links`/workload values
     /// produce a diagnostic instead of a panic.
@@ -281,6 +304,12 @@ impl SimConfig {
         }
         if let Some(serve) = &self.serve {
             serve.validate()?;
+            let (rate_rps, slots) = serve.offered_load();
+            let requests = rate_rps.mul_add(self.duration.as_secs(), slots as f64);
+            // Written so that a NaN rate fails too.
+            if !(requests <= MAX_SERVE_REQUESTS) {
+                return Err(ConfigError::ServeOverload { rate_rps, requests });
+            }
         }
         if self.unit_pixel_capacity().is_none() {
             return Err(ConfigError::UnmeasuredWorkload);
@@ -490,6 +519,32 @@ mod tests {
 
         c.serve = Some(ServeScenario::scenario("steady").unwrap().serve);
         assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn serve_load_past_the_calendar_is_rejected() {
+        use crate::sim::serve::{ServeScenario, TenantClass, TenantSpec};
+
+        // Every named scenario fits at its paper horizon; surge (4,000
+        // req/s, the committed configs' largest load) up to 17 minutes.
+        for name in ServeScenario::scenario_names() {
+            let mut c = cfg();
+            c.serve = Some(ServeScenario::scenario(name).unwrap().serve);
+            c.duration = Time::from_minutes(17.0);
+            assert_eq!(c.validate(), Ok(()), "{name}");
+        }
+        let mut c = cfg();
+        let mut serve = ServeScenario::scenario("steady").unwrap().serve;
+        for rate in [1e8, f64::INFINITY, f64::NAN] {
+            serve.tenants = vec![TenantSpec::interactive("flood", TenantClass::Premium, rate)];
+            c.serve = Some(serve.clone());
+            let err = c.validate().unwrap_err();
+            assert!(
+                matches!(err, ConfigError::ServeOverload { .. }),
+                "{rate}: {err}"
+            );
+            assert!(err.to_string().contains(&format!("{rate} req/s")), "{err}");
+        }
     }
 
     #[test]

@@ -190,6 +190,21 @@ impl ServeConfig {
         }
         Ok(())
     }
+
+    /// The tenants' summed open-loop arrival rate (requests/s) and
+    /// closed-loop concurrency slots.
+    pub fn offered_load(&self) -> (f64, usize) {
+        let mut load = (0.0, 0usize);
+        for t in &self.tenants {
+            match t.load {
+                LoadModel::Open { rate_rps } => load.0 += rate_rps,
+                LoadModel::Closed { concurrency, .. } => {
+                    load.1 = load.1.saturating_add(concurrency);
+                }
+            }
+        }
+        load
+    }
 }
 
 /// A named serving scenario: the serve config plus the fault model it
