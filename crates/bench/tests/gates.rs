@@ -274,9 +274,8 @@ fn unwritable_jsonl_logs_fail_the_run() {
 /// stderr line starting `error`, naming what was wrong, and no run
 /// manifest (nor out-dir) when nothing was written. The runner refuses an axis value
 /// outside its domain (`res=0`) before the frame model's
-/// positive-resolution assert can see it, and a serve point whose
-/// requests would overflow the event calendar (`rate=1e8`) before any
-/// cell runs.
+/// positive-resolution assert can see it, and a serve point whose load
+/// could overflow the event calendar (`rate=1e8`) before any cell runs.
 #[test]
 fn out_of_domain_axis_values_fail_cleanly() {
     let dir = scratch("bad_input");
