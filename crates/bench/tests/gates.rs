@@ -302,7 +302,7 @@ fn out_of_domain_axis_values_fail_cleanly() {
                 "--axis",
                 "policy=0",
             ],
-            "100000000 req/s",
+            "sweep 'serve' point rate=100000000;premium=0.5;policy=0: serve load of 100000000 req/s",
         ),
         (
             &["sim", "--faults", "nope"],

@@ -68,16 +68,6 @@ pub fn table8_cell(&(resolution, discard_rate, isl): &(Length, f64, IslClass)) -
     }
 }
 
-/// Evaluates the full Table 8 grid in the paper's layout order (via the
-/// `explore` engine, sequentially).
-pub fn table8() -> Vec<Table8Cell> {
-    let space = table8_space(
-        &FrameSpec::paper_resolutions(),
-        &FrameSpec::paper_discard_rates(),
-    );
-    explore::sweep(&space, &explore::ExecOptions::sequential(), table8_cell).results
-}
-
 impl explore::Cacheable for Table8Cell {
     fn encode(&self) -> String {
         explore::Enc::new()
@@ -419,27 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn table8_has_48_cells() {
-        assert_eq!(table8().len(), 48);
-    }
-
-    #[test]
-    fn table8_engine_port_keeps_layout_order() {
-        let cells = table8();
-        let mut i = 0;
-        for resolution in FrameSpec::paper_resolutions() {
-            for discard_rate in FrameSpec::paper_discard_rates() {
-                for isl in IslClass::ALL {
-                    assert_eq!(cells[i].resolution, resolution, "cell {i}");
-                    assert_eq!(cells[i].discard_rate, discard_rate, "cell {i}");
-                    assert_eq!(cells[i].isl, isl, "cell {i}");
-                    i += 1;
-                }
-            }
-        }
-    }
-
-    #[test]
     fn fig11_sweep_covers_both_power_classes() {
         let rows = fig11_sweep();
         assert_eq!(rows.len(), 2 * 5 * 3);
@@ -472,7 +441,11 @@ mod tests {
     #[test]
     fn bottleneck_rows_cache_round_trip() {
         use explore::Cacheable;
-        for cell in table8().into_iter().take(6) {
+        let space = table8_space(
+            &FrameSpec::paper_resolutions(),
+            &FrameSpec::paper_discard_rates(),
+        );
+        for cell in space.points().iter().take(6).map(table8_cell) {
             assert_eq!(Table8Cell::decode(&cell.encode()), Some(cell));
         }
         for row in fig11_sweep() {

@@ -12,7 +12,7 @@ use units::{DataRate, Length, Time};
 use workloads::{Application, Device};
 
 use super::ExperimentResult;
-use crate::sim::{run, DiscardPolicy, SimConfig, SimReport};
+use crate::sim::{run, SimConfig, SimReport};
 use crate::sizing::SudcSpec;
 
 /// One validation case.
@@ -100,7 +100,6 @@ fn simulate(c: &Case) -> SimReport {
     let mut cfg = SimConfig::paper_reference(c.app, c.resolution, c.discard);
     cfg.isl_capacity = c.isl;
     cfg.clusters = c.clusters;
-    cfg.discard = DiscardPolicy::Uniform(c.discard);
     cfg.duration = Time::from_minutes(2.0);
     run(&cfg)
 }

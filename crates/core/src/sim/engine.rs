@@ -15,21 +15,24 @@
 
 use std::sync::Arc;
 
-use imagery::earth::EarthModel;
-use orbit::groundtrack::subsatellite_point;
+use imagery::FrameSpec;
 use simkit::rng::{coin, RngFactory};
 use simkit::stats::Tally;
 use simkit::Scheduler;
 use telemetry::trace::{Recorder, TraceCause, TraceKind, TraceRecord, TraceTally};
 use units::{DataSize, Time};
 
-use crate::sim::faults::FaultSummary;
-use crate::sim::model::{DiscardPolicy, SimConfig, SimReport};
+use crate::sim::faults::{FaultSummary, RETRY_BACKOFF};
+use crate::sim::model::{SimConfig, SimReport};
 use crate::sim::policy::{LinkObs, Policy, RetryDecision, ShedDecision, ShedObs};
 use crate::sim::serve::{self, Request, ServeState};
 use crate::sim::service::Service;
 use crate::sim::topology::{self, Topology};
 use crate::sim::transport::Transport;
+
+/// The frame model every satellite images to: the paper's 4K RGB frame
+/// every 1.5 s.
+const FRAME: FrameSpec = FrameSpec::paper();
 
 /// A frame moving through the network. Deliberately slim — every frame
 /// in a run carries the same payload, so the per-frame bit/pixel sizes
@@ -283,14 +286,6 @@ impl Ledger {
     }
 }
 
-/// The run's early-discard rule. The Earth model's calibration is the
-/// costliest part of building a run, so only the rule that reads it
-/// builds it.
-enum Discard {
-    Uniform(f64),
-    ClearLandOnly(EarthModel),
-}
-
 /// Per-run mutable state: the three layers plus the engine's own frame
 /// bookkeeping. The serve handlers read and drive the layers too, so
 /// those fields are visible across `sim`.
@@ -307,7 +302,6 @@ pub(super) struct State {
     frame_pixels: f64,
     /// Lifecycle tallies, latency and the recorder buffer.
     pub(super) ledger: Ledger,
-    discard: Discard,
     pub(super) rng_factory: RngFactory,
     /// The run's control-plane controller. Every decision site asks it
     /// with plain-value telemetry; the engine alone executes decisions
@@ -333,7 +327,6 @@ impl State {
             cfg.isl_capacity,
             topo.hop_distance(&cfg.plane),
             cfg.faults.link_outages,
-            cfg.faults.retry,
             rng_factory,
         );
         let service = Service::new(cfg, topo.units(), pixel_capacity, rng_factory);
@@ -343,13 +336,9 @@ impl State {
             transport,
             service,
             queued_frames: 0,
-            frame_bits: cfg.frame.frame_size(cfg.resolution).as_bits(),
-            frame_pixels: cfg.frame.pixels_at(cfg.resolution),
+            frame_bits: FRAME.frame_size(cfg.resolution).as_bits(),
+            frame_pixels: FRAME.pixels_at(cfg.resolution),
             ledger: Ledger::new(recorder),
-            discard: match cfg.discard {
-                DiscardPolicy::Uniform(p) => Discard::Uniform(p),
-                DiscardPolicy::ClearLandOnly => Discard::ClearLandOnly(EarthModel::paper(cfg.seed)),
-            },
             rng_factory,
             policy: cfg.policy.build(cfg),
         }
@@ -379,28 +368,12 @@ impl State {
         self.queued_frames as f64 * self.frame_bits
     }
 
-    fn keep_frame(&mut self, sat: usize, id: u64, now: Time) -> bool {
-        match &self.discard {
-            Discard::Uniform(p) => {
-                let mut rng = self
-                    .rng_factory
-                    .stream("discard", ((sat as u64) << 32) | (id & 0xFFFF_FFFF));
-                !coin(&mut rng, *p)
-            }
-            Discard::ClearLandOnly(earth) => {
-                let pos = self
-                    .cfg
-                    .plane
-                    .position(sat, now)
-                    // lint:allow(unwrap-in-lib) sat < n by construction
-                    .expect("plane propagation is valid");
-                let point = subsatellite_point(pos, now);
-                // Sub-solar longitude drifts with time of day; start at 0.
-                let subsolar = (now.as_secs() / 86_400.0 * 360.0) % 360.0;
-                let truth = earth.ground_truth(&point, subsolar);
-                !truth.night && !truth.cloudy && !truth.ocean
-            }
-        }
+    /// Draws frame `id`'s early-discard coin at the configured rate.
+    fn keep_frame(&self, sat: usize, id: u64) -> bool {
+        let mut rng = self
+            .rng_factory
+            .stream("discard", ((sat as u64) << 32) | (id & 0xFFFF_FFFF));
+        !coin(&mut rng, self.cfg.discard)
     }
 }
 
@@ -459,7 +432,7 @@ fn dispatch(
             let obs = LinkObs {
                 now_s: now.as_secs(),
                 attempt,
-                baseline_delay_s: st.transport.retry_delay_s(attempt),
+                baseline_delay_s: RETRY_BACKOFF.delay_s(attempt),
             };
             match st.policy.decide_retry(&obs) {
                 RetryDecision::Retry { delay_s: delay } => {
@@ -554,7 +527,7 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
     // event of the run. A shard, which sees only its own satellites,
     // numbers its frames exactly as the sequential loop does.
     let id = k * st.cfg.plane.satellite_count() as u64 + sat as u64 + 1;
-    if st.keep_frame(sat, id, now) {
+    if st.keep_frame(sat, id) {
         let sensed = st
             .ledger
             .note(lifecycle(now, TraceKind::Sensed, id, sat, 0));
@@ -592,11 +565,7 @@ fn on_generate(st: &mut State, sched: &mut Scheduler<Ev>, sat: usize, k: u64, no
         st.ledger
             .note(lifecycle(now, TraceKind::Discarded, id, sat, 0).cause(TraceCause::Policy));
     }
-    schedule(
-        sched,
-        now + st.cfg.frame.period,
-        Ev::Generate { sat, k: k + 1 },
-    );
+    schedule(sched, now + FRAME.period, Ev::Generate { sat, k: k + 1 });
 }
 
 /// A reverse-routed frame walks the global ring until it passes a live
@@ -789,7 +758,7 @@ pub(super) fn run_to_horizon(
     for sat in sats {
         // Staggered uniformly over one period to avoid a thundering
         // herd at t = 0.
-        let offset = cfg.frame.period * (sat as f64 / n as f64);
+        let offset = FRAME.period * (sat as f64 / n as f64);
         schedule(&mut sched, offset, Ev::Generate { sat, k: 0 });
     }
     if let Some(cadence) = st.ledger.cadence_s() {
@@ -1114,24 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn classifier_discard_is_aggressive() {
-        let mut cfg =
-            SimConfig::paper_reference(Application::CropMonitoring, Length::from_m(3.0), 0.0);
-        cfg.discard = DiscardPolicy::ClearLandOnly;
-        cfg.clusters = 4;
-        cfg.duration = Time::from_minutes(3.0);
-        let r = run(&cfg);
-        // Clear daytime land ≈ (1 − night 0.5) × (1 − ocean 0.7) ×
-        // (1 − cloud 0.67) ≈ 5% kept; the orbit samples latitudes
-        // unevenly so allow a wide band around the Table 3 composite.
-        assert!(
-            r.discard_rate > 0.80 && r.discard_rate < 0.999,
-            "achieved {}",
-            r.discard_rate
-        );
-    }
-
-    #[test]
     fn determinism_same_seed_same_report() {
         let a = quick(Application::UrbanEmergency, 1.0, 0.5, 2);
         let b = quick(Application::UrbanEmergency, 1.0, 0.5, 2);
@@ -1390,18 +1341,18 @@ mod tests {
 
     #[test]
     fn fault_free_runs_ignore_fault_plumbing() {
-        // A FaultModel::none() run must report exactly what the simulator
-        // reported before fault injection existed: zero fault statistics
-        // and identical core counters regardless of the retry policy.
+        // A FaultModel::none() run never meets a down link, so the retry
+        // site is never asked: the reactive controller, whose only lever
+        // is the retry backoff, reports exactly what the static one does.
         let mut a = SimConfig::paper_reference(Application::OilSpill, Length::from_m(1.0), 0.5);
         a.duration = Time::from_minutes(1.0);
         let mut b = a.clone();
-        b.faults.retry = crate::sim::RetrySpec {
-            max_retries: 99,
-            base_backoff: Time::from_secs(7.0),
-            factor: 3.0,
-        };
-        assert_eq!(run(&a), run(&b), "retry policy is inert without outages");
+        b.policy = crate::sim::PolicyKind::Reactive;
+        assert_eq!(
+            run(&a),
+            run(&b),
+            "the retry policy is inert without outages"
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! nothing: fault-free runs remain byte-identical to the pre-fault
 //! simulator because no fault RNG stream is ever drawn.
 
+use simkit::faults::Backoff;
 use units::{DataSize, Time};
 
 /// Transient ISL link outages: each satellite's outgoing link alternates
@@ -61,28 +62,14 @@ pub struct DegradationSpec {
 }
 
 /// Bounded retry with exponential backoff for transmissions that find
-/// their link down: attempt `max_retries` retries with delays
-/// `base_backoff · factor^attempt`, then fall back to reverse-direction
-/// rerouting (and finally drop the frame if both directions are dead).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetrySpec {
-    /// Maximum retry attempts before rerouting.
-    pub max_retries: u32,
-    /// Delay before the first retry.
-    pub base_backoff: Time,
-    /// Multiplicative backoff growth per attempt (≥ 1).
-    pub factor: f64,
-}
-
-impl Default for RetrySpec {
-    fn default() -> Self {
-        Self {
-            max_retries: 4,
-            base_backoff: Time::from_secs(0.05),
-            factor: 2.0,
-        }
-    }
-}
+/// their link down: up to 4 retries with delays `0.05 s · 2^attempt`,
+/// then a fall back to reverse-direction rerouting (and finally a drop
+/// if both directions are dead). Every run uses this one schedule.
+pub const RETRY_BACKOFF: Backoff = Backoff {
+    base_s: 0.05,
+    factor: 2.0,
+    max_retries: 4,
+};
 
 /// The full fault-injection model. All processes are optional and
 /// independent; [`FaultModel::none`] (also `Default`) disables everything.
@@ -96,8 +83,6 @@ pub struct FaultModel {
     pub cluster_outages: Option<ClusterOutageSpec>,
     /// Backlog-triggered load shedding.
     pub degradation: Option<DegradationSpec>,
-    /// Retry policy for transmissions blocked by a link outage.
-    pub retry: RetrySpec,
 }
 
 impl FaultModel {

@@ -28,8 +28,7 @@ pub mod service;
 pub mod topology;
 pub mod transport;
 pub use faults::{
-    ClusterOutageSpec, DegradationSpec, FaultModel, FaultSummary, LinkOutageSpec, RetrySpec,
-    SeuSpec,
+    ClusterOutageSpec, DegradationSpec, FaultModel, FaultSummary, LinkOutageSpec, SeuSpec,
 };
 pub use model::*;
 pub use parallel::{run, try_run, try_run_recorded, try_run_threads};

@@ -1,10 +1,11 @@
 //! Configuration and report types for the frame-level discrete-event
 //! simulation of an EO constellation feeding SµDCs.
 //!
-//! Every 1.5 s each EO satellite images a frame. Surviving frames (early
-//! discard is either a uniform coin or driven by the procedural Earth
-//! model) are relayed hop-by-hop along the ring toward the cluster's
-//! SµDC over capacity-limited ISLs, then served by the SµDC's compute at
+//! Every 1.5 s each EO satellite images a frame
+//! ([`imagery::FrameSpec::paper`]). Frames surviving early discard (a
+//! uniform coin per frame, the paper's Table 3 model) are relayed
+//! hop-by-hop along the ring toward the cluster's SµDC over
+//! capacity-limited ISLs, then served by the SµDC's compute at
 //! its application pixel rate. The simulation reports throughput,
 //! end-to-end latency, link and compute utilisation, and backlog — and is
 //! used to cross-validate the closed-form Table 8 / Fig. 11 model (see
@@ -16,7 +17,6 @@
 //! [`super::engine`] (the event loop composing them).
 
 use constellation::OrbitalPlane;
-use imagery::FrameSpec;
 use units::{DataRate, DataSize, Length, Time};
 use workloads::Application;
 
@@ -63,21 +63,29 @@ pub enum SimTopology {
     },
 }
 
-/// How frames are selected for early discard.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DiscardPolicy {
-    /// Drop each frame independently with this probability (the paper's
-    /// uniform assumption).
-    Uniform(f64),
-    /// Keep only frames whose procedural ground truth is clear, daytime
-    /// land (classifier-style discard; the achieved rate emerges from
-    /// the Earth model).
-    ClearLandOnly,
-}
-
 /// Why a [`SimConfig`] cannot be simulated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
+    /// An imaging resolution that is not finite and positive.
+    BadResolution {
+        /// The rejected ground sample distance, metres.
+        metres: f64,
+    },
+    /// An ISL capacity that is not finite and positive.
+    BadIslCapacity {
+        /// The rejected capacity, bit/s.
+        bps: f64,
+    },
+    /// A simulated duration that is not finite and positive.
+    BadDuration {
+        /// The rejected duration, seconds.
+        seconds: f64,
+    },
+    /// An early-discard rate outside [0, 1].
+    BadDiscardRate {
+        /// The rejected rate.
+        rate: f64,
+    },
     /// `clusters` is zero.
     NoClusters,
     /// `ingest_links` is odd or below 2 (k-lists stripe arc sides into
@@ -118,8 +126,6 @@ pub enum ConfigError {
         /// Index of the offending tenant.
         tenant: usize,
     },
-    /// A fixed batching policy of size zero, or `max_batch == 0`.
-    ZeroBatchSize,
     /// The configured (application, device) pair has no pixel-capacity
     /// measurement, so no service rate can be derived.
     UnmeasuredWorkload,
@@ -138,6 +144,21 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
+            ConfigError::BadResolution { metres } => {
+                write!(f, "resolution must be finite and positive (got {metres} m)")
+            }
+            ConfigError::BadIslCapacity { bps } => {
+                write!(
+                    f,
+                    "ISL capacity must be finite and positive (got {bps} bit/s)"
+                )
+            }
+            ConfigError::BadDuration { seconds } => {
+                write!(f, "duration must be finite and positive (got {seconds} s)")
+            }
+            ConfigError::BadDiscardRate { rate } => {
+                write!(f, "discard rate must lie in [0, 1] (got {rate})")
+            }
             ConfigError::NoClusters => write!(f, "need at least one cluster"),
             ConfigError::OddIngestLinks { ingest_links } => {
                 write!(
@@ -170,9 +191,6 @@ impl std::fmt::Display for ConfigError {
                     f,
                     "closed-loop tenant {tenant} needs at least one concurrency slot"
                 )
-            }
-            ConfigError::ZeroBatchSize => {
-                write!(f, "batching needs a batch size of at least 1")
             }
             ConfigError::UnmeasuredWorkload => {
                 write!(
@@ -211,16 +229,15 @@ pub struct SimConfig {
     pub isl_capacity: DataRate,
     /// Imaging resolution.
     pub resolution: Length,
-    /// Early-discard policy.
-    pub discard: DiscardPolicy,
+    /// Early-discard rate: each frame is dropped independently with this
+    /// probability (the paper's uniform Table 3 model).
+    pub discard: f64,
     /// The SµDC design point (device + power + hardening). A
     /// [`SimTopology::SplitRing`] divides this budget: each sub-SµDC
     /// serves at `pixel_capacity / factor`.
     pub sudc: SudcSpec,
     /// Application every frame is processed by.
     pub app: Application,
-    /// Frame model.
-    pub frame: FrameSpec,
     /// Simulated duration.
     pub duration: Time,
     /// Injected SµDC failures: `(cluster index, failure time)`. From its
@@ -254,10 +271,9 @@ impl SimConfig {
             ingest_links: 2,
             isl_capacity: DataRate::from_gbps(10.0),
             resolution,
-            discard: DiscardPolicy::Uniform(discard),
+            discard,
             sudc: SudcSpec::paper_4kw(workloads::Device::Rtx3090),
             app,
-            frame: FrameSpec::paper(),
             duration: Time::from_minutes(5.0),
             failures: Vec::new(),
             faults: FaultModel::none(),
@@ -267,14 +283,31 @@ impl SimConfig {
         }
     }
 
-    /// Checks the configuration is simulatable: at least one cluster, an
-    /// even `ingest_links ≥ 2`, (for ring shapes) service arcs that
+    /// Checks the configuration is simulatable: a finite positive
+    /// resolution, ISL capacity and duration, a discard rate in [0, 1],
+    /// at least one cluster, an even `ingest_links ≥ 2`, (for ring shapes) service arcs that
     /// divide the ring evenly, a serve load within
     /// [`MAX_SERVE_PENDING`], and an (application, device) pair with a
     /// pixel-capacity measurement. Used by [`super::parallel::try_run`]
     /// and the CLI so bad `--clusters`/`--ingest-links`/workload values
     /// produce a diagnostic instead of a panic.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let metres = self.resolution.as_m();
+        if !positive(metres) {
+            return Err(ConfigError::BadResolution { metres });
+        }
+        let bps = self.isl_capacity.as_bps();
+        if !positive(bps) {
+            return Err(ConfigError::BadIslCapacity { bps });
+        }
+        let seconds = self.duration.as_secs();
+        if !positive(seconds) {
+            return Err(ConfigError::BadDuration { seconds });
+        }
+        if !(0.0..=1.0).contains(&self.discard) {
+            return Err(ConfigError::BadDiscardRate { rate: self.discard });
+        }
         if self.clusters == 0 {
             return Err(ConfigError::NoClusters);
         }
@@ -490,6 +523,19 @@ mod tests {
     }
 
     #[test]
+    fn serve_validation_flows_through_the_sim_config() {
+        use crate::sim::serve::{ServeConfig, ServeScenario};
+
+        let mut c = cfg();
+        c.serve = Some(ServeConfig::defaults()); // no tenants
+        assert_eq!(c.validate(), Err(ConfigError::NoTenants));
+        assert!(c.validate().unwrap_err().to_string().contains("tenant"));
+
+        c.serve = Some(ServeScenario::scenario("steady").unwrap().serve);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
     fn geo_star_skips_the_divisibility_check() {
         let mut c = cfg();
         c.topology = SimTopology::GeoStar;
@@ -505,26 +551,138 @@ mod tests {
         assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.units(), 16);
         assert_eq!(c.cluster_size(), 4);
+    }
 
-        c.topology = SimTopology::SplitRing { factor: 0 };
-        assert_eq!(c.validate(), Err(ConfigError::ZeroSplitFactor));
+    /// An input that [`SimConfig::validate`] refuses with `e`. The match
+    /// has no wildcard arm, so a new variant without an input here, or
+    /// one no input can produce, fails the build or the test below.
+    fn input_producing(e: ConfigError) -> SimConfig {
+        use crate::sim::serve::{ServeConfig, TenantClass, TenantSpec};
 
-        c.topology = SimTopology::SplitRing { factor: 3 }; // 64 % 12 != 0
-        let err = c.validate().unwrap_err();
-        assert!(err.to_string().contains("divide the ring"), "{err}");
+        let mut c = cfg();
+        let serve = |tenants| {
+            Some(ServeConfig {
+                tenants,
+                ..ServeConfig::defaults()
+            })
+        };
+        match e {
+            ConfigError::BadResolution { metres } => c.resolution = Length::from_m(metres),
+            ConfigError::BadIslCapacity { bps } => c.isl_capacity = DataRate::from_bps(bps),
+            ConfigError::BadDuration { seconds } => c.duration = Time::from_secs(seconds),
+            ConfigError::BadDiscardRate { rate } => c.discard = rate,
+            ConfigError::NoClusters => c.clusters = 0,
+            ConfigError::OddIngestLinks { ingest_links } => c.ingest_links = ingest_links,
+            ConfigError::IndivisibleRing { clusters, .. } => c.clusters = clusters,
+            ConfigError::ZeroSplitFactor => c.topology = SimTopology::SplitRing { factor: 0 },
+            ConfigError::IndivisibleSplit {
+                clusters, factor, ..
+            } => {
+                c.clusters = clusters;
+                c.topology = SimTopology::SplitRing { factor };
+            }
+            ConfigError::NoTenants => c.serve = serve(Vec::new()),
+            ConfigError::ZeroArrivalRate { tenant } => {
+                let mut tenants = vec![TenantSpec::analytics("ok", 10.0); tenant];
+                tenants.push(TenantSpec::interactive("t", TenantClass::Standard, 0.0));
+                c.serve = serve(tenants);
+            }
+            ConfigError::ZeroServeConcurrency { tenant } => {
+                let mut tenants = vec![TenantSpec::analytics("ok", 10.0); tenant];
+                tenants.push(TenantSpec::closed("t", TenantClass::Standard, 0, 1.0));
+                c.serve = serve(tenants);
+            }
+            ConfigError::UnmeasuredWorkload => {
+                // Table 6 has no Xavier mapping of panoptic segmentation.
+                c.app = Application::PanopticSegmentation;
+                c.sudc = SudcSpec::paper_4kw(workloads::Device::JetsonAgxXavier);
+            }
+            ConfigError::ServeOverload { rate_rps, .. } => {
+                c.serve = serve(vec![TenantSpec::interactive(
+                    "flood",
+                    TenantClass::Premium,
+                    rate_rps,
+                )]);
+            }
+        }
+        c
     }
 
     #[test]
-    fn serve_validation_flows_through_the_sim_config() {
-        use crate::sim::serve::{ServeConfig, ServeScenario};
+    fn every_config_error_has_an_input_that_produces_it() {
+        let errors = [
+            ConfigError::BadResolution { metres: 0.0 },
+            ConfigError::BadIslCapacity { bps: 0.0 },
+            ConfigError::BadDuration { seconds: -60.0 },
+            ConfigError::BadDiscardRate { rate: 1.5 },
+            ConfigError::NoClusters,
+            ConfigError::OddIngestLinks { ingest_links: 3 },
+            ConfigError::IndivisibleRing {
+                satellites: 64,
+                clusters: 7,
+            },
+            ConfigError::ZeroSplitFactor,
+            ConfigError::IndivisibleSplit {
+                satellites: 64,
+                clusters: 1,
+                factor: 3,
+            },
+            ConfigError::NoTenants,
+            ConfigError::ZeroArrivalRate { tenant: 1 },
+            ConfigError::ZeroServeConcurrency { tenant: 0 },
+            ConfigError::UnmeasuredWorkload,
+            ConfigError::ServeOverload {
+                rate_rps: 1e8,
+                pending: 1e8,
+            },
+        ];
+        for e in errors {
+            let c = input_producing(e);
+            let got = if e == ConfigError::UnmeasuredWorkload {
+                crate::sim::try_run(&c).map(|_| ())
+            } else {
+                c.validate()
+            };
+            assert_eq!(got, Err(e), "{e}");
+        }
+        // The diagnostics `run`'s `should_panic` tests and the CLI match on.
+        let odd = ConfigError::OddIngestLinks { ingest_links: 3 };
+        assert!(odd.to_string().contains("even ingest_links"));
+        for e in [errors[6], errors[8]] {
+            assert!(e.to_string().contains("divide the ring"), "{e}");
+        }
+    }
 
-        let mut c = cfg();
-        c.serve = Some(ServeConfig::defaults()); // no tenants
-        assert_eq!(c.validate(), Err(ConfigError::NoTenants));
-        assert!(c.validate().unwrap_err().to_string().contains("tenant"));
-
-        c.serve = Some(ServeScenario::scenario("steady").unwrap().serve);
-        assert_eq!(c.validate(), Ok(()));
+    /// Each bad scalar is refused before it reaches the engine, where a
+    /// zero resolution or ISL capacity panicked and a negative or NaN
+    /// duration returned a report of nothing. (An infinite duration
+    /// never ended.)
+    #[test]
+    fn bad_scalar_inputs_are_refused_by_try_run() {
+        for e in [
+            ConfigError::BadResolution { metres: 0.0 },
+            ConfigError::BadResolution { metres: f64::NAN },
+            ConfigError::BadIslCapacity { bps: 0.0 },
+            ConfigError::BadIslCapacity { bps: f64::INFINITY },
+            ConfigError::BadDuration { seconds: -60.0 },
+            ConfigError::BadDuration { seconds: f64::NAN },
+            ConfigError::BadDuration {
+                seconds: f64::INFINITY,
+            },
+            ConfigError::BadDiscardRate { rate: -0.1 },
+            ConfigError::BadDiscardRate { rate: f64::NAN },
+        ] {
+            let want = e.to_string();
+            let got = crate::sim::try_run(&input_producing(e)).expect_err(&want);
+            // Compared as text, which a NaN field equals.
+            assert_eq!(got.to_string(), want);
+        }
+        // The rate's closed ends are valid.
+        for rate in [0.0, 1.0] {
+            let mut c = cfg();
+            c.discard = rate;
+            assert_eq!(c.validate(), Ok(()), "discard {rate}");
+        }
     }
 
     #[test]

@@ -167,7 +167,7 @@ fn shardable(cfg: &SimConfig) -> bool {
 mod tests {
     use super::*;
     use crate::sim::faults::FaultModel;
-    use crate::sim::model::{DiscardPolicy, SimTopology};
+    use crate::sim::model::SimTopology;
     use units::{Length, Time};
     use workloads::Application;
 
@@ -241,7 +241,7 @@ mod tests {
                 ] {
                     let mut cfg = base_cfg(4);
                     cfg.resolution = Length::from_m(res);
-                    cfg.discard = DiscardPolicy::Uniform(ed);
+                    cfg.discard = ed;
                     cfg.topology = topology;
                     cfg.ingest_links = ingest;
                     cfg.faults = FaultModel::scenario(scenario).expect("registered scenario");
@@ -255,23 +255,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The Earth-model discard rule, which only its own runs build,
-    /// shards like the uniform one: each shard builds its own model from
-    /// the run seed and keeps the same frames. No committed artifact runs
-    /// this rule, so the exact counts pin what it keeps: anything that
-    /// moves the sub-solar longitude or the Earth model (a host-clock
-    /// read, say) moves them.
-    #[test]
-    fn clear_land_only_discard_is_identical_at_one_and_four_threads() {
-        let mut cfg = base_cfg(4);
-        cfg.discard = DiscardPolicy::ClearLandOnly;
-        let one = try_run_threads(&cfg, 1).expect("valid config");
-        let four = try_run_threads(&cfg, 4).expect("valid config");
-        assert_eq!(one, four);
-        assert_eq!((one.generated, one.kept), (5121, 862));
-        assert_eq!(one.check_invariants(), Ok(()));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! The contract is observe → decide → act. At each decision point the
 //! engine assembles a small, plain-value observation (sim-time
-//! telemetry: retry counts, the configured backoff, the backlog and
+//! telemetry: retry counts, the baseline backoff, the backlog and
 //! degradation threshold — plus whatever the controller derived at
 //! build time from `orbit::eclipse`) and asks the run's [`Policy`] for
 //! a typed decision. The engine alone executes decisions; controllers
@@ -88,7 +88,7 @@ impl PolicyKind {
     pub fn build(self, cfg: &SimConfig) -> Box<dyn Policy> {
         match self {
             Self::Static => Box::new(StaticPolicy),
-            Self::Reactive => Box::new(ReactivePolicy::new(cfg)),
+            Self::Reactive => Box::new(ReactivePolicy::new()),
             Self::Predictive => Box::new(PredictivePolicy::new(cfg)),
         }
     }
@@ -101,7 +101,7 @@ pub struct LinkObs {
     pub now_s: f64,
     /// Retries already spent on this transmission.
     pub attempt: u32,
-    /// What the configured backoff schedule would do: `Some(delay)`
+    /// What the baseline backoff schedule would do: `Some(delay)`
     /// to retry after `delay` seconds, `None` once the budget is spent.
     pub baseline_delay_s: Option<f64>,
 }

@@ -3,7 +3,7 @@
 //!
 //! It widens the backoff on outage bursts. Every retry decision is a
 //! link-down observation; the controller keeps a sliding window of
-//! them. Inside a burst it stretches the configured backoff and extends
+//! them. Inside a burst it stretches the baseline backoff and extends
 //! the retry budget with capped delays, so transmissions wait out an
 //! outage (the paper's flaky-link MTTR is seconds) instead of
 //! exhausting a sub-second schedule and taking the long reverse-ring
@@ -21,8 +21,7 @@
 use std::collections::VecDeque;
 
 use super::{LinkObs, Policy, RetryDecision};
-use crate::sim::faults::RetrySpec;
-use crate::sim::model::SimConfig;
+use crate::sim::faults::RETRY_BACKOFF;
 
 /// Sliding window over link-down observations, seconds.
 const BURST_WINDOW_S: f64 = 10.0;
@@ -30,7 +29,7 @@ const BURST_WINDOW_S: f64 = 10.0;
 const BURST_THRESHOLD: usize = 6;
 /// Backoff stretch applied inside a burst.
 const BURST_BACKOFF_SCALE: f64 = 3.0;
-/// Extra retries granted past the configured budget inside a burst.
+/// Extra retries granted past the baseline budget inside a burst.
 const BURST_EXTRA_RETRIES: u32 = 4;
 /// Cap on any single widened/extended backoff delay, seconds.
 const MAX_DELAY_S: f64 = 2.0;
@@ -38,8 +37,6 @@ const MAX_DELAY_S: f64 = 2.0;
 /// Threshold-driven feedback controller.
 #[derive(Debug)]
 pub struct ReactivePolicy {
-    /// Configured retry schedule (for extending past its budget).
-    retry: RetrySpec,
     /// The newest link-down observation times inside
     /// [`BURST_WINDOW_S`], oldest first, at most [`BURST_THRESHOLD`] of
     /// them: an older one can no longer change the burst test.
@@ -47,10 +44,9 @@ pub struct ReactivePolicy {
 }
 
 impl ReactivePolicy {
-    /// Builds the controller from the run's config.
-    pub fn new(cfg: &SimConfig) -> Self {
+    /// Builds the controller with an empty window.
+    pub fn new() -> Self {
         Self {
-            retry: cfg.faults.retry,
             recent_down_s: VecDeque::with_capacity(BURST_THRESHOLD),
         }
     }
@@ -82,14 +78,14 @@ impl ReactivePolicy {
     }
 
     /// The widened/extended backoff delay for retry `attempt` during a
-    /// burst: the configured exponential schedule, stretched and
-    /// capped, with [`BURST_EXTRA_RETRIES`] attempts past the budget.
-    fn burst_delay_s(&self, attempt: u32) -> Option<f64> {
-        if attempt >= self.retry.max_retries + BURST_EXTRA_RETRIES {
+    /// burst: the baseline exponential schedule ([`RETRY_BACKOFF`]),
+    /// stretched and capped, with [`BURST_EXTRA_RETRIES`] attempts past
+    /// its budget.
+    fn burst_delay_s(attempt: u32) -> Option<f64> {
+        if attempt >= RETRY_BACKOFF.max_retries + BURST_EXTRA_RETRIES {
             return None;
         }
-        let base = self.retry.base_backoff.as_secs();
-        let raw = base * self.retry.factor.powi(attempt as i32);
+        let raw = RETRY_BACKOFF.base_s * RETRY_BACKOFF.factor.powi(attempt as i32);
         Some((raw * BURST_BACKOFF_SCALE).min(MAX_DELAY_S))
     }
 }
@@ -103,7 +99,7 @@ impl Policy for ReactivePolicy {
                 None => RetryDecision::Escalate,
             };
         }
-        match self.burst_delay_s(obs.attempt) {
+        match Self::burst_delay_s(obs.attempt) {
             Some(delay_s) => RetryDecision::Retry { delay_s },
             None => RetryDecision::Escalate,
         }
@@ -113,15 +109,8 @@ impl Policy for ReactivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::model::SimConfig;
     use crate::sim::policy::RetryDecision;
     use simkit::prop;
-    use units::Length;
-    use workloads::Application;
-
-    fn cfg() -> SimConfig {
-        SimConfig::paper_reference(Application::AirPollution, Length::from_m(3.0), 0.95)
-    }
 
     fn obs(now_s: f64, attempt: u32, baseline: Option<f64>) -> LinkObs {
         LinkObs {
@@ -133,7 +122,7 @@ mod tests {
 
     #[test]
     fn quiet_links_follow_the_configured_schedule() {
-        let mut p = ReactivePolicy::new(&cfg());
+        let mut p = ReactivePolicy::new();
         assert_eq!(
             p.decide_retry(&obs(1.0, 0, Some(0.05))),
             RetryDecision::Retry { delay_s: 0.05 }
@@ -146,7 +135,7 @@ mod tests {
 
     #[test]
     fn a_burst_widens_and_extends_the_backoff() {
-        let mut p = ReactivePolicy::new(&cfg());
+        let mut p = ReactivePolicy::new();
         // Five quick observations arm the window; the sixth is a burst.
         for i in 0..5 {
             p.decide_retry(&obs(10.0 + i as f64 * 0.1, 0, Some(0.05)));
@@ -170,7 +159,7 @@ mod tests {
 
     #[test]
     fn the_window_forgets_old_outages() {
-        let mut p = ReactivePolicy::new(&cfg());
+        let mut p = ReactivePolicy::new();
         for i in 0..6 {
             p.decide_retry(&obs(i as f64 * 0.1, 0, Some(0.05)));
         }
@@ -186,14 +175,12 @@ mod tests {
     /// `retain`, O(window) per decision. The bounded deque must decide
     /// exactly as it does.
     struct RetainReference {
-        policy: ReactivePolicy,
         recent_down_s: Vec<f64>,
     }
 
     impl RetainReference {
-        fn new(cfg: &SimConfig) -> Self {
+        fn new() -> Self {
             Self {
-                policy: ReactivePolicy::new(cfg),
                 recent_down_s: Vec::new(),
             }
         }
@@ -203,7 +190,7 @@ mod tests {
             self.recent_down_s.retain(|&t| now_s - t <= BURST_WINDOW_S);
             self.recent_down_s.push(now_s);
             let delay_s = if self.recent_down_s.len() >= BURST_THRESHOLD {
-                self.policy.burst_delay_s(obs.attempt)
+                ReactivePolicy::burst_delay_s(obs.attempt)
             } else {
                 obs.baseline_delay_s
             };
@@ -248,8 +235,8 @@ mod tests {
             } else {
                 g.draw(1..401usize)
             };
-            let mut fast = ReactivePolicy::new(&cfg());
-            let mut reference = RetainReference::new(&cfg());
+            let mut fast = ReactivePolicy::new();
+            let mut reference = RetainReference::new();
             // Large start times exercise rounding in `now - t`.
             let mut now_s = match g.draw(0..3u64) {
                 0 => 0.0,
@@ -277,7 +264,7 @@ mod tests {
     fn the_window_holds_at_most_the_threshold() {
         // 10^5 link-down observations 10 µs apart: all inside one
         // window, and a burst from the sixth on.
-        let mut p = ReactivePolicy::new(&cfg());
+        let mut p = ReactivePolicy::new();
         for i in 0..100_000 {
             p.decide_retry(&obs(50.0 + i as f64 * 1e-5, 0, Some(0.05)));
             assert!(
@@ -293,7 +280,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "non-decreasing")]
     fn time_running_backwards_trips_the_precondition() {
-        let mut p = ReactivePolicy::new(&cfg());
+        let mut p = ReactivePolicy::new();
         p.decide_retry(&obs(5.0, 0, Some(0.05)));
         p.decide_retry(&obs(4.0, 0, Some(0.05)));
     }

@@ -6,7 +6,7 @@
 
 use units::Time;
 
-use crate::sim::serve::config::{ServeConfig, TenantClass};
+use crate::sim::serve::config::{TenantClass, SHED_THRESHOLD_S};
 
 /// A continuous-refill token bucket: `rate` tokens per second up to a
 /// `burst` ceiling, one token per admitted request.
@@ -67,19 +67,14 @@ pub enum Admission {
 
 /// Decides admission for a request of `class` heading to a SµDC whose
 /// compute backlog is `backlog_s` seconds deep. Throttling is checked
-/// first (and consumes the token), then class shedding: a premium
+/// first (and consumes the token), then class shedding past
+/// [`SHED_THRESHOLD_S`] scaled by the class's headroom: a premium
 /// tenant rides out backlog a best-effort tenant is shed at.
-pub fn admit(
-    cfg: &ServeConfig,
-    bucket: &mut TokenBucket,
-    class: TenantClass,
-    backlog_s: f64,
-    now: Time,
-) -> Admission {
+pub fn admit(bucket: &mut TokenBucket, class: TenantClass, backlog_s: f64, now: Time) -> Admission {
     if !bucket.take(now) {
         return Admission::Throttled;
     }
-    if backlog_s > cfg.shed_threshold_s * class.shed_headroom() {
+    if backlog_s > SHED_THRESHOLD_S * class.shed_headroom() {
         return Admission::Shed;
     }
     Admission::Admit
@@ -116,21 +111,14 @@ mod tests {
 
     #[test]
     fn shedding_respects_class_headroom() {
-        let cfg = ServeConfig::defaults(); // shed_threshold_s = 2.0
         let mut bucket = TokenBucket::new(1000.0, 1000.0);
-        let backlog = 1.5 * cfg.shed_threshold_s; // between best-effort and premium
+        let backlog = 1.5 * SHED_THRESHOLD_S; // between best-effort and premium
         assert_eq!(
-            admit(&cfg, &mut bucket, TenantClass::Premium, backlog, Time::ZERO),
+            admit(&mut bucket, TenantClass::Premium, backlog, Time::ZERO),
             Admission::Admit
         );
         assert_eq!(
-            admit(
-                &cfg,
-                &mut bucket,
-                TenantClass::BestEffort,
-                backlog,
-                Time::ZERO
-            ),
+            admit(&mut bucket, TenantClass::BestEffort, backlog, Time::ZERO),
             Admission::Shed
         );
     }
@@ -198,15 +186,14 @@ mod tests {
 
     #[test]
     fn throttling_is_checked_before_shedding_and_spends_the_token() {
-        let cfg = ServeConfig::defaults();
         let mut bucket = TokenBucket::new(0.0, 1.0);
         assert_eq!(
-            admit(&cfg, &mut bucket, TenantClass::Premium, 1e9, Time::ZERO),
+            admit(&mut bucket, TenantClass::Premium, 1e9, Time::ZERO),
             Admission::Shed,
             "token available: the deep backlog sheds the request"
         );
         assert_eq!(
-            admit(&cfg, &mut bucket, TenantClass::Premium, 0.0, Time::ZERO),
+            admit(&mut bucket, TenantClass::Premium, 0.0, Time::ZERO),
             Admission::Throttled,
             "the shed request still consumed its token"
         );

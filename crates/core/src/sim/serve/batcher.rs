@@ -18,7 +18,9 @@
 
 use std::collections::vec_deque::{IterMut, VecDeque};
 
-use crate::sim::serve::config::{BatchPolicy, ServeConfig};
+use crate::sim::serve::config::{
+    BatchPolicy, DEADLINE_WAIT_S, FIXED_BATCH, FLUSH_WAIT_S, MAX_BATCH, SATURATION_BATCH,
+};
 use crate::sim::serve::state::Request;
 
 /// One (SµDC, tenant) queue.
@@ -36,10 +38,6 @@ struct Queue {
 #[derive(Debug)]
 pub struct Batcher {
     policy: BatchPolicy,
-    max_batch: usize,
-    /// Saturation knee of the batch-throughput curve.
-    knee: f64,
-    flush_wait_s: f64,
     tenants: usize,
     queues: Vec<Queue>,
     /// Per SµDC, the requests of its dispatched batches that have not
@@ -57,14 +55,11 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Empty queues for `units` SµDCs × the configured tenants.
-    pub fn new(cfg: &ServeConfig, units: usize) -> Batcher {
-        let tenants = cfg.tenants.len();
+    /// Empty queues for `units` SµDCs × `tenants` tenants, fired by
+    /// `policy`.
+    pub fn new(policy: BatchPolicy, tenants: usize, units: usize) -> Batcher {
         Batcher {
-            policy: cfg.batch,
-            max_batch: cfg.max_batch.max(1),
-            knee: cfg.saturation_batch.max(1.0),
-            flush_wait_s: cfg.flush_wait_s.max(0.0),
+            policy,
             tenants,
             queues: (0..units * tenants).map(|_| Queue::default()).collect(),
             pipelines: (0..units).map(|_| VecDeque::new()).collect(),
@@ -103,8 +98,8 @@ impl Batcher {
             return false;
         }
         match self.policy {
-            BatchPolicy::Fixed { size } => len >= size,
-            BatchPolicy::Deadline { .. } => len >= self.max_batch,
+            BatchPolicy::Fixed => len >= FIXED_BATCH,
+            BatchPolicy::Deadline => len >= MAX_BATCH,
             BatchPolicy::Adaptive => {
                 if depth_s <= 0.0 {
                     // Pipeline idle: latency first, dispatch whatever
@@ -113,8 +108,7 @@ impl Batcher {
                 } else {
                     // Pipeline busy: accumulate to the knee so the
                     // waiting costs buy saturated throughput.
-                    let target = (self.knee.ceil() as usize).min(self.max_batch);
-                    len >= target
+                    len >= SATURATION_BATCH as usize
                 }
             }
         }
@@ -127,13 +121,13 @@ impl Batcher {
     ///
     /// The deadline anchors to the head's creation time, but never to a
     /// point already in the past: a head left over from a partial drain
-    /// (more than `max_batch` requests queued) re-anchors at `now_s`,
+    /// (more than [`MAX_BATCH`] requests queued) re-anchors at `now_s`,
     /// so the leftovers wait a full flush window instead of firing an
     /// immediate timer on every drain cycle.
     pub fn arm_timer(&mut self, cluster: usize, tenant: usize, now_s: f64) -> Option<(f64, u64)> {
         let wait = match self.policy {
-            BatchPolicy::Deadline { max_wait_s } => max_wait_s.max(0.0),
-            _ => self.flush_wait_s,
+            BatchPolicy::Deadline => DEADLINE_WAIT_S,
+            _ => FLUSH_WAIT_S,
         };
         let i = self.index(cluster, tenant);
         let q = &mut self.queues[i];
@@ -163,16 +157,14 @@ impl Batcher {
         !q.reqs.is_empty()
     }
 
-    /// Moves up to `max_batch` requests off the queue's head into the
+    /// Moves up to [`MAX_BATCH`] requests off the queue's head into the
     /// SµDC's in-service FIFO as one batch, bumping the epoch (stale
     /// timers die) and the dispatch statistics. Returns the batch's
     /// requests in arrival order, empty when the queue is.
     pub fn dispatch(&mut self, cluster: usize, tenant: usize) -> IterMut<'_, Request> {
-        let max_batch = self.max_batch;
-        let knee = self.knee;
         let i = self.index(cluster, tenant);
         let q = &mut self.queues[i];
-        let n = q.reqs.len().min(max_batch);
+        let n = q.reqs.len().min(MAX_BATCH);
         let fifo = &mut self.pipelines[cluster];
         let start = fifo.len();
         if n > 0 {
@@ -181,7 +173,8 @@ impl Batcher {
             q.timer_armed = false;
             self.batches_dispatched += 1;
             self.requests_batched += n as u64;
-            self.efficiency_weighted += n as f64 * ((n as f64).min(knee) / knee);
+            self.efficiency_weighted +=
+                n as f64 * ((n as f64).min(SATURATION_BATCH) / SATURATION_BATCH);
         }
         fifo.range_mut(start..)
     }
@@ -230,64 +223,63 @@ mod tests {
         }
     }
 
-    fn cfg(policy: BatchPolicy) -> ServeConfig {
-        use crate::sim::serve::config::{TenantClass, TenantSpec};
-        ServeConfig {
-            tenants: vec![
-                TenantSpec::interactive("a", TenantClass::Premium, 10.0),
-                TenantSpec::interactive("b", TenantClass::Standard, 10.0),
-            ],
-            batch: policy,
-            max_batch: 4,
-            flush_wait_s: 0.1,
-            saturation_batch: 4.0,
-            ..ServeConfig::defaults()
+    /// A batcher for two tenants over `units` SµDCs.
+    fn batcher(policy: BatchPolicy, units: usize) -> Batcher {
+        Batcher::new(policy, 2, units)
+    }
+
+    /// Pushes requests `ids` for tenant 0 of SµDC 0, created at `t_s`.
+    fn fill(b: &mut Batcher, ids: std::ops::RangeInclusive<u64>, t_s: f64) {
+        for i in ids {
+            b.push(0, req(i, 0, t_s));
         }
     }
 
     #[test]
     fn fixed_fires_at_size_and_not_before() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Fixed { size: 3 }), 2);
-        b.push(0, req(1, 0, 0.0));
-        b.push(0, req(2, 0, 0.1));
+        let mut b = batcher(BatchPolicy::Fixed, 2);
+        let size = FIXED_BATCH as u64;
+        fill(&mut b, 1..=size - 1, 0.0);
         assert!(!b.ready(0, 0, 5.0));
-        b.push(0, req(3, 0, 0.2));
+        b.push(0, req(size, 0, 0.2));
         assert!(b.ready(0, 0, 5.0));
         let ids: Vec<u64> = b.dispatch(0, 0).map(|r| r.id).collect();
-        assert_eq!(ids, [1, 2, 3], "arrival order preserved");
+        assert_eq!(
+            ids,
+            (1..=size).collect::<Vec<_>>(),
+            "arrival order preserved"
+        );
         assert_eq!(b.len(0, 0), 0);
     }
 
     #[test]
     fn deadline_waits_for_the_timer_below_the_cap() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Deadline { max_wait_s: 0.05 }), 1);
+        let mut b = batcher(BatchPolicy::Deadline, 1);
         b.push(0, req(1, 0, 1.0));
-        assert!(!b.ready(0, 0, 0.0), "below max_batch: the timer decides");
+        assert!(!b.ready(0, 0, 0.0), "below MAX_BATCH: the timer decides");
         let (deadline, epoch) = b.arm_timer(0, 0, 1.0).expect("arms once");
-        assert!((deadline - 1.05).abs() < 1e-12);
+        assert!((deadline - (1.0 + DEADLINE_WAIT_S)).abs() < 1e-12);
         assert_eq!(b.arm_timer(0, 0, 1.0), None, "one timer per epoch");
         assert!(b.timer_fired(0, 0, epoch), "live timer flushes");
-        for i in 2..=5 {
-            b.push(0, req(i, 0, 1.0));
-        }
+        fill(&mut b, 2..=MAX_BATCH as u64, 1.0);
         assert!(b.ready(0, 0, 0.0), "the cap fires early");
     }
 
     #[test]
     fn adaptive_dispatches_immediately_when_idle_and_batches_when_busy() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Adaptive), 1);
+        let mut b = batcher(BatchPolicy::Adaptive, 1);
         b.push(0, req(1, 0, 0.0));
         assert!(b.ready(0, 0, 0.0), "idle pipeline: latency first");
         assert!(!b.ready(0, 0, 1.0), "busy pipeline: accumulate");
-        for i in 2..=4 {
-            b.push(0, req(i, 0, 0.0));
-        }
+        fill(&mut b, 2..=SATURATION_BATCH as u64 - 1, 0.0);
+        assert!(!b.ready(0, 0, 1.0), "one short of the knee");
+        b.push(0, req(SATURATION_BATCH as u64, 0, 0.0));
         assert!(b.ready(0, 0, 1.0), "knee reached: saturated batch");
     }
 
     #[test]
     fn dispatch_bumps_the_epoch_and_invalidates_stale_timers() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Deadline { max_wait_s: 0.05 }), 1);
+        let mut b = batcher(BatchPolicy::Deadline, 1);
         b.push(0, req(1, 0, 0.0));
         let (_, epoch) = b.arm_timer(0, 0, 0.0).expect("arms");
         assert_eq!(b.dispatch(0, 0).len(), 1);
@@ -298,49 +290,51 @@ mod tests {
 
     #[test]
     fn leftover_heads_reanchor_their_timer_at_now() {
-        // Six requests created at t=1.0 against max_batch=4: dispatch
-        // drains four, leaving a head whose created-anchored deadline
-        // (1.05) is already past by the drain cycle at t=2.0. The new
-        // timer must wait a full window from now, not fire immediately.
-        let mut b = Batcher::new(&cfg(BatchPolicy::Deadline { max_wait_s: 0.05 }), 1);
-        for i in 1..=6 {
-            b.push(0, req(i, 0, 1.0));
-        }
-        assert_eq!(b.dispatch(0, 0).len(), 4, "over the cap");
+        // Two more than MAX_BATCH requests created at t=1.0: dispatch
+        // drains MAX_BATCH, leaving a head whose created-anchored
+        // deadline (1.05) is already past by the drain cycle at t=2.0.
+        // The new timer must wait a full window from now, not fire
+        // immediately.
+        let mut b = batcher(BatchPolicy::Deadline, 1);
+        fill(&mut b, 1..=MAX_BATCH as u64 + 2, 1.0);
+        assert_eq!(b.dispatch(0, 0).len(), MAX_BATCH, "over the cap");
         assert_eq!(b.len(0, 0), 2, "partial drain leaves a tail");
         let (deadline, _) = b.arm_timer(0, 0, 2.0).expect("re-arms for the tail");
         assert!(
-            (deadline - 2.05).abs() < 1e-12,
+            (deadline - (2.0 + DEADLINE_WAIT_S)).abs() < 1e-12,
             "leftover head re-anchors at now + wait, got {deadline}"
         );
     }
 
     #[test]
     fn fresh_heads_keep_their_created_anchor() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Deadline { max_wait_s: 0.05 }), 1);
+        let mut b = batcher(BatchPolicy::Deadline, 1);
         b.push(0, req(1, 0, 3.0));
         let (deadline, _) = b.arm_timer(0, 0, 3.0).expect("arms");
-        assert!((deadline - 3.05).abs() < 1e-12);
+        assert!((deadline - (3.0 + DEADLINE_WAIT_S)).abs() < 1e-12);
+        // The other policies flush stragglers after FLUSH_WAIT_S.
+        let mut b = batcher(BatchPolicy::Adaptive, 1);
+        b.push(0, req(1, 0, 3.0));
+        let (deadline, _) = b.arm_timer(0, 0, 3.0).expect("arms");
+        assert!((deadline - (3.0 + FLUSH_WAIT_S)).abs() < 1e-12);
     }
 
     #[test]
     fn efficiency_is_request_weighted_against_the_knee() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Fixed { size: 1 }), 1);
-        // One batch of 1 (efficiency 1/4) and one of 4 (efficiency 1).
+        let mut b = batcher(BatchPolicy::Fixed, 1);
+        // One batch of 1 (efficiency 1/8) and one of 8 (efficiency 1).
         b.push(0, req(1, 0, 0.0));
         assert_eq!(b.dispatch(0, 0).len(), 1);
-        for i in 2..=5 {
-            b.push(0, req(i, 0, 0.0));
-        }
-        assert_eq!(b.dispatch(0, 0).len(), 4);
-        // (1 × 0.25 + 4 × 1.0) / 5 = 0.85
-        assert!((b.mean_efficiency() - 0.85).abs() < 1e-12);
-        assert!((b.mean_batch() - 2.5).abs() < 1e-12);
+        fill(&mut b, 2..=9, 0.0);
+        assert_eq!(b.dispatch(0, 0).len(), 8);
+        // (1 × 0.125 + 8 × 1.0) / 9
+        assert!((b.mean_efficiency() - 8.125 / 9.0).abs() < 1e-12);
+        assert!((b.mean_batch() - 4.5).abs() < 1e-12);
     }
 
     #[test]
     fn queues_are_isolated_per_cluster_and_tenant() {
-        let mut b = Batcher::new(&cfg(BatchPolicy::Fixed { size: 1 }), 2);
+        let mut b = batcher(BatchPolicy::Fixed, 2);
         b.push(0, req(1, 0, 0.0));
         b.push(1, req(2, 1, 0.0));
         assert_eq!(b.len(0, 0), 1);

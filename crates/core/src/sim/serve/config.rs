@@ -86,22 +86,41 @@ pub struct TenantSpec {
     pub burst: f64,
 }
 
+/// Hard cap on a dispatched batch's size.
+pub const MAX_BATCH: usize = 16;
+
+/// Straggler flush, seconds: a non-empty queue never waits longer than
+/// this before dispatching (the `Deadline` policy uses
+/// [`DEADLINE_WAIT_S`]).
+pub const FLUSH_WAIT_S: f64 = 0.1;
+
+/// Compute-backlog depth (seconds of queued service time) at which
+/// admission starts shedding, scaled per class by
+/// [`TenantClass::shed_headroom`].
+pub const SHED_THRESHOLD_S: f64 = 2.0;
+
+/// Batch size at which the device's batch-throughput curve saturates
+/// (the knee of the saturating [`workloads::batch::BatchProfile`]).
+pub const SATURATION_BATCH: f64 = 8.0;
+
+/// Queue length that fires a [`BatchPolicy::Fixed`] batch.
+pub const FIXED_BATCH: usize = 8;
+
+/// Longest a [`BatchPolicy::Deadline`] queue's oldest request waits
+/// before dispatch, seconds.
+pub const DEADLINE_WAIT_S: f64 = 0.05;
+
 /// When the dynamic batcher fires a queued batch into the SµDC
 /// pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPolicy {
-    /// Dispatch whenever `size` requests are queued (stragglers flush
-    /// after [`ServeConfig::flush_wait_s`]).
-    Fixed {
-        /// Batch size that triggers dispatch.
-        size: usize,
-    },
-    /// Dispatch when the oldest queued request has waited `max_wait_s`,
-    /// or earlier when the queue reaches [`ServeConfig::max_batch`].
-    Deadline {
-        /// Maximum queueing delay before dispatch.
-        max_wait_s: f64,
-    },
+    /// Dispatch whenever [`FIXED_BATCH`] requests are queued
+    /// (stragglers flush after [`FLUSH_WAIT_S`]).
+    Fixed,
+    /// Dispatch when the oldest queued request has waited
+    /// [`DEADLINE_WAIT_S`], or earlier when the queue reaches
+    /// [`MAX_BATCH`].
+    Deadline,
     /// Backlog-aware: dispatch immediately while the pipeline is idle
     /// (latency first), accumulate toward the saturation knee while it
     /// is busy (throughput first), with the straggler flush as a
@@ -113,8 +132,8 @@ impl BatchPolicy {
     /// Label used in artifacts and sweep rows.
     pub fn as_str(self) -> &'static str {
         match self {
-            BatchPolicy::Fixed { .. } => "fixed",
-            BatchPolicy::Deadline { .. } => "deadline",
+            BatchPolicy::Fixed => "fixed",
+            BatchPolicy::Deadline => "deadline",
             BatchPolicy::Adaptive => "adaptive",
         }
     }
@@ -123,18 +142,17 @@ impl BatchPolicy {
     #[cfg(test)]
     pub fn code(self) -> usize {
         match self {
-            BatchPolicy::Fixed { .. } => 0,
-            BatchPolicy::Deadline { .. } => 1,
+            BatchPolicy::Fixed => 0,
+            BatchPolicy::Deadline => 1,
             BatchPolicy::Adaptive => 2,
         }
     }
 
-    /// Inverse of [`code`](Self::code) with the scenario-default
-    /// parameters for each policy.
+    /// Inverse of [`code`](Self::code).
     pub fn from_code(code: usize) -> Option<BatchPolicy> {
         match code {
-            0 => Some(BatchPolicy::Fixed { size: 8 }),
-            1 => Some(BatchPolicy::Deadline { max_wait_s: 0.05 }),
+            0 => Some(BatchPolicy::Fixed),
+            1 => Some(BatchPolicy::Deadline),
             2 => Some(BatchPolicy::Adaptive),
             _ => None,
         }
@@ -151,19 +169,6 @@ pub struct ServeConfig {
     pub tenants: Vec<TenantSpec>,
     /// Batching policy shared by every (SµDC, tenant) queue.
     pub batch: BatchPolicy,
-    /// Hard cap on dispatched batch size.
-    pub max_batch: usize,
-    /// Straggler flush: a non-empty queue never waits longer than this
-    /// before dispatching (the `Deadline` policy uses its own bound).
-    pub flush_wait_s: f64,
-    /// Compute-backlog depth (seconds of queued service time) at which
-    /// admission starts shedding, scaled per class by
-    /// [`TenantClass::shed_headroom`].
-    pub shed_threshold_s: f64,
-    /// Batch size at which the device's batch-throughput curve
-    /// saturates (the knee of the saturating
-    /// [`workloads::batch::BatchProfile`]).
-    pub saturation_batch: f64,
 }
 
 impl ServeConfig {
@@ -184,9 +189,6 @@ impl ServeConfig {
                 }
                 _ => {}
             }
-        }
-        if matches!(self.batch, BatchPolicy::Fixed { size: 0 }) || self.max_batch == 0 {
-            return Err(ConfigError::ZeroBatchSize);
         }
         Ok(())
     }
@@ -235,7 +237,6 @@ impl ServeScenario {
                     TenantSpec::analytics("survey_batch", 60.0),
                 ],
                 batch: BatchPolicy::Adaptive,
-                ..ServeConfig::defaults()
             },
             // Offered load past the compute knee (the best-effort
             // survey flood alone outruns four reference SµDCs):
@@ -246,8 +247,7 @@ impl ServeScenario {
                     TenantSpec::interactive("ad_hoc", TenantClass::Standard, 400.0),
                     TenantSpec::analytics("survey_batch", 3000.0),
                 ],
-                batch: BatchPolicy::Deadline { max_wait_s: 0.05 },
-                ..ServeConfig::defaults()
+                batch: BatchPolicy::Deadline,
             },
             // Bounded-concurrency users with think time: throughput is
             // set by the interactive loop, not an arrival process.
@@ -256,8 +256,7 @@ impl ServeScenario {
                     TenantSpec::closed("field_terminals", TenantClass::Premium, 48, 0.5),
                     TenantSpec::closed("dashboards", TenantClass::Standard, 24, 2.0),
                 ],
-                batch: BatchPolicy::Fixed { size: 8 },
-                ..ServeConfig::defaults()
+                batch: BatchPolicy::Fixed,
             },
             // The `steady` mix under the combined fault scenario: link
             // outages delay request hops, cluster outages kill queued
@@ -268,7 +267,6 @@ impl ServeScenario {
                     TenantSpec::analytics("survey_batch", 60.0),
                 ],
                 batch: BatchPolicy::Adaptive,
-                ..ServeConfig::defaults()
             },
             _ => return None,
         };
@@ -283,16 +281,11 @@ impl ServeScenario {
 }
 
 impl ServeConfig {
-    /// Shared scenario defaults (everything but the tenant mix and
-    /// batch policy).
+    /// No tenants, adaptive batching.
     pub fn defaults() -> ServeConfig {
         ServeConfig {
             tenants: Vec::new(),
             batch: BatchPolicy::Adaptive,
-            max_batch: 16,
-            flush_wait_s: 0.1,
-            shed_threshold_s: 2.0,
-            saturation_batch: 8.0,
         }
     }
 }
@@ -389,12 +382,7 @@ mod tests {
         );
 
         closed.tenants = vec![TenantSpec::closed("t", TenantClass::Standard, 4, 1.0)];
-        closed.batch = BatchPolicy::Fixed { size: 0 };
-        assert_eq!(closed.validate(), Err(ConfigError::ZeroBatchSize));
-
-        closed.batch = BatchPolicy::Adaptive;
-        closed.max_batch = 0;
-        assert_eq!(closed.validate(), Err(ConfigError::ZeroBatchSize));
+        assert_eq!(closed.validate(), Ok(()));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use telemetry::trace::{TraceCause, TraceKind};
 use units::Time;
 
 use crate::sim::engine::{lifecycle, schedule, Ev, State};
+use crate::sim::faults::RETRY_BACKOFF;
 use crate::sim::policy::{LinkObs, RetryDecision};
 use crate::sim::serve::{admit, Admission, LoadModel, Request, ServeState, OPEN_SLOT};
 
@@ -216,7 +217,7 @@ impl Ctx<'_> {
         let serve = &mut *self.serve;
         let tr = &mut serve.tenants[t];
         let class = tr.spec.class;
-        let verdict = admit(&serve.cfg, &mut tr.bucket, class, backlog_s, self.now);
+        let verdict = admit(&mut tr.bucket, class, backlog_s, self.now);
         match verdict {
             // Only admitted requests enter the inflight gauge; rejected
             // ones bounce at the gate without ever being outstanding.
@@ -229,7 +230,7 @@ impl Ctx<'_> {
 
     /// Routes a request out of `sat` over the same ISLs the frame
     /// workload rides, honouring link outages: a down link retries with
-    /// the frames' backoff policy, but requests never fall back to
+    /// the frames' backoff schedule, but requests never fall back to
     /// reverse routing — a request whose forward path exhausts its
     /// retries is lost (and reported per tenant), since re-serving from
     /// the ground beats a multi-second detour for interactive traffic.
@@ -241,7 +242,7 @@ impl Ctx<'_> {
                 let obs = LinkObs {
                     now_s: now.as_secs(),
                     attempt,
-                    baseline_delay_s: st.transport.retry_delay_s(attempt),
+                    baseline_delay_s: RETRY_BACKOFF.delay_s(attempt),
                 };
                 if let RetryDecision::Retry { delay_s: delay } = st.policy.decide_retry(&obs) {
                     let last_seq = st.ledger.note_request(

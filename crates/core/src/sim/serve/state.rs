@@ -10,7 +10,7 @@ use workloads::batch::BatchProfile;
 
 use crate::sim::serve::admission::TokenBucket;
 use crate::sim::serve::batcher::Batcher;
-use crate::sim::serve::config::{ServeConfig, TenantSpec};
+use crate::sim::serve::config::{ServeConfig, TenantSpec, SATURATION_BATCH};
 use crate::sim::serve::report::{ServeReport, TenantReport};
 
 /// Slot marker for open-loop requests (no bounded-concurrency slot to
@@ -103,8 +103,6 @@ impl TenantRuntime {
 /// The serving layer's mutable state for one run.
 #[derive(Debug)]
 pub struct ServeState {
-    /// The configuration the run was built from.
-    pub cfg: ServeConfig,
     /// Saturating batch-throughput model shared by every SµDC (base
     /// rate set so a knee-sized batch runs at the unit's full pixel
     /// capacity).
@@ -121,15 +119,13 @@ impl ServeState {
     /// Builds the serve runtime for `units` SµDCs whose pipelines
     /// sustain `pixel_capacity` px/s at the saturation knee.
     pub fn new(cfg: &ServeConfig, units: usize, pixel_capacity: f64) -> ServeState {
-        let knee = cfg.saturation_batch.max(1.0);
         ServeState {
             profile: BatchProfile {
-                base_pixels_per_sec: pixel_capacity / knee,
-                saturation_batch: knee,
+                base_pixels_per_sec: pixel_capacity / SATURATION_BATCH,
+                saturation_batch: SATURATION_BATCH,
             },
             tenants: cfg.tenants.iter().map(TenantRuntime::new).collect(),
-            batcher: Batcher::new(cfg, units),
-            cfg: cfg.clone(),
+            batcher: Batcher::new(cfg.batch, cfg.tenants.len(), units),
             arrivals: 0,
         }
     }
@@ -245,7 +241,7 @@ mod tests {
     fn small_batches_pay_the_saturation_premium() {
         let st = state();
         let single = st.service_seconds(0, 1);
-        let knee = st.cfg.saturation_batch as usize;
+        let knee = SATURATION_BATCH as usize;
         let saturated = st.service_seconds(0, knee);
         // Per-request time at the knee is `knee`× better than batch-1.
         let per_req = saturated / knee as f64;

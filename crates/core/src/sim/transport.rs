@@ -1,21 +1,19 @@
 //! Transport layer of the sim engine: when frames move.
 //!
-//! Owns the per-satellite ISL occupancy (`link_free` high-water marks),
-//! the forward/reverse link outage processes from `simkit::faults`, and
-//! the retry backoff policy. The event loop asks this layer whether a
-//! link is up, reserves transmission slots, and reads busy time back
-//! out for the utilisation report — it never touches the outage
-//! processes directly, so a `FaultModel::none()` run provably draws
-//! nothing from them.
+//! Owns the per-satellite ISL occupancy (`link_free` high-water marks)
+//! and the forward/reverse link outage processes from `simkit::faults`.
+//! The event loop asks this layer whether a link is up, reserves
+//! transmission slots, and reads busy time back out for the utilisation
+//! report — it never touches the outage processes directly, so a
+//! `FaultModel::none()` run provably draws nothing from them.
 
-use simkit::faults::{Backoff, OutageProcess};
+use simkit::faults::OutageProcess;
 use simkit::rng::RngFactory;
 use units::{DataRate, Length, Time};
 
-use crate::sim::faults::{FaultSummary, LinkOutageSpec, RetrySpec};
+use crate::sim::faults::{FaultSummary, LinkOutageSpec};
 
-/// ISL occupancy, outage state, and retry policy for every satellite's
-/// outgoing link.
+/// ISL occupancy and outage state for every satellite's outgoing link.
 pub struct Transport {
     /// Next free time of each satellite's outgoing ISL (toward its SµDC).
     link_free: Vec<Time>,
@@ -26,8 +24,6 @@ pub struct Transport {
     /// Reverse-direction ISL outage process per satellite — the fallback
     /// path is separate hardware with independent failures.
     out_rev: Option<Vec<OutageProcess>>,
-    /// Retry policy for outage-blocked transmissions.
-    backoff: Backoff,
     /// Per-ISL capacity, bit/s.
     capacity_bps: f64,
     /// One-hop propagation delay (ring hop or LEO→GEO slant range).
@@ -43,7 +39,6 @@ impl Transport {
         capacity: DataRate,
         hop_distance: Length,
         outages: Option<LinkOutageSpec>,
-        retry: RetrySpec,
         rng: RngFactory,
     ) -> Self {
         let outage_ring = |label: &str, mtbf: Time, mttr: Time| {
@@ -58,11 +53,6 @@ impl Transport {
             link_free: vec![Time::ZERO; n],
             out_fwd: outages.map(|s| outage_ring("link_outage", s.mtbf, s.mttr)),
             out_rev: outages.map(|s| outage_ring("link_outage_rev", s.mtbf, s.mttr)),
-            backoff: Backoff::new(
-                retry.base_backoff.as_secs(),
-                retry.factor,
-                retry.max_retries,
-            ),
             capacity_bps: capacity.as_bps(),
             hop_prop: Time::from_secs(
                 hop_distance.as_m() / units::constants::SPEED_OF_LIGHT_M_PER_S,
@@ -95,12 +85,6 @@ impl Transport {
             Some(v) => v[sat].is_up(t.as_secs()),
             None => true,
         }
-    }
-
-    /// Backoff delay before retry number `attempt`, or `None` once the
-    /// policy's retries are exhausted.
-    pub fn retry_delay_s(&self, attempt: u32) -> Option<f64> {
-        self.backoff.delay_s(attempt)
     }
 
     /// Reserves `sat`'s outgoing link for a `bits`-sized frame starting
@@ -191,7 +175,6 @@ mod tests {
             DataRate::from_gbps(10.0),
             Length::from_km(60.0),
             None,
-            RetrySpec::default(),
             RngFactory::new(7),
         )
     }
@@ -246,7 +229,6 @@ mod tests {
             DataRate::from_gbps(10.0),
             Length::from_km(60.0),
             Some(spec),
-            RetrySpec::default(),
             RngFactory::new(42),
         );
         let (up, total) = t.link_states(Time::from_secs(50.0)).expect("modelled");
@@ -268,7 +250,6 @@ mod tests {
                 DataRate::from_gbps(10.0),
                 Length::from_km(60.0),
                 Some(spec),
-                RetrySpec::default(),
                 RngFactory::new(42),
             )
         };

@@ -265,17 +265,17 @@ pub(crate) struct Sweep<P, C> {
 /// The one runner behind every named sweep: builds the space over the
 /// checked axes, validates its DES points, evaluates it through the
 /// memo cache, and assembles the grid and Pareto-frontier artifacts.
-fn run_sweep<P: Sync + fmt::Debug, C: Cacheable + Send>(
+fn run_sweep<P: Sync, C: Cacheable + Send>(
     sweep: Sweep<P, C>,
     axes: &[Vec<f64>],
     opts: &ExecOptions,
     cache_dir: Option<&Path>,
 ) -> Result<SweepRun, String> {
     let space = (sweep.space)(axes);
-    for point in space.points() {
+    for (i, point) in space.points().iter().enumerate() {
         if let Some(cfg) = (sweep.config)(point) {
             cfg.validate()
-                .map_err(|e| format!("sweep '{}' point {point:?}: {e}", sweep.name))?;
+                .map_err(|e| format!("sweep '{}' point {}: {e}", sweep.name, space.coords(i)))?;
         }
     }
     let mut cache = match cache_dir {

@@ -84,6 +84,8 @@ pub struct PointId {
 pub struct Space<P> {
     name: String,
     ids: Vec<PointId>,
+    /// Each point's canonical coordinate text, the input of its id.
+    coords: Vec<String>,
     points: Vec<P>,
 }
 
@@ -103,12 +105,18 @@ impl<P> Space<P> {
         canon: impl Fn(&P) -> String,
     ) -> Self {
         let name = name.into();
-        let ids = points
+        let coords: Vec<String> = points.iter().map(canon).collect();
+        let ids = coords
             .iter()
             .enumerate()
-            .map(|(i, p)| id_for(&name, &canon(p), i as u64))
+            .map(|(i, c)| id_for(&name, c, i as u64))
             .collect();
-        Self { name, ids, points }
+        Self {
+            name,
+            ids,
+            coords,
+            points,
+        }
     }
 
     /// The space name (prefixes every canonical coordinate).
@@ -136,6 +144,12 @@ impl<P> Space<P> {
         self.ids[i]
     }
 
+    /// The canonical coordinate text (`axis0=v0;axis1=v1;…`) of the
+    /// point at position `i`.
+    pub fn coords(&self, i: usize) -> &str {
+        &self.coords[i]
+    }
+
     /// All points in order.
     pub fn points(&self) -> &[P] {
         &self.points
@@ -156,15 +170,17 @@ impl<P> Space<P> {
     /// and cross-run comparisons stay valid on the subspace.
     #[cfg(test)]
     pub fn filter(self, keep: impl Fn(&P) -> bool) -> Self {
-        let (ids, points) = self
+        let ((ids, coords), points) = self
             .ids
             .into_iter()
+            .zip(self.coords)
             .zip(self.points)
             .filter(|(_, p)| keep(p))
             .unzip();
         Self {
             name: self.name,
             ids,
+            coords,
             points,
         }
     }
@@ -173,44 +189,40 @@ impl<P> Space<P> {
 impl<A: AxisItem, B: AxisItem> Space<(A, B)> {
     /// Cartesian product of two axes, row-major (first axis outermost).
     pub fn grid2(name: impl Into<String>, a: Axis<A>, b: Axis<B>) -> Self {
-        let name = name.into();
-        let mut ids = Vec::new();
         let mut points = Vec::new();
         for va in a.values() {
             for vb in b.values() {
-                let canon = format!("{}={};{}={}", a.name(), va.canon(), b.name(), vb.canon());
-                ids.push(id_for(&name, &canon, points.len() as u64));
                 points.push((va.clone(), vb.clone()));
             }
         }
-        Self { name, ids, points }
+        Self::from_points(name, points, |(va, vb)| {
+            format!("{}={};{}={}", a.name(), va.canon(), b.name(), vb.canon())
+        })
     }
 }
 
 impl<A: AxisItem, B: AxisItem, C: AxisItem> Space<(A, B, C)> {
     /// Cartesian product of three axes, row-major.
     pub fn grid3(name: impl Into<String>, a: Axis<A>, b: Axis<B>, c: Axis<C>) -> Self {
-        let name = name.into();
-        let mut ids = Vec::new();
         let mut points = Vec::new();
         for va in a.values() {
             for vb in b.values() {
                 for vc in c.values() {
-                    let canon = format!(
-                        "{}={};{}={};{}={}",
-                        a.name(),
-                        va.canon(),
-                        b.name(),
-                        vb.canon(),
-                        c.name(),
-                        vc.canon()
-                    );
-                    ids.push(id_for(&name, &canon, points.len() as u64));
                     points.push((va.clone(), vb.clone(), vc.clone()));
                 }
             }
         }
-        Self { name, ids, points }
+        Self::from_points(name, points, |(va, vb, vc)| {
+            format!(
+                "{}={};{}={};{}={}",
+                a.name(),
+                va.canon(),
+                b.name(),
+                vb.canon(),
+                c.name(),
+                vc.canon()
+            )
+        })
     }
 }
 
@@ -278,6 +290,7 @@ mod tests {
         );
         assert_eq!(s.id(0).hash, g.id(0).hash);
         assert_eq!(s.id(1).hash, g.id(1).hash);
+        assert_eq!((s.coords(1), g.coords(1)), ("k=4;s=1", "k=4;s=1"));
     }
 
     #[test]

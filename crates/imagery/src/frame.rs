@@ -30,7 +30,7 @@ pub struct FrameSpec {
 
 impl FrameSpec {
     /// The paper's model: 4K (4096 × 3072) RGB at 3 m, every 1.5 s.
-    pub fn paper() -> Self {
+    pub const fn paper() -> Self {
         Self {
             base_width: 4096,
             base_height: 3072,

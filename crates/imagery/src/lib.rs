@@ -11,9 +11,7 @@
 //! [`frame`] implements the paper's frame model (one 4K RGB frame per
 //! 1.5 s whose ground footprint stays fixed as resolution scales), and
 //! [`discard`] the Table 3 early-discard classes with their effective
-//! compression ratios. [`earth`] maps orbital ground tracks to scene
-//! statistics so the simulator sees day/night, ocean/land, and cloud in
-//! the paper's gross proportions.
+//! compression ratios.
 //!
 //! # Examples
 //!
@@ -25,7 +23,6 @@
 //! ```
 
 pub mod discard;
-pub mod earth;
 pub mod frame;
 pub mod noise;
 pub mod synth;

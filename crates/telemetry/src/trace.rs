@@ -200,7 +200,7 @@ impl TraceKind {
 /// Machine-readable reason attached to retries, reroutes, and losses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceCause {
-    /// The configured discard policy (uniform coin or classifier).
+    /// The early-discard coin at the configured rate.
     Policy,
     /// Backlog crossed the graceful-degradation shedding threshold.
     Backlog,

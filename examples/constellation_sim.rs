@@ -1,13 +1,13 @@
 //! Constellation simulation: play out five minutes of a 64-satellite
-//! ring feeding SµDCs at frame level — once with the paper's uniform
-//! early-discard assumption and once with classifier-style discard driven
-//! by the procedural Earth model.
+//! ring feeding SµDCs at frame level under the paper's uniform
+//! early-discard assumption — at 95% discard, without discard, and
+//! without discard but split into eight SµDCs.
 //!
 //! ```sh
 //! cargo run --example constellation_sim
 //! ```
 
-use sudc::sim::{run, DiscardPolicy, SimConfig};
+use sudc::sim::{run, SimConfig};
 use units::{Length, Time};
 use workloads::Application;
 
@@ -46,18 +46,11 @@ fn main() {
 
     // Same load without discard: watch it drown.
     let mut hot = cfg.clone();
-    hot.discard = DiscardPolicy::Uniform(0.0);
+    hot.discard = 0.0;
     print_report("no discard, 1 × 4 kW SµDC", &run(&hot));
 
     // Rescue it by splitting into 8 clusters (Sec. 8).
     let mut split = hot.clone();
     split.clusters = 8;
     print_report("no discard, split into 8 SµDCs", &run(&split));
-
-    // Classifier-style discard: keep only clear, daytime land. The
-    // achieved rate emerges from the Earth model's gross statistics
-    // (Table 3) instead of being dialled in.
-    let mut classified = cfg.clone();
-    classified.discard = DiscardPolicy::ClearLandOnly;
-    print_report("classifier discard (clear land only)", &run(&classified));
 }

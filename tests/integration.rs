@@ -2,54 +2,11 @@
 //! compression, communication, and sizing layers.
 
 use compress::CodecKind;
-use imagery::earth::EarthModel;
 use imagery::synth::{Scene, SceneKind};
 use orbit::circular::CircularOrbit;
-use orbit::groundtrack::subsatellite_point;
-use orbit::OrbitalElements;
 use sudc::sizing::SudcSpec;
-use units::{Angle, DataRate, Length, Time};
+use units::{Angle, DataRate, Length};
 use workloads::{Application, Device};
-
-/// Fly one orbit, render the scene under the satellite at sampled
-/// points, early-discard night, cloud and ocean frames (the land
-/// applications' Table 3 classes), compress the keepers — the whole
-/// on-board pipeline end to end.
-#[test]
-fn onboard_pipeline_orbit_to_compressed_frame() {
-    let elements =
-        OrbitalElements::circular(Length::from_km(6_921.0), Angle::from_degrees(53.0)).unwrap();
-    let earth = EarthModel::paper(42);
-    let codec = CodecKind::PngLike.raster_codec();
-
-    let mut kept = 0usize;
-    let mut compressed_total = 0usize;
-    let mut raw_total = 0usize;
-    let samples = 24;
-    for i in 0..samples {
-        let t = Time::from_secs(i as f64 * elements.period().as_secs() / samples as f64);
-        let pos = elements.position_at(t).unwrap();
-        let point = subsatellite_point(pos, t);
-        let truth = earth.ground_truth(&point, 0.0);
-        let scene = Scene::new(truth.scene_kind(), 1000 + i as u64).render(64, 64);
-
-        if !(truth.night || truth.cloudy || truth.ocean) {
-            kept += 1;
-            let packed = codec.compress_raster(&scene);
-            // Verify losslessness on the real pipeline.
-            let back = codec.decompress_raster(&packed, 64, 64, 3).unwrap();
-            assert_eq!(back, scene);
-            compressed_total += packed.len();
-            raw_total += scene.data().len();
-        }
-    }
-    // Early discard should drop most frames (ocean + night + cloud).
-    assert!(kept < samples, "expected some frames discarded");
-    if raw_total > 0 {
-        let ratio = raw_total as f64 / compressed_total as f64;
-        assert!(ratio > 1.0, "kept frames must compress ({ratio})");
-    }
-}
 
 /// A full design loop: pick a mission, check the downlink fails, check
 /// the satellites cannot compute it, and verify the SµDC answer is

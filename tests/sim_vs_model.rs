@@ -2,7 +2,7 @@
 //! the discrete-event simulator, beyond the cases baked into the simval
 //! experiment.
 
-use sudc::sim::{run, DiscardPolicy, FaultModel, SimConfig, SimTopology};
+use sudc::sim::{run, FaultModel, SimConfig, SimTopology};
 use sudc::sizing::SudcSpec;
 use units::{DataRate, Length, Time};
 use workloads::{Application, Device};
@@ -17,7 +17,6 @@ fn config(
     let mut cfg = SimConfig::paper_reference(app, res, discard);
     cfg.isl_capacity = DataRate::from_gbps(isl_gbps);
     cfg.clusters = clusters;
-    cfg.discard = DiscardPolicy::Uniform(discard);
     cfg.duration = Time::from_minutes(2.0);
     cfg
 }
